@@ -1,19 +1,15 @@
-(* Benchmark harness.
+(* Simulator benchmarks: Bechamel micro-benchmarks of the core
+   mechanisms (descriptor serialization, mailbox bit-vector decode,
+   sequence-number checks, CRC-32, the event engine, grant flips, the
+   flow table), plus the regression gates that `dune runtest` runs.
 
-   Two jobs in one executable:
+   Paper regeneration lives in `cdna_sim` (`table`, `figure`,
+   `extension`, `verify`); `perfbench/e2e.exe` times it end to end.
 
-   1. {b Reproduce the paper}: regenerate every table (1-4) and both
-      figures (3, 4) of the evaluation section, printing the simulated
-      rows next to the published values.
-
-   2. {b Bechamel benchmarks}: one [Test.make] per table and figure
-      (timing the regeneration of that artifact), protection-mode
-      ablations, plus micro-benchmarks of the core mechanisms (descriptor
-      serialization, mailbox bit-vector decode, sequence-number checks,
-      CRC-32, the event engine, grant flips).
-
-   Run with: dune exec bench/main.exe
-   Skip the full sweeps with: dune exec bench/main.exe -- --bench-only *)
+   Run the micro set with:      dune exec bench/main.exe
+   Micro results as JSON:       dune exec bench/main.exe -- --json FILE [--gate BASELINE]
+   Macro multi-host timing:     dune exec bench/main.exe -- --macro FILE [--macro-gate BASELINE]
+   Metrics-export smoke:        dune exec bench/main.exe -- --smoke FILE *)
 
 open Bechamel
 open Toolkit
@@ -167,118 +163,6 @@ let micro_subjects =
     ("micro/bridge-route-26-ports", bridge_route_fn);
     ("micro/flow-admit-1M", flow_admit_1m_fn);
     ("micro/histogram-multi-quantile", histogram_multi_quantile_fn);
-  ]
-
-(* ---------- Macro subjects: one per table / figure ---------- *)
-
-(* Very short measurement windows keep one sample under a second; the
-   shapes the bechamel numbers describe are simulator costs, not the
-   paper's results (those are printed separately below). *)
-let bench_cfg base =
-  {
-    base with
-    Experiments.Config.warmup = Sim.Time.ms 10;
-    duration = Sim.Time.ms 20;
-  }
-
-let run_quietly cfg = ignore (Experiments.Run.run (bench_cfg cfg))
-
-let table1_subject () =
-  List.iter run_quietly
-    [
-      {
-        Experiments.Config.default with
-        Experiments.Config.system = Experiments.Config.Native;
-        nic = Experiments.Config.Intel;
-        nics = 6;
-      };
-      {
-        Experiments.Config.default with
-        Experiments.Config.system = Experiments.Config.Xen_sw;
-        nic = Experiments.Config.Intel;
-        nics = 6;
-      };
-    ]
-
-let t23_subject pattern () =
-  List.iter
-    (fun (system, nic) ->
-      run_quietly
-        {
-          Experiments.Config.default with
-          Experiments.Config.system;
-          nic;
-          pattern;
-        })
-    [
-      (Experiments.Config.Xen_sw, Experiments.Config.Intel);
-      (Experiments.Config.Xen_sw, Experiments.Config.Ricenic);
-      (Experiments.Config.Cdna_sys, Experiments.Config.Ricenic);
-    ]
-
-let table4_subject () =
-  List.iter
-    (fun (pattern, protection) ->
-      run_quietly
-        {
-          Experiments.Config.default with
-          Experiments.Config.system = Experiments.Config.Cdna_sys;
-          pattern;
-          protection;
-        })
-    [
-      (Workload.Pattern.Tx, Cdna.Cdna_costs.Full);
-      (Workload.Pattern.Tx, Cdna.Cdna_costs.Disabled);
-      (Workload.Pattern.Rx, Cdna.Cdna_costs.Full);
-      (Workload.Pattern.Rx, Cdna.Cdna_costs.Disabled);
-    ]
-
-let figure_subject pattern () =
-  List.iter
-    (fun (system, nic, guests) ->
-      run_quietly
-        {
-          Experiments.Config.default with
-          Experiments.Config.system;
-          nic;
-          pattern;
-          guests;
-        })
-    [
-      (Experiments.Config.Xen_sw, Experiments.Config.Intel, 1);
-      (Experiments.Config.Xen_sw, Experiments.Config.Intel, 8);
-      (Experiments.Config.Xen_sw, Experiments.Config.Intel, 24);
-      (Experiments.Config.Cdna_sys, Experiments.Config.Ricenic, 1);
-      (Experiments.Config.Cdna_sys, Experiments.Config.Ricenic, 8);
-      (Experiments.Config.Cdna_sys, Experiments.Config.Ricenic, 24);
-    ]
-
-let ablation_subject protection () =
-  run_quietly
-    {
-      Experiments.Config.default with
-      Experiments.Config.system = Experiments.Config.Cdna_sys;
-      protection;
-    }
-
-let macro_tests =
-  [
-    Test.make ~name:"table1/native-vs-xen-6nic" (Staged.stage table1_subject);
-    Test.make ~name:"table2/single-guest-tx"
-      (Staged.stage (t23_subject Workload.Pattern.Tx));
-    Test.make ~name:"table3/single-guest-rx"
-      (Staged.stage (t23_subject Workload.Pattern.Rx));
-    Test.make ~name:"table4/protection-on-off" (Staged.stage table4_subject);
-    Test.make ~name:"figure3/tx-scaling"
-      (Staged.stage (figure_subject Workload.Pattern.Tx));
-    Test.make ~name:"figure4/rx-scaling"
-      (Staged.stage (figure_subject Workload.Pattern.Rx));
-    Test.make ~name:"ablation/protection-full"
-      (Staged.stage (ablation_subject Cdna.Cdna_costs.Full));
-    Test.make ~name:"ablation/protection-iommu"
-      (Staged.stage (ablation_subject Cdna.Cdna_costs.Iommu));
-    Test.make ~name:"ablation/protection-disabled"
-      (Staged.stage (ablation_subject Cdna.Cdna_costs.Disabled));
   ]
 
 let micro_tests =
@@ -559,8 +443,8 @@ let oversub_once () =
 let open_loop_100k_once () =
   let t0 = Sys.time () in
   let p =
-    Experiments.Flows.point ~quick:true ~shards:1
-      ~scenario:Experiments.Flows.Normal ~seed:42 ~flows:100_000 ()
+    Experiments.Flows.point ~quick:true ~scenario:Experiments.Flows.Normal
+      ~seed:42 ~flows:100_000 ()
   in
   let wall_s = Sys.time () -. t0 in
   let pkts =
@@ -627,33 +511,6 @@ let () =
   | Some out -> macro_mode ~out ~gate:(arg_value "--macro-gate")
   | None -> ());
   if Array.exists (( = ) "--smoke") Sys.argv then smoke ();
-  let bench_only = Array.exists (( = ) "--bench-only") Sys.argv in
-  if not bench_only then begin
-    print_endline
-      "==============================================================";
-    print_endline
-      " Paper reproduction: every table and figure of the evaluation";
-    print_endline
-      "==============================================================";
-    print_newline ();
-    Experiments.Tables.print_all ~quick:true ();
-    print_newline ();
-    Experiments.Figures.print_figure ~title:"Figure 3: transmit scaling"
-      ~pattern:Workload.Pattern.Tx
-      (Experiments.Figures.figure3 ~quick:true ());
-    print_newline ();
-    Experiments.Figures.print_figure ~title:"Figure 4: receive scaling"
-      ~pattern:Workload.Pattern.Rx
-      (Experiments.Figures.figure4 ~quick:true ());
-    print_newline ();
-    Experiments.Extension.print_all ~quick:true ();
-    print_newline ()
-  end;
-  print_endline "==============================================================";
-  print_endline " Bechamel: simulator wall-clock per artifact regeneration";
-  print_endline "==============================================================";
-  run_bechamel ~quota_s:2.0 macro_tests;
-  print_newline ();
   print_endline "==============================================================";
   print_endline " Bechamel: core-mechanism micro-benchmarks";
   print_endline "==============================================================";

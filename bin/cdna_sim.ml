@@ -344,64 +344,55 @@ let trace_cmd =
 let table_cmd =
   let run quick which csv =
     match (which, csv) with
-    | 1, false ->
-        Experiments.Tables.print_table1 (Experiments.Tables.table1 ~quick ())
-    | 1, true ->
-        print_string
-          (Experiments.Tables.csv_table1 (Experiments.Tables.table1 ~quick ()))
-    | 2, false ->
-        Experiments.Tables.print_table23
-          ~title:"Table 2: transmit, single guest, 2 NICs"
-          (Experiments.Tables.table2 ~quick ())
-    | 2, true ->
-        print_string
-          (Experiments.Tables.csv_table23 (Experiments.Tables.table2 ~quick ()))
-    | 3, false ->
-        Experiments.Tables.print_table23
-          ~title:"Table 3: receive, single guest, 2 NICs"
-          (Experiments.Tables.table3 ~quick ())
-    | 3, true ->
-        print_string
-          (Experiments.Tables.csv_table23 (Experiments.Tables.table3 ~quick ()))
-    | 4, false ->
-        Experiments.Tables.print_table4 (Experiments.Tables.table4 ~quick ())
-    | 4, true ->
-        print_string
-          (Experiments.Tables.csv_table23 (Experiments.Tables.table4 ~quick ()))
-    | 0, false -> Experiments.Tables.print_all ~quick ()
-    | 0, true -> Printf.eprintf "--csv needs a specific table number\n"
-    | n, _ -> Printf.eprintf "no such table: %d (use 1-4, or 0 for all)\n" n
+    | 0, true -> `Error (false, "--csv needs a specific table number")
+    | 0, false -> `Ok (Experiments.Tables.print_all ~quick ())
+    | n, _ ->
+        let t = List.nth Experiments.Tables.tables (n - 1) in
+        `Ok
+          (if csv then print_string (t.Experiments.Tables.csv ~quick)
+           else t.Experiments.Tables.print ~quick)
   in
   let which =
+    let numbers =
+      List.init (List.length Experiments.Tables.tables + 1) (fun n ->
+          (string_of_int n, n))
+    in
     Arg.(
-      value & pos 0 int 0
+      value
+      & pos 0 (enum numbers) 0
       & info [] ~docv:"N" ~doc:"Table number 1-4 (0 or omitted = all).")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in
   let doc = "Reproduce one of the paper's tables (or all)." in
-  Cmd.v (Cmd.info "table" ~doc) Term.(const run $ quick $ which $ csv)
+  Cmd.v (Cmd.info "table" ~doc) Term.(ret (const run $ quick $ which $ csv))
 
 (* ---- figures ---- *)
 
+let figures =
+  [
+    ( 3,
+      ( "Figure 3: transmit scaling",
+        Workload.Pattern.Tx,
+        Experiments.Figures.figure3 ) );
+    ( 4,
+      ( "Figure 4: receive scaling",
+        Workload.Pattern.Rx,
+        Experiments.Figures.figure4 ) );
+  ]
+
 let figure_cmd =
   let run quick which csv =
-    let print_or_csv ~title ~pattern points =
-      if csv then print_string (Experiments.Figures.csv points)
-      else Experiments.Figures.print_figure ~title ~pattern points
-    in
-    match which with
-    | 3 ->
-        print_or_csv ~title:"Figure 3: transmit scaling"
-          ~pattern:Workload.Pattern.Tx
-          (Experiments.Figures.figure3 ~quick ())
-    | 4 ->
-        print_or_csv ~title:"Figure 4: receive scaling"
-          ~pattern:Workload.Pattern.Rx
-          (Experiments.Figures.figure4 ~quick ())
-    | n -> Printf.eprintf "no such figure: %d (use 3 or 4)\n" n
+    let title, pattern, figure = List.assoc which figures in
+    let points = figure ~quick () in
+    if csv then print_string (Experiments.Figures.csv points)
+    else Experiments.Figures.print_figure ~title ~pattern points
   in
   let which =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure 3 or 4.")
+    let numbers = List.map (fun (n, _) -> (string_of_int n, n)) figures in
+    Arg.(
+      required
+      & pos 0 (some (enum numbers)) None
+      & info [] ~docv:"N" ~doc:"Figure 3 or 4.")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV series.") in
   let doc = "Reproduce one of the paper's scaling figures." in
@@ -410,30 +401,39 @@ let figure_cmd =
 (* ---- scale-guests: oversubscription sweep beyond the paper ---- *)
 
 let scale_guests_cmd =
-  let run quick pattern preset guest_counts cpu_counts shards csv chart_cpus =
-    let pattern, slice =
-      match preset with
-      | Some `Rx_heavy ->
-          (Workload.Pattern.Rx, Some Experiments.Scaling.rx_heavy_slice)
-      | None -> (pattern, None)
-    in
-    let points =
-      Experiments.Scaling.sweep ~quick ~shards ~pattern ?slice ~guest_counts
-        ~cpu_counts ()
-    in
-    if csv then print_string (Experiments.Scaling.csv points)
-    else begin
-      print_endline
-        "Guest scaling past the 32 hardware contexts (CDNA pages contexts; \
-         Xen bridges in software):";
-      print_newline ();
-      Experiments.Scaling.print_table points;
-      match chart_cpus with
-      | Some c ->
+  let run quick pattern preset guest_counts cpu_counts csv chart_cpus =
+    match chart_cpus with
+    | Some c when not (List.mem c cpu_counts) ->
+        `Error (false, Printf.sprintf "--chart %d is not one of --cpu-counts" c)
+    | _ ->
+        let pattern, slice =
+          match preset with
+          | Some `Rx_heavy ->
+              (Workload.Pattern.Rx, Some Experiments.Scaling.rx_heavy_slice)
+          | None -> (pattern, None)
+        in
+        let points =
+          Experiments.Scaling.sweep ~quick ~pattern ?slice ~guest_counts
+            ~cpu_counts ()
+        in
+        if csv then print_string (Experiments.Scaling.csv points)
+        else begin
+          print_endline
+            "Guest scaling past the 32 hardware contexts (CDNA pages \
+             contexts; Xen bridges in software):";
           print_newline ();
-          print_string (Experiments.Scaling.chart points ~cpus:c)
-      | None -> ()
-    end
+          Experiments.Scaling.print_table points;
+          Option.iter
+            (fun c ->
+              print_newline ();
+              print_string
+                (Experiments.Figures.chart
+                   (List.filter
+                      (fun p -> Experiments.Scaling.cpus p = c)
+                      points)))
+            chart_cpus
+        end;
+        `Ok ()
   in
   let guest_counts =
     Arg.(
@@ -479,21 +479,21 @@ let scale_guests_cmd =
     "Sweep guest counts through and past the NIC's 32 hardware contexts \
      (hypervisor context paging), CDNA vs Xen software I/O, on 1..N host \
      CPUs; reports throughput, context-swap counts and the crossover where \
-     swap overhead eats CDNA's advantage. Results are byte-identical for \
-     every --shards value."
+     swap overhead eats CDNA's advantage."
   in
   Cmd.v
     (Cmd.info "scale-guests" ~doc)
     Term.(
-      const run $ quick $ pattern $ preset $ guest_counts $ cpu_counts $ shards
-      $ csv $ chart_cpus)
+      ret
+        (const run $ quick $ pattern $ preset $ guest_counts $ cpu_counts $ csv
+       $ chart_cpus))
 
 (* ---- scale: open-loop million-flow sweep ---- *)
 
 let scale_cmd =
-  let run quick scenario seed flow_counts shards csv chart =
+  let run quick scenario seed flow_counts csv chart =
     let points =
-      Experiments.Flows.sweep ~quick ~shards ~scenario ~seed ~flow_counts ()
+      Experiments.Flows.sweep ~quick ~scenario ~seed ~flow_counts ()
     in
     if csv then print_string (Experiments.Flows.csv points)
     else begin
@@ -543,12 +543,11 @@ let scale_cmd =
     "Open-loop flow scaling 10^3..10^6 concurrent flows, Xen software vs \
      CDNA: heavy-tailed sizes, Poisson/bursty arrivals, SYN-flood and churn \
      scenarios; reports throughput and p50/p99/p999 per-flow tail latency. \
-     Flow state is flat preallocated arrays (zero steady-state allocation); \
-     results are byte-identical for every --shards value."
+     Flow state is flat preallocated arrays (zero steady-state allocation)."
   in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
-      const run $ quick $ scenario $ seed $ flow_counts $ shards $ csv $ chart)
+      const run $ quick $ scenario $ seed $ flow_counts $ csv $ chart)
 
 (* ---- verify ---- *)
 

@@ -9,24 +9,10 @@ let verify ?(quick = false) () =
   let run cfg = Run.run ~quick cfg in
   let base2 = { Config.default with Config.nics = 2; guests = 1 } in
   let cdna pattern guests =
-    run
-      {
-        base2 with
-        Config.system = Config.Cdna_sys;
-        nic = Config.Ricenic;
-        pattern;
-        guests;
-      }
+    run (Config.cdna_ricenic { base2 with Config.pattern; guests })
   in
   let xen pattern guests =
-    run
-      {
-        base2 with
-        Config.system = Config.Xen_sw;
-        nic = Config.Intel;
-        pattern;
-        guests;
-      }
+    run (Config.xen_intel { base2 with Config.pattern; guests })
   in
   (* The measurement set, shared across claims. *)
   let cdna_tx1 = cdna Workload.Pattern.Tx 1 in
@@ -49,26 +35,26 @@ let verify ?(quick = false) () =
   in
   let xen_tx6 =
     run
-      {
-        Config.default with
-        Config.system = Config.Xen_sw;
-        nic = Config.Intel;
-        nics = 6;
-        pattern = Workload.Pattern.Tx;
-      }
+      (Config.xen_intel
+         { Config.default with Config.nics = 6; pattern = Workload.Pattern.Tx })
   in
   let noprot_tx =
     run
-      {
-        base2 with
-        Config.system = Config.Cdna_sys;
-        nic = Config.Ricenic;
-        pattern = Workload.Pattern.Tx;
-        protection = Cdna.Cdna_costs.Disabled;
-      }
+      (Config.cdna_ricenic
+         {
+           base2 with
+           Config.pattern = Workload.Pattern.Tx;
+           protection = Cdna.Cdna_costs.Disabled;
+         })
   in
   let idle m = m.Run.profile.Host.Profile.idle in
   let drv m = m.Run.profile.Host.Profile.driver_kernel in
+  let all =
+    [
+      cdna_tx1; cdna_rx1; xen_tx1; xen_rx1; cdna_tx24; cdna_rx24; native_tx;
+      xen_tx6; noprot_tx;
+    ]
+  in
   [
     {
       id = "C1";
@@ -154,22 +140,13 @@ let verify ?(quick = false) () =
       id = "C9";
       claim = "no corruption, drops or protection faults in any of the above";
       measured =
-        (let all =
-           [
-             cdna_tx1; cdna_rx1; xen_tx1; xen_rx1; cdna_tx24; cdna_rx24;
-             native_tx; xen_tx6; noprot_tx;
-           ]
-         in
-         Printf.sprintf "faults=%d integrity=%d"
-           (List.fold_left (fun a m -> a + m.Run.faults) 0 all)
-           (List.fold_left (fun a m -> a + m.Run.integrity_failures) 0 all));
+        Printf.sprintf "faults=%d integrity=%d"
+          (List.fold_left (fun a m -> a + m.Run.faults) 0 all)
+          (List.fold_left (fun a m -> a + m.Run.integrity_failures) 0 all);
       pass =
         List.for_all
           (fun m -> m.Run.faults = 0 && m.Run.integrity_failures = 0)
-          [
-            cdna_tx1; cdna_rx1; xen_tx1; xen_rx1; cdna_tx24; cdna_rx24;
-            native_tx; xen_tx6; noprot_tx;
-          ];
+          all;
     };
   ]
 

@@ -42,6 +42,9 @@ let default =
     slice = None;
   }
 
+let xen_intel t = { t with system = Xen_sw; nic = Intel }
+let cdna_ricenic t = { t with system = Cdna_sys; nic = Ricenic }
+
 let system_name = function
   | Native -> "Native"
   | Xen_sw -> "Xen"

@@ -44,6 +44,12 @@ type t = {
 (** Single guest, 2 NICs, transmit, full protection, 200 ms measured. *)
 val default : t
 
+(** The paper's head-to-head pairing, applied to a base configuration:
+    Xen software I/O on the Intel NIC against CDNA on the RiceNIC. *)
+val xen_intel : t -> t
+
+val cdna_ricenic : t -> t
+
 val describe : t -> string
 val system_name : system -> string
 val nic_name : nic_kind -> string

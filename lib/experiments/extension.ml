@@ -1,3 +1,9 @@
+(* The paper's pairing on one base configuration, Xen first. *)
+let versus ~quick ~cdna_label base =
+  let xen = Run.run ~quick (Config.xen_intel base) in
+  let cdna = Run.run ~quick (Config.cdna_ricenic base) in
+  [ ("Xen/Intel", xen); (cdna_label, cdna) ]
+
 type latency_row = {
   l_label : string;
   l_guests : int;
@@ -10,32 +16,9 @@ let latency ?(quick = false) ?(guest_counts = [ 1; 4; 8 ]) () =
   in
   List.concat_map
     (fun guests ->
-      [
-        {
-          l_label = "Xen/Intel";
-          l_guests = guests;
-          l_m =
-            Run.run ~quick
-              {
-                base with
-                Config.system = Config.Xen_sw;
-                nic = Config.Intel;
-                guests;
-              };
-        };
-        {
-          l_label = "CDNA";
-          l_guests = guests;
-          l_m =
-            Run.run ~quick
-              {
-                base with
-                Config.system = Config.Cdna_sys;
-                nic = Config.Ricenic;
-                guests;
-              };
-        };
-      ])
+      List.map
+        (fun (l_label, l_m) -> { l_label; l_guests = guests; l_m })
+        (versus ~quick ~cdna_label:"CDNA" { base with Config.guests }))
     guest_counts
 
 let print_latency rows =
@@ -65,20 +48,9 @@ let bidirectional ?(quick = false) () =
       pattern = Workload.Pattern.Bidirectional;
     }
   in
-  [
-    {
-      b_label = "Xen/Intel";
-      b_m =
-        Run.run ~quick
-          { base with Config.system = Config.Xen_sw; nic = Config.Intel };
-    };
-    {
-      b_label = "CDNA/RiceNIC";
-      b_m =
-        Run.run ~quick
-          { base with Config.system = Config.Cdna_sys; nic = Config.Ricenic };
-    };
-  ]
+  List.map
+    (fun (b_label, b_m) -> { b_label; b_m })
+    (versus ~quick ~cdna_label:"CDNA/RiceNIC" base)
 
 let print_bidirectional rows =
   print_endline
@@ -148,32 +120,9 @@ let payload_sweep ?(quick = false) ?(sizes = [ 128; 512; 1024; 1500 ]) () =
   in
   List.concat_map
     (fun payload ->
-      [
-        {
-          p_label = "Xen/Intel";
-          p_payload = payload;
-          p_m =
-            Run.run ~quick
-              {
-                base with
-                Config.system = Config.Xen_sw;
-                nic = Config.Intel;
-                payload;
-              };
-        };
-        {
-          p_label = "CDNA";
-          p_payload = payload;
-          p_m =
-            Run.run ~quick
-              {
-                base with
-                Config.system = Config.Cdna_sys;
-                nic = Config.Ricenic;
-                payload;
-              };
-        };
-      ])
+      List.map
+        (fun (p_label, p_m) -> { p_label; p_payload = payload; p_m })
+        (versus ~quick ~cdna_label:"CDNA" { base with Config.payload }))
     sizes
 
 let print_payload_sweep rows =

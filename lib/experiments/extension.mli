@@ -11,7 +11,7 @@
       With both directions active the CPU costs of the two paths
       compound; does CDNA still hold its advantage?
 
-    These are reported alongside the tables by the benchmark harness. *)
+    [cdna_sim extension] prints them all. *)
 
 type latency_row = {
   l_label : string;

@@ -2,31 +2,22 @@ type point = { guests : int; xen : Run.measurement; cdna : Run.measurement }
 
 let paper_guest_counts = [ 1; 2; 4; 8; 12; 16; 20; 24 ]
 
-let sweep ?(quick = false) ~pattern guest_counts =
-  let base = { Config.default with Config.nics = 2; pattern } in
+let sweep ?(quick = false) base guest_counts =
   List.map
     (fun guests ->
-      let xen =
-        Run.run ~quick
-          { base with Config.system = Config.Xen_sw; nic = Config.Intel; guests }
-      in
-      let cdna =
-        Run.run ~quick
-          {
-            base with
-            Config.system = Config.Cdna_sys;
-            nic = Config.Ricenic;
-            guests;
-          }
-      in
+      let cfg = { base with Config.guests } in
+      let xen = Run.run ~quick (Config.xen_intel cfg) in
+      let cdna = Run.run ~quick (Config.cdna_ricenic cfg) in
       { guests; xen; cdna })
     guest_counts
 
+let base pattern = { Config.default with Config.nics = 2; pattern }
+
 let figure3 ?quick ?(guest_counts = paper_guest_counts) () =
-  sweep ?quick ~pattern:Workload.Pattern.Tx guest_counts
+  sweep ?quick (base Workload.Pattern.Tx) guest_counts
 
 let figure4 ?quick ?(guest_counts = paper_guest_counts) () =
-  sweep ?quick ~pattern:Workload.Pattern.Rx guest_counts
+  sweep ?quick (base Workload.Pattern.Rx) guest_counts
 
 (* Paper anchor values for the endpoints of each series. *)
 let paper_anchor ~pattern ~guests ~system =
@@ -56,14 +47,10 @@ let paper_cdna_idle ~pattern ~guests =
 let opt_str f = function Some v -> f v | None -> "-"
 
 let chart points =
-  let xs = List.map (fun p -> p.guests) points in
-  Report.ascii_chart ~x_label:"guests" ~y_label:"Mb/s"
-    ~series:
-      [
-        ("CDNA", '#', List.map (fun p -> Run.primary_mbps p.cdna) points);
-        ("Xen", 'o', List.map (fun p -> Run.primary_mbps p.xen) points);
-      ]
-    ~xs
+  Report.versus_chart ~x_label:"guests"
+    (List.map
+       (fun p -> (p.guests, Run.primary_mbps p.cdna, Run.primary_mbps p.xen))
+       points)
 
 let print_figure ~title ~pattern points =
   print_endline title;

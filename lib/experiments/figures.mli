@@ -11,6 +11,12 @@ type point = {
 (** Guest counts used by the paper. *)
 val paper_guest_counts : int list
 
+(** [sweep base guest_counts] measures, at each guest count, [base] under
+    Xen software I/O on the Intel NIC and under CDNA on the RiceNIC
+    ({!Config.xen_intel}, {!Config.cdna_ricenic}); one fresh testbed per
+    run, in guest-count order. *)
+val sweep : ?quick:bool -> Config.t -> int list -> point list
+
 (** [figure3 ()] sweeps transmit throughput over guest counts.
     [guest_counts] defaults to the paper's {1,2,4,8,12,16,20,24}. *)
 val figure3 : ?quick:bool -> ?guest_counts:int list -> unit -> point list
@@ -20,6 +26,9 @@ val figure4 : ?quick:bool -> ?guest_counts:int list -> unit -> point list
 
 val print_figure :
   title:string -> pattern:Workload.Pattern.t -> point list -> unit
+
+(** ASCII chart of the CDNA and Xen throughput series over guests. *)
+val chart : point list -> string
 
 (** CSV series (guests, xen_mbps, cdna_mbps, cdna_idle_pct, xen_idle_pct). *)
 val csv : point list -> string

@@ -19,10 +19,7 @@
    CDNA service capacity — identical offered load for both systems, so
    the slower path visibly collapses (occupancy pinned at capacity,
    admissions rejected, tails censored by the window) while the faster
-   one keeps pace.
-
-   The engine is driven through a single-LP Sim.Shard exactly like
-   Scaling.measure, so every --shards value is byte-identical. *)
+   one keeps pace. *)
 
 type scenario = Normal | Syn_flood | Churn | Incast
 
@@ -167,16 +164,9 @@ let window ~quick ~flows ~mean_size ~nics =
   let w = Stdlib.max 50_000_000 (int_of_float drain) in
   Sim.Time.ns (if quick then Stdlib.max 10_000_000 (w / 4) else w)
 
-(* One system at one point, engine driven through a single-LP shard so
-   [--shards] is byte-identical by construction (cf. Scaling.measure). *)
-let measure ?(quick = false) ?(shards = 1) ~flows ~scenario ~seed system =
+let measure ?(quick = false) ~flows ~scenario ~seed system =
   let nics = 2 in
   let engine = Sim.Engine.create () in
-  let p = Sim.Shard.Partition.create () in
-  let (_ : Sim.Shard.Partition.lp) =
-    Sim.Shard.Partition.add p ~name:"openloop" engine
-  in
-  let shard = Sim.Shard.create ~shards p in
   let metrics = Sim.Metrics.create () in
   let cfg = config_for ~flows ~scenario ~seed ~nics system in
   let ol = Workload.Open_loop.create ~metrics engine cfg in
@@ -184,7 +174,7 @@ let measure ?(quick = false) ?(shards = 1) ~flows ~scenario ~seed system =
   let until = window ~quick ~flows ~mean_size ~nics in
   Workload.Open_loop.preload ol ~flows;
   Workload.Open_loop.start ol ~stop_at:until;
-  Sim.Shard.run shard ~until;
+  Sim.Engine.run engine ~until;
   let tbl = Workload.Open_loop.table ol in
   let served = Workload.Open_loop.served_pkts ol in
   let elapsed = Sim.Time.to_sec_f until in
@@ -206,15 +196,13 @@ let measure ?(quick = false) ?(shards = 1) ~flows ~scenario ~seed system =
     metrics_json = Sim.Metrics.to_string metrics;
   }
 
-let point ?quick ?shards ?(scenario = Normal) ?(seed = 1234) ~flows () =
-  let xen = measure ?quick ?shards ~flows ~scenario ~seed Config.Xen_sw in
-  let cdna = measure ?quick ?shards ~flows ~scenario ~seed Config.Cdna_sys in
+let point ?quick ?(scenario = Normal) ?(seed = 1234) ~flows () =
+  let xen = measure ?quick ~flows ~scenario ~seed Config.Xen_sw in
+  let cdna = measure ?quick ~flows ~scenario ~seed Config.Cdna_sys in
   { flows; scenario; xen; cdna }
 
-let sweep ?quick ?shards ?scenario ?seed
-    ?(flow_counts = default_flow_counts) () =
-  List.map (fun flows -> point ?quick ?shards ?scenario ?seed ~flows ())
-    flow_counts
+let sweep ?quick ?scenario ?seed ?(flow_counts = default_flow_counts) () =
+  List.map (fun flows -> point ?quick ?scenario ?seed ~flows ()) flow_counts
 
 let ms ns = float_of_int ns /. 1e6
 
@@ -286,14 +274,5 @@ let csv points =
        points)
 
 let chart points =
-  match points with
-  | [] -> ""
-  | _ ->
-      let xs = List.map (fun p -> p.flows) points in
-      Report.ascii_chart ~x_label:"concurrent flows" ~y_label:"Mb/s"
-        ~series:
-          [
-            ("CDNA", '#', List.map (fun p -> p.cdna.mbps) points);
-            ("Xen", 'o', List.map (fun p -> p.xen.mbps) points);
-          ]
-        ~xs
+  Report.versus_chart ~x_label:"concurrent flows"
+    (List.map (fun p -> (p.flows, p.cdna.mbps, p.xen.mbps)) points)

@@ -7,10 +7,7 @@
     software path's collapse under production-shaped traffic — falling
     throughput as live-flow state outgrows the cache, pinned occupancy,
     rejected admissions, exploding tails — is directly visible next to
-    CDNA's wire-limited flat line.
-
-    Every point runs through a single-LP {!Sim.Shard}, so output is
-    byte-identical for every [--shards] value. *)
+    CDNA's wire-limited flat line. *)
 
 type scenario =
   | Normal  (** Poisson arrivals, bounded-Pareto elephants-and-mice *)
@@ -37,18 +34,17 @@ type side = {
   eleph_q : int array;
   metrics_json : string;
       (** full [Sim.Metrics] snapshot of the point — the determinism
-          tests compare this byte-for-byte across shard counts *)
+          tests compare this byte-for-byte across same-seed reruns *)
 }
 
 type point = { flows : int; scenario : scenario; xen : side; cdna : side }
 
 val default_flow_counts : int list
 
-(** [measure ?quick ?shards ~flows ~scenario ~seed system] runs one
-    system at one concurrency point. [quick] quarters the window. *)
+(** [measure ?quick ~flows ~scenario ~seed system] runs one system at
+    one concurrency point. [quick] quarters the window. *)
 val measure :
   ?quick:bool ->
-  ?shards:int ->
   flows:int ->
   scenario:scenario ->
   seed:int ->
@@ -57,7 +53,6 @@ val measure :
 
 val point :
   ?quick:bool ->
-  ?shards:int ->
   ?scenario:scenario ->
   ?seed:int ->
   flows:int ->
@@ -66,7 +61,6 @@ val point :
 
 val sweep :
   ?quick:bool ->
-  ?shards:int ->
   ?scenario:scenario ->
   ?seed:int ->
   ?flow_counts:int list ->

@@ -49,7 +49,6 @@ let rate v =
     s;
   Buffer.contents buf
 
-
 let ascii_chart ~x_label ~y_label ~series ~xs =
   let height = 16 in
   let buf = Buffer.create 2048 in
@@ -96,3 +95,15 @@ let ascii_chart ~x_label ~y_label ~series ~xs =
       Buffer.add_string buf (Printf.sprintf "%8s%c = %s\n" "" marker name))
     series;
   Buffer.contents buf
+
+let versus_chart ~x_label points =
+  match points with
+  | [] -> ""
+  | _ ->
+      ascii_chart ~x_label ~y_label:"Mb/s"
+        ~series:
+          [
+            ("CDNA", '#', List.map (fun (_, cdna, _) -> cdna) points);
+            ("Xen", 'o', List.map (fun (_, _, xen) -> xen) points);
+          ]
+        ~xs:(List.map (fun (x, _, _) -> x) points)

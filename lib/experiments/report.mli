@@ -35,3 +35,8 @@ val ascii_chart :
   series:(string * char * float list) list ->
   xs:int list ->
   string
+
+(** [versus_chart ~x_label points] charts CDNA ([#]) against Xen ([o])
+    throughput in Mb/s from [(x, cdna_mbps, xen_mbps)] points; [""] when
+    there are none. *)
+val versus_chart : x_label:string -> (int * float * float) list -> string

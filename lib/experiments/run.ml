@@ -12,6 +12,7 @@ type measurement = {
   latency_p50_us : float;
   latency_p99_us : float;
   fairness : float;
+  ctx_swaps : int;
   events_fired : int;
 }
 
@@ -87,8 +88,12 @@ type baselines = {
   drops0 : int;
   faults0 : int;
   irqs0 : int;
+  swaps0 : int;
   events0 : int;
 }
+
+let cdna_ctx_swaps (tb : Testbed.t) =
+  match tb.Testbed.cdna_hyp with Some h -> Cdna.Hyp.ctx_swaps h | None -> 0
 
 (* End of warm-up: zero every counter the measurement reads. The engine
    must stand exactly at [cfg.warmup]. *)
@@ -102,11 +107,12 @@ let reset_after_warmup (cfg : Config.t) (tb : Testbed.t) =
     drops0 = nic_drops (tb.Testbed.nic_stats ());
     faults0 = nic_faults (tb.Testbed.nic_stats ());
     irqs0 = tb.Testbed.nic_interrupts ();
+    swaps0 = cdna_ctx_swaps tb;
     events0 = Sim.Engine.fired_count tb.Testbed.engine;
   }
 
 let collect (cfg : Config.t) (tb : Testbed.t) (b : baselines) =
-  let { drops0; faults0; irqs0; events0 } = b in
+  let { drops0; faults0; irqs0; swaps0; events0 } = b in
   let secs = Sim.Time.to_sec_f cfg.Config.duration in
   let goodput_per_pkt = max 1 (cfg.Config.payload - l3_header_bytes) in
   let mbps conns =
@@ -157,6 +163,7 @@ let collect (cfg : Config.t) (tb : Testbed.t) (b : baselines) =
     latency_p50_us = latency_percentile measured_conns 50.;
     latency_p99_us = latency_percentile measured_conns 99.;
     fairness = jain_fairness measured_conns;
+    ctx_swaps = cdna_ctx_swaps tb - swaps0;
     events_fired = Sim.Engine.fired_count tb.Testbed.engine - events0;
   }
 

@@ -23,6 +23,9 @@ type measurement = {
           measured direction (1.0 = perfectly balanced). The paper's
           benchmark "balances the bandwidth across all connections to
           ensure fairness"; this checks the reproduction does too. *)
+  ctx_swaps : int;
+      (** CDNA hardware-context save/restores during measurement (0 for
+          other systems and whenever every guest holds a context). *)
   events_fired : int;  (** Simulation events (diagnostic). *)
 }
 

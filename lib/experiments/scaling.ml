@@ -1,45 +1,5 @@
-type point = {
-  guests : int;
-  cpus : int;
-  xen : Run.measurement;
-  cdna : Run.measurement;
-  ctx_swaps : int;
-}
-
-let paper_guest_counts = [ 8; 12; 16; 20; 24 ]
 let default_guest_counts = [ 8; 16; 24; 32; 48; 64; 96; 128; 192; 256 ]
 let default_cpu_counts = [ 1; 2; 4 ]
-
-(* One measured run that also reads the CDNA hypervisor's context-swap
-   counter over exactly the measurement window (swaps during warm-up are
-   excluded, like every other counter). The testbed's engine is driven
-   through {!Sim.Shard} as a single LP: with no channels that is one
-   window per phase — event-for-event the plain {!Run} execution — so
-   every [shards] value (clamped to the one LP) yields byte-identical
-   results, which is what the CLI's [--shards] flag advertises. *)
-let measure ~quick ~shards (cfg : Config.t) =
-  let cfg = Run.apply_quick ~quick cfg in
-  let tb = Testbed.build cfg in
-  let p = Sim.Shard.Partition.create () in
-  let (_ : Sim.Shard.Partition.lp) =
-    Sim.Shard.Partition.add p ~name:"host0" tb.Testbed.engine
-  in
-  let shard = Sim.Shard.create ~shards p in
-  tb.Testbed.start ();
-  Sim.Shard.run shard ~until:cfg.Config.warmup;
-  let b = Run.reset_after_warmup cfg tb in
-  let swaps0 =
-    match tb.Testbed.cdna_hyp with Some h -> Cdna.Hyp.ctx_swaps h | None -> 0
-  in
-  let stop = Sim.Time.add cfg.Config.warmup cfg.Config.duration in
-  Sim.Shard.run shard ~until:stop;
-  let m = Run.collect cfg tb b in
-  let swaps =
-    match tb.Testbed.cdna_hyp with
-    | Some h -> Cdna.Hyp.ctx_swaps h - swaps0
-    | None -> 0
-  in
-  (m, swaps)
 
 (* The rx-heavy preset: receive-dominated traffic does more work per
    context touch (netback RX is the expensive side; CDNA RX touches the
@@ -49,55 +9,35 @@ let measure ~quick ~shards (cfg : Config.t) =
    the software path. *)
 let rx_heavy_slice = Sim.Time.us 100
 
-let sweep ?(quick = false) ?(shards = 1) ?(pattern = Workload.Pattern.Tx)
-    ?slice ?(guest_counts = default_guest_counts)
-    ?(cpu_counts = default_cpu_counts) () =
-  let base = { Config.default with Config.nics = 2; pattern; slice } in
+let sweep ?quick ?(pattern = Workload.Pattern.Tx) ?slice
+    ?(guest_counts = default_guest_counts) ?(cpu_counts = default_cpu_counts)
+    () =
   List.concat_map
     (fun cpus ->
-      List.map
-        (fun guests ->
-          let xen, _ =
-            measure ~quick ~shards
-              {
-                base with
-                Config.system = Config.Xen_sw;
-                nic = Config.Intel;
-                guests;
-                cpus;
-              }
-          in
-          let cdna, ctx_swaps =
-            measure ~quick ~shards
-              {
-                base with
-                Config.system = Config.Cdna_sys;
-                nic = Config.Ricenic;
-                guests;
-                cpus;
-              }
-          in
-          { guests; cpus; xen; cdna; ctx_swaps })
+      Figures.sweep ?quick
+        { Config.default with Config.nics = 2; pattern; slice; cpus }
         guest_counts)
     cpu_counts
+
+let cpus (p : Figures.point) = p.Figures.cdna.Run.config.Config.cpus
 
 (* Smallest guest count (per CPU count) at which context-swap overhead
    drags CDNA to or below the software path; [None] when CDNA wins
    everywhere measured. *)
-let crossover points ~cpus =
+let crossover points ~cpus:c =
   List.fold_left
-    (fun acc p ->
+    (fun acc (p : Figures.point) ->
       if
-        p.cpus = cpus
-        && Run.primary_mbps p.cdna <= Run.primary_mbps p.xen
-        && match acc with None -> true | Some g -> p.guests < g
-      then Some p.guests
+        cpus p = c
+        && Run.primary_mbps p.Figures.cdna <= Run.primary_mbps p.Figures.xen
+        && match acc with None -> true | Some g -> p.Figures.guests < g
+      then Some p.Figures.guests
       else acc)
     None points
 
-let swaps_per_sec p =
-  float_of_int p.ctx_swaps
-  /. Sim.Time.to_sec_f p.cdna.Run.config.Config.duration
+let swaps_per_sec (p : Figures.point) =
+  let m = p.Figures.cdna in
+  float_of_int m.Run.ctx_swaps /. Sim.Time.to_sec_f m.Run.config.Config.duration
 
 let print_table points =
   Report.print
@@ -107,43 +47,25 @@ let print_table points =
         "CDNA idle";
       ]
     (List.map
-       (fun p ->
+       (fun (p : Figures.point) ->
          [
-           string_of_int p.cpus;
-           string_of_int p.guests;
-           Report.mbps (Run.primary_mbps p.xen);
-           Report.mbps (Run.primary_mbps p.cdna);
-           string_of_int p.ctx_swaps;
+           string_of_int (cpus p);
+           string_of_int p.Figures.guests;
+           Report.mbps (Run.primary_mbps p.Figures.xen);
+           Report.mbps (Run.primary_mbps p.Figures.cdna);
+           string_of_int p.Figures.cdna.Run.ctx_swaps;
            Printf.sprintf "%.0f" (swaps_per_sec p);
-           Report.pct p.cdna.Run.profile.Host.Profile.idle;
+           Report.pct p.Figures.cdna.Run.profile.Host.Profile.idle;
          ])
        points);
-  let cpu_counts =
-    List.sort_uniq Int.compare (List.map (fun p -> p.cpus) points)
-  in
   List.iter
-    (fun cpus ->
-      match crossover points ~cpus with
+    (fun c ->
+      match crossover points ~cpus:c with
       | Some g ->
           Printf.printf
-            "%d CPU(s): CDNA falls to the software path at %d guests\n" cpus g
-      | None ->
-          Printf.printf "%d CPU(s): CDNA ahead at every measured point\n" cpus)
-    cpu_counts
-
-let chart points ~cpus =
-  let pts = List.filter (fun p -> p.cpus = cpus) points in
-  match pts with
-  | [] -> ""
-  | _ ->
-      let xs = List.map (fun p -> p.guests) pts in
-      Report.ascii_chart ~x_label:"guests" ~y_label:"Mb/s"
-        ~series:
-          [
-            ("CDNA", '#', List.map (fun p -> Run.primary_mbps p.cdna) pts);
-            ("Xen", 'o', List.map (fun p -> Run.primary_mbps p.xen) pts);
-          ]
-        ~xs
+            "%d CPU(s): CDNA falls to the software path at %d guests\n" c g
+      | None -> Printf.printf "%d CPU(s): CDNA ahead at every measured point\n" c)
+    (List.sort_uniq Int.compare (List.map cpus points))
 
 let csv points =
   Report.csv
@@ -153,14 +75,14 @@ let csv points =
         "ctx_swaps_per_sec"; "cdna_idle_pct";
       ]
     (List.map
-       (fun p ->
+       (fun (p : Figures.point) ->
          [
-           string_of_int p.cpus;
-           string_of_int p.guests;
-           Printf.sprintf "%.1f" (Run.primary_mbps p.xen);
-           Printf.sprintf "%.1f" (Run.primary_mbps p.cdna);
-           string_of_int p.ctx_swaps;
+           string_of_int (cpus p);
+           string_of_int p.Figures.guests;
+           Printf.sprintf "%.1f" (Run.primary_mbps p.Figures.xen);
+           Printf.sprintf "%.1f" (Run.primary_mbps p.Figures.cdna);
+           string_of_int p.Figures.cdna.Run.ctx_swaps;
            Printf.sprintf "%.1f" (swaps_per_sec p);
-           Printf.sprintf "%.1f" p.cdna.Run.profile.Host.Profile.idle;
+           Printf.sprintf "%.1f" p.Figures.cdna.Run.profile.Host.Profile.idle;
          ])
        points)

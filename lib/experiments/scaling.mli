@@ -14,53 +14,40 @@
     Single-CPU points at or below 32 guests are the degenerate case and
     reproduce the pre-paging scheduler and datapath event-for-event. *)
 
-type point = {
-  guests : int;
-  cpus : int;
-  xen : Run.measurement;
-  cdna : Run.measurement;
-  ctx_swaps : int;
-      (** CDNA context save/restore operations during the measured window. *)
-}
-
-(** The paper's oversubscription-free guest counts (all ≤ 24). *)
-val paper_guest_counts : int list
-
 (** 8..256 guests: through the 32-context boundary and well past it. *)
 val default_guest_counts : int list
 
 val default_cpu_counts : int list
 
-(** [sweep ()] measures every (cpus, guests) cell, CDNA and Xen_sw each.
-    Runs are sequential and deterministic; the result list is ordered by
-    CPU count, then guest count. Each run is driven through the sharded
-    engine (one LP), so results are byte-identical for every [shards]
-    value. *)
+(** [sweep ()] runs {!Figures.sweep} at every CPU count: each
+    (cpus, guests) cell is measured for CDNA and Xen_sw. Runs are
+    sequential and deterministic; the result list is ordered by CPU
+    count, then guest count. A point's CDNA context swaps are
+    [p.cdna.Run.ctx_swaps]. *)
 val sweep :
   ?quick:bool ->
-  ?shards:int ->
   ?pattern:Workload.Pattern.t ->
   ?slice:Sim.Time.t ->
   ?guest_counts:int list ->
   ?cpu_counts:int list ->
   unit ->
-  point list
+  Figures.point list
 
 (** Scheduler slice used by the [--preset rx-heavy] sweep (100 us vs the
     1 ms default): with receive-dominated traffic it maximizes context
     touches per unit time, probing for a CDNA/Xen crossover. *)
 val rx_heavy_slice : Sim.Time.t
 
+(** Host CPU count a point was measured on. *)
+val cpus : Figures.point -> int
+
 (** Smallest guest count at which CDNA throughput falls to or below
     Xen's, for the given CPU count. *)
-val crossover : point list -> cpus:int -> int option
+val crossover : Figures.point list -> cpus:int -> int option
 
-val swaps_per_sec : point -> float
+val swaps_per_sec : Figures.point -> float
 
 (** Table of every point plus the per-CPU-count crossover summary. *)
-val print_table : point list -> unit
+val print_table : Figures.point list -> unit
 
-(** ASCII chart of one CPU count's CDNA-vs-Xen series. *)
-val chart : point list -> cpus:int -> string
-
-val csv : point list -> string
+val csv : Figures.point list -> string

@@ -117,12 +117,9 @@ type t23_row = {
 let t23_configs pattern =
   let base = { Config.default with Config.nics = 2; guests = 1; pattern } in
   [
-    ( "Xen/Intel",
-      { base with Config.system = Config.Xen_sw; nic = Config.Intel } );
-    ( "Xen/RiceNIC",
-      { base with Config.system = Config.Xen_sw; nic = Config.Ricenic } );
-    ( "CDNA/RiceNIC",
-      { base with Config.system = Config.Cdna_sys; nic = Config.Ricenic } );
+    ("Xen/Intel", Config.xen_intel base);
+    ("Xen/RiceNIC", { base with Config.system = Config.Xen_sw; nic = Config.Ricenic });
+    ("CDNA/RiceNIC", Config.cdna_ricenic base);
   ]
 
 let table2 ?(quick = false) () =
@@ -187,13 +184,7 @@ let print_table23 ~title rows =
 
 let table4 ?(quick = false) () =
   let base =
-    {
-      Config.default with
-      Config.nics = 2;
-      guests = 1;
-      system = Config.Cdna_sys;
-      nic = Config.Ricenic;
-    }
+    Config.cdna_ricenic { Config.default with Config.nics = 2; guests = 1 }
   in
   let run pattern protection =
     Run.run ~quick { base with Config.pattern; protection }
@@ -220,18 +211,6 @@ let table4 ?(quick = false) () =
       t23_paper = paper_t4_rx_off;
     };
   ]
-
-let print_table4 rows =
-  print_endline
-    "Table 4: CDNA 2-NIC transmit/receive with and without DMA protection";
-  Report.print ~header:t23_header
-    (List.concat_map
-       (fun r ->
-         [
-           (r.t23_label ^ " (sim)") :: profile_cells r.t23_m;
-           (r.t23_label ^ " (paper)") :: paper_cells r.t23_paper;
-         ])
-       rows)
 
 let csv_table1 rows =
   Report.csv
@@ -262,15 +241,31 @@ let csv_table23 rows =
          ])
        rows)
 
+type table = { print : quick:bool -> unit; csv : quick:bool -> string }
+
+let t23 ~title (run : ?quick:bool -> unit -> t23_row list) =
+  {
+    print = (fun ~quick -> print_table23 ~title (run ~quick ()));
+    csv = (fun ~quick -> csv_table23 (run ~quick ()));
+  }
+
+let tables =
+  [
+    {
+      print = (fun ~quick -> print_table1 (table1 ~quick ()));
+      csv = (fun ~quick -> csv_table1 (table1 ~quick ()));
+    };
+    t23 ~title:"Table 2: transmit, single guest, 2 NICs" table2;
+    t23 ~title:"Table 3: receive, single guest, 2 NICs" table3;
+    t23
+      ~title:
+        "Table 4: CDNA 2-NIC transmit/receive with and without DMA protection"
+      table4;
+  ]
+
 let print_all ?(quick = false) () =
-  print_table1 (table1 ~quick ());
-  print_newline ();
-  print_table23
-    ~title:"Table 2: transmit, single guest, 2 NICs"
-    (table2 ~quick ());
-  print_newline ();
-  print_table23
-    ~title:"Table 3: receive, single guest, 2 NICs"
-    (table3 ~quick ());
-  print_newline ();
-  print_table4 (table4 ~quick ())
+  List.iteri
+    (fun i t ->
+      if i > 0 then print_newline ();
+      t.print ~quick)
+    tables

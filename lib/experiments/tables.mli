@@ -46,12 +46,18 @@ val print_table23 : title:string -> t23_row list -> unit
 (** {1 Table 4: CDNA with and without DMA protection} *)
 
 val table4 : ?quick:bool -> unit -> t23_row list
-val print_table4 : t23_row list -> unit
 
 (** CSV serializations (same cells as the printed tables). *)
 val csv_table1 : t1_row list -> string
 
 val csv_table23 : t23_row list -> string
 
-(** Run and print everything. *)
+(** One reproducible table: run it and print it with its title, or run
+    it and render its CSV. *)
+type table = { print : quick:bool -> unit; csv : quick:bool -> string }
+
+(** Tables 1-4, in order. *)
+val tables : table list
+
+(** Run and print every table. *)
 val print_all : ?quick:bool -> unit -> unit

@@ -471,6 +471,26 @@ let test_testbed_oversubscribes_contexts () =
   check_bool "no paging at capacity" false (Cdna.Hyp.paging_enabled hyp32);
   check_int "no swaps at capacity" 0 (Cdna.Hyp.ctx_swaps hyp32)
 
+let test_run_ctx_swaps () =
+  (* [Run] counts CDNA context swaps over the measurement window only:
+     paging at 40 guests swaps throughout, but the swaps made while
+     assigning contexts and warming up stay out of the reading. *)
+  let run cfg guests =
+    Experiments.Run.run_tb ~quick:true
+      (cfg { Experiments.Config.default with Experiments.Config.guests })
+  in
+  let m, tb = run Experiments.Config.cdna_ricenic 40 in
+  let total = Cdna.Hyp.ctx_swaps (Option.get tb.Experiments.Testbed.cdna_hyp) in
+  let swaps = m.Experiments.Run.ctx_swaps in
+  check_bool (Printf.sprintf "window swaps (%d) > 0" swaps) true (swaps > 0);
+  check_bool
+    (Printf.sprintf "window swaps (%d) < testbed total (%d)" swaps total)
+    true (swaps < total);
+  let xen, _ = run Experiments.Config.xen_intel 40 in
+  check_int "xen never swaps" 0 xen.Experiments.Run.ctx_swaps;
+  let cdna8, _ = run Experiments.Config.cdna_ricenic 8 in
+  check_int "no swaps below 32 guests" 0 cdna8.Experiments.Run.ctx_swaps
+
 let test_paper_claims_hold () =
   let verdicts = Experiments.Claims.verify ~quick:true () in
   List.iter
@@ -548,6 +568,7 @@ let suite =
         Alcotest.test_case "payload sweep shape" `Slow test_payload_sweep_shape;
         Alcotest.test_case "testbed context oversubscription" `Quick
           test_testbed_oversubscribes_contexts;
+        Alcotest.test_case "run counts window ctx swaps" `Slow test_run_ctx_swaps;
         Alcotest.test_case "native baseline" `Slow test_native_outperforms_virtualized;
       ] );
     ( "experiments.harness",

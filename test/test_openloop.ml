@@ -2,8 +2,8 @@
    (model equivalence against a naive Hashtbl), Workload.Pattern arrival
    processes, Sim.Stats.Histogram multi-quantile read-out, the dynamic
    zero-allocation guarantee of the admission/service path, and
-   byte-identical determinism of Experiments.Flows points across shard
-   counts. *)
+   byte-identical determinism of Experiments.Flows points across
+   same-seed reruns. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -304,7 +304,7 @@ let test_zero_alloc_steady_state () =
   check_int "zero minor words per packet in steady state" 0
     (int_of_float (w1 -. w0))
 
-(* ---------- Flows determinism across shard counts ---------- *)
+(* ---------- Flows determinism across same-seed reruns ---------- *)
 
 let side_equal (a : Experiments.Flows.side) (b : Experiments.Flows.side) =
   a.Experiments.Flows.mbps = b.Experiments.Flows.mbps
@@ -320,37 +320,33 @@ let side_equal (a : Experiments.Flows.side) (b : Experiments.Flows.side) =
   && a.eleph_q = b.eleph_q
   && String.equal a.metrics_json b.metrics_json
 
-let test_point_deterministic_across_shards () =
+let test_point_deterministic_across_reruns () =
   List.iter
     (fun seed ->
-      let run shards =
-        Experiments.Flows.measure ~quick:true ~shards ~flows:1_000
+      let run () =
+        Experiments.Flows.measure ~quick:true ~flows:1_000
           ~scenario:Experiments.Flows.Syn_flood ~seed Experiments.Config.Cdna_sys
       in
-      let s1 = run 1 and s4 = run 4 and s13 = run 13 in
+      let first = run () and second = run () in
       check_bool
-        (Printf.sprintf "seed %d: shards 1 = 4" seed)
-        true (side_equal s1 s4);
-      check_bool
-        (Printf.sprintf "seed %d: shards 1 = 13" seed)
-        true (side_equal s1 s13);
-      check_bool "metrics non-empty" true (String.length s1.metrics_json > 2))
+        (Printf.sprintf "seed %d: rerun identical" seed)
+        true (side_equal first second);
+      check_bool "metrics non-empty" true (String.length first.metrics_json > 2))
     [ 42; 7 ]
 
 let test_point_csv_deterministic () =
-  let csv_for shards =
+  let csv () =
     Experiments.Flows.csv
       [
-        Experiments.Flows.point ~quick:true ~shards
-          ~scenario:Experiments.Flows.Churn ~seed:1234 ~flows:1_000 ();
+        Experiments.Flows.point ~quick:true ~scenario:Experiments.Flows.Churn
+          ~seed:1234 ~flows:1_000 ();
       ]
   in
-  check Alcotest.string "csv byte-identical across shard counts" (csv_for 1)
-    (csv_for 4)
+  check Alcotest.string "csv byte-identical across reruns" (csv ()) (csv ())
 
 let test_seeds_decorrelate () =
   let run seed =
-    Experiments.Flows.measure ~quick:true ~shards:1 ~flows:1_000
+    Experiments.Flows.measure ~quick:true ~flows:1_000
       ~scenario:Experiments.Flows.Normal ~seed Experiments.Config.Xen_sw
   in
   let a = run 42 and b = run 7 in
@@ -391,8 +387,8 @@ let suite =
       ] );
     ( "experiments.flows",
       [
-        Alcotest.test_case "deterministic across shards" `Quick
-          test_point_deterministic_across_shards;
+        Alcotest.test_case "deterministic across same-seed reruns" `Quick
+          test_point_deterministic_across_reruns;
         Alcotest.test_case "csv deterministic" `Quick test_point_csv_deterministic;
         Alcotest.test_case "seeds decorrelate" `Quick test_seeds_decorrelate;
       ] );
