@@ -32,7 +32,9 @@ check:
 	dune runtest
 	$(MAKE) lint
 
-# Full Bechamel run: paper-table regeneration benchmarks + micro set.
+# Bechamel micro set (core mechanisms). Paper regeneration lives in
+# cdna_sim (table / figure / extension / verify); time it end to end
+# with perfbench/e2e.exe.
 bench:
 	dune exec bench/main.exe
 

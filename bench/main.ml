@@ -8,7 +8,7 @@
 
    Run the micro set with:      dune exec bench/main.exe
    Micro results as JSON:       dune exec bench/main.exe -- --json FILE [--gate BASELINE]
-   Macro multi-host timing:     dune exec bench/main.exe -- --macro FILE [--macro-gate BASELINE]
+   Macro run timing:            dune exec bench/main.exe -- --macro FILE [--macro-gate BASELINE]
    Metrics-export smoke:        dune exec bench/main.exe -- --smoke FILE *)
 
 open Bechamel

@@ -45,8 +45,6 @@ val cpus : Figures.point -> int
     Xen's, for the given CPU count. *)
 val crossover : Figures.point list -> cpus:int -> int option
 
-val swaps_per_sec : Figures.point -> float
-
 (** Table of every point plus the per-CPU-count crossover summary. *)
 val print_table : Figures.point list -> unit
 

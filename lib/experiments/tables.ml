@@ -118,7 +118,8 @@ let t23_configs pattern =
   let base = { Config.default with Config.nics = 2; guests = 1; pattern } in
   [
     ("Xen/Intel", Config.xen_intel base);
-    ("Xen/RiceNIC", { base with Config.system = Config.Xen_sw; nic = Config.Ricenic });
+    ( "Xen/RiceNIC",
+      { base with Config.system = Config.Xen_sw; nic = Config.Ricenic } );
     ("CDNA/RiceNIC", Config.cdna_ricenic base);
   ]
 

@@ -1,9 +1,9 @@
 (** Reproductions of the paper's Tables 1-4.
 
     Each [tableN] runs the experiments and returns structured rows;
-    [print_tableN] renders them next to the paper's published values so
-    the comparison the paper invites is immediate. [quick] shortens runs
-    (for tests); [mode] selects full protection (default) where relevant. *)
+    {!tables} prints them (or their CSV) next to the paper's published
+    values so the comparison the paper invites is immediate. [quick]
+    shortens runs (for tests). *)
 
 (** A cell of paper-reference data: the value printed in the paper. *)
 type paper_profile = {
@@ -29,7 +29,6 @@ type t1_row = {
 }
 
 val table1 : ?quick:bool -> unit -> t1_row list
-val print_table1 : t1_row list -> unit
 
 (** {1 Tables 2-3: single-guest transmit/receive, 2 NICs} *)
 
@@ -41,19 +40,13 @@ type t23_row = {
 
 val table2 : ?quick:bool -> unit -> t23_row list
 val table3 : ?quick:bool -> unit -> t23_row list
-val print_table23 : title:string -> t23_row list -> unit
 
 (** {1 Table 4: CDNA with and without DMA protection} *)
 
 val table4 : ?quick:bool -> unit -> t23_row list
 
-(** CSV serializations (same cells as the printed tables). *)
-val csv_table1 : t1_row list -> string
-
-val csv_table23 : t23_row list -> string
-
 (** One reproducible table: run it and print it with its title, or run
-    it and render its CSV. *)
+    it and render the same cells as CSV. *)
 type table = { print : quick:bool -> unit; csv : quick:bool -> string }
 
 (** Tables 1-4, in order. *)
