@@ -49,10 +49,8 @@ bench-json:
 # same 4-host scenario at shards 1 and 4, gated >2x against the
 # committed baseline. Refresh after an intentional performance change:
 #   dune exec bench/main.exe -- --macro bench/baseline_macro.json
-# The gate also runs inside `dune runtest`, where the whole suite
-# timeshares the machine — after refreshing, give memory-bound subjects
-# (macro/open-loop-100k) headroom above their worst contended runtest
-# number, not just the idle measurement.
+# Both gates scale the baseline by the ref/host-speed entry timed in
+# the same run, so refresh both files on one machine in one sitting.
 bench-macro:
 	dune exec bench/main.exe -- --macro BENCH_macro.json --macro-gate bench/baseline_macro.json
 

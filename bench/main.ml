@@ -170,6 +170,46 @@ let micro_tests =
     (fun (name, fn) -> Test.make ~name (Staged.stage fn))
     micro_subjects
 
+(* ---------- Host-speed reference ----------
+
+   The baselines hold absolute times, but the gates run on shared
+   machines whose speed moves by 2x and more from hour to hour. Both
+   gates therefore also time this fixed loop — stdlib only, so no change
+   to the simulator can move it — and scale every baseline by how much
+   slower or faster the loop runs now than when the baseline was
+   written. A red gate then means the simulator got slower relative to
+   the host, not that the host got slower. *)
+
+let host_ref_name = "ref/host-speed"
+
+let host_ref_fn =
+  let a = Array.make 65_536 0 in
+  fun () ->
+    let s = ref 1 in
+    for i = 0 to 65_535 do
+      s := ((!s * 1_103_515_245) + 12_345) land 0x3FFF_FFFF;
+      let j = !s land 0xFFFF in
+      a.(j) <- a.(j) + i
+    done
+
+(* Best per-run wall time over several timed batches: co-tenant load only
+   ever adds time, so the minimum is the host's current speed. *)
+let host_ref_ns () =
+  let batch = 20 and trials = 7 in
+  host_ref_fn ();
+  let best = ref infinity in
+  for _ = 1 to trials do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to batch do
+      host_ref_fn ()
+    done;
+    best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int batch)
+  done;
+  !best *. 1e9
+
+let host_ref_entry ns =
+  (host_ref_name, Sim.Json.Obj [ ("ns_per_run", Sim.Json.Float ns) ])
+
 (* ---------- Bechamel driver ---------- *)
 
 let estimate_ns ~quota_s tests =
@@ -295,7 +335,9 @@ let json_number = function
 let gate_factor = 2.0
 
 (* Shared ns_per_run gate: compare [parsed] against the committed
-   baseline and exit 1 on any regression beyond [gate_factor]. *)
+   baseline, each baseline time scaled by the host-speed reference
+   (ratio of the two files' [host_ref_name] entries; 1 when either lacks
+   it), and exit 1 on any regression beyond [gate_factor]. *)
 let gate_ns ~label ~subject_names ~baseline_path parsed =
   let baseline =
     match Sim.Json.parse (read_file baseline_path) with
@@ -306,11 +348,19 @@ let gate_ns ~label ~subject_names ~baseline_path parsed =
     Option.bind (Sim.Json.member name doc) (fun e ->
         json_number (Sim.Json.member "ns_per_run" e))
   in
+  let host =
+    match (ns_of baseline host_ref_name, ns_of parsed host_ref_name) with
+    | Some base, Some now when base > 0. && now > 0. -> now /. base
+    | _ -> 1.
+  in
+  Printf.printf "%s gate: host %.2fx the baseline's (%s)\n" label host
+    host_ref_name;
   let regressions =
     List.filter_map
       (fun name ->
         match (ns_of baseline name, ns_of parsed name) with
-        | Some base, Some now when base > 0. && now > gate_factor *. base ->
+        | Some base, Some now
+          when base > 0. && now > gate_factor *. base *. host ->
             Some (name, base, now)
         | _ -> None)
       subject_names
@@ -318,8 +368,9 @@ let gate_ns ~label ~subject_names ~baseline_path parsed =
   List.iter
     (fun (name, base, now) ->
       Printf.printf
-        "%s gate: REGRESSION %s: %.0f ns/run vs baseline %.0f (>%.1fx)\n"
-        label name now base gate_factor)
+        "%s gate: REGRESSION %s: %.0f ns/run vs baseline %.0f x host %.2f \
+         (>%.1fx)\n"
+        label name now base host gate_factor)
     regressions;
   match regressions with
   | [] ->
@@ -338,16 +389,29 @@ let minor_words_per_run fn =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
+(* Every subject is estimated [micro_rounds] times and keeps its fastest
+   estimate, so one scheduling hiccup inside a short quota cannot fail
+   the gate on its own. The host reference is timed before each round
+   and keeps its fastest time too. *)
+let micro_rounds = 3
+
 let json_mode ~out ~gate ~quota_s =
-  let rows = estimate_ns ~quota_s micro_tests in
+  let best = Hashtbl.create 16 in
+  let host_ns = ref infinity in
+  for _ = 1 to micro_rounds do
+    host_ns := Float.min !host_ns (host_ref_ns ());
+    List.iter
+      (fun (name, ns) ->
+        match Hashtbl.find_opt best name with
+        | _ when Float.is_nan ns -> ()
+        | Some b when b <= ns -> ()
+        | Some _ | None -> Hashtbl.replace best name ns)
+      (estimate_ns ~quota_s micro_tests)
+  done;
   let entries =
     List.map
       (fun (name, fn) ->
-        let ns =
-          match List.assoc_opt name rows with
-          | Some ns when not (Float.is_nan ns) -> ns
-          | Some _ | None -> 0.
-        in
+        let ns = Option.value (Hashtbl.find_opt best name) ~default:0. in
         let words = minor_words_per_run fn in
         ( name,
           Sim.Json.Obj
@@ -356,6 +420,7 @@ let json_mode ~out ~gate ~quota_s =
               ("minor_words_per_run", Sim.Json.Float words);
             ] ))
       micro_subjects
+    @ [ host_ref_entry !host_ns ]
   in
   write_json_file ~out entries;
   let parsed =
@@ -363,7 +428,8 @@ let json_mode ~out ~gate ~quota_s =
     | Error e -> failwith ("bench --json: emitted invalid JSON: " ^ e)
     | Ok v -> v
   in
-  Printf.printf "bench json: wrote %s (%d subjects)\n" out (List.length entries);
+  Printf.printf "bench json: wrote %s (%d subjects)\n" out
+    (List.length micro_subjects);
   (match gate with
   | None -> ()
   | Some baseline_path ->
@@ -463,6 +529,7 @@ let macro_subjects =
   ]
 
 let macro_mode ~out ~gate =
+  let host_before = host_ref_ns () in
   let entries =
     List.map
       (fun (name, fn) ->
@@ -481,14 +548,15 @@ let macro_mode ~out ~gate =
             ] ))
       macro_subjects
   in
-  write_json_file ~out entries;
+  let host_ns = Float.min host_before (host_ref_ns ()) in
+  write_json_file ~out (entries @ [ host_ref_entry host_ns ]);
   let parsed =
     match Sim.Json.parse (read_file out) with
     | Error e -> failwith ("bench --macro: emitted invalid JSON: " ^ e)
     | Ok v -> v
   in
   Printf.printf "bench macro: wrote %s (%d subjects)\n" out
-    (List.length entries);
+    (List.length macro_subjects);
   (match gate with
   | None -> ()
   | Some baseline_path ->
