@@ -9,22 +9,20 @@ test:
 	dune runtest
 
 # Static checks over lib/: parsetree rules (determinism / zero-alloc
-# hot paths / protection boundaries) plus the interprocedural flow
-# verifier (guest-taint, transitive alloc, privilege reachability), the
-# domain-safety detector (shared mutable state reachable from LP
-# callbacks) and the resource-protocol verifier (acquire/release
-# lifetimes for grants, pins, contexts and locks) over the installed
-# .cmt tree — all four passes in one invocation with a single combined
-# exit code. Also runs as part of `dune runtest`; this target
+# hot paths / protection boundaries) plus, over the installed .cmt tree
+# loaded once, the interprocedural flow verifier (guest-taint,
+# transitive alloc, privilege reachability), the domain-safety detector
+# (shared mutable state reachable from LP callbacks) and the
+# resource-protocol verifier (acquire/release lifetimes for grants,
+# pins, contexts and locks) — all four passes in one invocation with a
+# single combined exit code. Also runs as part of `dune runtest`; this target
 # additionally refreshes the LINT_stats.json artifact and fails if any
 # unsuppressed-violation or suppression count grew versus the committed
 # baseline (refresh deliberately by committing the new file).
 lint:
 	dune build @install
 	dune exec lint/main.exe -- --stats LINT_stats.json \
-	  --flow _build/install/default/lib/cdna \
-	  --dom _build/install/default/lib/cdna \
-	  --proto _build/install/default/lib/cdna --gate LINT_stats.json lib
+	  --cmt _build/install/default/lib/cdna --gate LINT_stats.json lib
 
 # One-shot CI entry: build, full test suite, static analysis + gate.
 check:

@@ -303,8 +303,9 @@ let smoke () =
    direct [Gc.minor_words] delta per run) and writes them as JSON, then
    re-reads the file through our own parser so a malformed export fails
    loudly. [--gate BASELINE] additionally compares against the committed
-   baseline and exits non-zero if any subject regressed more than 2x —
-   the CI benchmark regression gate (see bench/dune). *)
+   baseline and exits non-zero if any subject regressed more than 2x in
+   time or allocates more minor words per run at all — the CI benchmark
+   regression gate (see bench/dune). *)
 
 let arg_value flag =
   let rec find i =
@@ -334,20 +335,22 @@ let json_number = function
 
 let gate_factor = 2.0
 
-(* Shared ns_per_run gate: compare [parsed] against the committed
-   baseline, each baseline time scaled by the host-speed reference
+let read_baseline ~label path =
+  match Sim.Json.parse (read_file path) with
+  | Error e -> failwith (label ^ " gate: bad baseline JSON: " ^ e)
+  | Ok v -> v
+
+let metric key doc name =
+  Option.bind (Sim.Json.member name doc) (fun e ->
+      json_number (Sim.Json.member key e))
+
+(* Shared ns_per_run gate: compare [parsed] against the [baseline]
+   document, each baseline time scaled by the host-speed reference
    (ratio of the two files' [host_ref_name] entries; 1 when either lacks
-   it), and exit 1 on any regression beyond [gate_factor]. *)
-let gate_ns ~label ~subject_names ~baseline_path parsed =
-  let baseline =
-    match Sim.Json.parse (read_file baseline_path) with
-    | Error e -> failwith (label ^ " gate: bad baseline JSON: " ^ e)
-    | Ok v -> v
-  in
-  let ns_of doc name =
-    Option.bind (Sim.Json.member name doc) (fun e ->
-        json_number (Sim.Json.member "ns_per_run" e))
-  in
+   it). Prints every regression beyond [gate_factor]; [true] when there
+   is none. *)
+let gate_ns ~label ~subject_names ~baseline_path ~baseline parsed =
+  let ns_of = metric "ns_per_run" in
   let host =
     match (ns_of baseline host_ref_name, ns_of parsed host_ref_name) with
     | Some base, Some now when base > 0. && now > 0. -> now /. base
@@ -372,12 +375,35 @@ let gate_ns ~label ~subject_names ~baseline_path parsed =
          (>%.1fx)\n"
         label name now base host gate_factor)
     regressions;
-  match regressions with
-  | [] ->
-      Printf.printf "%s gate: all %d subjects within %.1fx of %s\n" label
-        (List.length subject_names)
-        gate_factor baseline_path
-  | _ :: _ -> exit 1
+  if regressions = [] then
+    Printf.printf "%s gate: all %d subjects within %.1fx of %s\n" label
+      (List.length subject_names)
+      gate_factor baseline_path;
+  regressions = []
+
+(* Allocation is deterministic, so unlike time it needs no host scaling
+   and no slack: a subject fails when its minor words per run exceed the
+   baseline's at all. *)
+let gate_words ~subject_names ~baseline parsed =
+  let words_of = metric "minor_words_per_run" in
+  let regressions =
+    List.filter_map
+      (fun name ->
+        match (words_of baseline name, words_of parsed name) with
+        | Some base, Some now when now > base -> Some (name, base, now)
+        | _ -> None)
+      subject_names
+  in
+  List.iter
+    (fun (name, base, now) ->
+      Printf.printf
+        "bench gate: ALLOCATION REGRESSION %s: %.1f minor words/run vs \
+         baseline %.1f\n"
+        name now base)
+    regressions;
+  if regressions = [] then
+    Printf.printf "bench gate: no subject allocates more than its baseline\n";
+  regressions = []
 
 let minor_words_per_run fn =
   fn ();
@@ -433,8 +459,13 @@ let json_mode ~out ~gate ~quota_s =
   (match gate with
   | None -> ()
   | Some baseline_path ->
-      gate_ns ~label:"bench" ~subject_names:(List.map fst micro_subjects)
-        ~baseline_path parsed);
+      let baseline = read_baseline ~label:"bench" baseline_path in
+      let subject_names = List.map fst micro_subjects in
+      let time_ok =
+        gate_ns ~label:"bench" ~subject_names ~baseline_path ~baseline parsed
+      in
+      if not (gate_words ~subject_names ~baseline parsed && time_ok) then
+        exit 1);
   exit 0
 
 (* ---------- --macro: end-to-end sharded-engine benchmark + gate ----------
@@ -560,9 +591,15 @@ let macro_mode ~out ~gate =
   (match gate with
   | None -> ()
   | Some baseline_path ->
-      gate_ns ~label:"bench macro"
-        ~subject_names:(List.map fst macro_subjects)
-        ~baseline_path parsed);
+      let label = "bench macro" in
+      if
+        not
+          (gate_ns ~label
+             ~subject_names:(List.map fst macro_subjects)
+             ~baseline_path
+             ~baseline:(read_baseline ~label baseline_path)
+             parsed)
+      then exit 1);
   exit 0
 
 let () =

@@ -1,12 +1,11 @@
 (* cdna_dom: static domain-safety / race detector for the parallel core.
 
-   Third verification layer, over the same compiled .cmt typedtrees as
-   [Cdna_flow] (whose call-graph helpers, canonicalization and diagnostic
-   types it reuses). [Sim.Shard] runs logical processes (LPs) on worker
-   domains; any mutable value shared between LPs without going through
-   [Domain.DLS] or the shard pool's mutex/condition merge path is a data
-   race waiting for a multicore runner. This pass finds that state
-   statically:
+   Third verification layer, over the same loaded [Program] as
+   [Cdna_flow] and [Cdna_proto]. [Sim.Shard] runs logical processes
+   (LPs) on worker domains; any mutable value shared between LPs
+   without going through [Domain.DLS] or the shard pool's
+   mutex/condition merge path is a data race waiting for a multicore
+   runner. This pass finds that state statically:
 
    1. {b Collect} every piece of module-level mutable state in the tree:
       toplevel / submodule bindings of mutable type (ref, array, bytes,
@@ -48,29 +47,13 @@
    - DM3-domain-local-misuse: [@cdna.domain_local] on a non-state binding.
    - DS1-suppression-reason: [@cdna.domain_shared] without a reason. *)
 
-exception Dom_error of string
-
-module SSet = Cdna_flow.SSet
-module SMap = Cdna_flow.SMap
-module IdentMap = Map.Make (Ident)
-
-type hop = Cdna_flow.hop = { hop_what : string; hop_file : string; hop_line : int }
-
-type violation = Cdna_flow.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  msg : string;
-  chain : hop list;
-  suppress : string option;
-}
+open Chain
+open Program
 
 let rule_dm1 = "DM1-shared-mutable"
 let rule_dm2 = "DM2-captured-shared"
 let rule_dm3 = "DM3-domain-local-misuse"
 let rule_ds1 = "DS1-suppression-reason"
-let violation_compare = Cdna_flow.violation_compare
-let violation_to_string = Cdna_flow.violation_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Classification lattice                                              *)
@@ -116,28 +99,19 @@ type use = {
 
 type dcall = { dc_callee : string; dc_line : int; dc_sched : bool }
 
-type dfn = {
-  d_id : string;
-  d_module : string;
-  d_file : string;
-  d_line : int;
-  d_layer : string;
-  d_body : Typedtree.expression;
-  mutable d_locks : bool; (* takes a mutex / waits a condition *)
-  mutable d_calls : dcall list;
-}
-
+(* Pass state over one loaded [Program.t]; per-function facts are
+   indexed by [f_idx]. *)
 type prog = {
-  mutable fns : dfn SMap.t;
+  p : Program.t;
   mutable items : item SMap.t;
-  mutable aliases : string SMap.t; (* module aliases, for canon_of *)
   mutable uses : use list;
   mutable extra_viols : violation list; (* DM3 / DS1 *)
-  mutable n_files : int;
   mutable n_domain_local : int;
   mutable n_domain_shared : int;
   (* Captured-state idents -> item id, for closure-captured state. *)
   mutable captured : string IdentMap.t;
+  calls : dcall list array;
+  locks : bool array; (* takes a mutex / waits a condition *)
 }
 
 type report = {
@@ -158,26 +132,15 @@ type report = {
 (* Everything in these layers executes inside engine callbacks: the
    simulated hardware/OS stack is driven exclusively by scheduled
    events. [sim] and [experiments] are mixed control-plane/LP code and
-   rely on closure reachability instead. *)
+   rely on closure reachability instead.
+   lib/cdna ("cdna-ext") is the CDNA hypervisor extension: LP-resident
+   too. *)
 let lp_layers =
   SSet.of_list
     [
       "nic"; "guestos"; "xen"; "host"; "memory"; "bus"; "core"; "ethernet";
-      "workload";
+      "workload"; "cdna-ext";
     ]
-
-let layer_of_file file =
-  let l = Cdna_flow.layer_of_file file in
-  if l <> "" then l
-  else if Cdna_flow.path_has_dir file "lib/ethernet" then "ethernet"
-  else if Cdna_flow.path_has_dir file "lib/workload" then "workload"
-  else if Cdna_flow.path_has_dir file "lib/cdna" then "cdna-ext"
-  else if Cdna_flow.path_has_dir file "lib/sim" then "sim"
-  else if Cdna_flow.path_has_dir file "lib/experiments" then "experiments"
-  else ""
-
-(* lib/cdna is the CDNA hypervisor extension: LP-resident too. *)
-let lp_layers = SSet.add "cdna-ext" lp_layers
 
 (* A literal closure passed to one of these runs as an engine callback
    on whatever domain the LP lands on. *)
@@ -256,8 +219,8 @@ let rec state_kind aliases env fuel ty =
   else
     match Types.get_desc ty with
     | Types.Tconstr (p, _, _) -> (
-        let c = Cdna_flow.canon_of aliases (Path.name p) in
-        let k = Cdna_flow.last_comp c in
+        let c = canon_of aliases (Path.name p) in
+        let k = last_comp c in
         if c = "DLS.key" then Some `Dls
         else if
           c = "Mutex.t" || c = "Condition.t" || c = "Atomic.t"
@@ -308,76 +271,65 @@ let rec state_kind aliases env fuel ty =
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Collection (pass 1): items, functions, module aliases               *)
+(* Collection (pass 1): state items and annotations                    *)
 (* ------------------------------------------------------------------ *)
-
-let loc_line = Cdna_flow.loc_line
-let hop = Chain.hop
-
-(* Peel the [let a = .. in let b = .. in fun x -> ..] spine of a
-   toplevel closure: returns the captured bindings and whether the spine
-   ends in a function. *)
-let rec closure_spine (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_function _ -> Some []
-  | Typedtree.Texp_let (_, vbs, body) -> (
-      match closure_spine body with
-      | Some captured -> Some (vbs @ captured)
-      | None -> None)
-  | _ -> None
 
 let add_item prog it = prog.items <- SMap.add it.i_id it prog.items
 
-(* [let x = ..] and [let x : t = ..] bind through different pattern
-   constructors. *)
-let pat_var (p : Typedtree.pattern) =
-  match p.pat_desc with
-  | Typedtree.Tpat_var (id, { txt; _ }) -> Some (id, txt)
-  | Typedtree.Tpat_alias ({ pat_desc = Typedtree.Tpat_any; _ }, id, { txt; _ })
-    ->
-      Some (id, txt)
-  | _ -> None
+(* The reason a [@cdna.domain_shared] gives; [Some ""] when missing. *)
+let shared_reason a =
+  match attr_reason a with
+  | Some r when String.trim r <> "" -> Some r
+  | _ -> Some ""
 
-let register_binding prog ~modname ~file ~layer ~mod_suppress
-    (vb : Typedtree.value_binding) =
-  match pat_var vb.Typedtree.vb_pat with
-  | Some (ident, name) -> (
-      let attrs = vb.Typedtree.vb_attributes in
-      let domain_local = Cdna_flow.has_attr "cdna.domain_local" attrs in
+(* Count a [@cdna.domain_shared] and report DS1 if it lacks a reason. *)
+let check_shared prog ~file ~line ~what a =
+  prog.n_domain_shared <- prog.n_domain_shared + 1;
+  if shared_reason a = Some "" then
+    prog.extra_viols <-
+      {
+        rule = rule_ds1;
+        file;
+        line;
+        msg =
+          what ^ " needs a reason string explaining why sharing is safe";
+        chain = [];
+        suppress = None;
+      }
+      :: prog.extra_viols
+
+(* A module's own [@@@cdna.domain_shared] (the last one wins). *)
+let module_shared (m : modl) =
+  List.fold_left
+    (fun acc a ->
+      if attr_name a = "cdna.domain_shared" then shared_reason a else acc)
+    None m.m_attrs
+
+let register_binding prog { b_mod = m; b_vb = vb } =
+  match pat_var vb.vb_pat with
+  | None -> ()
+  | Some (_, name) -> (
+      let id = m.m_name ^ "." ^ name and file = m.m_file in
+      let line = loc_line vb.vb_loc in
+      let attrs = vb.vb_attributes in
+      let domain_local = has_attr "cdna.domain_local" attrs in
       let suppress =
-        match Cdna_flow.find_attr "cdna.domain_shared" attrs with
-        | Some a -> (
-            prog.n_domain_shared <- prog.n_domain_shared + 1;
-            match Cdna_flow.attr_reason a with
-            | Some r when String.trim r <> "" -> Some r
-            | _ ->
-                prog.extra_viols <-
-                  {
-                    rule = rule_ds1;
-                    file;
-                    line = loc_line vb.vb_loc;
-                    msg =
-                      Printf.sprintf
-                        "[@cdna.domain_shared] on '%s.%s' needs a reason \
-                         string explaining why sharing is safe"
-                        modname name;
-                    chain = [];
-                    suppress = None;
-                  }
-                  :: prog.extra_viols;
-                Some "")
-        | None -> mod_suppress
+        match find_attr "cdna.domain_shared" attrs with
+        | Some a ->
+            check_shared prog ~file ~line a
+              ~what:(Printf.sprintf "[@cdna.domain_shared] on '%s'" id);
+            shared_reason a
+        | None -> module_shared m
       in
       if domain_local then prog.n_domain_local <- prog.n_domain_local + 1;
-      let id = modname ^ "." ^ name in
-      let env = vb.vb_expr.exp_env in
-      let mk kind ?(captured_in = None) ?(alias_of = None) ~sync ~dls () =
+      let mk ?captured_in ?alias_of ?(sync = false) ?(dls = false) ~id ~line
+          kind =
         add_item prog
           {
             i_id = id;
             i_kind = kind;
             i_file = file;
-            i_line = loc_line vb.vb_loc;
+            i_line = line;
             i_captured_in = captured_in;
             i_alias_of = alias_of;
             i_domain_local = domain_local;
@@ -392,7 +344,7 @@ let register_binding prog ~modname ~file ~layer ~mod_suppress
           {
             rule = rule_dm3;
             file;
-            line = loc_line vb.vb_loc;
+            line;
             msg =
               Printf.sprintf
                 "[@cdna.domain_local] on '%s' which is not mutable \
@@ -403,8 +355,8 @@ let register_binding prog ~modname ~file ~layer ~mod_suppress
           }
           :: prog.extra_viols
       in
-      match (vb.vb_expr.exp_desc, closure_spine vb.vb_expr) with
-      | (Typedtree.Texp_function _ | Typedtree.Texp_let _), Some captured ->
+      match closure_spine vb.vb_expr with
+      | Some captured ->
           (* A function, possibly with captured state in its let-spine. *)
           let n_captured = ref 0 in
           List.iter
@@ -412,138 +364,44 @@ let register_binding prog ~modname ~file ~layer ~mod_suppress
               match pat_var cvb.vb_pat with
               | Some (cident, cname) -> (
                   match
-                    state_kind prog.aliases cvb.vb_expr.exp_env 8
+                    state_kind prog.p.aliases cvb.vb_expr.exp_env 8
                       cvb.vb_expr.exp_type
                   with
                   | Some (`Mut kind) ->
                       incr n_captured;
                       let cid = id ^ "." ^ cname in
                       prog.captured <- IdentMap.add cident cid prog.captured;
-                      add_item prog
-                        {
-                          i_id = cid;
-                          i_kind = kind;
-                          i_file = file;
-                          i_line = loc_line cvb.vb_loc;
-                          i_captured_in = Some id;
-                          i_alias_of = None;
-                          i_domain_local = domain_local;
-                          i_suppress = suppress;
-                          i_sync = false;
-                          i_dls = false;
-                          i_class = Lp_local;
-                        }
+                      mk ~id:cid ~line:(loc_line cvb.vb_loc) ~captured_in:id
+                        kind
                   | Some `Dls | Some `Sync | None -> ())
               | None -> ())
             captured;
-          if domain_local && !n_captured = 0 then dm3 ();
-          let fn =
-            {
-              d_id = id;
-              d_module = modname;
-              d_file = file;
-              d_line = loc_line vb.vb_loc;
-              d_layer = layer;
-              d_body = vb.vb_expr;
-              d_locks = false;
-              d_calls = [];
-            }
-          in
-          prog.fns <- SMap.add id fn prog.fns
-      | _ -> (
-          ignore ident;
+          if domain_local && !n_captured = 0 then dm3 ()
+      | None -> (
           (* [let t = A.t]: an alias shares the target's identity, so it
              must win over the mutable-type check; resolved during
              classification. *)
           let alias_target =
             match vb.vb_expr.exp_desc with
-            | Typedtree.Texp_ident (p, _, _) -> (
-                match p with
-                | Path.Pident id ->
-                    let t = modname ^ "." ^ Ident.name id in
-                    if SMap.mem t prog.items then Some t else None
-                | _ ->
-                    let t = Cdna_flow.canon_of prog.aliases (Path.name p) in
-                    if String.contains t '.' then Some t else None)
+            | Texp_ident (Pident i, _, _) ->
+                let t = m.m_name ^ "." ^ Ident.name i in
+                if SMap.mem t prog.items then Some t else None
+            | Texp_ident (path, _, _) ->
+                let t = canon_of prog.p.aliases (Path.name path) in
+                if String.contains t '.' then Some t else None
             | _ -> None
           in
           match alias_target with
-          | Some target ->
-              mk "alias" ~alias_of:(Some target) ~sync:false ~dls:false ()
+          | Some target -> mk ~id ~line ~alias_of:target "alias"
           | None -> (
-              match state_kind prog.aliases env 8 vb.vb_expr.exp_type with
-              | Some `Dls -> mk "DLS.key" ~sync:false ~dls:true ()
-              | Some `Sync -> mk "sync primitive" ~sync:true ~dls:false ()
-              | Some (`Mut kind) -> mk kind ~sync:false ~dls:false ()
+              match
+                state_kind prog.p.aliases vb.vb_expr.exp_env 8
+                  vb.vb_expr.exp_type
+              with
+              | Some `Dls -> mk ~id ~line ~dls:true "DLS.key"
+              | Some `Sync -> mk ~id ~line ~sync:true "sync primitive"
+              | Some (`Mut kind) -> mk ~id ~line kind
               | None -> if domain_local then dm3 ())))
-  | _ -> ()
-
-let rec collect_module prog ~modname ~file ~layer (str : Typedtree.structure) =
-  (* Module-level attributes: layer override and whole-module
-     suppression. *)
-  let layer = ref layer and mod_suppress = ref None in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_attribute a -> (
-          (if Cdna_flow.attr_name a = "cdna.layer" then
-             match Cdna_flow.attr_reason a with
-             | Some l -> layer := l
-             | None -> ());
-          if Cdna_flow.attr_name a = "cdna.domain_shared" then (
-            prog.n_domain_shared <- prog.n_domain_shared + 1;
-            match Cdna_flow.attr_reason a with
-            | Some r when String.trim r <> "" -> mod_suppress := Some r
-            | _ ->
-                prog.extra_viols <-
-                  {
-                    rule = rule_ds1;
-                    file;
-                    line = loc_line a.attr_loc;
-                    msg =
-                      Printf.sprintf
-                        "[@@@cdna.domain_shared] on module %s needs a \
-                         reason string explaining why sharing is safe"
-                        modname;
-                    chain = [];
-                    suppress = None;
-                  }
-                  :: prog.extra_viols;
-                mod_suppress := Some ""))
-      | _ -> ())
-    str.str_items;
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (register_binding prog ~modname ~file ~layer:!layer
-               ~mod_suppress:!mod_suppress)
-            vbs
-      | Typedtree.Tstr_module mb ->
-          collect_module_binding prog ~file ~layer:!layer mb
-      | Typedtree.Tstr_recmodule mbs ->
-          List.iter (collect_module_binding prog ~file ~layer:!layer) mbs
-      | _ -> ())
-    str.str_items
-
-and collect_module_binding prog ~file ~layer (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_id with
-    | Some id -> Ident.name id
-    | None -> ( match mb.mb_name.txt with Some n -> n | None -> "_")
-  in
-  let rec of_mexpr (me : Typedtree.module_expr) =
-    match Chain.module_alias_target me with
-    | Some target -> prog.aliases <- SMap.add name target prog.aliases
-    | None -> (
-        match me.mod_desc with
-        | Typedtree.Tmod_structure s ->
-            collect_module prog ~modname:name ~file ~layer s
-        | Typedtree.Tmod_constraint (m, _, _, _) -> of_mexpr m
-        | _ -> ())
-  in
-  of_mexpr mb.mb_expr
 
 (* ------------------------------------------------------------------ *)
 (* Facts (pass 2): state uses, call edges, scheduled closures          *)
@@ -564,15 +422,15 @@ let resolve_item prog ~f (local : string IdentMap.t)
               match IdentMap.find_opt id prog.captured with
               | Some item -> Some item
               | None ->
-                  let qualified = f.d_module ^ "." ^ Ident.name id in
+                  let qualified = f.f_module ^ "." ^ Ident.name id in
                   if SMap.mem qualified prog.items then Some qualified
                   else None))
       | _ ->
-          let c = Cdna_flow.canon_of prog.aliases (Path.name p) in
+          let c = canon_of prog.p.aliases (Path.name p) in
           if SMap.mem c prog.items then Some c else None)
   | _ -> None
 
-let collect_facts prog (f : dfn) =
+let collect_facts prog (f : fn) =
   let calls = ref [] and uses = ref [] in
   let sched_depth = ref 0 in
   let add_call callee line =
@@ -584,7 +442,7 @@ let collect_facts prog (f : dfn) =
     uses :=
       {
         u_item = item;
-        u_fn = f.d_id;
+        u_fn = f.f_id;
         u_what = what;
         u_write = write;
         u_line = line;
@@ -596,8 +454,8 @@ let collect_facts prog (f : dfn) =
   let schedules_closures callee =
     SSet.mem callee sched_prims
     ||
-    match SMap.find_opt callee prog.fns with
-    | Some g -> SSet.mem g.d_layer lp_layers
+    match SMap.find_opt callee prog.p.fns with
+    | Some g -> SSet.mem g.f_layer lp_layers
     | None -> false
   in
   let rec visit local (e : Typedtree.expression) =
@@ -629,15 +487,9 @@ let collect_facts prog (f : dfn) =
         in
         visit local body
     | Typedtree.Texp_apply (fe, args) -> (
-        let callee =
-          match fe.Typedtree.exp_desc with
-          | Typedtree.Texp_ident (p, _, _) ->
-              Some (Cdna_flow.canon_of prog.aliases (Path.name p))
-          | _ -> None
-        in
-        match callee with
+        match callee prog.p fe with
         | Some c ->
-            let op = Cdna_flow.last_comp c in
+            let op = last_comp c in
             let line = loc_line e.exp_loc in
             add_call c line;
             let sched_arg = schedules_closures c in
@@ -701,23 +553,19 @@ let collect_facts prog (f : dfn) =
         | None -> ())
     | _ -> default ()
   in
-  visit IdentMap.empty f.d_body;
-  (* Intra-module [Pident] callees: qualify against this module. *)
-  let resolve c =
-    if SMap.mem c prog.fns then c
-    else
-      let qualified = f.d_module ^ "." ^ c in
-      if String.contains c '.' || not (SMap.mem qualified prog.fns) then c
-      else qualified
-  in
+  visit IdentMap.empty f.f_expr;
   let calls =
-    List.rev_map (fun c -> { c with dc_callee = resolve c.dc_callee }) !calls
+    List.rev_map
+      (fun c ->
+        let callee = qualify prog.p.fns ~modname:f.f_module c.dc_callee in
+        { c with dc_callee = callee })
+      !calls
   in
-  f.d_calls <- calls;
-  f.d_locks <-
+  prog.calls.(f.f_idx) <- calls;
+  prog.locks.(f.f_idx) <-
     List.exists (fun c -> SSet.mem c.dc_callee lock_fns) calls
     || List.exists
-         (fun c -> SSet.mem (Cdna_flow.last_comp c.dc_callee) lock_fns)
+         (fun c -> SSet.mem (last_comp c.dc_callee) lock_fns)
          calls;
   prog.uses <- !uses @ prog.uses
 
@@ -739,63 +587,63 @@ let lp_reachability prog =
   (* Roots, in deterministic order: layer-resident functions first, then
      closures handed to scheduling primitives. *)
   SMap.iter
-    (fun id (f : dfn) ->
-      if SSet.mem f.d_layer lp_layers then
+    (fun id (f : fn) ->
+      if SSet.mem f.f_layer lp_layers then
         enqueue id
           [
             {
               hop_what =
                 Printf.sprintf "%s lives in LP-resident layer '%s'" id
-                  f.d_layer;
-              hop_file = f.d_file;
-              hop_line = f.d_line;
+                  f.f_layer;
+              hop_file = f.f_file;
+              hop_line = f.f_line;
             };
           ])
-    prog.fns;
+    prog.p.fns;
   SMap.iter
-    (fun _ (f : dfn) ->
+    (fun _ (f : fn) ->
       List.iter
         (fun c ->
           if c.dc_sched then
-            match SMap.find_opt c.dc_callee prog.fns with
+            match SMap.find_opt c.dc_callee prog.p.fns with
             | Some g ->
-                enqueue g.d_id
+                enqueue g.f_id
                   [
                     {
                       hop_what =
                         Printf.sprintf
                           "%s called from a closure scheduled onto the \
                            engine in %s"
-                          g.d_id f.d_id;
-                      hop_file = f.d_file;
+                          g.f_id f.f_id;
+                      hop_file = f.f_file;
                       hop_line = c.dc_line;
                     };
                   ]
             | None -> ())
-        f.d_calls)
-    prog.fns;
+        prog.calls.(f.f_idx))
+    prog.p.fns;
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
     let chain = SMap.find id !chains in
-    match SMap.find_opt id prog.fns with
+    match SMap.find_opt id prog.p.fns with
     | None -> ()
     | Some f ->
         List.iter
           (fun c ->
-            match SMap.find_opt c.dc_callee prog.fns with
-            | Some g when not (SMap.mem g.d_id !chains) ->
-                enqueue g.d_id
+            match SMap.find_opt c.dc_callee prog.p.fns with
+            | Some g when not (SMap.mem g.f_id !chains) ->
+                enqueue g.f_id
                   (chain
                   @ [
                       {
                         hop_what =
-                          Printf.sprintf "%s called from %s" g.d_id f.d_id;
-                        hop_file = f.d_file;
+                          Printf.sprintf "%s called from %s" g.f_id f.f_id;
+                        hop_file = f.f_file;
                         hop_line = c.dc_line;
                       };
                     ])
             | _ -> ())
-          f.d_calls
+          prog.calls.(f.f_idx)
   done;
   !chains
 
@@ -827,56 +675,33 @@ let resolve_alias prog (it : item) =
   in
   go 5 it []
 
-let analyze root =
-  if not (Sys.file_exists root) then
-    raise (Dom_error ("no such cmt root: " ^ root));
+let analyze (p : Program.t) =
   let prog =
     {
-      fns = SMap.empty;
+      p;
       items = SMap.empty;
-      aliases = SMap.empty;
       uses = [];
       extra_viols = [];
-      n_files = 0;
       n_domain_local = 0;
       n_domain_shared = 0;
       captured = IdentMap.empty;
+      calls = table p [];
+      locks = table p false;
     }
   in
-  let cmts = Cdna_flow.collect_cmts [] root |> List.sort String.compare in
-  (* Envs stored in cmt files are summaries; rehydrating them (for the
-     mutable-record check in [state_kind]) loads .cmi files, so the load
-     path must cover the cmt dirs and the stdlib. *)
-  let cmt_dirs =
-    List.sort_uniq String.compare (List.map Filename.dirname cmts)
-  in
-  Load_path.init ~auto_include:Load_path.no_auto_include
-    (cmt_dirs @ [ Config.standard_library ]);
   List.iter
-    (fun path ->
-      match Cmt_format.read_cmt path with
-      | exception _ -> ()
-      | cmt -> (
-          match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-          | Cmt_format.Implementation str, Some src
-            when not (Filename.check_suffix src ".ml-gen") ->
-              prog.n_files <- prog.n_files + 1;
-              let modname = Cdna_flow.strip_wrap cmt.cmt_modname in
-              let layer = layer_of_file src in
-              collect_module prog ~modname ~file:src ~layer str
-          | Cmt_format.Implementation str, Some _ ->
-              (* dune alias modules: harvest [module X = Lib__X] only. *)
-              List.iter
-                (fun (item : Typedtree.structure_item) ->
-                  match item.str_desc with
-                  | Typedtree.Tstr_module mb ->
-                      collect_module_binding prog ~file:"" ~layer:"" mb
-                  | _ -> ())
-                str.str_items
-          | _ -> ()))
-    cmts;
-  let fns_sorted = SMap.bindings prog.fns |> List.map snd in
-  List.iter (collect_facts prog) fns_sorted;
+    (fun (m : modl) ->
+      List.iter
+        (fun a ->
+          if attr_name a = "cdna.domain_shared" then
+            check_shared prog ~file:m.m_file ~line:(loc_line a.attr_loc) a
+              ~what:
+                (Printf.sprintf "[@@@cdna.domain_shared] on module %s"
+                   m.m_name))
+        m.m_attrs)
+    p.modules;
+  List.iter (register_binding prog) p.bindings;
+  SMap.iter (fun _ f -> collect_facts prog f) p.fns;
   let lp_chains = lp_reachability prog in
   (* Resolve uses through toplevel aliases onto root items. *)
   let resolved_uses =
@@ -917,8 +742,8 @@ let analyze root =
         else if
           List.for_all
             (fun (_, u) ->
-              match SMap.find_opt u.u_fn prog.fns with
-              | Some f -> f.d_locks
+              match SMap.find_opt u.u_fn prog.p.fns with
+              | Some f -> prog.locks.(f.f_idx)
               | None -> false)
             uses
         then it.i_class <- Barrier
@@ -931,8 +756,8 @@ let analyze root =
               if not (SSet.mem u.u_fn !seen) then begin
                 seen := SSet.add u.u_fn !seen;
                 let use_file =
-                  match SMap.find_opt u.u_fn prog.fns with
-                  | Some g -> g.d_file
+                  match SMap.find_opt u.u_fn prog.p.fns with
+                  | Some g -> g.f_file
                   | None -> it.i_file
                 in
                 let witness =
@@ -1000,12 +825,10 @@ let analyze root =
         end
       end)
     roots;
-  let suppressed, violations =
-    List.partition (fun v -> v.suppress <> None) !viols
-  in
   (* Items carrying a non-empty [@cdna.domain_shared] that classified
      Shared are accounted as suppressed above; one with an empty reason
      already produced its DS1. *)
+  let violations, suppressed = finish !viols in
   let class_counts =
     List.fold_left
       (fun acc (it : item) ->
@@ -1016,12 +839,12 @@ let analyze root =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {
-    cmt_files = prog.n_files;
-    functions = SMap.cardinal prog.fns;
+    cmt_files = p.files;
+    functions = SMap.cardinal p.fns;
     state_items = List.length roots;
     classes = class_counts;
-    violations = List.sort_uniq violation_compare violations;
-    suppressed = List.sort_uniq violation_compare suppressed;
+    violations;
+    suppressed;
     domain_local = prog.n_domain_local;
     domain_shared = prog.n_domain_shared;
   }
@@ -1040,7 +863,7 @@ let report_to_json r =
         Sim.Json.Obj (List.map (fun (k, n) -> (k, Sim.Json.Int n)) r.classes)
       );
       ("violations", Sim.Json.Int (List.length r.violations));
-      ("rules", Chain.rule_counts_json r.violations);
+      ("rules", rule_counts_json r.violations);
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
       ("domain_local", Sim.Json.Int r.domain_local);
       ("domain_shared", Sim.Json.Int r.domain_shared);

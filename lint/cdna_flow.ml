@@ -3,7 +3,7 @@
 
    Complements the purely syntactic [cdna_lint] (parsetree) with three
    whole-program analyses sharing one call graph built across every
-   module handed to [analyze]:
+   module of the loaded [Program]:
 
    - (T1/T2) guest-taint: values originating from guest-readable memory
      ([Phys_mem.read_*], descriptor reads via [Desc_layout.read],
@@ -43,25 +43,8 @@
    local closure analyzed at its binding site assumes clean parameters.
    Both limits are one-sided: they can miss flows, never invent them. *)
 
-module SSet = Chain.SSet
-module SMap = Chain.SMap
-module ISet = Chain.ISet
-module IdentMap = Chain.IdentMap
-
-(* ------------------------------------------------------------------ *)
-(* Diagnostics (shared shapes re-exported from [Chain])                *)
-(* ------------------------------------------------------------------ *)
-
-type hop = Chain.hop = { hop_what : string; hop_file : string; hop_line : int }
-
-type violation = Chain.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  msg : string;
-  chain : hop list; (* source -> ... -> sink, oldest first *)
-  suppress : string option; (* [Some reason] when [@cdna.flow_ok] *)
-}
+open Chain
+open Program
 
 type report = {
   cmt_files : int;
@@ -75,9 +58,6 @@ let rule_t1 = "T1-guest-taint"
 let rule_t2 = "T2-desc-construct"
 let rule_a6 = "A6-transitive-alloc"
 let rule_p3 = "P3-priv-reachability"
-
-let violation_compare = Chain.violation_compare
-let violation_to_string = Chain.violation_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Source / sink / sanitizer contract                                  *)
@@ -175,27 +155,11 @@ let cold_exits =
 
 let alloc_operators = SSet.of_list [ "^"; "@"; "^^" ]
 
-(* ------------------------------------------------------------------ *)
-(* Name canonicalization                                               *)
-(* ------------------------------------------------------------------ *)
-
-let strip_wrap = Chain.strip_wrap
-let split_on_dot = Chain.split_on_dot
-let expand_alias = Chain.expand_alias
-let canon_of = Chain.canon_of
-let last_comp = Chain.last_comp
+let contract f = SSet.mem f.f_module contract_modules
+let hot f = has_attr "cdna.hot" f.f_attrs
 
 (* ------------------------------------------------------------------ *)
-(* Attribute helpers (compiler-libs Parsetree)                         *)
-(* ------------------------------------------------------------------ *)
-
-let attr_name = Chain.attr_name
-let attr_reason = Chain.attr_reason
-let find_attr = Chain.find_attr
-let has_attr = Chain.has_attr
-
-(* ------------------------------------------------------------------ *)
-(* Program representation                                              *)
+(* Facts and summaries                                                 *)
 (* ------------------------------------------------------------------ *)
 
 type call = {
@@ -218,24 +182,6 @@ type taint =
 type flow = { fl_param : int; fl_sink : string; fl_hops : hop list }
 
 type summary = { s_ret : taint; s_flows : flow list }
-
-type fn = {
-  f_id : string; (* canonical "Mod.name" *)
-  f_module : string;
-  f_file : string;
-  f_line : int;
-  f_params : (string option * Typedtree.pattern) list;
-  f_body : Typedtree.expression;
-  f_hot : bool;
-  f_sanitizer : bool;
-  f_source : bool;
-  f_privileged : bool;
-  f_layer : string;
-  f_contract : bool;
-  mutable f_calls : call list;
-  mutable f_allocs : (string * int) list; (* description, line *)
-  mutable f_summary : summary;
-}
 
 let empty_summary = { s_ret = Clean; s_flows = [] }
 
@@ -303,131 +249,10 @@ let summary_image s =
   ^ String.concat "|" (List.sort String.compare (List.map flow_image s.s_flows))
 
 (* ------------------------------------------------------------------ *)
-(* Location helpers                                                    *)
+(* Facts: call edges and allocation sites, for all modules             *)
 (* ------------------------------------------------------------------ *)
 
-let loc_file = Chain.loc_file
-let loc_line = Chain.loc_line
-let path_has_dir = Chain.path_has_dir
-let layer_of_file = Chain.layer_of_file
-
-(* ------------------------------------------------------------------ *)
-(* Collection (pass 1): functions, aliases, module attributes          *)
-(* ------------------------------------------------------------------ *)
-
-type program = {
-  mutable fns : fn SMap.t;
-  mutable aliases : string SMap.t;
-  mutable n_files : int;
-  mutable sanitizer_count : int;
-}
-
-let rec peel_params (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_function
-      { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ } ->
-      let lbl =
-        match arg_label with
-        | Asttypes.Nolabel -> None
-        | Asttypes.Labelled s | Asttypes.Optional s -> Some s
-      in
-      let params, body = peel_params c_rhs in
-      ((lbl, c_lhs) :: params, body)
-  | _ -> ([], e)
-
-let register_fn prog ~modname ~file ~layer ~privileged ~contract
-    (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Typedtree.Tpat_var (_, { txt = name; _ }) -> (
-      match vb.vb_expr.exp_desc with
-      | Typedtree.Texp_function _ ->
-          let params, body = peel_params vb.vb_expr in
-          let sanitizer = has_attr "cdna.sanitizer" vb.vb_attributes in
-          if sanitizer then prog.sanitizer_count <- prog.sanitizer_count + 1;
-          let f =
-            {
-              f_id = modname ^ "." ^ name;
-              f_module = modname;
-              f_file = file;
-              f_line = loc_line vb.vb_loc;
-              f_params = params;
-              f_body = body;
-              f_hot = has_attr "cdna.hot" vb.vb_attributes;
-              f_sanitizer = sanitizer;
-              f_source = has_attr "cdna.source" vb.vb_attributes;
-              f_privileged = privileged;
-              f_layer = layer;
-              f_contract = contract;
-              f_calls = [];
-              f_allocs = [];
-              f_summary = empty_summary;
-            }
-          in
-          prog.fns <- SMap.add f.f_id f prog.fns
-      | _ -> ())
-  | _ -> ()
-
-let rec collect_module prog ~modname ~file ~layer ~privileged
-    (str : Typedtree.structure) =
-  (* Module-level attributes may refine the layer / privilege level. *)
-  let layer = ref layer and privileged = ref privileged in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_attribute a -> (
-          if attr_name a = "cdna.privileged" then privileged := true;
-          if attr_name a = "cdna.layer" then
-            match attr_reason a with Some l -> layer := l | None -> ())
-      | _ -> ())
-    str.str_items;
-  let contract = SSet.mem modname contract_modules in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (register_fn prog ~modname ~file ~layer:!layer
-               ~privileged:!privileged ~contract)
-            vbs
-      | Typedtree.Tstr_module mb -> collect_module_binding prog ~file
-            ~layer:!layer ~privileged:!privileged mb
-      | Typedtree.Tstr_recmodule mbs ->
-          List.iter
-            (collect_module_binding prog ~file ~layer:!layer
-               ~privileged:!privileged)
-            mbs
-      | _ -> ())
-    str.str_items
-
-and collect_module_binding prog ~file ~layer ~privileged
-    (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_id with
-    | Some id -> Ident.name id
-    | None -> ( match mb.mb_name.txt with Some n -> n | None -> "_")
-  in
-  let rec of_mexpr (me : Typedtree.module_expr) =
-    match Chain.module_alias_target me with
-    | Some target -> prog.aliases <- SMap.add name target prog.aliases
-    | None -> (
-        match me.mod_desc with
-        | Typedtree.Tmod_structure s ->
-            collect_module prog ~modname:name ~file ~layer ~privileged s
-        | Typedtree.Tmod_constraint (m, _, _, _) -> of_mexpr m
-        | _ -> ())
-  in
-  of_mexpr mb.mb_expr
-
-(* ------------------------------------------------------------------ *)
-(* Facts (pass 2): call edges and allocation sites, for all modules    *)
-(* ------------------------------------------------------------------ *)
-
-let callee_of prog (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some (canon_of prog.aliases (Path.name p))
-  | _ -> None
-
-let collect_facts prog (f : fn) =
+let collect_facts p (f : fn) =
   let calls = ref [] and allocs = ref [] in
   let susp = ref 0 in
   let add_call c line =
@@ -445,7 +270,7 @@ let collect_facts prog (f : fn) =
     if suspends then incr susp;
     (match e.exp_desc with
     | Typedtree.Texp_apply (fe, args) -> (
-        match callee_of prog fe with
+        match callee p fe with
         | Some c when SSet.mem c cold_exits || SSet.mem (last_comp c) cold_exits
           ->
             (* Error-path arguments may allocate; leave the subtree. *)
@@ -462,9 +287,9 @@ let collect_facts prog (f : fn) =
             List.iter
               (fun (_, a) -> match a with Some a -> visit it a | None -> ())
               args)
-    | Typedtree.Texp_ident (p, _, _) ->
-        let c = canon_of prog.aliases (Path.name p) in
-        if SMap.mem c prog.fns then add_call c (loc_line e.exp_loc)
+    | Typedtree.Texp_ident (path, _, _) ->
+        let c = canon_of p.aliases (Path.name path) in
+        if SMap.mem c p.plain_fns then add_call c (loc_line e.exp_loc)
     | _ ->
         (match e.exp_desc with
         | Typedtree.Texp_record _ -> add_alloc "record" (loc_line e.exp_loc)
@@ -481,47 +306,37 @@ let collect_facts prog (f : fn) =
   in
   let it = { Tast_iterator.default_iterator with expr = visit } in
   it.expr it f.f_body;
-  (* Intra-module references are [Pident]s; resolve them to this module's
-     functions so same-file call chains link up. *)
-  let resolve c =
-    if SMap.mem c prog.fns then c
-    else
-      let local = f.f_module ^ "." ^ c in
-      if String.contains c '.' || not (SMap.mem local prog.fns) then c
-      else local
-  in
-  f.f_calls <-
-    List.rev_map (fun c -> { c with c_callee = resolve c.c_callee }) !calls;
-  f.f_allocs <- List.rev !allocs
+  (* Resolve same-module [Pident]s so same-file call chains link up. *)
+  let resolve c = qualify p.plain_fns ~modname:f.f_module c in
+  ( List.rev_map (fun c -> { c with c_callee = resolve c.c_callee }) !calls,
+    List.rev !allocs )
 
 (* ------------------------------------------------------------------ *)
 (* Taint evaluation (passes 3-4)                                       *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
-  prog : program;
+  prog : Program.t;
+  summary : fn -> summary; (* a callee's current summary *)
   cur : fn;
   report : bool;
   viols : violation list ref;
   flows : flow list ref;
 }
 
-let hop = Chain.hop
-
-let fn_of_name ctx name =
-  match SMap.find_opt name ctx.prog.fns with
-  | Some f -> Some f
-  | None ->
-      if String.contains name '.' then None
-      else SMap.find_opt (ctx.cur.f_module ^ "." ^ name) ctx.prog.fns
+let fn_of_name ctx name = find ctx.prog.plain_fns ~modname:ctx.cur.f_module name
 
 let is_source ctx name =
   SSet.mem name declared_sources
-  || match fn_of_name ctx name with Some f -> f.f_source | None -> false
+  || match fn_of_name ctx name with
+     | Some f -> has_attr "cdna.source" f.f_attrs
+     | None -> false
 
 let is_sanitizer ctx name =
   SSet.mem name declared_sanitizers
-  || match fn_of_name ctx name with Some f -> f.f_sanitizer | None -> false
+  || match fn_of_name ctx name with
+     | Some f -> has_attr "cdna.sanitizer" f.f_attrs
+     | None -> false
 
 let record_violation ctx ~sup ~rule ~loc ~msg ~chain =
   let v =
@@ -628,7 +443,8 @@ let rec eval ctx ~(sup : string option) env (e : Typedtree.expression) :
           | None -> (Clean, env)))
   | Typedtree.Texp_ident (p, _, _) ->
       let c = canon_of ctx.prog.aliases (Path.name p) in
-      if SMap.mem c ctx.prog.fns then (Fn (c, Clean), env) else (Clean, env)
+      if SMap.mem c ctx.prog.plain_fns then (Fn (c, Clean), env)
+      else (Clean, env)
   | Typedtree.Texp_constant _ -> (Clean, env)
   | Typedtree.Texp_let (rf, vbs, body) ->
       let env =
@@ -949,7 +765,8 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
       (Clean, !env)
   | Some c -> (
       match fn_of_name ctx c with
-      | Some callee when not callee.f_contract ->
+      | Some callee when not (contract callee) ->
+          let summary = ctx.summary callee in
           (* Apply the callee's summary. *)
           let assigned = assign_params callee arg_taints in
           let call_hop =
@@ -984,9 +801,9 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
                         ps
                   | _ -> ())
               | None -> ())
-            callee.f_summary.s_flows;
+            summary.s_flows;
           (* Instantiate the return taint. *)
-          let ret = instantiate callee.f_summary.s_ret assigned ~callee:callee.f_id
+          let ret = instantiate summary.s_ret assigned ~callee:callee.f_id
               ~caller:ctx.cur.f_id loc in
           (ret, !env)
       | _ -> (
@@ -1050,8 +867,8 @@ and instantiate ret assigned ~callee ~caller loc =
   norm (go ret)
 
 (* One taint pass over a function body; returns the new summary. *)
-let eval_fn prog ~report viols (f : fn) =
-  let ctx = { prog; cur = f; report; viols; flows = ref [] } in
+let eval_fn prog summary ~report viols (f : fn) =
+  let ctx = { prog; summary; cur = f; report; viols; flows = ref [] } in
   let env =
     List.fold_left
       (fun (env, i) (_, p) -> (bind_pat env p (T (None, ISet.singleton i)), i + 1))
@@ -1096,7 +913,10 @@ let external_allowed c =
   || SSet.mem c cold_exits
   || SSet.mem (last_comp c) cold_exits
 
-let check_transitive_alloc prog viols =
+let hop_at what file line =
+  { hop_what = what; hop_file = file; hop_line = line }
+
+let check_transitive_alloc prog ~calls ~allocs viols =
   let reported = Hashtbl.create 16 in
   let report_once key v =
     if not (Hashtbl.mem reported key) then begin
@@ -1104,101 +924,55 @@ let check_transitive_alloc prog viols =
       viols := v :: !viols
     end
   in
-  let hot_fns =
-    SMap.bindings prog.fns |> List.map snd
-    |> List.filter (fun f -> f.f_hot)
+  let a6 (h : fn) (g : fn) ~line ~chain what =
+    {
+      rule = rule_a6;
+      file = g.f_file;
+      line;
+      msg =
+        Printf.sprintf "[@cdna.hot] %s transitively reaches %s, which %s"
+          h.f_id g.f_id what;
+      chain;
+      suppress = None;
+    }
   in
-  List.iter
-    (fun (h : fn) ->
-      let visited = Hashtbl.create 16 in
-      let rec walk path (f : fn) =
-        List.iter
-          (fun c ->
-            if not c.c_susp then
-              match SMap.find_opt c.c_callee prog.fns with
-              | Some g when g.f_id = f.f_id -> ()
-              | Some g when g.f_hot -> () (* vetted by A1-A5 *)
-              | Some g ->
-                  if not (Hashtbl.mem visited g.f_id) then begin
-                    Hashtbl.add visited g.f_id ();
-                    let path' =
-                      path
-                      @ [
-                          hop
-                            (Printf.sprintf "%s calls %s" f.f_id g.f_id)
-                            { Location.none with
-                              loc_start =
-                                {
-                                  Lexing.pos_fname = f.f_file;
-                                  pos_lnum = c.c_line;
-                                  pos_bol = 0;
-                                  pos_cnum = 0;
-                                };
-                            };
-                        ]
-                    in
-                    List.iter
-                      (fun (what, line) ->
-                        report_once
-                          ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
-                          {
-                            rule = rule_a6;
-                            file = g.f_file;
-                            line;
-                            msg =
-                              Printf.sprintf
-                                "[@cdna.hot] %s transitively reaches %s, \
-                                 which allocates (%s)"
-                                h.f_id g.f_id what;
-                            chain = path';
-                            suppress = None;
-                          })
-                      g.f_allocs;
-                    List.iter
-                      (fun c' ->
-                        if
-                          (not c'.c_susp)
-                          && (not (SMap.mem c'.c_callee prog.fns))
-                          && not (external_allowed c'.c_callee)
-                        then
-                          report_once
-                            ("ext:" ^ g.f_id ^ ":" ^ c'.c_callee)
-                            {
-                              rule = rule_a6;
-                              file = g.f_file;
-                              line = c'.c_line;
-                              msg =
-                                Printf.sprintf
-                                  "[@cdna.hot] %s transitively reaches %s, \
-                                   which calls %s (not on the zero-alloc \
-                                   allowlist)"
-                                  h.f_id g.f_id c'.c_callee;
-                              chain = path';
-                              suppress = None;
-                            })
-                      g.f_calls;
-                    walk path' g
-                  end
-              | None -> ())
-          f.f_calls
-      in
-      walk
-        [
-          hop
-            (Printf.sprintf "hot entry %s" h.f_id)
-            {
-              Location.none with
-              loc_start =
-                {
-                  Lexing.pos_fname = h.f_file;
-                  pos_lnum = h.f_line;
-                  pos_bol = 0;
-                  pos_cnum = 0;
-                };
-            };
-        ]
-        h)
-    hot_fns
+  SMap.iter
+    (fun _ (h : fn) ->
+      if hot h then
+        dfs
+          ~calls:(fun f -> calls.(f.f_idx))
+          ~line:(fun c -> c.c_line)
+          ~enter:(fun path g ->
+            List.iter
+              (fun (what, line) ->
+                report_once
+                  ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
+                  (a6 h g ~line ~chain:path
+                     (Printf.sprintf "allocates (%s)" what)))
+              allocs.(g.f_idx);
+            List.iter
+              (fun c' ->
+                if
+                  (not c'.c_susp)
+                  && (not (SMap.mem c'.c_callee prog.plain_fns))
+                  && not (external_allowed c'.c_callee)
+                then
+                  report_once
+                    ("ext:" ^ g.f_id ^ ":" ^ c'.c_callee)
+                    (a6 h g ~line:c'.c_line ~chain:path
+                       (Printf.sprintf
+                          "calls %s (not on the zero-alloc allowlist)"
+                          c'.c_callee)))
+              calls.(g.f_idx))
+          ~step:(fun _ f c ->
+            if c.c_susp then None
+            else
+              match SMap.find_opt c.c_callee prog.plain_fns with
+              | Some g when g.f_id = f.f_id || hot g -> None (* hot: A1-A5 *)
+              | g -> g)
+          (hop_at (Printf.sprintf "hot entry %s" h.f_id) h.f_file h.f_line)
+          h)
+    prog.plain_fns
 
 (* ------------------------------------------------------------------ *)
 (* P3: privilege reachability                                          *)
@@ -1206,34 +980,22 @@ let check_transitive_alloc prog viols =
 
 let priv_stop_layers = SSet.of_list [ "xen"; "host"; "memory" ]
 
-let check_priv_reachability prog viols =
+let check_priv_reachability prog ~calls viols =
   let reported = Hashtbl.create 16 in
-  let entries =
-    SMap.bindings prog.fns |> List.map snd
-    |> List.filter (fun f ->
-           (f.f_layer = "nic" || f.f_layer = "guestos")
-           && (not f.f_privileged) && not f.f_contract)
-  in
-  List.iter
-    (fun (entry : fn) ->
-      let visited = Hashtbl.create 16 in
-      let rec walk path (f : fn) =
-        List.iter
-          (fun c ->
-            let site =
-              {
-                Location.none with
-                loc_start =
-                  {
-                    Lexing.pos_fname = f.f_file;
-                    pos_lnum = c.c_line;
-                    pos_bol = 0;
-                    pos_cnum = 0;
-                  };
-              }
-            in
+  SMap.iter
+    (fun _ (entry : fn) ->
+      if
+        (entry.f_layer = "nic" || entry.f_layer = "guestos")
+        && (not entry.f_privileged) && not (contract entry)
+      then
+        dfs
+          ~calls:(fun f -> calls.(f.f_idx))
+          ~line:(fun c -> c.c_line)
+          ~step:(fun path f c ->
             if SSet.mem c.c_callee ownership_fns then begin
-              let key = f.f_id ^ ":" ^ string_of_int c.c_line ^ ":" ^ c.c_callee in
+              let key =
+                f.f_id ^ ":" ^ string_of_int c.c_line ^ ":" ^ c.c_callee
+              in
               if not (Hashtbl.mem reported key) then begin
                 Hashtbl.add reported key ();
                 viols :=
@@ -1247,146 +1009,73 @@ let check_priv_reachability prog viols =
                          outside the declared hypercall surface"
                         entry.f_layer entry.f_id c.c_callee;
                     chain =
-                      path @ [ hop ("ownership op " ^ c.c_callee) site ];
+                      path
+                      @ [
+                          hop_at ("ownership op " ^ c.c_callee) f.f_file
+                            c.c_line;
+                        ];
                     suppress = (if c.c_susp then Some "annotated" else None);
                   }
                   :: !viols
-              end
+              end;
+              None
             end
             else
-              match SMap.find_opt c.c_callee prog.fns with
+              match SMap.find_opt c.c_callee prog.plain_fns with
               | Some g
-                when g.f_privileged || g.f_contract
+                when g.f_privileged || contract g
                      || SSet.mem g.f_layer priv_stop_layers ->
-                  () (* the declared privilege boundary *)
-              | Some g when not (Hashtbl.mem visited g.f_id) ->
-                  Hashtbl.add visited g.f_id ();
-                  walk
-                    (path
-                    @ [ hop (Printf.sprintf "%s calls %s" f.f_id g.f_id) site ])
-                    g
-              | _ -> ())
-          f.f_calls
-      in
-      walk
-        [
-          hop
-            (Printf.sprintf "entry %s (%s layer)" entry.f_id entry.f_layer)
-            {
-              Location.none with
-              loc_start =
-                {
-                  Lexing.pos_fname = entry.f_file;
-                  pos_lnum = entry.f_line;
-                  pos_bol = 0;
-                  pos_cnum = 0;
-                };
-            };
-        ]
-        entry)
-    entries
+                  None (* the declared privilege boundary *)
+              | g -> g)
+          (hop_at
+             (Printf.sprintf "entry %s (%s layer)" entry.f_id entry.f_layer)
+             entry.f_file entry.f_line)
+          entry)
+    prog.plain_fns
 
 (* ------------------------------------------------------------------ *)
-(* Loading and driving                                                 *)
+(* Driving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Flow_error of string
-
-let collect_cmts = Chain.collect_cmts
-
-let load_program root =
-  if not (Sys.file_exists root) then
-    raise (Flow_error ("no such cmt root: " ^ root));
-  let prog =
-    { fns = SMap.empty; aliases = SMap.empty; n_files = 0; sanitizer_count = 0 }
-  in
-  let cmts = collect_cmts [] root |> List.sort String.compare in
+let analyze (prog : Program.t) =
+  let fns = SMap.bindings prog.plain_fns |> List.map snd in
+  let calls = table prog [] and allocs = table prog [] in
   List.iter
-    (fun path ->
-      match Cmt_format.read_cmt path with
-      | exception _ -> ()
-      | cmt -> (
-          match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-          | Cmt_format.Implementation str, Some src
-            when not (Filename.check_suffix src ".ml-gen") ->
-              prog.n_files <- prog.n_files + 1;
-              let modname = strip_wrap cmt.cmt_modname in
-              let layer = layer_of_file src in
-              collect_module prog ~modname ~file:src ~layer ~privileged:false
-                str
-          | Cmt_format.Implementation str, Some src ->
-              (* dune alias modules: harvest [module X = Lib__X] aliases
-                 only. *)
-              ignore src;
-              List.iter
-                (fun (item : Typedtree.structure_item) ->
-                  match item.str_desc with
-                  | Typedtree.Tstr_module mb ->
-                      collect_module_binding prog ~file:"" ~layer:""
-                        ~privileged:false mb
-                  | _ -> ())
-                str.str_items
-          | _ -> ()))
-    cmts;
-  prog
-
-let analyze root =
-  let prog = load_program root in
-  let fns_sorted = SMap.bindings prog.fns |> List.map snd in
-  List.iter (collect_facts prog) fns_sorted;
+    (fun f ->
+      let c, a = collect_facts prog f in
+      calls.(f.f_idx) <- c;
+      allocs.(f.f_idx) <- a)
+    fns;
   (* Taint fixpoint over summaries, then one reporting pass. *)
   let analyzed =
-    List.filter (fun f -> (not f.f_contract) && not f.f_privileged) fns_sorted
+    List.filter (fun f -> (not (contract f)) && not f.f_privileged) fns
   in
-  let dummy = ref [] in
-  let changed = ref true in
-  let iters = ref 0 in
-  while !changed && !iters < 20 do
-    incr iters;
-    changed := false;
-    List.iter
-      (fun f ->
-        let s = eval_fn prog ~report:false dummy f in
-        if summary_image s <> summary_image f.f_summary then begin
-          f.f_summary <- s;
-          changed := true
-        end)
+  let summ =
+    fixpoint prog ~empty:empty_summary ~image:summary_image
+      ~eval:(fun get f -> eval_fn prog get ~report:false (ref []) f)
       analyzed
-  done;
+  in
   let viols = ref [] in
-  List.iter (fun f -> ignore (eval_fn prog ~report:true viols f)) analyzed;
-  check_transitive_alloc prog viols;
-  check_priv_reachability prog viols;
-  (* Deduplicate and order deterministically. *)
-  let seen = Hashtbl.create 64 in
-  let all =
-    List.rev !viols
-    |> List.filter (fun v ->
-           let k = (v.rule, v.file, v.line, v.msg) in
-           if Hashtbl.mem seen k then false
-           else begin
-             Hashtbl.add seen k ();
-             true
-           end)
-    |> List.sort violation_compare
-  in
-  let unsuppressed, suppressed =
-    List.partition (fun v -> v.suppress = None) all
-  in
+  let summary g = summ.(g.f_idx) in
+  List.iter
+    (fun f -> ignore (eval_fn prog summary ~report:true viols f))
+    analyzed;
+  check_transitive_alloc prog ~calls ~allocs viols;
+  check_priv_reachability prog ~calls viols;
+  let violations, suppressed = finish (List.rev !viols) in
   {
-    cmt_files = prog.n_files;
-    functions = List.length fns_sorted;
-    violations = unsuppressed;
+    cmt_files = prog.files;
+    functions = List.length fns;
+    violations;
     suppressed;
-    sanitizer_fns = prog.sanitizer_count;
+    sanitizer_fns =
+      List.length
+        (List.filter (fun f -> has_attr "cdna.sanitizer" f.f_attrs) fns);
   }
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let hop_to_json = Chain.hop_to_json
-let violation_to_json = Chain.violation_to_json
 
 let report_to_json r =
   Sim.Json.Obj
@@ -1394,7 +1083,7 @@ let report_to_json r =
       ("cmt_files", Sim.Json.Int r.cmt_files);
       ("functions", Sim.Json.Int r.functions);
       ("violations", Sim.Json.Int (List.length r.violations));
-      ("rules", Chain.rule_counts_json r.violations);
+      ("rules", rule_counts_json r.violations);
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
       ("sanitizer_fns", Sim.Json.Int r.sanitizer_fns);
     ]

@@ -67,32 +67,9 @@
                                  mandatory (an empty reason does not
                                  suppress) *)
 
-module SSet = Chain.SSet
-module SMap = Chain.SMap
-module ISet = Chain.ISet
-module IdentMap = Chain.IdentMap
+open Chain
+open Program
 module IMap = Map.Make (Int)
-
-type hop = Chain.hop = { hop_what : string; hop_file : string; hop_line : int }
-
-type violation = Chain.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  msg : string;
-  chain : hop list;
-  suppress : string option;
-}
-
-let violation_compare = Chain.violation_compare
-let violation_to_string = Chain.violation_to_string
-let hop = Chain.hop
-let loc_file = Chain.loc_file
-let loc_line = Chain.loc_line
-let canon_of = Chain.canon_of
-let last_comp = Chain.last_comp
-let find_attr = Chain.find_attr
-let attr_reason = Chain.attr_reason
 
 let rule_pr1 = "PR1-leak-on-path"
 let rule_pr2 = "PR2-double-release"
@@ -173,16 +150,6 @@ let seeded_protocols =
 let raise_family =
   SSet.of_list [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
-(* Container-store primitives: a resource handed to one of these has
-   escaped into a structure with its own lifecycle. *)
-let store_fns =
-  SSet.of_list
-    [
-      "Hashtbl.add"; "Hashtbl.replace"; "Queue.add"; "Queue.push";
-      "Stack.push"; "Array.set"; "Array.unsafe_set"; ":="; "ref";
-      "Atomic.set"; "Buffer.add_string";
-    ]
-
 (* Higher-order combinators whose literal lambda arguments run inline
    on the current path. *)
 let hof_fns =
@@ -237,21 +204,8 @@ let psum_image s =
    @ tr "u" s.ps_param_use
     @ [ (if s.ps_raises then "!" else "") ])
 
-type fn = {
-  f_id : string;
-  f_module : string;
-  f_file : string;
-  f_line : int;
-  f_params : (string option * Typedtree.pattern) list;
-  f_body : Typedtree.expression;
-  f_suppress : string option; (* [@cdna.proto_ok "why"] on the binding *)
-  mutable f_summary : psum;
-}
-
-type program = {
-  mutable fns : fn SMap.t;
-  mutable aliases : string SMap.t;
-  mutable n_files : int;
+(* The protocol tables: seeded pairs plus per-function annotations. *)
+type tables = {
   mutable acq_tbl : (string * style) list SMap.t; (* canon fn -> protos *)
   mutable rel_tbl : (string * style) list SMap.t;
   mutable use_tbl : (string * style) list SMap.t;
@@ -264,23 +218,6 @@ let tbl_add tbl key v =
   let cur = match SMap.find_opt key tbl with Some l -> l | None -> [] in
   SMap.add key (cur @ [ v ]) tbl
 
-let seed_tables prog =
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (k, s) -> prog.acq_tbl <- tbl_add prog.acq_tbl k (p.p_name, s))
-        p.p_acq;
-      List.iter
-        (fun (k, s) -> prog.rel_tbl <- tbl_add prog.rel_tbl k (p.p_name, s))
-        p.p_rel;
-      List.iter
-        (fun (k, s) -> prog.use_tbl <- tbl_add prog.use_tbl k (p.p_name, s))
-        p.p_use;
-      List.iter
-        (fun k -> prog.creators <- SMap.add k p.p_name prog.creators)
-        p.p_creators)
-    seeded_protocols
-
 (* "proto" -> (proto, default); "proto@2" -> (proto, Arg 2). *)
 let parse_proto_payload ~default s =
   match String.index_opt s '@' with
@@ -292,100 +229,68 @@ let parse_proto_payload ~default s =
       | Some n -> (name, Arg n)
       | None -> (name, default))
 
-(* ------------------------------------------------------------------ *)
-(* Collection (pass 1)                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let rec peel_params (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_function
-      { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ } ->
-      let lbl =
-        match arg_label with
-        | Asttypes.Nolabel -> None
-        | Asttypes.Labelled s | Asttypes.Optional s -> Some s
-      in
-      let params, body = peel_params c_rhs in
-      ((lbl, c_lhs) :: params, body)
-  | _ -> ([], e)
-
-let register_fn prog ~modname ~file (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Typedtree.Tpat_var (_, { txt = name; _ }) -> (
-      let f_id = modname ^ "." ^ name in
-      (match find_attr "cdna.acquires" vb.vb_attributes with
-      | Some a -> (
-          prog.acq_annots <- prog.acq_annots + 1;
-          match attr_reason a with
-          | Some payload ->
-              let proto, st = parse_proto_payload ~default:Ret payload in
-              prog.acq_tbl <- tbl_add prog.acq_tbl f_id (proto, st)
-          | None -> ())
-      | None -> ());
-      (match find_attr "cdna.releases" vb.vb_attributes with
-      | Some a -> (
-          prog.rel_annots <- prog.rel_annots + 1;
-          match attr_reason a with
-          | Some payload ->
-              let proto, st = parse_proto_payload ~default:(Arg 0) payload in
-              prog.rel_tbl <- tbl_add prog.rel_tbl f_id (proto, st)
-          | None -> ())
-      | None -> ());
-      match vb.vb_expr.exp_desc with
-      | Typedtree.Texp_function _ ->
-          let params, body = peel_params vb.vb_expr in
-          let suppress =
-            match find_attr "cdna.proto_ok" vb.vb_attributes with
-            | Some a -> (
-                match attr_reason a with
-                | Some r when r <> "" -> Some r
-                | _ -> None)
-            | None -> None
-          in
-          let f =
-            {
-              f_id;
-              f_module = modname;
-              f_file = file;
-              f_line = loc_line vb.vb_loc;
-              f_params = params;
-              f_body = body;
-              f_suppress = suppress;
-              f_summary = empty_psum;
-            }
-          in
-          prog.fns <- SMap.add f.f_id f prog.fns
-      | _ -> ())
-  | _ -> ()
-
-let rec collect_module prog ~modname ~file (str : Typedtree.structure) =
+let tables (prog : Program.t) =
+  let t =
+    {
+      acq_tbl = SMap.empty;
+      rel_tbl = SMap.empty;
+      use_tbl = SMap.empty;
+      creators = SMap.empty;
+      acq_annots = 0;
+      rel_annots = 0;
+    }
+  in
   List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter (register_fn prog ~modname ~file) vbs
-      | Typedtree.Tstr_module mb -> collect_module_binding prog ~file mb
-      | Typedtree.Tstr_recmodule mbs ->
-          List.iter (collect_module_binding prog ~file) mbs
+    (fun p ->
+      List.iter
+        (fun (k, s) -> t.acq_tbl <- tbl_add t.acq_tbl k (p.p_name, s))
+        p.p_acq;
+      List.iter
+        (fun (k, s) -> t.rel_tbl <- tbl_add t.rel_tbl k (p.p_name, s))
+        p.p_rel;
+      List.iter
+        (fun (k, s) -> t.use_tbl <- tbl_add t.use_tbl k (p.p_name, s))
+        p.p_use;
+      List.iter
+        (fun k -> t.creators <- SMap.add k p.p_name t.creators)
+        p.p_creators)
+    seeded_protocols;
+  List.iter
+    (fun { b_mod = m; b_vb = vb } ->
+      match vb.vb_pat.pat_desc with
+      | Tpat_var (_, { txt = name; _ }) ->
+          let f_id = m.m_name ^ "." ^ name in
+          (match find_attr "cdna.acquires" vb.vb_attributes with
+          | Some a -> (
+              t.acq_annots <- t.acq_annots + 1;
+              match attr_reason a with
+              | Some payload ->
+                  let proto, st = parse_proto_payload ~default:Ret payload in
+                  t.acq_tbl <- tbl_add t.acq_tbl f_id (proto, st)
+              | None -> ())
+          | None -> ());
+          (match find_attr "cdna.releases" vb.vb_attributes with
+          | Some a -> (
+              t.rel_annots <- t.rel_annots + 1;
+              match attr_reason a with
+              | Some payload ->
+                  let proto, st =
+                    parse_proto_payload ~default:(Arg 0) payload
+                  in
+                  t.rel_tbl <- tbl_add t.rel_tbl f_id (proto, st)
+              | None -> ())
+          | None -> ())
       | _ -> ())
-    str.str_items
+    prog.bindings;
+  t
 
-and collect_module_binding prog ~file (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_id with
-    | Some id -> Ident.name id
-    | None -> ( match mb.mb_name.txt with Some n -> n | None -> "_")
-  in
-  let rec of_mexpr (me : Typedtree.module_expr) =
-    match Chain.module_alias_target me with
-    | Some target -> prog.aliases <- SMap.add name target prog.aliases
-    | None -> (
-        match me.mod_desc with
-        | Typedtree.Tmod_structure s -> collect_module prog ~modname:name ~file s
-        | Typedtree.Tmod_constraint (m, _, _, _) -> of_mexpr m
-        | _ -> ())
-  in
-  of_mexpr mb.mb_expr
+(* [@cdna.proto_ok "why"] on the binding; an empty reason does not
+   suppress. *)
+let proto_ok attrs =
+  match find_attr "cdna.proto_ok" attrs with
+  | Some a -> (
+      match attr_reason a with Some r when r <> "" -> Some r | _ -> None)
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Abstract domain                                                     *)
@@ -450,7 +355,9 @@ type frame = {
 }
 
 type ctx = {
-  prog : program;
+  prog : Program.t;
+  tbls : tables;
+  summary : fn -> psum; (* a callee's current summary *)
   cur : fn;
   report : bool;
   viols : violation list ref;
@@ -478,21 +385,9 @@ let record_violation ctx ~sup ~rule ~file ~line ~msg ~chain =
   if ctx.report then
     ctx.viols := { rule; file; line; msg; chain; suppress = sup } :: !(ctx.viols)
 
-let fn_of_name ctx name =
-  match SMap.find_opt name ctx.prog.fns with
-  | Some f -> Some f
-  | None ->
-      if String.contains name '.' then None
-      else SMap.find_opt (ctx.cur.f_module ^ "." ^ name) ctx.prog.fns
-
 (* Resolve a canonical callee against a table, trying the local-module
    qualification for bare intra-module names. *)
-let tbl_find ctx tbl name =
-  match SMap.find_opt name tbl with
-  | Some l -> Some l
-  | None ->
-      if String.contains name '.' then None
-      else SMap.find_opt (ctx.cur.f_module ^ "." ^ name) tbl
+let tbl_find ctx tbl name = find tbl ~modname:ctx.cur.f_module name
 
 let is_bool_type (e : Typedtree.expression) =
   match Types.get_desc e.Typedtree.exp_type with
@@ -812,7 +707,7 @@ let release_targets ctx env (e : Typedtree.expression) =
         match fe.Typedtree.exp_desc with
         | Typedtree.Texp_ident (p, _, _) -> (
             let c = canon_of ctx.prog.aliases (Path.name p) in
-            match tbl_find ctx ctx.prog.rel_tbl c with
+            match tbl_find ctx ctx.tbls.rel_tbl c with
             | Some entries ->
                 List.iter
                   (fun (proto, style) ->
@@ -859,12 +754,6 @@ let contains_raise ctx (e : Typedtree.expression) =
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let callee_of ctx (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) ->
-      Some (canon_of ctx.prog.aliases (Path.name p))
-  | _ -> None
-
 let lambda_body (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_function _ ->
@@ -885,12 +774,7 @@ let nth_nolabel args i =
 
 let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
     aval * status IMap.t =
-  let sup =
-    match find_attr "cdna.proto_ok" e.exp_attributes with
-    | Some a -> (
-        match attr_reason a with Some r when r <> "" -> Some r | _ -> sup)
-    | None -> sup
-  in
+  let sup = match proto_ok e.exp_attributes with None -> sup | s -> s in
   match e.exp_desc with
   | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
       match IdentMap.find_opt id env with
@@ -902,12 +786,7 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
         List.fold_left
           (fun (env, st) (vb : Typedtree.value_binding) ->
             let sup =
-              match find_attr "cdna.proto_ok" vb.vb_attributes with
-              | Some a -> (
-                  match attr_reason a with
-                  | Some r when r <> "" -> Some r
-                  | _ -> sup)
-              | None -> sup
+              match proto_ok vb.vb_attributes with None -> sup | s -> s
             in
             let v, st = eval ctx ~sup env st vb.vb_expr in
             (bind_pat env vb.vb_pat v, st))
@@ -1094,7 +973,7 @@ and join_branches = function
 
 and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
   let loc = e.Typedtree.exp_loc in
-  match callee_of ctx fe with
+  match callee ctx.prog fe with
   | Some c when SSet.mem (last_comp c) raise_family ->
       let st =
         List.fold_left
@@ -1145,18 +1024,11 @@ and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
       in
       (Nothing, st)
   | Some c -> (
-      let acq = tbl_find ctx ctx.prog.acq_tbl c in
-      let rel = tbl_find ctx ctx.prog.rel_tbl c in
-      let use = tbl_find ctx ctx.prog.use_tbl c in
-      let creator =
-        match SMap.find_opt c ctx.prog.creators with
-        | Some p -> Some p
-        | None ->
-            if String.contains c '.' then None
-            else SMap.find_opt (ctx.cur.f_module ^ "." ^ c) ctx.prog.creators
-      in
+      let acq = tbl_find ctx ctx.tbls.acq_tbl c in
+      let rel = tbl_find ctx ctx.tbls.rel_tbl c in
+      let use = tbl_find ctx ctx.tbls.use_tbl c in
+      let creator = tbl_find ctx ctx.tbls.creators c in
       let is_hof = SSet.mem c hof_fns in
-      let is_store = SSet.mem c store_fns || SSet.mem (last_comp c) store_fns in
       (* Evaluate arguments; literal lambdas to HOF combinators run
          inline instead of escaping their captures. *)
       let eargs, st =
@@ -1256,21 +1128,16 @@ and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
           | None -> (
               if rel <> None || use <> None then (Nothing, st)
               else
-                match fn_of_name ctx c with
+                match tbl_find ctx ctx.prog.plain_fns c with
                 | Some callee -> apply_summary ctx ~sup env st ~loc callee eargs
                 | None ->
-                    if is_store then
-                      ( Nothing,
-                        List.fold_left
-                          (fun st (_, av, ae) ->
-                            escape_val ctx env st av (Some ae))
-                          st eargs )
-                    else
-                      ( Nothing,
-                        List.fold_left
-                          (fun st (_, av, ae) ->
-                            escape_val ctx env st av (Some ae))
-                          st eargs ))))
+                    (* A container store or an unknown callee: every
+                       argument escapes. *)
+                    ( Nothing,
+                      List.fold_left
+                        (fun st (_, av, ae) ->
+                          escape_val ctx env st av (Some ae))
+                        st eargs ))))
   | None ->
       let _, st = eval ctx ~sup env st fe in
       eval_unknown ctx ~sup env st args
@@ -1333,7 +1200,7 @@ and eval_protect ctx ~sup env st _loc args =
 (* Apply a callee's fixpoint summary at the call site, extending hop
    chains through the call so cross-module lifetimes read end to end. *)
 and apply_summary ctx ~sup env st ~loc (callee : fn) eargs =
-  let s = callee.f_summary in
+  let s = ctx.summary callee in
   let st =
     List.fold_left
       (fun st (i, proto, hops) ->
@@ -1390,10 +1257,12 @@ and apply_summary ctx ~sup env st ~loc (callee : fn) eargs =
 (* Analyze one function body; returns its (possibly improved) summary.
    With [report=true] also records violations for locally-owned
    resources that fail their protocol on some exit path. *)
-let eval_fn prog ~report viols (f : fn) : psum =
+let eval_fn prog tbls summary ~report viols (f : fn) : psum =
   let ctx =
     {
       prog;
+      tbls;
+      summary;
       cur = f;
       report;
       viols;
@@ -1415,7 +1284,7 @@ let eval_fn prog ~report viols (f : fn) : psum =
         | Some _ -> (bind_pat env pat (PVal (-1)), pos))
       (IdentMap.empty, 0) f.f_params
   in
-  let sup = f.f_suppress in
+  let sup = proto_ok f.f_attrs in
   let av, st = eval ctx ~sup env IMap.empty f.f_body in
   let returned = res_ids av in
   let exit_hop =
@@ -1470,41 +1339,8 @@ let eval_fn prog ~report viols (f : fn) : psum =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Program loading and fixpoint                                        *)
+(* Fixpoint and reporting                                              *)
 (* ------------------------------------------------------------------ *)
-
-let load_program cmt_paths =
-  let prog =
-    {
-      fns = SMap.empty;
-      aliases = SMap.empty;
-      n_files = 0;
-      acq_tbl = SMap.empty;
-      rel_tbl = SMap.empty;
-      use_tbl = SMap.empty;
-      creators = SMap.empty;
-      acq_annots = 0;
-      rel_annots = 0;
-    }
-  in
-  seed_tables prog;
-  List.iter
-    (fun path ->
-      let cmt = Cmt_format.read_cmt path in
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-          let file =
-            match cmt.Cmt_format.cmt_sourcefile with
-            | Some f -> f
-            | None -> path
-          in
-          if not (Filename.check_suffix file ".ml-gen") then (
-            prog.n_files <- prog.n_files + 1;
-            let modname = Chain.strip_wrap cmt.Cmt_format.cmt_modname in
-            collect_module prog ~modname ~file str)
-      | _ -> ())
-    cmt_paths;
-  prog
 
 type report = {
   cmt_files : int;
@@ -1518,59 +1354,39 @@ type report = {
   suppressed : violation list;
 }
 
-let analyze_paths cmt_paths =
-  let prog = load_program cmt_paths in
-  (* Fixpoint over summaries: re-run until no psum changes (bounded). *)
-  let changed = ref true and iters = ref 0 in
-  while !changed && !iters < 20 do
-    changed := false;
-    incr iters;
-    SMap.iter
-      (fun _ f ->
-        let s = eval_fn prog ~report:false (ref []) f in
-        if psum_image s <> psum_image f.f_summary then (
-          f.f_summary <- s;
-          changed := true))
-      prog.fns
-  done;
+let analyze (prog : Program.t) =
+  let tbls = tables prog in
+  let fns = SMap.bindings prog.plain_fns |> List.map snd in
+  let summ =
+    fixpoint prog ~empty:empty_psum ~image:psum_image
+      ~eval:(fun get f -> eval_fn prog tbls get ~report:false (ref []) f)
+      fns
+  in
   (* Report pass with stable summaries. *)
   let viols = ref [] in
-  SMap.iter (fun _ f -> ignore (eval_fn prog ~report:true viols f)) prog.fns;
-  let seen = Hashtbl.create 64 in
-  let vs =
-    List.filter
-      (fun v ->
-        let key = (v.rule, v.file, v.line, v.msg) in
-        if Hashtbl.mem seen key then false
-        else (
-          Hashtbl.replace seen key ();
-          true))
-      !viols
-    |> List.sort violation_compare
-  in
-  let suppressed, violations =
-    List.partition (fun v -> v.suppress <> None) vs
-  in
+  let summary g = summ.(g.f_idx) in
+  List.iter
+    (fun f -> ignore (eval_fn prog tbls summary ~report:true viols f))
+    fns;
+  (* [!viols] is newest first: de-dup keeps the last-recorded report. *)
+  let violations, suppressed = finish !viols in
   let protocols =
     SMap.fold
       (fun _ entries acc ->
         List.fold_left (fun acc (p, _) -> SSet.add p acc) acc entries)
-      prog.acq_tbl SSet.empty
+      tbls.acq_tbl SSet.empty
   in
   {
-    cmt_files = prog.n_files;
-    functions = SMap.cardinal prog.fns;
+    cmt_files = prog.files;
+    functions = List.length fns;
     protocols = SSet.cardinal protocols;
-    acq_fns = SMap.cardinal prog.acq_tbl;
-    rel_fns = SMap.cardinal prog.rel_tbl;
-    acq_annots = prog.acq_annots;
-    rel_annots = prog.rel_annots;
+    acq_fns = SMap.cardinal tbls.acq_tbl;
+    rel_fns = SMap.cardinal tbls.rel_tbl;
+    acq_annots = tbls.acq_annots;
+    rel_annots = tbls.rel_annots;
     violations;
     suppressed;
   }
-
-let analyze root =
-  analyze_paths (Chain.collect_cmts [] root |> List.sort String.compare)
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
@@ -1588,9 +1404,9 @@ let report_to_json (r : report) =
       ("release_annots", Sim.Json.Int r.rel_annots);
       ("violations", Sim.Json.Int (List.length r.violations));
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
-      ("rules", Chain.rule_counts_json r.violations);
+      ("rules", rule_counts_json r.violations);
       ( "reports",
-        Sim.Json.List (List.map Chain.violation_to_json r.violations) );
+        Sim.Json.List (List.map violation_to_json r.violations) );
       ( "suppressed",
-        Sim.Json.List (List.map Chain.violation_to_json r.suppressed) );
+        Sim.Json.List (List.map violation_to_json r.suppressed) );
     ]

@@ -1,14 +1,14 @@
-(* Chain — machinery shared by every [.cmt]-typedtree verification pass
+(* Chain — vocabulary shared by every [.cmt]-typedtree verification pass
    ([cdna_flow], [cdna_dom], [cdna_proto]): the hop/violation report
    types with their deterministic ordering and rendering, identifier
    canonicalization (dune wrapping prefixes, module aliases, functor
-   instances), attribute and location helpers, cmt-corpus discovery, and
-   the JSON encoders consumed by [main.exe --stats].
+   instances), attribute, location and layer helpers, and the JSON
+   encoders consumed by [main.exe --stats]. The loaded program those
+   passes analyze is [Program].
 
-   Each pass keeps its own lattice and walker; what lives here is
-   exactly the code that must agree byte-for-byte across passes so that
-   a chain rendered by one pass reads like a chain rendered by another
-   and the combined stats artifact stays stable. *)
+   What lives here is exactly the code that must agree byte-for-byte
+   across passes so that a chain rendered by one pass reads like a chain
+   rendered by another and the combined stats artifact stays stable. *)
 
 module SSet = Set.Make (String)
 module SMap = Map.Make (String)
@@ -161,60 +161,21 @@ let path_has_dir path dir =
   in
   scan 0
 
+(* The simulator layer a source file belongs to, from its lib/ path. *)
+let layer_dirs =
+  [
+    ("lib/nic", "nic"); ("lib/guestos", "guestos"); ("lib/xen", "xen");
+    ("lib/host", "host"); ("lib/memory", "memory"); ("lib/bus", "bus");
+    ("lib/core", "core"); ("lib/ethernet", "ethernet");
+    ("lib/workload", "workload"); ("lib/cdna", "cdna-ext"); ("lib/sim", "sim");
+    ("lib/experiments", "experiments");
+  ]
+
 let layer_of_file file =
-  if path_has_dir file "lib/nic" then "nic"
-  else if path_has_dir file "lib/guestos" then "guestos"
-  else if path_has_dir file "lib/xen" then "xen"
-  else if path_has_dir file "lib/host" then "host"
-  else if path_has_dir file "lib/memory" then "memory"
-  else if path_has_dir file "lib/bus" then "bus"
-  else if path_has_dir file "lib/core" then "core"
-  else ""
-
-(* ------------------------------------------------------------------ *)
-(* Module-alias harvesting                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The alias target recorded for [module M = <mexpr>], if any:
-   [module L = List] yields "List"; [module S = Set.Make (O)] resolves
-   against the functor's parent module ("Set"), which is where the API
-   semantics live. Structures and unpackings yield [None] — the caller
-   recurses into those itself. *)
-let module_alias_target (me : Typedtree.module_expr) =
-  let rec functor_path (me : Typedtree.module_expr) =
-    match me.Typedtree.mod_desc with
-    | Typedtree.Tmod_ident (p, _) -> Some (Path.name p)
-    | Typedtree.Tmod_apply (f, _, _) -> functor_path f
-    | Typedtree.Tmod_constraint (m, _, _, _) -> functor_path m
-    | _ -> None
-  in
-  match me.Typedtree.mod_desc with
-  | Typedtree.Tmod_ident (p, _) ->
-      Some
-        (String.concat "."
-           (List.map strip_wrap (split_on_dot (Path.name p))))
-  | Typedtree.Tmod_apply (f, _, _) -> (
-      match functor_path f with
-      | Some p -> (
-          match List.rev (List.map strip_wrap (split_on_dot p)) with
-          | _make :: parent ->
-              Some (String.concat "." (List.rev parent))
-          | [] -> None)
-      | None -> None)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Corpus discovery                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let rec collect_cmts acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc e -> collect_cmts acc (Filename.concat path e))
-         acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
-  else acc
+  List.find_map
+    (fun (dir, layer) -> if path_has_dir file dir then Some layer else None)
+    layer_dirs
+  |> Option.value ~default:""
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)

@@ -2,18 +2,18 @@
 
    Usage:
      main.exe [--json FILE] [--stats FILE] [--quiet] [--format text|github]
-              [--flow CMT_DIR] [--dom CMT_DIR] [--proto CMT_DIR]
-              [--only RULE] [--gate BASELINE] [DIR|FILE]...
+              [--cmt CMT_DIR] [--only RULE] [--gate BASELINE] [DIR|FILE]...
 
    Walks every [.ml] under the given roots (default: [lib]) through the
-   parsetree checker; with [--flow] additionally runs the interprocedural
-   typedtree verifier over the compiled [.cmt] tree rooted at CMT_DIR,
-   with [--dom] the domain-safety / race detector over the same tree, and
-   with [--proto] the resource-protocol (typestate) verifier. One
-   invocation runs all requested passes and exits with a single combined
-   code.
+   parsetree checker. With [--cmt] it also loads the compiled [.cmt] tree
+   rooted at CMT_DIR once ([Program.load]) and runs the three typedtree
+   passes over it: the interprocedural flow verifier, the domain-safety /
+   race detector and the resource-protocol (typestate) verifier. One
+   invocation runs every pass and exits with a single combined code.
 
-   Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
+   Exit codes: 0 clean, 1 violations found, 2 usage or I/O error (an
+   unreadable or truncated [.cmt], or a CMT_DIR holding no implementation
+   [.cmt], is an I/O error).
 
    [--only RULE] restricts the rendered report and the exit code to
    violations of RULE — either a full rule name ("PR1-leak-on-path") or
@@ -36,8 +36,7 @@
 
 let usage =
   "usage: cdna_lint [--json FILE] [--stats FILE] [--quiet] [--format \
-   text|github] [--flow CMT_DIR] [--dom CMT_DIR] [--proto CMT_DIR] \
-   [--only RULE] [--gate BASELINE] [PATH]..."
+   text|github] [--cmt CMT_DIR] [--only RULE] [--gate BASELINE] [PATH]..."
 
 let usage_error msg =
   prerr_endline ("cdna_lint: " ^ msg);
@@ -181,9 +180,7 @@ let () =
   let stats_out = ref None in
   let quiet = ref false in
   let format = ref `Text in
-  let flow_root = ref None in
-  let dom_root = ref None in
-  let proto_root = ref None in
+  let cmt_root = ref None in
   let only = ref None in
   let gate = ref None in
   let roots = ref [] in
@@ -195,14 +192,8 @@ let () =
     | "--stats" :: f :: rest ->
         stats_out := Some f;
         parse_args rest
-    | "--flow" :: d :: rest ->
-        flow_root := Some d;
-        parse_args rest
-    | "--dom" :: d :: rest ->
-        dom_root := Some d;
-        parse_args rest
-    | "--proto" :: d :: rest ->
-        proto_root := Some d;
+    | "--cmt" :: d :: rest ->
+        cmt_root := Some d;
         parse_args rest
     | "--only" :: r :: rest ->
         only := Some r;
@@ -222,8 +213,8 @@ let () =
     | ("--help" | "-h") :: _ ->
         print_endline usage;
         exit 0
-    | [ ("--json" | "--stats" | "--flow" | "--dom" | "--proto" | "--only"
-        | "--gate" | "--format") ] ->
+    | [ ("--json" | "--stats" | "--cmt" | "--only" | "--gate" | "--format") ]
+      ->
         usage_error "missing option argument"
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
         usage_error ("unknown option " ^ arg)
@@ -256,42 +247,30 @@ let () =
   let diags, stats =
     timed "lint" (fun _ -> List.length files) (fun () -> Cdna_lint.run files)
   in
-  let flow_report =
-    match !flow_root with
+  let prog =
+    match !cmt_root with
     | None -> None
-    | Some d -> (
-        match
-          timed "flow"
-            (fun r -> match r with Some r -> r.Cdna_flow.cmt_files | None -> 0)
-            (fun () -> Some (Cdna_flow.analyze d))
-        with
-        | r -> r
-        | exception Cdna_flow.Flow_error msg ->
-            prerr_endline ("cdna_flow: " ^ msg);
-            exit 2)
+    | Some root -> (
+        try
+          Some
+            (timed "load"
+               (fun p -> p.Program.files)
+               (fun () -> Program.load [ root ]))
+        with Program.Load_error msg ->
+          prerr_endline ("cdna_lint: " ^ msg);
+          exit 2)
+  in
+  let pass name count analyze =
+    Option.map (fun p -> timed name count (fun () -> analyze p)) prog
+  in
+  let flow_report =
+    pass "flow" (fun r -> r.Cdna_flow.cmt_files) Cdna_flow.analyze
   in
   let dom_report =
-    match !dom_root with
-    | None -> None
-    | Some d -> (
-        match
-          timed "dom"
-            (fun r -> match r with Some r -> r.Cdna_dom.cmt_files | None -> 0)
-            (fun () -> Some (Cdna_dom.analyze d))
-        with
-        | r -> r
-        | exception Cdna_dom.Dom_error msg ->
-            prerr_endline ("cdna_dom: " ^ msg);
-            exit 2)
+    pass "dom" (fun r -> r.Cdna_dom.cmt_files) Cdna_dom.analyze
   in
   let proto_report =
-    match !proto_root with
-    | None -> None
-    | Some d ->
-        Some
-          (timed "proto"
-             (fun r -> r.Cdna_proto.cmt_files)
-             (fun () -> Cdna_proto.analyze d))
+    pass "proto" (fun r -> r.Cdna_proto.cmt_files) Cdna_proto.analyze
   in
   (* [--only]: the filtered views drive rendering and the exit code; the
      stats artifact below is always computed from the full reports. *)

@@ -1,0 +1,381 @@
+(* Program — one loaded [.cmt] corpus, shared by every typedtree pass
+   ([cdna_flow], [cdna_dom], [cdna_proto]).
+
+   [load] reads each implementation [.cmt] once, walks its modules once
+   and builds the model the passes layer their rules over: the module
+   list (with [@@@cdna.layer] / [@@@cdna.privileged] applied), every
+   module-level value binding in walk order, the module-alias map that
+   callee names canonicalize against, and one function table. On top of
+   the model sit the pieces every pass used to re-implement: the callee
+   resolver, the round-robin summary fixpoint, the witness-path DFS and
+   the violation de-dup/sort/split.
+
+   The model is immutable. A pass keeps its facts and summaries in
+   arrays indexed by [f_idx], so one loaded program can feed any number
+   of passes in any order without one pass seeing another's state. *)
+
+open Chain
+
+exception Load_error of string
+
+type modl = {
+  m_name : string;
+  m_file : string;
+  m_layer : string; (* path-derived, or [@@@cdna.layer "..."] *)
+  m_privileged : bool; (* [@@@cdna.privileged], inherited by submodules *)
+  m_attrs : Parsetree.attribute list; (* this structure's own [@@@...] *)
+}
+
+type binding = { b_mod : modl; b_vb : Typedtree.value_binding }
+
+type fn = {
+  f_idx : int; (* dense index in [f_id] order, for per-pass arrays *)
+  f_id : string; (* "Mod.name" *)
+  f_module : string;
+  f_file : string;
+  f_line : int;
+  f_layer : string;
+  f_privileged : bool;
+  f_attrs : Parsetree.attributes;
+  f_params : (string option * Typedtree.pattern) list;
+  f_body : Typedtree.expression; (* below the peeled parameters *)
+  f_expr : Typedtree.expression; (* the whole bound expression *)
+  f_plain : bool;
+      (* [let f = fun ..] bound by a plain variable. The others — a
+         let-spine closure [let f = let c = .. in fun ..] or a
+         constrained [let f : t = ..] — only cdna_dom analyzes. *)
+}
+
+type t = {
+  files : int; (* implementation .cmt files read *)
+  modules : modl list;
+  bindings : binding list; (* walk order *)
+  aliases : string SMap.t; (* module aliases and functor instances *)
+  fns : fn SMap.t; (* every function *)
+  plain_fns : fn SMap.t; (* the [f_plain] ones *)
+}
+
+(* ------------------------------------------------------------------ *)
+(* Typedtree shapes                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let rec peel_params (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_function { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ }
+    ->
+      let lbl =
+        match arg_label with
+        | Nolabel -> None
+        | Labelled s | Optional s -> Some s
+      in
+      let params, body = peel_params c_rhs in
+      ((lbl, c_lhs) :: params, body)
+  | _ -> ([], e)
+
+(* Peel the [let a = .. in let b = .. in fun x -> ..] spine of a
+   toplevel closure: the captured bindings, if the spine ends in a
+   function. *)
+let rec closure_spine (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_function _ -> Some []
+  | Texp_let (_, vbs, body) ->
+      Option.map (fun captured -> vbs @ captured) (closure_spine body)
+  | _ -> None
+
+(* [let x = ..] and [let x : t = ..] bind through different pattern
+   constructors. *)
+let pat_var (p : Typedtree.pattern) =
+  match p.pat_desc with
+  | Tpat_var (id, { txt; _ }) -> Some (id, txt)
+  | Tpat_alias ({ pat_desc = Tpat_any; _ }, id, { txt; _ }) -> Some (id, txt)
+  | _ -> None
+
+(* The alias target recorded for [module M = <mexpr>], if any:
+   [module L = List] yields "List"; [module S = Set.Make (O)] resolves
+   against the functor's parent module ("Set"), which is where the API
+   semantics live. Structures and unpackings yield [None] — the walk
+   recurses into those itself. *)
+let module_alias_target (me : Typedtree.module_expr) =
+  let rec functor_path (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some (Path.name p)
+    | Tmod_apply (f, _, _) -> functor_path f
+    | Tmod_constraint (m, _, _, _) -> functor_path m
+    | _ -> None
+  in
+  let comps p = List.map strip_wrap (split_on_dot p) in
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some (String.concat "." (comps (Path.name p)))
+  | Tmod_apply (f, _, _) -> (
+      match Option.map (fun p -> List.rev (comps p)) (functor_path f) with
+      | Some (_make :: parent) -> Some (String.concat "." (List.rev parent))
+      | _ -> None)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Loading                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let rec collect_cmts acc path =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    |> List.fold_left
+         (fun acc e -> collect_cmts acc (Filename.concat path e))
+         acc
+  else if Filename.check_suffix path ".cmt" then path :: acc
+  else acc
+
+let load roots =
+  let per_root =
+    List.map
+      (fun root ->
+        if not (Sys.file_exists root) then
+          raise (Load_error ("no such cmt root: " ^ root));
+        (root, collect_cmts [] root))
+      roots
+  in
+  let paths = List.concat_map snd per_root |> List.sort_uniq String.compare in
+  (* Envs stored in cmt files are summaries; rehydrating them (cdna_dom's
+     mutable-record check) loads .cmi files, so the load path must cover
+     the cmt dirs and the stdlib. *)
+  Load_path.init ~auto_include:Load_path.no_auto_include
+    (List.sort_uniq String.compare (List.map Filename.dirname paths)
+    @ [ Config.standard_library ]);
+  let modules = ref [] and bindings = ref [] and aliases = ref SMap.empty in
+  let fns = ref SMap.empty and impls = ref SSet.empty in
+  let add_binding m (vb : Typedtree.value_binding) =
+    bindings := { b_mod = m; b_vb = vb } :: !bindings;
+    match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
+    | Some (_, name), Some _ ->
+        let params, body = peel_params vb.vb_expr in
+        let f =
+          {
+            f_idx = 0;
+            f_id = m.m_name ^ "." ^ name;
+            f_module = m.m_name;
+            f_file = m.m_file;
+            f_line = loc_line vb.vb_loc;
+            f_layer = m.m_layer;
+            f_privileged = m.m_privileged;
+            f_attrs = vb.vb_attributes;
+            f_params = params;
+            f_body = body;
+            f_expr = vb.vb_expr;
+            f_plain =
+              (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+              | Tpat_var _, Texp_function _ -> true
+              | _ -> false);
+          }
+        in
+        fns := SMap.add f.f_id f !fns
+    | _ -> ()
+  in
+  let rec walk_structure m (str : Typedtree.structure) =
+    let attrs =
+      List.filter_map
+        (fun (it : Typedtree.structure_item) ->
+          match it.str_desc with Tstr_attribute a -> Some a | _ -> None)
+        str.str_items
+    in
+    let m =
+      List.fold_left
+        (fun m a ->
+          match (attr_name a, attr_reason a) with
+          | "cdna.privileged", _ -> { m with m_privileged = true }
+          | "cdna.layer", Some l -> { m with m_layer = l }
+          | _ -> m)
+        { m with m_attrs = attrs } attrs
+    in
+    modules := m :: !modules;
+    List.iter
+      (fun (it : Typedtree.structure_item) ->
+        match it.str_desc with
+        | Tstr_value (_, vbs) -> List.iter (add_binding m) vbs
+        | Tstr_module mb -> walk_module m mb
+        | Tstr_recmodule mbs -> List.iter (walk_module m) mbs
+        | _ -> ())
+      str.str_items
+  and walk_module parent (mb : Typedtree.module_binding) =
+    let name =
+      match (mb.mb_id, mb.mb_name.txt) with
+      | Some id, _ -> Ident.name id
+      | None, Some n -> n
+      | None, None -> "_"
+    in
+    let rec of_mexpr (me : Typedtree.module_expr) =
+      match module_alias_target me with
+      | Some target -> aliases := SMap.add name target !aliases
+      | None -> (
+          match me.mod_desc with
+          | Tmod_structure s -> walk_structure { parent with m_name = name } s
+          | Tmod_constraint (m, _, _, _) -> of_mexpr m
+          | _ -> ())
+    in
+    of_mexpr mb.mb_expr
+  in
+  let toplevel name file =
+    {
+      m_name = name;
+      m_file = file;
+      m_layer = layer_of_file file;
+      m_privileged = false;
+      m_attrs = [];
+    }
+  in
+  List.iter
+    (fun path ->
+      let cmt =
+        try Cmt_format.read_cmt path
+        with e ->
+          raise
+            (Load_error
+               (Printf.sprintf "cannot read %s: %s" path
+                  (Printexc.to_string e)))
+      in
+      match (cmt.cmt_annots, cmt.cmt_sourcefile) with
+      | Implementation str, Some src
+        when not (Filename.check_suffix src ".ml-gen") ->
+          impls := SSet.add path !impls;
+          walk_structure (toplevel (strip_wrap cmt.cmt_modname) src) str
+      | Implementation str, Some _ ->
+          (* dune alias modules: harvest [module X = Lib__X] only. *)
+          List.iter
+            (fun (it : Typedtree.structure_item) ->
+              match it.str_desc with
+              | Tstr_module mb -> walk_module (toplevel "" "") mb
+              | _ -> ())
+            str.str_items
+      | _ -> ())
+    paths;
+  List.iter
+    (fun (root, ps) ->
+      if not (List.exists (fun p -> SSet.mem p !impls) ps) then
+        raise (Load_error ("no implementation .cmt under " ^ root)))
+    per_root;
+  let fns =
+    SMap.to_seq !fns
+    |> Seq.mapi (fun i (id, f) -> (id, { f with f_idx = i }))
+    |> SMap.of_seq
+  in
+  {
+    files = SSet.cardinal !impls;
+    modules = List.rev !modules;
+    bindings = List.rev !bindings;
+    aliases = !aliases;
+    fns;
+    plain_fns = SMap.filter (fun _ f -> f.f_plain) fns;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Callee resolution                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The canonical name of an identifier in callee position. *)
+let callee p (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_ident (path, _, _) -> Some (canon_of p.aliases (Path.name path))
+  | _ -> None
+
+(* Intra-module references are bare [Pident]s: qualify [c] against
+   [modname] when that names an entry of [tbl] and [c] itself does
+   not. *)
+let qualify tbl ~modname c =
+  if SMap.mem c tbl || String.contains c '.' then c
+  else
+    let local = modname ^ "." ^ c in
+    if SMap.mem local tbl then local else c
+
+let find tbl ~modname c = SMap.find_opt (qualify tbl ~modname c) tbl
+
+(* ------------------------------------------------------------------ *)
+(* Shared analysis drivers                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A per-function table for a pass's facts. *)
+let table p init = Array.make (SMap.cardinal p.fns) init
+
+(* Interprocedural summaries: round-robin over [fns] in order, each
+   [eval get f] reading callee summaries through [get] and seeing the
+   ones computed so far, until no summary's canonical [image] changes
+   (at most 20 rounds). [eval] must be a function of the summaries it
+   reads: a function none of whose reads changed since its last
+   evaluation would return the same summary again, so it is skipped. *)
+let fixpoint p ~empty ~image ~eval fns =
+  let summ = table p empty and images = table p (image empty) in
+  (* Per function: the step it last changed at, the step it was last
+     evaluated at (-1: never) and the summaries that evaluation read. *)
+  let changed_at = table p 0 and evaluated_at = table p (-1) in
+  let reads = table p [] in
+  let step = ref 0 and changed = ref true and rounds = ref 0 in
+  let stale i =
+    evaluated_at.(i) < 0
+    || List.exists (fun d -> changed_at.(d) > evaluated_at.(i)) reads.(i)
+  in
+  while !changed && !rounds < 20 do
+    incr rounds;
+    changed := false;
+    List.iter
+      (fun f ->
+        let i = f.f_idx in
+        if stale i then begin
+          let read = ref [] in
+          let get g =
+            read := g.f_idx :: !read;
+            summ.(g.f_idx)
+          in
+          let s = eval get f in
+          evaluated_at.(i) <- !step;
+          reads.(i) <- !read;
+          incr step;
+          let img = image s in
+          if img <> images.(i) then begin
+            summ.(i) <- s;
+            images.(i) <- img;
+            changed_at.(i) <- !step;
+            changed := true
+          end
+        end)
+      fns
+  done;
+  summ
+
+(* Depth-first call-graph walk from [root], entering each function at
+   most once. [step path f c] judges call [c] of [f] (reached along
+   [path]) and names the callee to descend into; [enter path g] runs on
+   first entry, with [path] ending in the "f calls g" hop. *)
+let dfs ~calls ~line ?(enter = fun _ _ -> ()) ~step root_hop root =
+  let visited = Hashtbl.create 16 in
+  let rec walk path f =
+    List.iter
+      (fun c ->
+        match step path f c with
+        | Some g when not (Hashtbl.mem visited g.f_idx) ->
+            Hashtbl.add visited g.f_idx ();
+            let path =
+              path
+              @ [
+                  {
+                    hop_what = Printf.sprintf "%s calls %s" f.f_id g.f_id;
+                    hop_file = f.f_file;
+                    hop_line = line c;
+                  };
+                ]
+            in
+            enter path g;
+            walk path g
+        | _ -> ())
+      (calls f)
+  in
+  walk [ root_hop ] root
+
+(* De-duplicate on (rule, file, line, msg), keeping the first
+   occurrence in [vs], sort, and split into (unsuppressed, suppressed). *)
+let finish vs =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun v ->
+      let k = (v.rule, v.file, v.line, v.msg) in
+      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    vs
+  |> List.sort violation_compare
+  |> List.partition (fun v -> v.suppress = None)

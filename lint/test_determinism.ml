@@ -33,13 +33,13 @@ let combined ~order =
     |> List.map (fun p -> (p, read_file p))
   in
   let diags, stats = Cdna_lint.run files in
-  let flow = Cdna_flow.analyze "flow_fixtures" in
-  let dom = Cdna_dom.analyze "dom_fixtures" in
+  let flow = Cdna_flow.analyze (Program.load [ "flow_fixtures" ]) in
+  let dom = Cdna_dom.analyze (Program.load [ "dom_fixtures" ]) in
   let proto =
     let paths =
-      Chain.collect_cmts [] "proto_fixtures" |> List.sort String.compare
+      Program.collect_cmts [] "proto_fixtures" |> List.sort String.compare
     in
-    Cdna_proto.analyze_paths (order paths)
+    Cdna_proto.analyze (Program.load (order paths))
   in
   let json =
     match Cdna_lint.stats_to_json stats with
@@ -78,6 +78,88 @@ let test_listing_order () =
     json_b;
   Alcotest.(check string) "rendering stable under listing order" text_a text_b
 
+(* One pass's report as JSON plus its rendered violations, suppressed
+   ones included. *)
+let pass_output to_json violations suppressed r =
+  Sim.Json.to_string (to_json r)
+  :: List.map Chain.violation_to_string (violations r @ suppressed r)
+
+let flow p =
+  pass_output Cdna_flow.report_to_json
+    (fun r -> r.Cdna_flow.violations)
+    (fun r -> r.Cdna_flow.suppressed)
+    (Cdna_flow.analyze p)
+
+let dom p =
+  pass_output Cdna_dom.report_to_json
+    (fun r -> r.Cdna_dom.violations)
+    (fun r -> r.Cdna_dom.suppressed)
+    (Cdna_dom.analyze p)
+
+let proto p =
+  pass_output Cdna_proto.report_to_json
+    (fun r -> r.Cdna_proto.violations)
+    (fun r -> r.Cdna_proto.suppressed)
+    (Cdna_proto.analyze p)
+
+(* Running the three passes over one loaded program, in either order,
+   must give each pass exactly the output it gives alone on a freshly
+   loaded program: no pass may see another's summaries or facts. *)
+let test_shared_program corpus () =
+  let alone pass = pass (Program.load [ corpus ]) in
+  let expect = [ alone flow; alone dom; alone proto ] in
+  let shared = Program.load [ corpus ] in
+  (* [let]s, not a list literal, to fix the evaluation order. *)
+  let f1 = flow shared in
+  let d1 = dom shared in
+  let p1 = proto shared in
+  let p2 = proto shared in
+  let d2 = dom shared in
+  let f2 = flow shared in
+  let check order got =
+    List.iter2
+      (fun name (e, g) ->
+        Alcotest.(check (list string)) (order ^ ": " ^ name) e g)
+      [ "flow"; "dom"; "proto" ]
+      (List.combine expect got)
+  in
+  check "flow->dom->proto" [ f1; d1; p1 ];
+  check "proto->dom->flow" [ f2; d2; p2 ]
+
+(* A corpus that cannot be loaded fails loudly, naming the culprit. *)
+let expect_load_error ~needle roots =
+  match Program.load roots with
+  | _ -> Alcotest.fail ("loaded without error: " ^ String.concat " " roots)
+  | exception Program.Load_error msg ->
+      let nl = String.length needle and ml = String.length msg in
+      let rec has i =
+        i + nl <= ml && (String.sub msg i nl = needle || has (i + 1))
+      in
+      Alcotest.(check bool) ("message names " ^ needle ^ ": " ^ msg) true
+        (has 0)
+
+let temp_dir () =
+  let d = Filename.temp_file "cdna_program" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let test_truncated_cmt () =
+  let d = temp_dir () in
+  let path = Filename.concat d "taint_direct.cmt" in
+  let data = read_file "flow_fixtures/taint_direct.cmt" in
+  let oc = open_out_bin path in
+  output_string oc (String.sub data 0 (min 2000 (String.length data / 2)));
+  close_out oc;
+  expect_load_error ~needle:path [ d ];
+  Sys.remove path;
+  Sys.rmdir d
+
+let test_empty_root () =
+  let d = temp_dir () in
+  expect_load_error ~needle:d [ d ];
+  Sys.rmdir d
+
 let () =
   Alcotest.run "determinism"
     [
@@ -86,5 +168,16 @@ let () =
           Alcotest.test_case "byte-identical across runs" `Quick test_two_runs;
           Alcotest.test_case "stable under listing order" `Quick
             test_listing_order;
+        ] );
+      ( "shared-program",
+        List.map
+          (fun corpus ->
+            Alcotest.test_case (corpus ^ " both pass orders") `Quick
+              (test_shared_program corpus))
+          [ "flow_fixtures"; "dom_fixtures"; "proto_fixtures" ] );
+      ( "load-errors",
+        [
+          Alcotest.test_case "truncated .cmt" `Quick test_truncated_cmt;
+          Alcotest.test_case "root without .cmt" `Quick test_empty_root;
         ] );
     ]

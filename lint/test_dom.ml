@@ -6,33 +6,33 @@
 
 let fixture_root = "dom_fixtures"
 
-let report = lazy (Cdna_dom.analyze fixture_root)
+let report = lazy (Cdna_dom.analyze (Program.load [ fixture_root ]))
 
 let viols_in base =
   let r = Lazy.force report in
   List.filter
-    (fun v -> Filename.basename v.Cdna_dom.file = base)
+    (fun v -> Filename.basename v.Chain.file = base)
     r.Cdna_dom.violations
 
-let check_chain base (v : Cdna_dom.violation) =
+let check_chain base (v : Chain.violation) =
   List.iter
     (fun h ->
       Alcotest.(check bool)
         (base ^ " hop has file:line")
         true
-        (h.Cdna_dom.hop_file <> "" && h.Cdna_dom.hop_line > 0))
-    v.Cdna_dom.chain
+        (h.Chain.hop_file <> "" && h.Chain.hop_line > 0))
+    v.Chain.chain
 
 let check_detects ~base ~rule ~n ?(min_hops = 1) () =
   let vs = viols_in base in
   Alcotest.(check int) (base ^ " violation count") n (List.length vs);
   List.iter
-    (fun (v : Cdna_dom.violation) ->
-      Alcotest.(check string) (base ^ " rule") rule v.Cdna_dom.rule;
+    (fun (v : Chain.violation) ->
+      Alcotest.(check string) (base ^ " rule") rule v.Chain.rule;
       Alcotest.(check bool)
         (base ^ " chain length")
         true
-        (List.length v.Cdna_dom.chain >= min_hops);
+        (List.length v.Chain.chain >= min_hops);
       check_chain base v)
     vs
 
@@ -44,7 +44,7 @@ let test_esc_ref () =
     ~min_hops:3 ();
   match viols_in "esc_ref.ml" with
   | [ v ] ->
-      let whats = List.map (fun h -> h.Cdna_dom.hop_what) v.Cdna_dom.chain in
+      let whats = List.map (fun h -> h.Chain.hop_what) v.Chain.chain in
       let has_sub hay needle =
         let nl = String.length needle and hl = String.length hay in
         let rec go i =
@@ -94,7 +94,7 @@ let test_esc_indirect () =
   | [ v ] ->
       let whats =
         String.concat "|"
-          (List.map (fun h -> h.Cdna_dom.hop_what) v.Cdna_dom.chain)
+          (List.map (fun h -> h.Chain.hop_what) v.Chain.chain)
       in
       let has_sub needle =
         let nl = String.length needle and hl = String.length whats in
@@ -116,15 +116,15 @@ let test_multi_module () =
   | _ -> Alcotest.fail "alias chain must report at the use site only");
   match viols_in "dom_c.ml" with
   | [ v ] ->
-      Alcotest.(check string) "rule" "DM1-shared-mutable" v.Cdna_dom.rule;
+      Alcotest.(check string) "rule" "DM1-shared-mutable" v.Chain.rule;
       Alcotest.(check bool)
         "chain has at least 4 hops" true
-        (List.length v.Cdna_dom.chain >= 4);
+        (List.length v.Chain.chain >= 4);
       let files =
         List.sort_uniq String.compare
           (List.map
-             (fun h -> Filename.basename h.Cdna_dom.hop_file)
-             v.Cdna_dom.chain)
+             (fun h -> Filename.basename h.Chain.hop_file)
+             v.Chain.chain)
       in
       Alcotest.(check (list string))
         "chain spans all three modules"
@@ -140,7 +140,7 @@ let test_multi_module () =
 let check_bad_reason base () =
   let vs = viols_in base in
   Alcotest.(check int) (base ^ " violation count") 2 (List.length vs);
-  let rules = List.sort_uniq String.compare (List.map (fun v -> v.Cdna_dom.rule) vs) in
+  let rules = List.sort_uniq String.compare (List.map (fun v -> v.Chain.rule) vs) in
   Alcotest.(check (list string))
     (base ^ " rules")
     [ "DM1-shared-mutable"; "DS1-suppression-reason" ]
@@ -188,7 +188,7 @@ let test_only_filter () =
   let count only =
     List.length
       (List.filter
-         (fun v -> Chain.rule_matches ~only v.Cdna_dom.rule)
+         (fun v -> Chain.rule_matches ~only v.Chain.rule)
          r.Cdna_dom.violations)
   in
   Alcotest.(check int) "DM1 prefix filter"
@@ -201,16 +201,16 @@ let test_only_filter () =
 (* Byte-identical reports across runs: the JSON artifact is diffed by
    the suppression-drift gate, so ordering must be deterministic. *)
 let test_deterministic () =
-  let a = Cdna_dom.analyze fixture_root in
-  let b = Cdna_dom.analyze fixture_root in
+  let a = Cdna_dom.analyze (Program.load [ fixture_root ]) in
+  let b = Cdna_dom.analyze (Program.load [ fixture_root ]) in
   Alcotest.(check string)
     "report JSON identical across runs"
     (Sim.Json.to_string (Cdna_dom.report_to_json a))
     (Sim.Json.to_string (Cdna_dom.report_to_json b));
   Alcotest.(check (list string))
     "violation rendering identical across runs"
-    (List.map Cdna_dom.violation_to_string a.Cdna_dom.violations)
-    (List.map Cdna_dom.violation_to_string b.Cdna_dom.violations)
+    (List.map Chain.violation_to_string a.Cdna_dom.violations)
+    (List.map Chain.violation_to_string b.Cdna_dom.violations)
 
 let () =
   Alcotest.run "cdna_dom"

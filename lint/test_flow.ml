@@ -5,12 +5,12 @@
 
 let fixture_root = "flow_fixtures"
 
-let report = lazy (Cdna_flow.analyze fixture_root)
+let report = lazy (Cdna_flow.analyze (Program.load [ fixture_root ]))
 
 let viols_in base =
   let r = Lazy.force report in
   List.filter
-    (fun v -> Filename.basename v.Cdna_flow.file = base)
+    (fun v -> Filename.basename v.Chain.file = base)
     r.Cdna_flow.violations
 
 let check_detects ~base ~rule ~n () =
@@ -18,15 +18,15 @@ let check_detects ~base ~rule ~n () =
   Alcotest.(check int) (base ^ " violation count") n (List.length vs);
   List.iter
     (fun v ->
-      Alcotest.(check string) (base ^ " rule") rule v.Cdna_flow.rule;
-      Alcotest.(check bool) (base ^ " has chain") true (v.Cdna_flow.chain <> []);
+      Alcotest.(check string) (base ^ " rule") rule v.Chain.rule;
+      Alcotest.(check bool) (base ^ " has chain") true (v.Chain.chain <> []);
       List.iter
         (fun h ->
           Alcotest.(check bool)
             (base ^ " hop has file:line")
             true
-            (h.Cdna_flow.hop_file <> "" && h.Cdna_flow.hop_line > 0))
-        v.Cdna_flow.chain)
+            (h.Chain.hop_file <> "" && h.Chain.hop_line > 0))
+        v.Chain.chain)
     vs
 
 let test_taint_direct = check_detects ~base:"taint_direct.ml" ~rule:"T1-guest-taint" ~n:1
@@ -49,7 +49,7 @@ let test_taint_record () =
            let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
            go 0
          in
-         has_sub v.Cdna_flow.msg "Phys_mem.write_uint")
+         has_sub v.Chain.msg "Phys_mem.write_uint")
   | _ -> Alcotest.fail "expected exactly one taint_record violation"
 
 (* The alias'd-List + closure allocations one call below a hot entry:
@@ -59,9 +59,9 @@ let test_hot_alias () =
   Alcotest.(check int) "hot_alias_alloc violation count" 2 (List.length vs);
   List.iter
     (fun v ->
-      Alcotest.(check string) "rule" "A6-transitive-alloc" v.Cdna_flow.rule)
+      Alcotest.(check string) "rule" "A6-transitive-alloc" v.Chain.rule)
     vs;
-  let msgs = String.concat "|" (List.map (fun v -> v.Cdna_flow.msg) vs) in
+  let msgs = String.concat "|" (List.map (fun v -> v.Chain.msg) vs) in
   let has_sub needle =
     let nl = String.length needle and hl = String.length msgs in
     let rec go i = i + nl <= hl && (String.sub msgs i nl = needle || go (i + 1)) in
@@ -75,15 +75,15 @@ let test_hot_alias () =
 let test_multi_module () =
   match viols_in "flow_b.ml" with
   | [ v ] ->
-      Alcotest.(check string) "rule" "T1-guest-taint" v.Cdna_flow.rule;
+      Alcotest.(check string) "rule" "T1-guest-taint" v.Chain.rule;
       Alcotest.(check bool)
         "chain has at least 4 hops" true
-        (List.length v.Cdna_flow.chain >= 4);
+        (List.length v.Chain.chain >= 4);
       let files =
         List.sort_uniq String.compare
           (List.map
-             (fun h -> Filename.basename h.Cdna_flow.hop_file)
-             v.Cdna_flow.chain)
+             (fun h -> Filename.basename h.Chain.hop_file)
+             v.Chain.chain)
       in
       Alcotest.(check (list string))
         "chain spans all three modules"
@@ -112,16 +112,16 @@ let test_totals () =
 (* Byte-identical reports across runs: the JSON artifact is diffed by
    the suppression gate, so ordering must be deterministic. *)
 let test_deterministic () =
-  let a = Cdna_flow.analyze fixture_root in
-  let b = Cdna_flow.analyze fixture_root in
+  let a = Cdna_flow.analyze (Program.load [ fixture_root ]) in
+  let b = Cdna_flow.analyze (Program.load [ fixture_root ]) in
   Alcotest.(check string)
     "report JSON identical across runs"
     (Sim.Json.to_string (Cdna_flow.report_to_json a))
     (Sim.Json.to_string (Cdna_flow.report_to_json b));
   Alcotest.(check (list string))
     "violation rendering identical across runs"
-    (List.map Cdna_flow.violation_to_string a.Cdna_flow.violations)
-    (List.map Cdna_flow.violation_to_string b.Cdna_flow.violations)
+    (List.map Chain.violation_to_string a.Cdna_flow.violations)
+    (List.map Chain.violation_to_string b.Cdna_flow.violations)
 
 (* [main.exe --only T1] semantics over this pass's reports: the bare
    prefix and the full rule name both select, a non-prefix selects
@@ -131,7 +131,7 @@ let test_only_filter () =
   let count only =
     List.length
       (List.filter
-         (fun v -> Chain.rule_matches ~only v.Cdna_flow.rule)
+         (fun v -> Chain.rule_matches ~only v.Chain.rule)
          r.Cdna_flow.violations)
   in
   Alcotest.(check int) "T1 prefix filter" 5 (count (Some "T1"));

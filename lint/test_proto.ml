@@ -6,12 +6,12 @@
    _build/default/lint under dune). *)
 
 let fixture_root = "proto_fixtures"
-let report = lazy (Cdna_proto.analyze fixture_root)
+let report = lazy (Cdna_proto.analyze (Program.load [ fixture_root ]))
 
 let viols_in base =
   let r = Lazy.force report in
   List.filter
-    (fun v -> Filename.basename v.Cdna_proto.file = base)
+    (fun v -> Filename.basename v.Chain.file = base)
     r.Cdna_proto.violations
 
 let has_sub hay needle =
@@ -19,29 +19,29 @@ let has_sub hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let chain_whats (v : Cdna_proto.violation) =
+let chain_whats (v : Chain.violation) =
   String.concat "|"
-    (List.map (fun h -> h.Cdna_proto.hop_what) v.Cdna_proto.chain)
+    (List.map (fun h -> h.Chain.hop_what) v.Chain.chain)
 
-let check_chain base (v : Cdna_proto.violation) =
+let check_chain base (v : Chain.violation) =
   List.iter
     (fun h ->
       Alcotest.(check bool)
         (base ^ " hop has file:line")
         true
-        (h.Cdna_proto.hop_file <> "" && h.Cdna_proto.hop_line > 0))
-    v.Cdna_proto.chain
+        (h.Chain.hop_file <> "" && h.Chain.hop_line > 0))
+    v.Chain.chain
 
 let check_detects ~base ~rule ~n ?(min_hops = 2) () =
   let vs = viols_in base in
   Alcotest.(check int) (base ^ " violation count") n (List.length vs);
   List.iter
-    (fun (v : Cdna_proto.violation) ->
-      Alcotest.(check string) (base ^ " rule") rule v.Cdna_proto.rule;
+    (fun (v : Chain.violation) ->
+      Alcotest.(check string) (base ^ " rule") rule v.Chain.rule;
       Alcotest.(check bool)
         (base ^ " chain length")
         true
-        (List.length v.Cdna_proto.chain >= min_hops);
+        (List.length v.Chain.chain >= min_hops);
       check_chain base v)
     vs
 
@@ -85,13 +85,13 @@ let test_leak_raise () =
   | [ v ] ->
       Alcotest.(check bool)
         "message flags the raising path" true
-        (has_sub v.Cdna_proto.msg "raising path");
+        (has_sub v.Chain.msg "raising path");
       let last =
-        List.nth v.Cdna_proto.chain (List.length v.Cdna_proto.chain - 1)
+        List.nth v.Chain.chain (List.length v.Chain.chain - 1)
       in
       Alcotest.(check bool)
         "last hop is the raise site" true
-        (has_sub last.Cdna_proto.hop_what "raises without releasing")
+        (has_sub last.Chain.hop_what "raises without releasing")
   | _ -> Alcotest.fail "expected exactly one leak_raise violation"
 
 (* One match arm revokes, the other returns holding the mapping: PR1
@@ -103,7 +103,7 @@ let test_leak_early_return () =
   | [ v ] ->
       Alcotest.(check bool)
         "message says some paths" true
-        (has_sub v.Cdna_proto.msg "released on some paths");
+        (has_sub v.Chain.msg "released on some paths");
       Alcotest.(check bool)
         "chain shows the partial release" true
         (has_sub (chain_whats v) "released by Mmio.revoke")
@@ -125,15 +125,15 @@ let test_cross_module () =
       Alcotest.fail "cross-module leak must report at the acquire site only");
   match viols_in "cross_a.ml" with
   | [ v ] ->
-      Alcotest.(check string) "rule" "PR1-leak-on-path" v.Cdna_proto.rule;
+      Alcotest.(check string) "rule" "PR1-leak-on-path" v.Chain.rule;
       Alcotest.(check bool)
         "chain has at least 6 hops" true
-        (List.length v.Cdna_proto.chain >= 6);
+        (List.length v.Chain.chain >= 6);
       let files =
         List.sort_uniq String.compare
           (List.map
-             (fun h -> Filename.basename h.Cdna_proto.hop_file)
-             v.Cdna_proto.chain)
+             (fun h -> Filename.basename h.Chain.hop_file)
+             v.Chain.chain)
       in
       Alcotest.(check (list string))
         "chain spans all three modules"
@@ -161,7 +161,7 @@ let test_dbl_release () =
   | [ v ] ->
       Alcotest.(check bool)
         "message cites the first release" true
-        (has_sub v.Cdna_proto.msg "already released at")
+        (has_sub v.Chain.msg "already released at")
   | _ -> Alcotest.fail "expected exactly one dbl_release violation"
 
 (* The second revoke reaches the same mapping through an alias. *)
@@ -193,7 +193,7 @@ let test_rel_no_acq () =
       Alcotest.(check bool)
         "first hop is the creation" true
         (has_sub
-           (List.hd v.Cdna_proto.chain).Cdna_proto.hop_what
+           (List.hd v.Chain.chain).Chain.hop_what
            "created by Iommu.create")
   | _ -> Alcotest.fail "expected exactly one rel_no_acq violation"
 
@@ -220,15 +220,15 @@ let test_suppressed () =
   let r = Lazy.force report in
   let vs =
     List.filter
-      (fun v -> Filename.basename v.Cdna_proto.file = "suppressed.ml")
+      (fun v -> Filename.basename v.Chain.file = "suppressed.ml")
       r.Cdna_proto.suppressed
   in
   match vs with
   | [ v ] ->
-      Alcotest.(check string) "rule" "PR1-leak-on-path" v.Cdna_proto.rule;
+      Alcotest.(check string) "rule" "PR1-leak-on-path" v.Chain.rule;
       Alcotest.(check bool)
         "reason recorded" true
-        (match v.Cdna_proto.suppress with
+        (match v.Chain.suppress with
         | Some r -> has_sub r "intentional leak"
         | None -> false)
   | vs ->
@@ -255,7 +255,7 @@ let test_rule_filter () =
   let count only =
     List.length
       (List.filter
-         (fun v -> Chain.rule_matches ~only v.Cdna_proto.rule)
+         (fun v -> Chain.rule_matches ~only v.Chain.rule)
          r.Cdna_proto.violations)
   in
   Alcotest.(check int) "PR1 prefix filter" 7 (count (Some "PR1"));
@@ -267,14 +267,14 @@ let test_rule_filter () =
 (* Byte-identical reports across runs and under reversed corpus
    listing order: the JSON artifact is diffed by the drift gate. *)
 let test_deterministic () =
-  let a = Cdna_proto.analyze fixture_root in
-  let b = Cdna_proto.analyze fixture_root in
+  let a = Cdna_proto.analyze (Program.load [ fixture_root ]) in
+  let b = Cdna_proto.analyze (Program.load [ fixture_root ]) in
   Alcotest.(check string)
     "report JSON identical across runs"
     (Sim.Json.to_string (Cdna_proto.report_to_json a))
     (Sim.Json.to_string (Cdna_proto.report_to_json b));
-  let paths = Chain.collect_cmts [] fixture_root |> List.sort String.compare in
-  let c = Cdna_proto.analyze_paths (List.rev paths) in
+  let paths = Program.collect_cmts [] fixture_root |> List.sort String.compare in
+  let c = Cdna_proto.analyze (Program.load (List.rev paths)) in
   Alcotest.(check string)
     "report JSON stable under listing order"
     (Sim.Json.to_string (Cdna_proto.report_to_json a))
