@@ -216,8 +216,7 @@ let () =
         (Cdna.Hyp.pinned_pages handle2);
       (* The guest frees the page while DMA is outstanding. *)
       Xen.Hypervisor.free_page xen2 attacker2 dma_pfn;
-      let page = Memory.Phys_mem.page mem2 dma_pfn in
-      (match Memory.Page.state page with
+      (match Memory.Phys_mem.state mem2 dma_pfn with
       | Memory.Page.Quarantined _ ->
           print_endline
             "page freed during outstanding DMA is quarantined, not \

@@ -1,63 +1,54 @@
 type domain_id = int
 type state = Free | Owned of domain_id | Quarantined of domain_id
 
-type t = {
-  pfn : Addr.pfn;
-  mutable state : state;
-  mutable refcount : int;
-}
+(* State codes: 0 is Free, d + 2 is Owned d, -(d + 2) is Quarantined d.
+   Domain ids start at -1, so every owned code is positive and every
+   quarantined one negative. *)
+type t = { codes : int array; refs : int array }
 
-let create ~pfn = { pfn; state = Free; refcount = 0 }
-let pfn t = t.pfn
-let state t = t.state
-let refcount t = t.refcount
+let create ~pages = { codes = Array.make pages 0; refs = Array.make pages 0 }
 
-let set_owned t dom =
-  match t.state with
-  | Free -> t.state <- Owned dom
-  | Owned _ | Quarantined _ ->
-      invalid_arg "Page.set_owned: page not free"
+let state t pfn =
+  let c = t.codes.(pfn) in
+  if c = 0 then Free else if c > 0 then Owned (c - 2) else Quarantined (-c - 2)
 
-let release t =
-  match t.state with
-  | Owned d ->
-      if t.refcount = 0 then t.state <- Free else t.state <- Quarantined d
-  | Free | Quarantined _ -> invalid_arg "Page.release: page not owned"
+let refcount t pfn = t.refs.(pfn)
 
-let transfer t dom =
-  match t.state with
-  | Owned _ ->
-      if t.refcount > 0 then Error `Pinned
-      else begin
-        t.state <- Owned dom;
-        Ok ()
-      end
-  | Free | Quarantined _ -> invalid_arg "Page.transfer: page not owned"
+let owned_code fn dom =
+  if dom < -1 then invalid_arg (fn ^ ": domain id below -1");
+  dom + 2
 
-let get_ref t =
-  match t.state with
-  | Free -> invalid_arg "Page.get_ref: free page"
-  | Owned _ | Quarantined _ -> t.refcount <- t.refcount + 1
+let set_owned t pfn dom =
+  if t.codes.(pfn) <> 0 then invalid_arg "Page.set_owned: page not free";
+  t.codes.(pfn) <- owned_code "Page.set_owned" dom
 
-let put_ref t =
-  if t.refcount <= 0 then invalid_arg "Page.put_ref: refcount already zero";
-  t.refcount <- t.refcount - 1;
-  match t.state with
-  | Quarantined _ when t.refcount = 0 ->
-      t.state <- Free;
-      `Now_free
-  | Free | Owned _ | Quarantined _ -> `Still_held
+let release t pfn =
+  let c = t.codes.(pfn) in
+  if c <= 0 then invalid_arg "Page.release: page not owned";
+  t.codes.(pfn) <- (if t.refs.(pfn) = 0 then 0 else -c)
 
-let is_owned_by t dom =
-  match t.state with
-  | Owned d -> d = dom
-  | Free | Quarantined _ -> false
+let transfer t pfn dom =
+  if t.codes.(pfn) <= 0 then invalid_arg "Page.transfer: page not owned";
+  if t.refs.(pfn) > 0 then Error `Pinned
+  else begin
+    t.codes.(pfn) <- owned_code "Page.transfer" dom;
+    Ok ()
+  end
 
-let pp ppf t =
-  let state =
-    match t.state with
-    | Free -> "free"
-    | Owned d -> Printf.sprintf "owned(dom%d)" d
-    | Quarantined d -> Printf.sprintf "quarantined(dom%d)" d
-  in
-  Format.fprintf ppf "pfn=%d %s refs=%d" t.pfn state t.refcount
+let get_ref t pfn =
+  if t.codes.(pfn) = 0 then invalid_arg "Page.get_ref: free page";
+  t.refs.(pfn) <- t.refs.(pfn) + 1
+
+let put_ref t pfn =
+  let r = t.refs.(pfn) in
+  if r <= 0 then invalid_arg "Page.put_ref: refcount already zero";
+  t.refs.(pfn) <- r - 1;
+  if r = 1 && t.codes.(pfn) < 0 then begin
+    t.codes.(pfn) <- 0;
+    `Now_free
+  end
+  else `Still_held
+
+let is_owned_by t pfn dom =
+  let c = t.codes.(pfn) in
+  c > 0 && c = dom + 2

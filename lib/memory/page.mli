@@ -3,7 +3,13 @@
     Equivalent of Xen's [page_info]: each physical page has an owning domain
     and a reference count. The CDNA hypervisor pins pages under outstanding
     DMA by holding a reference, which blocks reallocation (paper section
-    3.3). Domains are identified by small integers. *)
+    3.3). Domains are identified by small integers, [-1] upwards (the
+    hypervisor itself owns pages as [-1]).
+
+    A [t] holds the metadata of every page of a machine in two flat
+    [int array]s indexed by pfn (state code and refcount), so it costs two
+    words per page and no per-page allocation. This module is the single
+    definition of the page state machine. *)
 
 type domain_id = int
 
@@ -17,35 +23,36 @@ type state =
 
 type t
 
-val create : pfn:Addr.pfn -> t
-val pfn : t -> Addr.pfn
-val state : t -> state
-val refcount : t -> int
+(** [create ~pages] is the metadata of pfns [\[0, pages)], all [Free]
+    and unreferenced. *)
+val create : pages:int -> t
 
-(** [set_owned p dom] transitions a [Free] page to [Owned dom].
-    @raise Invalid_argument if the page is not free. *)
-val set_owned : t -> domain_id -> unit
+val state : t -> Addr.pfn -> state
+val refcount : t -> Addr.pfn -> int
 
-(** [release p] frees an [Owned] page: to [Free] if unreferenced, else to
-    [Quarantined].
+(** [set_owned t pfn dom] transitions a [Free] page to [Owned dom].
+    @raise Invalid_argument if the page is not free or [dom < -1]. *)
+val set_owned : t -> Addr.pfn -> domain_id -> unit
+
+(** [release t pfn] frees an [Owned] page: to [Free] if unreferenced,
+    else to [Quarantined].
     @raise Invalid_argument if the page is not owned. *)
-val release : t -> unit
+val release : t -> Addr.pfn -> unit
 
-(** [transfer p dom] reassigns an [Owned], unreferenced page to [dom]
+(** [transfer t pfn dom] reassigns an [Owned], unreferenced page to [dom]
     (page flipping). Returns [Error `Pinned] if references are
     outstanding.
-    @raise Invalid_argument if the page is not owned. *)
-val transfer : t -> domain_id -> (unit, [ `Pinned ]) result
+    @raise Invalid_argument if the page is not owned or [dom < -1]. *)
+val transfer : t -> Addr.pfn -> domain_id -> (unit, [ `Pinned ]) result
 
-(** [get_ref p] increments the reference count.
+(** [get_ref t pfn] increments the reference count.
     @raise Invalid_argument on a [Free] page. *)
-val get_ref : t -> unit
+val get_ref : t -> Addr.pfn -> unit
 
-(** [put_ref p] decrements the count. Returns [`Now_free] when this drops a
-    quarantined page to zero references (the allocator must reclaim it),
-    [`Still_held] otherwise.
+(** [put_ref t pfn] decrements the count. Returns [`Now_free] when this
+    drops a quarantined page to zero references (the allocator must
+    reclaim it), [`Still_held] otherwise.
     @raise Invalid_argument if the count is already zero. *)
-val put_ref : t -> [ `Now_free | `Still_held ]
+val put_ref : t -> Addr.pfn -> [ `Now_free | `Still_held ]
 
-val is_owned_by : t -> domain_id -> bool
-val pp : Format.formatter -> t -> unit
+val is_owned_by : t -> Addr.pfn -> domain_id -> bool

@@ -2,10 +2,15 @@
 
     A flat physical address space of 4 KB pages with per-page ownership and
     reference counting ({!Page}), a free-list allocator, and real byte
-    contents. The backing store is one contiguous [Bytes.t]; page contents
-    are still materialized (zero-filled) lazily on first touch — guests in
-    the experiments only touch network-buffer pages, so a 4 GB machine
-    commits only what is actually written.
+    contents. Memory costs what a run touches, not what it declares: each
+    page's 4 KB frame is allocated (zero-filled) on first touch and
+    dropped again when the page is reclaimed, and page metadata is flat
+    [int] arrays, a few words per page in all. Guests in the experiments
+    only touch network-buffer pages, so a 64-guest machine of ~3 GB
+    commits a few hundred frames.
+
+    This is the only record of page ownership: [Xen.Domain] reads its
+    page set from here.
 
     DMA in the simulator goes through {!read}/{!write} (or the
     non-allocating {!read_into}/{!write_sub} used by the datapath), so a
@@ -22,8 +27,11 @@ val create : total_pages:int -> unit -> t
 val total_pages : t -> int
 val free_pages : t -> int
 
-(** Page metadata. @raise Invalid_argument if [pfn] is out of range. *)
-val page : t -> Addr.pfn -> Page.t
+(** Page metadata. Here and in the allocation and reference-counting
+    calls below, @raise Invalid_argument if [pfn] is out of range. *)
+
+val state : t -> Addr.pfn -> Page.state
+val refcount : t -> Addr.pfn -> int
 
 (** {1 Allocation} *)
 
@@ -54,6 +62,10 @@ val put_ref : t -> Addr.pfn -> unit
 (** [owned_by t pfn dom] is true iff [pfn] is currently owned by [dom]. *)
 val owned_by : t -> Addr.pfn -> Page.domain_id -> bool
 
+(** [owned_pages t dom] lists the pages [dom] owns, in ascending order
+    (one scan of the metadata). *)
+val owned_pages : t -> Page.domain_id -> Addr.pfn list
+
 (** {1 Byte access}
 
     Ranges may span pages. @raise Invalid_argument on out-of-range
@@ -78,9 +90,10 @@ val read_into : t -> addr:Addr.t -> len:int -> Bytes.t -> pos:int -> unit
     @raise Invalid_argument if either range is out of bounds. *)
 val write_sub : t -> addr:Addr.t -> Bytes.t -> pos:int -> len:int -> unit
 
-(** Fixed-width little-endian accessors used by descriptor rings. All of
-    them index the flat backing store directly — one validated range
-    check, no intermediate buffer. *)
+(** Fixed-width little-endian accessors used by descriptor rings: one
+    validated range check, then one frame lookup for a field inside a
+    page (byte by byte only across a page boundary), no intermediate
+    buffer. *)
 
 (** Variable-width little-endian accessors ([bytes] in [1, 8]), for
     descriptor layouts with non-standard field widths. *)

@@ -5,14 +5,12 @@ type t = {
   name : string;
   kind : kind;
   entity : Host.Cpu.entity;
-  page_set : (Memory.Addr.pfn, unit) Hashtbl.t;
+  mem : Memory.Phys_mem.t;
   mutable virqs : int;
 }
 
-let make ~id ~name ~kind ~entity ~pages =
-  let page_set = Hashtbl.create 256 in
-  List.iter (fun p -> Hashtbl.replace page_set p ()) pages;
-  { id; name; kind; entity; page_set; virqs = 0 }
+let make ~id ~name ~kind ~entity ~mem =
+  { id; name; kind; entity; mem; virqs = 0 }
 
 let id t = t.id
 let name t = t.name
@@ -20,12 +18,8 @@ let kind t = t.kind
 let entity t = t.entity
 let kernel t = Host.Category.Kernel t.id
 let user t = Host.Category.User t.id
-let pages t =
-  Hashtbl.fold (fun p () acc -> p :: acc) t.page_set []
-  |> List.sort Int.compare
-let page_count t = Hashtbl.length t.page_set
+let pages t = Memory.Phys_mem.owned_pages t.mem t.id
+let page_count t = List.length (pages t)
 let virq_count t = t.virqs
 let reset_virq_count t = t.virqs <- 0
-let add_page t p = Hashtbl.replace t.page_set p ()
-let remove_page t p = Hashtbl.remove t.page_set p
 let incr_virq t = t.virqs <- t.virqs + 1

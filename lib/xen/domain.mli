@@ -22,8 +22,9 @@ val kernel : t -> Host.Category.t
 
 val user : t -> Host.Category.t
 
-(** Pages currently owned (allocated at creation; may grow/shrink through
-    ballooning or grant transfers). *)
+(** Pages currently owned, ascending (allocated at creation; may
+    grow/shrink through ballooning or grant transfers). Read from the
+    domain's {!Memory.Phys_mem}, the one record of page ownership. *)
 val pages : t -> Memory.Addr.pfn list
 
 val page_count : t -> int
@@ -42,9 +43,7 @@ val make :
   name:string ->
   kind:kind ->
   entity:Host.Cpu.entity ->
-  pages:Memory.Addr.pfn list ->
+  mem:Memory.Phys_mem.t ->
   t
 
-val add_page : t -> Memory.Addr.pfn -> unit
-val remove_page : t -> Memory.Addr.pfn -> unit
 val incr_virq : t -> unit

@@ -10,8 +10,6 @@ let flip t ~src ~dst pfn =
     match Memory.Phys_mem.transfer mem pfn ~to_:(Domain.id dst) with
     | Error `Pinned -> Error `Pinned
     | Ok () ->
-        Domain.remove_page src pfn;
-        Domain.add_page dst pfn;
         t.count <- t.count + 1;
         Ok ()
 

@@ -30,14 +30,12 @@ let costs t = t.costs
 let create_domain t ~name ~kind ~weight ~mem_pages =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let pages =
-    match Memory.Phys_mem.alloc t.mem ~owner:id ~count:mem_pages with
-    | Ok pages -> pages
-    | Error `Out_of_memory ->
-        invalid_arg "Hypervisor.create_domain: out of memory"
-  in
+  (match Memory.Phys_mem.alloc t.mem ~owner:id ~count:mem_pages with
+  | Ok _ -> ()
+  | Error `Out_of_memory ->
+      invalid_arg "Hypervisor.create_domain: out of memory");
   let entity = Host.Cpu.add_entity t.cpu ~name ~weight ~domain:id in
-  let dom = Domain.make ~id ~name ~kind ~entity ~pages in
+  let dom = Domain.make ~id ~name ~kind ~entity ~mem:t.mem in
   t.domains <- t.domains @ [ dom ];
   dom
 
@@ -58,16 +56,13 @@ let alloc_hyp_pages t n =
 
 let alloc_pages t dom n =
   match Memory.Phys_mem.alloc t.mem ~owner:(Domain.id dom) ~count:n with
-  | Ok pages ->
-      List.iter (Domain.add_page dom) pages;
-      pages
+  | Ok pages -> pages
   | Error `Out_of_memory -> invalid_arg "Hypervisor.alloc_pages: out of memory"
 
 let free_page t dom pfn =
   if not (Memory.Phys_mem.owned_by t.mem pfn (Domain.id dom)) then
     invalid_arg "Hypervisor.free_page: domain does not own page";
-  Memory.Phys_mem.free t.mem pfn;
-  Domain.remove_page dom pfn
+  Memory.Phys_mem.free t.mem pfn
 
 let hypercall t ~from ~cost fn =
   t.hypercalls <- t.hypercalls + 1;

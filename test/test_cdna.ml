@@ -342,7 +342,7 @@ let test_hyp_enqueue_pins_and_lazily_unpins () =
   | Error _ -> Alcotest.fail "enqueue failed");
   check_int "pinned" 1 (Cdna.Hyp.pinned_pages h);
   check_int "page refcount" 1
-    (Memory.Page.refcount (Memory.Phys_mem.page fx.mem (Memory.Addr.pfn_of d1.Memory.Dma_desc.addr)));
+    (Memory.Phys_mem.refcount fx.mem (Memory.Addr.pfn_of d1.Memory.Dma_desc.addr));
   (* Let the NIC consume it. *)
   hw.Nic.Driver_if.stage_tx_meta (meta_frame h ~seq:0);
   hw.Nic.Driver_if.tx_doorbell 1;
@@ -354,7 +354,7 @@ let test_hyp_enqueue_pins_and_lazily_unpins () =
   | Error _ -> Alcotest.fail "second enqueue failed");
   check_int "old pin dropped, new pin live" 1 (Cdna.Hyp.pinned_pages h);
   check_int "old page unpinned" 0
-    (Memory.Page.refcount (Memory.Phys_mem.page fx.mem (Memory.Addr.pfn_of d1.Memory.Dma_desc.addr)))
+    (Memory.Phys_mem.refcount fx.mem (Memory.Addr.pfn_of d1.Memory.Dma_desc.addr))
 
 let test_hyp_pinned_page_cannot_move () =
   let fx = fixture () in
@@ -368,7 +368,7 @@ let test_hyp_pinned_page_cannot_move () =
   (* Freeing quarantines rather than releasing. *)
   Xen.Hypervisor.free_page fx.xen fx.guest pfn;
   check_bool "quarantined" true
-    (match Memory.Page.state (Memory.Phys_mem.page fx.mem pfn) with
+    (match Memory.Phys_mem.state fx.mem pfn with
     | Memory.Page.Quarantined _ -> true
     | _ -> false)
 
@@ -434,7 +434,7 @@ let test_hyp_revoke_unpins_everything () =
   List.iter
     (fun pfn ->
       check_int "refcount zero" 0
-        (Memory.Page.refcount (Memory.Phys_mem.page fx.mem pfn)))
+        (Memory.Phys_mem.refcount fx.mem pfn))
     pfns
 
 (* ---------- Protection fault reporting ---------- *)

@@ -471,6 +471,30 @@ let test_testbed_oversubscribes_contexts () =
   check_bool "no paging at capacity" false (Cdna.Hyp.paging_enabled hyp32);
   check_int "no swaps at capacity" 0 (Cdna.Hyp.ctx_swaps hyp32)
 
+(* The cdna-tx-64g testbed (64 guests, two NICs) declares 729,088 pages,
+   ~3 GB. Simulated memory must cost what the run touches: a flat
+   backing store or boxed per-page records would blow well past this
+   bound on the major heap. *)
+let test_testbed_heap_footprint () =
+  Gc.full_major ();
+  let tb =
+    Experiments.Testbed.build
+      {
+        cdna_tx with
+        Experiments.Config.nic = Experiments.Config.Ricenic;
+        nics = 2;
+        guests = 2 * Cdna.Cnic.num_contexts;
+      }
+  in
+  let heap_mb =
+    float_of_int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8))
+    /. 1048576.
+  in
+  ignore (Sys.opaque_identity tb);
+  check_bool
+    (Printf.sprintf "major heap %.0f MB after building 64 guests" heap_mb)
+    true (heap_mb < 64.)
+
 let test_run_ctx_swaps () =
   (* [Run] counts CDNA context swaps over the measurement window only:
      paging at 40 guests swaps throughout, but the swaps made while
@@ -568,6 +592,8 @@ let suite =
         Alcotest.test_case "payload sweep shape" `Slow test_payload_sweep_shape;
         Alcotest.test_case "testbed context oversubscription" `Quick
           test_testbed_oversubscribes_contexts;
+        Alcotest.test_case "testbed heap footprint" `Quick
+          test_testbed_heap_footprint;
         Alcotest.test_case "run counts window ctx swaps" `Slow test_run_ctx_swaps;
         Alcotest.test_case "native baseline" `Slow test_native_outperforms_virtualized;
       ] );

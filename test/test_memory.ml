@@ -39,55 +39,74 @@ let prop_pages_spanned_count =
 (* ---------- Page ---------- *)
 
 let test_page_lifecycle () =
-  let p = Memory.Page.create ~pfn:7 in
-  check_bool "starts free" true (Memory.Page.state p = Memory.Page.Free);
-  Memory.Page.set_owned p 3;
-  check_bool "owned" true (Memory.Page.is_owned_by p 3);
-  check_bool "not other" false (Memory.Page.is_owned_by p 4);
-  Memory.Page.release p;
-  check_bool "free again" true (Memory.Page.state p = Memory.Page.Free)
+  let m = Memory.Page.create ~pages:8 and p = 7 in
+  check_bool "starts free" true (Memory.Page.state m p = Memory.Page.Free);
+  Memory.Page.set_owned m p 3;
+  check_bool "owned" true (Memory.Page.is_owned_by m p 3);
+  check_bool "not other" false (Memory.Page.is_owned_by m p 4);
+  Memory.Page.release m p;
+  check_bool "free again" true (Memory.Page.state m p = Memory.Page.Free)
 
 let test_page_quarantine () =
-  let p = Memory.Page.create ~pfn:7 in
-  Memory.Page.set_owned p 1;
-  Memory.Page.get_ref p;
-  Memory.Page.get_ref p;
-  Memory.Page.release p;
+  let m = Memory.Page.create ~pages:8 and p = 7 in
+  Memory.Page.set_owned m p 1;
+  Memory.Page.get_ref m p;
+  Memory.Page.get_ref m p;
+  Memory.Page.release m p;
   check_bool "quarantined" true
-    (match Memory.Page.state p with Memory.Page.Quarantined 1 -> true | _ -> false);
-  check_bool "first put still held" true (Memory.Page.put_ref p = `Still_held);
-  check_bool "last put frees" true (Memory.Page.put_ref p = `Now_free);
-  check_bool "now free" true (Memory.Page.state p = Memory.Page.Free)
+    (match Memory.Page.state m p with Memory.Page.Quarantined 1 -> true | _ -> false);
+  check_bool "first put still held" true (Memory.Page.put_ref m p = `Still_held);
+  check_bool "last put frees" true (Memory.Page.put_ref m p = `Now_free);
+  check_bool "now free" true (Memory.Page.state m p = Memory.Page.Free)
 
 let test_page_transfer () =
-  let p = Memory.Page.create ~pfn:1 in
-  Memory.Page.set_owned p 1;
-  check_bool "transfer ok" true (Memory.Page.transfer p 2 = Ok ());
-  check_bool "new owner" true (Memory.Page.is_owned_by p 2);
-  Memory.Page.get_ref p;
-  check_bool "pinned refuses" true (Memory.Page.transfer p 3 = Error `Pinned)
+  let m = Memory.Page.create ~pages:2 and p = 1 in
+  Memory.Page.set_owned m p 1;
+  check_bool "transfer ok" true (Memory.Page.transfer m p 2 = Ok ());
+  check_bool "new owner" true (Memory.Page.is_owned_by m p 2);
+  Memory.Page.get_ref m p;
+  check_bool "pinned refuses" true (Memory.Page.transfer m p 3 = Error `Pinned)
 
 let test_page_invalid_transitions () =
-  let p = Memory.Page.create ~pfn:0 in
+  let m = Memory.Page.create ~pages:1 and p = 0 in
   Alcotest.check_raises "ref free page" (Invalid_argument "Page.get_ref: free page")
-    (fun () -> Memory.Page.get_ref p);
+    (fun () -> Memory.Page.get_ref m p);
   Alcotest.check_raises "release free" (Invalid_argument "Page.release: page not owned")
-    (fun () -> Memory.Page.release p);
-  Memory.Page.set_owned p 1;
+    (fun () -> Memory.Page.release m p);
+  Memory.Page.set_owned m p 1;
   Alcotest.check_raises "double own" (Invalid_argument "Page.set_owned: page not free")
-    (fun () -> Memory.Page.set_owned p 2);
+    (fun () -> Memory.Page.set_owned m p 2);
   Alcotest.check_raises "put at zero" (Invalid_argument "Page.put_ref: refcount already zero")
-    (fun () -> ignore (Memory.Page.put_ref p))
+    (fun () -> ignore (Memory.Page.put_ref m p))
+
+(* Owner codes are d + 2, so an id below the hypervisor's -1 would read
+   back as Free or Quarantined: both entry points refuse it, and a
+   refused [alloc] takes nothing. *)
+let test_page_domain_id_range () =
+  let m = Memory.Page.create ~pages:1 and p = 0 in
+  Alcotest.check_raises "set_owned"
+    (Invalid_argument "Page.set_owned: domain id below -1")
+    (fun () -> Memory.Page.set_owned m p (-2));
+  Memory.Page.set_owned m p (-1);
+  check_bool "hypervisor owns" true (Memory.Page.is_owned_by m p (-1));
+  Alcotest.check_raises "transfer"
+    (Invalid_argument "Page.transfer: domain id below -1")
+    (fun () -> ignore (Memory.Page.transfer m p (-2)));
+  let pm = Memory.Phys_mem.create ~total_pages:2 () in
+  Alcotest.check_raises "alloc"
+    (Invalid_argument "Page.set_owned: domain id below -1")
+    (fun () -> ignore (Memory.Phys_mem.alloc pm ~owner:(-2) ~count:2));
+  check_int "nothing taken" 2 (Memory.Phys_mem.free_pages pm)
 
 let prop_page_refcount_balance =
   QCheck.Test.make ~name:"balanced get/put leaves refcount zero" ~count:100
     QCheck.(int_range 0 50)
     (fun n ->
-      let p = Memory.Page.create ~pfn:0 in
-      Memory.Page.set_owned p 1;
-      for _ = 1 to n do Memory.Page.get_ref p done;
-      for _ = 1 to n do ignore (Memory.Page.put_ref p) done;
-      Memory.Page.refcount p = 0)
+      let m = Memory.Page.create ~pages:1 and p = 0 in
+      Memory.Page.set_owned m p 1;
+      for _ = 1 to n do Memory.Page.get_ref m p done;
+      for _ = 1 to n do ignore (Memory.Page.put_ref m p) done;
+      Memory.Page.refcount m p = 0)
 
 (* ---------- Phys_mem ---------- *)
 
@@ -168,8 +187,8 @@ let test_mem_bounds () =
   Alcotest.check_raises "oob read"
     (Invalid_argument "Phys_mem: address range out of bounds") (fun () ->
       ignore (Memory.Phys_mem.read m ~addr:(64 * 4096 - 4) ~len:8));
-  Alcotest.check_raises "bad pfn" (Invalid_argument "Phys_mem.page: pfn out of range")
-    (fun () -> ignore (Memory.Phys_mem.page m 64))
+  Alcotest.check_raises "bad pfn" (Invalid_argument "Phys_mem: pfn out of range")
+    (fun () -> ignore (Memory.Phys_mem.state m 64))
 
 let test_mem_transfer () =
   let m = mem () in
@@ -330,6 +349,128 @@ let prop_mem_valid_range_consistent =
       in
       valid = read_ok)
 
+(* ---------- Ownership model (qcheck) ----------
+
+   Random alloc/free/get_ref/put_ref/transfer/write sequences, with
+   owners that include the hypervisor's -1, run against [Phys_mem] and a
+   longhand reference model of the page state machine: a variant state
+   and a refcount per pfn, the free list as a plain list (lowest pfn
+   first, reclaimed pages pushed on the front) and one content byte per
+   page that reclaim clears. After every step both must agree on the
+   result (allocated pfns in order, [`Pinned], out of memory, or a
+   raise), on every page's state, refcount and first byte, and on the
+   free count. *)
+
+let own_pages = 8
+
+type own_model = {
+  st : Memory.Page.state array;
+  refs : int array;
+  mutable free_list : int list;
+  byte : int array;
+}
+
+let model_reclaim md pfn =
+  md.st.(pfn) <- Memory.Page.Free;
+  md.free_list <- pfn :: md.free_list;
+  md.byte.(pfn) <- 0
+
+let model_step md (sel, pfn, owner, n) =
+  match sel with
+  | 0 ->
+      if n > List.length md.free_list then `Oom
+      else begin
+        let taken = List.filteri (fun i _ -> i < n) md.free_list in
+        md.free_list <- List.filteri (fun i _ -> i >= n) md.free_list;
+        List.iter (fun p -> md.st.(p) <- Memory.Page.Owned owner) taken;
+        `Pages taken
+      end
+  | 1 -> (
+      match md.st.(pfn) with
+      | Memory.Page.Owned d ->
+          if md.refs.(pfn) = 0 then model_reclaim md pfn
+          else md.st.(pfn) <- Memory.Page.Quarantined d;
+          `Unit
+      | Memory.Page.Free | Memory.Page.Quarantined _ -> `Raises)
+  | 2 -> (
+      match md.st.(pfn) with
+      | Memory.Page.Free -> `Raises
+      | Memory.Page.Owned _ | Memory.Page.Quarantined _ ->
+          md.refs.(pfn) <- md.refs.(pfn) + 1;
+          `Unit)
+  | 3 ->
+      if md.refs.(pfn) = 0 then `Raises
+      else begin
+        md.refs.(pfn) <- md.refs.(pfn) - 1;
+        (match md.st.(pfn) with
+        | Memory.Page.Quarantined _ when md.refs.(pfn) = 0 -> model_reclaim md pfn
+        | _ -> ());
+        `Unit
+      end
+  | 4 -> (
+      match md.st.(pfn) with
+      | Memory.Page.Owned _ when md.refs.(pfn) > 0 -> `Pinned
+      | Memory.Page.Owned _ ->
+          md.st.(pfn) <- Memory.Page.Owned owner;
+          `Unit
+      | Memory.Page.Free | Memory.Page.Quarantined _ -> `Raises)
+  | _ ->
+      md.byte.(pfn) <- n + 1;
+      `Unit
+
+let real_step m (sel, pfn, owner, n) =
+  match
+    match sel with
+    | 0 -> (
+        match Memory.Phys_mem.alloc m ~owner ~count:n with
+        | Ok pages -> `Pages pages
+        | Error `Out_of_memory -> `Oom)
+    | 1 -> Memory.Phys_mem.free m pfn; `Unit
+    | 2 -> Memory.Phys_mem.get_ref m pfn; `Unit
+    | 3 -> Memory.Phys_mem.put_ref m pfn; `Unit
+    | 4 -> (
+        match Memory.Phys_mem.transfer m pfn ~to_:owner with
+        | Ok () -> `Unit
+        | Error `Pinned -> `Pinned)
+    | _ ->
+        Memory.Phys_mem.write m ~addr:(Memory.Addr.base_of_pfn pfn)
+          (Bytes.make 1 (Char.chr (n + 1)));
+        `Unit
+  with
+  | r -> r
+  | exception Invalid_argument _ -> `Raises
+
+let prop_mem_ownership_model =
+  QCheck.Test.make ~name:"ownership matches the page state machine model"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 60)
+        (quad (int_range 0 5) (int_range 0 (own_pages - 1)) (int_range (-1) 2)
+           (int_range 0 4)))
+    (fun ops ->
+      let m = Memory.Phys_mem.create ~total_pages:own_pages () in
+      let md =
+        {
+          st = Array.make own_pages Memory.Page.Free;
+          refs = Array.make own_pages 0;
+          free_list = List.init own_pages Fun.id;
+          byte = Array.make own_pages 0;
+        }
+      in
+      List.for_all
+        (fun op ->
+          real_step m op = model_step md op
+          && Memory.Phys_mem.free_pages m = List.length md.free_list
+          && List.for_all
+               (fun pfn ->
+                 Memory.Phys_mem.state m pfn = md.st.(pfn)
+                 && Memory.Phys_mem.refcount m pfn = md.refs.(pfn)
+                 && Memory.Phys_mem.read_uint m
+                      ~addr:(Memory.Addr.base_of_pfn pfn) ~bytes:1
+                    = md.byte.(pfn))
+               (List.init own_pages Fun.id))
+        ops)
+
 (* Steady-state accessors must not touch the minor heap: this is what
    keeps the per-descriptor DMA path allocation-free. The epsilon absorbs
    [Gc.minor_words]'s own boxed-float result. *)
@@ -361,6 +502,16 @@ let test_mem_zero_alloc_accessors () =
        allocated)
     true
     (allocated < 256.)
+
+(* A machine costs a few words per declared page (frame pointer, state
+   code, refcount, free-stack slot), not 4 KB of backing or a boxed
+   record per page. 729,088 pages is the 64-guest, two-NIC testbed. *)
+let test_mem_footprint () =
+  let pages = 729_088 in
+  let words = Obj.reachable_words (Obj.repr (Memory.Phys_mem.create ~total_pages:pages ())) in
+  check_bool
+    (Printf.sprintf "%d words for %d pages" words pages)
+    true (words <= 5 * pages)
 
 (* ---------- Dma_desc ---------- *)
 
@@ -530,6 +681,7 @@ let suite =
         Alcotest.test_case "quarantine" `Quick test_page_quarantine;
         Alcotest.test_case "transfer" `Quick test_page_transfer;
         Alcotest.test_case "invalid transitions" `Quick test_page_invalid_transitions;
+        Alcotest.test_case "domain id range" `Quick test_page_domain_id_range;
         qcheck prop_page_refcount_balance;
       ] );
     ( "memory.phys_mem",
@@ -553,6 +705,9 @@ let suite =
         qcheck prop_mem_uint_widths;
         qcheck prop_mem_zero_fill_after_reclaim;
         qcheck prop_mem_valid_range_consistent;
+        qcheck prop_mem_ownership_model;
+        Alcotest.test_case "footprint per declared page" `Quick
+          test_mem_footprint;
       ] );
     ( "memory.dma_desc",
       [

@@ -72,9 +72,8 @@ let test_domain_alloc_free () =
     (fun () -> Xen.Hypervisor.free_page hyp other (List.nth extra 1))
 
 let test_domain_pages_sorted () =
-  (* [pages] must come back in ascending pfn order regardless of the
-     page-set hashtable's bucket layout: downstream fan-outs (grant
-     sweeps, teardown) iterate it and must be deterministic. *)
+  (* [pages] must come back in ascending pfn order: downstream fan-outs
+     (grant sweeps, teardown) iterate it and must be deterministic. *)
   let _, _, _, _, hyp = fixture () in
   let d =
     Xen.Hypervisor.create_domain hyp ~name:"g" ~kind:Xen.Domain.Guest
@@ -85,6 +84,75 @@ let test_domain_pages_sorted () =
   check_int "count" 97 (List.length ps);
   check_bool "ascending" true
     (List.for_all2 ( < ) ps (List.tl ps @ [ max_int ]))
+
+(* [Domain.pages] and [page_count] read ownership from [Phys_mem], so
+   after any mix of allocations, grant flips (some refused as pinned),
+   DMA pins and frees (some quarantining) they must agree with a
+   longhand per-domain page set kept beside the calls. *)
+let prop_domain_pages_follow_ownership =
+  QCheck.Test.make ~name:"pages follow flips and frees" ~count:100
+    QCheck.(
+      list_of_size Gen.(int_range 1 40)
+        (quad (int_range 0 4) (int_range 0 2) (int_range 0 2) (int_range 0 7)))
+    (fun ops ->
+      let total_pages = 256 in
+      let _, _, _, mem, hyp = fixture ~total_pages () in
+      let doms =
+        Array.init 3 (fun i ->
+            Xen.Hypervisor.create_domain hyp ~name:(string_of_int i)
+              ~kind:Xen.Domain.Guest ~weight:256 ~mem_pages:4)
+      in
+      let gnt = Xen.Grant_table.create hyp in
+      let model = Array.map Xen.Domain.pages doms in
+      let pins = Array.make total_pages 0 in
+      let nth_page i k =
+        match model.(i) with
+        | [] -> None
+        | ps -> Some (List.nth ps (k mod List.length ps))
+      in
+      let step (sel, i, j, k) =
+        match (sel, nth_page i k) with
+        | 0, Some p ->
+            let expect = if pins.(p) > 0 then Error `Pinned else Ok () in
+            let got = Xen.Grant_table.flip gnt ~src:doms.(i) ~dst:doms.(j) p in
+            if got = Ok () then begin
+              model.(i) <- List.filter (( <> ) p) model.(i);
+              model.(j) <- List.sort Int.compare (p :: model.(j))
+            end;
+            got = expect
+        | 1, Some p ->
+            Xen.Hypervisor.free_page hyp doms.(i) p;
+            model.(i) <- List.filter (( <> ) p) model.(i);
+            true
+        | 2, _ ->
+            let fresh = Xen.Hypervisor.alloc_pages hyp doms.(i) (1 + (k mod 3)) in
+            let owned_before =
+              Array.exists (List.exists (fun p -> List.mem p fresh)) model
+            in
+            model.(i) <- List.sort Int.compare (fresh @ model.(i));
+            not owned_before
+        | 3, Some p ->
+            Memory.Phys_mem.get_ref mem p;
+            pins.(p) <- pins.(p) + 1;
+            true
+        | 4, _ -> (
+            match List.find_opt (fun p -> pins.(p) > 0) (List.init total_pages Fun.id) with
+            | Some p ->
+                Memory.Phys_mem.put_ref mem p;
+                pins.(p) <- pins.(p) - 1;
+                true
+            | None -> true)
+        | _, None | _, Some _ -> true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Array.for_all2
+               (fun d ps ->
+                 Xen.Domain.pages d = ps
+                 && Xen.Domain.page_count d = List.length ps)
+               doms model)
+        ops)
 
 (* ---------- Work posting ---------- *)
 
@@ -267,6 +335,7 @@ let suite =
         Alcotest.test_case "out of memory" `Quick test_domain_oom;
         Alcotest.test_case "alloc/free" `Quick test_domain_alloc_free;
         Alcotest.test_case "pages sorted" `Quick test_domain_pages_sorted;
+        QCheck_alcotest.to_alcotest prop_domain_pages_follow_ownership;
       ] );
     ( "xen.hypervisor",
       [
