@@ -43,9 +43,10 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- --json BENCH_micro.json --gate bench/baseline.json
 
-# End-to-end sharded-engine benchmark: wall-clock and events/sec for the
-# same 4-host scenario at shards 1 and 4, gated >2x against the
-# committed baseline. Refresh after an intentional performance change:
+# End-to-end scenario benchmark: wall-clock and events/sec for four
+# replica hosts, an oversubscribed CDNA host and a 10^5-flow open-loop
+# point, gated >2x against the committed baseline. Refresh after an
+# intentional performance change:
 #   dune exec bench/main.exe -- --macro bench/baseline_macro.json
 # Both gates scale the baseline by the ref/host-speed entry timed in
 # the same run, so refresh both files on one machine in one sitting.

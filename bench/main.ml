@@ -468,15 +468,13 @@ let json_mode ~out ~gate ~quota_s =
         exit 1);
   exit 0
 
-(* ---------- --macro: end-to-end sharded-engine benchmark + gate ----------
+(* ---------- --macro: end-to-end scenario benchmark + gate ----------
 
-   [--macro FILE] times complete multi-host runs on the sharded engine —
-   the same scenario at shard counts 1 and 4 — reporting wall-clock per
-   run and simulation events per wall-second. Honest numbers: on a
-   single-core container both shard counts execute on one worker domain
-   and the speedup column is ~1.0; on a multicore host the shards=4 row
-   reflects real Domain-level parallelism. [--macro-gate BASELINE]
-   applies the same >2x ns_per_run regression gate as the micro set. *)
+   [--macro FILE] times complete runs — four replica hosts, an
+   oversubscribed CDNA host and an open-loop scale point — reporting
+   wall-clock per run and simulation events per wall-second.
+   [--macro-gate BASELINE] applies the same host-scaled >2x ns_per_run
+   regression gate as the micro set. *)
 
 let macro_hosts = 4
 
@@ -491,19 +489,17 @@ let macro_cfg =
     duration = Sim.Time.ms 4;
   }
 
-(* One timed run: total simulation events fired during measurement plus
-   the wall-clock for the whole build+run. *)
-let macro_once ~shards () =
+(* One timed run of [macro_hosts] replica hosts, one after the other:
+   total simulation events fired during measurement plus the wall-clock
+   for every build+run. *)
+let macro_once () =
   let t0 = Unix.gettimeofday () in
-  let rep, _ = Experiments.Multihost.run ~shards ~hosts:macro_hosts macro_cfg in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let events =
-    List.fold_left
-      (fun acc (m : Experiments.Run.measurement) ->
-        acc + m.Experiments.Run.events_fired)
-      0 rep.Experiments.Multihost.measurements
-  in
-  (wall_s, events)
+  let events = ref 0 in
+  for i = 0 to macro_hosts - 1 do
+    let m = Experiments.Run.run (Experiments.Config.host macro_cfg i) in
+    events := !events + m.Experiments.Run.events_fired
+  done;
+  (Unix.gettimeofday () -. t0, !events)
 
 (* Oversubscribed CDNA: twice as many guests as hardware contexts, so
    the hypervisor's context paging runs on the hot path (every guest's
@@ -553,8 +549,7 @@ let open_loop_100k_once () =
 
 let macro_subjects =
   [
-    ("macro/multihost4-shards1", macro_once ~shards:1);
-    ("macro/multihost4-shards4", macro_once ~shards:4);
+    ("macro/multihost4", macro_once);
     ("macro/guests-oversubscription", oversub_once);
     ("macro/open-loop-100k", open_loop_100k_once);
   ]

@@ -54,37 +54,54 @@ let pattern =
     & opt (conv (parse, print)) Workload.Pattern.Tx
     & info [ "p"; "pattern" ] ~docv:"PATTERN" ~doc)
 
+let integer s = int_of_string_opt (String.trim s)
+
+(* A count of things a testbed is built from (guests, NICs, CPUs,
+   hosts): zero or less is a usage error, not an empty measurement. *)
+let positive s =
+  match integer s with Some n when n >= 1 -> Some n | Some _ | None -> None
+
+let pos_int =
+  let parse s =
+    match positive s with
+    | Some n -> Ok n
+    | None -> Error (`Msg ("expected a positive integer, got " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let guests =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "g"; "guests" ] ~docv:"N" ~doc:"Number of guest domains.")
 
 let nics =
   Arg.(
-    value & opt int 2 & info [ "nics" ] ~docv:"N" ~doc:"Number of physical NICs.")
+    value & opt pos_int 2
+    & info [ "nics" ] ~docv:"N" ~doc:"Number of physical NICs.")
 
 let cpus =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "cpus" ] ~docv:"N"
         ~doc:
           "Host CPUs, each with its own credit runqueue (1 = the paper's \
            single-CPU testbed).")
 
-(* Comma-separated integer list, e.g. --guest-counts 8,16,32. *)
-let int_list_conv =
+(* Comma-separated integer list, e.g. --guest-counts 8,16,32, whose
+   elements [elt] accepts. *)
+let int_list_conv ~what elt =
   let parse s =
-    try
-      Ok
-        (List.map
-           (fun x -> int_of_string (String.trim x))
-           (String.split_on_char ',' s))
-    with Failure _ -> Error (`Msg ("not a comma-separated int list: " ^ s))
+    let xs = List.map elt (String.split_on_char ',' s) in
+    if List.mem None xs then
+      Error (`Msg (Printf.sprintf "not a comma-separated %s list: %s" what s))
+    else Ok (List.filter_map Fun.id xs)
   in
   let print ppf l =
     Format.pp_print_string ppf (String.concat "," (List.map string_of_int l))
   in
   Arg.conv (parse, print)
+
+let count_list_conv = int_list_conv ~what:"positive int" positive
 
 let protection =
   let doc = "CDNA DMA protection mode: full, disabled, or iommu." in
@@ -115,21 +132,12 @@ let seed =
 
 let hosts =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "hosts" ] ~docv:"K"
         ~doc:
-          "Simulate K independent hosts linked by a cross-host heartbeat \
-           ring on the sharded engine (1 = classic single-host run). Host i \
-           uses seed SEED + 7919*i; artifacts are written per host.")
-
-let shards =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Logical shard count for multi-host runs. Purely an execution \
-           policy: outputs are byte-identical for every N (and for any \
-           worker-domain count). Ignored when --hosts is 1.")
+          "Run K independent replica hosts one after the other (1 = classic \
+           single-host run). Host i uses seed SEED + 7919*i; its measurement \
+           line is prefixed 'host i |' and artifacts are written per host.")
 
 let trace =
   Arg.(
@@ -201,51 +209,6 @@ let host_path path i =
   | "" -> Printf.sprintf "%s.host%d" path i
   | ext -> Printf.sprintf "%s.host%d%s" (Filename.remove_extension path) i ext
 
-(* Multi-host runs emit one artifact set per host, in fixed host order;
-   tracing uses per-LP sinks so each host's stream stays separate even
-   when shards drain on different OS domains. *)
-let run_multihost ~quick ~shards ~hosts ~trace_out ~metrics_out cfg =
-  let module M = Experiments.Multihost in
-  let recorders =
-    match trace_out with
-    | None -> [||]
-    | Some _ -> Array.init hosts (fun _ -> Sim.Trace.Recorder.create ())
-  in
-  let prepare (t : M.t) =
-    if Array.length recorders > 0 then
-      Array.iter
-        (fun (h : M.host) ->
-          Sim.Shard.Partition.set_sink h.M.lp
-            (Some (Sim.Trace.Recorder.sink recorders.(h.M.id))))
-        t.M.hosts
-  in
-  let rep, t = M.run ~quick ~shards ~prepare ~hosts cfg in
-  Format.printf "%a" M.pp_report rep;
-  (match trace_out with
-  | Some path ->
-      Array.iteri
-        (fun i (h : M.host) ->
-          let r = recorders.(i) in
-          name_processes r h.M.tb.Experiments.Testbed.xen;
-          let p = host_path path i in
-          write_file p (Sim.Trace.Recorder.to_chrome_string r);
-          Format.printf "trace: %s (%d events)@." p
-            (Sim.Trace.Recorder.count r))
-        t.M.hosts
-  | None -> ());
-  match metrics_out with
-  | Some path ->
-      Array.iteri
-        (fun i (h : M.host) ->
-          let p = host_path path i in
-          write_file p
-            (Sim.Json.to_string
-               (Sim.Metrics.to_json h.M.tb.Experiments.Testbed.metrics));
-          Format.printf "metrics: %s (%d series)@." p
-            (Sim.Metrics.size h.M.tb.Experiments.Testbed.metrics))
-        t.M.hosts
-  | None -> ()
-
 (* ---- run one experiment ---- *)
 
 let build_cfg system nic pattern guests nics cpus protection materialize seed =
@@ -270,26 +233,33 @@ let print_measurement m =
     m.Experiments.Run.integrity_failures m.Experiments.Run.fairness
     m.Experiments.Run.events_fired
 
+(* [--hosts K] runs K independent replicas one after the other, each a
+   plain single-host run of [Config.host cfg i] with its own trace sink
+   and its own artifact files. *)
 let run_cmd =
   let run quick system nic pattern guests nics cpus protection materialize seed
-      trace trace_out metrics_out shards hosts =
+      trace trace_out metrics_out hosts =
     let cfg =
       build_cfg system nic pattern guests nics cpus protection materialize seed
     in
-    if hosts > 1 then
-      run_multihost ~quick ~shards ~hosts ~trace_out ~metrics_out cfg
-    else begin
+    for i = 0 to hosts - 1 do
+      let path p = if hosts = 1 then p else host_path p i in
+      let trace_out = Option.map path trace_out in
       if trace then
         Sim.Trace.set_sink
           (Some (Sim.Trace.formatter_sink Format.err_formatter));
       let recorder =
         match trace_out with Some _ -> Some (setup_recorder ()) | None -> None
       in
-      let m, tb = Experiments.Run.run_tb ~quick cfg in
+      let m, tb =
+        Experiments.Run.run_tb ~quick (Experiments.Config.host cfg i)
+      in
       Sim.Trace.set_sink None;
-      print_measurement m;
-      emit_artifacts ~recorder ~trace_out ~metrics_out tb
-    end
+      if hosts = 1 then print_measurement m
+      else Format.printf "host %d | %a@." i Experiments.Run.pp m;
+      emit_artifacts ~recorder ~trace_out
+        ~metrics_out:(Option.map path metrics_out) tb
+    done
   in
   let doc = "Run a single experiment and print its measurement." in
   Cmd.v
@@ -297,7 +267,7 @@ let run_cmd =
     Term.(
       const run $ quick $ system $ nic $ pattern $ guests $ nics $ cpus
       $ protection $ materialize $ seed $ trace $ trace_out $ metrics_out
-      $ shards $ hosts)
+      $ hosts)
 
 (* ---- trace: run an experiment purely to produce observability output ---- *)
 
@@ -438,14 +408,14 @@ let scale_guests_cmd =
   let guest_counts =
     Arg.(
       value
-      & opt int_list_conv Experiments.Scaling.default_guest_counts
+      & opt count_list_conv Experiments.Scaling.default_guest_counts
       & info [ "guest-counts" ] ~docv:"N,N,..."
           ~doc:"Guest counts to sweep (default 8..256).")
   in
   let cpu_counts =
     Arg.(
       value
-      & opt int_list_conv Experiments.Scaling.default_cpu_counts
+      & opt count_list_conv Experiments.Scaling.default_cpu_counts
       & info [ "cpu-counts" ] ~docv:"N,N,..."
           ~doc:"Host CPU counts to sweep (default 1,2,4).")
   in
@@ -529,7 +499,9 @@ let scale_cmd =
   let flow_counts =
     Arg.(
       value
-      & opt int_list_conv Experiments.Flows.default_flow_counts
+      & opt
+          (int_list_conv ~what:"int" integer)
+          Experiments.Flows.default_flow_counts
       & info [ "flow-counts" ] ~docv:"N,N,..."
           ~doc:"Standing concurrent-flow counts to sweep (default 10^3..10^6).")
   in

@@ -44,6 +44,7 @@ let default =
 
 let xen_intel t = { t with system = Xen_sw; nic = Intel }
 let cdna_ricenic t = { t with system = Cdna_sys; nic = Ricenic }
+let host t i = { t with seed = t.seed + (7919 * i) }
 
 let system_name = function
   | Native -> "Native"

@@ -50,6 +50,11 @@ val xen_intel : t -> t
 
 val cdna_ricenic : t -> t
 
+(** [host cfg i] is host [i]'s configuration in a run of independent
+    replica hosts: [cfg] with seed [cfg.seed + 7919 * i], so replicas
+    differ but a run is reproducible. [host cfg 0] is [cfg]. *)
+val host : t -> int -> t
+
 val describe : t -> string
 val system_name : system -> string
 val nic_name : nic_kind -> string

@@ -40,9 +40,9 @@ val l3_header_bytes : int
 (** {2 Measurement phases}
 
     {!run} is [build -> warm up -> reset -> measure -> collect]; the
-    phases are exposed so drivers that advance time differently (the
-    sharded multi-host runner in {!Multihost}) can reuse the exact same
-    accounting and stay measurement-compatible with single-host runs. *)
+    phases are exposed so a driver that times each phase separately
+    (perfbench's end-to-end harness) reuses the exact same accounting
+    and stays measurement-compatible with {!run}. *)
 
 (** Shrink warm-up (1/2) and measurement (1/4) when [quick] is set. *)
 val apply_quick : quick:bool -> Config.t -> Config.t

@@ -8,7 +8,7 @@ type entity = {
   queue : work Queue.t;
   (* Entitled runtime in integer nanoseconds. Fixed-point (not float)
      so credit arithmetic is exact: runqueue migration must not be able
-     to introduce float-associativity drift between shard counts. *)
+     to introduce float-associativity drift into a schedule. *)
   mutable credits : int;
   mutable boosted : bool;
   mutable runtime : Sim.Time.t;

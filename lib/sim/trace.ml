@@ -23,18 +23,16 @@ type event = {
 type sink = event -> unit
 
 (* The installed sink and filter are per-OS-domain state (Domain.DLS),
-   not globals: the sharded engine (Shard) drains different simulation
-   partitions on different domains concurrently, each under its own
-   recorder, and a shared ref would interleave their streams
-   nondeterministically. On the main domain this behaves exactly like
-   the old global ref. Freshly spawned domains start with no sink. *)
+   not globals: testbeds may run concurrently on different domains,
+   each under its own recorder, and a shared ref would interleave their
+   streams nondeterministically. On the main domain this behaves exactly
+   like the old global ref. Freshly spawned domains start with no sink. *)
 let sink_key : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let filter_key : (string -> bool) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let set_sink s = Domain.DLS.set sink_key s
-let current_sink () = Domain.DLS.get sink_key
 let set_filter f = Domain.DLS.set filter_key f
 let enabled () = Option.is_some (Domain.DLS.get sink_key)
 

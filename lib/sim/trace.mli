@@ -46,15 +46,11 @@ type sink = event -> unit
 (** [set_sink (Some f)] enables tracing through [f]; [None] disables.
 
     The sink (and filter) are per-OS-domain state: setting a sink on one
-    domain does not affect events emitted from another. {!Shard} relies
-    on this to record each simulation partition under its own recorder
-    while partitions drain on different domains. Code that never spawns
-    domains sees the old global-ref behavior unchanged. *)
+    domain does not affect events emitted from another, so testbeds
+    running at the same time on different domains can each record under
+    their own recorder. Code that never spawns domains sees the old
+    global-ref behavior unchanged. *)
 val set_sink : sink option -> unit
-
-(** The sink currently installed on this domain ([None] when disabled).
-    Lets a caller save and restore the sink around a scoped override. *)
-val current_sink : unit -> sink option
 
 val enabled : unit -> bool
 

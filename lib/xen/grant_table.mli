@@ -9,8 +9,9 @@
     flipped, mirroring the reallocation constraint of section 3.3.
 
     Each hypervisor instance gets its own table ([create]); the flip
-    counter lives in the table so independent hosts — and, under
-    [Sim.Shard], independent logical processes — share no grant state. *)
+    counter lives in the table so independent testbeds — including ones
+    running at the same time on different OS domains — share no grant
+    state. *)
 
 type error =
   [ `Not_owner  (** Source domain does not own the page. *)

@@ -1,11 +1,13 @@
-(* cdna_dom: static domain-safety / race detector for the parallel core.
+(* cdna_dom: static domain-safety / race detector for testbeds.
 
    Third verification layer, over the same loaded [Program] as
-   [Cdna_flow] and [Cdna_proto]. [Sim.Shard] runs logical processes
-   (LPs) on worker domains; any mutable value shared between LPs
-   without going through [Domain.DLS] or the shard pool's
-   mutex/condition merge path is a data race waiting for a multicore
-   runner. This pass finds that state statically:
+   [Cdna_flow] and [Cdna_proto]. Testbeds must stay domain-independent,
+   so that independent testbeds (sweep points, replica hosts) can run
+   on worker domains at the same time; the concurrent-testbed test runs
+   two at once and demands byte-identical output. Each testbed is one
+   logical process (LP); any mutable value shared between LPs without
+   going through [Domain.DLS] or a mutex/condition-guarded path is a
+   data race. This pass finds that state statically:
 
    1. {b Collect} every piece of module-level mutable state in the tree:
       toplevel / submodule bindings of mutable type (ref, array, bytes,
@@ -19,9 +21,9 @@
       OS stack: nic / guestos / xen / host / memory / bus / core /
       ethernet / workload) is LP code by construction; elsewhere (sim,
       experiments) a literal closure passed to [Engine.schedule],
-      [Engine.schedule_at], [Shard.send] or to any LP-layer function is
-      an LP entry, and the set closes over call edges. Witness chains are
-      kept per hop, [file:line], like [Cdna_flow]'s taint chains.
+      [Engine.schedule_at] or to any LP-layer function is an LP entry,
+      and the set closes over call edges. Witness chains are kept per
+      hop, [file:line], like [Cdna_flow]'s taint chains.
 
    3. {b Classify} each item on the lattice: [dls] (Domain.DLS-backed),
       [sync] (Mutex / Condition / Semaphore / Atomic — synchronization
@@ -29,14 +31,14 @@
       its initializer, which runs on the main domain before any
       [Domain.spawn]), [lp-local] (never referenced from LP-capable
       code), [barrier] (every referencing function takes a mutex /
-      condition first — the shard pool's merge path), [domain-local]
+      condition first — a pool's merge path), [domain-local]
       (asserted by annotation), or [shared] — mutable, written, and
       reachable from LP context: a violation.
 
    Annotation contract (drift-gated like all other suppressions):
    - [[@cdna.domain_local]] on the binding: positive assertion that the
-     value, though mutable, is only ever touched by a single LP (or only
-     between windows). No reason string required; counted in stats.
+     value, though mutable, is only ever touched by a single LP. No
+     reason string required; counted in stats.
    - [[@cdna.domain_shared "reason"]] on the binding (or
      [[@@@cdna.domain_shared "reason"]] for a whole module): suppress the
      violation; the reason string is mandatory (rule DS1).
@@ -144,8 +146,7 @@ let lp_layers =
 
 (* A literal closure passed to one of these runs as an engine callback
    on whatever domain the LP lands on. *)
-let sched_prims =
-  SSet.of_list [ "Engine.schedule"; "Engine.schedule_at"; "Shard.send" ]
+let sched_prims = SSet.of_list [ "Engine.schedule"; "Engine.schedule_at" ]
 
 (* Functions that make the enclosing caller part of the barrier-guarded
    merge path. *)

@@ -1,7 +1,7 @@
-(* Substrate for the domain fixtures: engine/shard stand-ins whose
-   qualified names canonicalize like the real [Sim.Engine] /
-   [Sim.Shard] scheduling primitives, so closures handed to them count
-   as LP-callback context. *)
+(* Substrate for the domain fixtures: an engine stand-in whose
+   qualified names canonicalize like the real [Sim.Engine] scheduling
+   primitives, so closures handed to them count as LP-callback
+   context. *)
 
 module Engine = struct
   type t = Eng
@@ -9,8 +9,4 @@ module Engine = struct
   let create () = Eng
   let schedule (_ : t) (f : unit -> unit) = f ()
   let schedule_at (_ : t) (_ : int) (f : unit -> unit) = f ()
-end
-
-module Shard = struct
-  let send (f : unit -> unit) = f ()
 end

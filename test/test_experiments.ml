@@ -551,6 +551,80 @@ let test_golden_artifacts () =
            (read_file (Printf.sprintf "golden/metrics_seed%d.json" seed))))
     Golden.seeds
 
+(* ---------- Testbeds on concurrent OS domains ---------- *)
+
+(* Dynamic witness for the static domain-safety pass (cdna_dom): two
+   testbeds running at the same time on two spawned domains share no
+   mutable state, so each produces exactly what it produces alone. Any
+   module-level ledger, cache or trace sink reached from a testbed (a
+   process-global grant-flip counter, for one) would couple the two
+   runs and break byte-identity. *)
+let small_cfg =
+  {
+    Experiments.Config.default with
+    Experiments.Config.guests = 1;
+    nics = 1;
+    warmup = Sim.Time.us 500;
+    duration = Sim.Time.ms 1;
+  }
+
+(* Everything observable about one run, plus its testbed. *)
+let observe cfg =
+  let m, tb = Experiments.Run.run_tb cfg in
+  let out =
+    Format.asprintf "%a@.%s" Experiments.Run.pp m
+      (Sim.Metrics.to_string tb.Experiments.Testbed.metrics)
+  in
+  (out, Xen.Grant_table.flips tb.Experiments.Testbed.grant_table, tb)
+
+let concurrent_matches_sequential ~flips_expected cfg () =
+  let cfgs = List.init 2 (Experiments.Config.host cfg) in
+  let sequential = List.map observe cfgs in
+  let concurrent =
+    List.map (fun c -> Domain.spawn (fun () -> observe c)) cfgs
+    |> List.map Domain.join
+  in
+  List.iteri
+    (fun i ((out, flips, _), (out', flips', _)) ->
+      check Alcotest.string
+        (Printf.sprintf "host %d: concurrent run byte-identical" i)
+        out out';
+      check_int (Printf.sprintf "host %d: flip ledger identical" i) flips flips';
+      check_bool
+        (Printf.sprintf "host %d: flips only under Xen" i)
+        flips_expected (flips > 0))
+    (List.combine sequential concurrent);
+  (* Independence: clearing one testbed's ledger leaves the other's. *)
+  match concurrent with
+  | [ (_, _, tb0); (_, f1, tb1) ] ->
+      let gnt (tb : Experiments.Testbed.t) =
+        tb.Experiments.Testbed.grant_table
+      in
+      Xen.Grant_table.reset_flips (gnt tb0);
+      check_int "host 0 ledger cleared" 0 (Xen.Grant_table.flips (gnt tb0));
+      check_int "host 1 ledger untouched by host 0 reset" f1
+        (Xen.Grant_table.flips (gnt tb1))
+  | _ -> Alcotest.fail "expected two testbeds"
+
+let xen_small =
+  {
+    small_cfg with
+    Experiments.Config.system = Experiments.Config.Xen_sw;
+    seed = 4242;
+  }
+
+(* Four per-CPU credit runqueues and three guests, each holding a CDNA
+   context. *)
+let cdna_smp =
+  {
+    small_cfg with
+    Experiments.Config.system = Experiments.Config.Cdna_sys;
+    cpus = 4;
+    guests = 3;
+    conns_per_guest_per_nic = 1;
+    seed = 99;
+  }
+
 let suite =
   [
     ( "experiments.single_guest",
@@ -602,5 +676,12 @@ let suite =
         Alcotest.test_case "determinism" `Slow test_determinism;
         Alcotest.test_case "report rendering" `Quick test_report_rendering;
         qcheck prop_random_configs_conserve;
+      ] );
+    ( "experiments.domains",
+      [
+        Alcotest.test_case "concurrent xen testbeds" `Quick
+          (concurrent_matches_sequential ~flips_expected:true xen_small);
+        Alcotest.test_case "concurrent smp cdna testbeds" `Quick
+          (concurrent_matches_sequential ~flips_expected:false cdna_smp);
       ] );
   ]

@@ -222,6 +222,74 @@ let test_engine_live_pending () =
   ignore (Sim.Engine.run_to_completion e);
   check_int "drained" 0 (Sim.Engine.live_pending_count e)
 
+(* ---------- Engine and Tw_avg accounting ---------- *)
+
+(* A cancelled entry whose key lies beyond the horizon must survive a
+   drain: the horizon check applies before any pop, cancelled or not. *)
+let test_drain_past_horizon_cancelled () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 10) (fun () -> incr fired));
+  let far = Sim.Engine.schedule e ~delay:(Sim.Time.ns 100) (fun () -> incr fired) in
+  let far2 = Sim.Engine.schedule e ~delay:(Sim.Time.ns 200) (fun () -> incr fired) in
+  Sim.Engine.cancel e far;
+  Sim.Engine.cancel e far2;
+  Sim.Engine.run e ~until:(Sim.Time.ns 50);
+  check_int "one event fired" 1 !fired;
+  (* The cancelled entries beyond the horizon must still be queued
+     (unswept), not silently popped by the drain. *)
+  check_int "cancelled entries still pending" 2 (Sim.Engine.pending_count e);
+  check_int "live count excludes cancelled" 0 (Sim.Engine.live_pending_count e);
+  Sim.Engine.run e ~until:(Sim.Time.ns 300);
+  check_int "cancelled events never fire" 1 !fired;
+  check_int "queue empty after horizon passes" 0 (Sim.Engine.pending_count e)
+
+(* Horizon semantics unchanged for live events: an event exactly at the
+   horizon fires, one beyond it does not. *)
+let test_drain_horizon_inclusive () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 50) (fun () -> log := 50 :: !log));
+  ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 51) (fun () -> log := 51 :: !log));
+  Sim.Engine.run e ~until:(Sim.Time.ns 50);
+  check (Alcotest.list Alcotest.int) "at-horizon fires" [ 50 ] !log;
+  check_int "beyond-horizon pends" 1 (Sim.Engine.live_pending_count e)
+
+(* A schedule rejected by the heap cap must leave the live count (and
+   the queue) untouched — the increment happens only after the push. *)
+let test_heap_full_live_consistency () =
+  let e = Sim.Engine.create ~max_pending:4 () in
+  for _ = 1 to 4 do
+    ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ()))
+  done;
+  check_int "at cap" 4 (Sim.Engine.live_pending_count e);
+  (try
+     ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ()));
+     Alcotest.fail "expected Invalid_argument on heap-full schedule"
+   with Invalid_argument _ -> ());
+  check_int "live unchanged after failed schedule" 4
+    (Sim.Engine.live_pending_count e);
+  check_int "pending unchanged after failed schedule" 4
+    (Sim.Engine.pending_count e);
+  (* The engine must still be fully usable: drain and refill. *)
+  ignore (Sim.Engine.run_to_completion e);
+  check_int "drained" 0 (Sim.Engine.pending_count e);
+  for _ = 1 to 4 do
+    ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ()))
+  done;
+  check_int "refillable to cap" 4 (Sim.Engine.live_pending_count e)
+
+(* [mean] with a [now] earlier than the last update must raise instead
+   of silently folding in a negative slice. *)
+let test_tw_avg_stale_now () =
+  let a = Sim.Stats.Tw_avg.create ~now:(Sim.Time.ns 0) ~value:1. in
+  Sim.Stats.Tw_avg.set a ~now:(Sim.Time.ns 100) 3.;
+  Alcotest.check_raises "stale mean" (Invalid_argument "Tw_avg: time going backwards")
+    (fun () -> ignore (Sim.Stats.Tw_avg.mean a ~now:(Sim.Time.ns 50)));
+  (* A current read still works. *)
+  check (Alcotest.float 1e-9) "mean at last update" 1.
+    (Sim.Stats.Tw_avg.mean a ~now:(Sim.Time.ns 100))
+
 (* ---------- Rng ---------- *)
 
 let test_rng_deterministic () =
@@ -606,6 +674,17 @@ let suite =
         Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
         Alcotest.test_case "event limit" `Quick test_engine_event_limit;
         Alcotest.test_case "live pending count" `Quick test_engine_live_pending;
+      ] );
+    ( "sim.engine.accounting",
+      [
+        Alcotest.test_case "drain skips cancelled past horizon" `Quick
+          test_drain_past_horizon_cancelled;
+        Alcotest.test_case "horizon inclusive for live events" `Quick
+          test_drain_horizon_inclusive;
+        Alcotest.test_case "heap-full keeps live consistent" `Quick
+          test_heap_full_live_consistency;
+        Alcotest.test_case "tw_avg stale mean raises" `Quick
+          test_tw_avg_stale_now;
       ] );
     ( "sim.rng",
       [
