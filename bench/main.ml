@@ -8,8 +8,7 @@
 
    Run the micro set with:      dune exec bench/main.exe
    Micro results as JSON:       dune exec bench/main.exe -- --json FILE [--gate BASELINE]
-   Macro run timing:            dune exec bench/main.exe -- --macro FILE [--macro-gate BASELINE]
-   Metrics-export smoke:        dune exec bench/main.exe -- --smoke FILE *)
+   Macro run timing:            dune exec bench/main.exe -- --macro FILE [--macro-gate BASELINE] *)
 
 open Bechamel
 open Toolkit
@@ -251,51 +250,6 @@ let run_bechamel ~quota_s tests =
       else Printf.printf "  %-42s %8.0f ns/run\n" name ns)
     (List.sort compare rows);
   flush stdout
-
-(* --smoke: tiny end-to-end run that exercises the metrics export path
-   and fails loudly if the registry comes back empty or malformed.  Wired
-   into [dune runtest] (see bench/dune) so CI validates the observability
-   layer's output, not just its types. *)
-let smoke () =
-  let out =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then "bench-smoke-metrics.json"
-      else if Sys.argv.(i) = "--smoke" then Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    if Array.length Sys.argv > 2 then find 1 else "bench-smoke-metrics.json"
-  in
-  let cfg =
-    {
-      Experiments.Config.default with
-      Experiments.Config.system = Experiments.Config.Cdna_sys;
-      nic = Experiments.Config.Ricenic;
-      guests = 1;
-      nics = 1;
-      warmup = Sim.Time.ms 2;
-      duration = Sim.Time.ms 5;
-    }
-  in
-  let _, tb = Experiments.Run.run_tb cfg in
-  let json = Sim.Metrics.to_json tb.Experiments.Testbed.metrics in
-  let text = Sim.Json.to_string json in
-  let oc = open_out out in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  let reread =
-    let ic = open_in out in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  (match Sim.Json.parse reread with
-  | Error e -> failwith ("smoke: metrics file is not valid JSON: " ^ e)
-  | Ok (Sim.Json.Obj ((_ :: _) as fields)) ->
-      Printf.printf "bench smoke: %s ok (%d series)\n" out (List.length fields)
-  | Ok _ -> failwith "smoke: metrics JSON is empty or not an object");
-  exit 0
 
 (* ---------- --json: machine-readable micro results + regression gate ----------
 
@@ -610,7 +564,6 @@ let () =
   (match arg_value "--macro" with
   | Some out -> macro_mode ~out ~gate:(arg_value "--macro-gate")
   | None -> ());
-  if Array.exists (( = ) "--smoke") Sys.argv then smoke ();
   print_endline "==============================================================";
   print_endline " Bechamel: core-mechanism micro-benchmarks";
   print_endline "==============================================================";

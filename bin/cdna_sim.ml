@@ -155,6 +155,8 @@ let trace_out =
           "Record all trace events and write them as Chrome trace_event \
            JSON (open in about://tracing or ui.perfetto.dev).")
 
+let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.")
+
 let metrics_out =
   Arg.(
     value
@@ -168,36 +170,18 @@ let write_file path content =
   output_char oc '\n';
   close_out oc
 
-(* Install a recorder sink (takes precedence over --trace's stderr sink). *)
-let setup_recorder () =
-  let r = Sim.Trace.Recorder.create () in
-  Sim.Trace.set_sink (Some (Sim.Trace.Recorder.sink r));
-  r
-
-let name_processes recorder xen =
-  Sim.Trace.Recorder.set_process_name recorder ~pid:0 "hypervisor";
-  List.iter
-    (fun d ->
-      Sim.Trace.Recorder.set_process_name recorder
-        ~pid:(Xen.Domain.id d + 1)
-        (Xen.Domain.name d))
-    (Xen.Hypervisor.domains xen)
-
-let emit_artifacts ~recorder ~trace_out ~metrics_out tb =
-  (match recorder, trace_out with
-  | Some r, Some path ->
-      name_processes r tb.Experiments.Testbed.xen;
+let emit_artifacts ~trace ~metrics_out tb =
+  (match trace with
+  | Some (path, r) ->
       write_file path (Sim.Trace.Recorder.to_chrome_string r);
       Format.printf "trace: %s (%d events%s)@." path
         (Sim.Trace.Recorder.count r)
         (let d = Sim.Trace.Recorder.dropped r in
          if d > 0 then Printf.sprintf ", %d dropped" d else "")
-  | _ -> ());
+  | None -> ());
   match metrics_out with
   | Some path ->
-      write_file path
-        (Sim.Json.to_string
-           (Sim.Metrics.to_json tb.Experiments.Testbed.metrics));
+      write_file path (Sim.Metrics.to_string tb.Experiments.Testbed.metrics);
       Format.printf "metrics: %s (%d series)@." path
         (Sim.Metrics.size tb.Experiments.Testbed.metrics)
   | None -> ()
@@ -210,20 +194,6 @@ let host_path path i =
   | ext -> Printf.sprintf "%s.host%d%s" (Filename.remove_extension path) i ext
 
 (* ---- run one experiment ---- *)
-
-let build_cfg system nic pattern guests nics cpus protection materialize seed =
-  {
-    Experiments.Config.default with
-    Experiments.Config.system;
-    nic;
-    pattern;
-    guests;
-    nics;
-    cpus;
-    protection;
-    materialize;
-    seed;
-  }
 
 let print_measurement m =
   Format.printf "%a@." Experiments.Run.pp m;
@@ -240,25 +210,39 @@ let run_cmd =
   let run quick system nic pattern guests nics cpus protection materialize seed
       trace trace_out metrics_out hosts =
     let cfg =
-      build_cfg system nic pattern guests nics cpus protection materialize seed
+      {
+        Experiments.Config.default with
+        Experiments.Config.system;
+        nic;
+        pattern;
+        guests;
+        nics;
+        cpus;
+        protection;
+        materialize;
+        seed;
+      }
     in
     for i = 0 to hosts - 1 do
       let path p = if hosts = 1 then p else host_path p i in
-      let trace_out = Option.map path trace_out in
       if trace then
         Sim.Trace.set_sink
           (Some (Sim.Trace.formatter_sink Format.err_formatter));
-      let recorder =
-        match trace_out with Some _ -> Some (setup_recorder ()) | None -> None
-      in
-      let m, tb =
-        Experiments.Run.run_tb ~quick (Experiments.Config.host cfg i)
+      (* A recorder (--trace-out) takes precedence over --trace. *)
+      let cfg = Experiments.Config.host cfg i in
+      let m, tb, trace =
+        match trace_out with
+        | Some p ->
+            let m, tb, r = Experiments.Run.run_traced ~quick cfg in
+            (m, tb, Some (path p, r))
+        | None ->
+            let m, tb = Experiments.Run.run_tb ~quick cfg in
+            (m, tb, None)
       in
       Sim.Trace.set_sink None;
       if hosts = 1 then print_measurement m
       else Format.printf "host %d | %a@." i Experiments.Run.pp m;
-      emit_artifacts ~recorder ~trace_out
-        ~metrics_out:(Option.map path metrics_out) tb
+      emit_artifacts ~trace ~metrics_out:(Option.map path metrics_out) tb
     done
   in
   let doc = "Run a single experiment and print its measurement." in
@@ -269,58 +253,17 @@ let run_cmd =
       $ protection $ materialize $ seed $ trace $ trace_out $ metrics_out
       $ hosts)
 
-(* ---- trace: run an experiment purely to produce observability output ---- *)
-
-let trace_cmd =
-  let run quick system nic pattern guests nics cpus protection materialize seed
-      trace_out metrics_out =
-    let recorder = Some (setup_recorder ()) in
-    let cfg =
-      build_cfg system nic pattern guests nics cpus protection materialize seed
-    in
-    let m, tb = Experiments.Run.run_tb ~quick cfg in
-    Sim.Trace.set_sink None;
-    print_measurement m;
-    emit_artifacts ~recorder ~trace_out:(Some trace_out)
-      ~metrics_out:(Some metrics_out) tb
-  in
-  let trace_out_pos =
-    Arg.(
-      value
-      & opt string "cdna-trace.json"
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Output path for the Chrome trace_event JSON.")
-  in
-  let metrics_out_pos =
-    Arg.(
-      value
-      & opt string "cdna-metrics.json"
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Output path for the metrics snapshot JSON.")
-  in
-  let doc =
-    "Run a single experiment with full tracing enabled and write a Chrome \
-     trace_event JSON (load in about://tracing or ui.perfetto.dev) plus a \
-     metrics snapshot JSON."
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc)
-    Term.(
-      const run $ quick $ system $ nic $ pattern $ guests $ nics $ cpus
-      $ protection $ materialize $ seed $ trace_out_pos $ metrics_out_pos)
-
 (* ---- tables ---- *)
 
 let table_cmd =
   let run quick which csv =
     match (which, csv) with
     | 0, true -> `Error (false, "--csv needs a specific table number")
-    | 0, false -> `Ok (Experiments.Tables.print_all ~quick ())
-    | n, _ ->
-        let t = List.nth Experiments.Tables.tables (n - 1) in
+    | 0, false -> `Ok (Experiments.Sweep.print ~quick Experiments.Tables.tables)
+    | n, csv ->
         `Ok
-          (if csv then print_string (t.Experiments.Tables.csv ~quick)
-           else t.Experiments.Tables.print ~quick)
+          (Experiments.Sweep.print ~quick ~csv
+             [ List.nth Experiments.Tables.tables (n - 1) ])
   in
   let which =
     let numbers =
@@ -332,39 +275,25 @@ let table_cmd =
       & pos 0 (enum numbers) 0
       & info [] ~docv:"N" ~doc:"Table number 1-4 (0 or omitted = all).")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in
   let doc = "Reproduce one of the paper's tables (or all)." in
   Cmd.v (Cmd.info "table" ~doc) Term.(ret (const run $ quick $ which $ csv))
 
 (* ---- figures ---- *)
 
-let figures =
-  [
-    ( 3,
-      ( "Figure 3: transmit scaling",
-        Workload.Pattern.Tx,
-        Experiments.Figures.figure3 ) );
-    ( 4,
-      ( "Figure 4: receive scaling",
-        Workload.Pattern.Rx,
-        Experiments.Figures.figure4 ) );
-  ]
-
 let figure_cmd =
   let run quick which csv =
-    let title, pattern, figure = List.assoc which figures in
-    let points = figure ~quick () in
-    if csv then print_string (Experiments.Figures.csv points)
-    else Experiments.Figures.print_figure ~title ~pattern points
+    Experiments.Sweep.print ~quick ~csv
+      [ List.assoc which Experiments.Figures.figures ]
   in
   let which =
-    let numbers = List.map (fun (n, _) -> (string_of_int n, n)) figures in
+    let numbers =
+      List.map (fun (n, _) -> (string_of_int n, n)) Experiments.Figures.figures
+    in
     Arg.(
       required
       & pos 0 (some (enum numbers)) None
       & info [] ~docv:"N" ~doc:"Figure 3 or 4.")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV series.") in
   let doc = "Reproduce one of the paper's scaling figures." in
   Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ quick $ which $ csv)
 
@@ -382,28 +311,12 @@ let scale_guests_cmd =
               (Workload.Pattern.Rx, Some Experiments.Scaling.rx_heavy_slice)
           | None -> (pattern, None)
         in
-        let points =
-          Experiments.Scaling.sweep ~quick ~pattern ?slice ~guest_counts
-            ~cpu_counts ()
-        in
-        if csv then print_string (Experiments.Scaling.csv points)
-        else begin
-          print_endline
-            "Guest scaling past the 32 hardware contexts (CDNA pages \
-             contexts; Xen bridges in software):";
-          print_newline ();
-          Experiments.Scaling.print_table points;
-          Option.iter
-            (fun c ->
-              print_newline ();
-              print_string
-                (Experiments.Figures.chart
-                   (List.filter
-                      (fun p -> Experiments.Scaling.cpus p = c)
-                      points)))
-            chart_cpus
-        end;
-        `Ok ()
+        `Ok
+          (Experiments.Sweep.print ~quick ~csv
+             [
+               Experiments.Scaling.sweep ~pattern ?slice ~guest_counts
+                 ~cpu_counts ?chart:chart_cpus ();
+             ])
   in
   let guest_counts =
     Arg.(
@@ -419,7 +332,6 @@ let scale_guests_cmd =
       & info [ "cpu-counts" ] ~docv:"N,N,..."
           ~doc:"Host CPU counts to sweep (default 1,2,4).")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in
   let chart_cpus =
     Arg.(
       value
@@ -505,7 +417,6 @@ let scale_cmd =
       & info [ "flow-counts" ] ~docv:"N,N,..."
           ~doc:"Standing concurrent-flow counts to sweep (default 10^3..10^6).")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.") in
   let chart =
     Arg.(
       value & flag
@@ -536,7 +447,7 @@ let verify_cmd =
 (* ---- extensions ---- *)
 
 let extension_cmd =
-  let run quick = Experiments.Extension.print_all ~quick () in
+  let run quick = Experiments.Sweep.print ~quick Experiments.Extension.all in
   let doc = "Run the beyond-the-paper extension experiments (latency, bidirectional)." in
   Cmd.v (Cmd.info "extension" ~doc) Term.(const run $ quick)
 
@@ -564,7 +475,6 @@ let main =
   Cmd.group (Cmd.info "cdna_sim" ~doc)
     [
       run_cmd;
-      trace_cmd;
       table_cmd;
       figure_cmd;
       scale_guests_cmd;

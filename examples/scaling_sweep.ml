@@ -10,14 +10,18 @@ let () =
   print_endline
     "(Xen software I/O virtualization vs. concurrent direct network access)";
   print_newline ();
-  let points =
-    Experiments.Figures.figure3 ~quick:true ~guest_counts:[ 1; 4; 8; 16 ] ()
+  let figure =
+    Experiments.Figures.figure ~title:"Transmit scaling (mini Figure 3)"
+      ~guest_counts:[ 1; 4; 8; 16 ] Workload.Pattern.Tx
   in
-  Experiments.Figures.print_figure ~title:"Transmit scaling (mini Figure 3)"
-    ~pattern:Workload.Pattern.Tx points;
+  let ms =
+    Experiments.Sweep.run ~quick:true figure.Experiments.Sweep.configs
+  in
+  print_string (Experiments.Sweep.render figure ms);
   print_newline ();
   (* Narrate the two effects the paper calls out. *)
-  (match (points, List.rev points) with
+  let points = Experiments.Figures.points ms in
+  match (points, List.rev points) with
   | first :: _, last :: _ ->
       let xen_drop =
         Experiments.Run.primary_mbps first.Experiments.Figures.xen
@@ -37,4 +41,4 @@ let () =
           .Host.Profile.idle
         last.Experiments.Figures.cdna.Experiments.Run.profile
           .Host.Profile.idle
-  | _ -> ())
+  | _ -> ()

@@ -1,196 +1,124 @@
 (* The paper's pairing on one base configuration, Xen first. *)
-let versus ~quick ~cdna_label base =
-  let xen = Run.run ~quick (Config.xen_intel base) in
-  let cdna = Run.run ~quick (Config.cdna_ricenic base) in
-  [ ("Xen/Intel", xen); (cdna_label, cdna) ]
+let versus base = [ Config.xen_intel base; Config.cdna_ricenic base ]
 
-type latency_row = {
-  l_label : string;
-  l_guests : int;
-  l_m : Run.measurement;
-}
+let label ~cdna (m : Run.measurement) =
+  match m.Run.config.Config.system with
+  | Config.Cdna_sys -> cdna
+  | Config.Native | Config.Xen_sw -> "Xen/Intel"
 
-let latency ?(quick = false) ?(guest_counts = [ 1; 4; 8 ]) () =
-  let base =
-    { Config.default with Config.nics = 2; pattern = Workload.Pattern.Tx }
-  in
-  List.concat_map
-    (fun guests ->
-      List.map
-        (fun (l_label, l_m) -> { l_label; l_guests = guests; l_m })
-        (versus ~quick ~cdna_label:"CDNA" { base with Config.guests }))
-    guest_counts
+let idle (m : Run.measurement) = Report.pct m.Run.profile.Host.Profile.idle
 
-let print_latency rows =
-  print_endline
-    "Extension: end-to-end packet latency, transmit (not in the paper)";
-  Report.print
+(* An extension output: one text-table row per measurement, no CSV. *)
+let table ?(footer = "") ~title ~header configs row =
+  {
+    Sweep.title;
+    configs;
+    header;
+    rows = List.map row;
+    footer = Fun.const footer;
+    csv = None;
+  }
+
+let latency =
+  table
+    ~title:"Extension: end-to-end packet latency, transmit (not in the paper)"
     ~header:[ "System"; "Guests"; "Mb/s"; "p50 latency"; "p99 latency" ]
-    (List.map
-       (fun r ->
-         [
-           r.l_label;
-           string_of_int r.l_guests;
-           Report.mbps (Run.primary_mbps r.l_m);
-           Printf.sprintf "%.0f us" r.l_m.Run.latency_p50_us;
-           Printf.sprintf "%.0f us" r.l_m.Run.latency_p99_us;
-         ])
-       rows)
+    (List.concat_map
+       (fun guests -> versus { Config.default with Config.guests })
+       [ 1; 4; 8 ])
+    (fun m ->
+      [
+        label ~cdna:"CDNA" m;
+        string_of_int m.Run.config.Config.guests;
+        Report.mbps (Run.primary_mbps m);
+        Printf.sprintf "%.0f us" m.Run.latency_p50_us;
+        Printf.sprintf "%.0f us" m.Run.latency_p99_us;
+      ])
 
-type bidir_row = { b_label : string; b_m : Run.measurement }
-
-let bidirectional ?(quick = false) () =
-  let base =
-    {
-      Config.default with
-      Config.nics = 2;
-      guests = 1;
-      pattern = Workload.Pattern.Bidirectional;
-    }
-  in
-  List.map
-    (fun (b_label, b_m) -> { b_label; b_m })
-    (versus ~quick ~cdna_label:"CDNA/RiceNIC" base)
-
-let print_bidirectional rows =
-  print_endline
-    "Extension: simultaneous transmit + receive, single guest (not in the paper)";
-  Report.print
+let bidirectional =
+  table
+    ~title:
+      "Extension: simultaneous transmit + receive, single guest (not in the \
+       paper)"
     ~header:[ "System"; "Tx Mb/s"; "Rx Mb/s"; "Total"; "Idle" ]
-    (List.map
-       (fun r ->
-         [
-           r.b_label;
-           Report.mbps r.b_m.Run.tx_mbps;
-           Report.mbps r.b_m.Run.rx_mbps;
-           Report.mbps (r.b_m.Run.tx_mbps +. r.b_m.Run.rx_mbps);
-           Report.pct r.b_m.Run.profile.Host.Profile.idle;
-         ])
-       rows)
+    (versus
+       { Config.default with Config.pattern = Workload.Pattern.Bidirectional })
+    (fun m ->
+      [
+        label ~cdna:"CDNA/RiceNIC" m;
+        Report.mbps m.Run.tx_mbps;
+        Report.mbps m.Run.rx_mbps;
+        Report.mbps (m.Run.tx_mbps +. m.Run.rx_mbps);
+        idle m;
+      ])
 
-type weight_row = { w_weight : int; w_m : Run.measurement }
-
-let driver_weight ?(quick = false) ?(weights = [ 256; 512; 1024; 2048 ]) () =
+let driver_weight =
   let base =
-    {
-      Config.default with
-      Config.system = Config.Xen_sw;
-      nic = Config.Intel;
-      nics = 2;
-      guests = 16;
-      pattern = Workload.Pattern.Rx;
-    }
+    Config.xen_intel
+      { Config.default with Config.guests = 16; pattern = Workload.Pattern.Rx }
   in
-  List.map
-    (fun w ->
-      { w_weight = w; w_m = Run.run ~quick { base with Config.driver_weight = w } })
-    weights
-
-let print_driver_weight rows =
-  print_endline
-    "Extension: driver-domain scheduler weight, Xen receive, 16 guests (not in the paper)";
-  Report.print
+  table
+    ~title:
+      "Extension: driver-domain scheduler weight, Xen receive, 16 guests (not \
+       in the paper)"
     ~header:[ "dom0 weight"; "Rx Mb/s"; "Drv-OS"; "Hyp"; "Drops" ]
+    ~footer:
+      "(Weight barely matters: netback is event-driven and blocks when idle,\n\
+      \ so boost-on-wake already gives the driver domain the CPU it asks for\n\
+      \ -- consistent with period reports that dom0 weighting did little for\n\
+      \ I/O-bound loads. The bottleneck is per-packet work, not scheduling\n\
+      \ share.)\n"
     (List.map
-       (fun r ->
-         [
-           string_of_int r.w_weight;
-           Report.mbps r.w_m.Run.rx_mbps;
-           Report.pct r.w_m.Run.profile.Host.Profile.driver_kernel;
-           Report.pct r.w_m.Run.profile.Host.Profile.hyp;
-           string_of_int r.w_m.Run.rx_drops;
-         ])
-       rows);
-  print_endline
-    "(Weight barely matters: netback is event-driven and blocks when idle,\n\
-    \ so boost-on-wake already gives the driver domain the CPU it asks for\n\
-    \ -- consistent with period reports that dom0 weighting did little for\n\
-    \ I/O-bound loads. The bottleneck is per-packet work, not scheduling\n\
-    \ share.)" 
+       (fun w -> { base with Config.driver_weight = w })
+       [ 256; 512; 1024; 2048 ])
+    (fun m ->
+      [
+        string_of_int m.Run.config.Config.driver_weight;
+        Report.mbps m.Run.rx_mbps;
+        Report.pct m.Run.profile.Host.Profile.driver_kernel;
+        Report.pct m.Run.profile.Host.Profile.hyp;
+        string_of_int m.Run.rx_drops;
+      ])
 
-type payload_row = {
-  p_label : string;
-  p_payload : int;
-  p_m : Run.measurement;
-}
-
-let payload_sweep ?(quick = false) ?(sizes = [ 128; 512; 1024; 1500 ]) () =
-  let base =
-    { Config.default with Config.nics = 2; guests = 1; pattern = Workload.Pattern.Tx }
-  in
-  List.concat_map
-    (fun payload ->
-      List.map
-        (fun (p_label, p_m) -> { p_label; p_payload = payload; p_m })
-        (versus ~quick ~cdna_label:"CDNA" { base with Config.payload }))
-    sizes
-
-let print_payload_sweep rows =
-  print_endline
-    "Extension: transmit throughput vs packet size, single guest (not in the paper)";
-  Report.print
+let payload_sweep =
+  table
+    ~title:
+      "Extension: transmit throughput vs packet size, single guest (not in \
+       the paper)"
     ~header:[ "System"; "Payload B"; "Goodput Mb/s"; "kpkt/s"; "Idle" ]
-    (List.map
-       (fun r ->
-         let goodput_bytes = max 1 (r.p_payload - 52) in
-         let kpps =
-           r.p_m.Run.tx_mbps *. 1e6 /. 8.
-           /. float_of_int goodput_bytes /. 1e3
-         in
-         [
-           r.p_label;
-           string_of_int r.p_payload;
-           Report.mbps r.p_m.Run.tx_mbps;
-           Printf.sprintf "%.0f" kpps;
-           Report.pct r.p_m.Run.profile.Host.Profile.idle;
-         ])
-       rows)
+    (List.concat_map
+       (fun payload -> versus { Config.default with Config.payload })
+       [ 128; 512; 1024; 1500 ])
+    (fun m ->
+      let payload = m.Run.config.Config.payload in
+      let goodput_bytes = max 1 (payload - 52) in
+      let kpps =
+        m.Run.tx_mbps *. 1e6 /. 8. /. float_of_int goodput_bytes /. 1e3
+      in
+      [
+        label ~cdna:"CDNA" m;
+        string_of_int payload;
+        Report.mbps m.Run.tx_mbps;
+        Printf.sprintf "%.0f" kpps;
+        idle m;
+      ])
 
-type tso_row = { t_label : string; t_gso : int; t_m : Run.measurement }
-
-let tso ?(quick = false) ?(segment_counts = [ 1; 4; 8 ]) () =
-  let base =
-    {
-      Config.default with
-      Config.system = Config.Cdna_sys;
-      nics = 6;
-      guests = 1;
-      pattern = Workload.Pattern.Tx;
-    }
-  in
-  List.map
-    (fun gso ->
-      {
-        t_label = "CDNA+TSO";
-        t_gso = gso;
-        t_m = Run.run ~quick { base with Config.gso_segments = gso };
-      })
-    segment_counts
-
-let print_tso rows =
-  print_endline
-    "Extension: hypothetical TSO on the CDNA NIC, 6 NICs, transmit (not in the paper)";
-  Report.print
+let tso =
+  let base = Config.cdna_ricenic { Config.default with Config.nics = 6 } in
+  table
+    ~title:
+      "Extension: hypothetical TSO on the CDNA NIC, 6 NICs, transmit (not in \
+       the paper)"
     ~header:[ "System"; "GSO segs"; "Goodput Mb/s"; "Gst-OS"; "Hyp"; "Idle" ]
-    (List.map
-       (fun r ->
-         [
-           r.t_label;
-           string_of_int r.t_gso;
-           Report.mbps r.t_m.Run.tx_mbps;
-           Report.pct r.t_m.Run.profile.Host.Profile.guest_kernel;
-           Report.pct r.t_m.Run.profile.Host.Profile.hyp;
-           Report.pct r.t_m.Run.profile.Host.Profile.idle;
-         ])
-       rows)
+    (List.map (fun gso -> { base with Config.gso_segments = gso }) [ 1; 4; 8 ])
+    (fun m ->
+      [
+        "CDNA+TSO";
+        string_of_int m.Run.config.Config.gso_segments;
+        Report.mbps m.Run.tx_mbps;
+        Report.pct m.Run.profile.Host.Profile.guest_kernel;
+        Report.pct m.Run.profile.Host.Profile.hyp;
+        idle m;
+      ])
 
-let print_all ?(quick = false) () =
-  print_latency (latency ~quick ());
-  print_newline ();
-  print_bidirectional (bidirectional ~quick ());
-  print_newline ();
-  print_driver_weight (driver_weight ~quick ());
-  print_newline ();
-  print_payload_sweep (payload_sweep ~quick ());
-  print_newline ();
-  print_tso (tso ~quick ())
+let all = [ latency; bidirectional; driver_weight; payload_sweep; tso ]

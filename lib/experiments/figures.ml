@@ -2,14 +2,20 @@ type point = { guests : int; xen : Run.measurement; cdna : Run.measurement }
 
 let paper_guest_counts = [ 1; 2; 4; 8; 12; 16; 20; 24 ]
 
-let sweep ?(quick = false) base guest_counts =
-  List.map
+let configs base guest_counts =
+  List.concat_map
     (fun guests ->
       let cfg = { base with Config.guests } in
-      let xen = Run.run ~quick (Config.xen_intel cfg) in
-      let cdna = Run.run ~quick (Config.cdna_ricenic cfg) in
-      { guests; xen; cdna })
+      [ Config.xen_intel cfg; Config.cdna_ricenic cfg ])
     guest_counts
+
+let rec points = function
+  | xen :: cdna :: ms ->
+      { guests = xen.Run.config.Config.guests; xen; cdna } :: points ms
+  | _ -> []
+
+let sweep ?quick base guest_counts =
+  points (Sweep.run ?quick (configs base guest_counts))
 
 let base pattern = { Config.default with Config.nics = 2; pattern }
 
@@ -52,41 +58,50 @@ let chart points =
        (fun p -> (p.guests, Run.primary_mbps p.cdna, Run.primary_mbps p.xen))
        points)
 
-let print_figure ~title ~pattern points =
-  print_endline title;
-  Report.print
-    ~header:
+let figure ~title ?(guest_counts = paper_guest_counts) pattern =
+  {
+    Sweep.title;
+    configs = configs (base pattern) guest_counts;
+    header =
       [
         "Guests"; "Xen Mb/s"; "(paper)"; "CDNA Mb/s"; "(paper)";
         "CDNA idle"; "(paper)";
-      ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p.guests;
-           Report.mbps (Run.primary_mbps p.xen);
-           opt_str Report.mbps
-             (paper_anchor ~pattern ~guests:p.guests ~system:`Xen);
-           Report.mbps (Run.primary_mbps p.cdna);
-           opt_str Report.mbps
-             (paper_anchor ~pattern ~guests:p.guests ~system:`Cdna);
-           Report.pct p.cdna.Run.profile.Host.Profile.idle;
-           opt_str Report.pct (paper_cdna_idle ~pattern ~guests:p.guests);
-         ])
-       points);
-  print_newline ();
-  print_string (chart points)
+      ];
+    rows =
+      (fun ms ->
+        List.map
+          (fun p ->
+            [
+              string_of_int p.guests;
+              Report.mbps (Run.primary_mbps p.xen);
+              opt_str Report.mbps
+                (paper_anchor ~pattern ~guests:p.guests ~system:`Xen);
+              Report.mbps (Run.primary_mbps p.cdna);
+              opt_str Report.mbps
+                (paper_anchor ~pattern ~guests:p.guests ~system:`Cdna);
+              Report.pct p.cdna.Run.profile.Host.Profile.idle;
+              opt_str Report.pct (paper_cdna_idle ~pattern ~guests:p.guests);
+            ])
+          (points ms));
+    footer = (fun ms -> "\n" ^ chart (points ms));
+    csv =
+      Some
+        ( [ "guests"; "xen_mbps"; "cdna_mbps"; "cdna_idle_pct"; "xen_idle_pct" ],
+          fun ms ->
+            List.map
+              (fun p ->
+                [
+                  string_of_int p.guests;
+                  Printf.sprintf "%.1f" (Run.primary_mbps p.xen);
+                  Printf.sprintf "%.1f" (Run.primary_mbps p.cdna);
+                  Printf.sprintf "%.1f" p.cdna.Run.profile.Host.Profile.idle;
+                  Printf.sprintf "%.1f" p.xen.Run.profile.Host.Profile.idle;
+                ])
+              (points ms) );
+  }
 
-let csv points =
-  Report.csv
-    ~header:[ "guests"; "xen_mbps"; "cdna_mbps"; "cdna_idle_pct"; "xen_idle_pct" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p.guests;
-           Printf.sprintf "%.1f" (Run.primary_mbps p.xen);
-           Printf.sprintf "%.1f" (Run.primary_mbps p.cdna);
-           Printf.sprintf "%.1f" p.cdna.Run.profile.Host.Profile.idle;
-           Printf.sprintf "%.1f" p.xen.Run.profile.Host.Profile.idle;
-         ])
-       points)
+let figures =
+  [
+    (3, figure ~title:"Figure 3: transmit scaling" Workload.Pattern.Tx);
+    (4, figure ~title:"Figure 4: receive scaling" Workload.Pattern.Rx);
+  ]

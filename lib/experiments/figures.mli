@@ -11,10 +11,16 @@ type point = {
 (** Guest counts used by the paper. *)
 val paper_guest_counts : int list
 
-(** [sweep base guest_counts] measures, at each guest count, [base] under
-    Xen software I/O on the Intel NIC and under CDNA on the RiceNIC
-    ({!Config.xen_intel}, {!Config.cdna_ricenic}); one fresh testbed per
-    run, in guest-count order. *)
+(** [configs base guest_counts]: at each guest count, [base] under Xen
+    software I/O on the Intel NIC, then under CDNA on the RiceNIC
+    ({!Config.xen_intel}, {!Config.cdna_ricenic}). *)
+val configs : Config.t -> int list -> Config.t list
+
+(** Pairs the measurements of {!configs} into one point per guest count. *)
+val points : Run.measurement list -> point list
+
+(** [sweep base guest_counts] measures {!configs} ({!Sweep.run}): one
+    fresh testbed per run, in guest-count order. *)
 val sweep : ?quick:bool -> Config.t -> int list -> point list
 
 (** [figure3 ()] sweeps transmit throughput over guest counts.
@@ -24,11 +30,14 @@ val figure3 : ?quick:bool -> ?guest_counts:int list -> unit -> point list
 (** [figure4 ()] — the receive sweep. *)
 val figure4 : ?quick:bool -> ?guest_counts:int list -> unit -> point list
 
-val print_figure :
-  title:string -> pattern:Workload.Pattern.t -> point list -> unit
+(** The figure for [pattern] as an output: a table of both series next to
+    the paper's anchor values, followed by their ASCII chart; its CSV
+    form is (guests, xen_mbps, cdna_mbps, cdna_idle_pct, xen_idle_pct). *)
+val figure :
+  title:string -> ?guest_counts:int list -> Workload.Pattern.t -> Sweep.t
+
+(** Figures 3 and 4, by number. *)
+val figures : (int * Sweep.t) list
 
 (** ASCII chart of the CDNA and Xen throughput series over guests. *)
 val chart : point list -> string
-
-(** CSV series (guests, xen_mbps, cdna_mbps, cdna_idle_pct, xen_idle_pct). *)
-val csv : point list -> string

@@ -179,6 +179,20 @@ let run_tb ?(quick = false) (cfg : Config.t) =
 
 let run ?quick cfg = fst (run_tb ?quick cfg)
 
+let run_traced ?quick cfg =
+  let r = Sim.Trace.Recorder.create () in
+  Sim.Trace.set_sink (Some (Sim.Trace.Recorder.sink r));
+  let m, tb = run_tb ?quick cfg in
+  Sim.Trace.set_sink None;
+  Sim.Trace.Recorder.set_process_name r ~pid:0 "hypervisor";
+  List.iter
+    (fun d ->
+      Sim.Trace.Recorder.set_process_name r
+        ~pid:(Xen.Domain.id d + 1)
+        (Xen.Domain.name d))
+    (Xen.Hypervisor.domains tb.Testbed.xen);
+  (m, tb, r)
+
 let pp ppf m =
   Format.fprintf ppf
     "%s: tx=%.0f Mb/s rx=%.0f Mb/s | %a | virq drv=%.0f/s guest=%.0f/s \

@@ -67,4 +67,11 @@ val run : ?quick:bool -> Config.t -> measurement
     metrics registry or inspect component state after measurement. *)
 val run_tb : ?quick:bool -> Config.t -> measurement * Testbed.t
 
+(** Like {!run_tb}, with every trace event of the run recorded (the
+    recorder replaces any installed sink; none is left installed). The
+    recorder names its processes after the testbed: pid 0 is
+    ["hypervisor"], and each domain's pid is its id + 1. *)
+val run_traced :
+  ?quick:bool -> Config.t -> measurement * Testbed.t * Sim.Trace.Recorder.t
+
 val pp : Format.formatter -> measurement -> unit

@@ -19,33 +19,22 @@ val default_guest_counts : int list
 
 val default_cpu_counts : int list
 
-(** [sweep ()] runs {!Figures.sweep} at every CPU count: each
-    (cpus, guests) cell is measured for CDNA and Xen_sw. Runs are
-    sequential and deterministic; the result list is ordered by CPU
-    count, then guest count. A point's CDNA context swaps are
-    [p.cdna.Run.ctx_swaps]. *)
+(** [sweep ()] is the [scale-guests] output: {!Figures.configs} at every
+    CPU count, ordered by CPU count, then guest count, then Xen before
+    CDNA. Its table reports throughput, CDNA context swaps and idle time
+    per (cpus, guests) cell; the footer names, per CPU count, the smallest
+    guest count at which CDNA falls to or below Xen, followed (with
+    [chart]) by the ASCII chart of that CPU count's series. *)
 val sweep :
-  ?quick:bool ->
   ?pattern:Workload.Pattern.t ->
   ?slice:Sim.Time.t ->
   ?guest_counts:int list ->
   ?cpu_counts:int list ->
+  ?chart:int ->
   unit ->
-  Figures.point list
+  Sweep.t
 
 (** Scheduler slice used by the [--preset rx-heavy] sweep (100 us vs the
     1 ms default): with receive-dominated traffic it maximizes context
     touches per unit time, probing for a CDNA/Xen crossover. *)
 val rx_heavy_slice : Sim.Time.t
-
-(** Host CPU count a point was measured on. *)
-val cpus : Figures.point -> int
-
-(** Smallest guest count at which CDNA throughput falls to or below
-    Xen's, for the given CPU count. *)
-val crossover : Figures.point list -> cpus:int -> int option
-
-(** Table of every point plus the per-CPU-count crossover summary. *)
-val print_table : Figures.point list -> unit
-
-val csv : Figures.point list -> string

@@ -58,84 +58,48 @@ let paper_t4_rx_off =
 
 (* ---------- Table 1 ---------- *)
 
-type t1_row = {
-  t1_label : string;
-  t1_tx : Run.measurement;
-  t1_rx : Run.measurement;
-  t1_paper_tx : float;
-  t1_paper_rx : float;
-}
-
-let table1 ?(quick = false) () =
+let table1 =
   let base =
     { Config.default with Config.nics = 6; nic = Config.Intel; guests = 1 }
   in
-  let run system pattern =
-    Run.run ~quick { base with Config.system; pattern }
+  let systems =
+    [ ("Native Linux", Config.Native, 5126., 3629.);
+      ("Xen Guest", Config.Xen_sw, 1602., 1112.) ]
   in
-  [
-    {
-      t1_label = "Native Linux";
-      t1_tx = run Config.Native Workload.Pattern.Tx;
-      t1_rx = run Config.Native Workload.Pattern.Rx;
-      t1_paper_tx = 5126.;
-      t1_paper_rx = 3629.;
-    };
-    {
-      t1_label = "Xen Guest";
-      t1_tx = run Config.Xen_sw Workload.Pattern.Tx;
-      t1_rx = run Config.Xen_sw Workload.Pattern.Rx;
-      t1_paper_tx = 1602.;
-      t1_paper_rx = 1112.;
-    };
-  ]
+  (* Two measurements per system: transmit, then receive. *)
+  let rec rows systems ms =
+    match (systems, ms) with
+    | (label, _, paper_tx, paper_rx) :: systems, tx :: rx :: ms ->
+        [
+          label;
+          Report.mbps tx.Run.tx_mbps;
+          Report.mbps paper_tx;
+          Report.mbps rx.Run.rx_mbps;
+          Report.mbps paper_rx;
+        ]
+        :: rows systems ms
+    | _ -> []
+  in
+  {
+    Sweep.title =
+      "Table 1: transmit/receive, native vs Xen guest (6 Intel NICs)";
+    configs =
+      List.concat_map
+        (fun (_, system, _, _) ->
+          List.map
+            (fun pattern -> { base with Config.system; pattern })
+            [ Workload.Pattern.Tx; Workload.Pattern.Rx ])
+        systems;
+    header = [ "System"; "Tx Mb/s"; "(paper)"; "Rx Mb/s"; "(paper)" ];
+    rows = rows systems;
+    footer = Fun.const "";
+    csv =
+      Some
+        ( [ "system"; "tx_mbps"; "tx_paper"; "rx_mbps"; "rx_paper" ],
+          rows systems );
+  }
 
-let print_table1 rows =
-  print_endline "Table 1: transmit/receive, native vs Xen guest (6 Intel NICs)";
-  Report.print
-    ~header:
-      [ "System"; "Tx Mb/s"; "(paper)"; "Rx Mb/s"; "(paper)" ]
-    (List.map
-       (fun r ->
-         [
-           r.t1_label;
-           Report.mbps r.t1_tx.Run.tx_mbps;
-           Report.mbps r.t1_paper_tx;
-           Report.mbps r.t1_rx.Run.rx_mbps;
-           Report.mbps r.t1_paper_rx;
-         ])
-       rows)
-
-(* ---------- Tables 2/3 ---------- *)
-
-type t23_row = {
-  t23_label : string;
-  t23_m : Run.measurement;
-  t23_paper : paper_profile;
-}
-
-let t23_configs pattern =
-  let base = { Config.default with Config.nics = 2; guests = 1; pattern } in
-  [
-    ("Xen/Intel", Config.xen_intel base);
-    ( "Xen/RiceNIC",
-      { base with Config.system = Config.Xen_sw; nic = Config.Ricenic } );
-    ("CDNA/RiceNIC", Config.cdna_ricenic base);
-  ]
-
-let table2 ?(quick = false) () =
-  List.map2
-    (fun (label, cfg) paper ->
-      { t23_label = label; t23_m = Run.run ~quick cfg; t23_paper = paper })
-    (t23_configs Workload.Pattern.Tx)
-    [ paper_t2_xen_intel; paper_t2_xen_ricenic; paper_t2_cdna ]
-
-let table3 ?(quick = false) () =
-  List.map2
-    (fun (label, cfg) paper ->
-      { t23_label = label; t23_m = Run.run ~quick cfg; t23_paper = paper })
-    (t23_configs Workload.Pattern.Rx)
-    [ paper_t3_xen_intel; paper_t3_xen_ricenic; paper_t3_cdna ]
+(* ---------- Tables 2-4: one execution profile per row ---------- *)
 
 let profile_cells (m : Run.measurement) =
   let p = m.Run.profile in
@@ -164,109 +128,80 @@ let paper_cells p =
     Report.rate p.p_guest_intr;
   ]
 
-let t23_header =
-  [
-    "System"; "Mb/s"; "Hyp"; "Drv-OS"; "Drv-Usr"; "Gst-OS"; "Gst-Usr";
-    "Idle"; "Drv-int/s"; "Gst-int/s";
-  ]
+(* [rows], one (label, config, paper) triple per measured system: each
+   gives a simulated row and the paper's row, labelled [tag "sim"] and
+   [tag "paper"]. *)
+let profile_table ~title rows =
+  let cells tag ms =
+    List.concat
+      (List.map2
+         (fun (label, _, paper) m ->
+           [
+             (label ^ tag "sim") :: profile_cells m;
+             (label ^ tag "paper") :: paper_cells paper;
+           ])
+         rows ms)
+  in
+  {
+    Sweep.title;
+    configs = List.map (fun (_, cfg, _) -> cfg) rows;
+    header =
+      [
+        "System"; "Mb/s"; "Hyp"; "Drv-OS"; "Drv-Usr"; "Gst-OS"; "Gst-Usr";
+        "Idle"; "Drv-int/s"; "Gst-int/s";
+      ];
+    rows = cells (fun k -> " (" ^ k ^ ")");
+    footer = Fun.const "";
+    csv =
+      Some
+        ( [
+            "system"; "mbps"; "hyp"; "drv_os"; "drv_user"; "guest_os";
+            "guest_user"; "idle"; "drv_intr"; "guest_intr";
+          ],
+          cells (fun k -> "/" ^ k) );
+  }
 
-let print_table23 ~title rows =
-  print_endline title;
-  Report.print ~header:t23_header
-    (List.concat_map
-       (fun r ->
-         [
-           (r.t23_label ^ " (sim)") :: profile_cells r.t23_m;
-           (r.t23_label ^ " (paper)") :: paper_cells r.t23_paper;
-         ])
-       rows)
+let single_guest pattern papers =
+  let base = { Config.default with Config.nics = 2; guests = 1; pattern } in
+  List.map2
+    (fun (label, cfg) paper -> (label, cfg, paper))
+    [
+      ("Xen/Intel", Config.xen_intel base);
+      ( "Xen/RiceNIC",
+        { base with Config.system = Config.Xen_sw; nic = Config.Ricenic } );
+      ("CDNA/RiceNIC", Config.cdna_ricenic base);
+    ]
+    papers
 
-(* ---------- Table 4 ---------- *)
-
-let table4 ?(quick = false) () =
+let table4 =
   let base =
     Config.cdna_ricenic { Config.default with Config.nics = 2; guests = 1 }
   in
-  let run pattern protection =
-    Run.run ~quick { base with Config.pattern; protection }
+  let row label pattern protection paper =
+    (label, { base with Config.pattern; protection }, paper)
   in
-  [
-    {
-      t23_label = "CDNA Tx (prot on)";
-      t23_m = run Workload.Pattern.Tx Cdna.Cdna_costs.Full;
-      t23_paper = paper_t4_tx_on;
-    };
-    {
-      t23_label = "CDNA Tx (prot off)";
-      t23_m = run Workload.Pattern.Tx Cdna.Cdna_costs.Disabled;
-      t23_paper = paper_t4_tx_off;
-    };
-    {
-      t23_label = "CDNA Rx (prot on)";
-      t23_m = run Workload.Pattern.Rx Cdna.Cdna_costs.Full;
-      t23_paper = paper_t4_rx_on;
-    };
-    {
-      t23_label = "CDNA Rx (prot off)";
-      t23_m = run Workload.Pattern.Rx Cdna.Cdna_costs.Disabled;
-      t23_paper = paper_t4_rx_off;
-    };
-  ]
-
-let csv_table1 rows =
-  Report.csv
-    ~header:[ "system"; "tx_mbps"; "tx_paper"; "rx_mbps"; "rx_paper" ]
-    (List.map
-       (fun r ->
-         [
-           r.t1_label;
-           Report.mbps r.t1_tx.Run.tx_mbps;
-           Report.mbps r.t1_paper_tx;
-           Report.mbps r.t1_rx.Run.rx_mbps;
-           Report.mbps r.t1_paper_rx;
-         ])
-       rows)
-
-let csv_table23 rows =
-  Report.csv
-    ~header:
-      [
-        "system"; "mbps"; "hyp"; "drv_os"; "drv_user"; "guest_os";
-        "guest_user"; "idle"; "drv_intr"; "guest_intr";
-      ]
-    (List.concat_map
-       (fun r ->
-         [
-           (r.t23_label ^ "/sim") :: profile_cells r.t23_m;
-           (r.t23_label ^ "/paper") :: paper_cells r.t23_paper;
-         ])
-       rows)
-
-type table = { print : quick:bool -> unit; csv : quick:bool -> string }
-
-let t23 ~title (run : ?quick:bool -> unit -> t23_row list) =
-  {
-    print = (fun ~quick -> print_table23 ~title (run ~quick ()));
-    csv = (fun ~quick -> csv_table23 (run ~quick ()));
-  }
+  profile_table
+    ~title:
+      "Table 4: CDNA 2-NIC transmit/receive with and without DMA protection"
+    [
+      row "CDNA Tx (prot on)" Workload.Pattern.Tx Cdna.Cdna_costs.Full
+        paper_t4_tx_on;
+      row "CDNA Tx (prot off)" Workload.Pattern.Tx Cdna.Cdna_costs.Disabled
+        paper_t4_tx_off;
+      row "CDNA Rx (prot on)" Workload.Pattern.Rx Cdna.Cdna_costs.Full
+        paper_t4_rx_on;
+      row "CDNA Rx (prot off)" Workload.Pattern.Rx Cdna.Cdna_costs.Disabled
+        paper_t4_rx_off;
+    ]
 
 let tables =
   [
-    {
-      print = (fun ~quick -> print_table1 (table1 ~quick ()));
-      csv = (fun ~quick -> csv_table1 (table1 ~quick ()));
-    };
-    t23 ~title:"Table 2: transmit, single guest, 2 NICs" table2;
-    t23 ~title:"Table 3: receive, single guest, 2 NICs" table3;
-    t23
-      ~title:
-        "Table 4: CDNA 2-NIC transmit/receive with and without DMA protection"
-      table4;
+    table1;
+    profile_table ~title:"Table 2: transmit, single guest, 2 NICs"
+      (single_guest Workload.Pattern.Tx
+         [ paper_t2_xen_intel; paper_t2_xen_ricenic; paper_t2_cdna ]);
+    profile_table ~title:"Table 3: receive, single guest, 2 NICs"
+      (single_guest Workload.Pattern.Rx
+         [ paper_t3_xen_intel; paper_t3_xen_ricenic; paper_t3_cdna ]);
+    table4;
   ]
-
-let print_all ?(quick = false) () =
-  List.iteri
-    (fun i t ->
-      if i > 0 then print_newline ();
-      t.print ~quick)
-    tables

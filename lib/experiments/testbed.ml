@@ -131,6 +131,41 @@ let make_peer b ~nic_idx ~rx_congested ~set_uncongested_hook =
   b.peers_rev <- peer :: b.peers_rev;
   peer
 
+(* Conventional NIC [i] (Intel or RiceNIC, per the config) for the native
+   and Xen assemblies: created on link [i], enabled at [mac], its metrics
+   and counters registered. Returns its congestion probe, its
+   uncongested-hook setter and the driver's view of it. *)
+let conventional_nic b ~i ~irq ~mac =
+  let labels = [ ("nic", Printf.sprintf "nic%d" i) ] in
+  let irq_count () = Bus.Irq.count irq in
+  match b.cfg.Config.nic with
+  | Config.Intel ->
+      let nic =
+        Nic.Intel_nic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
+          ~config:(nic_config b Config.Intel) ~irq ~dma_context:(i * 64) ()
+      in
+      Nic.Intel_nic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
+      Nic.Intel_nic.enable nic ~mac;
+      Nic.Intel_nic.register_metrics nic b.b_metrics ~labels;
+      b.stats_fns <- (fun () -> Nic.Intel_nic.stats nic) :: b.stats_fns;
+      b.irq_fns <- irq_count :: b.irq_fns;
+      ( (fun () -> Nic.Intel_nic.rx_congested nic),
+        Nic.Intel_nic.set_uncongested_hook nic,
+        Nic.Intel_nic.driver_if nic )
+  | Config.Ricenic ->
+      let nic =
+        Nic.Ricenic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
+          ~config:(nic_config b Config.Ricenic) ~irq ~dma_context:(i * 64) ()
+      in
+      Nic.Ricenic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
+      Nic.Ricenic.enable nic ~mac;
+      Nic.Ricenic.register_metrics nic b.b_metrics ~labels;
+      b.stats_fns <- (fun () -> Nic.Ricenic.stats nic) :: b.stats_fns;
+      b.irq_fns <- irq_count :: b.irq_fns;
+      ( (fun () -> Nic.Ricenic.rx_congested nic),
+        Nic.Ricenic.set_uncongested_hook nic,
+        Nic.Ricenic.driver_if nic )
+
 (* ---------- Native (bare-metal) assembly ---------- *)
 
 let build_native b =
@@ -153,39 +188,7 @@ let build_native b =
             | Some d -> Guestos.Native_driver.handle_interrupt d
             | None -> ()));
     let mac = native_nic_mac i in
-    let rx_congested, set_hook, hw =
-      match cfg.Config.nic with
-      | Config.Intel ->
-          let nic =
-            Nic.Intel_nic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
-              ~config:(nic_config b Config.Intel) ~irq ~dma_context:(i * 64)
-              ()
-          in
-          Nic.Intel_nic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
-          Nic.Intel_nic.enable nic ~mac;
-          Nic.Intel_nic.register_metrics nic b.b_metrics
-            ~labels:[ ("nic", Printf.sprintf "nic%d" i) ];
-          b.stats_fns <- (fun () -> Nic.Intel_nic.stats nic) :: b.stats_fns;
-          b.irq_fns <- (fun () -> Bus.Irq.count irq) :: b.irq_fns;
-          ( (fun () -> Nic.Intel_nic.rx_congested nic),
-            Nic.Intel_nic.set_uncongested_hook nic,
-            Nic.Intel_nic.driver_if nic )
-      | Config.Ricenic ->
-          let nic =
-            Nic.Ricenic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
-              ~config:(nic_config b Config.Ricenic) ~irq ~dma_context:(i * 64)
-              ()
-          in
-          Nic.Ricenic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
-          Nic.Ricenic.enable nic ~mac;
-          Nic.Ricenic.register_metrics nic b.b_metrics
-            ~labels:[ ("nic", Printf.sprintf "nic%d" i) ];
-          b.stats_fns <- (fun () -> Nic.Ricenic.stats nic) :: b.stats_fns;
-          b.irq_fns <- (fun () -> Bus.Irq.count irq) :: b.irq_fns;
-          ( (fun () -> Nic.Ricenic.rx_congested nic),
-            Nic.Ricenic.set_uncongested_hook nic,
-            Nic.Ricenic.driver_if nic )
-    in
+    let rx_congested, set_hook, hw = conventional_nic b ~i ~irq ~mac in
     let driver =
       Guestos.Native_driver.create ~mem:b.b_mem ~post_kernel
         ~costs:b.cm.Cost_model.guest_os ~hw ~mac
@@ -226,39 +229,7 @@ let build_xen b =
     Array.init cfg.Config.nics (fun i ->
         let irq = Bus.Irq.create ~name:(Printf.sprintf "nic%d" i) in
         let mac = native_nic_mac i in
-        let rx_congested, set_hook, hw =
-          match cfg.Config.nic with
-          | Config.Intel ->
-              let nic =
-                Nic.Intel_nic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
-                  ~config:(nic_config b Config.Intel) ~irq
-                  ~dma_context:(i * 64) ()
-              in
-              Nic.Intel_nic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
-              Nic.Intel_nic.enable nic ~mac;
-              Nic.Intel_nic.register_metrics nic b.b_metrics
-                ~labels:[ ("nic", Printf.sprintf "nic%d" i) ];
-              b.stats_fns <- (fun () -> Nic.Intel_nic.stats nic) :: b.stats_fns;
-              b.irq_fns <- (fun () -> Bus.Irq.count irq) :: b.irq_fns;
-              ( (fun () -> Nic.Intel_nic.rx_congested nic),
-                Nic.Intel_nic.set_uncongested_hook nic,
-                Nic.Intel_nic.driver_if nic )
-          | Config.Ricenic ->
-              let nic =
-                Nic.Ricenic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
-                  ~config:(nic_config b Config.Ricenic) ~irq
-                  ~dma_context:(i * 64) ()
-              in
-              Nic.Ricenic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
-              Nic.Ricenic.enable nic ~mac;
-              Nic.Ricenic.register_metrics nic b.b_metrics
-                ~labels:[ ("nic", Printf.sprintf "nic%d" i) ];
-              b.stats_fns <- (fun () -> Nic.Ricenic.stats nic) :: b.stats_fns;
-              b.irq_fns <- (fun () -> Bus.Irq.count irq) :: b.irq_fns;
-              ( (fun () -> Nic.Ricenic.rx_congested nic),
-                Nic.Ricenic.set_uncongested_hook nic,
-                Nic.Ricenic.driver_if nic )
-        in
+        let rx_congested, set_hook, hw = conventional_nic b ~i ~irq ~mac in
         let driver =
           Guestos.Native_driver.create ~mem:b.b_mem ~post_kernel:post_driver
             ~costs:b.cm.Cost_model.driver_os ~hw ~mac

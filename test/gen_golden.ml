@@ -14,7 +14,7 @@ let () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   List.iter
     (fun seed ->
-      let trace, metrics = Golden.traced_artifacts ~seed in
+      let trace, metrics = Golden.traced_artifacts (Golden.cfg ~seed) in
       let write name content =
         let path = Filename.concat dir name in
         let oc = open_out path in

@@ -19,19 +19,9 @@ let cfg ~seed =
     seed;
   }
 
-(* Mirrors `cdna_sim run --trace-out --metrics-out`: record every trace
-   event, run, then render both artifacts exactly as the CLI does. *)
-let traced_artifacts ~seed =
-  let r = Sim.Trace.Recorder.create () in
-  Sim.Trace.set_sink (Some (Sim.Trace.Recorder.sink r));
-  let _, tb = Experiments.Run.run_tb (cfg ~seed) in
-  Sim.Trace.set_sink None;
-  Sim.Trace.Recorder.set_process_name r ~pid:0 "hypervisor";
-  List.iter
-    (fun d ->
-      Sim.Trace.Recorder.set_process_name r
-        ~pid:(Xen.Domain.id d + 1)
-        (Xen.Domain.name d))
-    (Xen.Hypervisor.domains tb.Experiments.Testbed.xen);
+(* The artifacts `cdna_sim run --trace-out --metrics-out` writes for
+   [cfg]: the recorded trace as Chrome JSON and the metrics registry. *)
+let traced_artifacts cfg =
+  let _, tb, r = Experiments.Run.run_traced cfg in
   ( Sim.Trace.Recorder.to_chrome_string r,
     Sim.Metrics.to_string tb.Experiments.Testbed.metrics )

@@ -193,21 +193,6 @@ let test_determinism () =
 (* The observability layer must be as deterministic as the simulation:
    the same seeded run recorded twice yields byte-identical Chrome JSON
    and metrics JSON, and both parse with our own JSON parser. *)
-let traced_run cfg =
-  let r = Sim.Trace.Recorder.create () in
-  Sim.Trace.set_sink (Some (Sim.Trace.Recorder.sink r));
-  let _, tb = Experiments.Run.run_tb cfg in
-  Sim.Trace.set_sink None;
-  Sim.Trace.Recorder.set_process_name r ~pid:0 "hypervisor";
-  List.iter
-    (fun d ->
-      Sim.Trace.Recorder.set_process_name r
-        ~pid:(Xen.Domain.id d + 1)
-        (Xen.Domain.name d))
-    (Xen.Hypervisor.domains tb.Experiments.Testbed.xen);
-  ( Sim.Trace.Recorder.to_chrome_string r,
-    Sim.Metrics.to_string tb.Experiments.Testbed.metrics )
-
 let traced_cfg =
   {
     cdna_tx with
@@ -217,13 +202,13 @@ let traced_cfg =
   }
 
 let test_trace_byte_identical () =
-  let trace1, metrics1 = traced_run traced_cfg in
-  let trace2, metrics2 = traced_run traced_cfg in
+  let trace1, metrics1 = Golden.traced_artifacts traced_cfg in
+  let trace2, metrics2 = Golden.traced_artifacts traced_cfg in
   check_bool "trace byte-identical" true (String.equal trace1 trace2);
   check_bool "metrics byte-identical" true (String.equal metrics1 metrics2)
 
 let test_trace_covers_subsystems () =
-  let trace, metrics = traced_run traced_cfg in
+  let trace, metrics = Golden.traced_artifacts traced_cfg in
   (match Sim.Json.parse trace with
   | Error e -> Alcotest.failf "trace not valid JSON: %s" e
   | Ok j -> (
@@ -539,7 +524,7 @@ let read_file path =
 let test_golden_artifacts () =
   List.iter
     (fun seed ->
-      let trace, metrics = Golden.traced_artifacts ~seed in
+      let trace, metrics = Golden.traced_artifacts (Golden.cfg ~seed) in
       check_bool
         (Printf.sprintf "trace for seed %d matches golden fixture" seed)
         true
