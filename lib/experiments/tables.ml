@@ -101,7 +101,7 @@ let table1 =
 
 (* ---------- Tables 2-4: one execution profile per row ---------- *)
 
-let profile_cells (m : Run.measurement) =
+let profile_cells ~rate (m : Run.measurement) =
   let p = m.Run.profile in
   [
     Report.mbps (Run.primary_mbps m);
@@ -111,11 +111,11 @@ let profile_cells (m : Run.measurement) =
     Report.pct p.Host.Profile.guest_kernel;
     Report.pct p.Host.Profile.guest_user;
     Report.pct p.Host.Profile.idle;
-    Report.rate m.Run.driver_virq_per_sec;
-    Report.rate m.Run.guest_virq_per_sec;
+    rate m.Run.driver_virq_per_sec;
+    rate m.Run.guest_virq_per_sec;
   ]
 
-let paper_cells p =
+let paper_cells ~rate p =
   [
     Report.mbps p.p_mbps;
     Report.pct p.p_hyp;
@@ -124,21 +124,21 @@ let paper_cells p =
     Report.pct p.p_guest_os;
     Report.pct p.p_guest_user;
     Report.pct p.p_idle;
-    Report.rate p.p_drv_intr;
-    Report.rate p.p_guest_intr;
+    rate p.p_drv_intr;
+    rate p.p_guest_intr;
   ]
 
 (* [rows], one (label, config, paper) triple per measured system: each
    gives a simulated row and the paper's row, labelled [tag "sim"] and
-   [tag "paper"]. *)
+   [tag "paper"], with interrupt rates printed by [rate]. *)
 let profile_table ~title rows =
-  let cells tag ms =
+  let cells ~tag ~rate ms =
     List.concat
       (List.map2
          (fun (label, _, paper) m ->
            [
-             (label ^ tag "sim") :: profile_cells m;
-             (label ^ tag "paper") :: paper_cells paper;
+             (label ^ tag "sim") :: profile_cells ~rate m;
+             (label ^ tag "paper") :: paper_cells ~rate paper;
            ])
          rows ms)
   in
@@ -150,7 +150,7 @@ let profile_table ~title rows =
         "System"; "Mb/s"; "Hyp"; "Drv-OS"; "Drv-Usr"; "Gst-OS"; "Gst-Usr";
         "Idle"; "Drv-int/s"; "Gst-int/s";
       ];
-    rows = cells (fun k -> " (" ^ k ^ ")");
+    rows = cells ~tag:(fun k -> " (" ^ k ^ ")") ~rate:Report.rate;
     footer = Fun.const "";
     csv =
       Some
@@ -158,7 +158,8 @@ let profile_table ~title rows =
             "system"; "mbps"; "hyp"; "drv_os"; "drv_user"; "guest_os";
             "guest_user"; "idle"; "drv_intr"; "guest_intr";
           ],
-          cells (fun k -> "/" ^ k) );
+          (* Plain integers: a thousands separator is a field separator. *)
+          cells ~tag:(fun k -> "/" ^ k) ~rate:(Printf.sprintf "%.0f") );
   }
 
 let single_guest pattern papers =

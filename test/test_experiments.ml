@@ -610,6 +610,47 @@ let cdna_smp =
     seed = 99;
   }
 
+(* Every CSV an output emits has its header's field count on every line:
+   a cell must never carry a comma (a thousands separator, say). *)
+let test_csv_field_counts () =
+  let short (t : Experiments.Sweep.t) =
+    {
+      t with
+      Experiments.Sweep.configs =
+        List.map
+          (fun c ->
+            {
+              c with
+              Experiments.Config.warmup = Sim.Time.ms 1;
+              duration = Sim.Time.ms 2;
+            })
+          t.Experiments.Sweep.configs;
+    }
+  in
+  let fields line = List.length (String.split_on_char ',' line) in
+  List.iter
+    (fun t ->
+      let t = short t in
+      let csv =
+        Experiments.Sweep.render_csv t
+          (Experiments.Sweep.run t.Experiments.Sweep.configs)
+      in
+      match String.split_on_char '\n' (String.trim csv) with
+      | [] -> Alcotest.fail "empty CSV"
+      | header :: rows ->
+          check_bool
+            (t.Experiments.Sweep.title ^ ": has rows")
+            true (rows <> []);
+          List.iter
+            (fun row ->
+              check_int
+                (Printf.sprintf "%s: %s" t.Experiments.Sweep.title row)
+                (fields header) (fields row))
+            rows)
+    (Experiments.Tables.tables
+    @ List.map snd Experiments.Figures.figures
+    @ [ Experiments.Scaling.sweep ~guest_counts:[ 8; 40 ] ~cpu_counts:[ 1; 2 ] () ])
+
 let suite =
   [
     ( "experiments.single_guest",
@@ -660,6 +701,7 @@ let suite =
       [
         Alcotest.test_case "determinism" `Slow test_determinism;
         Alcotest.test_case "report rendering" `Quick test_report_rendering;
+        Alcotest.test_case "csv rows match header" `Slow test_csv_field_counts;
         qcheck prop_random_configs_conserve;
       ] );
     ( "experiments.domains",
