@@ -7,6 +7,8 @@ let quick =
   let doc = "Shorten warm-up and measurement (~4x faster, noisier)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.")
+
 let system =
   let doc = "System to simulate: native, xen, or cdna." in
   let parse = function
@@ -154,8 +156,6 @@ let trace_out =
         ~doc:
           "Record all trace events and write them as Chrome trace_event \
            JSON (open in about://tracing or ui.perfetto.dev).")
-
-let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV rows.")
 
 let metrics_out =
   Arg.(

@@ -128,10 +128,10 @@ let paper_cells ~rate p =
     rate p.p_guest_intr;
   ]
 
-(* [rows], one (label, config, paper) triple per measured system: each
+(* [systems], one (label, config, paper) triple per measured system: each
    gives a simulated row and the paper's row, labelled [tag "sim"] and
    [tag "paper"], with interrupt rates printed by [rate]. *)
-let profile_table ~title rows =
+let profile_table ~title systems =
   let cells ~tag ~rate ms =
     List.concat
       (List.map2
@@ -140,11 +140,11 @@ let profile_table ~title rows =
              (label ^ tag "sim") :: profile_cells ~rate m;
              (label ^ tag "paper") :: paper_cells ~rate paper;
            ])
-         rows ms)
+         systems ms)
   in
   {
     Sweep.title;
-    configs = List.map (fun (_, cfg, _) -> cfg) rows;
+    configs = List.map (fun (_, cfg, _) -> cfg) systems;
     header =
       [
         "System"; "Mb/s"; "Hyp"; "Drv-OS"; "Drv-Usr"; "Gst-OS"; "Gst-Usr";
