@@ -649,7 +649,10 @@ let test_csv_field_counts () =
             rows)
     (Experiments.Tables.tables
     @ List.map snd Experiments.Figures.figures
-    @ [ Experiments.Scaling.sweep ~guest_counts:[ 8; 40 ] ~cpu_counts:[ 1; 2 ] () ])
+    @ [
+        Experiments.Scaling.sweep ~guest_counts:[ 8; 40 ] ~cpu_counts:[ 1; 2 ]
+          ();
+      ])
 
 let suite =
   [
