@@ -6,10 +6,11 @@
     3.3). Domains are identified by small integers, [-1] upwards (the
     hypervisor itself owns pages as [-1]).
 
-    A [t] holds the metadata of every page of a machine in two flat
-    [int array]s indexed by pfn (state code and refcount), so it costs two
-    words per page and no per-page allocation. This module is the single
-    definition of the page state machine. *)
+    A [t] holds the metadata of every page of a machine in one flat
+    [int array] indexed by pfn, each word packing the state code above a
+    24-bit refcount, so it costs one word per page and no per-page
+    allocation. This module is the single definition of the page state
+    machine. *)
 
 type domain_id = int
 
@@ -31,7 +32,8 @@ val state : t -> Addr.pfn -> state
 val refcount : t -> Addr.pfn -> int
 
 (** [set_owned t pfn dom] transitions a [Free] page to [Owned dom].
-    @raise Invalid_argument if the page is not free or [dom < -1]. *)
+    @raise Invalid_argument if the page is not free or [dom] lies outside
+    [\[-1, 2^38 - 3\]] (what the packed state code holds). *)
 val set_owned : t -> Addr.pfn -> domain_id -> unit
 
 (** [release t pfn] frees an [Owned] page: to [Free] if unreferenced,
@@ -42,11 +44,13 @@ val release : t -> Addr.pfn -> unit
 (** [transfer t pfn dom] reassigns an [Owned], unreferenced page to [dom]
     (page flipping). Returns [Error `Pinned] if references are
     outstanding.
-    @raise Invalid_argument if the page is not owned or [dom < -1]. *)
+    @raise Invalid_argument if the page is not owned or [dom] is out of
+    range as for {!set_owned}. *)
 val transfer : t -> Addr.pfn -> domain_id -> (unit, [ `Pinned ]) result
 
 (** [get_ref t pfn] increments the reference count.
-    @raise Invalid_argument on a [Free] page. *)
+    @raise Invalid_argument on a [Free] page, or if the count would
+    exceed [2^24 - 1]. *)
 val get_ref : t -> Addr.pfn -> unit
 
 (** [put_ref t pfn] decrements the count. Returns [`Now_free] when this

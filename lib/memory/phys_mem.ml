@@ -1,59 +1,89 @@
 (* Sparse physical memory.
 
-   Each page has its own 4 KB frame in [frames]. Untouched pages all
-   point at the shared [Bytes.empty] sentinel, so a machine costs a few
-   words per page plus 4 KB per page actually touched. The first touch
-   allocates a zeroed frame; reclaiming a page drops its frame again, so
-   a reallocated page zero-fills on next access and never leaks the
-   previous owner's bytes. Ownership and refcounts live in one {!Page.t}
-   (two flat int arrays), and the free list is an int stack ordered as
-   the old list was: lowest pfn first, reclaimed pages reused LIFO.
+   Frames live in 256-page chunks: [chunks.(pfn / 256)] holds one slot
+   per page, [Bytes.empty] until the page is first touched. A chunk none
+   of whose pages has been touched is this memory's shared [no_chunk]
+   (all [Bytes.empty], never written; one per memory, so testbeds on
+   different domains share no array), so a machine costs one chunk
+   pointer per 256 pages, one metadata word per page ({!Page.t}) and
+   4 KB per page actually touched. The first touch allocates a zeroed
+   frame (and its chunk, if needed); reclaiming a page drops its frame
+   again, so a reallocated page zero-fills on next access and never
+   leaks the previous owner's bytes.
+
+   The free list is a stack of reclaimed pages over a cursor of
+   never-allocated ones. [alloc] takes reclaimed pages first, most
+   recent first, then fresh pages from the cursor up: the order of the
+   old single stack that started with every pfn on it, lowest on top.
 
    The datapath accessors ([read_into], [write_sub], the fixed-width
    uints) validate the range once at the API edge and then copy frame by
    frame, with no intermediate allocation. *)
 
+let chunk_shift = 8
+let chunk_pages = 1 lsl chunk_shift
+let chunk_mask = chunk_pages - 1
+
 type t = {
   total_pages : int;
   total_bytes : int;
-  frames : Bytes.t array; (* [Bytes.empty] until first touch *)
+  chunks : Bytes.t array array;
+  no_chunk : Bytes.t array;
   meta : Page.t;
-  free : Addr.pfn array; (* stack: [free.(free_count - 1)] goes next *)
-  mutable free_count : int;
+  mutable reclaimed : Addr.pfn array; (* first [reclaimed_count] used, top last *)
+  mutable reclaimed_count : int;
+  mutable fresh : Addr.pfn; (* pages at or above it were never allocated *)
   mutable materialized_count : int;
 }
 
 let create ~total_pages () =
   if total_pages <= 0 then invalid_arg "Phys_mem.create: no pages";
+  let no_chunk = Array.make chunk_pages Bytes.empty in
   {
     total_pages;
     total_bytes = total_pages * Addr.page_size;
-    frames = Array.make total_pages Bytes.empty;
+    chunks = Array.make ((total_pages + chunk_mask) lsr chunk_shift) no_chunk;
+    no_chunk;
     meta = Page.create ~pages:total_pages;
-    free = Array.init total_pages (fun i -> total_pages - 1 - i);
-    free_count = total_pages;
+    reclaimed = [||];
+    reclaimed_count = 0;
+    fresh = 0;
     materialized_count = 0;
   }
 
 let page_mask = Addr.page_size - 1
 let total_pages t = t.total_pages
-let free_pages t = t.free_count
+let free_pages t = t.reclaimed_count + t.total_pages - t.fresh
 let[@cdna.hot] materialized_pages t = t.materialized_count
+
+(* First touch of [pfn]: a zeroed frame, in a fresh chunk if its chunk
+   is still [no_chunk]. *)
+let[@inline never] materialize t pfn =
+  let c = pfn lsr chunk_shift in
+  let chunk =
+    if t.chunks.(c) != t.no_chunk then t.chunks.(c)
+    else begin
+      let chunk = Array.make chunk_pages Bytes.empty in
+      t.chunks.(c) <- chunk;
+      chunk
+    end
+  in
+  let f = Bytes.make Addr.page_size '\000' in
+  chunk.(pfn land chunk_mask) <- f;
+  t.materialized_count <- t.materialized_count + 1;
+  f
 
 (* The frame backing [pfn], zero-filled on first touch. Called after the
    range has been validated. *)
 let[@cdna.hot] frame t pfn =
-  let f = Array.unsafe_get t.frames pfn in
+  let chunk = Array.unsafe_get t.chunks (pfn lsr chunk_shift) in
+  let f = Array.unsafe_get chunk (pfn land chunk_mask) in
   if f != Bytes.empty then f
-  else begin
-    let f =
-      (Bytes.make Addr.page_size '\000'
-      [@cdna.alloc_ok "one 4 KB frame per page, on first touch only"])
-    in
-    Array.unsafe_set t.frames pfn f;
-    t.materialized_count <- t.materialized_count + 1;
-    f
-  end
+  else
+    (materialize t pfn
+    [@cdna.alloc_ok
+      "one 256-slot chunk per 256 pages and one 4 KB frame per page, on \
+       first touch only"])
 
 let check_pfn t pfn =
   if pfn < 0 || pfn >= t.total_pages then
@@ -69,21 +99,33 @@ let refcount t pfn =
 
 let alloc t ~owner ~count =
   if count < 0 then invalid_arg "Phys_mem.alloc: negative count";
-  if count > t.free_count then Error `Out_of_memory
+  if count > free_pages t then Error `Out_of_memory
   else begin
-    let top = t.free_count - 1 in
-    let taken = List.init count (fun i -> t.free.(top - i)) in
+    let from_stack = Int.min count t.reclaimed_count in
+    let top = t.reclaimed_count - 1 in
+    let taken =
+      List.init count (fun i ->
+          if i < from_stack then t.reclaimed.(top - i)
+          else t.fresh + i - from_stack)
+    in
     (* Before popping: a bad [owner] raises on the first page unchanged. *)
     List.iter (fun pfn -> Page.set_owned t.meta pfn owner) taken;
-    t.free_count <- t.free_count - count;
+    t.reclaimed_count <- t.reclaimed_count - from_stack;
+    t.fresh <- t.fresh + count - from_stack;
     Ok taken
   end
 
 let reclaim t pfn =
-  t.free.(t.free_count) <- pfn;
-  t.free_count <- t.free_count + 1;
-  if t.frames.(pfn) != Bytes.empty then begin
-    t.frames.(pfn) <- Bytes.empty;
+  if t.reclaimed_count = Array.length t.reclaimed then begin
+    let grown = Array.make (Int.max 16 (2 * t.reclaimed_count)) 0 in
+    Array.blit t.reclaimed 0 grown 0 t.reclaimed_count;
+    t.reclaimed <- grown
+  end;
+  t.reclaimed.(t.reclaimed_count) <- pfn;
+  t.reclaimed_count <- t.reclaimed_count + 1;
+  let chunk = t.chunks.(pfn lsr chunk_shift) and i = pfn land chunk_mask in
+  if chunk.(i) != Bytes.empty then begin
+    chunk.(i) <- Bytes.empty;
     t.materialized_count <- t.materialized_count - 1
   end
 

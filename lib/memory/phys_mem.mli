@@ -4,10 +4,11 @@
     reference counting ({!Page}), a free-list allocator, and real byte
     contents. Memory costs what a run touches, not what it declares: each
     page's 4 KB frame is allocated (zero-filled) on first touch and
-    dropped again when the page is reclaimed, and page metadata is flat
-    [int] arrays, a few words per page in all. Guests in the experiments
-    only touch network-buffer pages, so a 64-guest machine of ~3 GB
-    commits a few hundred frames.
+    dropped again when the page is reclaimed, frames are indexed in
+    256-page chunks allocated on first touch, and page metadata is one
+    [int] per page: about one word per declared page in all. Guests in
+    the experiments only touch network-buffer pages, so a 64-guest
+    machine of ~3 GB commits a few hundred frames.
 
     This is the only record of page ownership: [Xen.Domain] reads its
     page set from here.
@@ -35,8 +36,9 @@ val refcount : t -> Addr.pfn -> int
 
 (** {1 Allocation} *)
 
-(** [alloc t ~owner ~count] takes [count] free pages for domain [owner].
-    Returns [Error `Out_of_memory] (allocating nothing) if not enough
+(** [alloc t ~owner ~count] takes [count] free pages for domain [owner]:
+    reclaimed pages first, most recently reclaimed first, then
+    never-allocated pages in ascending pfn order. Returns [Error `Out_of_memory] (allocating nothing) if not enough
     pages are free. *)
 val alloc : t -> owner:Page.domain_id -> count:int -> (Addr.pfn list, [ `Out_of_memory ]) result
 
@@ -53,7 +55,8 @@ val transfer : t -> Addr.pfn -> to_:Page.domain_id -> (unit, [ `Pinned ]) result
 
 (** {1 Reference counting (DMA pinning)} *)
 
-(** @raise Invalid_argument if the page is free. *)
+(** @raise Invalid_argument if the page is free or already holds
+    [2^24 - 1] references. *)
 val get_ref : t -> Addr.pfn -> unit
 
 (** Decrement; reclaims quarantined pages that drop to zero. *)
