@@ -7,7 +7,7 @@
 
 type t = {
   title : string;  (** Printed, then a newline, above the text table. *)
-  configs : Config.t list;  (** Measured in order by {!run}. *)
+  configs : Config.t list;  (** Measured by {!run}. *)
   header : string list;
   rows : Run.measurement list -> string list list;
       (** Text-table rows from the measurements of [configs], in order. *)
@@ -17,8 +17,22 @@ type t = {
       (** CSV header and rows, for the outputs that have a CSV form. *)
 }
 
-(** [run cfgs] measures each configuration on a fresh testbed, in order
-    ({!Run.run}); [quick] shortens every run. *)
+(** [map f xs] is [List.map f xs], computed on up to
+    [Domain.recommended_domain_count ()] domains: the caller and
+    [min (length xs) (recommended_domain_count ()) - 1] spawned workers
+    take items off one shared index, and results come back in input
+    order. Every domain is joined before [map] returns or raises; if [f]
+    raises, the exception (and backtrace) of the lowest failing index is
+    re-raised. While {!Sim.Trace.enabled} holds, [map] runs in order on
+    the caller, whose domain-local sink would miss workers' records.
+
+    [f] must not share mutable state between items: each call builds and
+    runs its own testbed. *)
+val map : ('a -> 'b) -> 'a list -> 'b list
+
+(** [run cfgs] measures each configuration on a fresh testbed
+    ({!Run.run}) through {!map}; [quick] shortens every run. Results are
+    in the order of [cfgs] and independent of how many domains ran. *)
 val run : ?quick:bool -> Config.t list -> Run.measurement list
 
 (** Title, table and footer of [t] over its measurements. *)

@@ -478,7 +478,7 @@ let test_testbed_heap_footprint () =
   ignore (Sys.opaque_identity tb);
   check_bool
     (Printf.sprintf "major heap %.0f MB after building 64 guests" heap_mb)
-    true (heap_mb < 64.)
+    true (heap_mb < 24.)
 
 let test_run_ctx_swaps () =
   (* [Run] counts CDNA context swaps over the measurement window only:
@@ -610,6 +610,74 @@ let cdna_smp =
     seed = 99;
   }
 
+(* ---------- Sweep.map ---------- *)
+
+let pp_runs ms =
+  String.concat "\n" (List.map (Format.asprintf "%a" Experiments.Run.pp) ms)
+
+(* Sweep points measured on every domain print exactly what the in-order
+   [List.map] prints. *)
+let test_sweep_matches_sequential () =
+  let cfgs =
+    [
+      Experiments.Config.xen_intel { small_cfg with Experiments.Config.guests = 8 };
+      Experiments.Config.cdna_ricenic small_cfg;
+      Experiments.Config.cdna_ricenic
+        {
+          small_cfg with
+          Experiments.Config.guests = 4;
+          pattern = Workload.Pattern.Rx;
+        };
+      Experiments.Config.xen_intel { small_cfg with Experiments.Config.guests = 2 };
+    ]
+  in
+  check Alcotest.string "Run.pp byte-identical"
+    (pp_runs (List.map Experiments.Run.run cfgs))
+    (pp_runs (Experiments.Sweep.run cfgs))
+
+(* Early items cost the most, so workers finish out of input order. *)
+let test_sweep_map_order () =
+  let spin k =
+    let acc = ref 0 in
+    for i = 1 to (40 - k) * 20_000 do acc := !acc + (i land k) done;
+    ignore (Sys.opaque_identity !acc);
+    k * k
+  in
+  let xs = List.init 40 Fun.id in
+  check (Alcotest.list Alcotest.int) "input order" (List.map spin xs)
+    (Experiments.Sweep.map spin xs)
+
+exception Item of int
+
+(* Items 5 and 9 raise: the caller sees index 5's exception only after
+   every domain has stopped, and the next [map] runs normally. *)
+let test_sweep_map_raises () =
+  let f k = if k = 5 || k = 9 then raise (Item k) else k + 1 in
+  Alcotest.check_raises "lowest failing index" (Item 5) (fun () ->
+      ignore (Experiments.Sweep.map f (List.init 12 Fun.id)));
+  check (Alcotest.list Alcotest.int) "map runs again" [ 1; 2; 3 ]
+    (Experiments.Sweep.map f [ 0; 1; 2 ])
+
+(* The trace sink is domain-local: a traced sweep must run every point
+   on the caller, where the sink sees all of their records. *)
+let test_sweep_traced_on_caller () =
+  let count = ref 0 in
+  let traced f =
+    count := 0;
+    Sim.Trace.set_sink (Some (fun _ -> incr count));
+    Fun.protect ~finally:(fun () -> Sim.Trace.set_sink None) f;
+    !count
+  in
+  let cfgs = List.init 2 (Experiments.Config.host xen_small) in
+  let alone =
+    List.fold_left
+      (fun n cfg -> n + traced (fun () -> ignore (Experiments.Run.run cfg)))
+      0 cfgs
+  in
+  check_bool "runs emit records" true (alone > 0);
+  check_int "records of a traced sweep" alone
+    (traced (fun () -> ignore (Experiments.Sweep.run cfgs)))
+
 (* Every CSV an output emits has its header's field count on every line:
    a cell must never carry a comma (a thousands separator, say). *)
 let test_csv_field_counts () =
@@ -713,5 +781,13 @@ let suite =
           (concurrent_matches_sequential ~flips_expected:true xen_small);
         Alcotest.test_case "concurrent smp cdna testbeds" `Quick
           (concurrent_matches_sequential ~flips_expected:false cdna_smp);
+        Alcotest.test_case "sweep matches sequential" `Quick
+          test_sweep_matches_sequential;
+        Alcotest.test_case "sweep map keeps input order" `Quick
+          test_sweep_map_order;
+        Alcotest.test_case "sweep map re-raises lowest index" `Quick
+          test_sweep_map_raises;
+        Alcotest.test_case "traced sweep stays on caller" `Quick
+          test_sweep_traced_on_caller;
       ] );
   ]
