@@ -21,8 +21,9 @@
       OS stack: nic / guestos / xen / host / memory / bus / core /
       ethernet / workload) is LP code by construction; elsewhere (sim,
       experiments) a literal closure passed to [Engine.schedule],
-      [Engine.schedule_at] or to any LP-layer function is an LP entry,
-      and the set closes over call edges. Witness chains are kept per
+      [Engine.schedule_at], [Sweep.map] (which runs it on a worker
+      domain) or to any LP-layer function is an LP entry, and the set
+      closes over call edges. Witness chains are kept per
       hop, [file:line], like [Cdna_flow]'s taint chains.
 
    3. {b Classify} each item on the lattice: [dls] (Domain.DLS-backed),
@@ -114,6 +115,7 @@ type prog = {
   mutable captured : string IdentMap.t;
   calls : dcall list array;
   locks : bool array; (* takes a mutex / waits a condition *)
+  mutable entries : int SMap.t; (* literal closures per [sched_prims] entry *)
 }
 
 type report = {
@@ -125,6 +127,7 @@ type report = {
   suppressed : violation list;
   domain_local : int; (* [@cdna.domain_local] assertions *)
   domain_shared : int; (* [@cdna.domain_shared] suppressions *)
+  lp_entries : (string * int) list; (* [sched_prims] -> closures, sorted *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -145,8 +148,10 @@ let lp_layers =
     ]
 
 (* A literal closure passed to one of these runs as an engine callback
-   on whatever domain the LP lands on. *)
-let sched_prims = SSet.of_list [ "Engine.schedule"; "Engine.schedule_at" ]
+   on whatever domain the LP lands on, or (for [Sweep.map]) as a sweep
+   point on a worker domain. *)
+let sched_prims =
+  SSet.of_list [ "Engine.schedule"; "Engine.schedule_at"; "Sweep.map" ]
 
 (* Functions that make the enclosing caller part of the barrier-guarded
    merge path. *)
@@ -453,7 +458,7 @@ let collect_facts prog (f : fn) =
   in
   (* Is [callee] an LP entry point for literal closure arguments? *)
   let schedules_closures callee =
-    SSet.mem callee sched_prims
+    SSet.mem (qualify prog.p.fns ~modname:f.f_module callee) sched_prims
     ||
     match SMap.find_opt callee prog.p.fns with
     | Some g -> SSet.mem g.f_layer lp_layers
@@ -519,6 +524,12 @@ let collect_facts prog (f : fn) =
                     | None -> (
                         match a.Typedtree.exp_desc with
                         | Typedtree.Texp_function _ when sched_arg ->
+                            let prim = qualify prog.p.fns ~modname:f.f_module c in
+                            if SSet.mem prim sched_prims then
+                              prog.entries <-
+                                SMap.update prim
+                                  (fun n -> Some (1 + Option.value n ~default:0))
+                                  prog.entries;
                             incr sched_depth;
                             visit local a;
                             decr sched_depth
@@ -688,6 +699,7 @@ let analyze (p : Program.t) =
       captured = IdentMap.empty;
       calls = table p [];
       locks = table p false;
+      entries = SMap.empty;
     }
   in
   List.iter
@@ -848,6 +860,11 @@ let analyze (p : Program.t) =
     suppressed;
     domain_local = prog.n_domain_local;
     domain_shared = prog.n_domain_shared;
+    lp_entries =
+      List.map
+        (fun prim ->
+          (prim, Option.value (SMap.find_opt prim prog.entries) ~default:0))
+        (SSet.elements sched_prims);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -868,4 +885,7 @@ let report_to_json r =
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
       ("domain_local", Sim.Json.Int r.domain_local);
       ("domain_shared", Sim.Json.Int r.domain_shared);
+      ( "lp_entries",
+        Sim.Json.Obj
+          (List.map (fun (k, n) -> (k, Sim.Json.Int n)) r.lp_entries) );
     ]

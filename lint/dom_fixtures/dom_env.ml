@@ -1,7 +1,7 @@
-(* Substrate for the domain fixtures: an engine stand-in whose
+(* Substrate for the domain fixtures: engine and sweep stand-ins whose
    qualified names canonicalize like the real [Sim.Engine] scheduling
-   primitives, so closures handed to them count as LP-callback
-   context. *)
+   primitives and [Experiments.Sweep.map], so closures handed to them
+   count as LP-callback context. *)
 
 module Engine = struct
   type t = Eng
@@ -9,4 +9,8 @@ module Engine = struct
   let create () = Eng
   let schedule (_ : t) (f : unit -> unit) = f ()
   let schedule_at (_ : t) (_ : int) (f : unit -> unit) = f ()
+end
+
+module Sweep = struct
+  let map f xs = List.map f xs
 end

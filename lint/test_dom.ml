@@ -60,6 +60,21 @@ let test_esc_ref () =
         (List.exists (fun w -> has_sub w "write (incr)") whats)
   | _ -> Alcotest.fail "expected exactly one esc_ref violation"
 
+(* A sweep point is an LP entry like an engine callback: the witness hop
+   names the function that hands the closure to [Sweep.map]. *)
+let test_esc_sweep () =
+  check_detects ~base:"esc_sweep.ml" ~rule:"DM1-shared-mutable" ~n:1
+    ~min_hops:3 ();
+  match viols_in "esc_sweep.ml" with
+  | [ v ] ->
+      Alcotest.(check bool)
+        "witness hop names the sweeping function" true
+        (List.exists
+           (fun h -> h.Chain.hop_what = "Esc_sweep.measure called from a \
+             closure scheduled onto the engine in Esc_sweep.sweep")
+           v.Chain.chain)
+  | _ -> Alcotest.fail "expected exactly one esc_sweep violation"
+
 let test_esc_closure =
   check_detects ~base:"esc_closure.ml" ~rule:"DM2-captured-shared" ~n:1
     ~min_hops:3
@@ -162,22 +177,26 @@ let test_clean_fixtures () =
    exercised by at least one fixture, with exact counts. *)
 let test_classes () =
   let r = Lazy.force report in
-  Alcotest.(check int) "state items" 18 r.Cdna_dom.state_items;
+  Alcotest.(check int) "state items" 19 r.Cdna_dom.state_items;
   Alcotest.(check (list (pair string int)))
     "class counts"
     [
       ("barrier", 1); ("dls", 1); ("domain-local", 1); ("frozen", 1);
-      ("lp-local", 1); ("shared", 12); ("sync", 1);
+      ("lp-local", 1); ("shared", 13); ("sync", 1);
     ]
     r.Cdna_dom.classes
 
 let test_totals () =
   let r = Lazy.force report in
-  Alcotest.(check int) "total unsuppressed" 17
+  Alcotest.(check int) "total unsuppressed" 18
     (List.length r.Cdna_dom.violations);
   Alcotest.(check int) "total suppressed" 1 (List.length r.Cdna_dom.suppressed);
   Alcotest.(check int) "domain-local assertions" 2 r.Cdna_dom.domain_local;
   Alcotest.(check int) "domain-shared annotations" 3 r.Cdna_dom.domain_shared;
+  Alcotest.(check (list (pair string int)))
+    "closures per LP entry"
+    [ ("Engine.schedule", 2); ("Engine.schedule_at", 2); ("Sweep.map", 1) ]
+    r.Cdna_dom.lp_entries;
   Alcotest.(check bool) "cmt corpus loaded" true (r.Cdna_dom.cmt_files >= 21)
 
 (* [main.exe --only DM1] semantics over this pass's reports: the bare
@@ -196,7 +215,7 @@ let test_only_filter () =
     (count (Some "DM1"));
   Alcotest.(check bool) "DM1 selects something" true (count (Some "DM1") > 0);
   Alcotest.(check int) "'DM' is not a rule prefix" 0 (count (Some "DM"));
-  Alcotest.(check int) "no filter keeps everything" 17 (count None)
+  Alcotest.(check int) "no filter keeps everything" 18 (count None)
 
 (* Byte-identical reports across runs: the JSON artifact is diffed by
    the suppression-drift gate, so ordering must be deterministic. *)
@@ -219,6 +238,8 @@ let () =
         [
           Alcotest.test_case "toplevel ref via scheduled closure" `Quick
             test_esc_ref;
+          Alcotest.test_case "toplevel ref via Sweep.map closure" `Quick
+            test_esc_sweep;
           Alcotest.test_case "closure-captured Hashtbl" `Quick test_esc_closure;
           Alcotest.test_case "Bytes inside scheduled lambda" `Quick
             test_esc_bytes;
