@@ -97,10 +97,10 @@ type use = {
   u_what : string;
   u_write : bool;
   u_line : int;
-  u_sched : bool; (* inside a closure scheduled onto an engine *)
+  u_entry : string option; (* inside a closure passed to this LP entry *)
 }
 
-type dcall = { dc_callee : string; dc_line : int; dc_sched : bool }
+type dcall = { dc_callee : string; dc_line : int; dc_entry : string option }
 
 (* Pass state over one loaded [Program.t]; per-function facts are
    indexed by [f_idx]. *)
@@ -438,11 +438,13 @@ let resolve_item prog ~f (local : string IdentMap.t)
 
 let collect_facts prog (f : fn) =
   let calls = ref [] and uses = ref [] in
-  let sched_depth = ref 0 in
+  (* LP entries whose literal closure arguments enclose the current
+     expression, innermost first. *)
+  let entries = ref [] in
+  let entry () = match !entries with e :: _ -> Some e | [] -> None in
   let add_call callee line =
     calls :=
-      { dc_callee = callee; dc_line = line; dc_sched = !sched_depth > 0 }
-      :: !calls
+      { dc_callee = callee; dc_line = line; dc_entry = entry () } :: !calls
   in
   let add_use item what ~write line =
     uses :=
@@ -452,7 +454,7 @@ let collect_facts prog (f : fn) =
         u_what = what;
         u_write = write;
         u_line = line;
-        u_sched = !sched_depth > 0;
+        u_entry = entry ();
       }
       :: !uses
   in
@@ -524,15 +526,15 @@ let collect_facts prog (f : fn) =
                     | None -> (
                         match a.Typedtree.exp_desc with
                         | Typedtree.Texp_function _ when sched_arg ->
-                            let prim = qualify prog.p.fns ~modname:f.f_module c in
-                            if SSet.mem prim sched_prims then
+                            let c = qualify prog.p.fns ~modname:f.f_module c in
+                            if SSet.mem c sched_prims then
                               prog.entries <-
-                                SMap.update prim
+                                SMap.update c
                                   (fun n -> Some (1 + Option.value n ~default:0))
                                   prog.entries;
-                            incr sched_depth;
+                            entries := c :: !entries;
                             visit local a;
-                            decr sched_depth
+                            entries := List.tl !entries
                         | _ -> visit local a)))
               args
         | None ->
@@ -616,22 +618,19 @@ let lp_reachability prog =
     (fun _ (f : fn) ->
       List.iter
         (fun c ->
-          if c.dc_sched then
-            match SMap.find_opt c.dc_callee prog.p.fns with
-            | Some g ->
-                enqueue g.f_id
-                  [
-                    {
-                      hop_what =
-                        Printf.sprintf
-                          "%s called from a closure scheduled onto the \
-                           engine in %s"
-                          g.f_id f.f_id;
-                      hop_file = f.f_file;
-                      hop_line = c.dc_line;
-                    };
-                  ]
-            | None -> ())
+          match (c.dc_entry, SMap.find_opt c.dc_callee prog.p.fns) with
+          | Some entry, Some g ->
+              enqueue g.f_id
+                [
+                  {
+                    hop_what =
+                      Printf.sprintf "%s called from a closure passed to %s in %s"
+                        g.f_id entry f.f_id;
+                    hop_file = f.f_file;
+                    hop_line = c.dc_line;
+                  };
+                ]
+          | _ -> ())
         prog.calls.(f.f_idx))
     prog.p.fns;
   while not (Queue.is_empty queue) do
@@ -747,7 +746,7 @@ let analyze (p : Program.t) =
       else begin
         let uses = uses_of it.i_id in
         let writes = List.filter (fun (_, u) -> u.u_write) uses in
-        let lp_use (_, u) = u.u_sched || SMap.mem u.u_fn lp_chains in
+        let lp_use (_, u) = u.u_entry <> None || SMap.mem u.u_fn lp_chains in
         let lp_uses = List.filter lp_use uses in
         if it.i_domain_local then it.i_class <- Domain_local
         else if writes = [] then it.i_class <- Frozen
@@ -781,9 +780,8 @@ let analyze (p : Program.t) =
                         {
                           hop_what =
                             Printf.sprintf
-                              "use sits in a closure %s schedules onto the \
-                               engine"
-                              u.u_fn;
+                              "use sits in a closure %s passes to %s" u.u_fn
+                              (Option.value u.u_entry ~default:"an LP entry");
                           hop_file = use_file;
                           hop_line = u.u_line;
                         };

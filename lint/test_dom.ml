@@ -70,8 +70,10 @@ let test_esc_sweep () =
       Alcotest.(check bool)
         "witness hop names the sweeping function" true
         (List.exists
-           (fun h -> h.Chain.hop_what = "Esc_sweep.measure called from a \
-             closure scheduled onto the engine in Esc_sweep.sweep")
+           (fun h ->
+             h.Chain.hop_what
+             = "Esc_sweep.measure called from a closure passed to Sweep.map \
+                in Esc_sweep.sweep")
            v.Chain.chain)
   | _ -> Alcotest.fail "expected exactly one esc_sweep violation"
 
