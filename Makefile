@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench bench-json bench-macro scale-quick clean
+.PHONY: all build test lint check bench bench-json scale-quick clean
 
 all: build
 
@@ -30,28 +30,19 @@ check:
 	dune runtest
 	$(MAKE) lint
 
-# Bechamel micro set (core mechanisms). Paper regeneration lives in
-# cdna_sim (table / figure / extension / verify); time it end to end
-# with perfbench/e2e.exe.
+# Bechamel set: core mechanisms plus three short whole runs. Paper
+# regeneration lives in cdna_sim (table / figure / extension / verify);
+# time it end to end with perfbench/e2e.exe.
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable micro results (ns/run + minor words/run), checked
-# against the committed regression baseline. Refresh the baseline after
-# an intentional performance change with:
+# Machine-readable results for every subject (ns/run + minor
+# words/run), gated against the committed baseline: >2x in host-scaled
+# time or any rise in allocation fails. Refresh the baseline after an
+# intentional performance change with:
 #   dune exec bench/main.exe -- --json bench/baseline.json --quota 0.5
 bench-json:
 	dune exec bench/main.exe -- --json BENCH_micro.json --gate bench/baseline.json
-
-# End-to-end scenario benchmark: wall-clock and events/sec for four
-# replica hosts, an oversubscribed CDNA host and a 10^5-flow open-loop
-# point, gated >2x against the committed baseline. Refresh after an
-# intentional performance change:
-#   dune exec bench/main.exe -- --macro bench/baseline_macro.json
-# Both gates scale the baseline by the ref/host-speed entry timed in
-# the same run, so refresh both files on one machine in one sitting.
-bench-macro:
-	dune exec bench/main.exe -- --macro BENCH_macro.json --macro-gate bench/baseline_macro.json
 
 # Quick open-loop flow-scaling sweep (quartered windows): the
 # 10^3..10^6 table of EXPERIMENTS.md in miniature. Full-window version:

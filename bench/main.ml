@@ -1,19 +1,18 @@
-(* Simulator benchmarks: Bechamel micro-benchmarks of the core
-   mechanisms (descriptor serialization, mailbox bit-vector decode,
-   sequence-number checks, CRC-32, the event engine, grant flips, the
-   flow table), plus the regression gates that `dune runtest` runs.
+(* Simulator benchmarks: Bechamel timings of the core mechanisms
+   (descriptor serialization, mailbox bit-vector decode, sequence-number
+   checks, CRC-32, the event engine, grant flips, the flow table) and of
+   three whole runs, plus the regression gate that `dune runtest` runs.
 
    Paper regeneration lives in `cdna_sim` (`table`, `figure`,
    `extension`, `verify`); `perfbench/e2e.exe` times it end to end.
 
-   Run the micro set with:      dune exec bench/main.exe
-   Micro results as JSON:       dune exec bench/main.exe -- --json FILE [--gate BASELINE]
-   Macro run timing:            dune exec bench/main.exe -- --macro FILE [--macro-gate BASELINE] *)
+   Run the set with:      dune exec bench/main.exe
+   Results as JSON:       dune exec bench/main.exe -- --json FILE [--gate BASELINE] *)
 
 open Bechamel
 open Toolkit
 
-(* ---------- Micro-benchmark subjects ----------
+(* ---------- Subjects ----------
 
    Plain named closures, so the same subject feeds both the bechamel
    timing run and the direct [Gc.minor_words] measurement of the --json
@@ -149,7 +148,49 @@ let histogram_multi_quantile_fn =
   let out = Array.make (Array.length qs) 0 in
   fun () -> Sim.Stats.Histogram.quantiles_into h qs out
 
-let micro_subjects =
+(* Whole runs, each a short-window copy of a paper scenario. A run that
+   stops doing the work it is here to time fails instead of getting
+   faster. *)
+
+let cdna_cfg guests =
+  {
+    Experiments.Config.default with
+    Experiments.Config.system = Experiments.Config.Cdna_sys;
+    nic = Experiments.Config.Ricenic;
+    guests;
+    nics = 1;
+    warmup = Sim.Time.ms 1;
+    duration = Sim.Time.ms 4;
+  }
+
+(* The paper's small CDNA testbed: one guest on one RiceNIC. *)
+let cdna_1g_fn () = ignore (Experiments.Run.run (cdna_cfg 1))
+
+(* Twice as many guests as hardware contexts, so the hypervisor's
+   context paging is on the hot path: every guest's traffic periodically
+   faults its context back in, evicting another. *)
+let cdna_64g_paging_fn () =
+  let _, tb =
+    Experiments.Run.run_tb (cdna_cfg (2 * Cdna.Cnic.num_contexts))
+  in
+  match tb.Experiments.Testbed.cdna_hyp with
+  | Some h when Cdna.Hyp.ctx_swaps h > 0 -> ()
+  | Some _ | None -> failwith "e2e/cdna-64g-paging: no context swaps"
+
+(* One open-loop scale point at 10^5 standing flows, both systems: the
+   [cdna_sim scale] cell where the software path's flow-state touch
+   penalty is fully engaged. *)
+let open_loop_100k_fn () =
+  let p =
+    Experiments.Flows.point ~quick:true ~scenario:Experiments.Flows.Normal
+      ~seed:42 ~flows:100_000 ()
+  in
+  if
+    p.Experiments.Flows.xen.Experiments.Flows.served_pkts = 0
+    || p.Experiments.Flows.cdna.Experiments.Flows.served_pkts = 0
+  then failwith "e2e/open-loop-100k: a system served no packets"
+
+let subjects =
   [
     ("micro/engine-10k-events", engine_events_fn);
     ("micro/heap-push-pop-1k", heap_churn_fn);
@@ -162,19 +203,20 @@ let micro_subjects =
     ("micro/bridge-route-26-ports", bridge_route_fn);
     ("micro/flow-admit-1M", flow_admit_1m_fn);
     ("micro/histogram-multi-quantile", histogram_multi_quantile_fn);
+    ("e2e/cdna-1g", cdna_1g_fn);
+    ("e2e/cdna-64g-paging", cdna_64g_paging_fn);
+    ("e2e/open-loop-100k", open_loop_100k_fn);
   ]
 
-let micro_tests =
-  List.map
-    (fun (name, fn) -> Test.make ~name (Staged.stage fn))
-    micro_subjects
+let tests =
+  List.map (fun (name, fn) -> Test.make ~name (Staged.stage fn)) subjects
 
 (* ---------- Host-speed reference ----------
 
-   The baselines hold absolute times, but the gates run on shared
-   machines whose speed moves by 2x and more from hour to hour. Both
-   gates therefore also time this fixed loop — stdlib only, so no change
-   to the simulator can move it — and scale every baseline by how much
+   The baseline holds absolute times, but the gate runs on shared
+   machines whose speed moves by 2x and more from hour to hour. The
+   gate therefore also times this fixed loop — stdlib only, so no change
+   to the simulator can move it — and scales the baseline by how much
    slower or faster the loop runs now than when the baseline was
    written. A red gate then means the simulator got slower relative to
    the host, not that the host got slower. *)
@@ -191,23 +233,23 @@ let host_ref_fn =
       a.(j) <- a.(j) + i
     done
 
-(* Best per-run wall time over several timed batches: co-tenant load only
-   ever adds time, so the minimum is the host's current speed. *)
+(* Best per-run time over several timed batches, read from the
+   monotonic-clock measure bechamel times the subjects with: co-tenant
+   load only ever adds time, so the minimum is the host's current
+   speed. *)
 let host_ref_ns () =
   let batch = 20 and trials = 7 in
   host_ref_fn ();
   let best = ref infinity in
   for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.get () in
     for _ = 1 to batch do
       host_ref_fn ()
     done;
-    best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int batch)
+    let ns = (Monotonic_clock.get () -. t0) /. float_of_int batch in
+    best := Float.min !best ns
   done;
-  !best *. 1e9
-
-let host_ref_entry ns =
-  (host_ref_name, Sim.Json.Obj [ ("ns_per_run", Sim.Json.Float ns) ])
+  !best
 
 (* ---------- Bechamel driver ---------- *)
 
@@ -251,9 +293,9 @@ let run_bechamel ~quota_s tests =
     (List.sort compare rows);
   flush stdout
 
-(* ---------- --json: machine-readable micro results + regression gate ----------
+(* ---------- --json: machine-readable results + regression gate ----------
 
-   [--json FILE] measures every micro subject (bechamel ns/run plus a
+   [--json FILE] measures every subject (bechamel ns/run plus a
    direct [Gc.minor_words] delta per run) and writes them as JSON, then
    re-reads the file through our own parser so a malformed export fails
    loudly. [--gate BASELINE] additionally compares against the committed
@@ -289,28 +331,28 @@ let json_number = function
 
 let gate_factor = 2.0
 
-let read_baseline ~label path =
+let read_baseline path =
   match Sim.Json.parse (read_file path) with
-  | Error e -> failwith (label ^ " gate: bad baseline JSON: " ^ e)
+  | Error e -> failwith ("bench gate: bad baseline JSON: " ^ e)
   | Ok v -> v
 
 let metric key doc name =
   Option.bind (Sim.Json.member name doc) (fun e ->
       json_number (Sim.Json.member key e))
 
-(* Shared ns_per_run gate: compare [parsed] against the [baseline]
+(* ns_per_run gate: compare [parsed] against the [baseline]
    document, each baseline time scaled by the host-speed reference
    (ratio of the two files' [host_ref_name] entries; 1 when either lacks
    it). Prints every regression beyond [gate_factor]; [true] when there
    is none. *)
-let gate_ns ~label ~subject_names ~baseline_path ~baseline parsed =
+let gate_ns ~subject_names ~baseline_path ~baseline parsed =
   let ns_of = metric "ns_per_run" in
   let host =
     match (ns_of baseline host_ref_name, ns_of parsed host_ref_name) with
     | Some base, Some now when base > 0. && now > 0. -> now /. base
     | _ -> 1.
   in
-  Printf.printf "%s gate: host %.2fx the baseline's (%s)\n" label host
+  Printf.printf "bench gate: host %.2fx the baseline's (%s)\n" host
     host_ref_name;
   let regressions =
     List.filter_map
@@ -325,12 +367,12 @@ let gate_ns ~label ~subject_names ~baseline_path ~baseline parsed =
   List.iter
     (fun (name, base, now) ->
       Printf.printf
-        "%s gate: REGRESSION %s: %.0f ns/run vs baseline %.0f x host %.2f \
+        "bench gate: REGRESSION %s: %.0f ns/run vs baseline %.0f x host %.2f \
          (>%.1fx)\n"
-        label name now base host gate_factor)
+        name now base host gate_factor)
     regressions;
   if regressions = [] then
-    Printf.printf "%s gate: all %d subjects within %.1fx of %s\n" label
+    Printf.printf "bench gate: all %d subjects within %.1fx of %s\n"
       (List.length subject_names)
       gate_factor baseline_path;
   regressions = []
@@ -369,16 +411,16 @@ let minor_words_per_run fn =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-(* Every subject is estimated [micro_rounds] times and keeps its fastest
+(* Every subject is estimated [rounds] times and keeps its fastest
    estimate, so one scheduling hiccup inside a short quota cannot fail
    the gate on its own. The host reference is timed before each round
    and keeps its fastest time too. *)
-let micro_rounds = 3
+let rounds = 3
 
 let json_mode ~out ~gate ~quota_s =
   let best = Hashtbl.create 16 in
   let host_ns = ref infinity in
-  for _ = 1 to micro_rounds do
+  for _ = 1 to rounds do
     host_ns := Float.min !host_ns (host_ref_ns ());
     List.iter
       (fun (name, ns) ->
@@ -386,7 +428,7 @@ let json_mode ~out ~gate ~quota_s =
         | _ when Float.is_nan ns -> ()
         | Some b when b <= ns -> ()
         | Some _ | None -> Hashtbl.replace best name ns)
-      (estimate_ns ~quota_s micro_tests)
+      (estimate_ns ~quota_s tests)
   done;
   let entries =
     List.map
@@ -399,8 +441,11 @@ let json_mode ~out ~gate ~quota_s =
               ("ns_per_run", Sim.Json.Float ns);
               ("minor_words_per_run", Sim.Json.Float words);
             ] ))
-      micro_subjects
-    @ [ host_ref_entry !host_ns ]
+      subjects
+    @ [
+        ( host_ref_name,
+          Sim.Json.Obj [ ("ns_per_run", Sim.Json.Float !host_ns) ] );
+      ]
   in
   write_json_file ~out entries;
   let parsed =
@@ -409,146 +454,15 @@ let json_mode ~out ~gate ~quota_s =
     | Ok v -> v
   in
   Printf.printf "bench json: wrote %s (%d subjects)\n" out
-    (List.length micro_subjects);
+    (List.length subjects);
   (match gate with
   | None -> ()
   | Some baseline_path ->
-      let baseline = read_baseline ~label:"bench" baseline_path in
-      let subject_names = List.map fst micro_subjects in
-      let time_ok =
-        gate_ns ~label:"bench" ~subject_names ~baseline_path ~baseline parsed
-      in
+      let baseline = read_baseline baseline_path in
+      let subject_names = List.map fst subjects in
+      let time_ok = gate_ns ~subject_names ~baseline_path ~baseline parsed in
       if not (gate_words ~subject_names ~baseline parsed && time_ok) then
         exit 1);
-  exit 0
-
-(* ---------- --macro: end-to-end scenario benchmark + gate ----------
-
-   [--macro FILE] times complete runs — four replica hosts, an
-   oversubscribed CDNA host and an open-loop scale point — reporting
-   wall-clock per run and simulation events per wall-second.
-   [--macro-gate BASELINE] applies the same host-scaled >2x ns_per_run
-   regression gate as the micro set. *)
-
-let macro_hosts = 4
-
-let macro_cfg =
-  {
-    Experiments.Config.default with
-    Experiments.Config.system = Experiments.Config.Cdna_sys;
-    nic = Experiments.Config.Ricenic;
-    guests = 1;
-    nics = 1;
-    warmup = Sim.Time.ms 1;
-    duration = Sim.Time.ms 4;
-  }
-
-(* One timed run of [macro_hosts] replica hosts, one after the other:
-   total simulation events fired during measurement plus the wall-clock
-   for every build+run. *)
-let macro_once () =
-  let t0 = Unix.gettimeofday () in
-  let events = ref 0 in
-  for i = 0 to macro_hosts - 1 do
-    let m = Experiments.Run.run (Experiments.Config.host macro_cfg i) in
-    events := !events + m.Experiments.Run.events_fired
-  done;
-  (Unix.gettimeofday () -. t0, !events)
-
-(* Oversubscribed CDNA: twice as many guests as hardware contexts, so
-   the hypervisor's context paging runs on the hot path (every guest's
-   traffic periodically faults its context back in, evicting another).
-   Times the whole build+run; the gate catches pathological slowdowns in
-   the save/restore machinery. *)
-let oversub_cfg =
-  {
-    Experiments.Config.default with
-    Experiments.Config.system = Experiments.Config.Cdna_sys;
-    nic = Experiments.Config.Ricenic;
-    guests = 2 * Cdna.Cnic.num_contexts;
-    nics = 1;
-    warmup = Sim.Time.ms 1;
-    duration = Sim.Time.ms 4;
-  }
-
-let oversub_once () =
-  let t0 = Unix.gettimeofday () in
-  let m, tb = Experiments.Run.run_tb oversub_cfg in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (match tb.Experiments.Testbed.cdna_hyp with
-  | Some h when Cdna.Hyp.ctx_swaps h > 0 -> ()
-  | Some _ | None -> failwith "macro/guests-oversubscription: no context swaps");
-  (wall_s, m.Experiments.Run.events_fired)
-
-(* One open-loop scale point at 10^5 standing flows, both systems (the
-   [cdna_sim scale] cell where the software path's flow-state touch
-   penalty is fully engaged). "Events" here are datapath packet
-   services, the dominant event population of the run. Timed in process
-   CPU seconds rather than wall-clock: the subject is single-threaded,
-   so the two agree on an idle machine, but the gate stays meaningful
-   when `dune runtest` runs this concurrently with the test suite. *)
-let open_loop_100k_once () =
-  let t0 = Sys.time () in
-  let p =
-    Experiments.Flows.point ~quick:true ~scenario:Experiments.Flows.Normal
-      ~seed:42 ~flows:100_000 ()
-  in
-  let wall_s = Sys.time () -. t0 in
-  let pkts =
-    p.Experiments.Flows.xen.Experiments.Flows.served_pkts
-    + p.Experiments.Flows.cdna.Experiments.Flows.served_pkts
-  in
-  if pkts = 0 then failwith "macro/open-loop-100k: no packets served";
-  (wall_s, pkts)
-
-let macro_subjects =
-  [
-    ("macro/multihost4", macro_once);
-    ("macro/guests-oversubscription", oversub_once);
-    ("macro/open-loop-100k", open_loop_100k_once);
-  ]
-
-let macro_mode ~out ~gate =
-  let host_before = host_ref_ns () in
-  let entries =
-    List.map
-      (fun (name, fn) ->
-        (* Warm once (lazy tables, allocator growth), then best of two. *)
-        ignore (fn ());
-        let w1, events = fn () in
-        let w2, _ = fn () in
-        let wall_s = Float.min w1 w2 in
-        let eps = if wall_s > 0. then float_of_int events /. wall_s else 0. in
-        ( name,
-          Sim.Json.Obj
-            [
-              ("ns_per_run", Sim.Json.Float (wall_s *. 1e9));
-              ("events_per_sec", Sim.Json.Float eps);
-              ("events", Sim.Json.Int events);
-            ] ))
-      macro_subjects
-  in
-  let host_ns = Float.min host_before (host_ref_ns ()) in
-  write_json_file ~out (entries @ [ host_ref_entry host_ns ]);
-  let parsed =
-    match Sim.Json.parse (read_file out) with
-    | Error e -> failwith ("bench --macro: emitted invalid JSON: " ^ e)
-    | Ok v -> v
-  in
-  Printf.printf "bench macro: wrote %s (%d subjects)\n" out
-    (List.length macro_subjects);
-  (match gate with
-  | None -> ()
-  | Some baseline_path ->
-      let label = "bench macro" in
-      if
-        not
-          (gate_ns ~label
-             ~subject_names:(List.map fst macro_subjects)
-             ~baseline_path
-             ~baseline:(read_baseline ~label baseline_path)
-             parsed)
-      then exit 1);
   exit 0
 
 let () =
@@ -561,10 +475,7 @@ let () =
       in
       json_mode ~out ~gate:(arg_value "--gate") ~quota_s
   | None -> ());
-  (match arg_value "--macro" with
-  | Some out -> macro_mode ~out ~gate:(arg_value "--macro-gate")
-  | None -> ());
   print_endline "==============================================================";
-  print_endline " Bechamel: core-mechanism micro-benchmarks";
+  print_endline " Bechamel: core mechanisms and whole runs";
   print_endline "==============================================================";
-  run_bechamel ~quota_s:0.5 micro_tests
+  run_bechamel ~quota_s:0.5 tests

@@ -105,6 +105,11 @@ let int_list_conv ~what elt =
 
 let count_list_conv = int_list_conv ~what:"positive int" positive
 
+(* A standing flow population: zero is a real point (churn alone), a
+   negative one is a usage error. *)
+let non_negative s =
+  match integer s with Some n when n >= 0 -> Some n | Some _ | None -> None
+
 let protection =
   let doc = "CDNA DMA protection mode: full, disabled, or iommu." in
   let parse = function
@@ -412,7 +417,7 @@ let scale_cmd =
     Arg.(
       value
       & opt
-          (int_list_conv ~what:"int" integer)
+          (int_list_conv ~what:"non-negative int" non_negative)
           Experiments.Flows.default_flow_counts
       & info [ "flow-counts" ] ~docv:"N,N,..."
           ~doc:"Standing concurrent-flow counts to sweep (default 10^3..10^6).")

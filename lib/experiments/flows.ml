@@ -197,6 +197,7 @@ let measure ?(quick = false) ~flows ~scenario ~seed system =
   }
 
 let point ?quick ?(scenario = Normal) ?(seed = 1234) ~flows () =
+  if flows < 0 then invalid_arg "Flows.point: flows must be >= 0";
   let xen = measure ?quick ~flows ~scenario ~seed Config.Xen_sw in
   let cdna = measure ?quick ~flows ~scenario ~seed Config.Cdna_sys in
   { flows; scenario; xen; cdna }

@@ -51,6 +51,9 @@ val measure :
   Config.system ->
   side
 
+(** [point ~flows ()] measures both systems at [flows] standing flows.
+    Zero is a valid point (churn alone).
+    @raise Invalid_argument if [flows < 0]. *)
 val point :
   ?quick:bool ->
   ?scenario:scenario ->

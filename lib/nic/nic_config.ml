@@ -6,7 +6,6 @@ type t = {
   firmware_delay : Sim.Time.t;
   intr_min_gap : Sim.Time.t;
   seqno_checking : bool;
-  tso : bool;
   desc_layout : Memory.Desc_layout.t;
   materialize_payloads : bool;
 }
@@ -21,7 +20,6 @@ let ricenic =
     firmware_delay = Sim.Time.ns 500;
     intr_min_gap = Sim.Time.us 70;
     seqno_checking = false;
-    tso = false;
     desc_layout = Memory.Desc_layout.default;
     materialize_payloads = false;
   }
@@ -35,11 +33,10 @@ let intel =
     firmware_delay = Sim.Time.ns 200;
     intr_min_gap = Sim.Time.us 70;
     seqno_checking = false;
-    tso = true;
     desc_layout = Memory.Desc_layout.default;
     materialize_payloads = false;
   }
 
 let pp ppf t =
-  Format.fprintf ppf "%s (%d Mb/s, tso=%b, seqno=%b)" t.name
-    (t.link_rate_bps / 1_000_000) t.tso t.seqno_checking
+  Format.fprintf ppf "%s (%d Mb/s, seqno=%b)" t.name
+    (t.link_rate_bps / 1_000_000) t.seqno_checking

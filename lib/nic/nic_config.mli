@@ -12,7 +12,6 @@ type t = {
       (** Interrupt coalescing: minimum gap between physical interrupts. *)
   seqno_checking : bool;
       (** CDNA firmware validates descriptor sequence numbers. *)
-  tso : bool;  (** TCP segmentation offload available (Intel yes, RiceNIC no). *)
   desc_layout : Memory.Desc_layout.t;
       (** The device's preferred DMA-descriptor format (paper section 3.4);
           drivers and the hypervisor serialize descriptors through it. *)
@@ -25,7 +24,7 @@ type t = {
     shared pools here are sized for 32 contexts). *)
 val ricenic : t
 
-(** Intel Pro/1000-like defaults: TSO, 48 KB fifos, no CDNA features. *)
+(** Intel Pro/1000-like defaults: 48 KB fifos, no CDNA features. *)
 val intel : t
 
 val pp : Format.formatter -> t -> unit

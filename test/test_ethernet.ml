@@ -1,5 +1,4 @@
-(* Tests for the Ethernet substrate: MACs, CRC-32, frames, links and the
-   learning switch. *)
+(* Tests for the Ethernet substrate: MACs, CRC-32, frames and links. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -181,68 +180,6 @@ let test_link_rate_override () =
   ignore (Sim.Engine.run_to_completion engine);
   check_int "10x slower" 123040 !free_at
 
-(* ---------- Switch ---------- *)
-
-let test_switch_learning () =
-  let sw = Ethernet.Switch.create () in
-  let got1 = ref 0 and got2 = ref 0 and got3 = ref 0 in
-  let p1 = Ethernet.Switch.add_port sw (fun _ -> incr got1) in
-  let _p2 = Ethernet.Switch.add_port sw (fun _ -> incr got2) in
-  let p3 = Ethernet.Switch.add_port sw (fun _ -> incr got3) in
-  let m1 = Ethernet.Mac_addr.make 1 and m3 = Ethernet.Mac_addr.make 3 in
-  let frame ~src ~dst =
-    Ethernet.Frame.make ~src ~dst ~kind:Ethernet.Frame.Data ~flow:0 ~seq:0
-      ~payload_len:64 ~payload_seed:0 ()
-  in
-  (* Unknown destination floods to the other two ports. *)
-  Ethernet.Switch.ingress sw p1 (frame ~src:m1 ~dst:m3);
-  check_int "flooded p2" 1 !got2;
-  check_int "flooded p3" 1 !got3;
-  check_int "not back out ingress" 0 !got1;
-  (* m3 replies: now learned, unicast only to p1. *)
-  Ethernet.Switch.ingress sw p3 (frame ~src:m3 ~dst:m1);
-  check_int "unicast to p1" 1 !got1;
-  check_int "p2 untouched" 1 !got2;
-  (* And m3 is now known. *)
-  Ethernet.Switch.ingress sw p1 (frame ~src:m1 ~dst:m3);
-  check_int "unicast to p3" 2 !got3;
-  check_int "no more flooding" 1 !got2;
-  check_int "flood count" 1 (Ethernet.Switch.floods sw)
-
-let test_switch_broadcast () =
-  let sw = Ethernet.Switch.create () in
-  let counts = Array.make 3 0 in
-  let ports =
-    Array.init 3 (fun i ->
-        Ethernet.Switch.add_port sw (fun _ -> counts.(i) <- counts.(i) + 1))
-  in
-  let f =
-    Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 9)
-      ~dst:Ethernet.Mac_addr.broadcast ~kind:Ethernet.Frame.Data ~flow:0 ~seq:0
-      ~payload_len:64 ~payload_seed:0 ()
-  in
-  Ethernet.Switch.ingress sw ports.(0) f;
-  check (Alcotest.list Alcotest.int) "all but ingress" [ 0; 1; 1 ]
-    (Array.to_list counts)
-
-let test_switch_drop_same_port () =
-  let sw = Ethernet.Switch.create () in
-  let hits = ref 0 in
-  let p1 = Ethernet.Switch.add_port sw (fun _ -> incr hits) in
-  let _ = Ethernet.Switch.add_port sw (fun _ -> ()) in
-  let m1 = Ethernet.Mac_addr.make 1 and m2 = Ethernet.Mac_addr.make 2 in
-  let frame ~src ~dst =
-    Ethernet.Frame.make ~src ~dst ~kind:Ethernet.Frame.Data ~flow:0 ~seq:0
-      ~payload_len:64 ~payload_seed:0 ()
-  in
-  (* Learn both stations behind p1. *)
-  Ethernet.Switch.ingress sw p1 (frame ~src:m1 ~dst:m2);
-  Ethernet.Switch.ingress sw p1 (frame ~src:m2 ~dst:m1);
-  let before = !hits in
-  (* Traffic between them never leaves p1 — and is not reflected. *)
-  Ethernet.Switch.ingress sw p1 (frame ~src:m1 ~dst:m2);
-  check_int "not reflected" before !hits
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -278,11 +215,5 @@ let suite =
         Alcotest.test_case "full duplex" `Quick test_link_full_duplex;
         Alcotest.test_case "counters" `Quick test_link_counters;
         Alcotest.test_case "rate override" `Quick test_link_rate_override;
-      ] );
-    ( "ethernet.switch",
-      [
-        Alcotest.test_case "learning" `Quick test_switch_learning;
-        Alcotest.test_case "broadcast" `Quick test_switch_broadcast;
-        Alcotest.test_case "no reflection" `Quick test_switch_drop_same_port;
       ] );
   ]

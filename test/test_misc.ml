@@ -59,14 +59,6 @@ let test_link_busy () =
     (Ethernet.Link.busy link ~from:Ethernet.Link.A);
   check_int "rate accessor" 1_000_000_000 (Ethernet.Link.rate_bps link)
 
-let test_switch_misc () =
-  let sw = Ethernet.Switch.create () in
-  let p = Ethernet.Switch.add_port sw (fun _ -> ()) in
-  check_int "ports" 1 (Ethernet.Switch.port_count sw);
-  check_bool "port equal" true (Ethernet.Switch.port_equal p p);
-  check_bool "unknown mac" true
-    (Ethernet.Switch.lookup sw (Ethernet.Mac_addr.make 5) = None)
-
 (* tiny substring helper to avoid a dependency *)
 module Astring_like = struct
   let contains haystack needle =
@@ -178,7 +170,6 @@ let suite =
         Alcotest.test_case "trace in datapath" `Quick test_trace_in_datapath;
         Alcotest.test_case "mac misc" `Quick test_mac_misc;
         Alcotest.test_case "link busy" `Quick test_link_busy;
-        Alcotest.test_case "switch misc" `Quick test_switch_misc;
         Alcotest.test_case "nic_config pp" `Quick test_nic_config_pp;
         Alcotest.test_case "category pp" `Quick test_category_pp;
         Alcotest.test_case "cpu accessors" `Quick test_cpu_entity_accessors;

@@ -344,6 +344,11 @@ let test_point_csv_deterministic () =
   in
   check Alcotest.string "csv byte-identical across reruns" (csv ()) (csv ())
 
+let test_point_rejects_negative_flows () =
+  Alcotest.check_raises "negative flows"
+    (Invalid_argument "Flows.point: flows must be >= 0") (fun () ->
+      ignore (Experiments.Flows.point ~quick:true ~flows:(-5) ()))
+
 let test_seeds_decorrelate () =
   let run seed =
     Experiments.Flows.measure ~quick:true ~flows:1_000
@@ -391,5 +396,7 @@ let suite =
           test_point_deterministic_across_reruns;
         Alcotest.test_case "csv deterministic" `Quick test_point_csv_deterministic;
         Alcotest.test_case "seeds decorrelate" `Quick test_seeds_decorrelate;
+        Alcotest.test_case "negative flows rejected" `Quick
+          test_point_rejects_negative_flows;
       ] );
   ]
