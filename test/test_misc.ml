@@ -75,6 +75,13 @@ let test_nic_config_pp () =
   let s = Format.asprintf "%a" Nic.Nic_config.pp Nic.Nic_config.intel in
   check_bool "mentions name" true (Astring_like.contains s "Intel")
 
+let test_nic_config_pp_fields () =
+  let pp = Format.asprintf "%a" Nic.Nic_config.pp in
+  check Alcotest.string "ricenic" "RiceNIC (1000 Mb/s, seqno=false)"
+    (pp Nic.Nic_config.ricenic);
+  check Alcotest.string "intel" "Intel-Pro1000 (1000 Mb/s, seqno=false)"
+    (pp Nic.Nic_config.intel)
+
 let test_category_pp () =
   check Alcotest.string "hyp" "hyp"
     (Format.asprintf "%a" Host.Category.pp Host.Category.Hypervisor);
@@ -171,6 +178,8 @@ let suite =
         Alcotest.test_case "mac misc" `Quick test_mac_misc;
         Alcotest.test_case "link busy" `Quick test_link_busy;
         Alcotest.test_case "nic_config pp" `Quick test_nic_config_pp;
+        Alcotest.test_case "nic_config pp fields" `Quick
+          test_nic_config_pp_fields;
         Alcotest.test_case "category pp" `Quick test_category_pp;
         Alcotest.test_case "cpu accessors" `Quick test_cpu_entity_accessors;
         Alcotest.test_case "config describe" `Quick test_config_describe;

@@ -349,6 +349,24 @@ let test_point_rejects_negative_flows () =
     (Invalid_argument "Flows.point: flows must be >= 0") (fun () ->
       ignore (Experiments.Flows.point ~quick:true ~flows:(-5) ()))
 
+(* A zero standing population is a real point: flows still arrive under
+   churn and both systems serve them. *)
+let test_point_accepts_zero_flows () =
+  let p =
+    Experiments.Flows.point ~quick:true ~scenario:Experiments.Flows.Churn
+      ~flows:0 ()
+  in
+  check_int "flows" 0 p.Experiments.Flows.flows;
+  check_bool "xen serves arrivals" true
+    (p.Experiments.Flows.xen.Experiments.Flows.served_pkts > 0);
+  check_bool "cdna serves arrivals" true
+    (p.Experiments.Flows.cdna.Experiments.Flows.served_pkts > 0)
+
+let test_sweep_rejects_negative_flows () =
+  Alcotest.check_raises "negative count in sweep"
+    (Invalid_argument "Flows.point: flows must be >= 0") (fun () ->
+      ignore (Experiments.Flows.sweep ~quick:true ~flow_counts:[ -1 ] ()))
+
 let test_seeds_decorrelate () =
   let run seed =
     Experiments.Flows.measure ~quick:true ~flows:1_000
@@ -398,5 +416,9 @@ let suite =
         Alcotest.test_case "seeds decorrelate" `Quick test_seeds_decorrelate;
         Alcotest.test_case "negative flows rejected" `Quick
           test_point_rejects_negative_flows;
+        Alcotest.test_case "zero flows accepted" `Quick
+          test_point_accepts_zero_flows;
+        Alcotest.test_case "sweep rejects negative flows" `Quick
+          test_sweep_rejects_negative_flows;
       ] );
   ]
