@@ -30,7 +30,7 @@ check:
 	dune runtest
 	$(MAKE) lint
 
-# Bechamel set: core mechanisms plus three short whole runs. Paper
+# Bechamel set: core mechanisms plus four short whole runs. Paper
 # regeneration lives in cdna_sim (table / figure / extension / verify);
 # time it end to end with perfbench/e2e.exe.
 bench:

@@ -1,7 +1,7 @@
 (* Simulator benchmarks: Bechamel timings of the core mechanisms
    (descriptor serialization, mailbox bit-vector decode, sequence-number
    checks, CRC-32, the event engine, grant flips, the flow table) and of
-   three whole runs, plus the regression gate that `dune runtest` runs.
+   four whole runs, plus the regression gate that `dune runtest` runs.
 
    Paper regeneration lives in `cdna_sim` (`table`, `figure`,
    `extension`, `verify`); `perfbench/e2e.exe` times it end to end.
@@ -177,6 +177,31 @@ let cdna_64g_paging_fn () =
   | Some h when Cdna.Hyp.ctx_swaps h > 0 -> ()
   | Some _ | None -> failwith "e2e/cdna-64g-paging: no context swaps"
 
+(* Xen receive on two guests: every packet crosses the Intel NIC's DMA,
+   netback, the bridge and a grant flip into the guest. The 40 ms window
+   makes the per-packet work, not testbed set-up, most of what a run
+   allocates. *)
+let xen_rx_2g_fn () =
+  let _, tb =
+    Experiments.Run.run_tb
+      {
+        Experiments.Config.default with
+        Experiments.Config.system = Experiments.Config.Xen_sw;
+        nic = Experiments.Config.Intel;
+        guests = 2;
+        pattern = Workload.Pattern.Rx;
+        warmup = Sim.Time.ms 1;
+        duration = Sim.Time.ms 40;
+      }
+  in
+  let delivered =
+    match tb.Experiments.Testbed.netback with
+    | Some nb -> Guestos.Netback.rx_delivered nb
+    | None -> 0
+  in
+  if delivered = 0 || Xen.Grant_table.flips tb.Experiments.Testbed.grant_table = 0
+  then failwith "e2e/xen-rx-2g: netback forwarded nothing or flipped no grant"
+
 (* One open-loop scale point at 10^5 standing flows, both systems: the
    [cdna_sim scale] cell where the software path's flow-state touch
    penalty is fully engaged. *)
@@ -206,6 +231,7 @@ let subjects =
     ("e2e/cdna-1g", cdna_1g_fn);
     ("e2e/cdna-64g-paging", cdna_64g_paging_fn);
     ("e2e/open-loop-100k", open_loop_100k_fn);
+    ("e2e/xen-rx-2g", xen_rx_2g_fn);
   ]
 
 let tests =

@@ -11,7 +11,16 @@
     against the initiating context's permissions, page by page — the
     hardware-protection alternative of the paper's section 5.3. Without an
     IOMMU the engine trusts physical addresses, exactly like the x86 DMA
-    model the paper describes as the protection problem. *)
+    model the paper describes as the protection problem.
+
+    Completions fire in submission order. An admitted {!access},
+    {!read_into}, {!write_from} or {!write_u32_pair} transfer waits in a
+    per-engine ring of preallocated slots that one closure drains, so the
+    zero-copy datapath allocates nothing per transfer: every transfer
+    occupies the bus for at least the 40 ns arbitration slot and the
+    latency is constant, so completion times strictly increase with
+    submission. Faulted and fault-injected transfers, and the copying
+    {!read} and {!write}, complete through a closure of their own. *)
 
 type t
 
@@ -89,6 +98,20 @@ val write_from :
   src:Bytes.t ->
   pos:int ->
   len:int ->
+  ((unit, fault) result -> unit) ->
+  unit
+
+(** [write_u32_pair t ~context ~addr v0 v1 k] DMA-writes the 8 bytes
+    [v0], [v1] as two little-endian u32s at [addr], [addr + 4] — a
+    device status writeback. The values are captured at submission and
+    land at completion, like {!write} of the same 8-byte buffer, without
+    building one. *)
+val write_u32_pair :
+  t ->
+  context:int ->
+  addr:Memory.Addr.t ->
+  int ->
+  int ->
   ((unit, fault) result -> unit) ->
   unit
 

@@ -45,7 +45,7 @@ let tx_in_flight t = t.tx_prod - t.tx_cons_seen
 
 let tx_space t =
   if not t.ready then 0
-  else max 0 (t.tx_slots - tx_in_flight t - Queue.length t.pending)
+  else Int.max 0 (t.tx_slots - tx_in_flight t - Queue.length t.pending)
 
 let check_slots name n =
   if n < 2 || n > 256 || n land (n - 1) <> 0 then
@@ -62,8 +62,8 @@ let rec pump_tx t =
   then begin
     let room = t.tx_slots - tx_in_flight t in
     let k =
-      min room
-        (min (Queue.length t.pending) t.costs.Guestos.Os_costs.tx_batch_limit)
+      Int.min room
+        (Int.min (Queue.length t.pending) t.costs.Guestos.Os_costs.tx_batch_limit)
     in
     if k > 0 then begin
       let frames = List.init k (fun _ -> Queue.pop t.pending) in
@@ -79,7 +79,7 @@ let rec pump_tx t =
               | Some d -> Memory.Phys_mem.write t.mem ~addr d
               | None ->
                   if Bytes.length t.scratch < len then
-                    t.scratch <- Bytes.create (max len 2048);
+                    t.scratch <- Bytes.create (Int.max len 2048);
                   Ethernet.Frame.blit_payload
                     ~seed:frame.Ethernet.Frame.payload_seed ~len t.scratch
                     ~pos:0;
@@ -142,7 +142,7 @@ let send_impl t frames =
 
 let rec post_rx_buffers t =
   if t.ready && (not t.rx_enqueue_busy) && t.rx_repost_backlog > 0 then begin
-    let k = min t.rx_repost_backlog t.costs.Guestos.Os_costs.tx_batch_limit in
+    let k = Int.min t.rx_repost_backlog t.costs.Guestos.Os_costs.tx_batch_limit in
     t.rx_repost_backlog <- t.rx_repost_backlog - k;
     let descs =
       List.init k (fun i ->

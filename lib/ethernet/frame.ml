@@ -21,6 +21,10 @@ let make ~src ~dst ~kind ~flow ~seq ?(segments = 1) ~payload_len ~payload_seed
     invalid_arg "Frame.make: payload length out of range";
   { src; dst; kind; flow; seq; segments; payload_len; payload_seed; data = None }
 
+let placeholder =
+  make ~src:Mac_addr.broadcast ~dst:Mac_addr.broadcast ~kind:Data ~flow:0
+    ~seq:0 ~payload_len:0 ~payload_seed:0 ()
+
 (* xorshift-style byte stream; cheap and deterministic. All payload
    accessors below walk this one recurrence so the materialized, folded
    and blitted views of a spec are bytewise identical. *)

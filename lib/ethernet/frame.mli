@@ -52,6 +52,10 @@ val make :
   unit ->
   t
 
+(** An empty broadcast frame that preallocated frame slots hold until
+    they are first filled; never sent. *)
+val placeholder : t
+
 (** Deterministic payload bytes for a spec. *)
 val materialize_payload : seed:int -> len:int -> Bytes.t
 

@@ -1,11 +1,19 @@
 type side = A | B
 
+type in_flight = { mutable frame : Frame.t }
+
 type direction = {
   mutable receiver : (Frame.t -> unit) option;
   (* Receiver sits at the destination side of this direction. *)
   mutable busy_until : Sim.Time.t;
   mutable frames : int;
   mutable bytes : int;
+  (* Frames on the wire, in send order, and the one closure each arrival
+     event runs. Arrival is [wire_free] plus a constant propagation
+     delay and [wire_free] strictly increases, so the ring's head is
+     always the frame whose arrival is firing. *)
+  in_flight : in_flight Sim.Slot_ring.t;
+  mutable arrive : unit -> unit;
 }
 
 type verdict = [ `Pass | `Drop | `Corrupt ]
@@ -21,9 +29,36 @@ type t = {
   mutable corrupted : int;
 }
 
+let no_arrival () = ()
+
+let make_slot () = { frame = Frame.placeholder }
+
+let[@cdna.hot] push_arrival dir frame =
+  let s = Sim.Slot_ring.push dir.in_flight in
+  s.frame <- frame
+
+let[@cdna.hot] arrive dir () =
+  let frame = (Sim.Slot_ring.pop dir.in_flight).frame in
+  dir.frames <- dir.frames + 1;
+  dir.bytes <- dir.bytes + frame.Frame.payload_len;
+  match dir.receiver with Some f -> f frame | None -> ()
+
 let create engine ?(rate_bps = 1_000_000_000) ?(propagation = Sim.Time.ns 500) () =
   if rate_bps <= 0 then invalid_arg "Link.create: non-positive rate";
-  let dir () = { receiver = None; busy_until = Sim.Time.zero; frames = 0; bytes = 0 } in
+  let dir () =
+    let d =
+      {
+        receiver = None;
+        busy_until = Sim.Time.zero;
+        frames = 0;
+        bytes = 0;
+        in_flight = Sim.Slot_ring.create make_slot;
+        arrive = no_arrival;
+      }
+    in
+    d.arrive <- arrive d;
+    d
+  in
   {
     engine;
     rate_bps;
@@ -85,12 +120,11 @@ let send t ~from frame ~on_wire_free =
             corrupt frame
         | `Pass -> frame
       in
-      let arrival = Sim.Time.add wire_free t.propagation in
+      push_arrival dir frame;
       ignore
-        (Sim.Engine.schedule_at t.engine arrival (fun () ->
-             dir.frames <- dir.frames + 1;
-             dir.bytes <- dir.bytes + frame.Frame.payload_len;
-             match dir.receiver with Some f -> f frame | None -> ()))
+        (Sim.Engine.schedule_at t.engine
+           (Sim.Time.add wire_free t.propagation)
+           dir.arrive)
 
 let busy t ~from =
   let dir = direction_from t from in

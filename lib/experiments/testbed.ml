@@ -47,7 +47,7 @@ type builder = {
   mutable stats_fns : (unit -> Nic.Dp.stats) list;
   mutable irq_fns : (unit -> int) list;
   (* conn id -> peer, for routing guest acks back *)
-  ack_peer : (int, Peer.t) Hashtbl.t;
+  ack_peer : Peer.t Sim.Int_tbl.t;
 }
 
 let fresh_conn_id b =
@@ -83,7 +83,7 @@ let wire_stream b ~bench ~stack ~peer ~guest_mac =
           ~src:(Peer.mac peer) ~dst:guest_mac
       in
       Peer.add_source peer conn;
-      Hashtbl.replace b.ack_peer (Workload.Connection.id conn) peer;
+      Sim.Int_tbl.replace b.ack_peer (Workload.Connection.id conn) peer;
       rx := conn :: !rx;
       b.rx_conns <- conn :: b.rx_conns
     end
@@ -93,7 +93,7 @@ let wire_stream b ~bench ~stack ~peer ~guest_mac =
 let make_bench b ~dom =
   let post_user ~cost fn = Xen.Hypervisor.user_work b.b_xen dom ~cost fn in
   let ack conn n =
-    match Hashtbl.find_opt b.ack_peer (Workload.Connection.id conn) with
+    match Sim.Int_tbl.find_opt b.ack_peer (Workload.Connection.id conn) with
     | Some peer ->
         ignore
           (Sim.Engine.schedule b.b_engine ~delay:ack_wire_delay (fun () ->
@@ -430,7 +430,7 @@ let build (cfg : Config.t) =
       peers_rev = [];
       stats_fns = [];
       irq_fns = [];
-      ack_peer = Hashtbl.create 64;
+      ack_peer = Sim.Int_tbl.create 64;
     }
   in
   let driver_dom, guest_doms, benches, cdna_hyp, cdna_handles, netback =

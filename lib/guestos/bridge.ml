@@ -2,11 +2,11 @@ type 'a port = { id : int; payload : 'a }
 
 type 'a t = {
   mutable port_list : 'a port list; (* insertion order *)
-  fdb : (Ethernet.Mac_addr.t, 'a port) Hashtbl.t;
+  fdb : 'a port Sim.Int_tbl.t; (* keyed by MAC as int48 *)
   mutable next_id : int;
 }
 
-let create () = { port_list = []; fdb = Hashtbl.create 64; next_id = 0 }
+let create () = { port_list = []; fdb = Sim.Int_tbl.create 64; next_id = 0 }
 
 let add_port t payload =
   let p = { id = t.next_id; payload } in
@@ -16,7 +16,8 @@ let add_port t payload =
 
 let payload p = p.payload
 let ports t = t.port_list
-let learn t port mac = Hashtbl.replace t.fdb mac port
+let learn t port mac =
+  Sim.Int_tbl.replace t.fdb (Ethernet.Mac_addr.to_int48 mac) port
 
 type 'a decision = To of 'a port | Flood of 'a port list | Drop
 
@@ -27,9 +28,9 @@ let route t ~ingress frame =
   if Ethernet.Mac_addr.is_broadcast dst || Ethernet.Mac_addr.is_multicast dst
   then Flood (others ())
   else
-    match Hashtbl.find_opt t.fdb dst with
+    match Sim.Int_tbl.find_opt t.fdb (Ethernet.Mac_addr.to_int48 dst) with
     | Some p when p.id = ingress.id -> Drop
     | Some p -> To p
     | None -> Flood (others ())
 
-let lookup t mac = Hashtbl.find_opt t.fdb mac
+let lookup t mac = Sim.Int_tbl.find_opt t.fdb (Ethernet.Mac_addr.to_int48 mac)

@@ -42,7 +42,7 @@ let check_slots name n =
 
 let tx_in_flight t = t.tx_prod - t.tx_cons_seen
 let ring_space t = t.tx_slots - tx_in_flight t
-let tx_space t = max 0 (ring_space t - Queue.length t.pending)
+let tx_space t = Int.max 0 (ring_space t - Queue.length t.pending)
 let the_netdev t = Option.get t.netdev
 
 (* Descriptors a packet occupies under the configured scatter/gather
@@ -65,7 +65,7 @@ let write_tx_descriptor t frame =
            writes its own DMA buffers directly"])
     | None ->
         if Bytes.length t.scratch < len then
-          t.scratch <- Bytes.create (max len 2048);
+          t.scratch <- Bytes.create (Int.max len 2048);
         Ethernet.Frame.blit_payload ~seed:frame.Ethernet.Frame.payload_seed
           ~len t.scratch ~pos:0;
         (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len

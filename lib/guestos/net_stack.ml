@@ -15,7 +15,7 @@ let drain t =
      by the device, stack cost was charged at [send]. *)
   let space = Netdev.tx_space t.netdev in
   if space > 0 && not (Queue.is_empty t.backlog) then begin
-    let n = min space (Queue.length t.backlog) in
+    let n = Int.min space (Queue.length t.backlog) in
     let batch = List.init n (fun _ -> Queue.pop t.backlog) in
     t.sent <- t.sent + n;
     Netdev.send t.netdev batch
@@ -72,7 +72,7 @@ let send t frames =
         drain t)
   end
 
-let capacity t = max 0 (Netdev.tx_space t.netdev - Queue.length t.backlog)
+let capacity t = Int.max 0 (Netdev.tx_space t.netdev - Queue.length t.backlog)
 let set_rx_handler t f = t.rx_handler <- f
 let set_writable_hook t f = t.writable_hook <- f
 let frames_sent t = t.sent

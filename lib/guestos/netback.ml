@@ -21,13 +21,6 @@ let default_costs =
     rx_overflow_cap = 512;
   }
 
-(* Iterate an int-keyed table in ascending key order, so batch fan-outs
-   fire in a deterministic sequence regardless of hash-bucket layout. *)
-let iter_sorted tbl f =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (k, v) -> f k v)
-
 type iface = {
   guest_dom : Xen.Domain.t;
   guest_mac : Ethernet.Mac_addr.t;
@@ -157,24 +150,24 @@ and run t =
    starting from a rotating ring so service stays fair — routing as we go
    and respecting the egress device's available space. *)
 and collect_guest_tx t c =
-  let phys_budget = Hashtbl.create 8 in
+  let phys_budget = Sim.Int_tbl.create 8 in
   let space_for nd =
-    match Hashtbl.find_opt phys_budget (Ethernet.Mac_addr.to_int48 (Netdev.mac nd)) with
+    match Sim.Int_tbl.find_opt phys_budget (Ethernet.Mac_addr.to_int48 (Netdev.mac nd)) with
     | Some s -> s
     | None ->
         let s = Netdev.tx_space nd in
-        Hashtbl.replace phys_budget (Ethernet.Mac_addr.to_int48 (Netdev.mac nd)) s;
+        Sim.Int_tbl.replace phys_budget (Ethernet.Mac_addr.to_int48 (Netdev.mac nd)) s;
         s
   in
   let consume nd =
     let key = Ethernet.Mac_addr.to_int48 (Netdev.mac nd) in
-    Hashtbl.replace phys_budget key (space_for nd - 1)
+    Sim.Int_tbl.replace phys_budget key (space_for nd - 1)
   in
   let ifaces = Array.of_list t.ifaces in
   let n_ifaces = Array.length ifaces in
   if n_ifaces > 0 then t.ring_rr <- (t.ring_rr + 1) mod n_ifaces;
   let budget = ref t.costs.tx_budget in
-  let per_ring_cap = max 4 (t.costs.tx_budget / max 1 n_ifaces) in
+  let per_ring_cap = Int.max 4 (t.costs.tx_budget / Int.max 1 n_ifaces) in
   Array.iteri
     (fun k _ ->
       let iface, port = ifaces.((t.ring_rr + k) mod n_ifaces) in
@@ -261,29 +254,29 @@ and apply t c =
      channel was quiet (nothing pending) before this run produced into it;
      a guest with pending state keeps polling until it drains. Quiescence
      is captured before any mutation below. *)
-  let quiet_at_entry = Hashtbl.create 8 in
+  let quiet_at_entry = Sim.Int_tbl.create 8 in
   List.iter
     (fun (iface, _) ->
-      Hashtbl.replace quiet_at_entry
+      Sim.Int_tbl.replace quiet_at_entry
         (Xen.Domain.id iface.guest_dom)
         (Xchan.rx_used iface.xchan = 0
         && Xchan.tx_completions_pending iface.xchan = 0))
     t.ifaces;
-  let touched = Hashtbl.create 8 in
+  let touched = Sim.Int_tbl.create 8 in
   let touch iface =
     let key = Xen.Domain.id iface.guest_dom in
-    if not (Hashtbl.mem touched key) then begin
+    if not (Sim.Int_tbl.mem touched key) then begin
       let quiet =
-        match Hashtbl.find_opt quiet_at_entry key with
+        match Sim.Int_tbl.find_opt quiet_at_entry key with
         | Some q -> q
         | None -> true
       in
-      Hashtbl.replace touched key (iface, quiet)
+      Sim.Int_tbl.replace touched key (iface, quiet)
     end
   in
   (* Guest transmit: exchange pages and forward through the bridge. *)
-  let per_nd = Hashtbl.create 8 in
-  let completions = Hashtbl.create 8 in
+  let per_nd = Sim.Int_tbl.create 8 in
+  let completions = Sim.Int_tbl.create 8 in
   List.iter
     (fun (iface, entry, decision) ->
       (* Flip the data page guest -> driver. *)
@@ -306,11 +299,11 @@ and apply t c =
       in
       let key = Xen.Domain.id iface.guest_dom in
       let count, pages =
-        match Hashtbl.find_opt completions key with
+        match Sim.Int_tbl.find_opt completions key with
         | Some (c, p) -> (c, p)
         | None -> (0, [])
       in
-      Hashtbl.replace completions key (count + 1, replacement @ pages);
+      Sim.Int_tbl.replace completions key (count + 1, replacement @ pages);
       touch iface;
       t.tx_forwarded <- t.tx_forwarded + 1;
       let frame = entry.Xchan.frame in
@@ -320,11 +313,11 @@ and apply t c =
           | Phys nd ->
               let key = Ethernet.Mac_addr.to_int48 (Netdev.mac nd) in
               let batch =
-                match Hashtbl.find_opt per_nd key with
+                match Sim.Int_tbl.find_opt per_nd key with
                 | Some (nd, fs) -> (nd, frame :: fs)
                 | None -> (nd, [ frame ])
               in
-              Hashtbl.replace per_nd key batch
+              Sim.Int_tbl.replace per_nd key batch
           | Guest dst_iface ->
               (* Inter-guest traffic becomes a receive on the peer. *)
               if Queue.length dst_iface.overflow < t.costs.rx_overflow_cap
@@ -342,7 +335,7 @@ and apply t c =
             ports
       | Bridge.Drop -> ())
     c.tx;
-  iter_sorted per_nd (fun _ (nd, fs) -> Netdev.send nd (List.rev fs));
+  Sim.Int_tbl.iter_sorted per_nd (fun _ (nd, fs) -> Netdev.send nd (List.rev fs));
   (* Deliveries to guests: flip a pool page carrying the payload in. *)
   List.iter
     (fun (iface, frame) ->
@@ -362,7 +355,7 @@ and apply t c =
             | None ->
                 let len = frame.Ethernet.Frame.payload_len in
                 if Bytes.length t.scratch < len then
-                  t.scratch <- Bytes.create (max len 2048);
+                  t.scratch <- Bytes.create (Int.max len 2048);
                 Ethernet.Frame.blit_payload
                   ~seed:frame.Ethernet.Frame.payload_seed ~len t.scratch
                   ~pos:0;
@@ -392,7 +385,7 @@ and apply t c =
           | Error (`Not_owner | `Pinned) -> Queue.push pfn t.pool))
     c.rx;
   (* Push completion records and send one notification per touched guest. *)
-  iter_sorted completions (fun dom_id (count, pages) ->
+  Sim.Int_tbl.iter_sorted completions (fun dom_id (count, pages) ->
       match
         List.find_opt
           (fun (i, _) -> Xen.Domain.id i.guest_dom = dom_id)
@@ -401,7 +394,7 @@ and apply t c =
       | Some (iface, _) ->
           Xchan.push_tx_completion iface.xchan ~pages ~count
       | None -> ());
-  iter_sorted touched (fun _ (iface, quiet) ->
+  Sim.Int_tbl.iter_sorted touched (fun _ (iface, quiet) ->
       if quiet then iface.notify_frontend ())
 
 and more_work t =

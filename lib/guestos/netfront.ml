@@ -35,7 +35,7 @@ let write_payload t ~addr frame =
   | None ->
       let len = frame.Ethernet.Frame.payload_len in
       if Bytes.length t.scratch < len then
-        t.scratch <- Bytes.create (max len 2048);
+        t.scratch <- Bytes.create (Int.max len 2048);
       Ethernet.Frame.blit_payload ~seed:frame.Ethernet.Frame.payload_seed ~len
         t.scratch ~pos:0;
       (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len
@@ -43,8 +43,8 @@ let write_payload t ~addr frame =
         "guest CPU store into the guest's own granted pool page, not DMA"])
 
 let tx_space t =
-  max 0
-    (min (Xchan.tx_space t.xchan) (Queue.length t.pool)
+  Int.max 0
+    (Int.min (Xchan.tx_space t.xchan) (Queue.length t.pool)
     - Queue.length t.pending)
 
 (* Move pending frames onto the shared ring, attaching a pool page each,

@@ -25,9 +25,17 @@ type rq = {
   irq_queue : work Queue.t;
   mutable resident : entity list; (* arrival order on this runqueue *)
   boost_fifo : entity Queue.t;
-  mutable current : entity option;
+  mutable current : entity; (* the scheduler's [no_entity] when none *)
   mutable slice_used : Sim.Time.t;
   mutable busy : bool;
+  (* The one item in flight while [busy], read back by [complete]: its
+     entity ([no_entity] for IRQ work), dispatch time and switch cost. *)
+  mutable run_work : work;
+  mutable run_entity : entity;
+  mutable run_start : Sim.Time.t;
+  mutable run_switch : Sim.Time.t;
+  (* [complete t rq], built once in [create] and scheduled per item. *)
+  mutable complete : unit -> unit;
   mutable total_busy : Sim.Time.t;
   mutable switches : int;
 }
@@ -40,6 +48,10 @@ type t = {
   credit_period : Sim.Time.t;
   migration_cost : Sim.Time.t;
   rqs : rq array;
+  (* Per-instance "no entity" marker, compared by physical equality.
+     Not shared across schedulers: its fields are mutable, and testbeds
+     run on several domains at once. *)
+  no_entity : entity;
   mutable entities : entity list; (* registration order, all CPUs *)
   mutable next_id : int;
   mutable migrations : int;
@@ -47,15 +59,37 @@ type t = {
   mutable stopped : bool;
 }
 
-let make_rq cpu_id =
+let no_completion () = ()
+let idle_work = { cost = 0; category = Category.Hypervisor; fn = no_completion }
+
+let make_entity ~id ~name ~weight ~domain ~cpu =
+  {
+    id;
+    name;
+    weight;
+    domain;
+    queue = Queue.create ();
+    credits = 0;
+    boosted = false;
+    runtime = 0;
+    cpu;
+    migrate_penalty = 0;
+  }
+
+let make_rq no_entity cpu_id =
   {
     cpu_id;
     irq_queue = Queue.create ();
     resident = [];
     boost_fifo = Queue.create ();
-    current = None;
+    current = no_entity;
     slice_used = 0;
     busy = false;
+    run_work = idle_work;
+    run_entity = no_entity;
+    run_start = 0;
+    run_switch = 0;
+    complete = no_completion;
     total_busy = 0;
     switches = 0;
   }
@@ -82,10 +116,131 @@ let rec replenish t () =
     t.replenish_ev <-
       Some (Sim.Engine.schedule t.engine ~delay:t.credit_period (replenish t))
 
+let[@cdna.hot] runnable e = not (Queue.is_empty e.queue)
+
+(* Pop boosted entities until one is still runnable and still resident
+   here (an entity can migrate away between boost and dispatch). *)
+let[@cdna.hot] rec pop_boosted t rq =
+  if Queue.is_empty rq.boost_fifo then t.no_entity
+  else begin
+    let e = Queue.pop rq.boost_fifo in
+    if e.cpu <> rq.cpu_id then pop_boosted t rq
+    else begin
+      e.boosted <- false;
+      if runnable e then e else pop_boosted t rq
+    end
+  end
+
+(* The runnable resident with the most credits, the first one on ties. *)
+let[@cdna.hot] rec best_by_credits t best = function
+  | [] -> best
+  | e :: rest ->
+      let best =
+        if runnable e && (best == t.no_entity || e.credits > best.credits)
+        then e
+        else best
+      in
+      best_by_credits t best rest
+
+let[@cdna.hot] pick_entity t rq =
+  (* Stickiness: keep the current entity while it has work, its slice is
+     not exhausted, and no boosted entity is waiting. *)
+  let cur = rq.current in
+  if
+    cur != t.no_entity && runnable cur
+    && Queue.is_empty rq.boost_fifo
+    && Sim.Time.compare rq.slice_used t.slice < 0
+  then cur
+  else
+    let e = pop_boosted t rq in
+    if e != t.no_entity then e else best_by_credits t t.no_entity rq.resident
+
+let[@cdna.hot] rec dispatch t rq =
+  if rq.busy then ()
+  else if not (Queue.is_empty rq.irq_queue) then
+    execute t rq (Queue.pop rq.irq_queue) t.no_entity ~switch:0
+  else
+    let e = pick_entity t rq in
+    if e == t.no_entity then () (* CPU idles until the next post wakes it. *)
+    else begin
+      let switch =
+        if rq.current == e then 0
+        else begin
+          rq.switches <- rq.switches + 1;
+          t.ctx_switch_cost
+        end
+      in
+      (* A freshly migrated entity pays the IPI + cache-affinity
+         penalty on top of the ordinary switch, once. *)
+      let switch =
+        if e.migrate_penalty > 0 then begin
+          let p = e.migrate_penalty in
+          e.migrate_penalty <- 0;
+          Sim.Time.add switch p
+        end
+        else switch
+      in
+      if rq.current != e then begin
+        rq.current <- e;
+        rq.slice_used <- 0
+      end;
+      execute t rq (Queue.pop e.queue) e ~switch
+    end
+
+and[@cdna.hot] execute t rq w e ~switch =
+  rq.busy <- true;
+  rq.run_work <- w;
+  rq.run_entity <- e;
+  rq.run_start <- Sim.Engine.now t.engine;
+  rq.run_switch <- switch;
+  ignore
+    (Sim.Engine.schedule t.engine ~delay:(Sim.Time.add switch w.cost)
+       rq.complete)
+
+let trace_item t ~start ~total ~switch w e =
+  let name, pid, tid =
+    if e == t.no_entity then ("irq", 0, 0) else (e.name, e.domain + 1, e.id)
+  in
+  Sim.Trace.complete ~time:start ~dur:total ~tag:"sched" ~pid ~tid
+    ~args:
+      [
+        ("category", Sim.Trace.Str (Format.asprintf "%a" Category.pp w.category));
+        ("switch_ns", Sim.Trace.Int (Sim.Time.to_ns switch));
+      ]
+    name
+
+(* End of the item in flight on [rq]: charge it, run its continuation,
+   then pick the next one. Everything is read out of [rq] first, since
+   the continuation may post work that dispatches a new item here. *)
+let[@cdna.hot] complete t rq () =
+  let w = rq.run_work and e = rq.run_entity in
+  let start = rq.run_start and switch = rq.run_switch in
+  let total = Sim.Time.add switch w.cost in
+  let stop = Sim.Engine.now t.engine in
+  if switch > 0 then
+    Profile.charge t.profile Category.Hypervisor ~start
+      ~stop:(Sim.Time.add start switch);
+  Profile.charge t.profile w.category ~start:(Sim.Time.add start switch) ~stop;
+  rq.total_busy <- Sim.Time.add rq.total_busy total;
+  if e != t.no_entity then begin
+    e.runtime <- Sim.Time.add e.runtime total;
+    e.credits <- e.credits - Sim.Time.to_ns total;
+    rq.slice_used <- Sim.Time.add rq.slice_used total
+  end;
+  if Sim.Trace.tag_enabled "sched" then
+    (trace_item t ~start ~total ~switch w e
+    [@cdna.alloc_ok "tracing branch, disabled unless the sched tag is on"]);
+  rq.busy <- false;
+  w.fn ();
+  dispatch t rq
+
 let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
     ?(slice = Sim.Time.ms 1) ?(credit_period = Sim.Time.ms 30)
     ?(migration_cost = Sim.Time.us 9) ~profile () =
   if cpus <= 0 then invalid_arg "Cpu.create: non-positive cpus";
+  let no_entity =
+    make_entity ~id:(-1) ~name:"irq" ~weight:0 ~domain:(-1) ~cpu:(-1)
+  in
   let t =
     {
       engine;
@@ -94,7 +249,8 @@ let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
       slice;
       credit_period;
       migration_cost;
-      rqs = Array.init cpus make_rq;
+      rqs = Array.init cpus (make_rq no_entity);
+      no_entity;
       entities = [];
       next_id = 0;
       migrations = 0;
@@ -102,6 +258,12 @@ let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
       stopped = false;
     }
   in
+  Array.iter
+    (fun rq ->
+      rq.complete <-
+        (complete t rq
+        [@cdna.alloc_ok "one completion closure per runqueue, built once"]))
+    t.rqs;
   t.replenish_ev <-
     Some (Sim.Engine.schedule engine ~delay:t.credit_period (replenish t));
   t
@@ -122,20 +284,7 @@ let add_entity t ~name ~weight ~domain =
   (* Round-robin initial placement: entity i starts on runqueue i mod n.
      On a single-CPU host everything lands on runqueue 0, as before. *)
   let cpu = t.next_id mod ncpus in
-  let e =
-    {
-      id = t.next_id;
-      name;
-      weight;
-      domain;
-      queue = Queue.create ();
-      credits = 0;
-      boosted = false;
-      runtime = 0;
-      cpu;
-      migrate_penalty = 0;
-    }
-  in
+  let e = make_entity ~id:t.next_id ~name ~weight ~domain ~cpu in
   t.next_id <- t.next_id + 1;
   t.entities <- t.entities @ [ e ];
   let rq = t.rqs.(cpu) in
@@ -147,120 +296,6 @@ let name_of e = e.name
 let runtime_of e = e.runtime
 let credits_of e = float_of_int e.credits /. 1000.
 let cpu_of e = e.cpu
-
-let runnable e = not (Queue.is_empty e.queue)
-
-(* Pop boosted entities until one is still runnable and still resident
-   here (an entity can migrate away between boost and dispatch). *)
-let rec pop_boosted rq =
-  match Queue.take_opt rq.boost_fifo with
-  | None -> None
-  | Some e ->
-      if e.cpu <> rq.cpu_id then pop_boosted rq
-      else begin
-        e.boosted <- false;
-        if runnable e then Some e else pop_boosted rq
-      end
-
-let best_by_credits rq =
-  List.fold_left
-    (fun best e ->
-      if not (runnable e) then best
-      else
-        match best with
-        | None -> Some e
-        | Some b -> if e.credits > b.credits then Some e else best)
-    None rq.resident
-
-let pick_entity t rq =
-  (* Stickiness: keep the current entity while it has work, its slice is
-     not exhausted, and no boosted entity is waiting. *)
-  let boosted_waiting = not (Queue.is_empty rq.boost_fifo) in
-  match rq.current with
-  | Some e
-    when runnable e
-         && (not boosted_waiting)
-         && Sim.Time.compare rq.slice_used t.slice < 0 ->
-      Some e
-  | _ -> (
-      match pop_boosted rq with
-      | Some e -> Some e
-      | None -> best_by_credits rq)
-
-let rec dispatch t rq =
-  if rq.busy then ()
-  else if not (Queue.is_empty rq.irq_queue) then begin
-    let w = Queue.pop rq.irq_queue in
-    execute t rq w ~entity:None ~switch:0
-  end
-  else
-    match pick_entity t rq with
-    | None -> () (* CPU idles until the next post wakes it. *)
-    | Some e ->
-        let switch =
-          match rq.current with
-          | Some cur when cur == e -> 0
-          | _ ->
-              rq.switches <- rq.switches + 1;
-              t.ctx_switch_cost
-        in
-        (* A freshly migrated entity pays the IPI + cache-affinity
-           penalty on top of the ordinary switch, once. *)
-        let switch =
-          if e.migrate_penalty > 0 then begin
-            let p = e.migrate_penalty in
-            e.migrate_penalty <- 0;
-            Sim.Time.add switch p
-          end
-          else switch
-        in
-        if
-          (match rq.current with Some cur -> cur != e | None -> true)
-        then begin
-          rq.current <- Some e;
-          rq.slice_used <- 0
-        end;
-        let w = Queue.pop e.queue in
-        execute t rq w ~entity:(Some e) ~switch
-
-and execute t rq w ~entity ~switch =
-  rq.busy <- true;
-  let start = Sim.Engine.now t.engine in
-  let total = Sim.Time.add switch w.cost in
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:total (fun () ->
-         let stop = Sim.Engine.now t.engine in
-         if switch > 0 then
-           Profile.charge t.profile Category.Hypervisor ~start
-             ~stop:(Sim.Time.add start switch);
-         Profile.charge t.profile w.category
-           ~start:(Sim.Time.add start switch) ~stop;
-         rq.total_busy <- Sim.Time.add rq.total_busy total;
-         (match entity with
-         | Some e ->
-             e.runtime <- Sim.Time.add e.runtime total;
-             e.credits <- e.credits - Sim.Time.to_ns total;
-             rq.slice_used <- Sim.Time.add rq.slice_used total
-         | None -> ());
-         if Sim.Trace.tag_enabled "sched" then begin
-           let name, pid, tid =
-             match entity with
-             | Some e -> (e.name, e.domain + 1, e.id)
-             | None -> ("irq", 0, 0)
-           in
-           Sim.Trace.complete ~time:start ~dur:total ~tag:"sched" ~pid ~tid
-             ~args:
-               [
-                 ( "category",
-                   Sim.Trace.Str (Format.asprintf "%a" Category.pp w.category)
-                 );
-                 ("switch_ns", Sim.Trace.Int (Sim.Time.to_ns switch));
-               ]
-             name
-         end;
-         rq.busy <- false;
-         w.fn ();
-         dispatch t rq))
 
 (* Work pending on [rq] other than entity [e]'s own queue. *)
 let rq_busy_besides rq e =
@@ -289,9 +324,7 @@ let find_idle_rq t =
 let migrate t e ~to_rq =
   let from_rq = t.rqs.(e.cpu) in
   from_rq.resident <- List.filter (fun x -> x != e) from_rq.resident;
-  (match from_rq.current with
-  | Some cur when cur == e -> from_rq.current <- None
-  | Some _ | None -> ());
+  if from_rq.current == e then from_rq.current <- t.no_entity;
   to_rq.resident <- to_rq.resident @ [ e ];
   e.cpu <- to_rq.cpu_id;
   e.migrate_penalty <- t.migration_cost;
@@ -306,9 +339,7 @@ let post t e ~category ~cost fn =
      receives an event runs ahead of entities burning their timeslice.
      On an SMP host the wake may also migrate the entity to an idle
      runqueue when its home CPU is occupied (wake balancing). *)
-  if was_blocked && (not e.boosted)
-     && (match home.current with Some cur -> cur != e | None -> true)
-  then begin
+  if was_blocked && (not e.boosted) && home.current != e then begin
     let target =
       if Array.length t.rqs > 1 && rq_busy_besides home e then
         find_idle_rq t

@@ -1,8 +1,10 @@
 type t = {
   mutable hypervisor : Sim.Time.t;
-  (* Per-domain kernel/user time, keyed by domain id. *)
-  kernel : (Category.domain_id, Sim.Time.t ref) Hashtbl.t;
-  user : (Category.domain_id, Sim.Time.t ref) Hashtbl.t;
+  (* Per-domain time: domain d's kernel time at [2d], its user time at
+     [2d + 1]. Domain ids are small and dense, so an array grown on a
+     domain's first charge is both the cheapest lookup and an ordered
+     one. *)
+  mutable per_domain : Sim.Time.t array;
   mutable explicit_idle : Sim.Time.t;
   (* Time of the last reset; interval charges clamp their start here so a
      slice spanning the reset only contributes its post-reset part. *)
@@ -12,54 +14,48 @@ type t = {
 let create () =
   {
     hypervisor = Sim.Time.zero;
-    kernel = Hashtbl.create 32;
-    user = Hashtbl.create 32;
+    per_domain = [||];
     explicit_idle = Sim.Time.zero;
     epoch = Sim.Time.zero;
   }
 
-let cell tbl dom =
-  match Hashtbl.find_opt tbl dom with
-  | Some r -> r
-  | None ->
-      let r = ref Sim.Time.zero in
-      Hashtbl.add tbl dom r;
-      r
+let grown a i =
+  let b = Array.make (Int.max (i + 1) (2 * Array.length a)) Sim.Time.zero in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let add t cat dt =
+let[@cdna.hot] add_slot t i dt =
+  if i < 0 then invalid_arg "Profile: negative domain id";
+  if i >= Array.length t.per_domain then
+    t.per_domain <-
+      (grown t.per_domain i [@cdna.alloc_ok "grown once per new domain id"]);
+  t.per_domain.(i) <- Sim.Time.add t.per_domain.(i) dt
+
+let[@cdna.hot] add t cat dt =
   match (cat : Category.t) with
   | Hypervisor -> t.hypervisor <- Sim.Time.add t.hypervisor dt
-  | Kernel d ->
-      let r = cell t.kernel d in
-      r := Sim.Time.add !r dt
-  | User d ->
-      let r = cell t.user d in
-      r := Sim.Time.add !r dt
+  | Kernel d -> add_slot t (2 * d) dt
+  | User d -> add_slot t ((2 * d) + 1) dt
   | Idle -> t.explicit_idle <- Sim.Time.add t.explicit_idle dt
+
+let cell t i = if i >= 0 && i < Array.length t.per_domain then t.per_domain.(i) else 0
 
 let total t cat =
   match (cat : Category.t) with
   | Hypervisor -> t.hypervisor
-  | Kernel d -> (
-      match Hashtbl.find_opt t.kernel d with Some r -> !r | None -> 0)
-  | User d -> (
-      match Hashtbl.find_opt t.user d with Some r -> !r | None -> 0)
+  | Kernel d -> cell t (2 * d)
+  | User d -> cell t ((2 * d) + 1)
   | Idle -> t.explicit_idle
 
-let[@cdna.unordered_ok "commutative time sum; iteration order cannot change it"]
-    sum_tbl tbl =
-  Hashtbl.fold (fun _ r acc -> Sim.Time.add acc !r) tbl 0
+let busy t = Array.fold_left Sim.Time.add t.hypervisor t.per_domain
 
-let busy t = Sim.Time.add t.hypervisor (Sim.Time.add (sum_tbl t.kernel) (sum_tbl t.user))
-
-let charge t cat ~start ~stop =
+let[@cdna.hot] charge t cat ~start ~stop =
   let start = Sim.Time.max start t.epoch in
   if Sim.Time.compare stop start > 0 then add t cat (Sim.Time.sub stop start)
 
 let reset ?(now = Sim.Time.zero) t =
   t.hypervisor <- Sim.Time.zero;
-  Hashtbl.reset t.kernel;
-  Hashtbl.reset t.user;
+  t.per_domain <- [||];
   t.explicit_idle <- Sim.Time.zero;
   t.epoch <- now
 
@@ -79,24 +75,20 @@ let report t ~window ~driver_domain =
   let is_driver dom =
     match driver_domain with Some d -> Int.equal d dom | None -> false
   in
-  let[@cdna.unordered_ok
-       "two disjoint commutative sums; iteration order cannot change them"]
-      split tbl =
-    Hashtbl.fold
-      (fun dom r (drv, guest) ->
-        if is_driver dom then (Sim.Time.add drv !r, guest)
-        else (drv, Sim.Time.add guest !r))
-      tbl (0, 0)
-  in
-  let drv_k, guest_k = split t.kernel in
-  let drv_u, guest_u = split t.user in
+  (* Driver and guest time, each split into kernel and user. *)
+  let drv = [| 0; 0 |] and guest = [| 0; 0 |] in
+  Array.iteri
+    (fun i dt ->
+      let acc = if is_driver (i / 2) then drv else guest in
+      acc.(i mod 2) <- Sim.Time.add acc.(i mod 2) dt)
+    t.per_domain;
   let idle = Float.max 0. (100. -. pct (busy t)) in
   {
     hyp = pct t.hypervisor;
-    driver_kernel = pct drv_k;
-    driver_user = pct drv_u;
-    guest_kernel = pct guest_k;
-    guest_user = pct guest_u;
+    driver_kernel = pct drv.(0);
+    driver_user = pct drv.(1);
+    guest_kernel = pct guest.(0);
+    guest_user = pct guest.(1);
     idle;
   }
 

@@ -9,7 +9,8 @@ type t
 
 val create : unit -> t
 
-(** [add t cat dt] charges [dt] of CPU time to [cat]. *)
+(** [add t cat dt] charges [dt] of CPU time to [cat].
+    @raise Invalid_argument if [cat] names a negative domain id. *)
 val add : t -> Category.t -> Sim.Time.t -> unit
 
 (** [charge t cat ~start ~stop] charges the part of [\[start, stop\]] that

@@ -68,7 +68,7 @@ type t = {
   notify : ctx:int -> unit;
   on_fault : ctx:int -> dir -> fault -> unit;
   ctxs : ctx array;
-  mac_table : (Ethernet.Mac_addr.t, int) Hashtbl.t;
+  mac_table : int Sim.Int_tbl.t; (* MAC (as int48) -> context *)
   mutable promiscuous : int option;
   tx_buf : Pkt_buf.t;
   rx_buf : Pkt_buf.t;
@@ -82,23 +82,46 @@ type t = {
      wire stage. *)
   ready : (int * int * Ethernet.Frame.t * int * int) Queue.t;
   (* ctx id, epoch, frame, reserved bytes, descriptors consumed *)
+  (* Each stage has at most one operation in flight ([fetch_busy],
+     [wire_busy], [rx_busy]); its state lives in the fields below and
+     its continuations are built once in [create]. *)
   mutable fetch_busy : bool;
-  mutable fetch_ctx : int option; (* context the in-flight fetch serves *)
+  mutable fetch_ctx : int; (* context the in-flight fetch serves, or -1 *)
   (* Whether the in-flight fetch already consumed a sequence number (its
      descriptor passed [check_seqno] and the payload DMA is in flight).
      Context save needs this to roll the expected seqno back exactly. *)
   mutable fetch_checked : bool;
+  mutable fetch_epoch : int;
+  mutable fetch_daddr : Memory.Addr.t;
+  (* Fragment length and flags of the descriptor whose payload is in
+     flight. *)
+  mutable fetch_len : int;
+  mutable fetch_flags : int;
+  mutable k_fetch_desc : (unit, Bus.Dma_engine.fault) result -> unit;
+  mutable k_fetch_payload : (unit, Bus.Dma_engine.fault) result -> unit;
   mutable wire_busy : bool;
-  (* (ctx id, epoch, descriptors) of the frame currently on the wire;
-     context save credits it as completed since the bits are already
-     leaving the NIC. *)
-  mutable wire_cur : (int * int * int) option;
+  (* Context (or -1), epoch and descriptors of the frame currently on
+     the wire; context save credits it as completed since the bits are
+     already leaving the NIC. *)
+  mutable wire_cur : int;
+  mutable wire_epoch : int;
+  mutable wire_descs : int;
+  mutable wire_frame : Ethernet.Frame.t;
+  mutable wire_reserved : int;
+  mutable k_wire_free : unit -> unit;
   mutable tx_rr : int;
   mutable rx_busy : bool;
-  (* (ctx id, epoch) of the in-flight receive delivery, and whether its
-     descriptor already consumed a sequence number. *)
-  mutable rx_cur : (int * int) option;
+  (* Context (or -1) and epoch of the in-flight receive delivery, and
+     whether its descriptor already consumed a sequence number. *)
+  mutable rx_cur : int;
+  mutable rx_epoch : int;
   mutable rx_cur_checked : bool;
+  mutable rx_idx : int;
+  mutable rx_daddr : Memory.Addr.t;
+  mutable rx_frame : Ethernet.Frame.t;
+  mutable rx_len : int; (* bytes delivered: the frame cut to the buffer *)
+  mutable k_rx_desc : (unit, Bus.Dma_engine.fault) result -> unit;
+  mutable k_rx_deliver : (unit, Bus.Dma_engine.fault) result -> unit;
   mutable rx_rr : int;
   mutable congested : bool;
   mutable uncongested_hook : unit -> unit;
@@ -142,48 +165,6 @@ let make_ctx id =
     rx_frames = 0;
   }
 
-let create engine ~mem ~dma ~config ~contexts ~dma_context_base ~notify
-    ~on_fault () =
-  if contexts <= 0 || contexts > 32 then
-    invalid_arg "Dp.create: contexts out of range";
-  {
-    engine;
-    mem;
-    dma;
-    cfg = config;
-    dma_context_base;
-    notify;
-    on_fault;
-    ctxs = Array.init contexts make_ctx;
-    mac_table = Hashtbl.create 64;
-    promiscuous = None;
-    tx_buf = Pkt_buf.create ~capacity:config.Nic_config.tx_buffer_bytes;
-    rx_buf = Pkt_buf.create ~capacity:config.Nic_config.rx_buffer_bytes;
-    rx_scratch = Bytes.empty;
-    link = None;
-    ready = Queue.create ();
-    fetch_busy = false;
-    fetch_ctx = None;
-    fetch_checked = false;
-    wire_busy = false;
-    wire_cur = None;
-    tx_rr = 0;
-    rx_busy = false;
-    rx_cur = None;
-    rx_cur_checked = false;
-    rx_rr = 0;
-    congested = false;
-    uncongested_hook = (fun () -> ());
-    s_tx_frames = 0;
-    s_tx_bytes = 0;
-    s_rx_frames = 0;
-    s_rx_bytes = 0;
-    s_no_ctx = 0;
-    s_overflow = 0;
-    s_truncated = 0;
-    s_faults = 0;
-  }
-
 let config t = t.cfg
 let contexts t = Array.length t.ctxs
 let dma t = t.dma
@@ -195,22 +176,26 @@ let ctx t i =
 
 let dma_ctx t (c : ctx) = t.dma_context_base + c.id
 
-(* Structured datapath events, tagged with the NIC's config name. *)
-let trace_event t ?(args = []) ~tid name =
-  if Sim.Trace.tag_enabled t.cfg.Nic_config.name then
-    Sim.Trace.instant ~time:(Sim.Engine.now t.engine)
-      ~tag:t.cfg.Nic_config.name ~tid ~args name
+(* Structured datapath events, tagged with the NIC's config name.
+   Callers test [tracing] first, so the argument lists are only built
+   when the tag is on. *)
+let tracing t = Sim.Trace.tag_enabled t.cfg.Nic_config.name
+
+let trace_event t ~args ~tid name =
+  Sim.Trace.instant ~time:(Sim.Engine.now t.engine) ~tag:t.cfg.Nic_config.name
+    ~tid ~args name
 
 let fault t (c : ctx) dir f =
   t.s_faults <- t.s_faults + 1;
   c.faulted <- true;
-  trace_event t ~tid:c.id
-    ~args:
-      [
-        ("ctx", Sim.Trace.Int c.id);
-        ("dir", Sim.Trace.Str (match dir with Tx -> "tx" | Rx -> "rx"));
-      ]
-    "protection-fault";
+  if tracing t then
+    trace_event t ~tid:c.id
+      ~args:
+        [
+          ("ctx", Sim.Trace.Int c.id);
+          ("dir", Sim.Trace.Str (match dir with Tx -> "tx" | Rx -> "rx"));
+        ]
+      "protection-fault";
   t.on_fault ~ctx:c.id dir f
 
 (* Congestion watermarks: pause above 3/4, resume below 1/2. *)
@@ -257,27 +242,23 @@ let[@cdna.sanitizer] check_seqno t c dir (desc : Memory.Dma_desc.t) =
     end
   end
 
+let discard_result (_ : (unit, Bus.Dma_engine.fault) result) = ()
+
+(* The status block is two little-endian u32 counters, [tx_cons] then
+   [rx_cons], as of the writeback's submission. *)
 let writeback_status t (c : ctx) =
   match c.status_addr with
   | None -> ()
   | Some addr ->
-      let b = Bytes.create 8 in
-      let put32 off v =
-        for i = 0 to 3 do
-          Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-        done
-      in
-      put32 0 (c.tx_cons land 0xFFFFFFFF);
-      put32 4 (c.rx_cons land 0xFFFFFFFF);
-      Bus.Dma_engine.write t.dma ~context:(dma_ctx t c) ~addr ~data:b
-        (fun _ -> ())
+      Bus.Dma_engine.write_u32_pair t.dma ~context:(dma_ctx t c) ~addr
+        c.tx_cons c.rx_cons discard_result
 
 (* ---------- Transmit pipeline ---------- *)
 
 let ensure_capacity buf ~len ~keep =
   if Bytes.length buf >= len then buf
   else begin
-    let cap = max len (max 2048 (2 * Bytes.length buf)) in
+    let cap = Int.max len (Int.max 2048 (2 * Bytes.length buf)) in
     let b = Bytes.create cap in
     if keep > 0 then Bytes.blit buf 0 b 0 keep;
     b
@@ -287,60 +268,61 @@ let tx_work_available (c : ctx) =
   c.active && (not c.faulted) && c.tx_ring <> None
   && c.tx_fetch_next < c.tx_prod
 
-(* Round-robin pick of the next context with transmit work: the CDNA NIC
-   "services all of the hardware contexts fairly". *)
-let pick_ctx t ~rr ~has_work =
-  let n = Array.length t.ctxs in
-  let rec scan i remaining =
-    if remaining = 0 then None
-    else begin
-      let c = t.ctxs.(i mod n) in
-      if has_work c then Some c else scan (i + 1) (remaining - 1)
-    end
-  in
-  scan (rr + 1) n
+(* Round-robin pick of the next context with work, scanning from
+   [rr + 1]: the CDNA NIC "services all of the hardware contexts
+   fairly". Returns the context's index, or -1. *)
+let rec scan_ctx t ~has_work i remaining =
+  if remaining = 0 then -1
+  else begin
+    let j = i mod Array.length t.ctxs in
+    if has_work t.ctxs.(j) then j else scan_ctx t ~has_work (i + 1) (remaining - 1)
+  end
+
+let pick_ctx t ~rr ~has_work = scan_ctx t ~has_work (rr + 1) (Array.length t.ctxs)
 
 let rec run_tx_fetch t =
   if t.fetch_busy || Queue.length t.ready >= ready_depth then ()
   else
-    match pick_ctx t ~rr:t.tx_rr ~has_work:tx_work_available with
-    | None -> ()
-    | Some c ->
-        let first_fragment = c.sg_frag_descs = 0 in
-        (* The reservation itself is the admission check: if it fails the
-           fetch stage stalls until the wire stage frees buffer space (a
-           wire completion re-runs the fetch stage). Ignoring a failed
-           reservation here would make the wire stage's later release
-           underflow the shared-buffer accounting. *)
-        if
-          first_fragment
-          && not (Pkt_buf.try_reserve t.tx_buf ~bytes:max_frame_bytes)
-        then () (* stalled until the wire stage frees buffer space *)
-        else begin
-          t.tx_rr <- c.id;
-          t.fetch_busy <- true;
-          t.fetch_ctx <- Some c.id;
-          t.fetch_checked <- false;
-          let epoch = c.epoch in
-          let idx = c.tx_fetch_next in
-          c.tx_fetch_next <- idx + 1;
-          let ring = Option.get c.tx_ring in
-          let daddr = Ring.slot_addr ring idx in
-          Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:daddr
-            ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
-            (fun res -> fetch_descriptor_done t c ~epoch ~daddr res)
-        end
+    let i = pick_ctx t ~rr:t.tx_rr ~has_work:tx_work_available in
+    if i >= 0 then begin
+      let c = t.ctxs.(i) in
+      let first_fragment = c.sg_frag_descs = 0 in
+      (* The reservation itself is the admission check: if it fails the
+         fetch stage stalls until the wire stage frees buffer space (a
+         wire completion re-runs the fetch stage). Ignoring a failed
+         reservation here would make the wire stage's later release
+         underflow the shared-buffer accounting. *)
+      if
+        first_fragment
+        && not (Pkt_buf.try_reserve t.tx_buf ~bytes:max_frame_bytes)
+      then () (* stalled until the wire stage frees buffer space *)
+      else begin
+        t.tx_rr <- c.id;
+        t.fetch_busy <- true;
+        t.fetch_ctx <- c.id;
+        t.fetch_checked <- false;
+        t.fetch_epoch <- c.epoch;
+        let idx = c.tx_fetch_next in
+        c.tx_fetch_next <- idx + 1;
+        let ring = Option.get c.tx_ring in
+        t.fetch_daddr <- Ring.slot_addr ring idx;
+        Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:t.fetch_daddr
+          ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
+          t.k_fetch_desc
+      end
+    end
 
 and abandon_fetch t c =
   c.sg_len <- 0;
   c.sg_frag_descs <- 0;
   Pkt_buf.release t.tx_buf ~bytes:max_frame_bytes;
   t.fetch_busy <- false;
-  t.fetch_ctx <- None;
+  t.fetch_ctx <- -1;
   run_tx_fetch t
 
-and fetch_descriptor_done t c ~epoch ~daddr res =
-  if c.epoch <> epoch then abandon_fetch t c
+and fetch_descriptor_done t res =
+  let c = t.ctxs.(t.fetch_ctx) in
+  if c.epoch <> t.fetch_epoch then abandon_fetch t c
   else
     match res with
     | Error e ->
@@ -348,94 +330,89 @@ and fetch_descriptor_done t c ~epoch ~daddr res =
         abandon_fetch t c
     | Ok () ->
         let desc =
-          Memory.Desc_layout.read t.cfg.Nic_config.desc_layout t.mem ~at:daddr
+          Memory.Desc_layout.read t.cfg.Nic_config.desc_layout t.mem
+            ~at:t.fetch_daddr
         in
         if not (check_seqno t c Tx desc) then abandon_fetch t c
         else begin
           t.fetch_checked <- true;
-          let fetch_payload k =
-            if t.cfg.Nic_config.materialize_payloads then begin
-              (* Fragment bytes land directly in the assembly buffer at
-                 completion time; grow it before submitting, never while
-                 the DMA is in flight. *)
-              c.sg_buf <-
-                ensure_capacity c.sg_buf ~len:(c.sg_len + desc.len)
-                  ~keep:c.sg_len;
-              Bus.Dma_engine.read_into t.dma ~context:(dma_ctx t c)
-                ~addr:desc.addr ~len:desc.len ~dst:c.sg_buf ~pos:c.sg_len k
-            end
-            else
-              Bus.Dma_engine.access t.dma ~context:(dma_ctx t c)
-                ~addr:desc.addr ~len:desc.len k
-          in
-          fetch_payload (fun res ->
-              if c.epoch <> epoch then abandon_fetch t c
-              else
-                match res with
-                | Error e ->
-                    fault t c Tx (Dma_fault e);
-                    abandon_fetch t c
-                | Ok () ->
-                    if t.cfg.Nic_config.materialize_payloads then
-                      c.sg_len <- c.sg_len + desc.len;
-                    c.sg_frag_descs <- c.sg_frag_descs + 1;
-                    if desc.flags land Memory.Dma_desc.flag_end_of_packet = 0
-                    then begin
-                      (* Scatter/gather: more fragments follow. Release
-                         the fetch engine; the next descriptor of this
-                         packet (or another context's work) proceeds. *)
-                      t.fetch_busy <- false;
-                      t.fetch_ctx <- None;
-                      run_tx_fetch t
-                    end
-                    else
-                      match Queue.take_opt c.tx_meta with
-                      | None ->
-                          fault t c Tx Missing_meta;
-                          abandon_fetch t c
-                      | Some frame ->
-                          (* The packet is fully assembled. The frame
-                             carries whatever bytes were actually in host
-                             memory; a corrupt descriptor shows up at the
-                             receiver as a payload mismatch. One copy per
-                             packet here, since the frame outlives the
-                             reusable assembly buffer. *)
-                          let total = c.sg_len in
-                          let n_descs = c.sg_frag_descs in
-                          c.sg_len <- 0;
-                          c.sg_frag_descs <- 0;
-                          let frame =
-                            if t.cfg.Nic_config.materialize_payloads then
-                              {
-                                frame with
-                                Ethernet.Frame.data =
-                                  Some (Bytes.sub c.sg_buf 0 total);
-                              }
-                            else frame
-                          in
-                          (* Adjust the optimistic reservation to the real
-                             footprint (TSO super-frames can exceed it). *)
-                          let actual = Ethernet.Frame.wire_bytes frame + 20 in
-                          let reserved =
-                            if actual <= max_frame_bytes then begin
-                              Pkt_buf.release t.tx_buf
-                                ~bytes:(max_frame_bytes - actual);
-                              actual
-                            end
-                            else if
-                              Pkt_buf.try_reserve t.tx_buf
-                                ~bytes:(actual - max_frame_bytes)
-                            then actual
-                            else max_frame_bytes
-                          in
-                          Queue.push
-                            (c.id, epoch, frame, reserved, n_descs)
-                            t.ready;
-                          t.fetch_busy <- false;
-                          t.fetch_ctx <- None;
-                          run_tx_wire t;
-                          run_tx_fetch t)
+          t.fetch_len <- desc.len;
+          t.fetch_flags <- desc.flags;
+          if t.cfg.Nic_config.materialize_payloads then begin
+            (* Fragment bytes land directly in the assembly buffer at
+               completion time; grow it before submitting, never while
+               the DMA is in flight. *)
+            c.sg_buf <-
+              ensure_capacity c.sg_buf ~len:(c.sg_len + desc.len)
+                ~keep:c.sg_len;
+            Bus.Dma_engine.read_into t.dma ~context:(dma_ctx t c)
+              ~addr:desc.addr ~len:desc.len ~dst:c.sg_buf ~pos:c.sg_len
+              t.k_fetch_payload
+          end
+          else
+            Bus.Dma_engine.access t.dma ~context:(dma_ctx t c)
+              ~addr:desc.addr ~len:desc.len t.k_fetch_payload
         end
+
+and fetch_payload_done t res =
+  let c = t.ctxs.(t.fetch_ctx) in
+  let epoch = t.fetch_epoch in
+  if c.epoch <> epoch then abandon_fetch t c
+  else
+    match res with
+    | Error e ->
+        fault t c Tx (Dma_fault e);
+        abandon_fetch t c
+    | Ok () ->
+        if t.cfg.Nic_config.materialize_payloads then
+          c.sg_len <- c.sg_len + t.fetch_len;
+        c.sg_frag_descs <- c.sg_frag_descs + 1;
+        if t.fetch_flags land Memory.Dma_desc.flag_end_of_packet = 0 then begin
+          (* Scatter/gather: more fragments follow. Release the fetch
+             engine; the next descriptor of this packet (or another
+             context's work) proceeds. *)
+          t.fetch_busy <- false;
+          t.fetch_ctx <- -1;
+          run_tx_fetch t
+        end
+        else
+          match Queue.take_opt c.tx_meta with
+          | None ->
+              fault t c Tx Missing_meta;
+              abandon_fetch t c
+          | Some frame ->
+              (* The packet is fully assembled. The frame carries whatever
+                 bytes were actually in host memory; a corrupt descriptor
+                 shows up at the receiver as a payload mismatch. One copy
+                 per packet here, since the frame outlives the reusable
+                 assembly buffer. *)
+              let total = c.sg_len in
+              let n_descs = c.sg_frag_descs in
+              c.sg_len <- 0;
+              c.sg_frag_descs <- 0;
+              let frame =
+                if t.cfg.Nic_config.materialize_payloads then
+                  { frame with Ethernet.Frame.data = Some (Bytes.sub c.sg_buf 0 total) }
+                else frame
+              in
+              (* Adjust the optimistic reservation to the real footprint
+                 (TSO super-frames can exceed it). *)
+              let actual = Ethernet.Frame.wire_bytes frame + 20 in
+              let reserved =
+                if actual <= max_frame_bytes then begin
+                  Pkt_buf.release t.tx_buf ~bytes:(max_frame_bytes - actual);
+                  actual
+                end
+                else if
+                  Pkt_buf.try_reserve t.tx_buf ~bytes:(actual - max_frame_bytes)
+                then actual
+                else max_frame_bytes
+              in
+              Queue.push (c.id, epoch, frame, reserved, n_descs) t.ready;
+              t.fetch_busy <- false;
+              t.fetch_ctx <- -1;
+              run_tx_wire t;
+              run_tx_fetch t
 
 and run_tx_wire t =
   match t.link with
@@ -454,34 +431,42 @@ and run_tx_wire t =
             end
             else begin
               t.wire_busy <- true;
-              t.wire_cur <- Some (cid, epoch, n_descs);
-              Ethernet.Link.send link ~from:side frame
-                ~on_wire_free:(fun () ->
-                  t.wire_busy <- false;
-                  t.wire_cur <- None;
-                  Pkt_buf.release t.tx_buf ~bytes:reserved;
-                  t.s_tx_frames <- t.s_tx_frames + 1;
-                  t.s_tx_bytes <- t.s_tx_bytes + frame.Ethernet.Frame.payload_len;
-                  if c.epoch = epoch then begin
-                    trace_event t ~tid:c.id
-                      ~args:
-                        [
-                          ("ctx", Sim.Trace.Int c.id);
-                          ("seq", Sim.Trace.Int frame.Ethernet.Frame.seq);
-                          ( "len",
-                            Sim.Trace.Int frame.Ethernet.Frame.payload_len );
-                        ]
-                      "tx";
-                    c.tx_frames <- c.tx_frames + 1;
-                    c.tx_cons <- c.tx_cons + n_descs;
-                    c.tx_completed_unread <- c.tx_completed_unread + n_descs;
-                    writeback_status t c;
-                    t.notify ~ctx:c.id
-                  end;
-                  run_tx_wire t;
-                  run_tx_fetch t)
+              t.wire_cur <- cid;
+              t.wire_epoch <- epoch;
+              t.wire_descs <- n_descs;
+              t.wire_frame <- frame;
+              t.wire_reserved <- reserved;
+              Ethernet.Link.send link ~from:side frame ~on_wire_free:t.k_wire_free
             end
       end
+
+and wire_free t () =
+  let c = t.ctxs.(t.wire_cur) in
+  let epoch = t.wire_epoch and n_descs = t.wire_descs in
+  let frame = t.wire_frame in
+  t.wire_busy <- false;
+  t.wire_cur <- -1;
+  Pkt_buf.release t.tx_buf ~bytes:t.wire_reserved;
+  t.s_tx_frames <- t.s_tx_frames + 1;
+  t.s_tx_bytes <- t.s_tx_bytes + frame.Ethernet.Frame.payload_len;
+  if c.epoch = epoch then begin
+    if tracing t then
+      trace_event t ~tid:c.id
+        ~args:
+          [
+            ("ctx", Sim.Trace.Int c.id);
+            ("seq", Sim.Trace.Int frame.Ethernet.Frame.seq);
+            ("len", Sim.Trace.Int frame.Ethernet.Frame.payload_len);
+          ]
+        "tx";
+    c.tx_frames <- c.tx_frames + 1;
+    c.tx_cons <- c.tx_cons + n_descs;
+    c.tx_completed_unread <- c.tx_completed_unread + n_descs;
+    writeback_status t c;
+    t.notify ~ctx:c.id
+  end;
+  run_tx_wire t;
+  run_tx_fetch t
 
 (* ---------- Receive path ---------- *)
 
@@ -493,89 +478,65 @@ let rx_work_available (c : ctx) =
 let rec run_rx t =
   if t.rx_busy then ()
   else
-    match pick_ctx t ~rr:t.rx_rr ~has_work:rx_work_available with
-    | None -> ()
-    | Some c ->
-        t.rx_rr <- c.id;
-        t.rx_busy <- true;
-        let frame, epoch = Queue.pop c.rx_backlog in
-        if epoch <> c.epoch then begin
-          (* Stale after revocation (normally cleared there already). *)
-          release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
-          t.rx_busy <- false;
-          run_rx t
-        end
-        else begin
-          let idx = c.rx_use_next in
-          c.rx_use_next <- idx + 1;
-          t.rx_cur <- Some (c.id, epoch);
-          t.rx_cur_checked <- false;
-          let ring = Option.get c.rx_ring in
-          let daddr = Ring.slot_addr ring idx in
-          Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:daddr
-            ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
-            (fun res -> rx_descriptor_done t c ~epoch ~idx ~daddr ~frame res)
-        end
+    let i = pick_ctx t ~rr:t.rx_rr ~has_work:rx_work_available in
+    if i >= 0 then begin
+      let c = t.ctxs.(i) in
+      t.rx_rr <- c.id;
+      t.rx_busy <- true;
+      let frame, epoch = Queue.pop c.rx_backlog in
+      if epoch <> c.epoch then begin
+        (* Stale after revocation (normally cleared there already). *)
+        release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
+        t.rx_busy <- false;
+        run_rx t
+      end
+      else begin
+        let idx = c.rx_use_next in
+        c.rx_use_next <- idx + 1;
+        t.rx_cur <- c.id;
+        t.rx_epoch <- epoch;
+        t.rx_cur_checked <- false;
+        t.rx_idx <- idx;
+        t.rx_frame <- frame;
+        let ring = Option.get c.rx_ring in
+        t.rx_daddr <- Ring.slot_addr ring idx;
+        Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:t.rx_daddr
+          ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
+          t.k_rx_desc
+      end
+    end
 
-and rx_abandon t frame =
-  release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
+and rx_abandon t =
+  release_rx_bytes t (Ethernet.Frame.wire_bytes t.rx_frame);
   t.rx_busy <- false;
-  t.rx_cur <- None;
+  t.rx_cur <- -1;
   run_rx t
 
-and rx_descriptor_done t c ~epoch ~idx ~daddr ~frame res =
-  if c.epoch <> epoch then rx_abandon t frame
+and rx_descriptor_done t res =
+  let c = t.ctxs.(t.rx_cur) in
+  if c.epoch <> t.rx_epoch then rx_abandon t
   else
     match res with
     | Error e ->
         fault t c Rx (Dma_fault e);
-        rx_abandon t frame
+        rx_abandon t
     | Ok () ->
         let desc =
-          Memory.Desc_layout.read t.cfg.Nic_config.desc_layout t.mem ~at:daddr
+          Memory.Desc_layout.read t.cfg.Nic_config.desc_layout t.mem
+            ~at:t.rx_daddr
         in
-        if not (check_seqno t c Rx desc) then rx_abandon t frame
+        if not (check_seqno t c Rx desc) then rx_abandon t
         else begin
           t.rx_cur_checked <- true;
-          let len = min frame.Ethernet.Frame.payload_len desc.len in
-          let deliver res =
-            if c.epoch <> epoch then rx_abandon t frame
-            else
-              match res with
-              | Error e ->
-                  fault t c Rx (Dma_fault e);
-                  rx_abandon t frame
-              | Ok () ->
-                  release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
-                  trace_event t ~tid:c.id
-                    ~args:
-                      [
-                        ("ctx", Sim.Trace.Int c.id);
-                        ("seq", Sim.Trace.Int frame.Ethernet.Frame.seq);
-                        ("len", Sim.Trace.Int len);
-                      ]
-                    "rx";
-                  c.rx_cons <- c.rx_cons + 1;
-                  c.rx_frames <- c.rx_frames + 1;
-                  t.s_rx_frames <- t.s_rx_frames + 1;
-                  (* Only the bytes that fit the posted buffer were
-                     delivered; a short descriptor truncates the frame. *)
-                  t.s_rx_bytes <- t.s_rx_bytes + len;
-                  if len < frame.Ethernet.Frame.payload_len then
-                    t.s_truncated <- t.s_truncated + 1;
-                  Queue.push (idx, frame) c.rx_completions;
-                  writeback_status t c;
-                  t.notify ~ctx:c.id;
-                  t.rx_busy <- false;
-                  t.rx_cur <- None;
-                  run_rx t
-          in
+          let frame = t.rx_frame in
+          let len = Int.min frame.Ethernet.Frame.payload_len desc.len in
+          t.rx_len <- len;
           if t.cfg.Nic_config.materialize_payloads then begin
             (* Deliver through the per-NIC staging buffer: spec-only
                frames generate their payload straight into it, frames
                that already carry bytes are staged (and truncated to the
                posted buffer) without a fresh allocation. [rx_busy] keeps
-               the scratch untouched until [deliver] fires. *)
+               the scratch untouched until the delivery completes. *)
             (match frame.Ethernet.Frame.data with
             | None ->
                 t.rx_scratch <- ensure_capacity t.rx_scratch ~len ~keep:0;
@@ -585,31 +546,138 @@ and rx_descriptor_done t c ~epoch ~idx ~daddr ~frame res =
                 t.rx_scratch <- ensure_capacity t.rx_scratch ~len ~keep:0;
                 Bytes.blit data 0 t.rx_scratch 0 len);
             Bus.Dma_engine.write_from t.dma ~context:(dma_ctx t c)
-              ~addr:desc.addr ~src:t.rx_scratch ~pos:0 ~len deliver
+              ~addr:desc.addr ~src:t.rx_scratch ~pos:0 ~len t.k_rx_deliver
           end
           else
             Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:desc.addr
-              ~len deliver
+              ~len t.k_rx_deliver
         end
 
+and rx_deliver_done t res =
+  let c = t.ctxs.(t.rx_cur) in
+  if c.epoch <> t.rx_epoch then rx_abandon t
+  else
+    match res with
+    | Error e ->
+        fault t c Rx (Dma_fault e);
+        rx_abandon t
+    | Ok () ->
+        let frame = t.rx_frame and len = t.rx_len in
+        release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
+        if tracing t then
+          trace_event t ~tid:c.id
+            ~args:
+              [
+                ("ctx", Sim.Trace.Int c.id);
+                ("seq", Sim.Trace.Int frame.Ethernet.Frame.seq);
+                ("len", Sim.Trace.Int len);
+              ]
+            "rx";
+        c.rx_cons <- c.rx_cons + 1;
+        c.rx_frames <- c.rx_frames + 1;
+        t.s_rx_frames <- t.s_rx_frames + 1;
+        (* Only the bytes that fit the posted buffer were delivered; a
+           short descriptor truncates the frame. *)
+        t.s_rx_bytes <- t.s_rx_bytes + len;
+        if len < frame.Ethernet.Frame.payload_len then
+          t.s_truncated <- t.s_truncated + 1;
+        Queue.push (t.rx_idx, frame) c.rx_completions;
+        writeback_status t c;
+        t.notify ~ctx:c.id;
+        t.rx_busy <- false;
+        t.rx_cur <- -1;
+        run_rx t
+
 let on_rx_frame t frame =
-  let dst = frame.Ethernet.Frame.dst in
+  let dst = Ethernet.Mac_addr.to_int48 frame.Ethernet.Frame.dst in
   let target =
-    match Hashtbl.find_opt t.mac_table dst with
-    | Some i when t.ctxs.(i).active -> Some t.ctxs.(i)
+    match Sim.Int_tbl.find_opt t.mac_table dst with
+    | Some i when t.ctxs.(i).active -> i
     | Some _ | None -> (
         match t.promiscuous with
-        | Some i when t.ctxs.(i).active -> Some t.ctxs.(i)
-        | Some _ | None -> None)
+        | Some i when t.ctxs.(i).active -> i
+        | Some _ | None -> -1)
   in
-  match target with
-  | None -> t.s_no_ctx <- t.s_no_ctx + 1
-  | Some c ->
-      if reserve_rx_bytes t (Ethernet.Frame.wire_bytes frame) then begin
-        Queue.push (frame, c.epoch) c.rx_backlog;
-        run_rx t
-      end
-      else t.s_overflow <- t.s_overflow + 1
+  if target < 0 then t.s_no_ctx <- t.s_no_ctx + 1
+  else begin
+    let c = t.ctxs.(target) in
+    if reserve_rx_bytes t (Ethernet.Frame.wire_bytes frame) then begin
+      Queue.push (frame, c.epoch) c.rx_backlog;
+      run_rx t
+    end
+    else t.s_overflow <- t.s_overflow + 1
+  end
+
+let no_wire_free () = ()
+
+let create engine ~mem ~dma ~config ~contexts ~dma_context_base ~notify
+    ~on_fault () =
+  if contexts <= 0 || contexts > 32 then
+    invalid_arg "Dp.create: contexts out of range";
+  let t =
+    {
+      engine;
+      mem;
+      dma;
+      cfg = config;
+      dma_context_base;
+      notify;
+      on_fault;
+      ctxs = Array.init contexts make_ctx;
+      mac_table = Sim.Int_tbl.create 64;
+      promiscuous = None;
+      tx_buf = Pkt_buf.create ~capacity:config.Nic_config.tx_buffer_bytes;
+      rx_buf = Pkt_buf.create ~capacity:config.Nic_config.rx_buffer_bytes;
+      rx_scratch = Bytes.empty;
+      link = None;
+      ready = Queue.create ();
+      fetch_busy = false;
+      fetch_ctx = -1;
+      fetch_checked = false;
+      fetch_epoch = 0;
+      fetch_daddr = 0;
+      fetch_len = 0;
+      fetch_flags = 0;
+      k_fetch_desc = discard_result;
+      k_fetch_payload = discard_result;
+      wire_busy = false;
+      wire_cur = -1;
+      wire_epoch = 0;
+      wire_descs = 0;
+      wire_frame = Ethernet.Frame.placeholder;
+      wire_reserved = 0;
+      k_wire_free = no_wire_free;
+      tx_rr = 0;
+      rx_busy = false;
+      rx_cur = -1;
+      rx_epoch = 0;
+      rx_cur_checked = false;
+      rx_idx = 0;
+      rx_daddr = 0;
+      rx_frame = Ethernet.Frame.placeholder;
+      rx_len = 0;
+      k_rx_desc = discard_result;
+      k_rx_deliver = discard_result;
+      rx_rr = 0;
+      congested = false;
+      uncongested_hook = (fun () -> ());
+      s_tx_frames = 0;
+      s_tx_bytes = 0;
+      s_rx_frames = 0;
+      s_rx_bytes = 0;
+      s_no_ctx = 0;
+      s_overflow = 0;
+      s_truncated = 0;
+      s_faults = 0;
+    }
+  in
+  (* The stage continuations, built once per NIC. *)
+  t.k_fetch_desc <- fetch_descriptor_done t;
+  t.k_fetch_payload <- fetch_payload_done t;
+  t.k_wire_free <- wire_free t;
+  t.k_rx_desc <- rx_descriptor_done t;
+  t.k_rx_deliver <- rx_deliver_done t;
+  t
 
 let attach_link t link ~side =
   t.link <- Some (link, side);
@@ -620,17 +688,18 @@ let attach_link t link ~side =
 let activate t ~ctx:i ~mac =
   let c = ctx t i in
   if c.active then invalid_arg "Dp.activate: context already active";
-  trace_event t ~tid:i
-    ~args:
-      [
-        ("ctx", Sim.Trace.Int i);
-        ("mac", Sim.Trace.Str (Ethernet.Mac_addr.to_string mac));
-      ]
-    "activate";
+  if tracing t then
+    trace_event t ~tid:i
+      ~args:
+        [
+          ("ctx", Sim.Trace.Int i);
+          ("mac", Sim.Trace.Str (Ethernet.Mac_addr.to_string mac));
+        ]
+      "activate";
   c.active <- true;
   c.faulted <- false;
   c.mac <- Some mac;
-  Hashtbl.replace t.mac_table mac i;
+  Sim.Int_tbl.replace t.mac_table (Ethernet.Mac_addr.to_int48 mac) i;
   run_tx_fetch t;
   run_rx t
 
@@ -638,12 +707,12 @@ let deactivate t ~ctx:i =
   let c = ctx t i in
   if c.active || c.faulted then begin
     (match c.mac with
-    | Some mac
-      when match Hashtbl.find_opt t.mac_table mac with
-           | Some owner -> Int.equal owner i
-           | None -> false ->
-        Hashtbl.remove t.mac_table mac
-    | Some _ | None -> ());
+    | Some mac -> (
+        let key = Ethernet.Mac_addr.to_int48 mac in
+        match Sim.Int_tbl.find_opt t.mac_table key with
+        | Some owner when Int.equal owner i -> Sim.Int_tbl.remove t.mac_table key
+        | Some _ | None -> ())
+    | None -> ());
     c.active <- false;
     c.faulted <- false;
     c.mac <- None;
@@ -651,10 +720,7 @@ let deactivate t ~ctx:i =
     (* A packet abandoned mid-assembly holds a transmit-buffer
        reservation; release it here unless an in-flight fetch for this
        context will do so when its completion observes the epoch bump. *)
-    let fetch_serves_this_ctx =
-      match t.fetch_ctx with Some j -> Int.equal j c.id | None -> false
-    in
-    if c.sg_frag_descs > 0 && not fetch_serves_this_ctx then
+    if c.sg_frag_descs > 0 && not (Int.equal t.fetch_ctx c.id) then
       Pkt_buf.release t.tx_buf ~bytes:max_frame_bytes;
     Queue.iter
       (fun (frame, _) ->
@@ -730,10 +796,7 @@ let[@cdna.acquires "dp-image"] save_context t ~ctx:i =
       end)
     t.ready;
   let ready_frames = List.rev !ready_frames in
-  let in_fetch =
-    t.fetch_busy
-    && match t.fetch_ctx with Some j -> Int.equal j i | None -> false
-  in
+  let in_fetch = t.fetch_busy && Int.equal t.fetch_ctx i in
   let rollback_cursor =
     !ready_descs + c.sg_frag_descs + (if in_fetch then 1 else 0)
   in
@@ -742,23 +805,21 @@ let[@cdna.acquires "dp-image"] save_context t ~ctx:i =
     + (if in_fetch && t.fetch_checked then 1 else 0)
   in
   let rx_unchecked =
-    match t.rx_cur with
-    | Some (j, ep) -> Int.equal j i && ep = c.epoch && not t.rx_cur_checked
-    | None -> false
+    Int.equal t.rx_cur i && t.rx_epoch = c.epoch && not t.rx_cur_checked
   in
   let wire_descs =
-    match t.wire_cur with
-    | Some (j, ep, n) when Int.equal j i && ep = c.epoch -> n
-    | Some _ | None -> 0
+    if Int.equal t.wire_cur i && t.wire_epoch = c.epoch then t.wire_descs
+    else 0
   in
   let seq_back s r = (((s - r) mod seqno_mod) + seqno_mod) mod seqno_mod in
-  trace_event t ~tid:i
-    ~args:
-      [
-        ("ctx", Sim.Trace.Int i);
-        ("rollback_descs", Sim.Trace.Int rollback_cursor);
-      ]
-    "ctx-save";
+  if tracing t then
+    trace_event t ~tid:i
+      ~args:
+        [
+          ("ctx", Sim.Trace.Int i);
+          ("rollback_descs", Sim.Trace.Int rollback_cursor);
+        ]
+      "ctx-save";
   {
     sv_mac = c.mac;
     sv_tx_ring = c.tx_ring;
@@ -788,12 +849,13 @@ let[@cdna.releases "dp-image@1"] restore_context t ~ctx:i s =
   let c = ctx t i in
   if c.active || c.faulted then
     invalid_arg "Dp.restore_context: slot not reset";
-  trace_event t ~tid:i ~args:[ ("ctx", Sim.Trace.Int i) ] "ctx-restore";
+  if tracing t then
+    trace_event t ~tid:i ~args:[ ("ctx", Sim.Trace.Int i) ] "ctx-restore";
   c.active <- true;
   c.faulted <- false;
   c.mac <- s.sv_mac;
   (match s.sv_mac with
-  | Some mac -> Hashtbl.replace t.mac_table mac i
+  | Some mac -> Sim.Int_tbl.replace t.mac_table (Ethernet.Mac_addr.to_int48 mac) i
   | None -> ());
   c.tx_ring <- s.sv_tx_ring;
   c.rx_ring <- s.sv_rx_ring;

@@ -14,7 +14,14 @@ type t = {
   min_refill_interval : Sim.Time.t;
   gso_segments : int;
   mutable streams : stream list;
-  by_flow : (int, Connection.t) Hashtbl.t;
+  by_flow : Connection.t Sim.Int_tbl.t;
+  (* One receive batch's acks, reused across batches: entries
+     [0, acks_n) hold distinct flow ids in ascending order, with the
+     connection and the segments accepted in the batch. *)
+  mutable ack_flow : int array;
+  mutable ack_conn : Connection.t array;
+  mutable ack_segs : int array;
+  mutable acks_n : int;
   mutable consumed : int;
   mutable stray : int;
 }
@@ -30,7 +37,11 @@ let create engine ?(min_refill_interval = Sim.Time.us 80) ?(gso_segments = 1)
     min_refill_interval;
     gso_segments;
     streams = [];
-    by_flow = Hashtbl.create 64;
+    by_flow = Sim.Int_tbl.create 64;
+    ack_flow = [||];
+    ack_conn = [||];
+    ack_segs = [||];
+    acks_n = 0;
     consumed = 0;
     stray = 0;
   }
@@ -60,7 +71,7 @@ and refill_now t s =
     let want =
       Array.fold_left (fun acc c -> acc + Connection.credits c) 0 s.tx_conns
     in
-    let k = min capacity want in
+    let k = Int.min capacity want in
     if k > 0 then begin
       s.refill_scheduled <- true;
       Pattern.Throttle.mark s.pacer ~now:(Sim.Engine.now t.engine);
@@ -77,7 +88,7 @@ and refill_now t s =
           while !remaining > 0 && !idle_rounds < n do
             let c = s.tx_conns.(s.rr) in
             s.rr <- (s.rr + 1) mod n;
-            let want = min !remaining t.gso_segments in
+            let want = Int.min !remaining t.gso_segments in
             let got = Connection.take_credits c want in
             if got > 0 then begin
               frames :=
@@ -96,17 +107,49 @@ and refill_now t s =
     end
   end
 
-let on_rx t s frames =
+(* Index of [flow]'s entry in the batch buffer, or where it belongs. *)
+let rec ack_position t flow j =
+  if j < t.acks_n && t.ack_flow.(j) < flow then ack_position t flow (j + 1)
+  else j
+
+(* Add [segs] to [flow]'s entry in the batch buffer, inserting the entry
+   at its sorted position on the flow's first ack of the batch. *)
+let add_ack t flow conn segs =
+  let n = t.acks_n in
+  let j = ack_position t flow 0 in
+  if j < n && t.ack_flow.(j) = flow then t.ack_segs.(j) <- t.ack_segs.(j) + segs
+  else begin
+    if n = Array.length t.ack_flow then begin
+      let cap = Int.max 8 (2 * n) in
+      let grow a fill =
+        let b = Array.make cap fill in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      t.ack_flow <- grow t.ack_flow 0;
+      t.ack_conn <- grow t.ack_conn conn;
+      t.ack_segs <- grow t.ack_segs 0
+    end;
+    Array.blit t.ack_flow j t.ack_flow (j + 1) (n - j);
+    Array.blit t.ack_conn j t.ack_conn (j + 1) (n - j);
+    Array.blit t.ack_segs j t.ack_segs (j + 1) (n - j);
+    t.ack_flow.(j) <- flow;
+    t.ack_conn.(j) <- conn;
+    t.ack_segs.(j) <- segs;
+    t.acks_n <- n + 1
+  end
+
+let on_rx t frames =
   let n = List.length frames in
   let cost =
     Sim.Time.add t.costs.Guestos.Os_costs.app_wakeup
       (Sim.Time.mul_int t.costs.Guestos.Os_costs.app_per_pkt n)
   in
   t.post_user ~cost (fun () ->
-      let acks = Hashtbl.create 8 in
+      t.acks_n <- 0;
       List.iter
         (fun frame ->
-          match Hashtbl.find_opt t.by_flow frame.Ethernet.Frame.flow with
+          match Sim.Int_tbl.find_opt t.by_flow frame.Ethernet.Frame.flow with
           | Some conn -> (
               t.consumed <- t.consumed + frame.Ethernet.Frame.segments;
               match
@@ -114,23 +157,18 @@ let on_rx t s frames =
                   frame
               with
               | `Accepted ->
-                  Hashtbl.replace acks frame.Ethernet.Frame.flow
-                    ((match
-                        Hashtbl.find_opt acks frame.Ethernet.Frame.flow
-                      with
-                     | Some (_, k) -> k
-                     | None -> 0)
-                    + frame.Ethernet.Frame.segments
-                    |> fun k -> (conn, k))
+                  add_ack t frame.Ethernet.Frame.flow conn
+                    frame.Ethernet.Frame.segments
               | `Rejected -> ())
           | None -> t.stray <- t.stray + 1)
         frames;
       (* Ack flows in ascending flow-id order: the callback schedules
-         events, so fan-out order must not depend on hash layout. *)
-      Hashtbl.fold (fun flow v acc -> (flow, v) :: acc) acks []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.iter (fun (_, (conn, k)) -> t.ack conn k);
-      ignore s)
+         events, so fan-out order must not depend on arrival order. The
+         callback must not run a receive batch itself, which would reuse
+         the buffer under this loop. *)
+      for i = 0 to t.acks_n - 1 do
+        t.ack t.ack_conn.(i) t.ack_segs.(i)
+      done)
 
 let add_stream t ~stack ~tx ~rx =
   let s =
@@ -143,32 +181,35 @@ let add_stream t ~stack ~tx ~rx =
     }
   in
   List.iter
-    (fun c -> Hashtbl.replace t.by_flow (Connection.id c) c)
+    (fun c -> Sim.Int_tbl.replace t.by_flow (Connection.id c) c)
     (tx @ rx);
   t.streams <- t.streams @ [ s ];
-  Guestos.Net_stack.set_rx_handler stack (fun frames -> on_rx t s frames);
+  Guestos.Net_stack.set_rx_handler stack (fun frames -> on_rx t frames);
   Guestos.Net_stack.set_writable_hook stack (fun () -> refill t s)
 
 let start t = List.iter (fun s -> refill t s) t.streams
 
+let rec sends_on conns id i =
+  i < Array.length conns
+  && (Connection.id conns.(i) = id || sends_on conns id (i + 1))
+
+(* Top up every stream that sends on connection [id]. *)
+let rec refill_senders t id = function
+  | [] -> ()
+  | s :: rest ->
+      if sends_on s.tx_conns id 0 then refill t s;
+      refill_senders t id rest
+
 let on_credit t conn n =
   Connection.add_credits conn n;
-  (* Find the stream owning this connection and top it up. *)
-  List.iter
-    (fun s ->
-      if
-        Array.exists
-          (fun c -> Connection.id c = Connection.id conn)
-          s.tx_conns
-      then refill t s)
-    t.streams
+  refill_senders t (Connection.id conn) t.streams
 
 let consumed t = t.consumed
 
-let[@cdna.unordered_ok "commutative int sum; iteration order cannot change it"]
-    integrity_failures t =
-  Hashtbl.fold
-    (fun _ c acc -> acc + Connection.integrity_failures c)
-    t.by_flow 0
+let integrity_failures t =
+  let n = ref 0 in
+  Sim.Int_tbl.iter_sorted t.by_flow (fun _ c ->
+      n := !n + Connection.integrity_failures c);
+  !n
 
 let stray_frames t = t.stray

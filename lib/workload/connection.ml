@@ -12,7 +12,7 @@ type t = {
   mutable rejected : int;
   mutable integrity_failures : int;
   (* Send timestamps of in-flight sequence numbers, for latency. *)
-  sent_at : (int, Sim.Time.t) Hashtbl.t;
+  sent_at : Sim.Time.t Sim.Int_tbl.t;
   latency : Sim.Stats.Histogram.t;
 }
 
@@ -32,7 +32,7 @@ let create ~id ~window ~payload_len ~src ~dst =
     received = 0;
     rejected = 0;
     integrity_failures = 0;
-    sent_at = Hashtbl.create 64;
+    sent_at = Sim.Int_tbl.create 64;
     latency = Sim.Stats.Histogram.create ();
   }
 
@@ -41,20 +41,20 @@ let window t = t.window
 let payload_len t = t.payload_len
 let src t = t.src
 let dst t = t.dst
-let credits t = max 0 (t.window - t.in_flight)
+let credits t = Int.max 0 (t.window - t.in_flight)
 
 let take_credits t n =
-  let k = min n (credits t) in
+  let k = Int.min n (credits t) in
   t.in_flight <- t.in_flight + k;
   k
 
-let add_credits t n = t.in_flight <- max 0 (t.in_flight - n)
+let add_credits t n = t.in_flight <- Int.max 0 (t.in_flight - n)
 
 let payload_seed ~conn ~seq = (conn * 1_000_003) + seq + 1
 
 let frame_with_seq ?now t ~seq =
   (match now with
-  | Some time -> Hashtbl.replace t.sent_at seq time
+  | Some time -> Sim.Int_tbl.replace t.sent_at seq time
   | None -> ());
   Ethernet.Frame.make ~src:t.src ~dst:t.dst ~kind:Ethernet.Frame.Data
     ~flow:t.id ~seq ~payload_len:t.payload_len
@@ -68,7 +68,7 @@ let make_frame ?now ?(segments = 1) t =
   if segments = 1 then frame_with_seq ?now t ~seq
   else begin
     (match now with
-    | Some time -> Hashtbl.replace t.sent_at seq time
+    | Some time -> Sim.Int_tbl.replace t.sent_at seq time
     | None -> ());
     Ethernet.Frame.make ~src:t.src ~dst:t.dst ~kind:Ethernet.Frame.Data
       ~flow:t.id ~seq ~segments
@@ -83,9 +83,9 @@ let record_received ?now t frame =
     t.received <- t.received + frame.Ethernet.Frame.segments;
     if not (Ethernet.Frame.data_valid frame) then
       t.integrity_failures <- t.integrity_failures + 1;
-    (match (now, Hashtbl.find_opt t.sent_at frame.Ethernet.Frame.seq) with
+    (match (now, Sim.Int_tbl.find_opt t.sent_at frame.Ethernet.Frame.seq) with
     | Some arrival, Some departure ->
-        Hashtbl.remove t.sent_at frame.Ethernet.Frame.seq;
+        Sim.Int_tbl.remove t.sent_at frame.Ethernet.Frame.seq;
         Sim.Stats.Histogram.add t.latency (Sim.Time.diff arrival departure)
     | _ -> ());
     `Accepted
@@ -107,5 +107,5 @@ let reset_counters t =
   t.received <- 0;
   t.rejected <- 0;
   t.integrity_failures <- 0;
-  Hashtbl.reset t.sent_at;
+  Sim.Int_tbl.reset t.sent_at;
   Sim.Stats.Histogram.reset t.latency

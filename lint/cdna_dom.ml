@@ -172,6 +172,7 @@ let read_fns =
       "Hashtbl.find"; "Hashtbl.find_opt"; "Hashtbl.find_all"; "Hashtbl.mem";
       "Hashtbl.length"; "Hashtbl.iter"; "Hashtbl.fold"; "Hashtbl.to_seq";
       "Hashtbl.to_seq_keys"; "Hashtbl.to_seq_values";
+      "Int_tbl.find_opt"; "Int_tbl.mem"; "Int_tbl.length"; "Int_tbl.iter_sorted";
       "Array.get"; "Array.unsafe_get"; "Array.length"; "Array.iter";
       "Array.iteri"; "Array.fold_left"; "Array.fold_right"; "Array.map";
       "Array.mapi"; "Array.to_list"; "Array.mem"; "Array.exists";
@@ -196,6 +197,7 @@ let write_fns =
       ":="; "incr"; "decr";
       "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.reset";
       "Hashtbl.clear"; "Hashtbl.filter_map_inplace";
+      "Int_tbl.replace"; "Int_tbl.remove"; "Int_tbl.reset";
       "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit";
       "Array.sort"; "Array.fast_sort"; "Array.stable_sort";
       "Bytes.set"; "Bytes.unsafe_set"; "Bytes.fill"; "Bytes.blit";
@@ -237,6 +239,7 @@ let rec state_kind aliases env fuel ty =
         else if k = "bytes" then Some (`Mut "bytes")
         else if k = "lazy_t" || c = "Lazy.t" then Some (`Mut "lazy")
         else if c = "Hashtbl.t" then Some (`Mut "Hashtbl.t")
+        else if c = "Int_tbl.t" then Some (`Mut "Int_tbl.t")
         else if c = "Queue.t" then Some (`Mut "Queue.t")
         else if c = "Stack.t" then Some (`Mut "Stack.t")
         else if c = "Buffer.t" then Some (`Mut "Buffer.t")

@@ -181,7 +181,7 @@ let allow_qualified =
          the parsetree sees [Domain.DLS.get], the typedtree [DLS.get]. *)
       "Domain.DLS.get"; "DLS.get";
       "Hashtbl.mem"; "Hashtbl.remove"; "Hashtbl.length";
-      "Queue.length"; "Queue.is_empty";
+      "Queue.length"; "Queue.is_empty"; "Queue.pop"; "Queue.take";
       "Stdlib.min"; "Stdlib.max"; "Stdlib.abs"; "Stdlib.succ";
       "Stdlib.pred"; "Stdlib.not"; "Stdlib.ignore"; "Stdlib.fst";
       "Stdlib.snd"; "Stdlib.incr"; "Stdlib.decr"; "Stdlib.invalid_arg";

@@ -4,6 +4,7 @@
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
+let check_string = check Alcotest.string
 
 (* ---------- Mmio ---------- *)
 
@@ -163,6 +164,153 @@ let test_dma_stats () =
   check_int "bytes" 150 (Bus.Dma_engine.bytes_moved dma);
   check_bool "busy time positive" true (Bus.Dma_engine.busy_time dma > 0)
 
+
+(* ---------- Dma_engine completion order ---------- *)
+
+(* Completion time of the [i]th of [lens] transfers all submitted at
+   time 0 on an idle default engine: each occupies the bus for 40 ns
+   arbitration plus its serialization, then the 600 ns latency. *)
+let completion_times lens =
+  let bus = ref 0 in
+  List.map
+    (fun len ->
+      bus := !bus + 40 + Sim.Time.bits_time ~bits:(len * 8) ~rate_bps:8_500_000_000;
+      !bus + 600)
+    lens
+
+let record log tag engine r = log := (tag, Sim.Engine.now engine, r) :: !log
+
+let check_log name expected log =
+  let got = List.rev_map (fun (tag, time, r) -> (tag, time, r = Ok ())) log in
+  check
+    Alcotest.(list (triple string int bool))
+    name expected got
+
+let test_dma_ring_order () =
+  (* Every zero-copy kind shares the ring: completions come back in
+     submission order, at the times the bus arithmetic gives. *)
+  let engine, mem, dma = dma_fixture () in
+  let log = ref [] in
+  let src = Bytes.of_string "abcdefgh" and dst = Bytes.make 8 '.' in
+  Memory.Phys_mem.write mem ~addr:100 (Bytes.of_string "ABCDEFGH");
+  Bus.Dma_engine.access dma ~context:0 ~addr:0 ~len:64 (record log "access" engine);
+  Bus.Dma_engine.read_into dma ~context:0 ~addr:100 ~len:8 ~dst ~pos:0
+    (record log "read_into" engine);
+  Bus.Dma_engine.write_from dma ~context:0 ~addr:200 ~src ~pos:0 ~len:8
+    (record log "write_from" engine);
+  Bus.Dma_engine.write_u32_pair dma ~context:0 ~addr:300 0x04030201 0x08070605
+    (record log "pair" engine);
+  check_string "nothing lands before completion" "........" (Bytes.to_string dst);
+  ignore (Sim.Engine.run_to_completion engine);
+  let times = completion_times [ 64; 8; 8; 8 ] in
+  check_log "order and times"
+    (List.combine [ "access"; "read_into"; "write_from"; "pair" ] times
+    |> List.map (fun (tag, time) -> (tag, time, true)))
+    !log;
+  check_string "read_into" "ABCDEFGH" (Bytes.to_string dst);
+  check_string "write_from" "abcdefgh"
+    (Bytes.to_string (Memory.Phys_mem.read mem ~addr:200 ~len:8));
+  check_string "pair lands little-endian" "\001\002\003\004\005\006\007\008"
+    (Bytes.to_string (Memory.Phys_mem.read mem ~addr:300 ~len:8))
+
+let test_dma_pair_matches_write () =
+  (* [write_u32_pair] lands what [write] of the same 8 bytes lands, at
+     the same time, and counts the same. *)
+  let run submit =
+    let engine, mem, dma = dma_fixture () in
+    let at = ref 0 in
+    submit dma (fun _ -> at := Sim.Engine.now engine);
+    ignore (Sim.Engine.run_to_completion engine);
+    ( Bytes.to_string (Memory.Phys_mem.read mem ~addr:4092 ~len:8),
+      !at,
+      Bus.Dma_engine.transfers dma,
+      Bus.Dma_engine.bytes_moved dma )
+  in
+  let data = Bytes.create 8 in
+  Bytes.set_int32_le data 0 0x7fff1234l;
+  Bytes.set_int32_le data 4 0x0badf00dl;
+  (* Straddles a page boundary: the two halves go to different frames. *)
+  let a = run (fun dma k -> Bus.Dma_engine.write dma ~context:0 ~addr:4092 ~data k) in
+  let b =
+    run (fun dma k ->
+        Bus.Dma_engine.write_u32_pair dma ~context:0 ~addr:4092 0x7fff1234
+          0x0badf00d k)
+  in
+  check
+    Alcotest.(pair string (pair int (pair int int)))
+    "same bytes, time and counters"
+    (let s, t, n, by = a in (s, (t, (n, by))))
+    (let s, t, n, by = b in (s, (t, (n, by))))
+
+let test_dma_ring_injected_between () =
+  (* An injected fault completes through its own closure, between two
+     ring completions, without consuming a ring slot. *)
+  let engine, mem, dma = dma_fixture () in
+  Bus.Dma_engine.set_fault_injector dma
+    (Some (fun ~context:_ ~addr ~len:_ -> addr = 1000));
+  let log = ref [] in
+  let src = Bytes.of_string "xy" in
+  Bus.Dma_engine.write_from dma ~context:0 ~addr:0 ~src ~pos:0 ~len:2
+    (record log "first" engine);
+  Bus.Dma_engine.write_from dma ~context:0 ~addr:1000 ~src ~pos:0 ~len:2
+    (record log "injected" engine);
+  Bus.Dma_engine.write_from dma ~context:0 ~addr:2000 ~src ~pos:0 ~len:2
+    (record log "third" engine);
+  ignore (Sim.Engine.run_to_completion engine);
+  (match completion_times [ 2; 2; 2 ] with
+  | [ t1; t2; t3 ] ->
+      check_log "injected keeps its place"
+        [ ("first", t1, true); ("injected", t2, false); ("third", t3, true) ]
+        !log
+  | _ -> assert false);
+  check_int "injected counted" 1 (Bus.Dma_engine.injected_faults dma);
+  check_string "first landed" "xy"
+    (Bytes.to_string (Memory.Phys_mem.read mem ~addr:0 ~len:2));
+  check_string "injected did not land" "\000\000"
+    (Bytes.to_string (Memory.Phys_mem.read mem ~addr:1000 ~len:2));
+  check_string "third landed" "xy"
+    (Bytes.to_string (Memory.Phys_mem.read mem ~addr:2000 ~len:2))
+
+let test_dma_ring_resubmit () =
+  (* A continuation that submits again joins the ring behind the
+     transfers already pending. *)
+  let engine, _, dma = dma_fixture () in
+  let order = ref [] in
+  let note tag _ = order := tag :: !order in
+  Bus.Dma_engine.access dma ~context:0 ~addr:0 ~len:64 (fun r ->
+      note "a" r;
+      Bus.Dma_engine.access dma ~context:0 ~addr:0 ~len:64 (note "d"));
+  Bus.Dma_engine.access dma ~context:0 ~addr:0 ~len:64 (note "b");
+  Bus.Dma_engine.access dma ~context:0 ~addr:0 ~len:64 (note "c");
+  ignore (Sim.Engine.run_to_completion engine);
+  check Alcotest.(list string) "a b c d" [ "a"; "b"; "c"; "d" ] (List.rev !order);
+  check_int "transfers" 4 (Bus.Dma_engine.transfers dma)
+
+let test_dma_ring_growth () =
+  (* More than the ring's initial 16 slots in flight, with the head
+     advanced first so growth unwraps a wrapped ring. *)
+  let engine, mem, dma = dma_fixture () in
+  let done_ = ref [] in
+  let submit i =
+    let src = Bytes.make 4 (Char.chr (Char.code 'A' + i)) in
+    Bus.Dma_engine.write_from dma ~context:0 ~addr:(i * 64) ~src ~pos:0 ~len:4
+      (fun r ->
+        check_bool "ok" true (r = Ok ());
+        done_ := i :: !done_)
+  in
+  for i = 0 to 9 do submit i done;
+  (* Let the first five complete, then pile 40 more on top. *)
+  Sim.Engine.run engine ~until:(List.nth (completion_times (List.init 5 (fun _ -> 4))) 4);
+  check_int "five done" 5 (List.length !done_);
+  for i = 10 to 49 do submit i done;
+  ignore (Sim.Engine.run_to_completion engine);
+  check Alcotest.(list int) "submission order" (List.init 50 Fun.id) (List.rev !done_);
+  for i = 0 to 49 do
+    check_string (Printf.sprintf "bytes of %d" i)
+      (String.make 4 (Char.chr (Char.code 'A' + i)))
+      (Bytes.to_string (Memory.Phys_mem.read mem ~addr:(i * 64) ~len:4))
+  done
+
 let suite =
   [
     ( "bus.mmio",
@@ -185,5 +333,11 @@ let suite =
         Alcotest.test_case "iommu enforcement" `Quick test_dma_iommu_enforcement;
         Alcotest.test_case "iommu all pages" `Quick test_dma_iommu_checks_all_pages;
         Alcotest.test_case "stats" `Quick test_dma_stats;
+        Alcotest.test_case "ring order" `Quick test_dma_ring_order;
+        Alcotest.test_case "u32 pair = 8-byte write" `Quick test_dma_pair_matches_write;
+        Alcotest.test_case "injected between ring transfers" `Quick
+          test_dma_ring_injected_between;
+        Alcotest.test_case "continuation resubmits" `Quick test_dma_ring_resubmit;
+        Alcotest.test_case "ring growth" `Quick test_dma_ring_growth;
       ] );
   ]

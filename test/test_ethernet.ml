@@ -180,6 +180,44 @@ let test_link_rate_override () =
   ignore (Sim.Engine.run_to_completion engine);
   check_int "10x slower" 123040 !free_at
 
+let test_link_tamper_sequence () =
+  (* Pass, Drop, Corrupt, Pass: every frame occupies the wire, the
+     dropped one is never delivered, and the others arrive in order at
+     their serialization time plus propagation. *)
+  let engine = Sim.Engine.create () in
+  let link = Ethernet.Link.create engine () in
+  let verdicts = ref [ `Pass; `Drop; `Corrupt; `Pass ] in
+  Ethernet.Link.set_tamper link
+    (Some
+       (fun _ ->
+         match !verdicts with
+         | v :: rest ->
+             verdicts := rest;
+             v
+         | [] -> `Pass));
+  let arrivals = ref [] and freed = ref [] in
+  Ethernet.Link.attach link Ethernet.Link.B (fun f ->
+      arrivals :=
+        (f.Ethernet.Frame.payload_seed, Sim.Engine.now engine) :: !arrivals);
+  List.iter
+    (fun seed ->
+      Ethernet.Link.send link ~from:Ethernet.Link.A (mk ~seed ())
+        ~on_wire_free:(fun () -> freed := Sim.Engine.now engine :: !freed))
+    [ 1; 2; 3; 4 ];
+  ignore (Sim.Engine.run_to_completion engine);
+  let ser = 12304 and prop = 500 in
+  check
+    Alcotest.(list int)
+    "wire frees" [ ser; 2 * ser; 3 * ser; 4 * ser ] (List.rev !freed);
+  check
+    Alcotest.(list (pair int int))
+    "deliveries"
+    [ (1, ser + prop); (3 lxor 0x5a5a, (3 * ser) + prop); (4, (4 * ser) + prop) ]
+    (List.rev !arrivals);
+  check_int "dropped" 1 (Ethernet.Link.dropped link);
+  check_int "corrupted" 1 (Ethernet.Link.corrupted link);
+  check_int "delivered" 3 (fst (Ethernet.Link.delivered link Ethernet.Link.B))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -215,5 +253,6 @@ let suite =
         Alcotest.test_case "full duplex" `Quick test_link_full_duplex;
         Alcotest.test_case "counters" `Quick test_link_counters;
         Alcotest.test_case "rate override" `Quick test_link_rate_override;
+        Alcotest.test_case "tamper sequence" `Quick test_link_tamper_sequence;
       ] );
   ]

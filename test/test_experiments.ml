@@ -598,6 +598,17 @@ let xen_small =
     seed = 4242;
   }
 
+(* Receive traffic through netback, the bridge and grant flips: the
+   path whose completion closures and stage state are preallocated per
+   instance. *)
+let xen_rx_small =
+  {
+    xen_small with
+    Experiments.Config.pattern = Workload.Pattern.Rx;
+    guests = 2;
+    seed = 777;
+  }
+
 (* Four per-CPU credit runqueues and three guests, each holding a CDNA
    context. *)
 let cdna_smp =
@@ -789,5 +800,7 @@ let suite =
           test_sweep_map_raises;
         Alcotest.test_case "traced sweep stays on caller" `Quick
           test_sweep_traced_on_caller;
+        Alcotest.test_case "concurrent xen rx testbeds" `Quick
+          (concurrent_matches_sequential ~flips_expected:true xen_rx_small);
       ] );
   ]

@@ -796,6 +796,55 @@ let test_dp_rx_short_descriptor_truncates () =
   check_int "only delivered bytes counted" 300 st.Nic.Dp.rx_bytes;
   check_int "rx buffer drained" 0 (Nic.Dp.rx_buffer_in_use fx.dp)
 
+(* Context save with a descriptor fetch and an rx delivery in flight:
+   the image rolls each cursor back exactly as far as its in-flight
+   operation got, so after deactivate + restore the context re-fetches
+   the same transmit descriptor and the next receive lands in the slot
+   whose seqno the NIC expects, with no seqno fault either way. *)
+let save_mid_flight ~after_ns =
+  let fx = dp_fixture ~seqno_checking:true () in
+  let mac = Ethernet.Mac_addr.make 1 in
+  let d = attach_driver fx ~ctx:0 ~mac in
+  let wired = ref [] in
+  Ethernet.Link.attach fx.link Ethernet.Link.B (fun f ->
+      wired := f.Ethernet.Frame.seq :: !wired);
+  let inbound seq =
+    Ethernet.Link.send fx.link ~from:Ethernet.Link.B
+      (Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 500) ~dst:mac
+         ~kind:Ethernet.Frame.Data ~flow:9 ~seq ~payload_len:1500
+         ~payload_seed:seq ())
+      ~on_wire_free:ignore
+  in
+  (* The inbound frame arrives at 12804 ns and starts its descriptor
+     fetch; the transmit doorbell starts a fetch right behind it. *)
+  inbound 0;
+  Sim.Engine.run fx.engine ~until:(Sim.Time.ns 12_804);
+  send_one fx d ();
+  Sim.Engine.run fx.engine ~until:(Sim.Time.ns (12_804 + after_ns));
+  let image = Nic.Dp.save_context fx.dp ~ctx:0 in
+  Nic.Dp.deactivate fx.dp ~ctx:0;
+  run fx 1;
+  check_int "nothing wired or delivered before the restore" 0
+    (List.length !wired + Nic.Dp.rx_completions_pending fx.dp ~ctx:0);
+  Nic.Dp.restore_context fx.dp ~ctx:0 image;
+  inbound 1;
+  run fx 1;
+  check_int "no seqno faults" 0 (List.length !(fx.faults));
+  check Alcotest.(list int) "the staged packet wired once" [ 0 ] !wired;
+  check_int "tx completion" 1 (Nic.Dp.take_tx_completions fx.dp ~ctx:0);
+  List.map fst (Nic.Dp.take_rx_completions fx.dp ~ctx:0 ~max:10)
+
+let test_dp_save_mid_descriptor () =
+  (* Both descriptor reads in flight: neither consumed a seqno, so both
+     cursors roll back and the next receive reuses slot 0. *)
+  check Alcotest.(list int) "rx slot" [ 0 ] (save_mid_flight ~after_ns:1)
+
+let test_dp_save_mid_payload () =
+  (* Both descriptors read and checked, payloads in flight: transmit
+     still rolls back (it is lossless), receive keeps slot 0 consumed
+     and the next frame lands in slot 1. *)
+  check Alcotest.(list int) "rx slot" [ 1 ] (save_mid_flight ~after_ns:1_000)
+
 let test_dp_deactivate_mid_fetch_releases_buffer () =
   (* Deactivation while the descriptor-fetch DMA is still in flight: the
      completion observes the epoch bump and releases the buffer
@@ -1070,6 +1119,10 @@ let suite =
         Alcotest.test_case "link tamper drop/corrupt" `Quick
           test_link_tamper_drop_and_corrupt;
         qcheck prop_dp_conserves_frames;
+        Alcotest.test_case "save mid-descriptor restores cursors" `Quick
+          test_dp_save_mid_descriptor;
+        Alcotest.test_case "save mid-payload restores cursors" `Quick
+          test_dp_save_mid_payload;
       ] );
     ( "nic.wrappers",
       [
