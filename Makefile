@@ -8,21 +8,22 @@ build:
 test:
 	dune runtest
 
-# Static checks over lib/: parsetree rules (determinism / zero-alloc
-# hot paths / protection boundaries) plus, over the installed .cmt tree
-# loaded once, the interprocedural flow verifier (guest-taint,
-# transitive alloc, privilege reachability), the domain-safety detector
-# (shared mutable state reachable from LP callbacks) and the
-# resource-protocol verifier (acquire/release lifetimes for grants,
-# pins, contexts and locks) — all four passes in one invocation with a
-# single combined exit code. Also runs as part of `dune runtest`; this target
-# additionally refreshes the LINT_stats.json artifact and fails if any
-# unsuppressed-violation or suppression count grew versus the committed
-# baseline (refresh deliberately by committing the new file).
+# Static checks over lib/, all four passes over the installed .cmt tree
+# loaded once: expression-level rules (determinism / zero-alloc hot
+# paths / protection boundaries), the interprocedural flow verifier
+# (guest-taint, transitive alloc, privilege reachability), the
+# domain-safety detector (shared mutable state reachable from LP
+# callbacks) and the resource-protocol verifier (acquire/release
+# lifetimes for grants, pins, contexts and locks) — one invocation with
+# a single combined exit code. Also runs as part of `dune runtest`; this
+# target additionally refreshes the LINT_stats.json artifact and fails
+# if the unsuppressed-violation count or any single suppression count
+# grew versus the committed baseline (refresh deliberately by committing
+# the new file).
 lint:
 	dune build @install
 	dune exec lint/main.exe -- --stats LINT_stats.json \
-	  --cmt _build/install/default/lib/cdna --gate LINT_stats.json lib
+	  --cmt _build/install/default/lib/cdna --gate LINT_stats.json
 
 # One-shot CI entry: build, full test suite, static analysis + gate.
 check:

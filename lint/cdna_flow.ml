@@ -1,9 +1,9 @@
 (* cdna_flow — interprocedural guest-taint and DMA-safety verification
    over compiled [.cmt] typedtrees (compiler-libs).
 
-   Complements the purely syntactic [cdna_lint] (parsetree) with three
-   whole-program analyses sharing one call graph built across every
-   module of the loaded [Program]:
+   Complements the expression-level [cdna_lint] with three whole-program
+   analyses sharing one call graph built across every module of the
+   loaded [Program]:
 
    - (T1/T2) guest-taint: values originating from guest-readable memory
      ([Phys_mem.read_*], descriptor reads via [Desc_layout.read],
@@ -16,11 +16,10 @@
      [Memory.Dma_desc.t] record under construction. Violations carry the
      full source -> call chain -> sink path with file:line per hop.
    - (A6) transitive zero-alloc: a [@cdna.hot] function may only
-     (transitively) reach allocation-free functions. The parsetree rules
-     A1-A5 vet a hot body itself; A6 closes the loophole of a hot
-     function calling a quietly-allocating non-hot helper, resolving
-     module aliases ([module L = List]) and functor instances
-     ([module M = Map.Make (...)]) the parsetree walker cannot see.
+     (transitively) reach allocation-free functions. A1-A5 vet a hot
+     body itself; A6 closes the loophole of a hot function calling a
+     quietly-allocating non-hot helper, judging each reached helper's
+     sites ([Program.sites]) by the same verdicts.
    - (P3) privilege reachability: no call path from a lib/nic or
      lib/guestos entry point reaches an ownership-mutating operation
      ([Phys_mem.alloc/free/transfer/get_ref/put_ref], [Iommu.grant/
@@ -110,15 +109,6 @@ let contract_modules =
       "Addr"; "Dma_desc"; "Seqno";
     ]
 
-(* P3: ownership / IOMMU-permission mutation (mirrors cdna_lint's P1). *)
-let ownership_fns =
-  SSet.of_list
-    [
-      "Phys_mem.alloc"; "Phys_mem.free"; "Phys_mem.transfer";
-      "Phys_mem.get_ref"; "Phys_mem.put_ref"; "Iommu.grant"; "Iommu.revoke";
-      "Iommu.revoke_context";
-    ]
-
 (* Higher-order stdlib combinators: a literal lambda argument has its
    parameters bound to the joined taint of the other (collection)
    arguments, so element flows survive [List.iter (fun e -> ...) xs]. *)
@@ -135,28 +125,7 @@ let hof_fns =
       "Seq.fold_left";
     ]
 
-let named_operators =
-  SSet.of_list
-    [ "or"; "mod"; "land"; "lor"; "lxor"; "lnot"; "lsl"; "lsr"; "asr" ]
-
-let is_operator_name name =
-  String.length name > 0
-  && (String.contains "!$%&*+-./:<=>?@^|~" name.[0]
-     || SSet.mem name named_operators)
-
-(* Calls whose arguments leave the steady-state path. *)
-let cold_exits =
-  SSet.of_list
-    [
-      "raise"; "raise_notrace"; "invalid_arg"; "failwith"; "Stdlib.raise";
-      "Stdlib.raise_notrace"; "Stdlib.invalid_arg"; "Stdlib.failwith";
-      "Stdlib.assert"; "Printf.sprintf"; "Format.asprintf";
-    ]
-
-let alloc_operators = SSet.of_list [ "^"; "@"; "^^" ]
-
 let contract f = SSet.mem f.f_module contract_modules
-let hot f = has_attr "cdna.hot" f.f_attrs
 
 (* ------------------------------------------------------------------ *)
 (* Facts and summaries                                                 *)
@@ -165,6 +134,7 @@ let hot f = has_attr "cdna.hot" f.f_attrs
 type call = {
   c_callee : string; (* canonical *)
   c_line : int;
+  c_nargs : int;
   c_susp : bool; (* under [@cdna.alloc_ok] / [@cdna.flow_ok] *)
 }
 
@@ -252,64 +222,31 @@ let summary_image s =
 (* Facts: call edges and allocation sites, for all modules             *)
 (* ------------------------------------------------------------------ *)
 
+(* Calls (and references to functions passed as values) and allocation
+   sites from [Program.sites], outside error exits; allocations under a
+   suppression are dropped, calls keep [c_susp]. *)
 let collect_facts p (f : fn) =
-  let calls = ref [] and allocs = ref [] in
-  let susp = ref 0 in
-  let add_call c line =
-    calls := { c_callee = c; c_line = line; c_susp = !susp > 0 } :: !calls
-  in
-  let add_alloc what line = if !susp = 0 then allocs := (what, line) :: !allocs in
-  let rec visit (it : Tast_iterator.iterator) (e : Typedtree.expression) =
-    let suspends =
-      List.exists
-        (fun a ->
-          let n = attr_name a in
-          n = "cdna.alloc_ok" || n = "cdna.flow_ok")
-        e.exp_attributes
-    in
-    if suspends then incr susp;
-    (match e.exp_desc with
-    | Typedtree.Texp_apply (fe, args) -> (
-        match callee p fe with
-        | Some c when SSet.mem c cold_exits || SSet.mem (last_comp c) cold_exits
-          ->
-            (* Error-path arguments may allocate; leave the subtree. *)
-            ()
-        | Some c ->
-            add_call c (loc_line e.exp_loc);
-            if SSet.mem (last_comp c) alloc_operators then
-              add_alloc ("operator " ^ last_comp c) (loc_line e.exp_loc);
-            List.iter
-              (fun (_, a) -> match a with Some a -> visit it a | None -> ())
-              args
-        | None ->
-            visit it fe;
-            List.iter
-              (fun (_, a) -> match a with Some a -> visit it a | None -> ())
-              args)
-    | Typedtree.Texp_ident (path, _, _) ->
-        let c = canon_of p.aliases (Path.name path) in
-        if SMap.mem c p.plain_fns then add_call c (loc_line e.exp_loc)
-    | _ ->
-        (match e.exp_desc with
-        | Typedtree.Texp_record _ -> add_alloc "record" (loc_line e.exp_loc)
-        | Typedtree.Texp_tuple _ -> add_alloc "tuple" (loc_line e.exp_loc)
-        | Typedtree.Texp_construct (_, _, args) when args <> [] ->
-            add_alloc "constructor" (loc_line e.exp_loc)
-        | Typedtree.Texp_array (_ :: _) ->
-            add_alloc "array" (loc_line e.exp_loc)
-        | Typedtree.Texp_function _ -> add_alloc "closure" (loc_line e.exp_loc)
-        | Typedtree.Texp_lazy _ -> add_alloc "lazy" (loc_line e.exp_loc)
-        | _ -> ());
-        Tast_iterator.default_iterator.expr it e);
-    if suspends then decr susp
-  in
-  let it = { Tast_iterator.default_iterator with expr = visit } in
-  it.expr it f.f_body;
-  (* Resolve same-module [Pident]s so same-file call chains link up. *)
   let resolve c = qualify p.plain_fns ~modname:f.f_module c in
-  ( List.rev_map (fun c -> { c with c_callee = resolve c.c_callee }) !calls,
-    List.rev !allocs )
+  let calls, allocs =
+    List.fold_left
+      (fun (calls, allocs) s ->
+        let susp =
+          List.mem "cdna.alloc_ok" s.sup || List.mem "cdna.flow_ok" s.sup
+        in
+        let call c n =
+          { c_callee = c; c_line = loc_line s.loc; c_nargs = n; c_susp = susp }
+        in
+        match s.kind with
+        | _ when s.cold -> (calls, allocs)
+        | Call { callee; nargs; _ } ->
+            (call (resolve callee) nargs :: calls, allocs)
+        | Ref c when SMap.mem c p.plain_fns -> (call c 0 :: calls, allocs)
+        | Alloc a when not susp -> (calls, (a, loc_line s.loc) :: allocs)
+        | _ -> (calls, allocs))
+      ([], [])
+      (sites p ~attrs:f.f_attrs f.f_expr)
+  in
+  (List.rev calls, List.rev allocs)
 
 (* ------------------------------------------------------------------ *)
 (* Taint evaluation (passes 3-4)                                       *)
@@ -900,18 +837,16 @@ let eval_fn prog summary ~report viols (f : fn) =
 (* A6: transitive zero-alloc closure                                   *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_allowlist = Cdna_lint.allow_qualified
-
-let external_allowed c =
-  (* Unqualified names are parameters or local bindings — their bodies
-     (if any) are walked inline, so only module-qualified externals are
-     judged here. Typedtree paths are fully resolved, so a stdlib call
-     is always qualified even under [open]. *)
-  (not (String.contains c '.'))
-  || SSet.mem c alloc_allowlist
-  || is_operator_name (last_comp c)
-  || SSet.mem c cold_exits
-  || SSet.mem (last_comp c) cold_exits
+let alloc_name = function
+  | Tuple -> "tuple"
+  | Record -> "record"
+  | Array -> "array"
+  | Constructor -> "constructor"
+  | Variant -> "variant"
+  | Lazy -> "lazy"
+  | Module -> "module"
+  | Closure -> "closure"
+  | Float -> "float"
 
 let hop_at what file line =
   { hop_what = what; hop_file = file; hop_line = line }
@@ -938,37 +873,46 @@ let check_transitive_alloc prog ~calls ~allocs viols =
   in
   SMap.iter
     (fun _ (h : fn) ->
-      if hot h then
+      if Cdna_lint.hot h then
         dfs
           ~calls:(fun f -> calls.(f.f_idx))
           ~line:(fun c -> c.c_line)
           ~enter:(fun path g ->
+            let alloc what line =
+              report_once
+                ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
+                (a6 h g ~line ~chain:path
+                   (Printf.sprintf "allocates (%s)" what))
+            in
             List.iter
-              (fun (what, line) ->
-                report_once
-                  ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
-                  (a6 h g ~line ~chain:path
-                     (Printf.sprintf "allocates (%s)" what)))
+              (fun (a, line) -> alloc (alloc_name a) line)
               allocs.(g.f_idx);
+            (* Calls into the program are the DFS's edges; the rest get
+               the verdict A1-A5 would give them in a hot body. *)
             List.iter
               (fun c' ->
-                if
-                  (not c'.c_susp)
-                  && (not (SMap.mem c'.c_callee prog.plain_fns))
-                  && not (external_allowed c'.c_callee)
-                then
-                  report_once
-                    ("ext:" ^ g.f_id ^ ":" ^ c'.c_callee)
-                    (a6 h g ~line:c'.c_line ~chain:path
-                       (Printf.sprintf
-                          "calls %s (not on the zero-alloc allowlist)"
-                          c'.c_callee)))
+                if not (c'.c_susp || SMap.mem c'.c_callee prog.plain_fns) then
+                  match
+                    Cdna_lint.judge_call prog ~modname:g.f_module
+                      ~callee:c'.c_callee ~nargs:c'.c_nargs
+                  with
+                  | None -> ()
+                  | Some (rule, _) when rule = Cdna_lint.rule_a1 ->
+                      alloc ("operator " ^ last_comp c'.c_callee) c'.c_line
+                  | Some _ ->
+                      report_once
+                        ("ext:" ^ g.f_id ^ ":" ^ c'.c_callee)
+                        (a6 h g ~line:c'.c_line ~chain:path
+                           (Printf.sprintf
+                              "calls %s (not on the zero-alloc allowlist)"
+                              c'.c_callee)))
               calls.(g.f_idx))
           ~step:(fun _ f c ->
             if c.c_susp then None
             else
               match SMap.find_opt c.c_callee prog.plain_fns with
-              | Some g when g.f_id = f.f_id || hot g -> None (* hot: A1-A5 *)
+              | Some g when g.f_id = f.f_id || Cdna_lint.hot g ->
+                  None (* hot: A1-A5 *)
               | g -> g)
           (hop_at (Printf.sprintf "hot entry %s" h.f_id) h.f_file h.f_line)
           h)
@@ -978,14 +922,12 @@ let check_transitive_alloc prog ~calls ~allocs viols =
 (* P3: privilege reachability                                          *)
 (* ------------------------------------------------------------------ *)
 
-let priv_stop_layers = SSet.of_list [ "xen"; "host"; "memory" ]
-
 let check_priv_reachability prog ~calls viols =
   let reported = Hashtbl.create 16 in
   SMap.iter
     (fun _ (entry : fn) ->
       if
-        (entry.f_layer = "nic" || entry.f_layer = "guestos")
+        SSet.mem entry.f_layer guest_layers
         && (not entry.f_privileged) && not (contract entry)
       then
         dfs
@@ -1024,7 +966,7 @@ let check_priv_reachability prog ~calls viols =
               match SMap.find_opt c.c_callee prog.plain_fns with
               | Some g
                 when g.f_privileged || contract g
-                     || SSet.mem g.f_layer priv_stop_layers ->
+                     || SSet.mem g.f_layer ownership_layers ->
                   None (* the declared privilege boundary *)
               | g -> g)
           (hop_at

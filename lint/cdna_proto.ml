@@ -147,9 +147,6 @@ let seeded_protocols =
     };
   ]
 
-let raise_family =
-  SSet.of_list [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
-
 (* Higher-order combinators whose literal lambda arguments run inline
    on the current path. *)
 let hof_fns =
@@ -741,7 +738,7 @@ let contains_raise ctx (e : Typedtree.expression) =
         match fe.Typedtree.exp_desc with
         | Typedtree.Texp_ident (p, _, _) ->
             let c = canon_of ctx.prog.aliases (Path.name p) in
-            if SSet.mem (last_comp c) raise_family then found := true
+            if SSet.mem c cold_exits then found := true
         | _ -> ())
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -974,7 +971,7 @@ and join_branches = function
 and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
   let loc = e.Typedtree.exp_loc in
   match callee ctx.prog fe with
-  | Some c when SSet.mem (last_comp c) raise_family ->
+  | Some c when SSet.mem c cold_exits ->
       let st =
         List.fold_left
           (fun st (_, a) ->

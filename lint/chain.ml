@@ -1,10 +1,11 @@
 (* Chain — vocabulary shared by every [.cmt]-typedtree verification pass
-   ([cdna_flow], [cdna_dom], [cdna_proto]): the hop/violation report
-   types with their deterministic ordering and rendering, identifier
-   canonicalization (dune wrapping prefixes, module aliases, functor
-   instances), attribute, location and layer helpers, and the JSON
-   encoders consumed by [main.exe --stats]. The loaded program those
-   passes analyze is [Program].
+   ([cdna_lint], [cdna_flow], [cdna_dom], [cdna_proto]): the
+   hop/violation report types with their deterministic ordering and
+   rendering, identifier canonicalization (dune wrapping prefixes, module
+   aliases, functor instances), attribute, location and layer helpers,
+   the name tables more than one rule reads, the JSON encoders consumed
+   by [main.exe --stats] and the drift gate over them. The loaded program
+   those passes analyze is [Program].
 
    What lives here is exactly the code that must agree byte-for-byte
    across passes so that a chain rendered by one pass reads like a chain
@@ -178,6 +179,88 @@ let layer_of_file file =
   |> Option.value ~default:""
 
 (* ------------------------------------------------------------------ *)
+(* Name tables, by canonical name                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Ownership / IOMMU-permission mutation: called directly (P1) or
+   reached (P3) from outside the layers below, it breaks the rule that
+   only the hypervisor side changes who owns a page. *)
+let ownership_fns =
+  SSet.of_list
+    [
+      "Phys_mem.alloc"; "Phys_mem.free"; "Phys_mem.transfer";
+      "Phys_mem.get_ref"; "Phys_mem.put_ref"; "Iommu.grant"; "Iommu.revoke";
+      "Iommu.revoke_context";
+    ]
+
+(* The layers that may mutate ownership: the Xen-like VMM substrate, the
+   host model and the memory subsystem itself. *)
+let ownership_layers = SSet.of_list [ "xen"; "host"; "memory" ]
+
+(* The device and guest layers: they reach guest memory only through
+   [Bus.Dma_engine] (P2), and P3 walks from their entry points. *)
+let guest_layers = SSet.of_list [ "nic"; "guestos" ]
+
+(* Non-allocating primitives a hot path may call (A3 directly, A6
+   transitively). [ref] is accepted: a local ref that never escapes is
+   unboxed by ocamlopt, and its escapes (capture by a closure, storage
+   in a structure) are allocation sites of their own. *)
+let alloc_allowlist =
+  SSet.of_list
+    [
+      "Bytes.length"; "Bytes.get"; "Bytes.set"; "Bytes.unsafe_get";
+      "Bytes.unsafe_set"; "Bytes.blit"; "Bytes.unsafe_blit";
+      "Bytes.blit_string"; "Bytes.fill"; "Bytes.unsafe_fill";
+      "Bytes.get_uint8"; "Bytes.set_uint8";
+      "String.length"; "String.get"; "String.unsafe_get";
+      "Array.length"; "Array.get"; "Array.set"; "Array.unsafe_get";
+      "Array.unsafe_set"; "Array.blit"; "Array.unsafe_blit"; "Array.fill";
+      "Char.code"; "Char.chr"; "Char.unsafe_chr";
+      "Int.compare"; "Int.equal"; "Int.min"; "Int.max"; "Int.abs";
+      "Int.logand"; "Int.logor"; "Int.logxor"; "Int.shift_left";
+      "Int.shift_right"; "Int.shift_right_logical";
+      "Lazy.force"; "Sys.opaque_identity";
+      (* Per-domain slot read; allocates only on a key's first access on
+         a new domain (one-time init, like Lazy.force). *)
+      "DLS.get";
+      "Hashtbl.mem"; "Hashtbl.remove"; "Hashtbl.length";
+      "Queue.length"; "Queue.is_empty"; "Queue.pop"; "Queue.take";
+      "Stdlib.min"; "Stdlib.max"; "Stdlib.abs"; "Stdlib.succ";
+      "Stdlib.pred"; "Stdlib.not"; "Stdlib.ignore"; "Stdlib.fst";
+      "Stdlib.snd"; "Stdlib.incr"; "Stdlib.decr"; "Stdlib.ref";
+      "Stdlib.invalid_arg"; "Stdlib.failwith"; "Stdlib.raise";
+      "Stdlib.raise_notrace"; "Stdlib.compare_lengths";
+      (* Project-local: [Sim.Trace.tag_enabled] is a pure flag check. *)
+      "Trace.tag_enabled";
+    ]
+
+(* Operators that build a new string or list. *)
+let alloc_operators = SSet.of_list [ "^"; "@"; "^^" ]
+
+let is_operator_name name =
+  String.length name > 0
+  && (String.contains "!$%&*+-./:<=>?@^|~" name.[0]
+     || List.mem name
+          [ "or"; "mod"; "land"; "lor"; "lxor"; "lnot"; "lsl"; "lsr"; "asr" ])
+
+(* Calls that leave the steady-state path: what their arguments
+   allocate is an error-path cost, not judged by A1-A6. *)
+let cold_exits =
+  SSet.of_list
+    [
+      "Stdlib.raise"; "Stdlib.raise_notrace"; "Stdlib.invalid_arg";
+      "Stdlib.failwith";
+    ]
+
+(* Sorts: hash-order iteration feeding one is deterministic (D1). *)
+let sort_fns =
+  SSet.of_list
+    [
+      "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq";
+      "Array.sort"; "Array.stable_sort"; "Array.fast_sort";
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -213,3 +296,49 @@ let rule_counts_json vs =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   Sim.Json.Obj (List.map (fun (k, n) -> (k, Sim.Json.Int n)) counts)
+
+(* ------------------------------------------------------------------ *)
+(* Suppression-drift gate                                              *)
+(* ------------------------------------------------------------------ *)
+
+let rec json_at j = function
+  | [] -> Some j
+  | k :: rest -> (
+      match j with
+      | Sim.Json.Obj fields ->
+          Option.bind (List.assoc_opt k fields) (fun j -> json_at j rest)
+      | _ -> None)
+
+let json_int j path =
+  match json_at j path with Some (Sim.Json.Int n) -> n | _ -> 0
+
+(* The counts of a stats document the gate holds: the lint pass's
+   violations and each of its suppression annotations on its own, then
+   every typedtree pass's violations, suppressions and annotations. *)
+let gated_counts current =
+  let suppressions =
+    match json_at current [ "suppressions" ] with
+    | Some (Sim.Json.Obj fields) ->
+        List.map (fun (k, _) -> [ "suppressions"; k ]) fields
+    | _ -> []
+  in
+  ([ "violations" ] :: suppressions)
+  @ List.concat_map
+      (fun (pass, keys) -> List.map (fun k -> [ pass; k ]) keys)
+      [
+        ("flow", [ "violations"; "suppressions" ]);
+        ("dom",
+         [ "violations"; "suppressions"; "domain_shared"; "domain_local" ]);
+        ("proto",
+         [ "violations"; "suppressions"; "acquire_annots"; "release_annots" ]);
+      ]
+
+(* The gated counts that grew from [baseline] to [current], as (path,
+   baseline, current); a count the baseline lacks reads 0. The [timing]
+   block is never consulted. *)
+let gate_drift ~baseline current =
+  List.filter_map
+    (fun path ->
+      let base = json_int baseline path and cur = json_int current path in
+      if cur > base then Some (String.concat "." path, base, cur) else None)
+    (gated_counts current)

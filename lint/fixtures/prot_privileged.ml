@@ -3,3 +3,5 @@
 [@@@cdna.privileged "fixture: stands in for the hypervisor layer"]
 
 let pin mem pfn = Memory.Phys_mem.get_ref mem pfn
+
+[@@@cdna.layer "nic"]

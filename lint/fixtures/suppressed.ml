@@ -17,3 +17,5 @@ let[@cdna.hot] wrapped x = Some (x * 2) [@cdna.alloc_ok "boxed result accepted"]
 let flip mem pfn dom =
   (Memory.Phys_mem.transfer mem pfn ~to_:dom
   [@cdna.protection_ok "fixture: models a hypervisor-mediated flip"])
+
+[@@@cdna.layer "guestos"]

@@ -1,5 +1,5 @@
 (* Program — one loaded [.cmt] corpus, shared by every typedtree pass
-   ([cdna_flow], [cdna_dom], [cdna_proto]).
+   ([cdna_lint], [cdna_flow], [cdna_dom], [cdna_proto]).
 
    [load] reads each implementation [.cmt] once, walks its modules once
    and builds the model the passes layer their rules over: the module
@@ -7,8 +7,9 @@
    module-level value binding in walk order, the module-alias map that
    callee names canonicalize against, and one function table. On top of
    the model sit the pieces every pass used to re-implement: the callee
-   resolver, the round-robin summary fixpoint, the witness-path DFS and
-   the violation de-dup/sort/split.
+   resolver, the site classifier behind the expression-level and
+   zero-alloc rules, the round-robin summary fixpoint, the witness-path
+   DFS and the violation de-dup/sort/split.
 
    The model is immutable. A pass keeps its facts and summaries in
    arrays indexed by [f_idx], so one loaded program can feed any number
@@ -286,6 +287,149 @@ let qualify tbl ~modname c =
     if SMap.mem local tbl then local else c
 
 let find tbl ~modname c = SMap.find_opt (qualify tbl ~modname c) tbl
+
+(* ------------------------------------------------------------------ *)
+(* Expression sites                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Runtime allocations a rule can see in the source. *)
+type alloc =
+  | Tuple
+  | Record
+  | Array
+  | Constructor
+  | Variant
+  | Lazy
+  | Module (* first-class module, object or [let module] *)
+  | Closure (* an anonymous function *)
+  | Float (* a float literal, boxed *)
+
+type kind =
+  | Ref of string (* a value identifier outside callee position *)
+  | Call of {
+      callee : string; (* canonical, unqualified for same-module names *)
+      nargs : int;
+      sorted : bool; (* an argument of a sort *)
+      structured : bool; (* an argument is a syntactic tuple, record, .. *)
+    }
+  | Alloc of alloc
+  | Attr of Parsetree.attribute
+
+type site = {
+  kind : kind;
+  loc : Location.t;
+  sup : string list; (* names of the attributes in scope *)
+  cold : bool; (* inside the arguments of a [cold_exits] call *)
+}
+
+(* The leading [fun] chain of a function is one closure, not one per
+   parameter. *)
+let rec fun_chain (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_function { cases = [ { c_rhs; c_guard = None; _ } ]; _ } ->
+      e :: fun_chain c_rhs
+  | Texp_function _ -> [ e ]
+  | _ -> []
+
+(* A structured constant: ocamlopt emits it statically. *)
+let rec static (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_constant _ | Texp_variant (_, None) -> true
+  | Texp_construct (_, _, es) | Texp_tuple es -> List.for_all static es
+  | Texp_variant (_, Some e) -> static e
+  | _ -> false
+
+let alloc_of (e : Typedtree.expression) =
+  match e.exp_desc with
+  | _ when static e -> None
+  | Texp_tuple _ -> Some Tuple
+  | Texp_construct (_, _, _ :: _) -> Some Constructor
+  | Texp_variant (_, Some _) -> Some Variant
+  | Texp_record _ -> Some Record
+  | Texp_array (_ :: _) -> Some Array
+  | Texp_lazy _ -> Some Lazy
+  | Texp_object _ | Texp_pack _ | Texp_letmodule _ -> Some Module
+  | Texp_constant (Const_float _) -> Some Float
+  | _ -> None
+
+let structured (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_tuple _ | Texp_record _ | Texp_array _ | Texp_lazy _
+  | Texp_variant (_, Some _) | Texp_construct (_, _, _ :: _) ->
+      true
+  | _ -> false
+
+(* Every site of the binding [attrs]/[e], in source order. A named
+   function ([let f x = ..], local or not) is compiled to direct calls
+   and is no closure site; [let module M = N] aliases scope over their
+   body. *)
+let sites p ~attrs (e : Typedtree.expression) =
+  let out = ref [] and sup = ref [] and cold = ref false in
+  let aliases = ref p.aliases and named = ref (fun_chain e) in
+  let sorted = ref [] in
+  let emit kind loc = out := { kind; loc; sup = !sup; cold = !cold } :: !out in
+  let enter attrs =
+    List.iter (fun a -> emit (Attr a) a.Parsetree.attr_loc) attrs;
+    sup := List.map attr_name attrs @ !sup
+  in
+  let name path = canon_of !aliases (Path.name path) in
+  (* Typing rewrites [x |> f a] and [f a @@ x] to [(f a) x]: a call
+     is the innermost [f a] with every argument applied to it. *)
+  let rec call (f : Typedtree.expression) loc args =
+    match f.exp_desc with
+    | Texp_ident (path, _, _) -> Some (name path, loc, args)
+    | Texp_apply (g, args') ->
+        call g f.exp_loc (List.filter_map snd args' @ args)
+    | _ -> None
+  in
+  let expr it (e : Typedtree.expression) =
+    let sup0 = !sup and cold0 = !cold and aliases0 = !aliases in
+    enter
+      (e.exp_attributes @ List.concat_map (fun (_, _, a) -> a) e.exp_extra);
+    Option.iter (fun a -> emit (Alloc a) e.exp_loc) (alloc_of e);
+    (match e.exp_desc with
+    | Texp_ident (path, _, _) -> emit (Ref (name path)) e.exp_loc
+    | Texp_function _ when not (List.memq e !named) ->
+        emit (Alloc Closure) e.exp_loc;
+        named := fun_chain e @ !named
+    | Texp_letmodule (Some id, _, _, me, _) ->
+        Option.iter
+          (fun t -> aliases := SMap.add (Ident.name id) t !aliases)
+          (module_alias_target me)
+    | _ -> ());
+    (match e.exp_desc with
+    | Texp_apply (f, args) -> (
+        match call f e.exp_loc (List.filter_map snd args) with
+        | Some (c, loc, args) ->
+            if SSet.mem c sort_fns then sorted := args @ !sorted;
+            if SSet.mem c cold_exits then cold := true;
+            emit
+              (Call
+                 {
+                   callee = c;
+                   nargs = List.length args;
+                   sorted = List.memq e !sorted;
+                   structured = List.exists structured args;
+                 })
+              loc;
+            List.iter (it.Tast_iterator.expr it) args
+        | None -> Tast_iterator.default_iterator.expr it e)
+    | _ -> Tast_iterator.default_iterator.expr it e);
+    sup := sup0;
+    cold := cold0;
+    aliases := aliases0
+  in
+  let value_binding it (vb : Typedtree.value_binding) =
+    let saved = !sup in
+    enter vb.vb_attributes;
+    named := fun_chain vb.vb_expr @ !named;
+    Tast_iterator.default_iterator.value_binding it vb;
+    sup := saved
+  in
+  let it = { Tast_iterator.default_iterator with expr; value_binding } in
+  enter attrs;
+  it.expr it e;
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Shared analysis drivers                                             *)

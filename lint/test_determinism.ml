@@ -5,7 +5,7 @@
    the order the fixture directories happen to be listed in.
 
    This assembles the combined document exactly as [main.exe --stats]
-   does — parsetree block plus one block per .cmt pass — except for the
+   does — the lint block plus one block per further pass — except for the
    [timing] block, which is wall-clock by definition and therefore
    excluded from both the gate and this comparison. *)
 
@@ -15,24 +15,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc entry -> collect_ml acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
 (* The combined stats document (sans timing) over all four fixture
    corpora, with every pass's rendered violations appended. *)
 let combined ~order =
-  let files =
-    collect_ml [] "fixtures"
-    |> List.sort_uniq String.compare
-    |> List.map (fun p -> (p, read_file p))
-  in
-  let diags, stats = Cdna_lint.run files in
+  let lint = Cdna_lint.analyze (Program.load [ "fixtures" ]) in
   let flow = Cdna_flow.analyze (Program.load [ "flow_fixtures" ]) in
   let dom = Cdna_dom.analyze (Program.load [ "dom_fixtures" ]) in
   let proto =
@@ -42,7 +28,7 @@ let combined ~order =
     Cdna_proto.analyze (Program.load (order paths))
   in
   let json =
-    match Cdna_lint.stats_to_json stats with
+    match Cdna_lint.report_to_json lint with
     | Sim.Json.Obj fields ->
         Sim.Json.Obj
           (fields
@@ -54,10 +40,8 @@ let combined ~order =
     | j -> j
   in
   let rendered =
-    List.map Cdna_lint.diag_to_string diags
-    @ List.map Chain.violation_to_string flow.Cdna_flow.violations
-    @ List.map Chain.violation_to_string dom.Cdna_dom.violations
-    @ List.map Chain.violation_to_string proto.Cdna_proto.violations
+    List.map Chain.violation_to_string
+      (lint.violations @ flow.violations @ dom.violations @ proto.violations)
   in
   (Sim.Json.to_string json, String.concat "\n" rendered)
 
@@ -84,6 +68,12 @@ let pass_output to_json violations suppressed r =
   Sim.Json.to_string (to_json r)
   :: List.map Chain.violation_to_string (violations r @ suppressed r)
 
+let lint p =
+  pass_output Cdna_lint.report_to_json
+    (fun r -> r.Cdna_lint.violations)
+    (fun _ -> [])
+    (Cdna_lint.analyze p)
+
 let flow p =
   pass_output Cdna_flow.report_to_json
     (fun r -> r.Cdna_flow.violations)
@@ -102,29 +92,31 @@ let proto p =
     (fun r -> r.Cdna_proto.suppressed)
     (Cdna_proto.analyze p)
 
-(* Running the three passes over one loaded program, in either order,
+(* Running the four passes over one loaded program, in either order,
    must give each pass exactly the output it gives alone on a freshly
    loaded program: no pass may see another's summaries or facts. *)
 let test_shared_program corpus () =
   let alone pass = pass (Program.load [ corpus ]) in
-  let expect = [ alone flow; alone dom; alone proto ] in
+  let expect = [ alone lint; alone flow; alone dom; alone proto ] in
   let shared = Program.load [ corpus ] in
   (* [let]s, not a list literal, to fix the evaluation order. *)
+  let l1 = lint shared in
   let f1 = flow shared in
   let d1 = dom shared in
   let p1 = proto shared in
   let p2 = proto shared in
   let d2 = dom shared in
   let f2 = flow shared in
+  let l2 = lint shared in
   let check order got =
     List.iter2
       (fun name (e, g) ->
         Alcotest.(check (list string)) (order ^ ": " ^ name) e g)
-      [ "flow"; "dom"; "proto" ]
+      [ "lint"; "flow"; "dom"; "proto" ]
       (List.combine expect got)
   in
-  check "flow->dom->proto" [ f1; d1; p1 ];
-  check "proto->dom->flow" [ f2; d2; p2 ]
+  check "lint->flow->dom->proto" [ l1; f1; d1; p1 ];
+  check "proto->dom->flow->lint" [ l2; f2; d2; p2 ]
 
 (* A corpus that cannot be loaded fails loudly, naming the culprit. *)
 let expect_load_error ~needle roots =
@@ -174,7 +166,7 @@ let () =
           (fun corpus ->
             Alcotest.test_case (corpus ^ " both pass orders") `Quick
               (test_shared_program corpus))
-          [ "flow_fixtures"; "dom_fixtures"; "proto_fixtures" ] );
+          [ "flow_fixtures"; "dom_fixtures"; "proto_fixtures"; "fixtures" ] );
       ( "load-errors",
         [
           Alcotest.test_case "truncated .cmt" `Quick test_truncated_cmt;

@@ -1,170 +1,171 @@
-(* Fixture suite for cdna_lint: each known-bad snippet must produce
-   exactly the expected multiset of rule hits (under a pretend lib path,
-   since the protection rules key off the directory), annotated variants
-   none, and the real lib/ tree must be violation-free. *)
+(* Fixture suite for cdna_lint: each known-bad snippet, compiled to .cmt
+   under fixtures/ (its layer set by [@@@cdna.layer], since the
+   protection rules key off it), must produce exactly the expected
+   multiset of rule hits, annotated variants none, and the installed
+   lib/ tree must be violation-free and hold the committed suppression
+   baseline. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let lint_fixtures bases =
+  Cdna_lint.analyze
+    (Program.load
+       (List.map (fun b -> Filename.concat "fixtures" (b ^ ".cmt")) bases))
 
-let lint_fixture ~pretend_path fixture =
-  let src = read_file (Filename.concat "fixtures" fixture) in
-  Cdna_lint.run [ (pretend_path, src) ]
+let rules_of r = List.map (fun v -> v.Chain.rule) r.Cdna_lint.violations
 
-let rules_of diags = List.map (fun d -> d.Cdna_lint.rule) diags
-
-let check_rules name ~pretend_path fixture expected =
-  let diags, _ = lint_fixture ~pretend_path fixture in
+let check_rules name fixture expected =
   Alcotest.(check (list string))
     name (List.sort String.compare expected)
-    (List.sort String.compare (rules_of diags))
+    (List.sort String.compare (rules_of (lint_fixtures [ fixture ])))
+
+let suppression r name =
+  Option.value ~default:0 (List.assoc_opt name r.Cdna_lint.suppressions)
 
 (* ---------- determinism family ---------- *)
 
 let test_iter_unsorted () =
-  check_rules "iter flagged" ~pretend_path:"lib/foo/a.ml" "det_iter_unsorted.ml"
-    [ "D1-unordered-iter" ]
+  check_rules "iter flagged" "det_iter_unsorted" [ "D1-unordered-iter" ]
 
 let test_fold_unsorted () =
   (* Only the unsorted fold is flagged; both sort-wrapped forms pass. *)
-  check_rules "fold flagged once" ~pretend_path:"lib/foo/a.ml"
-    "det_fold_unsorted.ml" [ "D1-unordered-iter" ]
+  check_rules "fold flagged once" "det_fold_unsorted" [ "D1-unordered-iter" ]
 
 let test_alias_hashtbl () =
   (* Aliasing must not launder hash-order iteration: top-level alias,
      let-module alias, and explicit Stdlib qualification all count. *)
-  check_rules "aliased Hashtbl flagged" ~pretend_path:"lib/foo/a.ml"
-    "det_alias_hashtbl.ml"
+  check_rules "aliased Hashtbl flagged" "det_alias_hashtbl"
     [ "D1-unordered-iter"; "D1-unordered-iter"; "D1-unordered-iter" ]
 
 let test_poly_compare () =
-  check_rules "poly compare" ~pretend_path:"lib/foo/a.ml" "det_poly_compare.ml"
+  check_rules "poly compare" "det_poly_compare"
     [ "D2-poly-compare"; "D2-poly-compare"; "D2-poly-compare" ]
 
 let test_nondet () =
-  check_rules "nondet primitives" ~pretend_path:"lib/foo/a.ml" "det_nondet.ml"
+  check_rules "nondet primitives" "det_nondet"
     [ "D3-nondet-primitive"; "D3-nondet-primitive"; "D3-nondet-primitive" ]
 
 (* ---------- zero-alloc family ---------- *)
 
 let test_alloc_construct () =
-  check_rules "construction in hot body" ~pretend_path:"lib/foo/a.ml"
-    "alloc_construct.ml"
+  check_rules "construction in hot body" "alloc_construct"
     [ "A1-alloc-construct"; "A1-alloc-construct"; "A1-alloc-construct" ]
 
 let test_alloc_closure () =
-  check_rules "closure in hot body" ~pretend_path:"lib/foo/a.ml"
-    "alloc_closure.ml" [ "A2-alloc-closure" ]
+  check_rules "closure in hot body" "alloc_closure" [ "A2-alloc-closure" ]
 
 let test_alloc_call () =
-  check_rules "non-hot call in hot body" ~pretend_path:"lib/foo/a.ml"
-    "alloc_call.ml" [ "A3-alloc-call" ]
+  check_rules "non-hot call in hot body" "alloc_call" [ "A3-alloc-call" ]
 
 let test_alloc_partial () =
-  check_rules "partial application in hot body" ~pretend_path:"lib/foo/a.ml"
-    "alloc_partial.ml" [ "A4-partial-app" ]
+  check_rules "partial application in hot body" "alloc_partial"
+    [ "A4-partial-app" ]
+
+(* Printf.sprintf is no error exit: only its use inside one is cold. *)
+let test_alloc_sprintf () =
+  match (lint_fixtures [ "alloc_sprintf" ]).violations with
+  | [ v ] ->
+      Alcotest.(check string) "rule" "A3-alloc-call" v.Chain.rule;
+      Alcotest.(check int) "the steady-state sprintf" 4 v.Chain.line
+  | vs -> Alcotest.failf "expected one A3, got %d" (List.length vs)
 
 (* ---------- protection family ---------- *)
 
 let test_prot_ownership () =
-  check_rules "ownership mutation outside hypervisor"
-    ~pretend_path:"lib/nic/bad.ml" "prot_ownership.ml"
+  check_rules "ownership mutation outside hypervisor" "prot_ownership_nic"
     [
       "P1-ownership-boundary"; "P1-ownership-boundary"; "P1-ownership-boundary";
     ]
 
 let test_prot_ownership_allowed_in_xen () =
-  let diags, _ =
-    lint_fixture ~pretend_path:"lib/xen/fine.ml" "prot_ownership.ml"
-  in
-  Alcotest.(check (list string)) "no P1 under lib/xen" [] (rules_of diags)
+  check_rules "no P1 in the xen layer" "prot_ownership_xen" []
 
 let test_prot_guest_mem () =
-  check_rules "direct guest memory access" ~pretend_path:"lib/guestos/bad.ml"
-    "prot_guest_mem.ml"
+  check_rules "direct guest memory access" "prot_guest_mem_guestos"
     [ "P2-guest-memory-boundary"; "P2-guest-memory-boundary" ];
   (* The same code outside the restricted layers is fine. *)
-  let diags, _ =
-    lint_fixture ~pretend_path:"lib/experiments/fine.ml" "prot_guest_mem.ml"
-  in
-  Alcotest.(check (list string)) "no P2 outside nic/guestos" [] (rules_of diags)
+  check_rules "no P2 outside nic/guestos" "prot_guest_mem_experiments" []
 
 let test_prot_privileged () =
-  let diags, stats =
-    lint_fixture ~pretend_path:"lib/nic/priv.ml" "prot_privileged.ml"
-  in
-  Alcotest.(check (list string)) "privileged module clean" [] (rules_of diags);
+  let r = lint_fixtures [ "prot_privileged" ] in
+  Alcotest.(check (list string)) "privileged module clean" [] (rules_of r);
   Alcotest.(check int) "privilege counted as suppression" 1
-    (match List.assoc_opt "cdna.privileged" stats.Cdna_lint.suppression_counts with
-    | Some n -> n
-    | None -> 0)
+    (suppression r "cdna.privileged")
 
 (* ---------- suppression machinery ---------- *)
 
 let test_suppressed () =
-  let diags, stats =
-    lint_fixture ~pretend_path:"lib/guestos/ok.ml" "suppressed.ml"
-  in
-  Alcotest.(check (list string)) "all suppressed" [] (rules_of diags);
-  let total =
-    List.fold_left (fun a (_, n) -> a + n) 0 stats.Cdna_lint.suppression_counts
-  in
+  let r = lint_fixtures [ "suppressed" ] in
+  Alcotest.(check (list string)) "all suppressed" [] (rules_of r);
+  let total = List.fold_left (fun a (_, n) -> a + n) 0 r.suppressions in
   Alcotest.(check bool) "suppressions tracked" true (total >= 5)
 
 let test_missing_reason () =
-  check_rules "reasonless suppression flagged" ~pretend_path:"lib/foo/a.ml"
-    "missing_reason.ml" [ "S1-suppression-reason" ]
+  check_rules "reasonless suppression flagged" "missing_reason"
+    [ "S1-suppression-reason" ]
 
-let test_hot_clean () =
-  check_rules "clean hot code passes" ~pretend_path:"lib/foo/a.ml"
-    "hot_clean.ml" []
+let test_hot_clean () = check_rules "clean hot code passes" "hot_clean" []
 
 let test_hot_submodule () =
-  check_rules "hot binding in submodule resolves" ~pretend_path:"lib/foo/a.ml"
-    "hot_submodule.ml" []
+  check_rules "hot binding in submodule resolves" "hot_submodule" []
 
 (* ---------- the real tree ---------- *)
 
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc e -> collect_ml acc (Filename.concat path e))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
+let lib =
+  lazy (Cdna_lint.analyze (Program.load [ "../../install/default/lib/cdna" ]))
 
 let test_lib_clean () =
-  let root = Filename.concat ".." "lib" in
-  if not (Sys.file_exists root) then ()
-  else begin
-    let files =
-      collect_ml [] root
-      |> List.sort String.compare
-      |> List.map (fun p -> (p, read_file p))
-    in
-    Alcotest.(check bool) "lib/ has files" true (List.length files > 50);
-    let diags, _ = Cdna_lint.run files in
-    Alcotest.(check (list string))
-      "lib/ is violation-free" []
-      (List.map Cdna_lint.diag_to_string diags)
-  end
+  let r = Lazy.force lib in
+  Alcotest.(check bool) "lib/ has modules" true (r.cmt_files > 50);
+  Alcotest.(check (list string))
+    "lib/ is violation-free" []
+    (List.map Chain.violation_to_string r.violations)
 
-(* [main.exe --only D1] semantics over parsetree diagnostics: the bare
-   prefix and the full rule name both select, a non-prefix selects
-   nothing. *)
-let test_only_filter () =
-  let files =
-    List.map
-      (fun f -> ("lib/foo/" ^ f, read_file (Filename.concat "fixtures" f)))
-      [ "det_iter_unsorted.ml"; "det_poly_compare.ml" ]
+(* The drift gate holds each suppression count on its own: against the
+   committed baseline lib/ passes, and a baseline that trades one
+   protection waiver for one more alloc waiver (same total) fails. *)
+let test_gate_per_suppression () =
+  let baseline =
+    match
+      Sim.Json.parse
+        (In_channel.with_open_bin "../LINT_stats.json" In_channel.input_all)
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
   in
-  let diags, _ = Cdna_lint.run files in
+  let current = Cdna_lint.report_to_json (Lazy.force lib) in
+  Alcotest.(check (list string)) "committed baseline holds" []
+    (List.map (fun (k, _, _) -> k) (Chain.gate_drift ~baseline current));
+  let shifted =
+    match baseline with
+    | Sim.Json.Obj fields ->
+        Sim.Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "suppressions" then
+                 ( k,
+                   Sim.Json.Obj
+                     [
+                       ("cdna.alloc_ok", Sim.Json.Int 15);
+                       ("cdna.privileged", Sim.Json.Int 1);
+                       ("cdna.protection_ok", Sim.Json.Int 7);
+                     ] )
+               else (k, v))
+             fields)
+    | j -> j
+  in
+  Alcotest.(check (list (triple string int int)))
+    "a grown protection waiver fails"
+    [ ("suppressions.cdna.protection_ok", 7, 8) ]
+    (Chain.gate_drift ~baseline:shifted current)
+
+(* [main.exe --only D1] semantics: the bare prefix and the full rule name
+   both select, a non-prefix selects nothing. *)
+let test_only_filter () =
+  let r = lint_fixtures [ "det_iter_unsorted"; "det_poly_compare" ] in
   let count only =
     List.length
-      (List.filter (fun d -> Chain.rule_matches ~only d.Cdna_lint.rule) diags)
+      (List.filter
+         (fun v -> Chain.rule_matches ~only v.Chain.rule)
+         r.violations)
   in
   Alcotest.(check int) "D1 prefix filter" 1 (count (Some "D1"));
   Alcotest.(check int) "full rule name filter" 3
@@ -190,6 +191,7 @@ let () =
           Alcotest.test_case "closure" `Quick test_alloc_closure;
           Alcotest.test_case "call" `Quick test_alloc_call;
           Alcotest.test_case "partial app" `Quick test_alloc_partial;
+          Alcotest.test_case "sprintf outside raise" `Quick test_alloc_sprintf;
         ] );
       ( "protection",
         [
@@ -210,5 +212,7 @@ let () =
         [
           Alcotest.test_case "lib violation-free" `Quick test_lib_clean;
           Alcotest.test_case "--only rule filtering" `Quick test_only_filter;
+          Alcotest.test_case "gate per suppression" `Quick
+            test_gate_per_suppression;
         ] );
     ]
