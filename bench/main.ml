@@ -79,7 +79,11 @@ let grant_flip_fn =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:64 () in
-  let hyp = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let costs =
+    Experiments.Cost_model.for_config Experiments.Config.Xen_sw
+      Experiments.Config.Intel
+  in
+  let hyp = Xen.Hypervisor.create engine ~cpu ~mem ~costs:costs.xen () in
   let gnt = Xen.Grant_table.create hyp in
   let a =
     Xen.Hypervisor.create_domain hyp ~name:"a" ~kind:Xen.Domain.Guest

@@ -14,6 +14,11 @@
 
    Run with: dune exec examples/live_migration.exe *)
 
+(* The calibrated costs of a CDNA testbed (CDNA runs on the RiceNIC). *)
+let costs =
+  Experiments.Cost_model.for_config Experiments.Config.Cdna_sys
+    Experiments.Config.Ricenic
+
 let () =
   print_endline "Live CDNA context migration under receive load";
   print_endline "----------------------------------------------";
@@ -21,12 +26,12 @@ let () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:16384 () in
-  let xen = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let xen = Xen.Hypervisor.create engine ~cpu ~mem ~costs:costs.xen () in
   let guest =
     Xen.Hypervisor.create_domain xen ~name:"guest" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:4096
   in
-  let cdna = Cdna.Hyp.create xen () in
+  let cdna = Cdna.Hyp.create xen ~costs:costs.cdna () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let make_nic idx =
     let irq = Bus.Irq.create ~name:(Printf.sprintf "cdna%d" idx) in
@@ -55,11 +60,11 @@ let () =
     | Error `No_free_context -> failwith "no context"
   in
   let driver =
-    Cdna.Driver.create ~hyp:cdna ~handle ~costs:Guestos.Os_costs.default ()
+    Cdna.Driver.create ~hyp:cdna ~handle ~costs:costs.guest_os ()
   in
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work xen guest ~cost fn in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:costs.guest_os
       ~netdev:(Cdna.Driver.netdev driver)
   in
 
@@ -87,7 +92,7 @@ let () =
   let bench =
     Workload.Bench_program.create engine
       ~post_user:(fun ~cost fn -> Xen.Hypervisor.user_work xen guest ~cost fn)
-      ~costs:Guestos.Os_costs.default
+      ~costs:costs.guest_os
       ~ack:(fun c n ->
         ignore
           (Sim.Engine.schedule engine ~delay:(Sim.Time.us 20) (fun () ->

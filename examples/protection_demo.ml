@@ -20,12 +20,17 @@ let section title =
 (* Build a minimal machine: hypervisor, one CDNA NIC on a link, an
    attacker guest and a victim guest. Returns everything the scenarios
    poke at. *)
+(* The calibrated costs of a CDNA testbed (CDNA runs on the RiceNIC). *)
+let costs =
+  Experiments.Cost_model.for_config Experiments.Config.Cdna_sys
+    Experiments.Config.Ricenic
+
 let build ~protection =
   let engine = Sim.Engine.create () in
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:4096 () in
-  let xen = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let xen = Xen.Hypervisor.create engine ~cpu ~mem ~costs:costs.xen () in
   let attacker =
     Xen.Hypervisor.create_domain xen ~name:"attacker" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:64
@@ -34,7 +39,7 @@ let build ~protection =
     Xen.Hypervisor.create_domain xen ~name:"victim" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:64
   in
-  let cdna = Cdna.Hyp.create xen ~protection () in
+  let cdna = Cdna.Hyp.create xen ~costs:costs.cdna ~protection () in
   let irq = Bus.Irq.create ~name:"cdna-nic" in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
   let config =

@@ -11,17 +11,3 @@ type t = {
   context_swap : Sim.Time.t;
 }
 
-let default =
-  {
-    hypercall_fixed = Sim.Time.ns 900;
-    validate_per_desc = Sim.Time.ns 420;
-    unpin_per_desc = Sim.Time.ns 90;
-    iommu_per_desc = Sim.Time.ns 220;
-    intr_decode_fixed = Sim.Time.ns 600;
-    map_context = Sim.Time.us 20;
-    pio_doorbell = Sim.Time.ns 120;
-    (* Saving + restoring a context image (1 KB mailbox partition, ring
-       registers, firmware scratch) over MMIO dominates; comparable to two
-       map_context operations. *)
-    context_swap = Sim.Time.us 45;
-  }

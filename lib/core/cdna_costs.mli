@@ -29,5 +29,3 @@ type t = {
           ring-register save/restore and firmware-scratch reload, charged
           to the hypervisor on the faulting guest's path. *)
 }
-
-val default : t

@@ -72,7 +72,7 @@ let trace t fmt_msg =
     ~time:(Sim.Engine.now (Xen.Hypervisor.engine t.xen))
     ~tag:"cdna-hyp" fmt_msg
 
-let create xen ?(costs = Cdna_costs.default) ?(protection = Cdna_costs.Full) () =
+let create xen ~costs ?(protection = Cdna_costs.Full) () =
   {
     xen;
     costs;

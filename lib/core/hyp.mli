@@ -28,7 +28,7 @@ type t
 
 val create :
   Xen.Hypervisor.t ->
-  ?costs:Cdna_costs.t ->
+  costs:Cdna_costs.t ->
   ?protection:Cdna_costs.protection ->
   unit ->
   t

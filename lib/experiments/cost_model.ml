@@ -60,12 +60,14 @@ let driver_domain_os =
 
 let netback_intel =
   {
-    Guestos.Netback.default_costs with
     Guestos.Netback.per_pkt_tx = us 1.35;
     per_pkt_rx = us 2.0;
     bridge_per_pkt = us 0.55;
     wakeup_fixed = us 2.0;
     per_ring_visit = us 0.7;
+    tx_budget = 96;
+    rx_budget = 96;
+    rx_overflow_cap = 512;
   }
 
 (* Without TSO the guest stack emits MTU-sized packets all the way, which

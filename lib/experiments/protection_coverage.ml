@@ -3,6 +3,9 @@ module H = Cdna.Hyp
 module Frame = Ethernet.Frame
 module Mac = Ethernet.Mac_addr
 
+(* The calibrated costs of a CDNA testbed: CDNA runs on the RiceNIC. *)
+let costs = Cost_model.for_config Config.Cdna_sys Config.Ricenic
+
 type fault_class =
   | Out_of_sequence
   | Foreign_page
@@ -93,12 +96,12 @@ let build ~mode () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:8192 () in
-  let xen = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let xen = Xen.Hypervisor.create engine ~cpu ~mem ~costs:costs.Cost_model.xen () in
   let dom name = Xen.Hypervisor.create_domain xen ~name ~kind:Xen.Domain.Guest ~weight:256 in
   let guest_a = dom "benign-a" ~mem_pages:1024 in
   let guest_b = dom "benign-b" ~mem_pages:1024 in
   let rogue = dom "rogue" ~mem_pages:256 in
-  let cdna = H.create xen ~protection:mode () in
+  let cdna = H.create xen ~costs:costs.cdna ~protection:mode () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let irq = Bus.Irq.create ~name:"cdna" in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
@@ -118,14 +121,14 @@ let build ~mode () =
   let h_a = assign guest_a mac_a in
   let h_b = assign guest_b mac_b in
   let h_att = assign rogue mac_att in
-  let driver h = Cdna.Driver.create ~hyp:cdna ~handle:h ~costs:Guestos.Os_costs.default () in
+  let driver h = Cdna.Driver.create ~hyp:cdna ~handle:h ~costs:costs.guest_os () in
   let d_a = driver h_a and d_b = driver h_b in
   Cdna.Driver.enable_auto_recovery d_a;
   Cdna.Driver.enable_auto_recovery d_b;
   let stack dom d =
     Guestos.Net_stack.create
       ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work xen dom ~cost fn)
-      ~costs:Guestos.Os_costs.default ~netdev:(Cdna.Driver.netdev d)
+      ~costs:costs.guest_os ~netdev:(Cdna.Driver.netdev d)
   in
   let stack_a = stack guest_a d_a and stack_b = stack guest_b d_b in
   let sink = { s_a = 0; s_b = 0; s_att = 0; s_corrupt = 0 } in
@@ -276,7 +279,7 @@ let attack_disabled w kind ~frames ~driver_out =
   let nd =
     Guestos.Native_driver.create ~mem:w.mem
       ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work w.xen w.rogue ~cost fn)
-      ~costs:Guestos.Os_costs.default ~hw ~mac:mac_att
+      ~costs:costs.guest_os ~hw ~mac:mac_att
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages w.xen w.rogue n)
       ~tx_slots:16 ~rx_slots:16 ()
   in
@@ -292,7 +295,7 @@ let attack_disabled w kind ~frames ~driver_out =
   let stack =
     Guestos.Net_stack.create
       ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work w.xen w.rogue ~cost fn)
-      ~costs:Guestos.Os_costs.default ~netdev:(Guestos.Native_driver.netdev nd)
+      ~costs:costs.guest_os ~netdev:(Guestos.Native_driver.netdev nd)
   in
   Guestos.Net_stack.send stack (List.init frames (fun i -> attack_frame ~seq:i))
 

@@ -9,18 +9,6 @@ type costs = {
   rx_overflow_cap : int;
 }
 
-let default_costs =
-  {
-    per_pkt_tx = Sim.Time.ns 1_200;
-    per_pkt_rx = Sim.Time.ns 1_800;
-    bridge_per_pkt = Sim.Time.ns 600;
-    wakeup_fixed = Sim.Time.us 2;
-    per_ring_visit = Sim.Time.ns 700;
-    tx_budget = 96;
-    rx_budget = 96;
-    rx_overflow_cap = 512;
-  }
-
 type iface = {
   guest_dom : Xen.Domain.t;
   guest_mac : Ethernet.Mac_addr.t;

@@ -28,8 +28,6 @@ type costs = {
   rx_overflow_cap : int;  (** Held packets per guest before dropping. *)
 }
 
-val default_costs : costs
-
 type t
 type iface
 

@@ -11,16 +11,3 @@ type t = {
   tx_batch_limit : int;
 }
 
-let default =
-  {
-    stack_tx_per_pkt = Sim.Time.ns 1_400;
-    stack_rx_per_pkt = Sim.Time.ns 1_900;
-    stack_wakeup_fixed = Sim.Time.ns 900;
-    driver_tx_per_pkt = Sim.Time.ns 900;
-    driver_rx_per_pkt = Sim.Time.ns 1_100;
-    driver_wakeup_fixed = Sim.Time.us 2;
-    app_per_pkt = Sim.Time.ns 60;
-    app_wakeup = Sim.Time.ns 500;
-    rx_poll_budget = 64;
-    tx_batch_limit = 64;
-  }

@@ -17,6 +17,3 @@ type t = {
   rx_poll_budget : int;  (** NAPI-style per-poll packet budget. *)
   tx_batch_limit : int;  (** Max packets accepted per driver send call. *)
 }
-
-(** Ballpark defaults for a 2.4 GHz Opteron-era core. *)
-val default : t

@@ -7,12 +7,3 @@ type t = {
   domain_create : Sim.Time.t;
 }
 
-let default =
-  {
-    isr = Sim.Time.ns 1_500;
-    virq_dispatch = Sim.Time.ns 800;
-    event_notify = Sim.Time.ns 900;
-    grant_map = Sim.Time.ns 550;
-    grant_transfer = Sim.Time.ns 1_100;
-    domain_create = Sim.Time.us 100;
-  }

@@ -16,5 +16,3 @@ type t = {
           TLB maintenance that made Xen's receive flipping expensive. *)
   domain_create : Sim.Time.t;
 }
-
-val default : t

@@ -9,7 +9,7 @@ type t = {
   mutable hypercalls : int;
 }
 
-let create engine ~cpu ~mem ?(costs = Costs.default) () =
+let create engine ~cpu ~mem ~costs () =
   {
     engine;
     cpu;

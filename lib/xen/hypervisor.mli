@@ -16,7 +16,7 @@ val create :
   Sim.Engine.t ->
   cpu:Host.Cpu.t ->
   mem:Memory.Phys_mem.t ->
-  ?costs:Costs.t ->
+  costs:Costs.t ->
   unit ->
   t
 

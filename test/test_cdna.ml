@@ -2,6 +2,43 @@
    bit-vector buffer, the CDNA NIC, the hypervisor protection extension,
    and the guest driver end to end. *)
 
+(* The cost records these tests' expected values were measured with. *)
+let xen_costs =
+  {
+    Xen.Costs.isr = Sim.Time.ns 1_500;
+    virq_dispatch = Sim.Time.ns 800;
+    event_notify = Sim.Time.ns 900;
+    grant_map = Sim.Time.ns 550;
+    grant_transfer = Sim.Time.ns 1_100;
+    domain_create = Sim.Time.us 100;
+  }
+
+let cdna_costs =
+  {
+    Cdna.Cdna_costs.hypercall_fixed = Sim.Time.ns 900;
+    validate_per_desc = Sim.Time.ns 420;
+    unpin_per_desc = Sim.Time.ns 90;
+    iommu_per_desc = Sim.Time.ns 220;
+    intr_decode_fixed = Sim.Time.ns 600;
+    map_context = Sim.Time.us 20;
+    pio_doorbell = Sim.Time.ns 120;
+    context_swap = Sim.Time.us 45;
+  }
+
+let os_costs =
+  {
+    Guestos.Os_costs.stack_tx_per_pkt = Sim.Time.ns 1_400;
+    stack_rx_per_pkt = Sim.Time.ns 1_900;
+    stack_wakeup_fixed = Sim.Time.ns 900;
+    driver_tx_per_pkt = Sim.Time.ns 900;
+    driver_rx_per_pkt = Sim.Time.ns 1_100;
+    driver_wakeup_fixed = Sim.Time.us 2;
+    app_per_pkt = Sim.Time.ns 60;
+    app_wakeup = Sim.Time.ns 500;
+    rx_poll_budget = 64;
+    tx_batch_limit = 64;
+  }
+
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
@@ -111,7 +148,7 @@ let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false) () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:8192 () in
-  let xen = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let xen = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
   let guest =
     Xen.Hypervisor.create_domain xen ~name:"g0" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:2048
@@ -120,7 +157,7 @@ let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false) () =
     Xen.Hypervisor.create_domain xen ~name:"g1" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:2048
   in
-  let cdna = Cdna.Hyp.create xen ~protection () in
+  let cdna = Cdna.Hyp.create xen ~costs:cdna_costs ~protection () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let irq = Bus.Irq.create ~name:"cdna" in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
@@ -560,12 +597,12 @@ let driver_fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false)
   let fx = fixture ~protection ~materialize () in
   let h = assign fx ~mac_idx:1 () in
   let driver =
-    Cdna.Driver.create ~hyp:fx.cdna ~handle:h ~costs:Guestos.Os_costs.default
+    Cdna.Driver.create ~hyp:fx.cdna ~handle:h ~costs:os_costs
       ~materialize ()
   in
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work fx.xen fx.guest ~cost fn in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:(Cdna.Driver.netdev driver)
   in
   run fx 5;
@@ -644,8 +681,8 @@ let test_driver_two_guests_isolated_traffic () =
   let fx = fixture () in
   let h1 = assign fx ~mac_idx:1 () in
   let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
-  let d1 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h1 ~costs:Guestos.Os_costs.default () in
-  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:Guestos.Os_costs.default () in
+  let d1 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h1 ~costs:os_costs () in
+  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:os_costs () in
   run fx 5;
   (* Frames addressed to each guest's MAC reach only that context. *)
   for i = 0 to 3 do
@@ -667,17 +704,17 @@ let test_revocation_under_load () =
   let fx = fixture () in
   let h1 = assign fx ~mac_idx:1 () in
   let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
-  let d1 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h1 ~costs:Guestos.Os_costs.default () in
-  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:Guestos.Os_costs.default () in
+  let d1 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h1 ~costs:os_costs () in
+  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:os_costs () in
   run fx 5;
   let post_kernel dom ~cost fn = Xen.Hypervisor.kernel_work fx.xen dom ~cost fn in
   let stack1 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest)
-      ~costs:Guestos.Os_costs.default ~netdev:(Cdna.Driver.netdev d1)
+      ~costs:os_costs ~netdev:(Cdna.Driver.netdev d1)
   in
   let stack2 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest2)
-      ~costs:Guestos.Os_costs.default ~netdev:(Cdna.Driver.netdev d2)
+      ~costs:os_costs ~netdev:(Cdna.Driver.netdev d2)
   in
   let send stack src n =
     Guestos.Net_stack.send stack
@@ -707,12 +744,12 @@ let test_compact_layout_cdna_end_to_end () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:8192 () in
-  let xen = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let xen = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
   let guest =
     Xen.Hypervisor.create_domain xen ~name:"g" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:2048
   in
-  let cdna = Cdna.Hyp.create xen () in
+  let cdna = Cdna.Hyp.create xen ~costs:cdna_costs () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let irq = Bus.Irq.create ~name:"cdna" in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
@@ -740,12 +777,12 @@ let test_compact_layout_cdna_end_to_end () =
     | Ok h -> h
     | Error _ -> Alcotest.fail "assign failed"
   in
-  let driver = Cdna.Driver.create ~hyp:cdna ~handle:h ~costs:Guestos.Os_costs.default () in
+  let driver = Cdna.Driver.create ~hyp:cdna ~handle:h ~costs:os_costs () in
   Sim.Engine.run engine ~until:(Sim.Time.ms 5);
   Alcotest.(check bool) "driver up" true (Cdna.Driver.ready driver);
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work xen guest ~cost fn in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:(Cdna.Driver.netdev driver)
   in
   Guestos.Net_stack.send stack
@@ -790,11 +827,11 @@ let test_context_migration () =
   Ethernet.Link.attach fx.link Ethernet.Link.B (fun _ -> incr wire1);
   Ethernet.Link.attach link2 Ethernet.Link.B (fun _ -> incr wire2);
   let h = assign fx ~mac_idx:1 () in
-  let driver = Cdna.Driver.create ~hyp:fx.cdna ~handle:h ~costs:Guestos.Os_costs.default () in
+  let driver = Cdna.Driver.create ~hyp:fx.cdna ~handle:h ~costs:os_costs () in
   run fx 5;
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work fx.xen fx.guest ~cost fn in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:(Cdna.Driver.netdev driver)
   in
   let send n =
@@ -886,13 +923,13 @@ let test_malicious_native_driver_contained () =
   let fx = fixture ~protection:Cdna.Cdna_costs.Disabled () in
   let h1 = assign fx ~mac_idx:1 () in
   let d1 =
-    Cdna.Driver.create ~hyp:fx.cdna ~handle:h1 ~costs:Guestos.Os_costs.default ()
+    Cdna.Driver.create ~hyp:fx.cdna ~handle:h1 ~costs:os_costs ()
   in
   let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
   let post_kernel dom ~cost fn = Xen.Hypervisor.kernel_work fx.xen dom ~cost fn in
   let nd =
     Guestos.Native_driver.create ~mem:fx.mem
-      ~post_kernel:(post_kernel fx.guest2) ~costs:Guestos.Os_costs.default
+      ~post_kernel:(post_kernel fx.guest2) ~costs:os_costs
       ~hw:(Cdna.Hyp.driver_if h2)
       ~mac:(Ethernet.Mac_addr.make 2)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages fx.xen fx.guest2 n)
@@ -905,11 +942,11 @@ let test_malicious_native_driver_contained () =
   run fx 5;
   let stack1 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest)
-      ~costs:Guestos.Os_costs.default ~netdev:(Cdna.Driver.netdev d1)
+      ~costs:os_costs ~netdev:(Cdna.Driver.netdev d1)
   in
   let stack2 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest2)
-      ~costs:Guestos.Os_costs.default
+      ~costs:os_costs
       ~netdev:(Guestos.Native_driver.netdev nd)
   in
   let rogue_on_wire = ref 0 and benign_on_wire = ref 0 in

@@ -2,6 +2,43 @@
    the bridge, the shared channel, the native driver end-to-end against a
    real NIC, and the netfront/netback paravirtual path. *)
 
+(* The cost records these tests' expected values were measured with. *)
+let xen_costs =
+  {
+    Xen.Costs.isr = Sim.Time.ns 1_500;
+    virq_dispatch = Sim.Time.ns 800;
+    event_notify = Sim.Time.ns 900;
+    grant_map = Sim.Time.ns 550;
+    grant_transfer = Sim.Time.ns 1_100;
+    domain_create = Sim.Time.us 100;
+  }
+
+let os_costs =
+  {
+    Guestos.Os_costs.stack_tx_per_pkt = Sim.Time.ns 1_400;
+    stack_rx_per_pkt = Sim.Time.ns 1_900;
+    stack_wakeup_fixed = Sim.Time.ns 900;
+    driver_tx_per_pkt = Sim.Time.ns 900;
+    driver_rx_per_pkt = Sim.Time.ns 1_100;
+    driver_wakeup_fixed = Sim.Time.us 2;
+    app_per_pkt = Sim.Time.ns 60;
+    app_wakeup = Sim.Time.ns 500;
+    rx_poll_budget = 64;
+    tx_batch_limit = 64;
+  }
+
+let netback_costs =
+  {
+    Guestos.Netback.per_pkt_tx = Sim.Time.ns 1_200;
+    per_pkt_rx = Sim.Time.ns 1_800;
+    bridge_per_pkt = Sim.Time.ns 600;
+    wakeup_fixed = Sim.Time.us 2;
+    per_ring_visit = Sim.Time.ns 700;
+    tx_budget = 96;
+    rx_budget = 96;
+    rx_overflow_cap = 512;
+  }
+
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
@@ -57,7 +94,7 @@ let stack_fixture ~tx_space =
       ~tx_space:(fun () -> !space)
   in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:nd
   in
   (engine, profile, nd, stack, dev_sent, space)
@@ -199,7 +236,7 @@ let native_fixture ?(materialize = false) () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:2048 () in
-  let hyp = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let hyp = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
   let dom =
     Xen.Hypervisor.create_domain hyp ~name:"os" ~kind:Xen.Domain.Native
       ~weight:256 ~mem_pages:1024
@@ -223,14 +260,14 @@ let native_fixture ?(materialize = false) () =
           | None -> ()));
   let driver =
     Guestos.Native_driver.create ~mem ~post_kernel
-      ~costs:Guestos.Os_costs.default ~hw:(Nic.Intel_nic.driver_if nic)
+      ~costs:os_costs ~hw:(Nic.Intel_nic.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 1)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp dom n)
       ~materialize ()
   in
   driver_ref := Some driver;
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:(Guestos.Native_driver.netdev driver)
   in
   { nf_engine = engine; nf_driver = driver; nf_stack = stack; nf_link = link }
@@ -309,7 +346,7 @@ let test_native_driver_scatter_gather () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:2048 () in
-  let hyp = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let hyp = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
   let dom =
     Xen.Hypervisor.create_domain hyp ~name:"os" ~kind:Xen.Domain.Native
       ~weight:256 ~mem_pages:1024
@@ -327,13 +364,13 @@ let test_native_driver_scatter_gather () =
   Nic.Intel_nic.enable nic ~mac:(Ethernet.Mac_addr.make 1);
   let driver =
     Guestos.Native_driver.create ~mem ~post_kernel
-      ~costs:Guestos.Os_costs.default ~hw:(Nic.Intel_nic.driver_if nic)
+      ~costs:os_costs ~hw:(Nic.Intel_nic.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 1)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp dom n)
       ~materialize:true ~sg_split:128 ()
   in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:(Guestos.Native_driver.netdev driver)
   in
   let wire = ref [] in
@@ -371,7 +408,7 @@ let pv_fixture ?(materialize = false) () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:49152 () in
-  let hyp = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let hyp = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
   let driver_dom =
     Xen.Hypervisor.create_domain hyp ~name:"driver" ~kind:Xen.Domain.Driver
       ~weight:256 ~mem_pages:16384
@@ -392,7 +429,7 @@ let pv_fixture ?(materialize = false) () =
   let post_driver ~cost fn = Xen.Hypervisor.kernel_work hyp driver_dom ~cost fn in
   let phys_driver =
     Guestos.Native_driver.create ~mem ~post_kernel:post_driver
-      ~costs:Guestos.Os_costs.default ~hw:(Nic.Intel_nic.driver_if nic)
+      ~costs:os_costs ~hw:(Nic.Intel_nic.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 100)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp driver_dom n)
       ~materialize ()
@@ -405,7 +442,7 @@ let pv_fixture ?(materialize = false) () =
       Xen.Event_channel.notify_from_hypervisor nic_chan);
   let netback =
     Guestos.Netback.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom:driver_dom
-      ~costs:Guestos.Netback.default_costs ~materialize ()
+      ~costs:netback_costs ~materialize ()
   in
   Guestos.Netback.add_physical netback
     (Guestos.Native_driver.netdev phys_driver)
@@ -416,7 +453,7 @@ let pv_fixture ?(materialize = false) () =
       ~handler:(fun () -> Guestos.Netback.schedule netback)
   in
   let netfront =
-    Guestos.Netfront.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom:guest ~costs:Guestos.Os_costs.default
+    Guestos.Netfront.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom:guest ~costs:os_costs
       ~xchan ~mac:(Ethernet.Mac_addr.make 1)
       ~notify_backend:(fun () ->
         Xen.Event_channel.notify chan_to_driver ~from:guest)
@@ -434,7 +471,7 @@ let pv_fixture ?(materialize = false) () =
   let post_guest ~cost fn = Xen.Hypervisor.kernel_work hyp guest ~cost fn in
   let stack =
     Guestos.Net_stack.create ~post_kernel:post_guest
-      ~costs:Guestos.Os_costs.default
+      ~costs:os_costs
       ~netdev:(Guestos.Netfront.netdev netfront)
   in
   {
@@ -519,7 +556,7 @@ let add_pv_guest fx ~mac_idx =
   in
   let netfront =
     Guestos.Netfront.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom
-      ~costs:Guestos.Os_costs.default ~xchan
+      ~costs:os_costs ~xchan
       ~mac
       ~notify_backend:(fun () ->
         Xen.Event_channel.notify chan_to_driver ~from:dom)
@@ -535,7 +572,7 @@ let add_pv_guest fx ~mac_idx =
        ~notify_frontend:(fun () ->
          Xen.Event_channel.notify chan_to_guest ~from:fx.pv_driver_dom));
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work hyp dom ~cost fn in
-  Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+  Guestos.Net_stack.create ~post_kernel ~costs:os_costs
     ~netdev:(Guestos.Netfront.netdev netfront)
 
 let test_pv_inter_guest_traffic () =
@@ -577,7 +614,7 @@ let test_netfront_pool_exhaustion_backpressure () =
   in
   let netfront =
     Guestos.Netfront.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom
-      ~costs:Guestos.Os_costs.default ~xchan
+      ~costs:os_costs ~xchan
       ~mac:(Ethernet.Mac_addr.make 33)
       ~notify_backend:(fun () ->
         Xen.Event_channel.notify chan_to_driver ~from:dom)
@@ -594,7 +631,7 @@ let test_netfront_pool_exhaustion_backpressure () =
          Xen.Event_channel.notify chan_to_guest ~from:fx.pv_driver_dom));
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work hyp dom ~cost fn in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:(Guestos.Netfront.netdev netfront)
   in
   let wire = ref 0 in

@@ -1,6 +1,29 @@
 (* Coverage for the smaller API surfaces: pretty-printers, accessors,
    tracing, and report plumbing not exercised by the behavioural suites. *)
 
+(* The cost records these tests' expected values were measured with. *)
+let xen_costs =
+  {
+    Xen.Costs.isr = Sim.Time.ns 1_500;
+    virq_dispatch = Sim.Time.ns 800;
+    event_notify = Sim.Time.ns 900;
+    grant_map = Sim.Time.ns 550;
+    grant_transfer = Sim.Time.ns 1_100;
+    domain_create = Sim.Time.us 100;
+  }
+
+let netback_costs =
+  {
+    Guestos.Netback.per_pkt_tx = Sim.Time.ns 1_200;
+    per_pkt_rx = Sim.Time.ns 1_800;
+    bridge_per_pkt = Sim.Time.ns 600;
+    wakeup_fixed = Sim.Time.us 2;
+    per_ring_visit = Sim.Time.ns 700;
+    tx_budget = 96;
+    rx_budget = 96;
+    rx_overflow_cap = 512;
+  }
+
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
@@ -128,14 +151,14 @@ let test_netback_counters () =
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let mem = Memory.Phys_mem.create ~total_pages:16384 () in
-  let hyp = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let hyp = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
   let dom =
     Xen.Hypervisor.create_domain hyp ~name:"drv" ~kind:Xen.Domain.Driver
       ~weight:256 ~mem_pages:8192
   in
   let nb =
     Guestos.Netback.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom
-      ~costs:Guestos.Netback.default_costs ()
+      ~costs:netback_costs ()
   in
   check_int "tx" 0 (Guestos.Netback.tx_forwarded nb);
   check_int "rx" 0 (Guestos.Netback.rx_delivered nb);

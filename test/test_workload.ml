@@ -1,6 +1,21 @@
 (* Tests for the workload library: connections (windows, in-order
    receive) and the benchmark program. *)
 
+(* The cost records these tests' expected values were measured with. *)
+let os_costs =
+  {
+    Guestos.Os_costs.stack_tx_per_pkt = Sim.Time.ns 1_400;
+    stack_rx_per_pkt = Sim.Time.ns 1_900;
+    stack_wakeup_fixed = Sim.Time.ns 900;
+    driver_tx_per_pkt = Sim.Time.ns 900;
+    driver_rx_per_pkt = Sim.Time.ns 1_100;
+    driver_wakeup_fixed = Sim.Time.us 2;
+    app_per_pkt = Sim.Time.ns 60;
+    app_wakeup = Sim.Time.ns 500;
+    rx_poll_budget = 64;
+    tx_batch_limit = 64;
+  }
+
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
@@ -119,13 +134,13 @@ let bench_fixture () =
       ~tx_space:(fun () -> 1000)
   in
   let stack =
-    Guestos.Net_stack.create ~post_kernel ~costs:Guestos.Os_costs.default
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
       ~netdev:nd
   in
   let acks = ref [] in
   let bench =
     Workload.Bench_program.create engine ~post_user
-      ~costs:Guestos.Os_costs.default
+      ~costs:os_costs
       ~ack:(fun c n -> acks := (Workload.Connection.id c, n) :: !acks)
       ()
   in
