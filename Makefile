@@ -15,15 +15,21 @@ test:
 # domain-safety detector (shared mutable state reachable from LP
 # callbacks) and the resource-protocol verifier (acquire/release
 # lifetimes for grants, pins, contexts and locks) — one invocation with
-# a single combined exit code. Also runs as part of `dune runtest`; this
-# target additionally refreshes the LINT_stats.json artifact and fails
-# if the unsuppressed-violation count or any single suppression count
-# grew versus the committed baseline (refresh deliberately by committing
-# the new file).
+# a single combined exit code. The further --cmt trees are the roots of
+# the reach report (the executables of bin/, bench/, perfbench/ and
+# examples/, with test/ for the tests that use each entry); `dune build
+# @check` writes their .cmt files. Also runs as part of `dune runtest`;
+# this target additionally refreshes the LINT_stats.json artifact and
+# fails if the unsuppressed-violation count, any single suppression
+# count or any reach-report count grew versus the committed baseline
+# (refresh deliberately by committing the new file).
 lint:
-	dune build @install
+	dune build @install @check
 	dune exec lint/main.exe -- --stats LINT_stats.json \
-	  --cmt _build/install/default/lib/cdna --gate LINT_stats.json
+	  --cmt _build/install/default/lib/cdna \
+	  --cmt _build/default/bin --cmt _build/default/bench \
+	  --cmt _build/default/perfbench --cmt _build/default/examples \
+	  --cmt _build/default/test --gate LINT_stats.json
 
 # One-shot CI entry: build, full test suite, static analysis + gate.
 check:

@@ -590,76 +590,51 @@ let collect_facts prog (f : fn) =
 (* LP reachability (pass 3)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* BFS over call edges from LP roots; [chains] maps each LP-capable
-   function to its witness path (oldest hop first). *)
+(* BFS over call edges from LP roots; maps each LP-capable function to
+   its witness path (oldest hop first). *)
 let lp_reachability prog =
-  let chains : hop list SMap.t ref = ref SMap.empty in
-  let queue = Queue.create () in
-  let enqueue id chain =
-    if not (SMap.mem id !chains) then begin
-      chains := SMap.add id chain !chains;
-      Queue.push id queue
-    end
-  in
+  let hop what (f : fn) line = { hop_what = what; hop_file = f.f_file; hop_line = line } in
   (* Roots, in deterministic order: layer-resident functions first, then
      closures handed to scheduling primitives. *)
-  SMap.iter
-    (fun id (f : fn) ->
-      if SSet.mem f.f_layer lp_layers then
-        enqueue id
-          [
-            {
-              hop_what =
-                Printf.sprintf "%s lives in LP-resident layer '%s'" id
-                  f.f_layer;
-              hop_file = f.f_file;
-              hop_line = f.f_line;
-            };
-          ])
-    prog.p.fns;
-  SMap.iter
-    (fun _ (f : fn) ->
-      List.iter
-        (fun c ->
-          match (c.dc_entry, SMap.find_opt c.dc_callee prog.p.fns) with
-          | Some entry, Some g ->
-              enqueue g.f_id
-                [
-                  {
-                    hop_what =
-                      Printf.sprintf "%s called from a closure passed to %s in %s"
-                        g.f_id entry f.f_id;
-                    hop_file = f.f_file;
-                    hop_line = c.dc_line;
-                  };
-                ]
-          | _ -> ())
-        prog.calls.(f.f_idx))
-    prog.p.fns;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    let chain = SMap.find id !chains in
+  let resident =
+    SMap.fold
+      (fun id (f : fn) acc ->
+        if SSet.mem f.f_layer lp_layers then
+          ( id,
+            [ hop (Printf.sprintf "%s lives in LP-resident layer '%s'" id f.f_layer) f f.f_line ] )
+          :: acc
+        else acc)
+      prog.p.fns []
+  in
+  let handed =
+    SMap.fold
+      (fun _ (f : fn) acc ->
+        List.rev_append
+          (List.filter_map
+             (fun c ->
+               match (c.dc_entry, SMap.find_opt c.dc_callee prog.p.fns) with
+               | Some entry, Some g ->
+                   Some
+                     ( g.f_id,
+                       [ hop (Printf.sprintf "%s called from a closure passed to %s in %s" g.f_id entry f.f_id) f c.dc_line ] )
+               | _ -> None)
+             prog.calls.(f.f_idx))
+          acc)
+      prog.p.fns []
+  in
+  let succ id chain =
     match SMap.find_opt id prog.p.fns with
-    | None -> ()
+    | None -> []
     | Some f ->
-        List.iter
+        List.filter_map
           (fun c ->
-            match SMap.find_opt c.dc_callee prog.p.fns with
-            | Some g when not (SMap.mem g.f_id !chains) ->
-                enqueue g.f_id
-                  (chain
-                  @ [
-                      {
-                        hop_what =
-                          Printf.sprintf "%s called from %s" g.f_id f.f_id;
-                        hop_file = f.f_file;
-                        hop_line = c.dc_line;
-                      };
-                    ])
-            | _ -> ())
+            Option.map
+              (fun (g : fn) ->
+                (g.f_id, chain @ [ hop (Printf.sprintf "%s called from %s" g.f_id f.f_id) f c.dc_line ]))
+              (SMap.find_opt c.dc_callee prog.p.fns))
           prog.calls.(f.f_idx)
-  done;
-  !chains
+  in
+  Program.bfs ~succ (List.rev resident @ List.rev handed)
 
 (* ------------------------------------------------------------------ *)
 (* Classification and reporting (pass 4)                               *)

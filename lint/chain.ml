@@ -331,6 +331,7 @@ let gated_counts current =
          [ "violations"; "suppressions"; "domain_shared"; "domain_local" ]);
         ("proto",
          [ "violations"; "suppressions"; "acquire_annots"; "release_annots" ]);
+        ("reach", [ "unreached"; "internal"; "optional" ]);
       ]
 
 (* The gated counts that grew from [baseline] to [current], as (path,

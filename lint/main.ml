@@ -1,14 +1,23 @@
-(* cdna_lint / cdna_flow / cdna_dom / cdna_proto CLI.
+(* cdna_lint / cdna_flow / cdna_dom / cdna_proto / cdna_reach CLI.
 
    Usage:
-     main.exe --cmt CMT_DIR [--stats FILE] [--quiet] [--format text|github]
-              [--only RULE] [--gate BASELINE]
+     main.exe --cmt CMT_DIR [--cmt ENTRY_DIR]... [--stats FILE] [--quiet]
+              [--format text|github] [--only RULE] [--gate BASELINE]
 
-   Loads the compiled [.cmt] tree rooted at CMT_DIR once ([Program.load])
-   and runs the four passes over it: the expression-level lint (D/A/P/S
-   rules), the interprocedural flow verifier, the domain-safety / race
-   detector and the resource-protocol (typestate) verifier. One
-   invocation runs every pass and exits with a single combined code.
+   Loads the compiled [.cmt] tree rooted at the first CMT_DIR once
+   ([Program.load_with]) and runs the four passes over it: the
+   expression-level lint (D/A/P/S rules), the interprocedural flow
+   verifier, the domain-safety / race detector and the resource-protocol
+   (typestate) verifier. One invocation runs every pass and exits with a
+   single combined code.
+
+   Each further [--cmt] names a tree of entry executables and their tests
+   (bin/, bench/, perfbench/, examples/, test/ under _build/default).
+   The four passes never read those; with at least one of them, the
+   reach report ([Cdna_reach]) lists the analysed tree's exported values
+   no executable reaches, those named only inside their own module and
+   the optional parameters no reached call supplies. The report is no
+   violation; its counts are in the stats document under the drift gate.
 
    Exit codes: 0 clean, 1 violations found, 2 usage or I/O error (an
    unreadable or truncated [.cmt], or a CMT_DIR holding no implementation
@@ -35,8 +44,8 @@
    ([Chain.gate_drift]). *)
 
 let usage =
-  "usage: cdna_lint --cmt CMT_DIR [--stats FILE] [--quiet] [--format \
-   text|github] [--only RULE] [--gate BASELINE]"
+  "usage: cdna_lint --cmt CMT_DIR [--cmt ENTRY_DIR]... [--stats FILE] \
+   [--quiet] [--format text|github] [--only RULE] [--gate BASELINE]"
 
 let usage_error msg =
   prerr_endline ("cdna_lint: " ^ msg);
@@ -96,14 +105,14 @@ let run_gate ~baseline_path current =
 
 let () =
   let stats_out = ref None and quiet = ref false and format = ref `Text in
-  let cmt_root = ref None and only = ref None and gate = ref None in
+  let cmt_roots = ref [] and only = ref None and gate = ref None in
   let rec parse_args = function
     | [] -> ()
     | "--stats" :: f :: rest ->
         stats_out := Some f;
         parse_args rest
     | "--cmt" :: d :: rest ->
-        cmt_root := Some d;
+        cmt_roots := !cmt_roots @ [ d ];
         parse_args rest
     | "--only" :: r :: rest ->
         only := Some r;
@@ -128,10 +137,10 @@ let () =
     | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  let root =
-    match !cmt_root with
-    | Some root -> root
-    | None -> usage_error "--cmt CMT_DIR is required"
+  let root, entries =
+    match !cmt_roots with
+    | root :: entries -> (root, entries)
+    | [] -> usage_error "--cmt CMT_DIR is required"
   in
   (* Per-pass wall time: diagnostic only (stats [timing] block and the
      summary line), deliberately outside the drift gate. *)
@@ -145,7 +154,8 @@ let () =
   in
   let prog =
     try
-      timed "load" (fun p -> p.Program.files) (fun () -> Program.load [ root ])
+      timed "load" (fun p -> p.Program.files) (fun () ->
+          Program.load_with ~entries [ root ])
     with Program.Load_error msg ->
       prerr_endline ("cdna_lint: " ^ msg);
       exit 2
@@ -156,6 +166,11 @@ let () =
   let dom = pass "dom" (fun r -> r.Cdna_dom.cmt_files) Cdna_dom.analyze in
   let proto =
     pass "proto" (fun r -> r.Cdna_proto.cmt_files) Cdna_proto.analyze
+  in
+  let reach =
+    if entries = [] then None
+    else
+      Some (pass "reach" (fun r -> r.Cdna_reach.roots) Cdna_reach.analyze)
   in
   (* [--only]: the filtered view drives rendering and the exit code; the
      stats artifact below is always computed from the full reports. *)
@@ -192,6 +207,11 @@ let () =
               ("flow", Cdna_flow.report_to_json flow);
               ("dom", Cdna_dom.report_to_json dom);
               ("proto", Cdna_proto.report_to_json proto);
+            ]
+          @ Option.fold ~none:[]
+              ~some:(fun r -> [ ("reach", Cdna_reach.report_to_json r) ])
+              reach
+          @ [
               ( "timing",
                 Sim.Json.Obj
                   (List.map
@@ -245,6 +265,16 @@ let () =
       proto.cmt_files proto.functions proto.protocols
       (List.length proto.violations)
       (List.length proto.suppressed);
+    Option.iter
+      (fun (r : Cdna_reach.report) ->
+        Printf.printf
+          "cdna_reach: %d root(s), %d test(s), %d exported value(s), %d \
+           unreached, %d internal, %d optional never supplied\n"
+          r.roots r.tests r.exported
+          (Cdna_reach.count r "unreached")
+          (Cdna_reach.count r "internal")
+          (Cdna_reach.count r "optional"))
+      reach;
     Printf.printf "cdna timing: %s\n"
       (String.concat ", "
          (List.map

@@ -11,6 +11,11 @@
    zero-alloc rules, the round-robin summary fixpoint, the witness-path
    DFS and the violation de-dup/sort/split.
 
+   [load_with ~entries] also walks the executables under [entries]
+   (their bindings, aliases and module-level items) into fields of their
+   own, so the reach report can start from them while every other pass
+   still sees only the analysed tree.
+
    The model is immutable. A pass keeps its facts and summaries in
    arrays indexed by [f_idx], so one loaded program can feed any number
    of passes in any order without one pass seeing another's state. *)
@@ -25,6 +30,7 @@ type modl = {
   m_layer : string; (* path-derived, or [@@@cdna.layer "..."] *)
   m_privileged : bool; (* [@@@cdna.privileged], inherited by submodules *)
   m_attrs : Parsetree.attribute list; (* this structure's own [@@@...] *)
+  m_entry : bool; (* walked from an [entries] root *)
 }
 
 type binding = { b_mod : modl; b_vb : Typedtree.value_binding }
@@ -47,6 +53,19 @@ type fn = {
          constrained [let f : t = ..] — only cdna_dom analyzes. *)
 }
 
+(* A module-level item that is neither a value binding nor a walked
+   submodule: an [include], a functor application, a toplevel
+   expression. *)
+type item = { i_mod : modl; i_item : Typedtree.structure_item }
+
+(* A [val] of an analysed module's interface ([.cmti]); a module
+   without one exports each of its module-level values. *)
+type export = {
+  e_id : string; (* "Mod.name" *)
+  e_file : string; (* the [.mli], or the [.ml] without one *)
+  e_line : int;
+}
+
 type t = {
   files : int; (* implementation .cmt files read *)
   modules : modl list;
@@ -54,6 +73,10 @@ type t = {
   aliases : string SMap.t; (* module aliases and functor instances *)
   fns : fn SMap.t; (* every function *)
   plain_fns : fn SMap.t; (* the [f_plain] ones *)
+  exports : export list; (* by file, then interface order *)
+  items : item list; (* analysed and entry trees, walk order *)
+  entries : binding list; (* the [entries] trees' bindings, walk order *)
+  entry_aliases : string SMap.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -126,14 +149,33 @@ let rec collect_cmts acc path =
   else if Filename.check_suffix path ".cmt" then path :: acc
   else acc
 
-let load roots =
+(* The [val]s of an interface, nested module signatures included. *)
+let rec sig_exports m (sg : Typedtree.signature) =
+  List.concat_map
+    (fun (it : Typedtree.signature_item) ->
+      match it.sig_desc with
+      | Tsig_value vd ->
+          [ { e_id = m ^ "." ^ vd.val_name.txt; e_file = loc_file vd.val_loc;
+              e_line = loc_line vd.val_loc } ]
+      | Tsig_module
+          { md_name = { txt = Some n; _ };
+            md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+          sig_exports n sg
+      | _ -> [])
+    sg.sig_items
+
+let load_with ~entries roots =
   let per_root =
     List.map
       (fun root ->
         if not (Sys.file_exists root) then
           raise (Load_error ("no such cmt root: " ^ root));
         (root, collect_cmts [] root))
-      roots
+      (roots @ entries)
+  in
+  let analysed =
+    List.filteri (fun i _ -> i < List.length roots) per_root
+    |> List.concat_map snd |> SSet.of_list
   in
   let paths = List.concat_map snd per_root |> List.sort_uniq String.compare in
   (* Envs stored in cmt files are summaries; rehydrating them (cdna_dom's
@@ -142,34 +184,39 @@ let load roots =
   Load_path.init ~auto_include:Load_path.no_auto_include
     (List.sort_uniq String.compare (List.map Filename.dirname paths)
     @ [ Config.standard_library ]);
-  let modules = ref [] and bindings = ref [] and aliases = ref SMap.empty in
-  let fns = ref SMap.empty and impls = ref SSet.empty in
+  let modules = ref [] and bindings = ref [] and entry_bindings = ref [] in
+  let aliases = ref SMap.empty and entry_aliases = ref SMap.empty in
+  let fns = ref SMap.empty and impls = ref SSet.empty and items = ref [] in
+  let exports = ref [] in
   let add_binding m (vb : Typedtree.value_binding) =
-    bindings := { b_mod = m; b_vb = vb } :: !bindings;
-    match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
-    | Some (_, name), Some _ ->
-        let params, body = peel_params vb.vb_expr in
-        let f =
-          {
-            f_idx = 0;
-            f_id = m.m_name ^ "." ^ name;
-            f_module = m.m_name;
-            f_file = m.m_file;
-            f_line = loc_line vb.vb_loc;
-            f_layer = m.m_layer;
-            f_privileged = m.m_privileged;
-            f_attrs = vb.vb_attributes;
-            f_params = params;
-            f_body = body;
-            f_expr = vb.vb_expr;
-            f_plain =
-              (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
-              | Tpat_var _, Texp_function _ -> true
-              | _ -> false);
-          }
-        in
-        fns := SMap.add f.f_id f !fns
-    | _ -> ()
+    if m.m_entry then entry_bindings := { b_mod = m; b_vb = vb } :: !entry_bindings
+    else begin
+      bindings := { b_mod = m; b_vb = vb } :: !bindings;
+      match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
+      | Some (_, name), Some _ ->
+          let params, body = peel_params vb.vb_expr in
+          let f =
+            {
+              f_idx = 0;
+              f_id = m.m_name ^ "." ^ name;
+              f_module = m.m_name;
+              f_file = m.m_file;
+              f_line = loc_line vb.vb_loc;
+              f_layer = m.m_layer;
+              f_privileged = m.m_privileged;
+              f_attrs = vb.vb_attributes;
+              f_params = params;
+              f_body = body;
+              f_expr = vb.vb_expr;
+              f_plain =
+                (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+                | Tpat_var _, Texp_function _ -> true
+                | _ -> false);
+            }
+          in
+          fns := SMap.add f.f_id f !fns
+      | _ -> ()
+    end
   in
   let rec walk_structure m (str : Typedtree.structure) =
     let attrs =
@@ -187,13 +234,23 @@ let load roots =
           | _ -> m)
         { m with m_attrs = attrs } attrs
     in
-    modules := m :: !modules;
+    if not m.m_entry then modules := m :: !modules;
+    let rec applies (me : Typedtree.module_expr) =
+      match me.mod_desc with
+      | Tmod_apply _ -> true
+      | Tmod_constraint (me, _, _, _) -> applies me
+      | _ -> false
+    in
     List.iter
       (fun (it : Typedtree.structure_item) ->
         match it.str_desc with
         | Tstr_value (_, vbs) -> List.iter (add_binding m) vbs
-        | Tstr_module mb -> walk_module m mb
+        | Tstr_module mb ->
+            walk_module m mb;
+            if applies mb.mb_expr then items := { i_mod = m; i_item = it } :: !items
         | Tstr_recmodule mbs -> List.iter (walk_module m) mbs
+        | Tstr_include _ | Tstr_eval _ ->
+            items := { i_mod = m; i_item = it } :: !items
         | _ -> ())
       str.str_items
   and walk_module parent (mb : Typedtree.module_binding) =
@@ -203,6 +260,7 @@ let load roots =
       | None, Some n -> n
       | None, None -> "_"
     in
+    let aliases = if parent.m_entry then entry_aliases else aliases in
     let rec of_mexpr (me : Typedtree.module_expr) =
       match module_alias_target me with
       | Some target -> aliases := SMap.add name target !aliases
@@ -214,36 +272,55 @@ let load roots =
     in
     of_mexpr mb.mb_expr
   in
-  let toplevel name file =
+  let toplevel name file entry =
     {
       m_name = name;
       m_file = file;
       m_layer = layer_of_file file;
       m_privileged = false;
       m_attrs = [];
+      m_entry = entry;
     }
+  in
+  let read path =
+    try Cmt_format.read_cmt path
+    with e ->
+      raise
+        (Load_error
+           (Printf.sprintf "cannot read %s: %s" path (Printexc.to_string e)))
   in
   List.iter
     (fun path ->
-      let cmt =
-        try Cmt_format.read_cmt path
-        with e ->
-          raise
-            (Load_error
-               (Printf.sprintf "cannot read %s: %s" path
-                  (Printexc.to_string e)))
-      in
+      let cmt = read path and entry = not (SSet.mem path analysed) in
       match (cmt.cmt_annots, cmt.cmt_sourcefile) with
       | Implementation str, Some src
         when not (Filename.check_suffix src ".ml-gen") ->
           impls := SSet.add path !impls;
-          walk_structure (toplevel (strip_wrap cmt.cmt_modname) src) str
+          let m = toplevel (strip_wrap cmt.cmt_modname) src entry in
+          walk_structure m str;
+          let intf = Filename.remove_extension path ^ ".cmti" in
+          if not entry then
+            exports :=
+              (if Sys.file_exists intf then
+                 match (read intf).cmt_annots with
+                 | Interface sg -> sig_exports m.m_name sg
+                 | _ -> []
+               else
+                 List.filter (fun b -> b.b_mod.m_file = src) !bindings
+                 |> List.rev_map (fun b ->
+                        List.map
+                          (fun id ->
+                            { e_id = b.b_mod.m_name ^ "." ^ Ident.name id;
+                              e_file = src; e_line = loc_line b.b_vb.vb_loc })
+                          (Typedtree.pat_bound_idents b.b_vb.vb_pat))
+                 |> List.concat)
+              :: !exports
       | Implementation str, Some _ ->
           (* dune alias modules: harvest [module X = Lib__X] only. *)
           List.iter
             (fun (it : Typedtree.structure_item) ->
               match it.str_desc with
-              | Tstr_module mb -> walk_module (toplevel "" "") mb
+              | Tstr_module mb -> walk_module (toplevel "" "" entry) mb
               | _ -> ())
             str.str_items
       | _ -> ())
@@ -259,13 +336,19 @@ let load roots =
     |> SMap.of_seq
   in
   {
-    files = SSet.cardinal !impls;
+    files = SSet.cardinal (SSet.inter !impls analysed);
     modules = List.rev !modules;
     bindings = List.rev !bindings;
     aliases = !aliases;
     fns;
     plain_fns = SMap.filter (fun _ f -> f.f_plain) fns;
+    exports = List.concat (List.rev !exports);
+    items = List.rev !items;
+    entries = List.rev !entry_bindings;
+    entry_aliases = !entry_aliases;
   }
+
+let load roots = load_with ~entries:[] roots
 
 (* ------------------------------------------------------------------ *)
 (* Callee resolution                                                   *)
@@ -511,6 +594,24 @@ let dfs ~calls ~line ?(enter = fun _ _ -> ()) ~step root_hop root =
       (calls f)
   in
   walk [ root_hop ] root
+
+(* Breadth-first search from [roots], in order. [succ k l] lists the
+   (key, label) pairs that key [k], reached with label [l], leads to;
+   the first label to reach a key is the one kept. *)
+let bfs ~succ roots =
+  let seen = ref SMap.empty and queue = Queue.create () in
+  let visit (k, l) =
+    if not (SMap.mem k !seen) then begin
+      seen := SMap.add k l !seen;
+      Queue.push (k, l) queue
+    end
+  in
+  List.iter visit roots;
+  while not (Queue.is_empty queue) do
+    let k, l = Queue.pop queue in
+    List.iter visit (succ k l)
+  done;
+  !seen
 
 (* De-duplicate on (rule, file, line, msg), keeping the first
    occurrence in [vs], sort, and split into (unsuppressed, suppressed). *)

@@ -1,4 +1,4 @@
-(* Determinism of the combined four-pass stats artifact and of the
+(* Determinism of the combined stats artifact (four passes plus the reach report) and of the
    rendered violation output: LINT_stats.json is diffed by the
    suppression-drift gate and archived by CI, so two runs over the same
    corpus must agree byte-for-byte, and the result must not depend on
@@ -15,8 +15,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* The combined stats document (sans timing) over all four fixture
-   corpora, with every pass's rendered violations appended. *)
+(* The combined stats document (sans timing) over all five fixture
+   corpora, with every pass's rendered violations and the reach report
+   appended. *)
 let combined ~order =
   let lint = Cdna_lint.analyze (Program.load [ "fixtures" ]) in
   let flow = Cdna_flow.analyze (Program.load [ "flow_fixtures" ]) in
@@ -27,6 +28,12 @@ let combined ~order =
     in
     Cdna_proto.analyze (Program.load (order paths))
   in
+  let reach =
+    Cdna_reach.analyze
+      (Program.load_with
+         ~entries:(order [ "reach_fixtures/rmain.cmt"; "reach_fixtures/test_rfix.cmt" ])
+         [ "reach_fixtures/rlib.cmt" ])
+  in
   let json =
     match Cdna_lint.report_to_json lint with
     | Sim.Json.Obj fields ->
@@ -36,12 +43,14 @@ let combined ~order =
               ("flow", Cdna_flow.report_to_json flow);
               ("dom", Cdna_dom.report_to_json dom);
               ("proto", Cdna_proto.report_to_json proto);
+              ("reach", Cdna_reach.report_to_json reach);
             ])
     | j -> j
   in
   let rendered =
     List.map Chain.violation_to_string
       (lint.violations @ flow.violations @ dom.violations @ proto.violations)
+    @ List.map Cdna_reach.entry_to_string reach.entries
   in
   (Sim.Json.to_string json, String.concat "\n" rendered)
 
