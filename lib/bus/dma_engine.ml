@@ -103,7 +103,7 @@ let[@cdna.hot] occupy t ~op ~context ~len =
   t.busy_time <- Sim.Time.add t.busy_time occupancy;
   t.transfers <- t.transfers + 1;
   t.bytes_moved <- t.bytes_moved + len;
-  if Sim.Trace.tag_enabled "dma" then
+  if Sim.Trace.enabled () then
     (Sim.Trace.complete ~time:start ~dur:occupancy ~tag:"dma" ~tid:context
        ~args:[ ("len", Sim.Trace.Int len); ("context", Sim.Trace.Int context) ]
        op

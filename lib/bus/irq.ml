@@ -6,7 +6,6 @@ type t = {
 }
 
 let create ~name = { name; handler = None; count = 0; dropped = 0 }
-let name t = t.name
 let set_handler t f = t.handler <- Some f
 
 let assert_line t =

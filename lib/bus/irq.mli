@@ -8,7 +8,6 @@
 type t
 
 val create : name:string -> t
-val name : t -> string
 
 (** [set_handler t f] installs the receiving handler. *)
 val set_handler : t -> (unit -> unit) -> unit

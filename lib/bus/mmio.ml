@@ -10,8 +10,6 @@ let region ~size ~read ~write =
   if size <= 0 then invalid_arg "Mmio.region: non-positive size";
   { size; read; write }
 
-let size r = r.size
-
 type mapping = { region : region; mutable revoked : bool; mutable writes : int }
 
 let map region = { region; revoked = false; writes = 0 }

@@ -17,8 +17,6 @@ type region
 val region :
   size:int -> read:(offset:int -> int) -> write:(offset:int -> int -> unit) -> region
 
-val size : region -> int
-
 type mapping
 
 (** [map r] creates a live mapping of [r]. *)

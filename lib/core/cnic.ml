@@ -84,7 +84,6 @@ let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
 
 let attach_link t link ~side = Nic.Dp.attach_link t.dp link ~side
 let dp t = t.dp
-let firmware t = t.firmware
 let irq t = t.irq
 let intr_vector t = t.intr
 let dma t = Nic.Dp.dma t.dp

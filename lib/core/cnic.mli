@@ -38,7 +38,6 @@ val default_config : Nic.Nic_config.t
 
 val attach_link : t -> Ethernet.Link.t -> side:Ethernet.Link.side -> unit
 val dp : t -> Nic.Dp.t
-val firmware : t -> Nic.Firmware.t
 val irq : t -> Bus.Irq.t
 val intr_vector : t -> Intr_vector.t
 

@@ -327,7 +327,6 @@ let netdev t = the_netdev t
 let ready t = t.ready
 let tx_count t = t.tx_count
 let rx_count t = t.rx_count
-let polls t = t.polls
 let enqueue_errors t = t.enqueue_errors
 let recoveries t = t.recoveries
 let handle t = t.handle

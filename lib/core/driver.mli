@@ -32,10 +32,6 @@ val netdev : t -> Guestos.Netdev.t
 (** True once rings and buffers are registered and posted. *)
 val ready : t -> bool
 
-(** Virtual-interrupt entry (installed on the context's event channel at
-    creation). *)
-val handle_interrupt : t -> unit
-
 (** [rebind t handle] re-targets the driver at a fresh context handle
     (after {!Hyp.migrate}): ring and buffer state is re-registered from
     scratch; frames still queued in the driver are transmitted on the new
@@ -54,7 +50,6 @@ val enable_auto_recovery :
 
 val tx_count : t -> int
 val rx_count : t -> int
-val polls : t -> int
 
 (** Enqueue hypercalls rejected by the hypervisor (diagnostics). *)
 val enqueue_errors : t -> int

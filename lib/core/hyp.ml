@@ -90,7 +90,6 @@ let enable_paging t = t.paging <- true
 let paging_enabled t = t.paging
 let ctx_swaps t = t.ctx_swaps
 
-let protection t = t.protection
 let costs t = t.costs
 let xen t = t.xen
 let mem t = Xen.Hypervisor.mem t.xen
@@ -484,7 +483,6 @@ let reassign t h ?(max_retries = 3) ?(backoff = Sim.Time.us 100) k =
 let is_revoked h = h.revoked
 let guest_of h = h.guest
 let ctx_id h = h.ctx
-let nic_of h = h.nic
 let mac_of h = h.mac
 let driver_if h = h.hw
 let virq_deliveries h = Xen.Event_channel.deliveries h.chan

@@ -33,7 +33,6 @@ val create :
   unit ->
   t
 
-val protection : t -> Cdna_costs.protection
 val costs : t -> Cdna_costs.t
 val xen : t -> Xen.Hypervisor.t
 
@@ -128,7 +127,6 @@ val reassign :
 val is_revoked : ctx_handle -> bool
 val guest_of : ctx_handle -> Xen.Domain.t
 val ctx_id : ctx_handle -> int
-val nic_of : ctx_handle -> Cnic.t
 
 (** The MAC recorded at {!assign_context} time (survives revocation). *)
 val mac_of : ctx_handle -> Ethernet.Mac_addr.t

@@ -26,9 +26,6 @@ val create :
 val slots : t -> int
 val base : t -> Memory.Addr.t
 
-(** Free producer slots. *)
-val space : t -> int
-
 (** {1 NIC side} *)
 
 (** [try_post t ~bits ~on_done] DMA-writes the vector into the next slot.

@@ -5,5 +5,3 @@ let continuous ~expected ~got = got = expected mod modulus
 
 let stale_value ~expected ~ring_slots =
   ((expected - ring_slots) mod modulus + modulus) mod modulus
-
-let aliases ~ring_slots = ring_slots mod modulus = 0

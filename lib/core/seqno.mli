@@ -24,7 +24,3 @@ val continuous : expected:int -> got:int -> bool
 (** The sequence number a stale descriptor would carry: the expected value
     minus the ring size, modulo {!modulus}. *)
 val stale_value : expected:int -> ring_slots:int -> int
-
-(** [aliases ~ring_slots] — true when a stale descriptor would be
-    indistinguishable from a fresh one (only for invalid ring sizes). *)
-val aliases : ring_slots:int -> bool

@@ -34,13 +34,7 @@ let tables =
 
 let init_crc = 0xFFFFFFFF
 
-let[@cdna.hot] feed crc byte =
-  let t0 = Array.unsafe_get tables 0 in
-  Array.unsafe_get t0 ((crc lxor byte) land 0xff) lxor (crc lsr 8)
-
 let[@cdna.hot] finish crc = crc lxor 0xFFFFFFFF
-
-let[@cdna.hot] digest_stream fold = finish (fold feed init_crc)
 
 let[@cdna.hot] digest_sub b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then

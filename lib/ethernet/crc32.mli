@@ -1,7 +1,6 @@
 (** CRC-32 (IEEE 802.3), used as the frame check sequence and as the
     payload-integrity checksum in end-to-end tests. Implemented with
-    slicing-by-8 for the buffer digests; the streaming primitives let
-    callers checksum generated byte streams without materializing them. *)
+    slicing-by-8. *)
 
 (** [digest b] is the CRC-32 of all of [b]. *)
 val digest : Bytes.t -> int
@@ -9,17 +8,3 @@ val digest : Bytes.t -> int
 (** [digest_sub b ~pos ~len] checksums a slice.
     @raise Invalid_argument on bad bounds. *)
 val digest_sub : Bytes.t -> pos:int -> len:int -> int
-
-(** {1 Streaming}
-
-    [digest_stream fold] computes the CRC of a byte stream presented by a
-    fold: [fold f init] must call [f acc byte] once per byte, in order,
-    threading the accumulator. Equal to [digest] of the same bytes. *)
-val digest_stream : ((int -> int -> int) -> int -> int) -> int
-
-(** Low-level streaming state, for callers interleaving CRC with other
-    per-byte work: [finish (feed ... (feed init_crc b0) ... bn)]. *)
-val init_crc : int
-
-val feed : int -> int -> int
-val finish : int -> int

@@ -33,15 +33,6 @@ let[@inline] next_state s =
   let s = s lxor (s lsr 7) in
   s lxor (s lsl 17)
 
-let fold_payload ~seed ~len f init =
-  let state = ref (seed lor 1) in
-  let acc = ref init in
-  for _ = 1 to len do
-    state := next_state !state;
-    acc := f !acc (!state land 0xff)
-  done;
-  !acc
-
 let blit_payload ~seed ~len dst ~pos =
   if pos < 0 || len < 0 || len > Bytes.length dst - pos then
     invalid_arg "Frame.blit_payload: bad bounds";
@@ -79,9 +70,6 @@ let data_valid t =
            !ok
          end
 
-let payload_crc t =
-  Crc32.digest_stream (fold_payload ~seed:t.payload_seed ~len:t.payload_len)
-
 let overhead_bytes = 18
 let min_payload = 46
 
@@ -91,10 +79,3 @@ let wire_bytes t =
 (* Preamble+SFD (8) and inter-frame gap (12) occupy the wire as well,
    once per segment. *)
 let wire_bits t = (wire_bytes t + (20 * t.segments)) * 8
-
-let pp ppf t =
-  let kind =
-    match t.kind with Data -> "data" | Ack n -> Printf.sprintf "ack(%d)" n
-  in
-  Format.fprintf ppf "%a->%a %s flow=%d seq=%d len=%d" Mac_addr.pp t.src
-    Mac_addr.pp t.dst kind t.flow t.seq t.payload_len

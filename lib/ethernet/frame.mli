@@ -59,10 +59,6 @@ val placeholder : t
 (** Deterministic payload bytes for a spec. *)
 val materialize_payload : seed:int -> len:int -> Bytes.t
 
-(** [fold_payload ~seed ~len f init] folds [f] over the spec's byte stream
-    without materializing it — same bytes as {!materialize_payload}. *)
-val fold_payload : seed:int -> len:int -> ('a -> int -> 'a) -> 'a -> 'a
-
 (** [blit_payload ~seed ~len dst ~pos] writes the spec's bytes into a
     caller-owned buffer (the non-allocating datapath variant of
     {!materialize_payload}). @raise Invalid_argument on bad bounds. *)
@@ -74,9 +70,6 @@ val with_data : t -> t
 (** [data_valid f] checks [f.data] against the spec (true for spec-only
     frames: nothing to contradict). *)
 val data_valid : t -> bool
-
-(** Expected CRC-32 of the payload spec. *)
-val payload_crc : t -> int
 
 (** {1 Wire accounting} *)
 
@@ -90,5 +83,3 @@ val wire_bytes : t -> int
 (** Bits occupying the link including preamble (8 B) and IFG (12 B) per
     segment. *)
 val wire_bits : t -> int
-
-val pp : Format.formatter -> t -> unit

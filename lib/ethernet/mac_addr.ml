@@ -8,11 +8,8 @@ let make i =
   (0x02 lsl 40) lor i
 
 let broadcast = mask48
-let of_int48 v = v land mask48
 let to_int48 t = t
 let equal = Int.equal
-let compare = Int.compare
-let hash t = t
 let is_broadcast t = t = broadcast
 let is_multicast t = (t lsr 40) land 0x01 = 1
 

@@ -12,14 +12,8 @@ val make : int -> t
 
 val broadcast : t
 
-(** [of_int48 v] uses the low 48 bits of [v] directly. *)
-val of_int48 : int -> t
-
 val to_int48 : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val is_broadcast : t -> bool
 val is_multicast : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

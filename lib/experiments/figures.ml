@@ -22,9 +22,6 @@ let base pattern = { Config.default with Config.nics = 2; pattern }
 let figure3 ?quick ?(guest_counts = paper_guest_counts) () =
   sweep ?quick (base Workload.Pattern.Tx) guest_counts
 
-let figure4 ?quick ?(guest_counts = paper_guest_counts) () =
-  sweep ?quick (base Workload.Pattern.Rx) guest_counts
-
 (* Paper anchor values for the endpoints of each series. *)
 let paper_anchor ~pattern ~guests ~system =
   match (pattern, system, guests) with

@@ -249,8 +249,4 @@ let on_ack t conn n =
       pump t
 
 let kick t = pump t
-let sunk t = t.sunk
-let sourced t = t.sourced
 let retransmissions t = t.retransmissions
-let timeouts t = t.timeouts
-let ignored t = t.ignored

@@ -63,16 +63,5 @@ val on_ack : t -> Workload.Connection.t -> int -> unit
 (** Re-evaluate pause state (bind to the NIC's uncongested hook). *)
 val kick : t -> unit
 
-(** Frames accepted by sinks / emitted by sources. *)
-val sunk : t -> int
-
-val sourced : t -> int
-
-(** Frames resent after a timeout, and timeout events. *)
+(** Frames resent after a timeout. *)
 val retransmissions : t -> int
-
-val timeouts : t -> int
-
-(** Frames that arrived with a destination other than this peer's MAC
-    (e.g. bridge flooding); ignored but counted. *)
-val ignored : t -> int

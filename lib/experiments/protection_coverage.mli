@@ -24,10 +24,6 @@ type fault_class =
   | Link_drop  (** Probabilistic frame loss on the wire. *)
   | Link_corrupt  (** Probabilistic payload corruption on the wire. *)
 
-val all_classes : fault_class list
-val class_name : fault_class -> string
-val mode_name : Cdna.Cdna_costs.protection -> string
-
 type row = {
   r_mode : Cdna.Cdna_costs.protection;
   r_fault : fault_class;

@@ -44,9 +44,6 @@ val l3_header_bytes : int
     (perfbench's end-to-end harness) reuses the exact same accounting
     and stays measurement-compatible with {!run}. *)
 
-(** Shrink warm-up (1/2) and measurement (1/4) when [quick] is set. *)
-val apply_quick : quick:bool -> Config.t -> Config.t
-
 (** Counter readings taken at the end of warm-up, subtracted by
     {!collect}. *)
 type baselines

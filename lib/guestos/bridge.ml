@@ -15,7 +15,6 @@ let add_port t payload =
   p
 
 let payload p = p.payload
-let ports t = t.port_list
 let learn t port mac =
   Sim.Int_tbl.replace t.fdb (Ethernet.Mac_addr.to_int48 mac) port
 

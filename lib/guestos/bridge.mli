@@ -12,7 +12,6 @@ type 'a port
 val create : unit -> 'a t
 val add_port : 'a t -> 'a -> 'a port
 val payload : 'a port -> 'a
-val ports : 'a t -> 'a port list
 
 (** [learn t port mac] associates [mac] with [port] (also done implicitly
     by {!route} for the frame's source). *)

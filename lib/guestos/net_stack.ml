@@ -56,8 +56,6 @@ let create ~post_kernel ~costs ~netdev =
           t.rx_handler frames));
   t
 
-let netdev t = t.netdev
-
 let send t frames =
   let n = List.length frames in
   if n > 0 then begin

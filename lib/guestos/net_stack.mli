@@ -19,8 +19,6 @@ val create :
   netdev:Netdev.t ->
   t
 
-val netdev : t -> Netdev.t
-
 (** [send t frames] accepts a burst from the application (call from user
     context; the stack charges its kernel time itself). Frames beyond
     {!capacity} are still queued — the application should respect

@@ -40,7 +40,3 @@ let notify_tx_done t n = t.tx_done_handler n
 let notify_writable t = t.writable_hook ()
 let frames_sent t = t.sent
 let frames_received t = t.received
-
-let reset_counters t =
-  t.sent <- 0;
-  t.received <- 0

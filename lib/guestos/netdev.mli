@@ -39,4 +39,3 @@ val notify_writable : t -> unit
 
 val frames_sent : t -> int
 val frames_received : t -> int
-val reset_counters : t -> unit

@@ -193,10 +193,8 @@ let create ~hyp ~gnt ~dom ~costs ~xchan ~mac ~notify_backend
   t
 
 let netdev t = the_netdev t
-let dom t = t.dom
 let pool_size t = Queue.length t.pool
 let tx_count t = t.tx_count
-let rx_count t = t.rx_count
 
 let register_metrics t m =
   let labels = [ ("domain", Xen.Domain.name t.dom) ] in

@@ -32,7 +32,6 @@ val create :
   t
 
 val netdev : t -> Netdev.t
-val dom : t -> Xen.Domain.t
 
 (** Bind as the handler of the guest's event channel from netback. Runs in
     guest kernel context. *)
@@ -40,7 +39,6 @@ val handle_event : t -> unit
 
 val pool_size : t -> int
 val tx_count : t -> int
-val rx_count : t -> int
 
 (** Expose [netfront.tx_count] / [netfront.rx_count] /
     [netfront.pool_size] gauges labelled with the guest domain's name. *)

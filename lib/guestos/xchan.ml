@@ -20,8 +20,6 @@ let create ~capacity =
     returned = [];
   }
 
-let capacity t = t.capacity
-
 let push q cap e = if Queue.length q >= cap then false else (Queue.push e q; true)
 
 let tx_push t e = push t.tx t.capacity e

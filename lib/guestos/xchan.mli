@@ -12,7 +12,6 @@ type entry = { frame : Ethernet.Frame.t; pfn : Memory.Addr.pfn }
 type t
 
 val create : capacity:int -> t
-val capacity : t -> int
 
 (** {1 Guest -> driver (transmit requests)} *)
 

@@ -12,17 +12,6 @@ let equal a b =
   | Kernel a, Kernel b | User a, User b -> a = b
   | (Hypervisor | Kernel _ | User _ | Idle), _ -> false
 
-let rank = function
-  | Hypervisor -> 0
-  | Kernel _ -> 1
-  | User _ -> 2
-  | Idle -> 3
-
-let compare a b =
-  match a, b with
-  | Kernel a, Kernel b | User a, User b -> Int.compare a b
-  | _ -> Int.compare (rank a) (rank b)
-
 let domain = function
   | Kernel d | User d -> Some d
   | Hypervisor | Idle -> None

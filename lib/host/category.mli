@@ -14,7 +14,6 @@ type t =
   | Idle
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** Domain the category belongs to, if any. *)
 val domain : t -> domain_id option

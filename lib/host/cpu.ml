@@ -227,7 +227,7 @@ let[@cdna.hot] complete t rq () =
     e.credits <- e.credits - Sim.Time.to_ns total;
     rq.slice_used <- Sim.Time.add rq.slice_used total
   end;
-  if Sim.Trace.tag_enabled "sched" then
+  if Sim.Trace.enabled () then
     (trace_item t ~start ~total ~switch w e
     [@cdna.alloc_ok "tracing branch, disabled unless the sched tag is on"]);
   rq.busy <- false;

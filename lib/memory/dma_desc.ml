@@ -2,7 +2,6 @@ type t = { addr : Addr.t; len : int; flags : int; seqno : int }
 
 let size_bytes = 16
 let flag_end_of_packet = 0x1
-let flag_interrupt_on_completion = 0x2
 
 let write mem ~at d =
   if d.len < 0 || d.len > 0xFFFF_FFFF then

@@ -24,7 +24,6 @@ val size_bytes : int
 (** Flag bits. *)
 
 val flag_end_of_packet : int
-val flag_interrupt_on_completion : int
 
 (** [write mem ~at d] serializes [d] at physical address [at].
     @raise Invalid_argument if a field is out of range

@@ -52,7 +52,6 @@ let create ~total_pages () =
   }
 
 let page_mask = Addr.page_size - 1
-let total_pages t = t.total_pages
 let free_pages t = t.reclaimed_count + t.total_pages - t.fresh
 let[@cdna.hot] materialized_pages t = t.materialized_count
 

@@ -25,7 +25,6 @@ type t
     all initially free. *)
 val create : total_pages:int -> unit -> t
 
-val total_pages : t -> int
 val free_pages : t -> int
 
 (** Page metadata. Here and in the allocation and reference-counting

@@ -177,9 +177,8 @@ let ctx t i =
 let dma_ctx t (c : ctx) = t.dma_context_base + c.id
 
 (* Structured datapath events, tagged with the NIC's config name.
-   Callers test [tracing] first, so the argument lists are only built
-   when the tag is on. *)
-let tracing t = Sim.Trace.tag_enabled t.cfg.Nic_config.name
+   Callers test [Sim.Trace.enabled] first, so the argument lists are only
+   built while tracing. *)
 
 let trace_event t ~args ~tid name =
   Sim.Trace.instant ~time:(Sim.Engine.now t.engine) ~tag:t.cfg.Nic_config.name
@@ -188,7 +187,7 @@ let trace_event t ~args ~tid name =
 let fault t (c : ctx) dir f =
   t.s_faults <- t.s_faults + 1;
   c.faulted <- true;
-  if tracing t then
+  if Sim.Trace.enabled () then
     trace_event t ~tid:c.id
       ~args:
         [
@@ -450,7 +449,7 @@ and wire_free t () =
   t.s_tx_frames <- t.s_tx_frames + 1;
   t.s_tx_bytes <- t.s_tx_bytes + frame.Ethernet.Frame.payload_len;
   if c.epoch = epoch then begin
-    if tracing t then
+    if Sim.Trace.enabled () then
       trace_event t ~tid:c.id
         ~args:
           [
@@ -564,7 +563,7 @@ and rx_deliver_done t res =
     | Ok () ->
         let frame = t.rx_frame and len = t.rx_len in
         release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
-        if tracing t then
+        if Sim.Trace.enabled () then
           trace_event t ~tid:c.id
             ~args:
               [
@@ -688,7 +687,7 @@ let attach_link t link ~side =
 let activate t ~ctx:i ~mac =
   let c = ctx t i in
   if c.active then invalid_arg "Dp.activate: context already active";
-  if tracing t then
+  if Sim.Trace.enabled () then
     trace_event t ~tid:i
       ~args:
         [
@@ -812,7 +811,7 @@ let[@cdna.acquires "dp-image"] save_context t ~ctx:i =
     else 0
   in
   let seq_back s r = (((s - r) mod seqno_mod) + seqno_mod) mod seqno_mod in
-  if tracing t then
+  if Sim.Trace.enabled () then
     trace_event t ~tid:i
       ~args:
         [
@@ -849,7 +848,7 @@ let[@cdna.releases "dp-image@1"] restore_context t ~ctx:i s =
   let c = ctx t i in
   if c.active || c.faulted then
     invalid_arg "Dp.restore_context: slot not reset";
-  if tracing t then
+  if Sim.Trace.enabled () then
     trace_event t ~tid:i ~args:[ ("ctx", Sim.Trace.Int i) ] "ctx-restore";
   c.active <- true;
   c.faulted <- false;
@@ -949,7 +948,6 @@ let stats t =
   }
 
 let ctx_tx_frames t ~ctx:i = (ctx t i).tx_frames
-let ctx_rx_frames t ~ctx:i = (ctx t i).rx_frames
 let tx_buffer_in_use t = Pkt_buf.in_use t.tx_buf
 let rx_buffer_in_use t = Pkt_buf.in_use t.rx_buf
 

@@ -174,7 +174,6 @@ type stats = {
 
 val stats : t -> stats
 val ctx_tx_frames : t -> ctx:int -> int
-val ctx_rx_frames : t -> ctx:int -> int
 
 (** Shared packet-buffer occupancy (accounting diagnostics; both return to
     zero when the datapath is idle). *)

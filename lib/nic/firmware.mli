@@ -11,14 +11,6 @@
     Mailbox word assignments (driver-side protocol): ring geometry must be
     written before the base address, which commits the ring. *)
 
-val mbox_tx_ring_slots : int
-val mbox_tx_ring_base : int
-val mbox_rx_ring_slots : int
-val mbox_rx_ring_base : int
-val mbox_status_addr : int
-val mbox_tx_prod : int
-val mbox_rx_prod : int
-
 type t
 
 (** [create engine ~dp ~process_cost ()] builds the firmware and its

@@ -27,10 +27,6 @@ let enable t ~mac =
   Dp.activate t.dp ~ctx:0 ~mac;
   Dp.set_promiscuous t.dp ~ctx:(Some 0)
 
-let disable t =
-  Dp.set_promiscuous t.dp ~ctx:None;
-  Dp.deactivate t.dp ~ctx:0
-
 let driver_if t : Driver_if.t =
   {
     describe = "intel-e1000";
@@ -49,7 +45,6 @@ let driver_if t : Driver_if.t =
 
 let dp t = t.dp
 let stats t = Dp.stats t.dp
-let irq t = t.irq
 let set_uncongested_hook t f = Dp.set_uncongested_hook t.dp f
 let rx_congested t = Dp.rx_congested t.dp
 

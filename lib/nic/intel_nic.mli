@@ -26,14 +26,11 @@ val attach_link : t -> Ethernet.Link.t -> side:Ethernet.Link.side -> unit
     as required behind a bridge). *)
 val enable : t -> mac:Ethernet.Mac_addr.t -> unit
 
-val disable : t -> unit
-
 (** Driver-facing operations (register writes are immediate). *)
 val driver_if : t -> Driver_if.t
 
 val dp : t -> Dp.t
 val stats : t -> Dp.stats
-val irq : t -> Bus.Irq.t
 
 (** Flow-control hook: fires when the receive buffer drains below the low
     watermark (used by the ideal peer for 802.3x-style pause). *)

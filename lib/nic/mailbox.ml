@@ -23,8 +23,6 @@ let create ~contexts ~on_event =
     events = 0;
   }
 
-let contexts t = t.n
-
 let check_ctx t ctx =
   if ctx < 0 || ctx >= t.n then invalid_arg "Mailbox: context out of range"
 
@@ -113,8 +111,6 @@ let restore_partition t ~ctx s =
        write happened. *)
     t.on_event ()
   end
-
-let events_generated t = t.events
 
 let register_metrics t m ~labels =
   Sim.Metrics.gauge m ~labels "mailbox.events" (fun () -> t.events)

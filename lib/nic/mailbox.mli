@@ -13,18 +13,10 @@
 
 type t
 
-val mailboxes_per_context : int
-(** 24, as in the RiceNIC implementation. *)
-
-val partition_bytes : int
-(** 4096: one host page, so a partition maps into one guest page. *)
-
 (** [create ~contexts ~on_event] builds the SRAM block. [on_event] fires on
     every mailbox write (the hardware's "global mailbox event"), after the
     bit vectors have been updated. *)
 val create : contexts:int -> on_event:(unit -> unit) -> t
-
-val contexts : t -> int
 
 (** MMIO region of one context's 4 KB partition. Reads return the last
     value written; writes beyond the mailbox words hit general-purpose
@@ -71,9 +63,6 @@ val save_partition : t -> ctx:int -> saved_partition
     [ctx]. Pending events saved with the image are re-armed (and [on_event]
     fired) without counting as new hardware events. *)
 val restore_partition : t -> ctx:int -> saved_partition -> unit
-
-(** Total mailbox-write events generated so far. *)
-val events_generated : t -> int
 
 (** Expose [mailbox.events] as a gauge under [labels]. *)
 val register_metrics :

@@ -33,13 +33,8 @@ let enable t ~mac =
   Dp.activate t.dp ~ctx:0 ~mac;
   Dp.set_promiscuous t.dp ~ctx:(Some 0)
 
-let disable t =
-  Dp.set_promiscuous t.dp ~ctx:None;
-  Dp.deactivate t.dp ~ctx:0
-
 let driver_if t = Firmware.driver_if t.firmware ~ctx:0 ~mapping:t.mapping
 let dp t = t.dp
-let firmware t = t.firmware
 let stats t = Dp.stats t.dp
 let set_uncongested_hook t f = Dp.set_uncongested_hook t.dp f
 let rx_congested t = Dp.rx_congested t.dp

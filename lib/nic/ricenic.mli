@@ -23,13 +23,11 @@ val create :
 
 val attach_link : t -> Ethernet.Link.t -> side:Ethernet.Link.side -> unit
 val enable : t -> mac:Ethernet.Mac_addr.t -> unit
-val disable : t -> unit
 
 (** Driver interface through context 0's mailbox partition. *)
 val driver_if : t -> Driver_if.t
 
 val dp : t -> Dp.t
-val firmware : t -> Firmware.t
 val stats : t -> Dp.stats
 val set_uncongested_hook : t -> (unit -> unit) -> unit
 val rx_congested : t -> bool

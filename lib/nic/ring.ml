@@ -11,7 +11,6 @@ let create ~base ~slots ?(desc_bytes = Memory.Dma_desc.size_bytes) () =
 
 let base t = t.base
 let slots t = t.slots
-let desc_bytes t = t.desc_bytes
 let size_bytes t = t.slots * t.desc_bytes
 let slot_addr t idx = t.base + ((idx land (t.slots - 1)) * t.desc_bytes)
 

@@ -17,9 +17,6 @@ type t
     negotiated {!Memory.Desc_layout} (default: the 16-byte layout). *)
 val create : base:Memory.Addr.t -> slots:int -> ?desc_bytes:int -> unit -> t
 
-(** Descriptor stride in bytes. *)
-val desc_bytes : t -> int
-
 val base : t -> Memory.Addr.t
 val slots : t -> int
 

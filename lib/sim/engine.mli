@@ -48,9 +48,6 @@ val run : t -> until:Time.t -> unit
     events have fired. Returns [`Completed] or [`Event_limit]. *)
 val run_to_completion : ?limit:int -> t -> [ `Completed | `Event_limit ]
 
-(** [step t] fires the single next event; [false] if the queue is empty. *)
-val step : t -> bool
-
 (** Expose the engine's counters as gauges: [engine.pending] (live
     events only, via {!live_pending_count}) and [engine.fired]. *)
 val register_metrics : t -> Metrics.t -> unit

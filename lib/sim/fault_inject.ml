@@ -64,11 +64,6 @@ let arm t ~site p =
   let armed = { plan = p; rng = Rng.split t.master; matches = 0; fired = 0 } in
   s.plans <- s.plans @ [ armed ]
 
-let disarm t ~site =
-  match Hashtbl.find_opt t.sites site with
-  | Some s -> s.plans <- []
-  | None -> ()
-
 let in_range v = function
   | None -> true
   | Some (lo, hi) -> ( match v with None -> false | Some v -> lo <= v && v <= hi)

@@ -43,9 +43,6 @@ val create : seed:int -> t
     master seed at arming time. *)
 val arm : t -> site:string -> plan -> unit
 
-(** Remove every plan armed at [site]. *)
-val disarm : t -> site:string -> unit
-
 (** [fire t ~site ?ctx ?addr ()] reports one candidate event and returns
     true when any armed plan decides to inject. A site with no armed
     plans always answers false (and costs one hash lookup). *)

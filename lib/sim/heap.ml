@@ -148,16 +148,9 @@ let[@cdna.hot] set h handle v =
    loop never allocates an option per event. The option-returning
    variants below wrap them for callers off the hot path. *)
 
-let[@cdna.hot] peek_exn h =
-  if h.size = 0 then invalid_arg "Heap.peek_exn: empty heap"
-  else Array.unsafe_get h.vals (Array.unsafe_get h.nodes 1)
-
 let[@cdna.hot] min_key_exn h =
   if h.size = 0 then invalid_arg "Heap.min_key_exn: empty heap"
   else Array.unsafe_get h.nodes 0
-
-let peek h = if h.size = 0 then None else Some (peek_exn h)
-let min_key h = if h.size = 0 then None else Some (min_key_exn h)
 
 let[@cdna.hot] pop_exn h =
   if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap"
@@ -227,19 +220,3 @@ let[@cdna.hot] pop_exn h =
   end
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
-
-let clear h =
-  h.size <- 0;
-  h.free_top <- 0;
-  h.arena_used <- 0;
-  h.nodes <- [||];
-  h.vals <- [||];
-  h.seqs <- [||];
-  h.free <- [||]
-
-let to_list h =
-  let rec build i acc =
-    if i < 0 then acc
-    else build (i - 1) (h.vals.(h.nodes.((2 * i) + 1)) :: acc)
-  in
-  build (h.size - 1) []

@@ -46,12 +46,6 @@ val get : 'a t -> int -> 'a option
     the entry was already popped. *)
 val set : 'a t -> int -> 'a -> bool
 
-(** [peek h] is the minimum element, or [None] when empty. *)
-val peek : 'a t -> 'a option
-
-(** [min_key h] is the key of the minimum element, or [None] when empty. *)
-val min_key : 'a t -> int option
-
 (** [pop h] removes and returns the minimum element, or [None] when empty. *)
 val pop : 'a t -> 'a option
 
@@ -64,15 +58,6 @@ val pop : 'a t -> 'a option
     @raise Invalid_argument when empty. *)
 val pop_exn : 'a t -> 'a
 
-(** [peek_exn h] is the minimum element.
-    @raise Invalid_argument when empty. *)
-val peek_exn : 'a t -> 'a
-
 (** [min_key_exn h] is the key of the minimum element.
     @raise Invalid_argument when empty. *)
 val min_key_exn : 'a t -> int
-
-val clear : 'a t -> unit
-
-(** [to_list h] is the elements in unspecified order (for debugging). *)
-val to_list : 'a t -> 'a list

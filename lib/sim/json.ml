@@ -64,8 +64,6 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* ---------- Parser ---------- *)
 
 exception Fail of string * int

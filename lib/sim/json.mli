@@ -18,8 +18,6 @@ type t =
 (** Compact (single-line) rendering. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Parse a complete JSON document. Numbers without a fraction or exponent
     become [Int]; everything else numeric becomes [Float]. *)
 val parse : string -> (t, string) result

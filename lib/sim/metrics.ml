@@ -1,8 +1,6 @@
 type kind =
-  | Counter of Stats.Counter.t
   | Gauge of (unit -> int)
   | Gauge_f of (unit -> float)
-  | Meter of Stats.Meter.t
   | Histogram of Stats.Histogram.t
 
 type t = { table : (string, kind) Hashtbl.t }
@@ -24,26 +22,6 @@ let key name labels =
 
 let register t k kind = Hashtbl.replace t.table k kind
 
-let counter t ?(labels = []) name =
-  let k = key name labels in
-  match Hashtbl.find_opt t.table k with
-  | Some (Counter c) -> c
-  | Some _ -> invalid_arg ("Metrics: " ^ k ^ " registered with another kind")
-  | None ->
-      let c = Stats.Counter.create () in
-      register t k (Counter c);
-      c
-
-let meter t ?(labels = []) name =
-  let k = key name labels in
-  match Hashtbl.find_opt t.table k with
-  | Some (Meter m) -> m
-  | Some _ -> invalid_arg ("Metrics: " ^ k ^ " registered with another kind")
-  | None ->
-      let m = Stats.Meter.create () in
-      register t k (Meter m);
-      m
-
 let histogram t ?(labels = []) name =
   let k = key name labels in
   match Hashtbl.find_opt t.table k with
@@ -60,15 +38,8 @@ let gauge_f t ?(labels = []) name read =
   register t (key name labels) (Gauge_f read)
 
 let value_json = function
-  | Counter c -> Json.Int (Stats.Counter.value c)
   | Gauge read -> Json.Int (read ())
   | Gauge_f read -> Json.Float (read ())
-  | Meter m ->
-      Json.Obj
-        [
-          ("events", Json.Int (Stats.Meter.events m));
-          ("bytes", Json.Int (Stats.Meter.bytes m));
-        ]
   | Histogram h ->
       let p q = Json.Int (Stats.Histogram.percentile h q) in
       Json.Obj
@@ -89,8 +60,3 @@ let snapshot t =
 let to_json t = Json.Obj (snapshot t)
 let to_string t = Json.to_string (to_json t)
 let size t = Hashtbl.length t.table
-
-let pp ppf t =
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "%s = %a@." k Json.pp v)
-    (snapshot t)

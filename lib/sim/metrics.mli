@@ -7,8 +7,8 @@
     (name, labels) pair always resolves to the same series.
 
     Instruments come in two flavours:
-    - owned: {!counter}, {!meter} and {!histogram} get-or-create a
-      {!Stats} value that callers update directly;
+    - owned: {!histogram} gets or creates a {!Stats.Histogram.t} that
+      callers update directly;
     - pulled: {!gauge} / {!gauge_f} register a closure evaluated at
       snapshot time — the cheap way to expose a counter a component
       already maintains.
@@ -20,12 +20,8 @@ type t
 
 val create : unit -> t
 
-(** Get or create the counter for (name, labels). Raises [Invalid_argument]
-    if the key exists with a different kind. *)
-val counter : t -> ?labels:(string * string) list -> string -> Stats.Counter.t
-
-val meter : t -> ?labels:(string * string) list -> string -> Stats.Meter.t
-
+(** Get or create the histogram for (name, labels). Raises
+    [Invalid_argument] if the key exists with a different kind. *)
 val histogram :
   t -> ?labels:(string * string) list -> string -> Stats.Histogram.t
 
@@ -35,12 +31,11 @@ val gauge : t -> ?labels:(string * string) list -> string -> (unit -> int) -> un
 val gauge_f :
   t -> ?labels:(string * string) list -> string -> (unit -> float) -> unit
 
-(** Current values of every series, sorted by canonical key. Meters render
-    as [{events, bytes}]; histograms as
+(** Current values of every series, sorted by canonical key. Histograms
+    render as
     [{count, mean, min, p50, p90, p99, max}]. *)
 val snapshot : t -> (string * Json.t) list
 
 val to_json : t -> Json.t
 val to_string : t -> string
 val size : t -> int
-val pp : Format.formatter -> t -> unit

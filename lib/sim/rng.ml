@@ -27,19 +27,3 @@ let float t bound =
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   (* 53 random bits mapped to [0,1). *)
   float_of_int v /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  (* Avoid log 0. *)
-  let u = if u <= 0. then 1e-12 else u in
-  -.mean *. log u
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -20,12 +20,3 @@ val int : t -> int -> int
 
 (** [float t bound] is uniform in [\[0, bound)]. *)
 val float : t -> float -> float
-
-val bool : t -> bool
-
-(** [exponential t ~mean] draws from an exponential distribution with the
-    given mean (used for jittered inter-arrival times). *)
-val exponential : t -> mean:float -> float
-
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit

@@ -1,72 +1,3 @@
-module Counter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
-  let value t = t.n
-  let reset t = t.n <- 0
-end
-
-module Meter = struct
-  type t = { mutable events : int; mutable bytes : int }
-
-  let create () = { events = 0; bytes = 0 }
-
-  let mark t ~bytes =
-    t.events <- t.events + 1;
-    t.bytes <- t.bytes + bytes
-
-  let events t = t.events
-  let bytes t = t.bytes
-
-  let rate_events_per_sec t ~elapsed =
-    Time.rate_per_sec ~events:t.events ~elapsed
-
-  let rate_mbps t ~elapsed =
-    if elapsed = 0 then 0.
-    else float_of_int (t.bytes * 8) /. Time.to_sec_f elapsed /. 1e6
-
-  let reset t =
-    t.events <- 0;
-    t.bytes <- 0
-end
-
-module Tw_avg = struct
-  type t = {
-    start : Time.t;
-    mutable last_update : Time.t;
-    mutable value : float;
-    mutable weighted_sum : float;
-  }
-
-  let create ~now ~value =
-    { start = now; last_update = now; value; weighted_sum = 0. }
-
-  let advance t ~now =
-    if Time.compare now t.last_update < 0 then
-      invalid_arg "Tw_avg: time going backwards";
-    let dt = Time.to_sec_f (Time.sub now t.last_update) in
-    t.weighted_sum <- t.weighted_sum +. (t.value *. dt);
-    t.last_update <- now
-
-  let set t ~now v =
-    advance t ~now;
-    t.value <- v
-
-  let mean t ~now =
-    if Time.compare now t.last_update < 0 then
-      invalid_arg "Tw_avg: time going backwards";
-    let span = Time.to_sec_f (Time.sub now t.start) in
-    if span <= 0. then t.value
-    else begin
-      let pending = Time.to_sec_f (Time.sub now t.last_update) in
-      (t.weighted_sum +. (t.value *. pending)) /. span
-    end
-
-  let current t = t.value
-end
-
 module Histogram = struct
   (* HDR-style log-linear bucketing: values below 2^(sub_bits+1) get exact
      buckets; above that, each power-of-two octave is split into
@@ -202,8 +133,4 @@ module Histogram = struct
     t.min_v <- max_int;
     t.max_v <- 0
 
-  let pp ppf t =
-    Format.fprintf ppf "n=%d mean=%.1f min=%d p50=%d p99=%d max=%d" t.n
-      (mean t) (min_value t) (percentile t 50.) (percentile t 99.)
-      t.max_v
 end

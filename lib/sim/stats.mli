@@ -1,66 +1,7 @@
 (** Measurement helpers for simulations.
 
-    Counters, rate meters, time-weighted averages and log-bucketed
-    histograms. All are plain mutable values read out at the end of (or at
-    intervals during) a run. *)
-
-(** {1 Counter} *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val reset : t -> unit
-end
-
-(** {1 Meter}
-
-    Counts events and bytes between [reset] points and reports rates over a
-    supplied elapsed time. *)
-
-module Meter : sig
-  type t
-
-  val create : unit -> t
-
-  (** [mark m ~bytes] records one event carrying [bytes] payload bytes. *)
-  val mark : t -> bytes:int -> unit
-
-  val events : t -> int
-  val bytes : t -> int
-  val rate_events_per_sec : t -> elapsed:Time.t -> float
-
-  (** Throughput in megabits per second (SI: 1 Mb = 10^6 bits). *)
-  val rate_mbps : t -> elapsed:Time.t -> float
-
-  val reset : t -> unit
-end
-
-(** {1 Time-weighted average}
-
-    Tracks a piecewise-constant quantity (queue depth, busy state) and its
-    time-weighted mean. *)
-
-module Tw_avg : sig
-  type t
-
-  (** [create ~now ~value] starts tracking from [now]. *)
-  val create : now:Time.t -> value:float -> t
-
-  (** [set t ~now v] records that the quantity changed to [v] at [now].
-      Out-of-order updates raise [Invalid_argument]. *)
-  val set : t -> now:Time.t -> float -> unit
-
-  (** Time-weighted mean over [\[start, now\]]. Like {!set}, a [now]
-      earlier than the last recorded update raises [Invalid_argument]
-      (a stale read would silently contribute a negative slice). *)
-  val mean : t -> now:Time.t -> float
-
-  val current : t -> float
-end
+    Log-bucketed histograms: plain mutable values read out at the end of
+    (or at intervals during) a run. *)
 
 (** {1 Histogram}
 
@@ -99,5 +40,4 @@ module Histogram : sig
   val quantiles : t -> float array -> int array
 
   val reset : t -> unit
-  val pp : Format.formatter -> t -> unit
 end

@@ -6,11 +6,6 @@ let[@cdna.hot] us n = n * 1_000
 let[@cdna.hot] ms n = n * 1_000_000
 let[@cdna.hot] sec n = n * 1_000_000_000
 
-let of_sec_f s =
-  if not (Float.is_finite s) || s < 0. then
-    invalid_arg "Time.of_sec_f: negative or non-finite";
-  int_of_float (Float.round (s *. 1e9))
-
 let of_us_f u =
   if not (Float.is_finite u) || u < 0. then
     invalid_arg "Time.of_us_f: negative or non-finite";
@@ -18,7 +13,6 @@ let of_us_f u =
 
 let[@cdna.hot] to_ns t = t
 let to_sec_f t = float_of_int t /. 1e9
-let to_us_f t = float_of_int t /. 1e3
 let[@cdna.hot] add a b = a + b
 let[@cdna.hot] sub a b = a - b
 let[@cdna.hot] diff a b = if a > b then a - b else 0
@@ -32,12 +26,7 @@ let[@cdna.hot] div_int d n =
   d / n
 
 let[@cdna.hot] compare (a : t) b = Int.compare a b
-let[@cdna.hot] equal (a : t) b = Int.equal a b
-let[@cdna.hot] min (a : t) b = if a < b then a else b
 let[@cdna.hot] max (a : t) b = if a > b then a else b
-
-let rate_per_sec ~events ~elapsed =
-  if elapsed = 0 then 0. else float_of_int events /. to_sec_f elapsed
 
 let[@cdna.hot] bits_time ~bits ~rate_bps =
   if rate_bps <= 0 then invalid_arg "Time.bits_time: non-positive rate";

@@ -16,11 +16,6 @@ val us : int -> t
 val ms : int -> t
 val sec : int -> t
 
-(** [of_sec_f s] converts a duration in (fractional) seconds, rounding to the
-    nearest nanosecond. Raises [Invalid_argument] if [s] is negative or not
-    finite. *)
-val of_sec_f : float -> t
-
 (** [of_us_f u] converts a duration in (fractional) microseconds. Raises
     [Invalid_argument] on negative or non-finite input. *)
 val of_us_f : float -> t
@@ -29,7 +24,6 @@ val of_us_f : float -> t
 
 val to_ns : t -> int
 val to_sec_f : t -> float
-val to_us_f : t -> float
 
 (** {1 Arithmetic} *)
 
@@ -46,15 +40,9 @@ val mul_int : t -> int -> t
 val div_int : t -> int -> t
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 
 (** {1 Derived quantities} *)
-
-(** [rate_per_sec ~events ~elapsed] is the event rate in events/second over
-    [elapsed]; 0 if [elapsed] is zero. *)
-val rate_per_sec : events:int -> elapsed:t -> float
 
 (** [bits_time ~bits ~rate_bps] is the time to serialize [bits] bits at
     [rate_bps] bits per second. Raises [Invalid_argument] if [rate_bps <= 0]

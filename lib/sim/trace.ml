@@ -6,8 +6,6 @@ type arg =
 
 type phase =
   | Instant
-  | Span_begin
-  | Span_end
   | Complete of Time.t
 
 type event = {
@@ -22,31 +20,22 @@ type event = {
 
 type sink = event -> unit
 
-(* The installed sink and filter are per-OS-domain state (Domain.DLS),
+(* The installed sink is per-OS-domain state (Domain.DLS),
    not globals: testbeds may run concurrently on different domains,
    each under its own recorder, and a shared ref would interleave their
    streams nondeterministically. On the main domain this behaves exactly
    like the old global ref. Freshly spawned domains start with no sink. *)
 let sink_key : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let filter_key : (string -> bool) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
 let set_sink s = Domain.DLS.set sink_key s
-let set_filter f = Domain.DLS.set filter_key f
-let enabled () = Option.is_some (Domain.DLS.get sink_key)
-
-let tag_enabled tag =
-  match Domain.DLS.get sink_key with
-  | None -> false
-  | Some _ -> (
-      match Domain.DLS.get filter_key with None -> true | Some f -> f tag)
+let enabled () =
+  match Domain.DLS.get sink_key with None -> false | Some _ -> true
 
 let dispatch ev =
   match Domain.DLS.get sink_key with None -> () | Some sink -> sink ev
 
 let record ?(pid = 0) ?(tid = 0) ?(args = []) ~time ~tag ~phase name =
-  if tag_enabled tag then
+  if enabled () then
     dispatch { time; tag; name; phase; pid; tid; args }
 
 let instant ?pid ?tid ?args ~time ~tag name =
@@ -55,16 +44,10 @@ let instant ?pid ?tid ?args ~time ~tag name =
 let complete ?pid ?tid ?args ~time ~dur ~tag name =
   record ?pid ?tid ?args ~time ~tag ~phase:(Complete dur) name
 
-let span_begin ?pid ?tid ?args ~time ~tag name =
-  record ?pid ?tid ?args ~time ~tag ~phase:Span_begin name
-
-let span_end ?pid ?tid ?args ~time ~tag name =
-  record ?pid ?tid ?args ~time ~tag ~phase:Span_end name
-
 (* Legacy free-text entry point: the message thunk only runs when a sink
-   is installed and the tag passes the filter. *)
+   is installed. *)
 let emit ~time ~tag msg =
-  if tag_enabled tag then
+  if enabled () then
     dispatch { time; tag; name = msg (); phase = Instant; pid = 0; tid = 0; args = [] }
 
 (* ---------- Text sink ---------- *)
@@ -79,8 +62,6 @@ let formatter_sink ppf ev =
   let phase_suffix =
     match ev.phase with
     | Instant -> ""
-    | Span_begin -> " <begin>"
-    | Span_end -> " <end>"
     | Complete d -> Printf.sprintf " (%s)" (Time.to_string d)
   in
   let args_suffix =
@@ -117,12 +98,6 @@ module Recorder = struct
 
   let count t = t.count
   let dropped t = t.dropped
-  let events t = List.rev t.events_rev
-
-  let clear t =
-    t.events_rev <- [];
-    t.count <- 0;
-    t.dropped <- 0
 
   let set_process_name t ~pid name =
     t.names_rev <- (pid, name) :: t.names_rev
@@ -141,8 +116,6 @@ module Recorder = struct
     let ph, extra =
       match ev.phase with
       | Instant -> ("i", [ ("s", Json.String "t") ])
-      | Span_begin -> ("B", [])
-      | Span_end -> ("E", [])
       | Complete d ->
           ("X", [ ("dur", Json.Float (float_of_int (Time.to_ns d) /. 1e3)) ])
     in

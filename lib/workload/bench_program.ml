@@ -206,10 +206,4 @@ let on_credit t conn n =
 
 let consumed t = t.consumed
 
-let integrity_failures t =
-  let n = ref 0 in
-  Sim.Int_tbl.iter_sorted t.by_flow (fun _ c ->
-      n := !n + Connection.integrity_failures c);
-  !n
-
 let stray_frames t = t.stray

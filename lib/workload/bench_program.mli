@@ -57,8 +57,5 @@ val on_credit : t -> Connection.t -> int -> unit
 (** Frames consumed by this guest's application. *)
 val consumed : t -> int
 
-(** Frames whose payload failed integrity verification. *)
-val integrity_failures : t -> int
-
 (** Frames delivered that matched no registered connection. *)
 val stray_frames : t -> int

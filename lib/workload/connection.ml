@@ -38,9 +38,6 @@ let create ~id ~window ~payload_len ~src ~dst =
 
 let id t = t.id
 let window t = t.window
-let payload_len t = t.payload_len
-let src t = t.src
-let dst t = t.dst
 let credits t = Int.max 0 (t.window - t.in_flight)
 
 let take_credits t n =

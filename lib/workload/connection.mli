@@ -26,9 +26,6 @@ val create :
 
 val id : t -> int
 val window : t -> int
-val payload_len : t -> int
-val src : t -> Ethernet.Mac_addr.t
-val dst : t -> Ethernet.Mac_addr.t
 
 (** {1 Sender side} *)
 

@@ -179,10 +179,8 @@ let[@cdna.hot] dec_remaining t ~slot =
   Array.unsafe_set t.remaining slot r;
   r
 
-let capacity t = t.capacity
 let[@cdna.hot] live t = t.live
 let peak_live t = t.peak_live
-let inserted t = t.inserted
 let completed t = t.completed
 let expired t = t.expired
 let rejected_full t = t.rejected_full
@@ -192,7 +190,6 @@ let[@cdna.hot] remaining t ~slot = t.remaining.(slot)
 let[@cdna.hot] total_pkts t ~slot = t.total_pkts.(slot)
 let[@cdna.hot] arrived_at t ~slot = t.arrived.(slot)
 let is_embryonic t ~slot = Bytes.get t.state slot = st_embryonic
-let is_live_slot t ~slot = Bytes.get t.state slot <> st_free
 
 let iter_live t f =
   for slot = 0 to t.capacity - 1 do

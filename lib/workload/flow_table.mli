@@ -55,10 +55,8 @@ val dec_remaining : t -> slot:int -> int
 
 (** {2 Read-out} *)
 
-val capacity : t -> int
 val live : t -> int
 val peak_live : t -> int
-val inserted : t -> int
 val completed : t -> int
 val expired : t -> int
 val rejected_full : t -> int
@@ -68,7 +66,6 @@ val remaining : t -> slot:int -> int
 val total_pkts : t -> slot:int -> int
 val arrived_at : t -> slot:int -> int
 val is_embryonic : t -> slot:int -> bool
-val is_live_slot : t -> slot:int -> bool
 
 (** [iter_live t f] calls [f slot] for every live slot in increasing
     slot order (deterministic; diagnostics and tests only — not hot). *)

@@ -312,7 +312,6 @@ let table t = t.table
 let served_pkts t = t.served_pkts
 let mice_latency t = t.mice_lat
 let elephant_latency t = t.elephant_lat
-let queued_pkts t = t.rtail - t.rhead
 
 let mean_size_of spec =
   let tbl = size_table spec in
@@ -322,5 +321,3 @@ let mean_size_of spec =
 let mean_size_pkts t =
   let sum = Array.fold_left ( + ) 0 t.sizes in
   float_of_int sum /. float_of_int (Array.length t.sizes)
-
-let mean_arrival_gap_ns t = Pattern.Arrival.mean_gap_ns t.arrivals

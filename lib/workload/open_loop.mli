@@ -58,7 +58,6 @@ val start : t -> stop_at:Sim.Time.t -> unit
 
 val table : t -> Flow_table.t
 val served_pkts : t -> int
-val queued_pkts : t -> int
 val mice_latency : t -> Sim.Stats.Histogram.t
 val elephant_latency : t -> Sim.Stats.Histogram.t
 
@@ -68,6 +67,3 @@ val mean_size_pkts : t -> float
 
 (** Same, computed from a distribution spec without a generator. *)
 val mean_size_of : size_dist -> float
-
-(** Long-run mean inter-arrival gap of the compiled source, ns. *)
-val mean_arrival_gap_ns : t -> float

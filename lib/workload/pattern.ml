@@ -37,7 +37,6 @@ module Throttle = struct
 
   let ready t ~now = Sim.Time.compare now (earliest t) >= 0
   let mark t ~now = t.last <- now
-  let reset t = t.last <- Sim.Time.zero
 end
 
 module Arrival = struct
@@ -165,16 +164,4 @@ module Arrival = struct
       /. float_of_int s.burst_len
     else tbl_mean
 
-  let describe = function
-    | Constant { gap } -> Printf.sprintf "constant/%dns" (Sim.Time.to_ns gap)
-    | Poisson { mean_gap } ->
-        Printf.sprintf "poisson/%dns" (Sim.Time.to_ns mean_gap)
-    | On_off { on; off; gap } ->
-        Printf.sprintf "on-off/%d+%dus gap %dns"
-          (Sim.Time.to_ns on / 1000)
-          (Sim.Time.to_ns off / 1000)
-          (Sim.Time.to_ns gap)
-    | Incast { fan_in; period } ->
-        Printf.sprintf "incast/%dx per %dus" fan_in
-          (Sim.Time.to_ns period / 1000)
 end

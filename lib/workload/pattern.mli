@@ -33,9 +33,6 @@ module Throttle : sig
 
   val create : interval:Sim.Time.t -> t
 
-  (** Earliest instant the next action is allowed ([last + interval]). *)
-  val earliest : t -> Sim.Time.t
-
   (** Delay until the next action is allowed; zero when {!ready}. *)
   val wait : t -> now:Sim.Time.t -> Sim.Time.t
 
@@ -44,7 +41,6 @@ module Throttle : sig
   (** Record that the action ran at [now]. *)
   val mark : t -> now:Sim.Time.t -> unit
 
-  val reset : t -> unit
 end
 
 (** {1 Arrival processes}
@@ -78,5 +74,4 @@ module Arrival : sig
       fan-in aware) — for sizing offered load. *)
   val mean_gap_ns : source -> float
 
-  val describe : t -> string
 end

@@ -11,8 +11,6 @@ type t = {
 let create hyp ~target ~isr_cost ~handler =
   { hyp; target; isr_cost; handler; pending = false; deliveries = 0; merged = 0 }
 
-let target t = t.target
-
 (* Mark pending and post the target's virtual ISR. Runs in whatever
    context performs the dispatch; the dispatch cost itself is charged by
    the callers below. *)
@@ -22,7 +20,7 @@ let deliver t =
     t.pending <- true;
     t.deliveries <- t.deliveries + 1;
     Domain.incr_virq t.target;
-    if Sim.Trace.tag_enabled "irq" then
+    if Sim.Trace.enabled () then
       Sim.Trace.instant
         ~time:(Sim.Engine.now (Hypervisor.engine t.hyp))
         ~tag:"irq"

@@ -21,8 +21,6 @@ val create :
   handler:(unit -> unit) ->
   t
 
-val target : t -> Domain.t
-
 (** [notify t ~from] sends an event from a domain (costs an event-notify
     hypercall on [from]'s vcpu, then hypervisor dispatch). *)
 val notify : t -> from:Domain.t -> unit

@@ -22,7 +22,6 @@ let create engine ~cpu ~mem ~costs () =
   }
 
 let engine t = t.engine
-let stop t = Host.Cpu.stop t.cpu
 let cpu t = t.cpu
 let mem t = t.mem
 let costs t = t.costs
@@ -66,7 +65,7 @@ let free_page t dom pfn =
 
 let hypercall t ~from ~cost fn =
   t.hypercalls <- t.hypercalls + 1;
-  if Sim.Trace.tag_enabled "hypercall" then
+  if Sim.Trace.enabled () then
     Sim.Trace.instant ~time:(Sim.Engine.now t.engine) ~tag:"hypercall"
       ~pid:(Domain.id from + 1)
       ~args:
@@ -87,13 +86,12 @@ let user_work t dom ~cost fn =
 let route_irq t irq handler =
   Bus.Irq.set_handler irq (fun () ->
       t.phys_irqs <- t.phys_irqs + 1;
-      if Sim.Trace.tag_enabled "irq" then
+      if Sim.Trace.enabled () then
         Sim.Trace.instant ~time:(Sim.Engine.now t.engine) ~tag:"irq"
           "phys-irq";
       Host.Cpu.post_irq t.cpu ~cost:t.costs.Costs.isr handler)
 
 let physical_irqs t = t.phys_irqs
-let hypercalls t = t.hypercalls
 let reset_counters t = t.phys_irqs <- 0
 
 let register_metrics t m =

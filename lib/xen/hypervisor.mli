@@ -22,10 +22,6 @@ val create :
 
 val engine : t -> Sim.Engine.t
 
-(** Cancel the scheduler's self-rescheduling credit-replenish timer so a
-    finished simulation's event queue can drain to empty. *)
-val stop : t -> unit
-
 val cpu : t -> Host.Cpu.t
 val mem : t -> Memory.Phys_mem.t
 val costs : t -> Costs.t
@@ -43,10 +39,6 @@ val driver_domain : t -> Domain.t option
 val domain_by_id : t -> Host.Category.domain_id -> Domain.t option
 
 (** {1 Memory on behalf of domains} *)
-
-(** Owner id used for pages held by the hypervisor itself (e.g. the CDNA
-    interrupt bit-vector buffer). *)
-val hypervisor_owner : Host.Category.domain_id
 
 (** [alloc_hyp_pages t n] allocates hypervisor-owned pages.
     @raise Invalid_argument when out of memory. *)
@@ -82,9 +74,6 @@ val route_irq : t -> Bus.Irq.t -> (unit -> unit) -> unit
 
 (** Physical interrupts handled so far. *)
 val physical_irqs : t -> int
-
-(** Hypercalls issued so far (all domains). *)
-val hypercalls : t -> int
 
 val reset_counters : t -> unit
 

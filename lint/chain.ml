@@ -230,8 +230,8 @@ let alloc_allowlist =
       "Stdlib.snd"; "Stdlib.incr"; "Stdlib.decr"; "Stdlib.ref";
       "Stdlib.invalid_arg"; "Stdlib.failwith"; "Stdlib.raise";
       "Stdlib.raise_notrace"; "Stdlib.compare_lengths";
-      (* Project-local: [Sim.Trace.tag_enabled] is a pure flag check. *)
-      "Trace.tag_enabled";
+      (* Project-local: [Sim.Trace.enabled] is a pure flag check. *)
+      "Trace.enabled";
     ]
 
 (* Operators that build a new string or list. *)

@@ -110,13 +110,6 @@ let test_frame_rejects_bad_length () =
   Alcotest.check_raises "jumbo" (Invalid_argument "Frame.make: payload length out of range")
     (fun () -> ignore (mk ~len:9001 ()))
 
-let prop_frame_crc_stable =
-  QCheck.Test.make ~name:"payload crc depends only on the spec" ~count:100
-    QCheck.(pair (int_range 1 2000) (int_range 0 1_000_000))
-    (fun (len, seed) ->
-      let f = mk ~len ~seed () in
-      Ethernet.Frame.payload_crc f = Ethernet.Frame.payload_crc (mk ~len ~seed ()))
-
 (* ---------- Link ---------- *)
 
 let test_link_delivery_and_timing () =
@@ -244,7 +237,6 @@ let suite =
         Alcotest.test_case "bad length" `Quick test_frame_rejects_bad_length;
         Alcotest.test_case "super-frame accounting" `Quick
           test_frame_super_frame_accounting;
-        qcheck prop_frame_crc_stable;
       ] );
     ( "ethernet.link",
       [

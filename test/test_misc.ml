@@ -30,8 +30,6 @@ let check_bool = check Alcotest.bool
 
 let test_time_order () =
   check_int "compare" (-1) (Sim.Time.compare 1 2);
-  check_bool "equal" true (Sim.Time.equal 5 5);
-  check_int "min" 1 (Sim.Time.min 1 2);
   check_int "max" 2 (Sim.Time.max 1 2)
 
 let test_trace_sink () =
@@ -64,10 +62,10 @@ let test_trace_in_datapath () =
   check_bool (Printf.sprintf "events traced (%d)" !count) true (!count > 100)
 
 let test_mac_misc () =
-  let m = Ethernet.Mac_addr.of_int48 0xAABBCCDDEEFF in
-  check_int "roundtrip" 0xAABBCCDDEEFF (Ethernet.Mac_addr.to_int48 m);
-  check_int "hash is value" 0xAABBCCDDEEFF (Ethernet.Mac_addr.hash m);
-  check_int "compare" 0 (Ethernet.Mac_addr.compare m m)
+  let m = Ethernet.Mac_addr.make 1 in
+  check_bool "equal" true (Ethernet.Mac_addr.equal m (Ethernet.Mac_addr.make 1));
+  check_bool "to_int48 tells addresses apart" true
+    (Ethernet.Mac_addr.to_int48 m <> Ethernet.Mac_addr.to_int48 (Ethernet.Mac_addr.make 2))
 
 let test_link_busy () =
   let engine = Sim.Engine.create () in
