@@ -18,8 +18,6 @@ type pending = {
 type t = {
   engine : Sim.Engine.t;
   mem : Memory.Phys_mem.t;
-  bandwidth_bps : int;
-  latency : Sim.Time.t;
   mutable iommu : Memory.Iommu.t option;
   mutable injector : (context:int -> addr:Memory.Addr.t -> len:int -> bool) option;
   mutable busy_until : Sim.Time.t;
@@ -36,6 +34,11 @@ type t = {
   pending : pending Sim.Slot_ring.t;
   mutable complete : unit -> unit;
 }
+
+(* The PCI-X 64/133 fabric: 8.5 Gb/s, with a 600 ns pipelined request
+   latency. *)
+let bandwidth_bps = 8_500_000_000
+let latency = Sim.Time.ns 600
 
 let no_k (_ : (unit, fault) result) = ()
 let no_completion () = ()
@@ -96,7 +99,7 @@ let[@cdna.hot] occupy t ~op ~context ~len =
   let start = Sim.Time.max now t.busy_until in
   let occupancy =
     Sim.Time.add arbitration
-      (Sim.Time.bits_time ~bits:(len * 8) ~rate_bps:t.bandwidth_bps)
+      (Sim.Time.bits_time ~bits:(len * 8) ~rate_bps:bandwidth_bps)
   in
   let bus_free = Sim.Time.add start occupancy in
   t.busy_until <- bus_free;
@@ -108,7 +111,7 @@ let[@cdna.hot] occupy t ~op ~context ~len =
        ~args:[ ("len", Sim.Trace.Int len); ("context", Sim.Trace.Int context) ]
        op
     [@cdna.alloc_ok "tracing branch, disabled unless the dma tag is on"]);
-  Sim.Time.add bus_free t.latency
+  Sim.Time.add bus_free latency
 
 (* Faulted and non-zero-copy transfers complete through their own
    closure, off the ring. *)
@@ -143,14 +146,11 @@ let[@cdna.hot] complete t () =
       Memory.Phys_mem.write_u32 t.mem ~addr:(p.addr + 4) p.v1);
   k (Ok ())
 
-let create engine ~mem ?(bandwidth_bps = 8_500_000_000) ?(latency = Sim.Time.ns 600) () =
-  if bandwidth_bps <= 0 then invalid_arg "Dma_engine.create: bad bandwidth";
+let create engine ~mem () =
   let t =
     {
       engine;
       mem;
-      bandwidth_bps;
-      latency;
       iommu = None;
       injector = None;
       busy_until = Sim.Time.zero;

@@ -32,10 +32,6 @@ type fault =
 val create :
   Sim.Engine.t ->
   mem:Memory.Phys_mem.t ->
-  ?bandwidth_bps:int ->
-  (* default 8.5 Gb/s (PCI-X 64/133 fabric) *)
-  ?latency:Sim.Time.t ->
-  (* default 600 ns pipelined request latency *)
   unit ->
   t
 

@@ -36,7 +36,7 @@ let rec flush t =
   end
 
 let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
-    ~intr_base ?(intr_slots = 256) () =
+    ~intr_base () =
   let self = ref None in
   let notify ~ctx =
     match !self with
@@ -57,7 +57,7 @@ let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
       ~process_cost:config.Nic.Nic_config.firmware_delay ()
   in
   let intr =
-    Intr_vector.create ~mem ~dma ~base:intr_base ~slots:intr_slots
+    Intr_vector.create ~mem ~dma ~base:intr_base ~slots:256
       ~dma_context:(dma_context_base + num_contexts)
   in
   let coalescer =

@@ -29,7 +29,6 @@ val create :
   irq:Bus.Irq.t ->
   dma_context_base:int ->
   intr_base:Memory.Addr.t ->
-  ?intr_slots:int ->
   unit ->
   t
 

@@ -47,10 +47,6 @@ let tx_space t =
   if not t.ready then 0
   else Int.max 0 (t.tx_slots - tx_in_flight t - Queue.length t.pending)
 
-let check_slots name n =
-  if n < 2 || n > 256 || n land (n - 1) <> 0 then
-    invalid_arg (name ^ ": slots must be a power of two in [2, 256]")
-
 let descriptor_for ~pages ~slots ~idx ~len ~flags =
   let pfn = pages.(idx land (slots - 1)) in
   { Memory.Dma_desc.addr = page_addr pfn; len; flags; seqno = 0 }
@@ -224,10 +220,8 @@ let handle_interrupt t =
     post_kernel t ~cost:t.costs.Guestos.Os_costs.driver_wakeup_fixed (poll t)
   end
 
-let rec create ~hyp ~handle ~costs ?(tx_slots = 256) ?(rx_slots = 256)
-    ?(materialize = false) () =
-  check_slots "Cdna.Driver tx" tx_slots;
-  check_slots "Cdna.Driver rx" rx_slots;
+let rec create ~hyp ~handle ~costs ?(materialize = false) () =
+  let tx_slots = 256 and rx_slots = 256 in
   let xen = Hyp.xen hyp in
   let guest = Hyp.guest_of handle in
   let alloc n = Xen.Hypervisor.alloc_pages xen guest n in
@@ -314,13 +308,13 @@ let rebind t handle =
    MAC, bounded retry/backoff inside {!Hyp.reassign}) and rebind to it.
    Frames lost on the halted context are the transport's problem, exactly
    as for migration. *)
-let rec enable_auto_recovery ?max_retries ?backoff t =
+let rec enable_auto_recovery t =
   Hyp.set_fault_hook t.handle (fun () ->
-      Hyp.reassign t.hyp t.handle ?max_retries ?backoff (function
+      Hyp.reassign t.hyp t.handle (function
         | Ok fresh ->
             t.recoveries <- t.recoveries + 1;
             rebind t fresh;
-            enable_auto_recovery ?max_retries ?backoff t
+            enable_auto_recovery t
         | Error `No_free_context -> ()))
 
 let netdev t = the_netdev t

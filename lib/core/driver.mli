@@ -20,8 +20,6 @@ val create :
   hyp:Hyp.t ->
   handle:Hyp.ctx_handle ->
   costs:Guestos.Os_costs.t ->
-  ?tx_slots:int ->
-  ?rx_slots:int ->
   ?materialize:bool ->
   unit ->
   t
@@ -42,11 +40,10 @@ val rebind : t -> Hyp.ctx_handle -> unit
 (** [enable_auto_recovery t] arranges for the driver to recover from
     protection faults on its context without outside help: the
     hypervisor's fault report triggers {!Hyp.reassign} (bounded
-    retry/backoff controlled by [max_retries]/[backoff]) and the driver
+    retry/backoff) and the driver
     rebinds to the fresh context. Recovery re-arms itself after each
     successful rebind. *)
-val enable_auto_recovery :
-  ?max_retries:int -> ?backoff:Sim.Time.t -> t -> unit
+val enable_auto_recovery : t -> unit
 
 val tx_count : t -> int
 val rx_count : t -> int

@@ -456,7 +456,7 @@ let migrate t h ~to_nic =
    fresh context on the same NIC with the same MAC and interrupt binding.
    Contexts are a finite hardware resource, so assignment may transiently
    fail; retry with exponential backoff, bounded. *)
-let reassign t h ?(max_retries = 3) ?(backoff = Sim.Time.us 100) k =
+let reassign t h k =
   let engine = Xen.Hypervisor.engine t.xen in
   let handler = !(h.handler) in
   revoke t h;
@@ -478,7 +478,7 @@ let reassign t h ?(max_retries = 3) ?(backoff = Sim.Time.us 100) k =
             (Sim.Engine.schedule engine ~delay:backoff (fun () ->
                  attempt (retries_left - 1) (Sim.Time.mul_int backoff 2)))
   in
-  attempt max_retries backoff
+  attempt 3 (Sim.Time.us 100)
 
 let is_revoked h = h.revoked
 let guest_of h = h.guest

@@ -113,14 +113,12 @@ val migrate :
 (** [reassign t h k] recovers from a context fault: revokes [h] (unpinning
     everything) and assigns a fresh context on the same NIC with the MAC
     recorded at assignment time and the same interrupt binding. If no
-    context is free, retries up to [max_retries] times (default 3) with
-    exponential backoff starting at [backoff] (default 100 us) before
+    context is free, retries up to 3 times with exponential backoff
+    starting at 100 us before
     reporting failure to [k]. *)
 val reassign :
   t ->
   ctx_handle ->
-  ?max_retries:int ->
-  ?backoff:Sim.Time.t ->
   ((ctx_handle, [ `No_free_context ]) result -> unit) ->
   unit
 

@@ -21,13 +21,14 @@ type verdict = [ `Pass | `Drop | `Corrupt ]
 type t = {
   engine : Sim.Engine.t;
   rate_bps : int;
-  propagation : Sim.Time.t;
   to_a : direction;
   to_b : direction;
   mutable tamper : (Frame.t -> verdict) option;
   mutable dropped : int;
   mutable corrupted : int;
 }
+
+let propagation = Sim.Time.ns 500
 
 let no_arrival () = ()
 
@@ -43,7 +44,7 @@ let[@cdna.hot] arrive dir () =
   dir.bytes <- dir.bytes + frame.Frame.payload_len;
   match dir.receiver with Some f -> f frame | None -> ()
 
-let create engine ?(rate_bps = 1_000_000_000) ?(propagation = Sim.Time.ns 500) () =
+let create engine ?(rate_bps = 1_000_000_000) () =
   if rate_bps <= 0 then invalid_arg "Link.create: non-positive rate";
   let dir () =
     let d =
@@ -62,7 +63,6 @@ let create engine ?(rate_bps = 1_000_000_000) ?(propagation = Sim.Time.ns 500) (
   {
     engine;
     rate_bps;
-    propagation;
     to_a = dir ();
     to_b = dir ();
     tamper = None;
@@ -123,7 +123,7 @@ let send t ~from frame ~on_wire_free =
       push_arrival dir frame;
       ignore
         (Sim.Engine.schedule_at t.engine
-           (Sim.Time.add wire_free t.propagation)
+           (Sim.Time.add wire_free propagation)
            dir.arrive)
 
 let busy t ~from =

@@ -1,7 +1,7 @@
 (** Full-duplex point-to-point Ethernet link.
 
     Each direction serializes frames at the link rate (including preamble
-    and inter-frame gap) and delivers them after the propagation delay.
+    and inter-frame gap) and delivers them after a 500 ns propagation delay.
     Senders are paced by the [on_wire_free] callback: the next frame should
     be handed to the link when the previous one has left the transmitter,
     which is how the NIC models its MAC. The link itself never queues more
@@ -16,8 +16,6 @@ val create :
   Sim.Engine.t ->
   ?rate_bps:int ->
   (* default 1 Gb/s *)
-  ?propagation:Sim.Time.t ->
-  (* default 500 ns *)
   unit ->
   t
 

@@ -14,13 +14,10 @@ let rec points = function
       { guests = xen.Run.config.Config.guests; xen; cdna } :: points ms
   | _ -> []
 
-let sweep ?quick base guest_counts =
-  points (Sweep.run ?quick (configs base guest_counts))
-
 let base pattern = { Config.default with Config.nics = 2; pattern }
 
-let figure3 ?quick ?(guest_counts = paper_guest_counts) () =
-  sweep ?quick (base Workload.Pattern.Tx) guest_counts
+let figure3 () =
+  points (Sweep.run (configs (base Workload.Pattern.Tx) paper_guest_counts))
 
 (* Paper anchor values for the endpoints of each series. *)
 let paper_anchor ~pattern ~guests ~system =

@@ -19,9 +19,9 @@ val configs : Config.t -> int list -> Config.t list
 (** Pairs the measurements of {!configs} into one point per guest count. *)
 val points : Run.measurement list -> point list
 
-(** [figure3 ()] sweeps transmit throughput over guest counts.
-    [guest_counts] defaults to the paper's {1,2,4,8,12,16,20,24}. *)
-val figure3 : ?quick:bool -> ?guest_counts:int list -> unit -> point list
+(** [figure3 ()] sweeps transmit throughput over the paper's guest
+    counts. *)
+val figure3 : unit -> point list
 
 (** The figure for [pattern] as an output: a table of both series next to
     the paper's anchor values, followed by their ASCII chart; its CSV

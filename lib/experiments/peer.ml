@@ -29,10 +29,7 @@ type t = {
   engine : Sim.Engine.t;
   link : Ethernet.Link.t;
   mac : Ethernet.Mac_addr.t;
-  ack_delay : Sim.Time.t;
-  rto : Sim.Time.t;
   rng : Sim.Rng.t option;
-  flow_ok : unit -> bool;
   materialize : bool;
   sinks : sink Sim.Int_tbl.t;
   mutable sources : source array;
@@ -69,11 +66,16 @@ let rec pick_source t i remaining =
 (* Retransmission timer: if the window base has not advanced within one
    RTO while data is outstanding, go back to the base and resend the
    whole window (go-back-N). *)
+(* Reverse-path wire plus the delayed-ack coalescing window, and the
+   retransmission timeout. *)
+let ack_delay = Sim.Time.us 60
+let rto = Sim.Time.ms 4
+
 let rec arm_rto t s =
   if not s.rto_armed then begin
     s.rto_armed <- true;
     s.armed_base <- s.base;
-    ignore (Sim.Engine.schedule t.engine ~delay:t.rto s.on_rto)
+    ignore (Sim.Engine.schedule t.engine ~delay:rto s.on_rto)
   end
 
 and rto_expired t s () =
@@ -95,7 +97,7 @@ and rto_expired t s () =
 (* Keep the wire busy: one frame in flight on our transmitter at a time,
    round-robin over connections with open windows. *)
 and pump t =
-  if (not t.sending) && t.flow_ok () && Array.length t.sources > 0 then begin
+  if (not t.sending) && Array.length t.sources > 0 then begin
     let n = Array.length t.sources in
     let i = pick_source t t.rr n in
     if i >= 0 then begin
@@ -148,31 +150,26 @@ let receive t frame =
               sink.s_flush_armed <- true;
               let delay =
                 match t.rng with
-                | None -> t.ack_delay
+                | None -> ack_delay
                 | Some rng ->
                     (* +/-25% jitter decorrelates the flows' ack
                        clocks, as real network timing noise does. *)
-                    let spread = Sim.Time.div_int t.ack_delay 2 in
+                    let spread = Sim.Time.div_int ack_delay 2 in
                     Sim.Time.add
-                      (Sim.Time.diff t.ack_delay (Sim.Time.div_int spread 2))
+                      (Sim.Time.diff ack_delay (Sim.Time.div_int spread 2))
                       (Sim.Rng.int rng (Int.max 1 spread))
               in
               ignore (Sim.Engine.schedule t.engine ~delay sink.s_flush)
             end)
     | None -> t.ignored <- t.ignored + 1
 
-let create engine ~link ~mac ?(ack_delay = Sim.Time.us 60)
-    ?(rto = Sim.Time.ms 4) ?rng ?(flow_ok = fun () -> true)
-    ?(materialize = false) () =
+let create engine ~link ~mac ?rng ?(materialize = false) () =
   let t =
     {
       engine;
       link;
       mac;
-      ack_delay;
-      rto;
       rng;
-      flow_ok;
       materialize;
       sinks = Sim.Int_tbl.create 64;
       sources = [||];

@@ -26,13 +26,8 @@ val create :
   Sim.Engine.t ->
   link:Ethernet.Link.t ->
   mac:Ethernet.Mac_addr.t ->
-  ?ack_delay:Sim.Time.t ->
-  (* default 60 us: reverse-path wire + delayed-ack coalescing window *)
-  ?rto:Sim.Time.t ->
-  (* default 4 ms retransmission timeout *)
   ?rng:Sim.Rng.t ->
-  (* jitters the ack delay by +/-25% to decorrelate flows *)
-  ?flow_ok:(unit -> bool) ->
+  (* jitters the 60 us ack delay by +/-25% to decorrelate flows *)
   ?materialize:bool ->
   unit ->
   t

@@ -398,16 +398,17 @@ let run_baseline ~mode ~frames =
   Sim.Engine.run w.engine ~until:traffic_end;
   (w.sink.s_a, w.sink.s_b)
 
-let default_modes =
+let modes =
   [ Cdna.Cdna_costs.Full; Cdna.Cdna_costs.Iommu; Cdna.Cdna_costs.Disabled ]
 
-let sweep ?(quick = false) ?(seed = 42) ?(modes = default_modes)
-    ?(faults = all_classes) () =
+let sweep ?(quick = false) ?(seed = 42) () =
   let frames = if quick then 60 else 200 in
   List.concat_map
     (fun mode ->
       let baseline = run_baseline ~mode ~frames in
-      List.map (fun fault -> run_cell ~mode ~seed ~frames ~baseline fault) faults)
+      List.map
+        (fun fault -> run_cell ~mode ~seed ~frames ~baseline fault)
+        all_classes)
     modes
 
 let print rows =

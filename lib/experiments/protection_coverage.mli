@@ -44,8 +44,6 @@ type row = {
 val sweep :
   ?quick:bool ->
   ?seed:int ->
-  ?modes:Cdna.Cdna_costs.protection list ->
-  ?faults:fault_class list ->
   unit ->
   row list
 

@@ -29,8 +29,7 @@ type t = {
   mutable tx_count : int;
   mutable rx_count : int;
   mutable polls : int;
-  mutable malice : (malice * int) option; (* kind, every nth packet *)
-  mutable malice_seen : int;
+  mutable malice : malice option;
   mutable malicious_descs : int;
 }
 
@@ -73,13 +72,7 @@ let write_tx_descriptor t frame =
           "native (non-virtualized) baseline: the OS owns all memory and \
            writes its own DMA buffers directly"])
   end;
-  let evil =
-    match t.malice with
-    | None -> None
-    | Some (kind, every) ->
-        t.malice_seen <- t.malice_seen + 1;
-        if t.malice_seen mod every = 0 then Some kind else None
-  in
+  let evil = t.malice in
   let emit ~offset ~len ~eop =
     let slot = t.tx_prod in
     let desc =
@@ -261,7 +254,6 @@ let create ~mem ~post_kernel ~costs ~hw ~mac ~alloc_pages ?(tx_slots = 256)
       rx_count = 0;
       polls = 0;
       malice = None;
-      malice_seen = 0;
       malicious_descs = 0;
     }
   in
@@ -286,8 +278,6 @@ let tx_count t = t.tx_count
 let rx_count t = t.rx_count
 let polls t = t.polls
 
-let set_malice t ?(every = 1) kind =
-  if every < 1 then invalid_arg "Native_driver.set_malice: every must be >= 1";
-  t.malice <- Option.map (fun k -> (k, every)) kind
+let set_malice t kind = t.malice <- kind
 
 let malicious_descs t = t.malicious_descs

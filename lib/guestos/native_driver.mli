@@ -68,12 +68,11 @@ val rx_count : t -> int
     batching). *)
 val polls : t -> int
 
-(** [set_malice t ?every (Some kind)] corrupts the end-of-packet transmit
-    descriptor of every [every]th packet (default every packet) with the
-    given misbehavior; [None] restores honesty. Only the ring image is
+(** [set_malice t (Some kind)] corrupts the end-of-packet transmit
+    descriptor of every packet with the given misbehavior; [None] restores honesty. Only the ring image is
     affected — the driver's own bookkeeping still believes the honest
     descriptor, as a compromised driver's stack would. *)
-val set_malice : t -> ?every:int -> malice option -> unit
+val set_malice : t -> malice option -> unit
 
 (** Corrupted descriptors emitted so far. *)
 val malicious_descs : t -> int

@@ -45,7 +45,6 @@ type t = {
   profile : Profile.t;
   ctx_switch_cost : Sim.Time.t;
   slice : Sim.Time.t;
-  credit_period : Sim.Time.t;
   migration_cost : Sim.Time.t;
   rqs : rq array;
   (* Per-instance "no entity" marker, compared by physical equality.
@@ -58,6 +57,9 @@ type t = {
   mutable replenish_ev : Sim.Engine.event_id option;
   mutable stopped : bool;
 }
+
+(* The credit scheduler's replenish period. *)
+let credit_period = Sim.Time.ms 30
 
 let no_completion () = ()
 let idle_work = { cost = 0; category = Category.Hypervisor; fn = no_completion }
@@ -102,7 +104,7 @@ let rec replenish t () =
     List.fold_left (fun acc e -> acc + e.weight) 0 t.entities
   in
   if total_weight > 0 then begin
-    let period_ns = Sim.Time.to_ns t.credit_period in
+    let period_ns = Sim.Time.to_ns credit_period in
     List.iter
       (fun e ->
         let share = period_ns * e.weight / total_weight in
@@ -114,7 +116,7 @@ let rec replenish t () =
   end;
   if not t.stopped then
     t.replenish_ev <-
-      Some (Sim.Engine.schedule t.engine ~delay:t.credit_period (replenish t))
+      Some (Sim.Engine.schedule t.engine ~delay:credit_period (replenish t))
 
 let[@cdna.hot] runnable e = not (Queue.is_empty e.queue)
 
@@ -235,7 +237,7 @@ let[@cdna.hot] complete t rq () =
   dispatch t rq
 
 let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
-    ?(slice = Sim.Time.ms 1) ?(credit_period = Sim.Time.ms 30)
+    ?(slice = Sim.Time.ms 1)
     ?(migration_cost = Sim.Time.us 9) ~profile () =
   if cpus <= 0 then invalid_arg "Cpu.create: non-positive cpus";
   let no_entity =
@@ -247,7 +249,6 @@ let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
       profile;
       ctx_switch_cost;
       slice;
-      credit_period;
       migration_cost;
       rqs = Array.init cpus (make_rq no_entity);
       no_entity;
@@ -265,7 +266,7 @@ let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
         [@cdna.alloc_ok "one completion closure per runqueue, built once"]))
     t.rqs;
   t.replenish_ev <-
-    Some (Sim.Engine.schedule engine ~delay:t.credit_period (replenish t));
+    Some (Sim.Engine.schedule engine ~delay:credit_period (replenish t));
   t
 
 let stop t =
@@ -358,11 +359,9 @@ let post t e ~category ~cost fn =
   end
   else dispatch t t.rqs.(e.cpu)
 
-let post_irq t ?(cpu = 0) ~cost fn =
+let post_irq t ~cost fn =
   if cost < 0 then invalid_arg "Cpu.post_irq: negative cost";
-  if cpu < 0 || cpu >= Array.length t.rqs then
-    invalid_arg "Cpu.post_irq: cpu out of range";
-  let rq = t.rqs.(cpu) in
+  let rq = t.rqs.(0) in
   Queue.push { cost; category = Category.Hypervisor; fn } rq.irq_queue;
   dispatch t rq
 

@@ -41,8 +41,6 @@ val create :
   (* default 2.5 us: switch plus amortized cache/TLB refill *)
   ?slice:Sim.Time.t ->
   (* default 1 ms *)
-  ?credit_period:Sim.Time.t ->
-  (* default 30 ms *)
   ?migration_cost:Sim.Time.t ->
   (* default 9 us: IPI delivery plus cold-cache refill on the new CPU *)
   profile:Profile.t ->
@@ -85,10 +83,10 @@ val cpu_of : entity -> int
 val post :
   t -> entity -> category:Category.t -> cost:Sim.Time.t -> (unit -> unit) -> unit
 
-(** [post_irq t ?cpu ~cost fn] queues hypervisor interrupt work on [cpu]
-    (default 0); it preempts all domain work on that CPU at the next item
-    boundary and is charged to [Category.Hypervisor]. *)
-val post_irq : t -> ?cpu:int -> cost:Sim.Time.t -> (unit -> unit) -> unit
+(** [post_irq t ~cost fn] queues hypervisor interrupt work on CPU 0; it
+    preempts all domain work on that CPU at the next item boundary and is
+    charged to [Category.Hypervisor]. *)
+val post_irq : t -> cost:Sim.Time.t -> (unit -> unit) -> unit
 
 (** True when no item is executing and all queues on all CPUs are empty. *)
 val is_idle : t -> bool

@@ -79,18 +79,18 @@ let formatter_sink ppf ev =
 
 module Recorder = struct
   type t = {
-    limit : int;
     mutable events_rev : event list;
     mutable count : int;
     mutable dropped : int;
     mutable names_rev : (int * string) list; (* pid -> display name *)
   }
 
-  let create ?(limit = 2_000_000) () =
-    { limit; events_rev = []; count = 0; dropped = 0; names_rev = [] }
+  let limit = 2_000_000
+
+  let create () = { events_rev = []; count = 0; dropped = 0; names_rev = [] }
 
   let sink t ev =
-    if t.count < t.limit then begin
+    if t.count < limit then begin
       t.events_rev <- ev :: t.events_rev;
       t.count <- t.count + 1
     end

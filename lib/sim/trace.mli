@@ -86,9 +86,9 @@ val formatter_sink : Format.formatter -> sink
 module Recorder : sig
   type t
 
-  (** [create ?limit ()] — at most [limit] events are kept (default 2M);
-      later events are counted in {!dropped}. *)
-  val create : ?limit:int -> unit -> t
+  (** [create ()] — at most 2M events are kept; later events are counted
+      in {!dropped}. *)
+  val create : unit -> t
 
   val sink : t -> sink
   val count : t -> int

@@ -11,7 +11,6 @@ type t = {
   post_user : cost:Sim.Time.t -> (unit -> unit) -> unit;
   costs : Guestos.Os_costs.t;
   ack : Connection.t -> int -> unit;
-  min_refill_interval : Sim.Time.t;
   gso_segments : int;
   mutable streams : stream list;
   by_flow : Connection.t Sim.Int_tbl.t;
@@ -26,15 +25,15 @@ type t = {
   mutable stray : int;
 }
 
-let create engine ?(min_refill_interval = Sim.Time.us 80) ?(gso_segments = 1)
-    ~post_user ~costs ~ack () =
+let min_refill_interval = Sim.Time.us 80
+
+let create engine ?(gso_segments = 1) ~post_user ~costs ~ack () =
   if gso_segments < 1 then invalid_arg "Bench_program.create: gso_segments";
   {
     engine;
     post_user;
     costs;
     ack;
-    min_refill_interval;
     gso_segments;
     streams = [];
     by_flow = Sim.Int_tbl.create 64;
@@ -177,7 +176,7 @@ let add_stream t ~stack ~tx ~rx =
       tx_conns = Array.of_list tx;
       rr = 0;
       refill_scheduled = false;
-      pacer = Pattern.Throttle.create ~interval:t.min_refill_interval;
+      pacer = Pattern.Throttle.create ~interval:min_refill_interval;
     }
   in
   List.iter

@@ -20,14 +20,13 @@ type t
 (** [create engine ~post_user ~costs ~ack:(fun conn n -> ...) ()] —
     [post_user] schedules user-context work for this guest; [ack] tells
     the peer that [n] packets of [conn] were consumed (receive role).
-    [min_refill_interval] (default 80 us) paces window refills so that
+    Window refills come at most every 80 us, so that
     acknowledgements batch as they would under a real event loop.
     [gso_segments > 1] hands the stack TSO/GSO super-frames of up to that
     many MTU segments, amortizing all per-frame CPU costs — only
     meaningful when the device can segment in hardware. *)
 val create :
   Sim.Engine.t ->
-  ?min_refill_interval:Sim.Time.t ->
   ?gso_segments:int ->
   post_user:(cost:Sim.Time.t -> (unit -> unit) -> unit) ->
   costs:Guestos.Os_costs.t ->
