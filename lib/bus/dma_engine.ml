@@ -189,11 +189,6 @@ let[@cdna.hot] admitted t ~op ~context ~addr ~len k =
         end
         else true
 
-let read t ~context ~addr ~len k =
-  if admitted t ~op:"read" ~context ~addr ~len k then
-    submit t ~op:"read" ~context ~len (fun () ->
-        k (Ok (Memory.Phys_mem.read t.mem ~addr ~len)))
-
 let[@cdna.hot] read_into t ~context ~addr ~len ~dst ~pos k =
   if pos < 0 || len > Bytes.length dst - pos then k (Error `Bad_range)
   else if admitted t ~op:"read" ~context ~addr ~len k then

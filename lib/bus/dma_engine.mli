@@ -20,7 +20,7 @@
     occupies the bus for at least the 40 ns arbitration slot and the
     latency is constant, so completion times strictly increase with
     submission. Faulted and fault-injected transfers, and the copying
-    {!read} and {!write}, complete through a closure of their own. *)
+    {!write}, complete through a closure of their own. *)
 
 type t
 
@@ -46,20 +46,11 @@ val set_iommu : t -> Memory.Iommu.t option -> unit
 val set_fault_injector :
   t -> (context:int -> addr:Memory.Addr.t -> len:int -> bool) option -> unit
 
-(** [read t ~context ~addr ~len k] DMA-reads host memory (device <- host)
-    and passes the bytes to [k] at completion time. [context] identifies
-    the initiating NIC context for IOMMU checks (ignored without IOMMU). *)
-val read :
-  t ->
-  context:int ->
-  addr:Memory.Addr.t ->
-  len:int ->
-  ((Bytes.t, fault) result -> unit) ->
-  unit
-
-(** [read_into t ~context ~addr ~len ~dst ~pos k] is the zero-copy
-    variant of {!read}: at completion time the bytes are blitted into the
-    caller-supplied [dst] at [pos] and [k (Ok ())] runs. The caller must
+(** [read_into t ~context ~addr ~len ~dst ~pos k] DMA-reads host memory
+    (host -> device): at completion time the bytes are blitted into the
+    caller-supplied [dst] at [pos] and [k (Ok ())] runs. [context]
+    identifies the initiating NIC context for IOMMU checks (ignored
+    without IOMMU). The caller must
     not reuse [dst[pos, pos+len)] until [k] has fired (see DESIGN.md §8
     for the scratch-buffer ownership rules). A bad [dst] range completes
     with [`Bad_range] like a bad physical range. *)

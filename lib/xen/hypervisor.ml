@@ -43,8 +43,6 @@ let domains t = t.domains
 let driver_domain t =
   List.find_opt (fun d -> Domain.kind d = Domain.Driver) t.domains
 
-let domain_by_id t id = List.find_opt (fun d -> Domain.id d = id) t.domains
-
 let hypervisor_owner = -1
 
 let alloc_hyp_pages t n =

@@ -36,7 +36,6 @@ val create_domain :
 
 val domains : t -> Domain.t list
 val driver_domain : t -> Domain.t option
-val domain_by_id : t -> Host.Category.domain_id -> Domain.t option
 
 (** {1 Memory on behalf of domains} *)
 

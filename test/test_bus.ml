@@ -77,15 +77,16 @@ let dma_fixture () =
 let test_dma_write_then_read () =
   let engine, _, dma = dma_fixture () in
   let data = Bytes.of_string "dma payload" in
-  let read_back = ref Bytes.empty in
+  let read_back = Bytes.make (Bytes.length data) '\000' in
   Bus.Dma_engine.write dma ~context:0 ~addr:1000 ~data (fun r ->
       check_bool "write ok" true (r = Ok ());
-      Bus.Dma_engine.read dma ~context:0 ~addr:1000 ~len:(Bytes.length data)
+      Bus.Dma_engine.read_into dma ~context:0 ~addr:1000 ~len:(Bytes.length data)
+        ~dst:read_back ~pos:0
         (function
-        | Ok b -> read_back := b
+        | Ok () -> ()
         | Error _ -> Alcotest.fail "read failed"));
   ignore (Sim.Engine.run_to_completion engine);
-  check Alcotest.string "bytes moved" "dma payload" (Bytes.to_string !read_back)
+  check Alcotest.string "bytes moved" "dma payload" (Bytes.to_string read_back)
 
 let test_dma_is_asynchronous () =
   let engine, _, dma = dma_fixture () in
@@ -118,8 +119,8 @@ let test_dma_transfers_serialize () =
 let test_dma_bad_range () =
   let engine, _, dma = dma_fixture () in
   let result = ref None in
-  Bus.Dma_engine.read dma ~context:0 ~addr:(32 * 4096) ~len:8 (fun r ->
-      result := Some r);
+  Bus.Dma_engine.read_into dma ~context:0 ~addr:(32 * 4096) ~len:8
+    ~dst:(Bytes.create 8) ~pos:0 (fun r -> result := Some r);
   ignore (Sim.Engine.run_to_completion engine);
   check_bool "rejected immediately" true (!result = Some (Error `Bad_range))
 

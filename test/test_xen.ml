@@ -47,7 +47,6 @@ let test_domain_creation () =
     (match Xen.Hypervisor.driver_domain hyp with
     | Some d -> Xen.Domain.id d = 0
     | None -> false);
-  check_bool "lookup" true (Xen.Hypervisor.domain_by_id hyp 1 = Some d1);
   (* Every allocated page is owned by the right domain. *)
   List.iter
     (fun p -> check_bool "owned" true (Memory.Phys_mem.owned_by mem p 1))
