@@ -593,7 +593,9 @@ let collect_facts prog (f : fn) =
 (* BFS over call edges from LP roots; maps each LP-capable function to
    its witness path (oldest hop first). *)
 let lp_reachability prog =
-  let hop what (f : fn) line = { hop_what = what; hop_file = f.f_file; hop_line = line } in
+  let hop what (f : fn) line =
+    { hop_what = what; hop_file = f.f_file; hop_line = line }
+  in
   (* Roots, in deterministic order: layer-resident functions first, then
      closures handed to scheduling primitives. *)
   let resident =
@@ -601,7 +603,12 @@ let lp_reachability prog =
       (fun id (f : fn) acc ->
         if SSet.mem f.f_layer lp_layers then
           ( id,
-            [ hop (Printf.sprintf "%s lives in LP-resident layer '%s'" id f.f_layer) f f.f_line ] )
+            [
+              hop
+                (Printf.sprintf "%s lives in LP-resident layer '%s'" id
+                   f.f_layer)
+                f f.f_line;
+            ] )
           :: acc
         else acc)
       prog.p.fns []
@@ -616,7 +623,13 @@ let lp_reachability prog =
                | Some entry, Some g ->
                    Some
                      ( g.f_id,
-                       [ hop (Printf.sprintf "%s called from a closure passed to %s in %s" g.f_id entry f.f_id) f c.dc_line ] )
+                       [
+                         hop
+                           (Printf.sprintf
+                              "%s called from a closure passed to %s in %s"
+                              g.f_id entry f.f_id)
+                           f c.dc_line;
+                       ] )
                | _ -> None)
              prog.calls.(f.f_idx))
           acc)
@@ -630,7 +643,13 @@ let lp_reachability prog =
           (fun c ->
             Option.map
               (fun (g : fn) ->
-                (g.f_id, chain @ [ hop (Printf.sprintf "%s called from %s" g.f_id f.f_id) f c.dc_line ]))
+                ( g.f_id,
+                  chain
+                  @ [
+                      hop
+                        (Printf.sprintf "%s called from %s" g.f_id f.f_id)
+                        f c.dc_line;
+                    ] ))
               (SMap.find_opt c.dc_callee prog.p.fns))
           prog.calls.(f.f_idx)
   in

@@ -59,7 +59,8 @@ type refs = {
   mutable vals : string list;
   mutable loose : string list;
   mutable mods : string list;
-  mutable calls : (string * (Asttypes.arg_label * Typedtree.expression option) list) list;
+  mutable calls :
+    (string * (Asttypes.arg_label * Typedtree.expression option) list) list;
 }
 
 let scan ~value ~modl walk =
@@ -70,7 +71,9 @@ let scan ~value ~modl walk =
     | Tmod_constraint (me, _, _, _) -> mod_path me
     | _ -> None
   in
-  let whole me = Option.iter (fun p -> r.mods <- modl p :: r.mods) (mod_path me) in
+  let whole me =
+    Option.iter (fun p -> r.mods <- modl p :: r.mods) (mod_path me)
+  in
   (* [x |> f ~a] types as [(f ~a) x]: the call is the innermost head with
      every argument applied to it. *)
   let rec head (f : Typedtree.expression) args =
@@ -92,7 +95,9 @@ let scan ~value ~modl walk =
         | Some (v, args) ->
             r.vals <- v :: r.vals;
             r.calls <- (v, args) :: r.calls;
-            List.iter (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a) args
+            List.iter
+              (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a)
+              args
         | None -> Tast_iterator.default_iterator.expr it e)
     | Texp_pack me ->
         whole me;
@@ -121,169 +126,170 @@ let rec optionals (e : Typedtree.expression) =
       | _ -> rest)
   | _ -> []
 
+(* One binding or module-level item: who it belongs to, where it is,
+   what it names and, for a function binding, its optional parameters. *)
+type use = {
+  owner : owner;
+  file : string;
+  line : int;
+  refs : refs;
+  fn : (string * (string * Ident.t option) list) option;
+}
+
 let analyze prog =
-  let bindings = prog.bindings @ prog.entries in
-  let owner (m : modl) names =
-    if not m.m_entry then Lib names
-    else if is_test m.m_file then Test (Filename.basename (unit_of m.m_file))
-    else Root
-  in
   let names (b : binding) =
     List.map
       (fun id -> (id, b.b_mod.m_name ^ "." ^ Ident.name id))
       (Typedtree.pat_bound_idents b.b_vb.vb_pat)
   in
-  (* Module-level identifiers by file: a [Pident] names one of these or a
-     local. *)
-  let idents =
-    List.fold_left
-      (fun acc b ->
-        let file = b.b_mod.m_file in
-        let tbl = Option.value ~default:IdentMap.empty (SMap.find_opt file acc) in
-        SMap.add file
-          (List.fold_left (fun t (id, v) -> IdentMap.add id v t) tbl (names b))
-          acc)
-      SMap.empty bindings
-  in
-  let nodes =
-    List.fold_left
-      (fun s b -> List.fold_left (fun s (_, v) -> SSet.add v s) s (names b))
-      (SSet.of_list (List.map (fun e -> e.e_id) prog.exports))
-      bindings
-  in
-  let by_module =
-    List.fold_left
-      (fun acc e ->
-        let m = List.hd (split_on_dot e.e_id) in
-        SMap.add m (e.e_id :: Option.value ~default:[] (SMap.find_opt m acc)) acc)
-      SMap.empty prog.exports
-  in
+  let bindings = prog.bindings @ prog.entries in
+  let find tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+  let add tbl k x = Hashtbl.replace tbl k (x :: find tbl k) in
+  (* Module-level identifiers by file (a [Pident] names one of these or a
+     local), every node, and each module's exports. *)
+  let idents = Hashtbl.create 128 and nodes = Hashtbl.create 1024 in
+  let exports_of = Hashtbl.create 128 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (id, v) ->
+          add idents b.b_mod.m_file (id, v);
+          Hashtbl.replace nodes v ())
+        (names b))
+    bindings;
+  List.iter
+    (fun e ->
+      Hashtbl.replace nodes e.e_id ();
+      add exports_of (List.hd (split_on_dot e.e_id)) e.e_id)
+    prog.exports;
   let scan_in (m : modl) walk =
-    let al = if m.m_entry then SMap.union (fun _ e _ -> Some e) prog.entry_aliases prog.aliases else prog.aliases in
-    let local = Option.value ~default:IdentMap.empty (SMap.find_opt m.m_file idents) in
+    let al =
+      if not m.m_entry then prog.aliases
+      else SMap.union (fun _ e _ -> Some e) prog.entry_aliases prog.aliases
+    in
+    let local = find idents m.m_file in
     let value (p : Path.t) =
       match p with
-      | Pident id -> IdentMap.find_opt id local
+      | Pident id ->
+          List.find_map
+            (fun (id', v) -> if Ident.same id id' then Some v else None)
+            local
       | _ ->
           let c = canon_of al (Path.name p) in
-          if SSet.mem c nodes then Some c else None
+          if Hashtbl.mem nodes c then Some c else None
     in
     let modl p =
-      last_comp (String.concat "." (expand_alias al (List.map strip_wrap (split_on_dot (Path.name p)))))
+      split_on_dot (Path.name p) |> List.map strip_wrap |> expand_alias al
+      |> String.concat "." |> last_comp
     in
     scan ~value ~modl walk
   in
-  (* One (owner, file, refs, optional parameters of the binding) per
-     binding and module-level item. *)
-  let scanned =
+  let owner (m : modl) names =
+    if not m.m_entry then Lib names
+    else if is_test m.m_file then Test (Filename.basename (unit_of m.m_file))
+    else Root
+  in
+  let uses =
     List.map
       (fun b ->
         let ns = List.map snd (names b) in
-        let opts =
-          match ns with [ v ] -> [ (v, optionals b.b_vb.vb_expr) ] | _ -> []
-        in
-        ( owner b.b_mod ns,
-          b.b_mod.m_file,
-          scan_in b.b_mod (fun it -> it.expr it b.b_vb.vb_expr),
-          opts ))
+        {
+          owner = owner b.b_mod ns;
+          file = b.b_mod.m_file;
+          line = loc_line b.b_vb.vb_loc;
+          refs = scan_in b.b_mod (fun it -> it.expr it b.b_vb.vb_expr);
+          fn =
+            (match ns with
+            | [ v ] -> Some (v, optionals b.b_vb.vb_expr)
+            | _ -> None);
+        })
       bindings
     @ List.map
         (fun i ->
-          let o = match owner i.i_mod [] with Lib _ -> Root | o -> o in
-          (o, i.i_mod.m_file, scan_in i.i_mod (fun it -> it.structure_item it i.i_item), []))
+          {
+            owner = (match owner i.i_mod [] with Lib _ -> Root | o -> o);
+            file = i.i_mod.m_file;
+            line = loc_line i.i_item.str_loc;
+            refs = scan_in i.i_mod (fun it -> it.structure_item it i.i_item);
+            fn = None;
+          })
         prog.items
   in
-  let targets r =
-    r.vals @ List.concat_map (fun m -> Option.value ~default:[] (SMap.find_opt m by_module)) r.mods
-  in
-  let out =
-    List.fold_left
-      (fun acc (o, _, r, _) ->
-        match o with
-        | Lib ns ->
-            List.fold_left
-              (fun acc n -> SMap.add n (targets r @ Option.value ~default:[] (SMap.find_opt n acc)) acc)
-              acc ns
-        | _ -> acc)
-      SMap.empty scanned
-  in
-  let roots =
-    List.concat_map
-      (fun (o, _, r, _) -> match o with Root -> targets r | _ -> [])
-      scanned
-  in
+  let targets r = r.vals @ List.concat_map (find exports_of) r.mods in
+  let out = Hashtbl.create 1024 in
+  List.iter
+    (fun u ->
+      match u.owner with
+      | Lib ns -> List.iter (fun n -> List.iter (add out n) (targets u.refs)) ns
+      | _ -> ())
+    uses;
+  let unit_edge t = (t, ()) in
   let reached =
     Program.bfs
-      ~succ:(fun n () ->
-        List.map (fun t -> (t, ())) (Option.value ~default:[] (SMap.find_opt n out)))
-      (List.map (fun t -> (t, ())) roots)
+      ~succ:(fun n () -> List.map unit_edge (find out n))
+      (List.concat_map
+         (fun u ->
+           if u.owner = Root then List.map unit_edge (targets u.refs) else [])
+         uses)
   in
-  let live = function
+  let live u =
+    match u.owner with
     | Lib ns -> List.exists (fun n -> SMap.mem n reached) ns
     | Root -> true
     | Test _ -> false
   in
   (* Per value: the tests that name it, and the compilation units whose
-     roots or reached bindings name it. *)
+     roots or reached bindings name it. Per (function, label): the tests
+     that supply it, whether reached code supplies it, and the forwards
+     of a caller's own optional parameter to it. *)
   let tests_of = Hashtbl.create 64 and units_of = Hashtbl.create 256 in
-  let add tbl k x =
-    Hashtbl.replace tbl k
-      (SSet.add x (Option.value ~default:SSet.empty (Hashtbl.find_opt tbl k)))
-  in
+  let supply_tests = Hashtbl.create 16 and supplied = Hashtbl.create 64 in
+  let forwards = ref [] in
+  let params = Hashtbl.create 256 in
   List.iter
-    (fun (o, file, r, _) ->
-      match o with
-      | Test t -> List.iter (fun v -> add tests_of v t) (targets r)
-      | o when live o -> List.iter (fun v -> add units_of v (unit_of file)) (targets r)
-      | _ -> ())
-    scanned;
-  let set tbl k = Option.value ~default:SSet.empty (Hashtbl.find_opt tbl k) in
-  let named_outside e =
-    not (SSet.subset (set units_of e.e_id) (SSet.singleton (unit_of e.e_file)))
-  in
-  (* Supplied optional parameters, (function, label): direct supplies and
-     loose references first, then forwards to a fixpoint. *)
-  let opt_params = List.concat_map (fun (_, _, _, o) -> o) scanned in
-  let supplied = Hashtbl.create 64 and forwards = ref [] in
-  let supply_tests = Hashtbl.create 16 in
+    (fun u -> Option.iter (fun (v, ps) -> Hashtbl.replace params v ps) u.fn)
+    uses;
   List.iter
-    (fun (o, _, r, opts) ->
-      let params = match opts with [ (f, ps) ] -> Some (f, ps) | _ -> None in
+    (fun u ->
       let forwarded (e : Typedtree.expression) =
-        match (e.exp_desc, params) with
+        match (e.exp_desc, u.fn) with
         | Texp_ident (Pident id, _, _), Some (f, ps) ->
             List.find_map
-              (fun (l, pid) ->
-                match pid with Some pid when Ident.same pid id -> Some (f, l) | _ -> None)
+              (function
+                | l, Some pid when Ident.same pid id -> Some (f, l) | _ -> None)
               ps
         | _ -> None
       in
-      List.iter
-        (fun (c, args) ->
-          List.iter
-            (function
-              | Asttypes.Optional l, Some (e : Typedtree.expression) -> (
-                  match e.exp_desc with
-                  | Texp_construct (_, { cstr_name = "None"; _ }, []) -> ()
-                  | _ -> (
-                      match o with
-                      | Test t -> Hashtbl.replace supply_tests (c, l, t) ()
-                      | o when live o -> (
-                          match forwarded e with
-                          | Some src -> forwards := (src, (c, l)) :: !forwards
-                          | None -> Hashtbl.replace supplied (c, l) ())
-                      | _ -> ()))
-              | _ -> ())
-            args)
-        r.calls;
-      if live o then
+      let supply (c, args) =
         List.iter
-          (fun v ->
-            match List.assoc_opt v opt_params with
-            | Some ps -> List.iter (fun (l, _) -> Hashtbl.replace supplied (v, l) ()) ps
-            | None -> ())
-          r.loose)
-    scanned;
+          (function
+            | Asttypes.Optional l, Some (e : Typedtree.expression) -> (
+                match (e.exp_desc, u.owner) with
+                | Texp_construct (_, { cstr_name = "None"; _ }, []), _ -> ()
+                | _, Test t -> add supply_tests (c, l) t
+                | _ when live u -> (
+                    match forwarded e with
+                    | Some src -> forwards := (src, (c, l)) :: !forwards
+                    | None -> Hashtbl.replace supplied (c, l) ())
+                | _ -> ())
+            | _ -> ())
+          args
+      in
+      match u.owner with
+      | Test t ->
+          List.iter (fun v -> add tests_of v t) (targets u.refs);
+          List.iter supply u.refs.calls
+      | _ when live u ->
+          List.iter (fun v -> add units_of v (unit_of u.file)) (targets u.refs);
+          List.iter supply u.refs.calls;
+          List.iter
+            (fun v ->
+              List.iter
+                (fun (l, _) -> Hashtbl.replace supplied (v, l) ())
+                (find params v))
+            u.refs.loose
+      | _ -> ())
+    uses;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -295,57 +301,63 @@ let analyze prog =
         end)
       !forwards
   done;
+  let tests tbl k = List.sort_uniq String.compare (find tbl k) in
   let export_entries =
     List.filter_map
       (fun e ->
-        let mk kind = Some { kind; value = e.e_id; file = e.e_file; line = e.e_line; tests = SSet.elements (set tests_of e.e_id) } in
-        if not (SMap.mem e.e_id reached) then mk "unreached"
-        else if not (named_outside e) then mk "internal"
+        let entry kind =
+          Some
+            { kind; value = e.e_id; file = e.e_file; line = e.e_line;
+              tests = tests tests_of e.e_id }
+        in
+        if not (SMap.mem e.e_id reached) then entry "unreached"
+        else if List.for_all (( = ) (unit_of e.e_file)) (find units_of e.e_id)
+        then entry "internal"
         else None)
       prog.exports
   in
   let optional_entries =
     List.concat_map
-      (fun (b : binding) ->
-        match names b with
-        | [ (_, v) ] when (not b.b_mod.m_entry) && SMap.mem v reached ->
+      (fun u ->
+        match (u.owner, u.fn) with
+        | Lib _, Some (v, ps) when live u ->
             List.filter_map
               (fun (l, _) ->
                 if Hashtbl.mem supplied (v, l) then None
                 else
                   Some
-                    {
-                      kind = "optional";
-                      value = v ^ " ?" ^ l;
-                      file = b.b_mod.m_file;
-                      line = loc_line b.b_vb.vb_loc;
-                      tests =
-                        Hashtbl.fold
-                          (fun (c, l', t) () acc -> if c = v && l' = l then t :: acc else acc)
-                          supply_tests []
-                        |> List.sort_uniq String.compare;
-                    })
-              (optionals b.b_vb.vb_expr)
+                    { kind = "optional"; value = v ^ " ?" ^ l; file = u.file;
+                      line = u.line; tests = tests supply_tests (v, l) })
+              ps
         | _ -> [])
-      prog.bindings
+      uses
   in
-  let files p = List.sort_uniq String.compare (List.filter_map p prog.entries) in
+  let files test =
+    List.filter_map
+      (fun b ->
+        if is_test b.b_mod.m_file = test then Some b.b_mod.m_file else None)
+      prog.entries
+    |> List.sort_uniq String.compare |> List.length
+  in
   {
-    roots = List.length (files (fun b -> if is_test b.b_mod.m_file then None else Some b.b_mod.m_file));
-    tests = List.length (files (fun b -> if is_test b.b_mod.m_file then Some b.b_mod.m_file else None));
+    roots = files false;
+    tests = files true;
     exported = List.length prog.exports;
     entries =
-      List.stable_sort
-        (fun a b ->
-          compare (a.kind, a.file, a.line, a.value) (b.kind, b.file, b.line, b.value))
+      List.sort
+        (fun (a : entry) (b : entry) ->
+          compare (a.kind, a.file, a.line, a.value)
+            (b.kind, b.file, b.line, b.value))
         (export_entries @ optional_entries);
   }
 
-let count r kind = List.length (List.filter (fun e -> e.kind = kind) r.entries)
+let count r kind =
+  List.length (List.filter (fun (e : entry) -> e.kind = kind) r.entries)
 
-let entry_to_string e =
+let entry_to_string (e : entry) =
   Printf.sprintf "%s:%d: [%s] %s%s" e.file e.line e.kind e.value
-    (if e.tests = [] then "" else " (tests: " ^ String.concat ", " e.tests ^ ")")
+    (if e.tests = [] then ""
+     else " (tests: " ^ String.concat ", " e.tests ^ ")")
 
 let report_to_json r =
   Sim.Json.Obj
@@ -359,14 +371,16 @@ let report_to_json r =
       ( "entries",
         Sim.Json.List
           (List.map
-             (fun e ->
+             (fun (e : entry) ->
                Sim.Json.Obj
                  [
                    ("kind", Sim.Json.String e.kind);
                    ("value", Sim.Json.String e.value);
                    ("file", Sim.Json.String e.file);
                    ("line", Sim.Json.Int e.line);
-                   ("tests", Sim.Json.List (List.map (fun t -> Sim.Json.String t) e.tests));
+                   ( "tests",
+                     Sim.Json.List
+                       (List.map (fun t -> Sim.Json.String t) e.tests) );
                  ])
              r.entries) );
     ]

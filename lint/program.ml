@@ -189,7 +189,8 @@ let load_with ~entries roots =
   let fns = ref SMap.empty and impls = ref SSet.empty and items = ref [] in
   let exports = ref [] in
   let add_binding m (vb : Typedtree.value_binding) =
-    if m.m_entry then entry_bindings := { b_mod = m; b_vb = vb } :: !entry_bindings
+    if m.m_entry then
+      entry_bindings := { b_mod = m; b_vb = vb } :: !entry_bindings
     else begin
       bindings := { b_mod = m; b_vb = vb } :: !bindings;
       match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
@@ -247,7 +248,8 @@ let load_with ~entries roots =
         | Tstr_value (_, vbs) -> List.iter (add_binding m) vbs
         | Tstr_module mb ->
             walk_module m mb;
-            if applies mb.mb_expr then items := { i_mod = m; i_item = it } :: !items
+            if applies mb.mb_expr then
+              items := { i_mod = m; i_item = it } :: !items
         | Tstr_recmodule mbs -> List.iter (walk_module m) mbs
         | Tstr_include _ | Tstr_eval _ ->
             items := { i_mod = m; i_item = it } :: !items

@@ -1,5 +1,8 @@
 let internal_only () = 1
-let direct () = internal_only () + 1
+(* The local [unused] shadows nothing: it is no edge to [unused] below. *)
+let direct () =
+  let unused = 1 in
+  internal_only () + unused
 let via_record () = 2
 
 type table = { run : unit -> int }

@@ -1,8 +1,8 @@
-(* Determinism of the combined stats artifact (four passes plus the reach report) and of the
-   rendered violation output: LINT_stats.json is diffed by the
-   suppression-drift gate and archived by CI, so two runs over the same
-   corpus must agree byte-for-byte, and the result must not depend on
-   the order the fixture directories happen to be listed in.
+(* Determinism of the combined stats artifact (four passes plus the
+   reach report) and of the rendered violation output: LINT_stats.json
+   is diffed by the drift gate and archived by CI, so two runs over the
+   same corpus must agree byte-for-byte, and the result must not depend
+   on the order the fixture directories happen to be listed in.
 
    This assembles the combined document exactly as [main.exe --stats]
    does — the lint block plus one block per further pass — except for the
@@ -31,7 +31,9 @@ let combined ~order =
   let reach =
     Cdna_reach.analyze
       (Program.load_with
-         ~entries:(order [ "reach_fixtures/rmain.cmt"; "reach_fixtures/test_rfix.cmt" ])
+         ~entries:
+           (order
+              [ "reach_fixtures/rmain.cmt"; "reach_fixtures/test_rfix.cmt" ])
          [ "reach_fixtures/rlib.cmt" ])
   in
   let json =
