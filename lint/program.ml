@@ -58,11 +58,10 @@ type fn = {
    expression. *)
 type item = { i_mod : modl; i_item : Typedtree.structure_item }
 
-(* A [val] of an analysed module's interface ([.cmti]); a module
-   without one exports each of its module-level values. *)
+(* A [val] of an analysed module's interface ([.cmti]). *)
 type export = {
   e_id : string; (* "Mod.name" *)
-  e_file : string; (* the [.mli], or the [.ml] without one *)
+  e_file : string; (* the [.mli] *)
   e_line : int;
 }
 
@@ -191,33 +190,31 @@ let load_with ~entries roots =
   let add_binding m (vb : Typedtree.value_binding) =
     if m.m_entry then
       entry_bindings := { b_mod = m; b_vb = vb } :: !entry_bindings
-    else begin
-      bindings := { b_mod = m; b_vb = vb } :: !bindings;
-      match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
-      | Some (_, name), Some _ ->
-          let params, body = peel_params vb.vb_expr in
-          let f =
-            {
-              f_idx = 0;
-              f_id = m.m_name ^ "." ^ name;
-              f_module = m.m_name;
-              f_file = m.m_file;
-              f_line = loc_line vb.vb_loc;
-              f_layer = m.m_layer;
-              f_privileged = m.m_privileged;
-              f_attrs = vb.vb_attributes;
-              f_params = params;
-              f_body = body;
-              f_expr = vb.vb_expr;
-              f_plain =
-                (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
-                | Tpat_var _, Texp_function _ -> true
-                | _ -> false);
-            }
-          in
-          fns := SMap.add f.f_id f !fns
-      | _ -> ()
-    end
+    else bindings := { b_mod = m; b_vb = vb } :: !bindings;
+    match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
+    | Some (_, name), Some _ when not m.m_entry ->
+        let params, body = peel_params vb.vb_expr in
+        let f =
+          {
+            f_idx = 0;
+            f_id = m.m_name ^ "." ^ name;
+            f_module = m.m_name;
+            f_file = m.m_file;
+            f_line = loc_line vb.vb_loc;
+            f_layer = m.m_layer;
+            f_privileged = m.m_privileged;
+            f_attrs = vb.vb_attributes;
+            f_params = params;
+            f_body = body;
+            f_expr = vb.vb_expr;
+            f_plain =
+              (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+              | Tpat_var _, Texp_function _ -> true
+              | _ -> false);
+          }
+        in
+        fns := SMap.add f.f_id f !fns
+    | _ -> ()
   in
   let rec walk_structure m (str : Typedtree.structure) =
     let attrs =
@@ -301,22 +298,10 @@ let load_with ~entries roots =
           let m = toplevel (strip_wrap cmt.cmt_modname) src entry in
           walk_structure m str;
           let intf = Filename.remove_extension path ^ ".cmti" in
-          if not entry then
-            exports :=
-              (if Sys.file_exists intf then
-                 match (read intf).cmt_annots with
-                 | Interface sg -> sig_exports m.m_name sg
-                 | _ -> []
-               else
-                 List.filter (fun b -> b.b_mod.m_file = src) !bindings
-                 |> List.rev_map (fun b ->
-                        List.map
-                          (fun id ->
-                            { e_id = b.b_mod.m_name ^ "." ^ Ident.name id;
-                              e_file = src; e_line = loc_line b.b_vb.vb_loc })
-                          (Typedtree.pat_bound_idents b.b_vb.vb_pat))
-                 |> List.concat)
-              :: !exports
+          if (not entry) && Sys.file_exists intf then (
+            match (read intf).cmt_annots with
+            | Interface sg -> exports := sig_exports m.m_name sg :: !exports
+            | _ -> ())
       | Implementation str, Some _ ->
           (* dune alias modules: harvest [module X = Lib__X] only. *)
           List.iter
