@@ -545,7 +545,7 @@ and eval_cases : type k. ctx -> sup:string option -> taint IdentMap.t -> taint
 and eval_closure ctx ~sup env (e : Typedtree.expression) param_t =
   let params, body = peel_params e in
   let env =
-    List.fold_left (fun env (_, p) -> bind_pat env p param_t) env params
+    List.fold_left (fun env p -> bind_pat env p.p_pat param_t) env params
   in
   match body.exp_desc with
   | Typedtree.Texp_function { cases; _ } ->
@@ -758,7 +758,7 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
 and assign_params (callee : fn) arg_taints =
   (* Map evaluated arguments to the callee's parameter indices: labelled
      args match labels, positional args fill positional slots in order. *)
-  let labels = List.mapi (fun i (l, _) -> (i, l)) callee.f_params in
+  let labels = List.mapi (fun i p -> (i, param_label p)) callee.f_params in
   let positional =
     List.filter_map (fun (i, l) -> if l = None then Some i else None) labels
   in
@@ -808,7 +808,8 @@ let eval_fn prog summary ~report viols (f : fn) =
   let ctx = { prog; summary; cur = f; report; viols; flows = ref [] } in
   let env =
     List.fold_left
-      (fun (env, i) (_, p) -> (bind_pat env p (T (None, ISet.singleton i)), i + 1))
+      (fun (env, i) p ->
+        (bind_pat env p.p_pat (T (None, ISet.singleton i)), i + 1))
       (IdentMap.empty, 0) f.f_params
     |> fst
   in

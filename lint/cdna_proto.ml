@@ -1043,7 +1043,7 @@ and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
                 | true, Some (params, body) ->
                     let env' =
                       List.fold_left
-                        (fun env (_, pat) -> bind_pat env pat Nothing)
+                        (fun env p -> bind_pat env p.p_pat Nothing)
                         env params
                     in
                     let _, st = eval ctx ~sup env' st body in
@@ -1275,10 +1275,10 @@ let eval_fn prog tbls summary ~report viols (f : fn) : psum =
   in
   let env, _ =
     List.fold_left
-      (fun (env, pos) (lbl, pat) ->
-        match lbl with
-        | None -> (bind_pat env pat (PVal pos), pos + 1)
-        | Some _ -> (bind_pat env pat (PVal (-1)), pos))
+      (fun (env, pos) p ->
+        match p.p_arg with
+        | Nolabel -> (bind_pat env p.p_pat (PVal pos), pos + 1)
+        | Labelled _ | Optional _ -> (bind_pat env p.p_pat (PVal (-1)), pos))
       (IdentMap.empty, 0) f.f_params
   in
   let sup = proto_ok f.f_attrs in

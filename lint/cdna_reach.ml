@@ -111,20 +111,20 @@ let scan ~value ~modl walk =
   walk { Tast_iterator.default_iterator with expr; module_expr };
   r
 
-(* The optional parameters of a function binding: label, and the
-   parameter's identifier when it has no default (a forward passes that
-   identifier on). A default types as a [let] around the rest of the
-   function. *)
+(* The optional parameters of a function binding, below any closure
+   spine: label, and the parameter's identifier when it has no default
+   (a forward passes that identifier on). *)
 let rec optionals (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_let (_, _, body) -> optionals body
-  | Texp_function { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ }
-    ->
-      let rest = optionals c_rhs in
-      (match arg_label with
-      | Optional l -> (l, Option.map fst (pat_var c_lhs)) :: rest
-      | _ -> rest)
-  | _ -> []
+  | _ ->
+      List.filter_map
+        (fun p ->
+          match p.p_arg with
+          | Optional l when p.p_default -> Some (l, None)
+          | Optional l -> Some (l, Option.map fst (pat_var p.p_pat))
+          | Nolabel | Labelled _ -> None)
+        (fst (peel_params e))
 
 (* One binding or module-level item: who it belongs to, where it is,
    what it names and, for a function binding, its optional parameters. *)

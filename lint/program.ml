@@ -35,6 +35,14 @@ type modl = {
 
 type binding = { b_mod : modl; b_vb : Typedtree.value_binding }
 
+(* One parameter of a function. A defaulted optional [?(x = d)] is
+   [x] itself with [p_default] set, not the [*opt*] it types as. *)
+type param = {
+  p_arg : Asttypes.arg_label;
+  p_pat : Typedtree.pattern;
+  p_default : bool;
+}
+
 type fn = {
   f_idx : int; (* dense index in [f_id] order, for per-pass arrays *)
   f_id : string; (* "Mod.name" *)
@@ -44,7 +52,7 @@ type fn = {
   f_layer : string;
   f_privileged : bool;
   f_attrs : Parsetree.attributes;
-  f_params : (string option * Typedtree.pattern) list;
+  f_params : param list;
   f_body : Typedtree.expression; (* below the peeled parameters *)
   f_expr : Typedtree.expression; (* the whole bound expression *)
   f_plain : bool;
@@ -82,17 +90,35 @@ type t = {
 (* Typedtree shapes                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let param_label p =
+  match p.p_arg with Nolabel -> None | Labelled s | Optional s -> Some s
+
+(* Typing turns [fun ?(x = d) -> body] into [fun *opt* -> let x = match
+   *opt* with Some v -> v | None -> d in body], the [let] marked
+   [#default]: the binding of [x] and [body], for the function case
+   body [e]. *)
+let default_let (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_let (Nonrecursive, [ vb ], body)
+    when List.exists
+           (fun (a : Parsetree.attribute) -> a.attr_name.txt = "#default")
+           e.exp_attributes ->
+      Some (vb, body)
+  | _ -> None
+
+(* The parameters and body as written: a default's [let] is looked
+   through. *)
 let rec peel_params (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_function { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ }
     ->
-      let lbl =
-        match arg_label with
-        | Nolabel -> None
-        | Labelled s | Optional s -> Some s
+      let p_pat, p_default, rest =
+        match default_let c_rhs with
+        | Some (vb, rest) -> (vb.vb_pat, true, rest)
+        | None -> (c_lhs, false, c_rhs)
       in
-      let params, body = peel_params c_rhs in
-      ((lbl, c_lhs) :: params, body)
+      let params, body = peel_params rest in
+      ({ p_arg = arg_label; p_pat; p_default } :: params, body)
   | _ -> ([], e)
 
 (* Peel the [let a = .. in let b = .. in fun x -> ..] spine of a
@@ -397,7 +423,9 @@ type site = {
 let rec fun_chain (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_function { cases = [ { c_rhs; c_guard = None; _ } ]; _ } ->
-      e :: fun_chain c_rhs
+      e
+      :: fun_chain
+           (match default_let c_rhs with Some (_, b) -> b | None -> c_rhs)
   | Texp_function _ -> [ e ]
   | _ -> []
 

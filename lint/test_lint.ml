@@ -59,6 +59,13 @@ let test_alloc_partial () =
   check_rules "partial application in hot body" "alloc_partial"
     [ "A4-partial-app" ]
 
+let test_alloc_partial_default () =
+  match (lint_fixtures [ "alloc_partial_default" ]).violations with
+  | [ v ] ->
+      Alcotest.(check string) "rule" "A4-partial-app" v.Chain.rule;
+      Alcotest.(check int) "the partial application" 5 v.Chain.line
+  | vs -> Alcotest.failf "expected one A4, got %d" (List.length vs)
+
 (* Printf.sprintf is no error exit: only its use inside one is cold. *)
 let test_alloc_sprintf () =
   match (lint_fixtures [ "alloc_sprintf" ]).violations with
@@ -191,6 +198,8 @@ let () =
           Alcotest.test_case "closure" `Quick test_alloc_closure;
           Alcotest.test_case "call" `Quick test_alloc_call;
           Alcotest.test_case "partial app" `Quick test_alloc_partial;
+          Alcotest.test_case "partial app past a default" `Quick
+            test_alloc_partial_default;
           Alcotest.test_case "sprintf outside raise" `Quick test_alloc_sprintf;
         ] );
       ( "protection",
