@@ -758,7 +758,14 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
 and assign_params (callee : fn) arg_taints =
   (* Map evaluated arguments to the callee's parameter indices: labelled
      args match labels, positional args fill positional slots in order. *)
-  let labels = List.mapi (fun i p -> (i, param_label p)) callee.f_params in
+  let labels =
+    List.mapi
+      (fun i p ->
+        match p.p_arg with
+        | Asttypes.Nolabel -> (i, None)
+        | Labelled s | Optional s -> (i, Some s))
+      callee.f_params
+  in
   let positional =
     List.filter_map (fun (i, l) -> if l = None then Some i else None) labels
   in

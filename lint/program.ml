@@ -90,13 +90,10 @@ type t = {
 (* Typedtree shapes                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let param_label p =
-  match p.p_arg with Nolabel -> None | Labelled s | Optional s -> Some s
-
 (* Typing turns [fun ?(x = d) -> body] into [fun *opt* -> let x = match
    *opt* with Some v -> v | None -> d in body], the [let] marked
-   [#default]: the binding of [x] and [body], for the function case
-   body [e]. *)
+   [#default]. For a case body [e] of that shape, the binding of [x] and
+   [body]. *)
 let default_let (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_let (Nonrecursive, [ vb ], body)
