@@ -21,7 +21,7 @@ open Toolkit
 let engine_events_fn () =
   let e = Sim.Engine.create () in
   for i = 1 to 10_000 do
-    ignore (Sim.Engine.schedule e ~delay:i (fun () -> ()))
+    Sim.Engine.schedule e ~delay:i (fun () -> ())
   done;
   ignore (Sim.Engine.run_to_completion e)
 
@@ -32,7 +32,7 @@ let heap_churn_fn () =
     Sim.Heap.push h ~key:v v
   done;
   while not (Sim.Heap.is_empty h) do
-    ignore (Sim.Heap.pop h)
+    ignore (Sim.Heap.pop_exn h)
   done
 
 let crc32_fn =

@@ -94,9 +94,8 @@ let () =
       ~post_user:(fun ~cost fn -> Xen.Hypervisor.user_work xen guest ~cost fn)
       ~costs:costs.guest_os
       ~ack:(fun c n ->
-        ignore
-          (Sim.Engine.schedule engine ~delay:(Sim.Time.us 20) (fun () ->
-               Experiments.Peer.on_ack !active_peer c n)))
+        Sim.Engine.schedule engine ~delay:(Sim.Time.us 20) (fun () ->
+            Experiments.Peer.on_ack !active_peer c n))
       ()
   in
   Workload.Bench_program.add_stream bench ~stack ~tx:[] ~rx:[ conn ];

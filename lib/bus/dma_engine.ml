@@ -116,7 +116,7 @@ let[@cdna.hot] occupy t ~op ~context ~len =
 (* Faulted and non-zero-copy transfers complete through their own
    closure, off the ring. *)
 let[@cdna.hot] submit t ~op ~context ~len action =
-  ignore (Sim.Engine.schedule_at t.engine (occupy t ~op ~context ~len) action)
+  Sim.Engine.schedule_at t.engine (occupy t ~op ~context ~len) action
 
 let[@cdna.hot] enqueue t ~name ~context op ~addr ~len ~buf ~pos ~v0 ~v1 k =
   let at = occupy t ~op:name ~context ~len in
@@ -129,7 +129,7 @@ let[@cdna.hot] enqueue t ~name ~context op ~addr ~len ~buf ~pos ~v0 ~v1 k =
   p.v0 <- v0;
   p.v1 <- v1;
   p.k <- k;
-  ignore (Sim.Engine.schedule_at t.engine at t.complete)
+  Sim.Engine.schedule_at t.engine at t.complete
 
 (* The head slot is copied out before [k] runs: [k] may submit again. *)
 let[@cdna.hot] complete t () =

@@ -32,7 +32,7 @@ let rec flush t =
     in
     if posted then t.dirty <- 0
     else
-      ignore (Sim.Engine.schedule t.engine ~delay:(Sim.Time.us 5) (fun () -> flush t))
+      Sim.Engine.schedule t.engine ~delay:(Sim.Time.us 5) (fun () -> flush t)
   end
 
 let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base

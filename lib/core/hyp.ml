@@ -144,10 +144,9 @@ let add_nic t nic =
             (match !(h.fault_hook) with
             | None -> ()
             | Some hook ->
-                ignore
-                  (Sim.Engine.schedule
-                     (Xen.Hypervisor.engine t.xen)
-                     ~delay:Sim.Time.zero hook))
+                Sim.Engine.schedule
+                  (Xen.Hypervisor.engine t.xen)
+                  ~delay:Sim.Time.zero hook)
         | None -> ());
     (* Physical interrupt -> drain bit vectors -> virtual interrupts. *)
     Xen.Hypervisor.route_irq t.xen (Cnic.irq nic) (fun () ->
@@ -474,9 +473,8 @@ let reassign t h k =
     | Error `No_free_context ->
         if retries_left <= 0 then k (Error `No_free_context)
         else
-          ignore
-            (Sim.Engine.schedule engine ~delay:backoff (fun () ->
-                 attempt (retries_left - 1) (Sim.Time.mul_int backoff 2)))
+          Sim.Engine.schedule engine ~delay:backoff (fun () ->
+              attempt (retries_left - 1) (Sim.Time.mul_int backoff 2))
   in
   attempt 3 (Sim.Time.us 100)
 

@@ -104,7 +104,7 @@ let send t ~from frame ~on_wire_free =
   let ser = Sim.Time.bits_time ~bits:(Frame.wire_bits frame) ~rate_bps:t.rate_bps in
   let wire_free = Sim.Time.add start ser in
   dir.busy_until <- wire_free;
-  ignore (Sim.Engine.schedule_at t.engine wire_free on_wire_free);
+  Sim.Engine.schedule_at t.engine wire_free on_wire_free;
   (* Tampering happens "on the wire": the frame still serializes (the
      sender paid the wire time either way), only delivery changes. *)
   let verdict =
@@ -121,10 +121,9 @@ let send t ~from frame ~on_wire_free =
         | `Pass -> frame
       in
       push_arrival dir frame;
-      ignore
-        (Sim.Engine.schedule_at t.engine
-           (Sim.Time.add wire_free propagation)
-           dir.arrive)
+      Sim.Engine.schedule_at t.engine
+        (Sim.Time.add wire_free propagation)
+        dir.arrive
 
 let busy t ~from =
   let dir = direction_from t from in

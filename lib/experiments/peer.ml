@@ -75,7 +75,7 @@ let rec arm_rto t s =
   if not s.rto_armed then begin
     s.rto_armed <- true;
     s.armed_base <- s.base;
-    ignore (Sim.Engine.schedule t.engine ~delay:rto s.on_rto)
+    Sim.Engine.schedule t.engine ~delay:rto s.on_rto
   end
 
 and rto_expired t s () =
@@ -159,7 +159,7 @@ let receive t frame =
                       (Sim.Time.diff ack_delay (Sim.Time.div_int spread 2))
                       (Sim.Rng.int rng (Int.max 1 spread))
               in
-              ignore (Sim.Engine.schedule t.engine ~delay sink.s_flush)
+              Sim.Engine.schedule t.engine ~delay sink.s_flush
             end)
     | None -> t.ignored <- t.ignored + 1
 

@@ -165,12 +165,11 @@ let start_traffic w ~frames =
   in
   let n_batches = (frames + batch - 1) / batch in
   for i = 0 to n_batches - 1 do
-    ignore
-      (Sim.Engine.schedule_at w.engine
-         (Sim.Time.add traffic_start (Sim.Time.mul_int interval i))
-         (fun () ->
-           send w.stack_a 1 i;
-           send w.stack_b 2 i))
+    Sim.Engine.schedule_at w.engine
+      (Sim.Time.add traffic_start (Sim.Time.mul_int interval i))
+      (fun () ->
+        send w.stack_a 1 i;
+        send w.stack_b 2 i)
   done;
   Sim.Time.add (Sim.Time.add traffic_start (Sim.Time.mul_int interval n_batches))
     (ms 10)
@@ -341,14 +340,13 @@ let run_cell ~mode ~seed ~frames ~baseline fault =
              then verdict
              else `Pass))
   | Out_of_sequence | Foreign_page | Over_length ->
-      ignore
-        (Sim.Engine.schedule_at w.engine attack_at (fun () ->
-             match mode with
-             | Cdna.Cdna_costs.Full ->
-                 attack_full w fault ~attempts:8 ~injected ~rejected
-             | Cdna.Cdna_costs.Iommu -> attack_iommu w fault ~injected
-             | Cdna.Cdna_costs.Disabled ->
-                 attack_disabled w fault ~frames:10 ~driver_out:rogue_nd)));
+      Sim.Engine.schedule_at w.engine attack_at (fun () ->
+          match mode with
+          | Cdna.Cdna_costs.Full ->
+              attack_full w fault ~attempts:8 ~injected ~rejected
+          | Cdna.Cdna_costs.Iommu -> attack_iommu w fault ~injected
+          | Cdna.Cdna_costs.Disabled ->
+              attack_disabled w fault ~frames:10 ~driver_out:rogue_nd));
   Sim.Engine.run w.engine ~until:traffic_end;
   let base_a, base_b = baseline in
   let injected =

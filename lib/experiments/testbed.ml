@@ -95,9 +95,8 @@ let make_bench b ~dom =
   let ack conn n =
     match Sim.Int_tbl.find_opt b.ack_peer (Workload.Connection.id conn) with
     | Some peer ->
-        ignore
-          (Sim.Engine.schedule b.b_engine ~delay:ack_wire_delay (fun () ->
-               Peer.on_ack peer conn n))
+        Sim.Engine.schedule b.b_engine ~delay:ack_wire_delay (fun () ->
+            Peer.on_ack peer conn n)
     | None -> ()
   in
   Workload.Bench_program.create b.b_engine

@@ -54,8 +54,6 @@ type t = {
   mutable entities : entity list; (* registration order, all CPUs *)
   mutable next_id : int;
   mutable migrations : int;
-  mutable replenish_ev : Sim.Engine.event_id option;
-  mutable stopped : bool;
 }
 
 (* The credit scheduler's replenish period. *)
@@ -114,9 +112,7 @@ let rec replenish t () =
         e.credits <- Int.min share (e.credits + share))
       t.entities
   end;
-  if not t.stopped then
-    t.replenish_ev <-
-      Some (Sim.Engine.schedule t.engine ~delay:credit_period (replenish t))
+  Sim.Engine.schedule t.engine ~delay:credit_period (replenish t)
 
 let[@cdna.hot] runnable e = not (Queue.is_empty e.queue)
 
@@ -195,9 +191,7 @@ and[@cdna.hot] execute t rq w e ~switch =
   rq.run_entity <- e;
   rq.run_start <- Sim.Engine.now t.engine;
   rq.run_switch <- switch;
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:(Sim.Time.add switch w.cost)
-       rq.complete)
+  Sim.Engine.schedule t.engine ~delay:(Sim.Time.add switch w.cost) rq.complete
 
 let trace_item t ~start ~total ~switch w e =
   let name, pid, tid =
@@ -255,8 +249,6 @@ let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
       entities = [];
       next_id = 0;
       migrations = 0;
-      replenish_ev = None;
-      stopped = false;
     }
   in
   Array.iter
@@ -265,17 +257,8 @@ let create engine ?(cpus = 1) ?(ctx_switch_cost = Sim.Time.ns 2_500)
         (complete t rq
         [@cdna.alloc_ok "one completion closure per runqueue, built once"]))
     t.rqs;
-  t.replenish_ev <-
-    Some (Sim.Engine.schedule engine ~delay:credit_period (replenish t));
+  Sim.Engine.schedule engine ~delay:credit_period (replenish t);
   t
-
-let stop t =
-  t.stopped <- true;
-  match t.replenish_ev with
-  | Some ev ->
-      Sim.Engine.cancel t.engine ev;
-      t.replenish_ev <- None
-  | None -> ()
 
 let num_cpus t = Array.length t.rqs
 

@@ -22,7 +22,9 @@
     lowest-index idle CPU, paying a one-shot IPI + cache-affinity penalty
     ([migration_cost]) on its next dispatch. Credit replenishment is
     global (an entity's share is independent of its runqueue), and all
-    scheduling decisions are deterministic.
+    scheduling decisions are deterministic. The replenish timer
+    reschedules itself every period for the engine's lifetime, so an
+    idle scheduler leaves exactly one pending event.
 
     With the default [cpus = 1] the scheduler is event-for-event identical
     to the historical single-CPU model.
@@ -46,11 +48,6 @@ val create :
   profile:Profile.t ->
   unit ->
   t
-
-(** [stop t] cancels the self-rescheduling credit-replenishment timer so a
-    torn-down host stops contributing live events to the engine. Idempotent;
-    work already queued still drains normally. *)
-val stop : t -> unit
 
 (** Number of simulated CPUs (runqueues). *)
 val num_cpus : t -> int

@@ -46,7 +46,7 @@ let request t =
     if Sim.Time.compare allowed now <= 0 then deliver t
     else begin
       t.armed <- true;
-      ignore (Sim.Engine.schedule_at t.engine allowed (fun () -> deliver t))
+      Sim.Engine.schedule_at t.engine allowed (fun () -> deliver t)
     end
   end
 

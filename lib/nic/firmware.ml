@@ -50,12 +50,12 @@ let rec process_loop t () =
       Mailbox.clear_event (mailbox t) ~ctx ~mbox;
       t.processed <- t.processed + 1;
       dispatch t ~ctx ~mbox;
-      ignore (Sim.Engine.schedule t.engine ~delay:t.process_cost (process_loop t))
+      Sim.Engine.schedule t.engine ~delay:t.process_cost (process_loop t)
 
 let on_event t () =
   if not t.running then begin
     t.running <- true;
-    ignore (Sim.Engine.schedule t.engine ~delay:t.process_cost (process_loop t))
+    Sim.Engine.schedule t.engine ~delay:t.process_cost (process_loop t)
   end
 
 let create engine ~dp ~process_cost () =

@@ -2,97 +2,60 @@
    record. A boxed event record per schedule is the single largest cost
    of the event loop: every pending record stays live in the queue, so
    each one is promoted out of the minor heap and churns the write
-   barrier. Instead, the heap key carries the time, the heap's FIFO seq
-   carries the ordering, and cancellation goes through the heap's
-   stable entry handles: cancelling replaces the stored callback with
-   the private [cancelled] marker, which the pop loop skips by physical
-   equality. Handles go stale on pop, so cancelling an event that
-   already fired is a no-op without any per-event [fired] flag. *)
-
-type event_id = int
+   barrier. Instead, the heap key carries the time and the heap's FIFO
+   seq carries the ordering. *)
 
 type t = {
   mutable now : Time.t;
   mutable fired : int;
-  mutable live : int;
   queue : (unit -> unit) Heap.t;
 }
 
-(* Marker closures, distinguished from user callbacks by physical
-   equality. [dummy_fn] fills vacated heap slots (never popped);
-   [cancelled] replaces the callback of a cancelled event. *)
+(* Fills vacated heap slots; never popped. *)
 let dummy_fn : unit -> unit = fun () -> ()
-let cancelled : unit -> unit = fun () -> ()
 
 let create ?max_pending () =
   {
     now = Time.zero;
     fired = 0;
-    live = 0;
     queue = Heap.create ?max_entries:max_pending ~dummy:dummy_fn ();
   }
 
 let[@cdna.hot] now t = t.now
 let fired_count t = t.fired
 let pending_count t = Heap.length t.queue
-let live_pending_count t = t.live
 
 let[@cdna.hot] schedule_at t time fn =
   if Time.compare time t.now < 0 then
     invalid_arg "Engine.schedule_at: time in the past";
-  (* Count the event only after the push succeeded: [push_handle] raises
-     on heap exhaustion without mutating the heap, and bumping [live]
-     first would leave the gauge permanently off by one. *)
-  let id = Heap.push_handle t.queue ~key:(Time.to_ns time) fn in
-  t.live <- t.live + 1;
-  id
+  Heap.push t.queue ~key:(Time.to_ns time) fn
 
 let[@cdna.hot] schedule t ~delay fn =
   if Time.compare delay Time.zero < 0 then
     invalid_arg "Engine.schedule: negative delay";
   schedule_at t (Time.add t.now delay) fn
 
-let cancel t id =
-  match Heap.get t.queue id with
-  | Some fn when fn != cancelled ->
-      ignore (Heap.set t.queue id cancelled);
-      t.live <- t.live - 1
-  | Some _ | None -> ()
-
-let[@inline] [@cdna.hot] fire t ~time fn =
-  t.now <- time;
+(* Dispatch is built on the heap's [_exn] accessors guarded by
+   [is_empty], so firing an event allocates no option per iteration. *)
+let[@inline] [@cdna.hot] fire t ~key =
+  let fn = Heap.pop_exn t.queue in
+  t.now <- Time.ns key;
   t.fired <- t.fired + 1;
-  t.live <- t.live - 1;
   fn ()
 
-(* Dispatch is built on the heap's [_exn] accessors guarded by
-   [is_empty], so draining an event allocates no option per iteration. *)
-let[@cdna.hot] rec step t =
+let[@cdna.hot] step t =
   if Heap.is_empty t.queue then false
   else begin
-    let k = Heap.min_key_exn t.queue in
-    let fn = Heap.pop_exn t.queue in
-    if fn == cancelled then step t
-    else begin
-      fire t ~time:(Time.ns k) fn;
-      true
-    end
+    fire t ~key:(Heap.min_key_exn t.queue);
+    true
   end
 
-(* The horizon check applies uniformly before any pop — including
-   cancelled entries. Sweeping a cancelled entry whose key lies beyond
-   [until_ns] would shrink [pending_count] for events the drain window
-   never reached, diverging from [step]'s accounting. *)
 let[@cdna.hot] rec drain t ~until_ns =
   if not (Heap.is_empty t.queue) then begin
     let k = Heap.min_key_exn t.queue in
     if k <= until_ns then begin
-      let fn = Heap.pop_exn t.queue in
-      if fn == cancelled then drain t ~until_ns
-      else begin
-        fire t ~time:(Time.ns k) fn;
-        drain t ~until_ns
-      end
+      fire t ~key:k;
+      drain t ~until_ns
     end
   end
 
@@ -109,5 +72,5 @@ let run_to_completion ?(limit = max_int) t =
   loop 0
 
 let register_metrics t m =
-  Metrics.gauge m "engine.pending" (fun () -> live_pending_count t);
+  Metrics.gauge m "engine.pending" (fun () -> pending_count t);
   Metrics.gauge m "engine.fired" (fun () -> t.fired)

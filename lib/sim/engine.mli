@@ -2,12 +2,10 @@
 
     A single-threaded event loop over simulated {!Time.t}. Events scheduled
     for the same instant fire in scheduling order (FIFO), which makes runs
-    deterministic. Event callbacks may schedule and cancel further events. *)
+    deterministic. Every scheduled event fires: event callbacks may
+    schedule further events, and nothing withdraws one. *)
 
 type t
-
-(** Handle for a scheduled event, usable with {!cancel}. *)
-type event_id
 
 (** [create ()] makes an empty engine. [max_pending] caps concurrently
     pending events (default [2^24]); a schedule beyond the cap raises
@@ -20,25 +18,16 @@ val now : t -> Time.t
 (** Number of events that have fired so far. *)
 val fired_count : t -> int
 
-(** Number of events currently pending (including cancelled-but-unswept). *)
+(** Number of events scheduled but not yet fired. *)
 val pending_count : t -> int
-
-(** Number of pending events that will actually fire: cancelled events
-    still sitting in the queue are not counted. This is the number the
-    [engine.pending] gauge reports. *)
-val live_pending_count : t -> int
 
 (** [schedule t ~delay fn] runs [fn] at [now t + delay].
     @raise Invalid_argument if [delay] is negative. *)
-val schedule : t -> delay:Time.t -> (unit -> unit) -> event_id
+val schedule : t -> delay:Time.t -> (unit -> unit) -> unit
 
 (** [schedule_at t time fn] runs [fn] at absolute [time].
     @raise Invalid_argument if [time] is in the past. *)
-val schedule_at : t -> Time.t -> (unit -> unit) -> event_id
-
-(** [cancel t id] prevents the event from firing. Cancelling an event that
-    already fired or was already cancelled is a no-op. *)
-val cancel : t -> event_id -> unit
+val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 
 (** [run t ~until] fires events in order until the queue empties or the next
     event is strictly after [until]; time then advances to [until]. *)
@@ -48,6 +37,6 @@ val run : t -> until:Time.t -> unit
     events have fired. Returns [`Completed] or [`Event_limit]. *)
 val run_to_completion : ?limit:int -> t -> [ `Completed | `Event_limit ]
 
-(** Expose the engine's counters as gauges: [engine.pending] (live
-    events only, via {!live_pending_count}) and [engine.fired]. *)
+(** Expose the engine's counters as gauges: [engine.pending]
+    ({!pending_count}) and [engine.fired]. *)
 val register_metrics : t -> Metrics.t -> unit

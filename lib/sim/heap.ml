@@ -1,4 +1,4 @@
-(* Unboxed 4-ary min-heap keyed by int, with stable entry handles.
+(* Unboxed 4-ary min-heap keyed by int.
 
    Layout is chosen for the sift-down cache behavior that dominates the
    event-queue hot path:
@@ -15,13 +15,6 @@
      consult them only when two keys are actually equal, which keeps
      the common sift step at one key load per child.
 
-   The per-slot seq doubles as a generation: a handle packs
-   (seq lsl 24) lor slot, and [seqs.(slot)] is reset to -1 when the slot
-   is freed, so handles to popped entries go stale automatically. This
-   is what lets the engine cancel events in O(1) without boxing a
-   per-event record (keeping every pending event's record live is the
-   single largest GC cost of a boxed design).
-
    Vacated [vals] slots are overwritten with [dummy] so a popped
    payload is not pinned by the heap until the slot is reused. *)
 
@@ -30,7 +23,7 @@ type 'a t = {
   limit : int; (* hard cap on concurrently pending entries *)
   mutable nodes : int array; (* stride 2: key, slot *)
   mutable vals : 'a array; (* arena, indexed by slot *)
-  mutable seqs : int array; (* arena: seq while pending, -1 when free *)
+  mutable seqs : int array; (* arena: FIFO seq of the pending entry *)
   mutable free : int array; (* stack of reusable slots *)
   mutable free_top : int;
   mutable arena_used : int;
@@ -38,12 +31,8 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let slot_bits = 24
-let slot_mask = (1 lsl slot_bits) - 1
-
-let create ?(max_entries = slot_mask + 1) ~dummy () =
-  if max_entries <= 0 || max_entries > slot_mask + 1 then
-    invalid_arg "Heap.create: max_entries out of range";
+let create ?(max_entries = 1 lsl 24) ~dummy () =
+  if max_entries <= 0 then invalid_arg "Heap.create: non-positive max_entries";
   {
     dummy;
     limit = max_entries;
@@ -66,7 +55,7 @@ let grow h =
   let nc = Stdlib.min h.limit (if cap = 0 then 16 else cap * 2) in
   let nodes = Array.make (2 * nc) 0 in
   let vals = Array.make nc h.dummy in
-  let seqs = Array.make nc (-1) in
+  let seqs = Array.make nc 0 in
   Array.blit h.nodes 0 nodes 0 (2 * h.size);
   Array.blit h.vals 0 vals 0 h.arena_used;
   Array.blit h.seqs 0 seqs 0 h.arena_used;
@@ -84,7 +73,7 @@ let ensure_free h =
     h.free <- free
   end
 
-let[@cdna.hot] push_handle h ~key v =
+let[@cdna.hot] push h ~key v =
   if h.size = Array.length h.vals then
     (grow h [@cdna.alloc_ok "amortized capacity doubling, not steady state"]);
   let slot =
@@ -121,32 +110,11 @@ let[@cdna.hot] push_handle h ~key v =
     else continue := false
   done;
   Array.unsafe_set nodes (2 * !i) key;
-  Array.unsafe_set nodes ((2 * !i) + 1) slot;
-  (seq lsl slot_bits) lor slot
+  Array.unsafe_set nodes ((2 * !i) + 1) slot
 
-let[@cdna.hot] push h ~key v = ignore (push_handle h ~key v)
-
-let[@inline] [@cdna.hot] handle_live h handle =
-  let slot = handle land slot_mask in
-  slot < Array.length h.seqs
-  && Array.unsafe_get h.seqs slot = handle lsr slot_bits
-
-let get h handle =
-  if handle_live h handle then
-    Some (Array.unsafe_get h.vals (handle land slot_mask))
-  else None
-
-let[@cdna.hot] set h handle v =
-  if handle_live h handle then begin
-    Array.unsafe_set h.vals (handle land slot_mask) v;
-    true
-  end
-  else false
-
-(* The [_exn] accessors are the primitives: they return unboxed results
-   and raise only off the steady-state path, so the engine's dispatch
-   loop never allocates an option per event. The option-returning
-   variants below wrap them for callers off the hot path. *)
+(* The [_exn] accessors return unboxed results and raise only off the
+   steady-state path, so the engine's dispatch loop, guarded by
+   [is_empty], never allocates an option per event. *)
 
 let[@cdna.hot] min_key_exn h =
   if h.size = 0 then invalid_arg "Heap.min_key_exn: empty heap"
@@ -159,10 +127,8 @@ let[@cdna.hot] pop_exn h =
     let seqs = h.seqs in
     let slot0 = Array.unsafe_get nodes 1 in
     let v = Array.unsafe_get h.vals slot0 in
-    (* Release the slot so the heap does not pin [v], and stale any
-       handle to it. *)
+    (* Release the slot so the heap does not pin [v]. *)
     Array.unsafe_set h.vals slot0 h.dummy;
-    Array.unsafe_set seqs slot0 (-1);
     (ensure_free h
     [@cdna.alloc_ok "lazy one-time free-stack growth, not steady state"]);
     Array.unsafe_set h.free h.free_top slot0;
@@ -218,5 +184,3 @@ let[@cdna.hot] pop_exn h =
     end;
     v
   end
-
-let pop h = if h.size = 0 then None else Some (pop_exn h)

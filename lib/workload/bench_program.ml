@@ -54,12 +54,11 @@ let rec refill t s =
     let now = Sim.Engine.now t.engine in
     if not (Pattern.Throttle.ready s.pacer ~now) then begin
       s.refill_scheduled <- true;
-      ignore
-        (Sim.Engine.schedule t.engine
-           ~delay:(Pattern.Throttle.wait s.pacer ~now)
-           (fun () ->
-             s.refill_scheduled <- false;
-             refill t s))
+      Sim.Engine.schedule t.engine
+        ~delay:(Pattern.Throttle.wait s.pacer ~now)
+        (fun () ->
+          s.refill_scheduled <- false;
+          refill t s)
     end
     else refill_now t s
   end

@@ -170,10 +170,9 @@ let[@cdna.hot] expire_syns t now_ns =
 let[@cdna.hot] kick_server t =
   if not t.server_busy && t.rhead <> t.rtail then begin
     t.server_busy <- true;
-    ignore
-      (Sim.Engine.schedule t.engine
-         ~delay:(Sim.Time.ns (service_ns t))
-         t.service_cb)
+    Sim.Engine.schedule t.engine
+      ~delay:(Sim.Time.ns (service_ns t))
+      t.service_cb
   end
 
 (* Admit one flow: the per-arrival hot path. *)
@@ -205,7 +204,7 @@ let[@cdna.hot] do_arrival t =
   end;
   let gap = Pattern.Arrival.next_gap t.arrivals in
   if t.stop_at_ns = 0 || now_ns + gap <= t.stop_at_ns then
-    ignore (Sim.Engine.schedule t.engine ~delay:(Sim.Time.ns gap) t.arrival_cb)
+    Sim.Engine.schedule t.engine ~delay:(Sim.Time.ns gap) t.arrival_cb
 
 (* Serve one packet of the flow at the ring head: the per-packet hot
    path. Completion records latency into the class histogram. *)
@@ -226,10 +225,9 @@ let[@cdna.hot] do_service t =
         lat
     end;
     if t.rhead <> t.rtail then
-      ignore
-        (Sim.Engine.schedule t.engine
-           ~delay:(Sim.Time.ns (service_ns t))
-           t.service_cb)
+      Sim.Engine.schedule t.engine
+        ~delay:(Sim.Time.ns (service_ns t))
+        t.service_cb
     else t.server_busy <- false
   end
 
@@ -305,7 +303,7 @@ let preload t ~flows =
 let start t ~stop_at =
   t.stop_at_ns <- Sim.Time.to_ns stop_at;
   let gap = Pattern.Arrival.next_gap t.arrivals in
-  ignore (Sim.Engine.schedule t.engine ~delay:(Sim.Time.ns gap) t.arrival_cb);
+  Sim.Engine.schedule t.engine ~delay:(Sim.Time.ns gap) t.arrival_cb;
   kick_server t
 
 let table t = t.table

@@ -726,9 +726,8 @@ let test_revocation_under_load () =
   send stack1 1 200;
   send stack2 2 200;
   (* Revoke guest 1 while its packets are in flight. *)
-  ignore
-    (Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us 200) (fun () ->
-         Cdna.Hyp.revoke fx.cdna h1));
+  Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us 200) (fun () ->
+      Cdna.Hyp.revoke fx.cdna h1);
   run fx 60;
   check_bool "guest1 revoked" true (Cdna.Hyp.is_revoked h1);
   check_int "guest1 pins dropped" 0 (Cdna.Hyp.pinned_pages h1);

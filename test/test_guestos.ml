@@ -316,9 +316,8 @@ let test_native_driver_ring_wraps () =
               ~dst:(Ethernet.Mac_addr.make 9) ())
       in
       Guestos.Net_stack.send fx.nf_stack frames;
-      ignore
-        (Sim.Engine.schedule fx.nf_engine ~delay:(Sim.Time.ms 1) (fun () ->
-             send_batch (i + n)))
+      Sim.Engine.schedule fx.nf_engine ~delay:(Sim.Time.ms 1) (fun () ->
+          send_batch (i + n))
     end
   in
   send_batch 0;

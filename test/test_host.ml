@@ -237,10 +237,9 @@ let test_cpu_boost_on_wake () =
     Host.Cpu.post cpu busy ~category:(Host.Category.Kernel 0) ~cost:(us 10) feed
   in
   feed ();
-  ignore
-    (Sim.Engine.schedule engine ~delay:(us 55) (fun () ->
-         Host.Cpu.post cpu sleeper ~category:(Host.Category.Kernel 1)
-           ~cost:(us 1) (fun () -> woke_at := Sim.Engine.now engine)));
+  Sim.Engine.schedule engine ~delay:(us 55) (fun () ->
+      Host.Cpu.post cpu sleeper ~category:(Host.Category.Kernel 1)
+        ~cost:(us 1) (fun () -> woke_at := Sim.Engine.now engine));
   run_for engine (Sim.Time.ms 5);
   (* Without boost the sleeper would wait for the 10ms slice to expire. *)
   check_bool "woken promptly" true (!woke_at < us 100)
@@ -302,23 +301,27 @@ let test_cpu_busy_matches_profile () =
   check_int "total busy = profile busy" (Host.Profile.busy profile |> Sim.Time.to_ns)
     (Host.Cpu.total_busy cpu |> Sim.Time.to_ns)
 
-let test_cpu_stop_cancels_replenish () =
-  (* Regression: the credit-replenish timer used to reschedule itself
-     forever with an [ignore]d handle, so a finished simulation's engine
-     never drained. [stop] must cancel it. *)
-  let engine, _, cpu = make_cpu () in
+let test_cpu_idle_one_replenish_event () =
+  (* The credit-replenish timer reschedules itself once per firing, so
+     however long a scheduler runs, once idle it leaves exactly one
+     pending event: the timer never duplicates. *)
+  let engine, _, cpu = make_cpu ~cpus:2 () in
+  check_int "one timer at creation" 1 (Sim.Engine.pending_count engine);
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
-  Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 5) ignore;
-  run_for engine (Sim.Time.ms 1);
-  check_bool "replenish timer keeps the engine live" true
-    (Sim.Engine.live_pending_count engine > 0);
-  Host.Cpu.stop cpu;
-  check_int "stopped cpu leaves no live events" 0
-    (Sim.Engine.live_pending_count engine);
-  (* Idempotent, and the engine stays drained over any horizon. *)
-  Host.Cpu.stop cpu;
-  run_for engine (Sim.Time.ms 500);
-  check_int "still drained" 0 (Sim.Engine.live_pending_count engine)
+  let b = Host.Cpu.add_entity cpu ~name:"b" ~weight:512 ~domain:1 in
+  List.iter
+    (fun until ->
+      for _ = 1 to 20 do
+        Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 40)
+          ignore;
+        Host.Cpu.post cpu b ~category:(Host.Category.Kernel 1) ~cost:(us 70)
+          ignore;
+        Host.Cpu.post_irq cpu ~cost:(us 3) ignore
+      done;
+      run_for engine until;
+      check_bool "idle" true (Host.Cpu.is_idle cpu);
+      check_int "one pending event" 1 (Sim.Engine.pending_count engine))
+    [ Sim.Time.ms 5; Sim.Time.ms 31; Sim.Time.ms 95; Sim.Time.ms 400 ]
 
 let test_cpu_credits_integer_exact () =
   (* Regression: credits were a [float] microsecond count; replenishment
@@ -367,10 +370,9 @@ let test_smp_wake_migrates_to_idle_cpu () =
   in
   feed ();
   let c_done = ref 0 in
-  ignore
-    (Sim.Engine.schedule engine ~delay:(us 5) (fun () ->
-         Host.Cpu.post cpu c ~category:(Host.Category.Kernel 2) ~cost:(us 10)
-           (fun () -> c_done := Sim.Engine.now engine)));
+  Sim.Engine.schedule engine ~delay:(us 5) (fun () ->
+      Host.Cpu.post cpu c ~category:(Host.Category.Kernel 2) ~cost:(us 10)
+        (fun () -> c_done := Sim.Engine.now engine));
   run_for engine (Sim.Time.us 200);
   check_int "one migration" 1 (Host.Cpu.migrations cpu);
   check_int "c now on cpu1" 1 (Host.Cpu.cpu_of c);
@@ -452,8 +454,8 @@ let suite =
         Alcotest.test_case "zero cost work" `Quick test_cpu_zero_cost_work;
         Alcotest.test_case "rejects negative" `Quick test_cpu_rejects_negative;
         Alcotest.test_case "busy matches profile" `Quick test_cpu_busy_matches_profile;
-        Alcotest.test_case "stop cancels replenish" `Quick
-          test_cpu_stop_cancels_replenish;
+        Alcotest.test_case "idle cpu holds one replenish event" `Quick
+          test_cpu_idle_one_replenish_event;
         Alcotest.test_case "credits are exact integers" `Quick
           test_cpu_credits_integer_exact;
       ] );

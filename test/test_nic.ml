@@ -128,9 +128,8 @@ let test_coalesce_caps_rate () =
   in
   (* 1000 requests over 1 ms -> at most ~11 fires with a 100 us gap. *)
   for i = 0 to 999 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(Sim.Time.ns (i * 1000)) (fun () ->
-           Nic.Coalesce.request c))
+    Sim.Engine.schedule engine ~delay:(Sim.Time.ns (i * 1000)) (fun () ->
+        Nic.Coalesce.request c)
   done;
   ignore (Sim.Engine.run_to_completion engine);
   check_bool (Printf.sprintf "capped (%d)" !fires) true (!fires <= 11);
@@ -143,9 +142,8 @@ let test_coalesce_immediate_when_idle () =
     Nic.Coalesce.create engine ~min_gap:(Sim.Time.us 100) ~fire:(fun () ->
         fired_at := Sim.Engine.now engine)
   in
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 500) (fun () ->
-         Nic.Coalesce.request c));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 500) (fun () ->
+      Nic.Coalesce.request c);
   ignore (Sim.Engine.run_to_completion engine);
   check_int "immediate" (Sim.Time.us 500) !fired_at
 
@@ -162,19 +160,16 @@ let test_coalesce_accounting_invariant () =
     check_int label (Nic.Coalesce.requests c)
       (Nic.Coalesce.fired c + Nic.Coalesce.suppressed c)
   in
-  ignore
-    (Sim.Engine.schedule engine ~delay:0 (fun () ->
-         Nic.Coalesce.request c;
-         check_invariant "after immediate fire"));
+  Sim.Engine.schedule engine ~delay:0 (fun () ->
+      Nic.Coalesce.request c;
+      check_invariant "after immediate fire");
   (* 30us after the fire: inside the gap, so this arms a deferred firing. *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 30) (fun () ->
-         Nic.Coalesce.request c;
-         check_invariant "while pending"));
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 50) (fun () ->
-         Nic.Coalesce.request c;
-         check_invariant "merged into pending"));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 30) (fun () ->
+      Nic.Coalesce.request c;
+      check_invariant "while pending");
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 50) (fun () ->
+      Nic.Coalesce.request c;
+      check_invariant "merged into pending");
   ignore (Sim.Engine.run_to_completion engine);
   check_invariant "after drain";
   check_int "requests" 3 (Nic.Coalesce.requests c);
@@ -520,13 +515,12 @@ let test_dp_congestion_watermarks () =
   (* No rx ring: packets pile into the buffer. 8 kB capacity, ~1538 B
      frames: congested above 6 kB, i.e. after the 4th frame. *)
   for i = 0 to 4 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(Sim.Time.us (i * 20)) (fun () ->
-           Ethernet.Link.send link ~from:Ethernet.Link.B
-             (Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 500)
-                ~dst:(Ethernet.Mac_addr.make 1) ~kind:Ethernet.Frame.Data
-                ~flow:0 ~seq:i ~payload_len:1500 ~payload_seed:0 ())
-             ~on_wire_free:ignore))
+    Sim.Engine.schedule engine ~delay:(Sim.Time.us (i * 20)) (fun () ->
+        Ethernet.Link.send link ~from:Ethernet.Link.B
+          (Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 500)
+             ~dst:(Ethernet.Mac_addr.make 1) ~kind:Ethernet.Frame.Data
+             ~flow:0 ~seq:i ~payload_len:1500 ~payload_seed:0 ())
+          ~on_wire_free:ignore)
   done;
   Sim.Engine.run engine ~until:(Sim.Time.ms 1);
   check_bool "congested" true (Nic.Dp.rx_congested dp);
@@ -945,10 +939,9 @@ let prop_dp_conserves_frames =
       (* Spread the sends over time so rings never overflow (8 slots). *)
       List.iteri
         (fun i (ctx, len) ->
-          ignore
-            (Sim.Engine.schedule fx.engine
-               ~delay:(Sim.Time.us (i * 120))
-               (fun () -> send_one fx drivers.(ctx) ~len ())))
+          Sim.Engine.schedule fx.engine
+            ~delay:(Sim.Time.us (i * 120))
+            (fun () -> send_one fx drivers.(ctx) ~len ()))
         sends;
       Sim.Engine.run fx.engine ~until:(Sim.Time.ms 50);
       let completions =

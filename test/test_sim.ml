@@ -63,16 +63,58 @@ let test_heap_fifo_ties () =
 let test_heap_empty () =
   let h = Sim.Heap.create ~dummy:0 () in
   check_bool "empty" true (Sim.Heap.is_empty h);
-  check Alcotest.(option int) "pop none" None (Sim.Heap.pop h);
+  check_int "length zero" 0 (Sim.Heap.length h);
   Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
     (fun () -> ignore (Sim.Heap.pop_exn h));
   Alcotest.check_raises "min_key_exn"
     (Invalid_argument "Heap.min_key_exn: empty heap") (fun () ->
-      ignore (Sim.Heap.min_key_exn h))
+      ignore (Sim.Heap.min_key_exn h));
+  (* Emptied by pops, the heap raises the same way: a pop never hands
+     out the dummy. *)
+  Sim.Heap.push h ~key:1 7;
+  check_int "pop_exn" 7 (Sim.Heap.pop_exn h);
+  check_bool "empty again" true (Sim.Heap.is_empty h);
+  Alcotest.check_raises "pop_exn after drain"
+    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
+      ignore (Sim.Heap.pop_exn h))
+
+let test_heap_fifo_after_slot_reuse () =
+  (* Popped slots are reused last-freed first, so after churn the slot
+     order no longer matches insertion order; equal keys must still pop
+     in insertion order. *)
+  let h = Sim.Heap.create ~dummy:0 () in
+  for v = 1 to 6 do
+    Sim.Heap.push h ~key:v v
+  done;
+  for _ = 1 to 4 do
+    ignore (Sim.Heap.pop_exn h)
+  done;
+  List.iter (fun v -> Sim.Heap.push h ~key:10 v) [ 100; 101; 102; 103; 104 ];
+  let out = List.init 7 (fun _ -> Sim.Heap.pop_exn h) in
+  check (Alcotest.list Alcotest.int) "fifo among equal keys"
+    [ 5; 6; 100; 101; 102; 103; 104 ] out
+
+let test_heap_cap () =
+  (* [max_entries] bounds the pending entries; a push past it raises
+     and leaves the heap as it was. *)
+  Alcotest.check_raises "non-positive cap"
+    (Invalid_argument "Heap.create: non-positive max_entries") (fun () ->
+      ignore (Sim.Heap.create ~max_entries:0 ~dummy:0 ()));
+  let h = Sim.Heap.create ~max_entries:3 ~dummy:0 () in
+  List.iter (fun v -> Sim.Heap.push h ~key:v v) [ 3; 1; 2 ];
+  Alcotest.check_raises "push past cap"
+    (Invalid_argument "Heap: too many pending entries") (fun () ->
+      Sim.Heap.push h ~key:0 0);
+  check_int "length unchanged" 3 (Sim.Heap.length h);
+  check_int "min unchanged" 1 (Sim.Heap.min_key_exn h);
+  let out = List.init 3 (fun _ -> Sim.Heap.pop_exn h) in
+  check (Alcotest.list Alcotest.int) "contents unchanged" [ 1; 2; 3 ] out;
+  (* Below the cap again, pushes succeed. *)
+  Sim.Heap.push h ~key:4 4;
+  check_int "refilled" 4 (Sim.Heap.pop_exn h)
 
 let test_heap_exn_accessors () =
-  (* The option-free primitives must agree with their wrappers and leave
-     the heap untouched. *)
+  (* [min_key_exn] reads the minimum without popping it. *)
   let h = Sim.Heap.create ~dummy:0 () in
   List.iter (fun v -> Sim.Heap.push h ~key:v v) [ 7; 4; 6 ];
   check_int "min_key_exn" 4 (Sim.Heap.min_key_exn h);
@@ -114,9 +156,9 @@ let prop_heap_sorts =
 let test_engine_ordering () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore (Sim.Engine.schedule e ~delay:30 (fun () -> log := 30 :: !log));
-  ignore (Sim.Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log));
-  ignore (Sim.Engine.schedule e ~delay:20 (fun () -> log := 20 :: !log));
+  Sim.Engine.schedule e ~delay:30 (fun () -> log := 30 :: !log);
+  Sim.Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log);
+  Sim.Engine.schedule e ~delay:20 (fun () -> log := 20 :: !log);
   ignore (Sim.Engine.run_to_completion e);
   check (Alcotest.list Alcotest.int) "order" [ 10; 20; 30 ] (List.rev !log)
 
@@ -124,7 +166,7 @@ let test_engine_same_time_fifo () =
   let e = Sim.Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.Engine.schedule e ~delay:100 (fun () -> log := i :: !log))
+    Sim.Engine.schedule e ~delay:100 (fun () -> log := i :: !log)
   done;
   ignore (Sim.Engine.run_to_completion e);
   check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -132,26 +174,16 @@ let test_engine_same_time_fifo () =
 let test_engine_time_advances () =
   let e = Sim.Engine.create () in
   let seen = ref (-1) in
-  ignore (Sim.Engine.schedule e ~delay:500 (fun () -> seen := Sim.Engine.now e));
+  Sim.Engine.schedule e ~delay:500 (fun () -> seen := Sim.Engine.now e);
   ignore (Sim.Engine.run_to_completion e);
   check_int "time at fire" 500 !seen;
   check_int "now after" 500 (Sim.Engine.now e)
-
-let test_engine_cancel () =
-  let e = Sim.Engine.create () in
-  let fired = ref false in
-  let id = Sim.Engine.schedule e ~delay:10 (fun () -> fired := true) in
-  Sim.Engine.cancel e id;
-  ignore (Sim.Engine.run_to_completion e);
-  check_bool "not fired" false !fired;
-  (* double cancel is a no-op *)
-  Sim.Engine.cancel e id
 
 let test_engine_run_until () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Sim.Engine.schedule e ~delay:(i * 10) (fun () -> incr count))
+    Sim.Engine.schedule e ~delay:(i * 10) (fun () -> incr count)
   done;
   Sim.Engine.run e ~until:50;
   check_int "five fired" 5 !count;
@@ -162,103 +194,87 @@ let test_engine_run_until () =
 let test_engine_nested_schedule () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore
-    (Sim.Engine.schedule e ~delay:10 (fun () ->
-         log := `A :: !log;
-         ignore (Sim.Engine.schedule e ~delay:5 (fun () -> log := `B :: !log))));
+  Sim.Engine.schedule e ~delay:10 (fun () ->
+      log := `A :: !log;
+      Sim.Engine.schedule e ~delay:5 (fun () -> log := `B :: !log));
   ignore (Sim.Engine.run_to_completion e);
   check_int "both fired" 2 (List.length !log);
   check_int "final time" 15 (Sim.Engine.now e)
 
 let test_engine_rejects_past () =
   let e = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule e ~delay:10 (fun () -> ()));
+  Sim.Engine.schedule e ~delay:10 (fun () -> ());
   ignore (Sim.Engine.run_to_completion e);
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> ignore (Sim.Engine.schedule_at e 5 (fun () -> ())));
+    (fun () -> Sim.Engine.schedule_at e 5 (fun () -> ()));
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
-      ignore (Sim.Engine.schedule e ~delay:(-1) (fun () -> ())))
+      Sim.Engine.schedule e ~delay:(-1) (fun () -> ()))
 
 let test_engine_event_limit () =
   let e = Sim.Engine.create () in
   (* Self-perpetuating event chain. *)
-  let rec loop () = ignore (Sim.Engine.schedule e ~delay:1 loop) in
+  let rec loop () = Sim.Engine.schedule e ~delay:1 loop in
   loop ();
   match Sim.Engine.run_to_completion ~limit:100 e with
   | `Event_limit -> check_int "fired" 100 (Sim.Engine.fired_count e)
   | `Completed -> Alcotest.fail "should have hit the limit"
 
-let test_engine_live_pending () =
+let test_engine_pending_gauge () =
+  (* [engine.pending] reads the queue length: every scheduled event is
+     counted until it fires. *)
   let e = Sim.Engine.create () in
-  let a = Sim.Engine.schedule e ~delay:10 (fun () -> ()) in
-  ignore (Sim.Engine.schedule e ~delay:20 (fun () -> ()));
-  check_int "two live" 2 (Sim.Engine.live_pending_count e);
-  Sim.Engine.cancel e a;
-  check_int "cancelled not counted" 1 (Sim.Engine.live_pending_count e);
-  Sim.Engine.cancel e a;
-  check_int "double cancel no-op" 1 (Sim.Engine.live_pending_count e);
-  (* The queue still physically holds the cancelled tombstone. *)
-  check_int "queue holds both" 2 (Sim.Engine.pending_count e);
+  let m = Sim.Metrics.create () in
+  Sim.Engine.register_metrics e m;
+  let pending () = List.assoc "engine.pending" (Sim.Metrics.snapshot m) in
+  let gauge_is label n = check_bool label true (pending () = Sim.Json.Int n) in
+  gauge_is "empty" 0;
+  Sim.Engine.schedule e ~delay:10 (fun () ->
+      gauge_is "firing event already counted out" 1;
+      Sim.Engine.schedule e ~delay:5 ignore);
+  Sim.Engine.schedule e ~delay:20 ignore;
+  gauge_is "two scheduled" 2;
+  Sim.Engine.run e ~until:12;
+  gauge_is "one fired, one added" 2;
+  check_int "pending_count agrees" 2 (Sim.Engine.pending_count e);
   ignore (Sim.Engine.run_to_completion e);
-  check_int "drained" 0 (Sim.Engine.live_pending_count e)
+  gauge_is "drained" 0;
+  check_bool "fired gauge" true
+    (List.assoc "engine.fired" (Sim.Metrics.snapshot m) = Sim.Json.Int 3)
 
 (* ---------- Engine accounting ---------- *)
 
-(* A cancelled entry whose key lies beyond the horizon must survive a
-   drain: the horizon check applies before any pop, cancelled or not. *)
-let test_drain_past_horizon_cancelled () =
-  let e = Sim.Engine.create () in
-  let fired = ref 0 in
-  ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 10) (fun () -> incr fired));
-  let far = Sim.Engine.schedule e ~delay:(Sim.Time.ns 100) (fun () -> incr fired) in
-  let far2 = Sim.Engine.schedule e ~delay:(Sim.Time.ns 200) (fun () -> incr fired) in
-  Sim.Engine.cancel e far;
-  Sim.Engine.cancel e far2;
-  Sim.Engine.run e ~until:(Sim.Time.ns 50);
-  check_int "one event fired" 1 !fired;
-  (* The cancelled entries beyond the horizon must still be queued
-     (unswept), not silently popped by the drain. *)
-  check_int "cancelled entries still pending" 2 (Sim.Engine.pending_count e);
-  check_int "live count excludes cancelled" 0 (Sim.Engine.live_pending_count e);
-  Sim.Engine.run e ~until:(Sim.Time.ns 300);
-  check_int "cancelled events never fire" 1 !fired;
-  check_int "queue empty after horizon passes" 0 (Sim.Engine.pending_count e)
-
-(* Horizon semantics unchanged for live events: an event exactly at the
-   horizon fires, one beyond it does not. *)
+(* An event exactly at the horizon fires, one beyond it does not. *)
 let test_drain_horizon_inclusive () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 50) (fun () -> log := 50 :: !log));
-  ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 51) (fun () -> log := 51 :: !log));
+  Sim.Engine.schedule e ~delay:(Sim.Time.ns 50) (fun () -> log := 50 :: !log);
+  Sim.Engine.schedule e ~delay:(Sim.Time.ns 51) (fun () -> log := 51 :: !log);
   Sim.Engine.run e ~until:(Sim.Time.ns 50);
   check (Alcotest.list Alcotest.int) "at-horizon fires" [ 50 ] !log;
-  check_int "beyond-horizon pends" 1 (Sim.Engine.live_pending_count e)
+  check_int "beyond-horizon pends" 1 (Sim.Engine.pending_count e)
 
-(* A schedule rejected by the heap cap must leave the live count (and
-   the queue) untouched — the increment happens only after the push. *)
-let test_heap_full_live_consistency () =
+(* A schedule rejected by the heap cap must leave the pending count and
+   the queue untouched. *)
+let test_heap_full_pending_consistency () =
   let e = Sim.Engine.create ~max_pending:4 () in
   for _ = 1 to 4 do
-    ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ()))
+    Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ())
   done;
-  check_int "at cap" 4 (Sim.Engine.live_pending_count e);
+  check_int "at cap" 4 (Sim.Engine.pending_count e);
   (try
-     ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ()));
+     Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ());
      Alcotest.fail "expected Invalid_argument on heap-full schedule"
    with Invalid_argument _ -> ());
-  check_int "live unchanged after failed schedule" 4
-    (Sim.Engine.live_pending_count e);
   check_int "pending unchanged after failed schedule" 4
     (Sim.Engine.pending_count e);
   (* The engine must still be fully usable: drain and refill. *)
   ignore (Sim.Engine.run_to_completion e);
   check_int "drained" 0 (Sim.Engine.pending_count e);
   for _ = 1 to 4 do
-    ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ()))
+    Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ())
   done;
-  check_int "refillable to cap" 4 (Sim.Engine.live_pending_count e)
+  check_int "refillable to cap" 4 (Sim.Engine.pending_count e)
 
 (* ---------- Rng ---------- *)
 
@@ -563,6 +579,9 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_heap_ordering;
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
         Alcotest.test_case "empty" `Quick test_heap_empty;
+        Alcotest.test_case "fifo after slot reuse" `Quick
+          test_heap_fifo_after_slot_reuse;
+        Alcotest.test_case "cap" `Quick test_heap_cap;
         Alcotest.test_case "exn accessors" `Quick test_heap_exn_accessors;
         Alcotest.test_case "pop releases value" `Quick test_heap_no_pin;
         qcheck prop_heap_sorts;
@@ -572,21 +591,18 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_engine_ordering;
         Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
         Alcotest.test_case "time advances" `Quick test_engine_time_advances;
-        Alcotest.test_case "cancel" `Quick test_engine_cancel;
         Alcotest.test_case "run until" `Quick test_engine_run_until;
         Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
         Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
         Alcotest.test_case "event limit" `Quick test_engine_event_limit;
-        Alcotest.test_case "live pending count" `Quick test_engine_live_pending;
+        Alcotest.test_case "pending gauge" `Quick test_engine_pending_gauge;
       ] );
     ( "sim.engine.accounting",
       [
-        Alcotest.test_case "drain skips cancelled past horizon" `Quick
-          test_drain_past_horizon_cancelled;
         Alcotest.test_case "horizon inclusive for live events" `Quick
           test_drain_horizon_inclusive;
-        Alcotest.test_case "heap-full keeps live consistent" `Quick
-          test_heap_full_live_consistency;
+        Alcotest.test_case "heap-full keeps pending consistent" `Quick
+          test_heap_full_pending_consistency;
       ] );
     ( "sim.rng",
       [
