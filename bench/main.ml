@@ -177,9 +177,8 @@ let cdna_64g_paging_fn () =
   let _, tb =
     Experiments.Run.run_tb (cdna_cfg (2 * Cdna.Cnic.num_contexts))
   in
-  match tb.Experiments.Testbed.cdna_hyp with
-  | Some h when Cdna.Hyp.ctx_swaps h > 0 -> ()
-  | Some _ | None -> failwith "e2e/cdna-64g-paging: no context swaps"
+  if Sim.Metrics.sum tb.Experiments.Testbed.metrics "cdna.ctx_swaps" = 0 then
+    failwith "e2e/cdna-64g-paging: no context swaps"
 
 (* Xen receive on two guests: every packet crosses the Intel NIC's DMA,
    netback, the bridge and a grant flip into the guest. The 40 ms window
@@ -199,9 +198,7 @@ let xen_rx_2g_fn () =
       }
   in
   let delivered =
-    match tb.Experiments.Testbed.netback with
-    | Some nb -> Guestos.Netback.rx_delivered nb
-    | None -> 0
+    Sim.Metrics.sum tb.Experiments.Testbed.metrics "netback.rx_delivered"
   in
   if delivered = 0 || Xen.Grant_table.flips tb.Experiments.Testbed.grant_table = 0
   then failwith "e2e/xen-rx-2g: netback forwarded nothing or flipped no grant"

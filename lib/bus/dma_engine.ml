@@ -218,9 +218,6 @@ let[@cdna.hot] access t ~context ~addr ~len k =
     enqueue t ~name:"access" ~context Access ~addr ~len ~buf:Bytes.empty ~pos:0
       ~v0:0 ~v1:0 k
 
-let transfers t = t.transfers
-let bytes_moved t = t.bytes_moved
-let busy_time t = t.busy_time
 let injected_faults t = t.injected_faults
 
 let register_metrics t m =

@@ -114,18 +114,11 @@ val access :
   ((unit, fault) result -> unit) ->
   unit
 
-(** Completed transfer count and bytes moved (diagnostics). *)
-val transfers : t -> int
-
-val bytes_moved : t -> int
-
-(** Simulated time the bus has spent busy. *)
-val busy_time : t -> Sim.Time.t
-
 (** Transfers failed with [`Injected]. *)
 val injected_faults : t -> int
 
-(** Expose the bus counters as gauges: [dma.transfers],
-    [dma.bytes_moved], [dma.busy_ns], [dma.injected_faults]. Each bus
+(** Expose the bus counters as gauges: [dma.transfers] (completed
+    transfers), [dma.bytes_moved], [dma.busy_ns] (simulated time the bus
+    spent busy) and [dma.injected_faults]. Each bus
     transaction also traces a ["dma"] slice covering its occupancy. *)
 val register_metrics : t -> Sim.Metrics.t -> unit

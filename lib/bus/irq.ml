@@ -17,4 +17,3 @@ let assert_line t =
 
 let count t = t.count
 let dropped t = t.dropped
-let reset_count t = t.count <- 0

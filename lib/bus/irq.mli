@@ -22,5 +22,3 @@ val count : t -> int
 
 (** Interrupts raised while no handler was installed. *)
 val dropped : t -> int
-
-val reset_count : t -> unit

@@ -142,9 +142,6 @@ let set_rx_ring t ~ctx ring = Nic.Dp.set_rx_ring t.dp ~ctx ring
 let set_status_addr t ~ctx addr = Nic.Dp.set_status_addr t.dp ~ctx addr
 let set_fault_handler t f = t.fault_handler <- f
 let set_uncongested_hook t f = Nic.Dp.set_uncongested_hook t.dp f
-let rx_congested t = Nic.Dp.rx_congested t.dp
-let stats t = Nic.Dp.stats t.dp
-let interrupts_raised t = t.raised
 
 let register_metrics t m ~labels =
   Nic.Dp.register_metrics t.dp m ~labels;

@@ -99,13 +99,9 @@ val set_fault_handler :
 (** {1 Flow control and statistics} *)
 
 val set_uncongested_hook : t -> (unit -> unit) -> unit
-val rx_congested : t -> bool
-val stats : t -> Nic.Dp.stats
 
-(** Physical interrupts raised (after bit-vector DMA). *)
-val interrupts_raised : t -> int
-
-(** Expose datapath, coalescer, mailbox, firmware and interrupt gauges
-    under [labels] (e.g. [[("nic", "cnic0")]]). *)
+(** Expose datapath, coalescer, mailbox, firmware and interrupt
+    ([cnic.interrupts_raised]: physical interrupts raised after the
+    bit-vector DMA) gauges under [labels] (e.g. [[("nic", "cnic0")]]). *)
 val register_metrics :
   t -> Sim.Metrics.t -> labels:(string * string) list -> unit

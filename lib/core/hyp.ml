@@ -88,7 +88,6 @@ let create xen ~costs ?(protection = Cdna_costs.Full) () =
 
 let enable_paging t = t.paging <- true
 let paging_enabled t = t.paging
-let ctx_swaps t = t.ctx_swaps
 
 let costs t = t.costs
 let xen t = t.xen
@@ -734,7 +733,6 @@ let enqueue t h dir descs k =
 
 let pinned_pages h = h.tx.pinned + h.rx.pinned
 let faults t = t.faults
-let enqueue_calls t = t.enqueue_calls
 
 let register_metrics t m =
   Sim.Metrics.gauge m "cdna.enqueue_calls" (fun () -> t.enqueue_calls);

@@ -55,11 +55,6 @@ val enable_paging : t -> unit
 
 val paging_enabled : t -> bool
 
-(** Context save/restore operations performed so far (a swap that evicts
-    a victim and restores another image counts as two). Also exposed as
-    the [cdna.ctx_swaps] gauge when paging is enabled. *)
-val ctx_swaps : t -> int
-
 (** [add_nic t nic] registers a CDNA NIC: routes its physical interrupt
     into the bit-vector decode path, and (in [Iommu] mode) installs the
     IOMMU on the shared DMA engine for the NIC's contexts. *)
@@ -132,9 +127,6 @@ val mac_of : ctx_handle -> Ethernet.Mac_addr.t
 (** The guest's hardware interface (PIO through its own mapping). *)
 val driver_if : ctx_handle -> Nic.Driver_if.t
 
-(** Virtual interrupts delivered to this context's guest. *)
-val virq_deliveries : ctx_handle -> int
-
 (** {1 Guest hypercalls}
 
     All are asynchronous: they post hypervisor work on the calling guest's
@@ -188,11 +180,12 @@ val pinned_pages : ctx_handle -> int
 (** Protection faults reported by NICs: (guest domain id, context id). *)
 val faults : t -> (Host.Category.domain_id * int) list
 
-(** Total enqueue hypercalls executed. *)
-val enqueue_calls : t -> int
-
-(** Expose [cdna.enqueue_calls], [cdna.faults] and per-(NIC, context)
-    [cdna.ctx.pinned_pages] / [cdna.ctx.virqs] gauges. NICs are labelled
+(** Expose [cdna.enqueue_calls] (enqueue hypercalls executed),
+    [cdna.faults] and per-(NIC, context) [cdna.ctx.pinned_pages] /
+    [cdna.ctx.virqs] (virtual interrupts delivered to the context's guest)
+    gauges. With paging enabled, also [cdna.ctx_swaps]: context
+    save/restore operations (a swap that evicts a victim and restores
+    another image counts as two). NICs are labelled
     [cnic0], [cnic1], ... in {!add_nic} order; call after all NICs are
     registered. *)
 val register_metrics : t -> Sim.Metrics.t -> unit

@@ -9,7 +9,6 @@ type t = {
   cpus : int;
   driver_weight : int;
   pattern : Workload.Pattern.t;
-  conns_per_guest_per_nic : int;
   window : int;
   payload : int;
   gso_segments : int;
@@ -30,7 +29,6 @@ let default =
     cpus = 1;
     driver_weight = 256;
     pattern = Workload.Pattern.Tx;
-    conns_per_guest_per_nic = 2;
     window = 48;
     payload = 1500;
     gso_segments = 1;

@@ -24,7 +24,6 @@ type t = {
       (** Credit-scheduler weight of the driver domain (guests use 256).
           The paper-era tuning question: should dom0 be favoured? *)
   pattern : Workload.Pattern.t;
-  conns_per_guest_per_nic : int;
   window : int;  (** Per-connection packets in flight. *)
   payload : int;  (** Payload bytes per packet (1500 = MTU-sized TCP). *)
   gso_segments : int;

@@ -15,10 +15,7 @@
       in order ({!Workload.Connection.record_received}); on loss the
       acknowledgement stream stalls and, after [rto], the peer resends
       from the window base — reproducing TCP's goodput collapse under
-      receive-side overload, which drives the paper's Figure 4 decline.
-
-    An optional [flow_ok] predicate supports 802.3x-style pause
-    experiments; the paper-reproduction runs leave it permissive. *)
+      receive-side overload, which drives the paper's Figure 4 decline. *)
 
 type t
 
@@ -55,7 +52,8 @@ val start : t -> unit
 (** The guest acknowledged [n] packets of a source connection. *)
 val on_ack : t -> Workload.Connection.t -> int -> unit
 
-(** Re-evaluate pause state (bind to the NIC's uncongested hook). *)
+(** Resume sending on source connections (bind to the NIC's uncongested
+    hook). *)
 val kick : t -> unit
 
 (** Frames resent after a timeout. *)

@@ -67,14 +67,6 @@ let jain_fairness conns =
       let s2 = List.fold_left (fun a x -> a +. (x *. x)) 0. xs in
       if s2 = 0. then 1. else s *. s /. (n *. s2)
 
-let nic_drops stats =
-  List.fold_left
-    (fun acc (s : Nic.Dp.stats) -> acc + s.Nic.Dp.rx_overflow_drops)
-    0 stats
-
-let nic_faults stats =
-  List.fold_left (fun acc (s : Nic.Dp.stats) -> acc + s.Nic.Dp.faults) 0 stats
-
 let apply_quick ~quick (cfg : Config.t) =
   if quick then
     {
@@ -92,8 +84,16 @@ type baselines = {
   events0 : int;
 }
 
-let cdna_ctx_swaps (tb : Testbed.t) =
-  match tb.Testbed.cdna_hyp with Some h -> Cdna.Hyp.ctx_swaps h | None -> 0
+(* Counters come from the testbed's metrics registry, summed over labels;
+   a series that is not registered (e.g. [cdna.ctx_swaps] without
+   paging) reads 0. *)
+let counter (tb : Testbed.t) name = Sim.Metrics.sum tb.Testbed.metrics name
+
+(* Bare metal has no hypervisor to count interrupts; its NIC lines do. *)
+let phys_irqs_series (cfg : Config.t) =
+  match cfg.Config.system with
+  | Config.Native -> "native.phys_irqs"
+  | Config.Xen_sw | Config.Cdna_sys -> "xen.phys_irqs"
 
 (* End of warm-up: zero every counter the measurement reads. The engine
    must stand exactly at [cfg.warmup]. *)
@@ -104,11 +104,11 @@ let reset_after_warmup (cfg : Config.t) (tb : Testbed.t) =
   List.iter Workload.Connection.reset_counters tb.Testbed.conns_rx;
   Xen.Hypervisor.reset_counters tb.Testbed.xen;
   {
-    drops0 = nic_drops (tb.Testbed.nic_stats ());
-    faults0 = nic_faults (tb.Testbed.nic_stats ());
-    irqs0 = tb.Testbed.nic_interrupts ();
-    swaps0 = cdna_ctx_swaps tb;
-    events0 = Sim.Engine.fired_count tb.Testbed.engine;
+    drops0 = counter tb "nic.rx_overflow_drops";
+    faults0 = counter tb "nic.faults";
+    irqs0 = counter tb (phys_irqs_series cfg);
+    swaps0 = counter tb "cdna.ctx_swaps";
+    events0 = counter tb "engine.fired";
   }
 
 let collect (cfg : Config.t) (tb : Testbed.t) (b : baselines) =
@@ -135,11 +135,7 @@ let collect (cfg : Config.t) (tb : Testbed.t) (b : baselines) =
     /. secs
   in
   let phys_irq =
-    match cfg.Config.system with
-    | Config.Native ->
-        float_of_int (tb.Testbed.nic_interrupts () - irqs0) /. secs
-    | Config.Xen_sw | Config.Cdna_sys ->
-        float_of_int (Xen.Hypervisor.physical_irqs tb.Testbed.xen) /. secs
+    float_of_int (counter tb (phys_irqs_series cfg) - irqs0) /. secs
   in
   let measured_conns =
     match cfg.Config.pattern with
@@ -156,15 +152,15 @@ let collect (cfg : Config.t) (tb : Testbed.t) (b : baselines) =
     driver_virq_per_sec = driver_virq;
     guest_virq_per_sec = guest_virq;
     phys_irq_per_sec = phys_irq;
-    rx_drops = nic_drops (tb.Testbed.nic_stats ()) - drops0;
-    faults = nic_faults (tb.Testbed.nic_stats ()) - faults0;
+    rx_drops = counter tb "nic.rx_overflow_drops" - drops0;
+    faults = counter tb "nic.faults" - faults0;
     integrity_failures =
       sum_integrity tb.Testbed.conns_tx + sum_integrity tb.Testbed.conns_rx;
     latency_p50_us = latency_percentile measured_conns 50.;
     latency_p99_us = latency_percentile measured_conns 99.;
     fairness = jain_fairness measured_conns;
-    ctx_swaps = cdna_ctx_swaps tb - swaps0;
-    events_fired = Sim.Engine.fired_count tb.Testbed.engine - events0;
+    ctx_swaps = counter tb "cdna.ctx_swaps" - swaps0;
+    events_fired = counter tb "engine.fired" - events0;
   }
 
 let run_tb ?(quick = false) (cfg : Config.t) =

@@ -1,24 +1,17 @@
 type t = {
-  config : Config.t;
-  model : Cost_model.t;
   engine : Sim.Engine.t;
-  cpu : Host.Cpu.t;
   profile : Host.Profile.t;
-  mem : Memory.Phys_mem.t;
   xen : Xen.Hypervisor.t;
   grant_table : Xen.Grant_table.t;
   metrics : Sim.Metrics.t;
   driver_dom : Xen.Domain.t option;
   guest_doms : Xen.Domain.t list;
-  benches : Workload.Bench_program.t list;
   conns_tx : Workload.Connection.t list;
   conns_rx : Workload.Connection.t list;
   peers : Peer.t list;
   cdna_hyp : Cdna.Hyp.t option;
   cdna_handles : Cdna.Hyp.ctx_handle list;
   netback : Guestos.Netback.t option;
-  nic_stats : unit -> Nic.Dp.stats list;
-  nic_interrupts : unit -> int;
   start : unit -> unit;
 }
 
@@ -44,8 +37,6 @@ type builder = {
   mutable rx_conns : Workload.Connection.t list;
   mutable peers_rev : Peer.t list;
   rng : Sim.Rng.t;
-  mutable stats_fns : (unit -> Nic.Dp.stats) list;
-  mutable irq_fns : (unit -> int) list;
   (* conn id -> peer, for routing guest acks back *)
   ack_peer : Peer.t Sim.Int_tbl.t;
 }
@@ -59,12 +50,15 @@ let fresh_conn_id b =
    role): roughly a wire-and-turnaround delay. *)
 let ack_wire_delay = Sim.Time.us 20
 
+(* Window-limited connections between each guest and each NIC's peer. *)
+let conns_per_pair = 2
+
 (* Create the connections between one guest stack and one peer, register
    them on both ends, and hand them to the benchmark program. *)
 let wire_stream b ~bench ~stack ~peer ~guest_mac =
   let cfg = b.cfg in
   let tx = ref [] and rx = ref [] in
-  for _ = 1 to cfg.Config.conns_per_guest_per_nic do
+  for _ = 1 to conns_per_pair do
     if Workload.Pattern.guest_transmits cfg.Config.pattern then begin
       let conn =
         Workload.Connection.create ~id:(fresh_conn_id b)
@@ -116,12 +110,10 @@ let nic_config b kind =
   }
 
 (* The experiment peers do not use 802.3x pause: like the paper's
-   testbed, loss and TCP-style retransmission govern overload (the
-   [rx_congested] state is still surfaced for the pause ablation, and the
-   uncongested hook restarts a sender that idled while the NIC was
-   backed up). *)
-let make_peer b ~nic_idx ~rx_congested ~set_uncongested_hook =
-  ignore rx_congested;
+   testbed, loss and TCP-style retransmission govern overload. The
+   uncongested hook restarts a sender that idled while the NIC was backed
+   up. *)
+let make_peer b ~nic_idx ~set_uncongested_hook =
   let peer =
     Peer.create b.b_engine ~link:b.links.(nic_idx) ~mac:(peer_mac nic_idx)
       ~rng:(Sim.Rng.split b.rng) ~materialize:b.cfg.Config.materialize ()
@@ -132,11 +124,10 @@ let make_peer b ~nic_idx ~rx_congested ~set_uncongested_hook =
 
 (* Conventional NIC [i] (Intel or RiceNIC, per the config) for the native
    and Xen assemblies: created on link [i], enabled at [mac], its metrics
-   and counters registered. Returns its congestion probe, its
-   uncongested-hook setter and the driver's view of it. *)
+   registered. Returns its uncongested-hook setter and the driver's view
+   of it. *)
 let conventional_nic b ~i ~irq ~mac =
   let labels = [ ("nic", Printf.sprintf "nic%d" i) ] in
-  let irq_count () = Bus.Irq.count irq in
   match b.cfg.Config.nic with
   | Config.Intel ->
       let nic =
@@ -146,11 +137,7 @@ let conventional_nic b ~i ~irq ~mac =
       Nic.Intel_nic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
       Nic.Intel_nic.enable nic ~mac;
       Nic.Intel_nic.register_metrics nic b.b_metrics ~labels;
-      b.stats_fns <- (fun () -> Nic.Intel_nic.stats nic) :: b.stats_fns;
-      b.irq_fns <- irq_count :: b.irq_fns;
-      ( (fun () -> Nic.Intel_nic.rx_congested nic),
-        Nic.Intel_nic.set_uncongested_hook nic,
-        Nic.Intel_nic.driver_if nic )
+      (Nic.Intel_nic.set_uncongested_hook nic, Nic.Intel_nic.driver_if nic)
   | Config.Ricenic ->
       let nic =
         Nic.Ricenic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
@@ -159,11 +146,7 @@ let conventional_nic b ~i ~irq ~mac =
       Nic.Ricenic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
       Nic.Ricenic.enable nic ~mac;
       Nic.Ricenic.register_metrics nic b.b_metrics ~labels;
-      b.stats_fns <- (fun () -> Nic.Ricenic.stats nic) :: b.stats_fns;
-      b.irq_fns <- irq_count :: b.irq_fns;
-      ( (fun () -> Nic.Ricenic.rx_congested nic),
-        Nic.Ricenic.set_uncongested_hook nic,
-        Nic.Ricenic.driver_if nic )
+      (Nic.Ricenic.set_uncongested_hook nic, Nic.Ricenic.driver_if nic)
 
 (* ---------- Native (bare-metal) assembly ---------- *)
 
@@ -175,8 +158,16 @@ let build_native b =
   in
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work b.b_xen dom ~cost fn in
   let bench = make_bench b ~dom in
+  let irqs =
+    Array.init cfg.Config.nics (fun i ->
+        Bus.Irq.create ~name:(Printf.sprintf "nic%d" i))
+  in
+  (* No hypervisor counts bare-metal interrupts: the NIC lines' own
+     counts are the physical-interrupt series. *)
+  Sim.Metrics.gauge b.b_metrics "native.phys_irqs" (fun () ->
+      Array.fold_left (fun acc irq -> acc + Bus.Irq.count irq) 0 irqs);
   for i = 0 to cfg.Config.nics - 1 do
-    let irq = Bus.Irq.create ~name:(Printf.sprintf "nic%d" i) in
+    let irq = irqs.(i) in
     let driver_ref = ref None in
     (* Bare metal: the interrupt line goes straight into the OS. *)
     Bus.Irq.set_handler irq (fun () ->
@@ -187,7 +178,7 @@ let build_native b =
             | Some d -> Guestos.Native_driver.handle_interrupt d
             | None -> ()));
     let mac = native_nic_mac i in
-    let rx_congested, set_hook, hw = conventional_nic b ~i ~irq ~mac in
+    let set_hook, hw = conventional_nic b ~i ~irq ~mac in
     let driver =
       Guestos.Native_driver.create ~mem:b.b_mem ~post_kernel
         ~costs:b.cm.Cost_model.guest_os ~hw ~mac
@@ -199,9 +190,7 @@ let build_native b =
       Guestos.Net_stack.create ~post_kernel ~costs:b.cm.Cost_model.guest_os
         ~netdev:(Guestos.Native_driver.netdev driver)
     in
-    let peer =
-      make_peer b ~nic_idx:i ~rx_congested ~set_uncongested_hook:set_hook
-    in
+    let peer = make_peer b ~nic_idx:i ~set_uncongested_hook:set_hook in
     wire_stream b ~bench ~stack ~peer ~guest_mac:mac
   done;
   (dom, [ bench ])
@@ -228,7 +217,7 @@ let build_xen b =
     Array.init cfg.Config.nics (fun i ->
         let irq = Bus.Irq.create ~name:(Printf.sprintf "nic%d" i) in
         let mac = native_nic_mac i in
-        let rx_congested, set_hook, hw = conventional_nic b ~i ~irq ~mac in
+        let set_hook, hw = conventional_nic b ~i ~irq ~mac in
         let driver =
           Guestos.Native_driver.create ~mem:b.b_mem ~post_kernel:post_driver
             ~costs:b.cm.Cost_model.driver_os ~hw ~mac
@@ -248,10 +237,7 @@ let build_xen b =
         Guestos.Netback.add_physical netback
           (Guestos.Native_driver.netdev driver)
           ~remote_macs:[ peer_mac i ];
-        let peer =
-          make_peer b ~nic_idx:i ~rx_congested ~set_uncongested_hook:set_hook
-        in
-        peer)
+        make_peer b ~nic_idx:i ~set_uncongested_hook:set_hook)
   in
   (* Guests with paravirtualized interfaces. *)
   let guests = ref [] and benches = ref [] in
@@ -345,11 +331,8 @@ let build_cdna b =
         Cdna.Hyp.add_nic cdna_hyp nic;
         Cdna.Cnic.register_metrics nic b.b_metrics
           ~labels:[ ("nic", Printf.sprintf "cnic%d" i) ];
-        b.stats_fns <- (fun () -> Cdna.Cnic.stats nic) :: b.stats_fns;
-        b.irq_fns <- (fun () -> Cdna.Cnic.interrupts_raised nic) :: b.irq_fns;
         let peer =
           make_peer b ~nic_idx:i
-            ~rx_congested:(fun () -> Cdna.Cnic.rx_congested nic)
             ~set_uncongested_hook:(Cdna.Cnic.set_uncongested_hook nic)
         in
         (nic, peer))
@@ -427,8 +410,6 @@ let build (cfg : Config.t) =
       tx_conns = [];
       rx_conns = [];
       peers_rev = [];
-      stats_fns = [];
-      irq_fns = [];
       ack_peer = Sim.Int_tbl.create 64;
     }
   in
@@ -458,33 +439,24 @@ let build (cfg : Config.t) =
   (match netback with
   | Some nb -> Guestos.Netback.register_metrics nb metrics
   | None -> ());
-  let nic_stats () = List.rev_map (fun f -> f ()) b.stats_fns in
-  let nic_irqs () = List.fold_left (fun acc f -> acc + f ()) 0 b.irq_fns in
   let peers = List.rev b.peers_rev in
   let start () =
     List.iter Peer.start peers;
     List.iter Workload.Bench_program.start benches
   in
   {
-    config = cfg;
-    model = cm;
     engine;
-    cpu;
     profile;
-    mem;
     xen;
     grant_table = gnt;
     metrics;
     driver_dom;
     guest_doms;
-    benches;
     conns_tx = List.rev b.tx_conns;
     conns_rx = List.rev b.rx_conns;
     peers;
     cdna_hyp;
     cdna_handles;
     netback;
-    nic_stats;
-    nic_interrupts = nic_irqs;
     start;
   }

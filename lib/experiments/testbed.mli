@@ -15,16 +15,12 @@
       extension providing DMA protection and bit-vector interrupt
       delivery. The driver domain exists but does no datapath work.
 
-    Every guest talks to every NIC's peer through
-    [conns_per_guest_per_nic] window-limited connections. *)
+    Every guest talks to every NIC's peer through two window-limited
+    connections. *)
 
 type t = {
-  config : Config.t;
-  model : Cost_model.t;
   engine : Sim.Engine.t;
-  cpu : Host.Cpu.t;
   profile : Host.Profile.t;
-  mem : Memory.Phys_mem.t;
   xen : Xen.Hypervisor.t;
   grant_table : Xen.Grant_table.t;
       (** The host's page-flip ledger; one per testbed, so multi-host
@@ -32,18 +28,16 @@ type t = {
   metrics : Sim.Metrics.t;
       (** Registry with every component's gauges pre-registered: scheduler,
           DMA bus, hypervisor, NICs (per-context), netback/netfront or
-          CDNA contexts as the system dictates. *)
+          CDNA contexts as the system dictates. Native adds
+          [native.phys_irqs], the interrupts its NIC lines delivered. *)
   driver_dom : Xen.Domain.t option;
   guest_doms : Xen.Domain.t list;
-  benches : Workload.Bench_program.t list;
   conns_tx : Workload.Connection.t list;  (** Guest-transmit connections. *)
   conns_rx : Workload.Connection.t list;  (** Guest-receive connections. *)
   peers : Peer.t list;
   cdna_hyp : Cdna.Hyp.t option;
   cdna_handles : Cdna.Hyp.ctx_handle list;
   netback : Guestos.Netback.t option;
-  nic_stats : unit -> Nic.Dp.stats list;
-  nic_interrupts : unit -> int;  (** Physical interrupts raised by NICs. *)
   start : unit -> unit;  (** Arm the workload (peers + benchmark apps). *)
 }
 

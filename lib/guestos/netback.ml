@@ -415,11 +415,6 @@ let add_physical t netdev ~remote_macs =
      guest rings that were blocked on egress space. *)
   Netdev.set_tx_done_handler netdev (fun _ -> schedule t)
 
-let tx_forwarded t = t.tx_forwarded
-let rx_delivered t = t.rx_delivered
-let rx_dropped t = t.rx_dropped
-let pool_size t = Queue.length t.pool
-let runs t = t.runs
 
 let register_metrics t m =
   Sim.Metrics.gauge m "netback.tx_forwarded" (fun () -> t.tx_forwarded);

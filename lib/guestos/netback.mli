@@ -62,12 +62,6 @@ val add_physical :
 (** Wake the netback thread (bind to the guests' event channels). *)
 val schedule : t -> unit
 
-val tx_forwarded : t -> int
-val rx_delivered : t -> int
-val rx_dropped : t -> int
-val pool_size : t -> int
-val runs : t -> int
-
 (** Expose the forwarding counters ([netback.tx_forwarded],
     [netback.rx_delivered], [netback.rx_dropped], [netback.runs],
     [netback.pool_size]) as gauges. *)

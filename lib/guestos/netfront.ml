@@ -193,8 +193,6 @@ let create ~hyp ~gnt ~dom ~costs ~xchan ~mac ~notify_backend
   t
 
 let netdev t = the_netdev t
-let pool_size t = Queue.length t.pool
-let tx_count t = t.tx_count
 
 let register_metrics t m =
   let labels = [ ("domain", Xen.Domain.name t.dom) ] in

@@ -37,9 +37,6 @@ val netdev : t -> Netdev.t
     guest kernel context. *)
 val handle_event : t -> unit
 
-val pool_size : t -> int
-val tx_count : t -> int
-
 (** Expose [netfront.tx_count] / [netfront.rx_count] /
     [netfront.pool_size] gauges labelled with the guest domain's name. *)
 val register_metrics : t -> Sim.Metrics.t -> unit

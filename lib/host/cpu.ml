@@ -277,7 +277,6 @@ let add_entity t ~name ~weight ~domain =
 
 let domain_of e = e.domain
 let name_of e = e.name
-let runtime_of e = e.runtime
 let credits_of e = float_of_int e.credits /. 1000.
 let cpu_of e = e.cpu
 
@@ -359,8 +358,6 @@ let total_busy t =
 
 let ctx_switches t =
   Array.fold_left (fun acc rq -> acc + rq.switches) 0 t.rqs
-
-let migrations t = t.migrations
 
 let register_metrics t m =
   Sim.Metrics.gauge m "cpu.ctx_switches" (fun () -> ctx_switches t);

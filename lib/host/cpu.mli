@@ -61,14 +61,6 @@ val add_entity :
 val domain_of : entity -> Category.domain_id
 val name_of : entity -> string
 
-(** Cumulative CPU time the entity has executed. *)
-val runtime_of : entity -> Sim.Time.t
-
-(** Current credit bank in microseconds. Replenished every [credit_period]
-    and capped at the entity's weighted share of one period. (Internally
-    credits are integer nanoseconds — exact fixed-point, no float drift.) *)
-val credits_of : entity -> float
-
 (** Index of the runqueue the entity currently lives on. *)
 val cpu_of : entity -> int
 
@@ -88,21 +80,15 @@ val post_irq : t -> cost:Sim.Time.t -> (unit -> unit) -> unit
 (** True when no item is executing and all queues on all CPUs are empty. *)
 val is_idle : t -> bool
 
-(** Total busy time executed so far, summed over CPUs (all categories,
-    incl. switches). *)
-val total_busy : t -> Sim.Time.t
-
-(** Number of entity-to-entity context switches performed so far, summed
-    over CPUs. *)
-val ctx_switches : t -> int
-
-(** Number of cross-CPU wake migrations performed so far. *)
-val migrations : t -> int
-
-(** Expose scheduler state as pull gauges: [cpu.ctx_switches],
-    [cpu.busy_ns], and per-entity [cpu.entity.runtime_ns] /
-    [cpu.entity.credits_us] labelled by entity name and domain. On SMP
-    hosts ([cpus > 1]) additionally [cpu.migrations] and per-runqueue
+(** Expose scheduler state as pull gauges: [cpu.ctx_switches]
+    (entity-to-entity switches, summed over CPUs), [cpu.busy_ns] (busy
+    time summed over CPUs: all categories, incl. switches), and per-entity
+    [cpu.entity.runtime_ns] (CPU time executed) / [cpu.entity.credits_us]
+    (credit bank in microseconds, replenished every credit period and
+    capped at the entity's weighted share of one period; internally
+    integer nanoseconds, so no float drift) labelled by entity name and
+    domain. On SMP hosts ([cpus > 1]) additionally [cpu.migrations]
+    (cross-CPU wake migrations) and per-runqueue
     [cpu.rq.busy_ns] / [cpu.rq.ctx_switches] labelled by cpu index —
     gated so single-CPU metric snapshots are unchanged. Call after all
     entities are registered. *)

@@ -50,9 +50,6 @@ let request t =
     end
   end
 
-let requests t = t.requests
-let fired t = t.fired
-let suppressed t = t.suppressed
 
 let register_metrics t m ~labels =
   Sim.Metrics.gauge m ~labels "coalesce.requests" (fun () -> t.requests);

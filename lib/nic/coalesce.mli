@@ -15,19 +15,11 @@ val create : Sim.Engine.t -> min_gap:Sim.Time.t -> fire:(unit -> unit) -> t
     otherwise schedules a merged firing at the earliest allowed time. *)
 val request : t -> unit
 
-(** Total {!request} calls. [requests t = fired t + suppressed t] holds at
-    every instant. *)
-val requests : t -> int
-
-(** Interrupts delivered or committed (a scheduled firing counts as soon
-    as it is committed; it equals actual deliveries once the engine
-    drains). *)
-val fired : t -> int
-
-(** Requests merged into an already-pending delivery. *)
-val suppressed : t -> int
-
-(** Expose the three counters as gauges ([coalesce.requests] /
-    [coalesce.fired] / [coalesce.suppressed]) under [labels]. *)
+(** Expose the counters as gauges under [labels]: [coalesce.requests]
+    (total {!request} calls), [coalesce.fired] (interrupts delivered or
+    committed: a scheduled firing counts as soon as it is committed, so it
+    equals actual deliveries once the engine drains) and
+    [coalesce.suppressed] (requests merged into an already-pending
+    delivery). [requests = fired + suppressed] holds at every instant. *)
 val register_metrics :
   t -> Sim.Metrics.t -> labels:(string * string) list -> unit

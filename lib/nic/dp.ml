@@ -48,17 +48,6 @@ type ctx = {
   mutable rx_frames : int;
 }
 
-type stats = {
-  tx_frames : int;
-  tx_bytes : int;
-  rx_frames : int;
-  rx_bytes : int;
-  rx_no_ctx_drops : int;
-  rx_overflow_drops : int;
-  rx_truncated : int;
-  faults : int;
-}
-
 type t = {
   engine : Sim.Engine.t;
   mem : Memory.Phys_mem.t;
@@ -935,19 +924,6 @@ let rx_completions_pending t ~ctx:i = Queue.length (ctx t i).rx_completions
 let rx_congested t = t.congested
 let set_uncongested_hook t f = t.uncongested_hook <- f
 
-let stats t =
-  {
-    tx_frames = t.s_tx_frames;
-    tx_bytes = t.s_tx_bytes;
-    rx_frames = t.s_rx_frames;
-    rx_bytes = t.s_rx_bytes;
-    rx_no_ctx_drops = t.s_no_ctx;
-    rx_overflow_drops = t.s_overflow;
-    rx_truncated = t.s_truncated;
-    faults = t.s_faults;
-  }
-
-let ctx_tx_frames t ~ctx:i = (ctx t i).tx_frames
 let tx_buffer_in_use t = Pkt_buf.in_use t.tx_buf
 let rx_buffer_in_use t = Pkt_buf.in_use t.rx_buf
 

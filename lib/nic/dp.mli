@@ -27,11 +27,11 @@
       continue the per-context sequence; a mismatch raises a {e guest-
       specific protection fault} and halts the context (paper 3.3).
 
-    Flow control: instead of dropping on receive-buffer exhaustion the
-    datapath exposes congestion state (802.3x-style pause), which the ideal
-    peer consults — reproducing TCP's closed-loop behaviour without
-    modelling retransmission. Drops still occur if the buffer truly
-    overflows. *)
+    Flow control: the receive buffer tracks a high/low watermark and fires
+    a hook when occupancy falls back below the low one, which restarts a
+    peer that idled while the NIC was backed up. The peers do not pause
+    (like the paper's testbed, loss and retransmission govern overload),
+    so frames are dropped when the buffer truly overflows. *)
 
 type t
 
@@ -159,31 +159,21 @@ val set_uncongested_hook : t -> (unit -> unit) -> unit
 
 (** {1 Statistics} *)
 
-type stats = {
-  tx_frames : int;
-  tx_bytes : int;  (** payload bytes *)
-  rx_frames : int;
-  rx_bytes : int;
-  rx_no_ctx_drops : int;  (** No active context matched the MAC. *)
-  rx_overflow_drops : int;  (** Shared packet buffer full. *)
-  rx_truncated : int;
-      (** Frames delivered short because the posted receive descriptor was
-          smaller than the frame; [rx_bytes] counts delivered bytes only. *)
-  faults : int;
-}
-
-val stats : t -> stats
-val ctx_tx_frames : t -> ctx:int -> int
-
 (** Shared packet-buffer occupancy (accounting diagnostics; both return to
     zero when the datapath is idle). *)
 val tx_buffer_in_use : t -> int
 
 val rx_buffer_in_use : t -> int
 
-(** Expose aggregate ([nic.tx_frames], [nic.rx_bytes], drop/fault
-    counters, ...) and per-context ([nic.ctx.tx_frames] /
-    [nic.ctx.rx_frames], with a ["ctx"] label appended) gauges. [labels]
-    must uniquely identify this NIC instance, e.g. [[("nic", "nic0")]]. *)
+(** Expose aggregate and per-context gauges; they are the only read-out
+    of the datapath's counters. Aggregate: [nic.tx_frames],
+    [nic.tx_bytes] (payload bytes), [nic.rx_frames], [nic.rx_bytes]
+    (delivered bytes), [nic.rx_no_ctx_drops] (no active context matched
+    the MAC), [nic.rx_overflow_drops] (shared packet buffer full),
+    [nic.rx_truncated] (frames delivered short because the posted receive
+    descriptor was smaller than the frame) and [nic.faults]. Per context,
+    with a ["ctx"] label appended: [nic.ctx.tx_frames] and
+    [nic.ctx.rx_frames]. [labels] must uniquely identify this NIC
+    instance, e.g. [[("nic", "nic0")]]. *)
 val register_metrics :
   t -> Sim.Metrics.t -> labels:(string * string) list -> unit

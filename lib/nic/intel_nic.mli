@@ -30,13 +30,10 @@ val enable : t -> mac:Ethernet.Mac_addr.t -> unit
 val driver_if : t -> Driver_if.t
 
 val dp : t -> Dp.t
-val stats : t -> Dp.stats
 
 (** Flow-control hook: fires when the receive buffer drains below the low
-    watermark (used by the ideal peer for 802.3x-style pause). *)
+    watermark (restarts a peer that idled while the NIC was backed up). *)
 val set_uncongested_hook : t -> (unit -> unit) -> unit
-
-val rx_congested : t -> bool
 
 (** Expose datapath and coalescer gauges under [labels]
     (e.g. [[("nic", "nic0")]]). *)

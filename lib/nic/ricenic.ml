@@ -35,9 +35,7 @@ let enable t ~mac =
 
 let driver_if t = Firmware.driver_if t.firmware ~ctx:0 ~mapping:t.mapping
 let dp t = t.dp
-let stats t = Dp.stats t.dp
 let set_uncongested_hook t f = Dp.set_uncongested_hook t.dp f
-let rx_congested t = Dp.rx_congested t.dp
 
 let register_metrics t m ~labels =
   Dp.register_metrics t.dp m ~labels;

@@ -28,9 +28,7 @@ val enable : t -> mac:Ethernet.Mac_addr.t -> unit
 val driver_if : t -> Driver_if.t
 
 val dp : t -> Dp.t
-val stats : t -> Dp.stats
 val set_uncongested_hook : t -> (unit -> unit) -> unit
-val rx_congested : t -> bool
 
 (** Expose datapath, coalescer, mailbox and firmware gauges under
     [labels] (e.g. [[("nic", "nic0")]]). *)

@@ -22,7 +22,6 @@ let create ?max_pending () =
   }
 
 let[@cdna.hot] now t = t.now
-let fired_count t = t.fired
 let pending_count t = Heap.length t.queue
 
 let[@cdna.hot] schedule_at t time fn =

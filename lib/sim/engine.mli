@@ -15,12 +15,6 @@ val create : ?max_pending:int -> unit -> t
 (** Current simulated time. *)
 val now : t -> Time.t
 
-(** Number of events that have fired so far. *)
-val fired_count : t -> int
-
-(** Number of events scheduled but not yet fired. *)
-val pending_count : t -> int
-
 (** [schedule t ~delay fn] runs [fn] at [now t + delay].
     @raise Invalid_argument if [delay] is negative. *)
 val schedule : t -> delay:Time.t -> (unit -> unit) -> unit
@@ -37,6 +31,6 @@ val run : t -> until:Time.t -> unit
     events have fired. Returns [`Completed] or [`Event_limit]. *)
 val run_to_completion : ?limit:int -> t -> [ `Completed | `Event_limit ]
 
-(** Expose the engine's counters as gauges: [engine.pending]
-    ({!pending_count}) and [engine.fired]. *)
+(** Expose the engine's counters as gauges: [engine.pending] (events
+    scheduled but not yet fired) and [engine.fired]. *)
 val register_metrics : t -> Metrics.t -> unit

@@ -57,6 +57,24 @@ let snapshot t =
   Hashtbl.fold (fun k kind acc -> (k, value_json kind) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let rec same_prefix name k i =
+  i = String.length name
+  || (name.[i] = k.[i] && same_prefix name k (i + 1))
+
+(* [k] is a series of [name] when it is [name] itself or [name{...}]. *)
+let names_series name k =
+  let n = String.length name and len = String.length k in
+  (len = n || (len > n && k.[n] = '{')) && same_prefix name k 0
+
+let sum t name =
+  (Hashtbl.fold
+     (fun k kind acc ->
+       match kind with
+       | Gauge read when names_series name k -> acc + read ()
+       | Gauge _ | Gauge_f _ | Histogram _ -> acc)
+     t.table 0
+   [@cdna.unordered_ok "an integer sum is the same in any visiting order"])
+
 let to_json t = Json.Obj (snapshot t)
 let to_string t = Json.to_string (to_json t)
 let size t = Hashtbl.length t.table

@@ -14,7 +14,11 @@
       already maintains.
 
     {!to_json} is deterministic: series sorted by key, canonical float
-    images (see {!Json}). *)
+    images (see {!Json}).
+
+    A counter a gauge exports is read back from the registry, never from
+    the component: {!sum} for integer series, {!snapshot} for the rest.
+    [Run], the bench subjects and the tests all read this way. *)
 
 type t
 
@@ -35,6 +39,13 @@ val gauge_f :
     render as
     [{count, mean, min, p50, p90, p99, max}]. *)
 val snapshot : t -> (string * Json.t) list
+
+(** [sum t name] totals the integer gauges named [name] across all their
+    labels, or 0 if none is registered. A full canonical key
+    ([name{k=v,...}]) reads that one series. Float gauges and histograms
+    are skipped. Walks the table in place: no snapshot, no allocation
+    per series. *)
+val sum : t -> string -> int
 
 val to_json : t -> Json.t
 val to_string : t -> string

@@ -46,7 +46,3 @@ let notify_from_hypervisor t =
 
 let deliveries t = t.deliveries
 let merged t = t.merged
-
-let reset_counters t =
-  t.deliveries <- 0;
-  t.merged <- 0

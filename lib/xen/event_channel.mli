@@ -34,5 +34,3 @@ val deliveries : t -> int
 
 (** Notifies merged into an already-pending delivery. *)
 val merged : t -> int
-
-val reset_counters : t -> unit

@@ -14,4 +14,3 @@ let flip t ~src ~dst pfn =
         Ok ()
 
 let flips t = t.count
-let reset_flips t = t.count <- 0

@@ -29,5 +29,3 @@ val flip :
 
 (** Completed flips through this table (per-table diagnostic counter). *)
 val flips : t -> int
-
-val reset_flips : t -> unit

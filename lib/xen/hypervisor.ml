@@ -89,7 +89,6 @@ let route_irq t irq handler =
           "phys-irq";
       Host.Cpu.post_irq t.cpu ~cost:t.costs.Costs.isr handler)
 
-let physical_irqs t = t.phys_irqs
 let reset_counters t = t.phys_irqs <- 0
 
 let register_metrics t m =

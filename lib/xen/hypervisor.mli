@@ -71,9 +71,6 @@ val user_work : t -> Domain.t -> cost:Sim.Time.t -> (unit -> unit) -> unit
     typically notifies event channels). *)
 val route_irq : t -> Bus.Irq.t -> (unit -> unit) -> unit
 
-(** Physical interrupts handled so far. *)
-val physical_irqs : t -> int
-
 val reset_counters : t -> unit
 
 (** Expose [xen.phys_irqs], [xen.hypercalls] and per-domain

@@ -154,6 +154,7 @@ let test_gate_per_suppression () =
                        ("cdna.alloc_ok", Sim.Json.Int 15);
                        ("cdna.privileged", Sim.Json.Int 1);
                        ("cdna.protection_ok", Sim.Json.Int 7);
+                       ("cdna.unordered_ok", Sim.Json.Int 1);
                      ] )
                else (k, v))
              fields)

@@ -177,6 +177,15 @@ let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false) () =
   Cdna.Cnic.attach_link nic link ~side:Ethernet.Link.A;
   { engine; mem; xen; cdna; nic; link; guest; guest2 }
 
+(* The NIC's and the CDNA hypervisor's gauges on a fresh registry, as
+   [Testbed.build] registers them: tests read their counters there. Call
+   after [enable_paging] for the [cdna.ctx_swaps] series. *)
+let metrics_of fx =
+  let m = Sim.Metrics.create () in
+  Cdna.Cnic.register_metrics fx.nic m ~labels:[ ("nic", "cnic0") ];
+  Cdna.Hyp.register_metrics fx.cdna m;
+  m
+
 let run fx ms =
   Sim.Engine.run fx.engine
     ~until:(Sim.Time.add (Sim.Engine.now fx.engine) (Sim.Time.ms ms))
@@ -310,7 +319,8 @@ let test_faulted_slot_withheld_until_reset () =
   let fresh = assign fx ~mac_idx:3 () in
   check_int "slot reused" ctx (Cdna.Hyp.ctx_id fresh);
   setup_rings fx fresh;
-  let tx_before = (Cdna.Cnic.stats fx.nic).Nic.Dp.tx_frames in
+  let m = metrics_of fx in
+  let tx_before = Sim.Metrics.sum m "nic.tx_frames" in
   let faults_before = List.length (Cdna.Hyp.faults fx.cdna) in
   let hw' = Cdna.Hyp.driver_if fresh in
   (match
@@ -323,7 +333,7 @@ let test_faulted_slot_withheld_until_reset () =
   hw'.Nic.Driver_if.tx_doorbell 1;
   run fx 5;
   check_int "clean transmit from the reused slot" (tx_before + 1)
-    (Cdna.Cnic.stats fx.nic).Nic.Dp.tx_frames;
+    (Sim.Metrics.sum m "nic.tx_frames");
   check_int "no new faults" faults_before
     (List.length (Cdna.Hyp.faults fx.cdna))
 
@@ -527,7 +537,7 @@ let test_iommu_mode_blocks_foreign_dma () =
   hw.Nic.Driver_if.stage_tx_meta (meta_frame h ~seq:0);
   hw.Nic.Driver_if.tx_doorbell 1;
   run fx 5;
-  check_int "frame sent" 1 (Cdna.Cnic.stats fx.nic).Nic.Dp.tx_frames
+  check_int "frame sent" 1 (Sim.Metrics.sum (metrics_of fx) "nic.tx_frames")
 
 (* Forged-descriptor end-to-end: the guest posts an Rx descriptor naming a
    page owned by another domain, then traffic arrives for it. The whole
@@ -560,7 +570,7 @@ let forged_rx_roundtrip ~protection =
     ~on_wire_free:ignore;
   run fx 10;
   let victim_bytes = Memory.Phys_mem.read fx.mem ~addr:victim_addr ~len:256 in
-  let rx_frames = (Cdna.Cnic.stats fx.nic).Nic.Dp.rx_frames in
+  let rx_frames = Sim.Metrics.sum (metrics_of fx) "nic.rx_frames" in
   (result, victim_bytes, victim_pfn, rx_frames)
 
 let test_forged_descriptor_blocked_under_full () =
@@ -672,9 +682,13 @@ let test_driver_virq_flow () =
         ~seq:0 ~payload_len:100 ~payload_seed:0 ();
     ];
   run fx 20;
-  check_bool "virq delivered" true (Cdna.Hyp.virq_deliveries h > 0);
+  let m = metrics_of fx in
+  check_bool "virq delivered" true
+    (Sim.Metrics.sum m
+       (Printf.sprintf "cdna.ctx.virqs{ctx=%d,nic=cnic0}" (Cdna.Hyp.ctx_id h))
+    > 0);
   check_bool "interrupt raised after vector landed" true
-    (Cdna.Cnic.interrupts_raised fx.nic > 0);
+    (Sim.Metrics.sum m "cnic.interrupts_raised" > 0);
   check_bool "guest virq counted" true (Xen.Domain.virq_count fx.guest > 0)
 
 let test_driver_two_guests_isolated_traffic () =
@@ -797,14 +811,15 @@ let test_enqueue_call_accounting () =
   let fx = fixture () in
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
-  check_int "no calls yet" 0 (Cdna.Hyp.enqueue_calls fx.cdna);
+  let m = metrics_of fx in
+  check_int "no calls yet" 0 (Sim.Metrics.sum m "cdna.enqueue_calls");
   (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Rx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
-  check_int "two hypercalls" 2 (Cdna.Hyp.enqueue_calls fx.cdna)
+  check_int "two hypercalls" 2 (Sim.Metrics.sum m "cdna.enqueue_calls")
 
 let test_context_migration () =
   (* Move a live guest from one CDNA NIC to another: revoke + reassign
@@ -980,6 +995,8 @@ let test_malicious_native_driver_contained () =
 let test_paging_lifecycle_preserves_tx_state () =
   let fx = fixture () in
   Cdna.Hyp.enable_paging fx.cdna;
+  let m = metrics_of fx in
+  let swaps () = Sim.Metrics.sum m "cdna.ctx_swaps" in
   let wire = ref 0 in
   Ethernet.Link.attach fx.link Ethernet.Link.B (fun _ -> incr wire);
   let h1 = assign fx ~mac_idx:1 () in
@@ -1009,11 +1026,13 @@ let test_paging_lifecycle_preserves_tx_state () =
   for i = 1 to Cdna.Cnic.num_contexts - 1 do
     ignore (assign fx ~guest:fx.guest2 ~mac_idx:(100 + i) ())
   done;
-  check_int "no swap while slots remain" 0 (Cdna.Hyp.ctx_swaps fx.cdna);
+  check_bool "swap series registered" true
+    (List.mem_assoc "cdna.ctx_swaps" (Sim.Metrics.snapshot m));
+  check_int "no swap while slots remain" 0 (swaps ());
   (* ...and one more: the LRU context (h1, idle since its transmit) is
      saved to its per-guest area and the newcomer takes its slot. *)
   let h33 = assign fx ~guest:fx.guest2 ~mac_idx:200 () in
-  check_int "one save" 1 (Cdna.Hyp.ctx_swaps fx.cdna);
+  check_int "one save" 1 (swaps ());
   check_int "newcomer on the victim's slot" slot0 (Cdna.Hyp.ctx_id h33);
   check_int "victim partition scrubbed" 0 (Bus.Mmio.read32 m0 ~offset:512);
   (* Touch the paged-out context: enqueue continues the sequence (2, 3)
@@ -1031,7 +1050,7 @@ let test_paging_lifecycle_preserves_tx_state () =
   hw1.Nic.Driver_if.stage_tx_meta (meta_frame h1 ~seq:3);
   hw1.Nic.Driver_if.tx_doorbell 4;
   run fx 5;
-  check_int "save of the new victim + restore" 3 (Cdna.Hyp.ctx_swaps fx.cdna);
+  check_int "save of the new victim + restore" 3 (swaps ());
   check_int "all four frames on the wire" 4 !wire;
   check_bool "seqno continuity across the swap: no faults" true
     (Cdna.Hyp.faults fx.cdna = []);
@@ -1117,7 +1136,7 @@ let prop_paging_interleaving =
         [ h1; h2 ];
       !ok && !wire = !sent
       && Cdna.Hyp.faults fx.cdna = []
-      && (Cdna.Cnic.stats fx.nic).Nic.Dp.faults = 0)
+      && Sim.Metrics.sum (metrics_of fx) "nic.faults" = 0)
 
 let qcheck = QCheck_alcotest.to_alcotest
 

@@ -403,10 +403,7 @@ let test_loss_recovery_engages_under_overload () =
   tb.Experiments.Testbed.start ();
   Sim.Engine.run tb.Experiments.Testbed.engine ~until:(Sim.Time.ms 80);
   let drops =
-    List.fold_left
-      (fun a (s : Nic.Dp.stats) -> a + s.Nic.Dp.rx_overflow_drops)
-      0
-      (tb.Experiments.Testbed.nic_stats ())
+    Sim.Metrics.sum tb.Experiments.Testbed.metrics "nic.rx_overflow_drops"
   in
   let retx =
     List.fold_left
@@ -447,14 +444,19 @@ let test_testbed_oversubscribes_contexts () =
   check_bool "paging enabled" true (Cdna.Hyp.paging_enabled hyp);
   check_int "one handle per guest per nic" (33 * 2)
     (List.length tb.Experiments.Testbed.cdna_handles);
-  check_bool "assignments paged contexts out" true (Cdna.Hyp.ctx_swaps hyp > 0);
+  check_bool "assignments paged contexts out" true
+    (Sim.Metrics.sum tb.Experiments.Testbed.metrics "cdna.ctx_swaps" > 0);
   (* At exactly the context limit nothing is paged and paging stays off. *)
   let tb32 =
     Experiments.Testbed.build { cdna_tx with Experiments.Config.guests = 32 }
   in
   let hyp32 = Option.get tb32.Experiments.Testbed.cdna_hyp in
   check_bool "no paging at capacity" false (Cdna.Hyp.paging_enabled hyp32);
-  check_int "no swaps at capacity" 0 (Cdna.Hyp.ctx_swaps hyp32)
+  check_bool "no swap series at capacity" false
+    (List.mem_assoc "cdna.ctx_swaps"
+       (Sim.Metrics.snapshot tb32.Experiments.Testbed.metrics));
+  check_int "no swaps at capacity" 0
+    (Sim.Metrics.sum tb32.Experiments.Testbed.metrics "cdna.ctx_swaps")
 
 (* The cdna-tx-64g testbed (64 guests, two NICs) declares 729,088 pages,
    ~3 GB. Simulated memory must cost what the run touches: a flat
@@ -489,7 +491,7 @@ let test_run_ctx_swaps () =
       (cfg { Experiments.Config.default with Experiments.Config.guests })
   in
   let m, tb = run Experiments.Config.cdna_ricenic 40 in
-  let total = Cdna.Hyp.ctx_swaps (Option.get tb.Experiments.Testbed.cdna_hyp) in
+  let total = Sim.Metrics.sum tb.Experiments.Testbed.metrics "cdna.ctx_swaps" in
   let swaps = m.Experiments.Run.ctx_swaps in
   check_bool (Printf.sprintf "window swaps (%d) > 0" swaps) true (swaps > 0);
   check_bool
@@ -553,14 +555,14 @@ let small_cfg =
     duration = Sim.Time.ms 1;
   }
 
-(* Everything observable about one run, plus its testbed. *)
+(* Everything observable about one run. *)
 let observe cfg =
   let m, tb = Experiments.Run.run_tb cfg in
   let out =
     Format.asprintf "%a@.%s" Experiments.Run.pp m
       (Sim.Metrics.to_string tb.Experiments.Testbed.metrics)
   in
-  (out, Xen.Grant_table.flips tb.Experiments.Testbed.grant_table, tb)
+  (out, Xen.Grant_table.flips tb.Experiments.Testbed.grant_table)
 
 let concurrent_matches_sequential ~flips_expected cfg () =
   let cfgs = List.init 2 (Experiments.Config.host cfg) in
@@ -570,7 +572,7 @@ let concurrent_matches_sequential ~flips_expected cfg () =
     |> List.map Domain.join
   in
   List.iteri
-    (fun i ((out, flips, _), (out', flips', _)) ->
+    (fun i ((out, flips), (out', flips')) ->
       check Alcotest.string
         (Printf.sprintf "host %d: concurrent run byte-identical" i)
         out out';
@@ -578,18 +580,7 @@ let concurrent_matches_sequential ~flips_expected cfg () =
       check_bool
         (Printf.sprintf "host %d: flips only under Xen" i)
         flips_expected (flips > 0))
-    (List.combine sequential concurrent);
-  (* Independence: clearing one testbed's ledger leaves the other's. *)
-  match concurrent with
-  | [ (_, _, tb0); (_, f1, tb1) ] ->
-      let gnt (tb : Experiments.Testbed.t) =
-        tb.Experiments.Testbed.grant_table
-      in
-      Xen.Grant_table.reset_flips (gnt tb0);
-      check_int "host 0 ledger cleared" 0 (Xen.Grant_table.flips (gnt tb0));
-      check_int "host 1 ledger untouched by host 0 reset" f1
-        (Xen.Grant_table.flips (gnt tb1))
-  | _ -> Alcotest.fail "expected two testbeds"
+    (List.combine sequential concurrent)
 
 let xen_small =
   {
@@ -617,7 +608,6 @@ let cdna_smp =
     Experiments.Config.system = Experiments.Config.Cdna_sys;
     cpus = 4;
     guests = 3;
-    conns_per_guest_per_nic = 1;
     seed = 99;
   }
 

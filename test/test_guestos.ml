@@ -485,8 +485,17 @@ let pv_fixture ?(materialize = false) () =
     pv_hyp = hyp;
   }
 
+(* The fixture's netback and netfront gauges on a fresh registry: tests
+   read their counters there. *)
+let pv_metrics fx =
+  let m = Sim.Metrics.create () in
+  Guestos.Netback.register_metrics fx.pv_netback m;
+  Guestos.Netfront.register_metrics fx.pv_netfront m;
+  m
+
 let test_pv_guest_transmit () =
   let fx = pv_fixture () in
+  let m = pv_metrics fx in
   let wire = ref [] in
   Ethernet.Link.attach fx.pv_link Ethernet.Link.B (fun f -> wire := f :: !wire);
   let frames =
@@ -497,8 +506,8 @@ let test_pv_guest_transmit () =
   Guestos.Net_stack.send fx.pv_stack frames;
   run fx.pv_engine 20;
   check_int "all forwarded to the wire" 20 (List.length !wire);
-  check_int "netback counted" 20 (Guestos.Netback.tx_forwarded fx.pv_netback);
-  check_int "netfront counted" 20 (Guestos.Netfront.tx_count fx.pv_netfront)
+  check_int "netback counted" 20 (Sim.Metrics.sum m "netback.tx_forwarded");
+  check_int "netfront counted" 20 (Sim.Metrics.sum m "netfront.tx_count")
 
 let test_pv_guest_receive () =
   let fx = pv_fixture () in
@@ -512,12 +521,14 @@ let test_pv_guest_receive () =
   done;
   run fx.pv_engine 20;
   check_int "delivered up the guest stack" 15 (List.length !got);
-  check_int "netback delivered" 15 (Guestos.Netback.rx_delivered fx.pv_netback)
+  check_int "netback delivered" 15
+    (Sim.Metrics.sum (pv_metrics fx) "netback.rx_delivered")
 
 let test_pv_page_exchange_conserves_pools () =
   let fx = pv_fixture () in
-  let pool_before = Guestos.Netfront.pool_size fx.pv_netfront in
-  let nb_before = Guestos.Netback.pool_size fx.pv_netback in
+  let m = pv_metrics fx in
+  let pool_before = Sim.Metrics.sum m "netfront.pool_size" in
+  let nb_before = Sim.Metrics.sum m "netback.pool_size" in
   let guest_pages_before = Xen.Domain.page_count fx.pv_guest in
   let frames =
     List.init 30 (fun i ->
@@ -533,9 +544,9 @@ let test_pv_page_exchange_conserves_pools () =
   done;
   run fx.pv_engine 50;
   check_int "netfront pool conserved" pool_before
-    (Guestos.Netfront.pool_size fx.pv_netfront);
+    (Sim.Metrics.sum m "netfront.pool_size");
   check_int "netback pool conserved" nb_before
-    (Guestos.Netback.pool_size fx.pv_netback);
+    (Sim.Metrics.sum m "netback.pool_size");
   check_int "guest page accounting conserved" guest_pages_before
     (Xen.Domain.page_count fx.pv_guest)
 

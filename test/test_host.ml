@@ -17,6 +17,27 @@ let make_cpu ?cpus ?ctx_switch_cost ?slice ?migration_cost () =
 
 let run_for engine t = Sim.Engine.run engine ~until:t
 
+(* The scheduler's gauges on a fresh registry, registered once the
+   entities exist (as [Testbed.build] does): tests read its counters
+   there. *)
+let metrics_of cpu =
+  let m = Sim.Metrics.create () in
+  Host.Cpu.register_metrics cpu m;
+  m
+
+let entity_key series e =
+  Printf.sprintf "%s{domain=%d,entity=%s}" series (Host.Cpu.domain_of e)
+    (Host.Cpu.name_of e)
+
+let runtime_ns m e = Sim.Metrics.sum m (entity_key "cpu.entity.runtime_ns" e)
+
+let credits_us m e =
+  match
+    List.assoc (entity_key "cpu.entity.credits_us" e) (Sim.Metrics.snapshot m)
+  with
+  | Sim.Json.Float f -> f
+  | _ -> Alcotest.fail "cpu.entity.credits_us is not a float series"
+
 (* ---------- Category ---------- *)
 
 let test_category_equal () =
@@ -180,11 +201,12 @@ let test_cpu_fair_share () =
   let rec feed e cat () =
     Host.Cpu.post cpu e ~category:cat ~cost:(us 10) (feed e cat)
   in
+  let m = metrics_of cpu in
   feed a (Host.Category.Kernel 0) ();
   feed b (Host.Category.Kernel 1) ();
   run_for engine (Sim.Time.ms 200);
-  let ra = Sim.Time.to_sec_f (Host.Cpu.runtime_of a) in
-  let rb = Sim.Time.to_sec_f (Host.Cpu.runtime_of b) in
+  let ra = float_of_int (runtime_ns m a) in
+  let rb = float_of_int (runtime_ns m b) in
   let ratio = ra /. rb in
   check_bool
     (Printf.sprintf "fair within 20%% (ratio %.2f)" ratio)
@@ -199,11 +221,12 @@ let test_cpu_weighted_share () =
   let rec feed e cat () =
     Host.Cpu.post cpu e ~category:cat ~cost:(us 10) (feed e cat)
   in
+  let m = metrics_of cpu in
   feed a (Host.Category.Kernel 0) ();
   feed b (Host.Category.Kernel 1) ();
   run_for engine (Sim.Time.ms 400);
-  let ra = Sim.Time.to_sec_f (Host.Cpu.runtime_of a) in
-  let rb = Sim.Time.to_sec_f (Host.Cpu.runtime_of b) in
+  let ra = float_of_int (runtime_ns m a) in
+  let rb = float_of_int (runtime_ns m b) in
   let ratio = ra /. rb in
   check_bool
     (Printf.sprintf "3:1 within 40%% (ratio %.2f)" ratio)
@@ -218,10 +241,11 @@ let test_cpu_credit_cap_is_weighted_share () =
   let engine, _, cpu = make_cpu () in
   let _heavy = Host.Cpu.add_entity cpu ~name:"heavy" ~weight:768 ~domain:0 in
   let light = Host.Cpu.add_entity cpu ~name:"light" ~weight:256 ~domain:1 in
+  let m = metrics_of cpu in
   (* Both idle: credits only accumulate, across many replenish periods. *)
   run_for engine (Sim.Time.ms 200);
   let share_us = 30_000. *. 256. /. 1024. in
-  let banked = Host.Cpu.credits_of light in
+  let banked = credits_us m light in
   check_bool
     (Printf.sprintf "banked %.0fus <= weighted share %.0fus" banked share_us)
     true
@@ -247,21 +271,23 @@ let test_cpu_boost_on_wake () =
 let test_cpu_ctx_switch_charged () =
   let engine, profile, cpu = make_cpu ~ctx_switch_cost:(us 2) () in
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
+  let m = metrics_of cpu in
   Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 5) ignore;
   run_for engine (Sim.Time.ms 1);
   (* First dispatch switches from nothing to [a]: one switch. *)
-  check_int "switches" 1 (Host.Cpu.ctx_switches cpu);
+  check_int "switches" 1 (Sim.Metrics.sum m "cpu.ctx_switches");
   check_int "switch time charged to hypervisor" (us 2)
     (Host.Profile.total profile Host.Category.Hypervisor)
 
 let test_cpu_no_switch_same_entity () =
   let engine, _, cpu = make_cpu ~ctx_switch_cost:(us 2) () in
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
+  let m = metrics_of cpu in
   for _ = 1 to 5 do
     Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 5) ignore
   done;
   run_for engine (Sim.Time.ms 1);
-  check_int "one switch for five items" 1 (Host.Cpu.ctx_switches cpu)
+  check_int "one switch for five items" 1 (Sim.Metrics.sum m "cpu.ctx_switches")
 
 let test_cpu_is_idle () =
   let engine, _, cpu = make_cpu () in
@@ -294,19 +320,23 @@ let test_cpu_rejects_negative () =
 let test_cpu_busy_matches_profile () =
   let engine, profile, cpu = make_cpu ~ctx_switch_cost:0 () in
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
+  let m = metrics_of cpu in
   for _ = 1 to 10 do
     Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 3) ignore
   done;
   run_for engine (Sim.Time.ms 1);
   check_int "total busy = profile busy" (Host.Profile.busy profile |> Sim.Time.to_ns)
-    (Host.Cpu.total_busy cpu |> Sim.Time.to_ns)
+    (Sim.Metrics.sum m "cpu.busy_ns")
 
 let test_cpu_idle_one_replenish_event () =
   (* The credit-replenish timer reschedules itself once per firing, so
      however long a scheduler runs, once idle it leaves exactly one
      pending event: the timer never duplicates. *)
   let engine, _, cpu = make_cpu ~cpus:2 () in
-  check_int "one timer at creation" 1 (Sim.Engine.pending_count engine);
+  let m = Sim.Metrics.create () in
+  Sim.Engine.register_metrics engine m;
+  let pending () = Sim.Metrics.sum m "engine.pending" in
+  check_int "one timer at creation" 1 (pending ());
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
   let b = Host.Cpu.add_entity cpu ~name:"b" ~weight:512 ~domain:1 in
   List.iter
@@ -320,7 +350,7 @@ let test_cpu_idle_one_replenish_event () =
       done;
       run_for engine until;
       check_bool "idle" true (Host.Cpu.is_idle cpu);
-      check_int "one pending event" 1 (Sim.Engine.pending_count engine))
+      check_int "one pending event" 1 (pending ()))
     [ Sim.Time.ms 5; Sim.Time.ms 31; Sim.Time.ms 95; Sim.Time.ms 400 ]
 
 let test_cpu_credits_integer_exact () =
@@ -330,10 +360,11 @@ let test_cpu_credits_integer_exact () =
   let engine, _, cpu = make_cpu () in
   let _heavy = Host.Cpu.add_entity cpu ~name:"heavy" ~weight:768 ~domain:0 in
   let light = Host.Cpu.add_entity cpu ~name:"light" ~weight:256 ~domain:1 in
+  let m = metrics_of cpu in
   run_for engine (Sim.Time.ms 200);
   let share_us = 30_000. *. 256. /. 1024. in
   check (Alcotest.float 0.) "banked exactly the weighted share" share_us
-    (Host.Cpu.credits_of light)
+    (credits_us m light)
 
 (* ---------- SMP runqueues ---------- *)
 
@@ -364,6 +395,7 @@ let test_smp_wake_migrates_to_idle_cpu () =
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
   let _b = Host.Cpu.add_entity cpu ~name:"b" ~weight:256 ~domain:1 in
   let c = Host.Cpu.add_entity cpu ~name:"c" ~weight:256 ~domain:2 in
+  let m = metrics_of cpu in
   check_int "c starts on cpu0" 0 (Host.Cpu.cpu_of c);
   let rec feed () =
     Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 10) feed
@@ -374,7 +406,7 @@ let test_smp_wake_migrates_to_idle_cpu () =
       Host.Cpu.post cpu c ~category:(Host.Category.Kernel 2) ~cost:(us 10)
         (fun () -> c_done := Sim.Engine.now engine));
   run_for engine (Sim.Time.us 200);
-  check_int "one migration" 1 (Host.Cpu.migrations cpu);
+  check_int "one migration" 1 (Sim.Metrics.sum m "cpu.migrations");
   check_int "c now on cpu1" 1 (Host.Cpu.cpu_of c);
   (* Woken at 5us, 9us migration penalty, 10us of work. *)
   check_int "c paid the migration penalty" (us 24) !c_done
@@ -387,12 +419,13 @@ let test_smp_no_migration_when_home_free () =
   in
   let a = Host.Cpu.add_entity cpu ~name:"a" ~weight:256 ~domain:0 in
   let b = Host.Cpu.add_entity cpu ~name:"b" ~weight:256 ~domain:1 in
+  let m = metrics_of cpu in
   for _ = 1 to 3 do
     Host.Cpu.post cpu a ~category:(Host.Category.Kernel 0) ~cost:(us 10) ignore;
     Host.Cpu.post cpu b ~category:(Host.Category.Kernel 1) ~cost:(us 10) ignore
   done;
   run_for engine (Sim.Time.ms 1);
-  check_int "no migrations" 0 (Host.Cpu.migrations cpu);
+  check_int "no migrations" 0 (Sim.Metrics.sum m "cpu.migrations");
   check_int "a stayed home" 0 (Host.Cpu.cpu_of a);
   check_int "b stayed home" 1 (Host.Cpu.cpu_of b)
 
@@ -412,10 +445,11 @@ let test_smp_busy_matches_profile () =
           ignore
       done)
     es;
+  let m = metrics_of cpu in
   run_for engine (Sim.Time.ms 1);
   check_int "total busy = profile busy"
     (Host.Profile.busy profile |> Sim.Time.to_ns)
-    (Host.Cpu.total_busy cpu |> Sim.Time.to_ns)
+    (Sim.Metrics.sum m "cpu.busy_ns")
 
 let qcheck = QCheck_alcotest.to_alcotest
 

@@ -111,14 +111,25 @@ let test_category_pp () =
   check Alcotest.string "idle" "idle"
     (Format.asprintf "%a" Host.Category.pp Host.Category.Idle)
 
+(* One integer series of a registry's snapshot, by its full key. Unlike
+   [Sim.Metrics.sum], a series that was never registered fails the test
+   instead of reading 0. *)
+let int_series m key =
+  match List.assoc_opt key (Sim.Metrics.snapshot m) with
+  | Some (Sim.Json.Int i) -> i
+  | Some _ | None -> Alcotest.failf "no integer series %s" key
+
 let test_cpu_entity_accessors () =
   let engine = Sim.Engine.create () in
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
   let e = Host.Cpu.add_entity cpu ~name:"vcpu0" ~weight:256 ~domain:7 in
+  let m = Sim.Metrics.create () in
+  Host.Cpu.register_metrics cpu m;
   check Alcotest.string "name" "vcpu0" (Host.Cpu.name_of e);
   check_int "domain" 7 (Host.Cpu.domain_of e);
-  check_int "runtime starts zero" 0 (Host.Cpu.runtime_of e)
+  check_int "runtime starts zero" 0
+    (int_series m "cpu.entity.runtime_ns{domain=7,entity=vcpu0}")
 
 let test_config_describe () =
   let d = Experiments.Config.describe Experiments.Config.default in
@@ -158,11 +169,13 @@ let test_netback_counters () =
     Guestos.Netback.create ~hyp ~gnt:(Xen.Grant_table.create hyp) ~dom
       ~costs:netback_costs ()
   in
-  check_int "tx" 0 (Guestos.Netback.tx_forwarded nb);
-  check_int "rx" 0 (Guestos.Netback.rx_delivered nb);
-  check_int "drops" 0 (Guestos.Netback.rx_dropped nb);
-  check_int "runs" 0 (Guestos.Netback.runs nb);
-  check_int "pool" 4096 (Guestos.Netback.pool_size nb)
+  let m = Sim.Metrics.create () in
+  Guestos.Netback.register_metrics nb m;
+  check_int "tx" 0 (int_series m "netback.tx_forwarded");
+  check_int "rx" 0 (int_series m "netback.rx_delivered");
+  check_int "drops" 0 (int_series m "netback.rx_dropped");
+  check_int "runs" 0 (int_series m "netback.runs");
+  check_int "pool" 4096 (int_series m "netback.pool_size")
 
 let test_dma_desc_pp () =
   let s =

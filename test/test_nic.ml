@@ -119,6 +119,13 @@ let test_pkt_buf () =
 
 (* ---------- Coalesce ---------- *)
 
+(* A coalescer's gauges on a fresh registry: tests read its counters
+   there. *)
+let coalesce_metrics c =
+  let m = Sim.Metrics.create () in
+  Nic.Coalesce.register_metrics c m ~labels:[];
+  m
+
 let test_coalesce_caps_rate () =
   let engine = Sim.Engine.create () in
   let fires = ref 0 in
@@ -126,6 +133,7 @@ let test_coalesce_caps_rate () =
     Nic.Coalesce.create engine ~min_gap:(Sim.Time.us 100) ~fire:(fun () ->
         incr fires)
   in
+  let m = coalesce_metrics c in
   (* 1000 requests over 1 ms -> at most ~11 fires with a 100 us gap. *)
   for i = 0 to 999 do
     Sim.Engine.schedule engine ~delay:(Sim.Time.ns (i * 1000)) (fun () ->
@@ -133,7 +141,7 @@ let test_coalesce_caps_rate () =
   done;
   ignore (Sim.Engine.run_to_completion engine);
   check_bool (Printf.sprintf "capped (%d)" !fires) true (!fires <= 11);
-  check_int "nothing lost" 1000 (!fires + Nic.Coalesce.suppressed c)
+  check_int "nothing lost" 1000 (!fires + Sim.Metrics.sum m "coalesce.suppressed")
 
 let test_coalesce_immediate_when_idle () =
   let engine = Sim.Engine.create () in
@@ -156,9 +164,11 @@ let test_coalesce_accounting_invariant () =
   let c =
     Nic.Coalesce.create engine ~min_gap:(Sim.Time.us 100) ~fire:(fun () -> ())
   in
+  let m = coalesce_metrics c in
+  let count name = Sim.Metrics.sum m name in
   let check_invariant label =
-    check_int label (Nic.Coalesce.requests c)
-      (Nic.Coalesce.fired c + Nic.Coalesce.suppressed c)
+    check_int label (count "coalesce.requests")
+      (count "coalesce.fired" + count "coalesce.suppressed")
   in
   Sim.Engine.schedule engine ~delay:0 (fun () ->
       Nic.Coalesce.request c;
@@ -172,9 +182,9 @@ let test_coalesce_accounting_invariant () =
       check_invariant "merged into pending");
   ignore (Sim.Engine.run_to_completion engine);
   check_invariant "after drain";
-  check_int "requests" 3 (Nic.Coalesce.requests c);
-  check_int "fired" 2 (Nic.Coalesce.fired c);
-  check_int "suppressed" 1 (Nic.Coalesce.suppressed c)
+  check_int "requests" 3 (count "coalesce.requests");
+  check_int "fired" 2 (count "coalesce.fired");
+  check_int "suppressed" 1 (count "coalesce.suppressed")
 
 (* ---------- Dp (datapath) ---------- *)
 
@@ -185,7 +195,19 @@ type dp_fixture = {
   link : Ethernet.Link.t;
   notifications : (int, int) Hashtbl.t;
   faults : (int * Nic.Dp.dir * Nic.Dp.fault) list ref;
+  metrics : Sim.Metrics.t;  (** The datapath's gauges, labelled nic=dp. *)
 }
+
+(* The fixture's datapath gauges on a fresh registry. *)
+let dp_metrics dp =
+  let m = Sim.Metrics.create () in
+  Nic.Dp.register_metrics dp m ~labels:[ ("nic", "dp") ];
+  m
+
+let count fx name = Sim.Metrics.sum fx.metrics name
+
+let ctx_tx_frames fx ~ctx =
+  count fx (Printf.sprintf "nic.ctx.tx_frames{ctx=%d,nic=dp}" ctx)
 
 let dp_fixture ?(contexts = 4) ?(seqno_checking = false) ?(materialize = false)
     () =
@@ -211,7 +233,7 @@ let dp_fixture ?(contexts = 4) ?(seqno_checking = false) ?(materialize = false)
   in
   let link = Ethernet.Link.create engine () in
   Nic.Dp.attach_link dp link ~side:Ethernet.Link.A;
-  { engine; mem; dp; link; notifications; faults }
+  { engine; mem; dp; link; notifications; faults; metrics = dp_metrics dp }
 
 (* A miniature trusted driver for one context: rings at fixed pages,
    buffers behind them. *)
@@ -288,7 +310,7 @@ let test_dp_transmits () =
   run fx 1;
   check_int "one frame on wire" 1 (List.length !got);
   check_int "tx completion" 1 (Nic.Dp.take_tx_completions fx.dp ~ctx:0);
-  check_int "ctx counter" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0);
+  check_int "ctx counter" 1 (ctx_tx_frames fx ~ctx:0);
   check_bool "notified" true (Hashtbl.mem fx.notifications 0)
 
 let test_dp_receive_demux_by_mac () =
@@ -318,7 +340,7 @@ let test_dp_unknown_mac_dropped () =
        ~seq:0 ~payload_len:100 ~payload_seed:0 ())
     ~on_wire_free:ignore;
   run fx 1;
-  check_int "dropped" 1 (Nic.Dp.stats fx.dp).Nic.Dp.rx_no_ctx_drops
+  check_int "dropped" 1 (count fx "nic.rx_no_ctx_drops")
 
 let test_dp_promiscuous () =
   let fx = dp_fixture () in
@@ -396,7 +418,7 @@ let test_dp_seqno_fault_halts_context () =
   Nic.Dp.set_expected_seqno fx.dp ~ctx:0 ~tx:0 ~rx:0;
   send_one fx d ();
   run fx 1;
-  check_int "first ok" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0);
+  check_int "first ok" 1 (ctx_tx_frames fx ~ctx:0);
   (* Replay: doorbell past the last written descriptor; the stale slot
      has no valid next seqno. *)
   Nic.Dp.stage_tx_meta fx.dp ~ctx:0
@@ -412,7 +434,7 @@ let test_dp_seqno_fault_halts_context () =
          ctx = 0 && dir = Nic.Dp.Tx
          && match f with Nic.Dp.Seqno_mismatch _ -> true | _ -> false)
        !(fx.faults));
-  check_int "no more frames" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0)
+  check_int "no more frames" 1 (ctx_tx_frames fx ~ctx:0)
 
 let test_dp_correct_seqnos_pass () =
   let fx = dp_fixture ~seqno_checking:true () in
@@ -422,7 +444,7 @@ let test_dp_correct_seqnos_pass () =
     send_one fx d ()
   done;
   run fx 1;
-  check_int "all transmitted" 5 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0);
+  check_int "all transmitted" 5 (ctx_tx_frames fx ~ctx:0);
   check_bool "no faults" true (!(fx.faults) = [])
 
 let test_dp_deactivate_aborts () =
@@ -638,7 +660,7 @@ let test_dp_scatter_gather () =
      stays in step. *)
   check_int "three descriptors completed" 3
     (Nic.Dp.take_tx_completions fx.dp ~ctx:0);
-  check_int "one frame counted" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0)
+  check_int "one frame counted" 1 (ctx_tx_frames fx ~ctx:0)
 
 let test_dp_scatter_gather_interleaves_contexts () =
   (* A context stalled mid-packet (fragments posted, EOP not yet) must not
@@ -663,8 +685,8 @@ let test_dp_scatter_gather_interleaves_contexts () =
   send_one fx d1 ();
   run fx 1;
   check_int "ctx1's packet got through" 1 (List.length !wire);
-  check_int "ctx1 frame" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:1);
-  check_int "ctx0 still assembling" 0 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0);
+  check_int "ctx1 frame" 1 (ctx_tx_frames fx ~ctx:1);
+  check_int "ctx0 still assembling" 0 (ctx_tx_frames fx ~ctx:0);
   (* Completing ctx 0's packet releases it. *)
   Memory.Dma_desc.write fx.mem ~at:(Nic.Ring.slot_addr ring 1)
     {
@@ -679,7 +701,7 @@ let test_dp_scatter_gather_interleaves_contexts () =
        ~seq:0 ~payload_len:300 ~payload_seed:0 ());
   Nic.Dp.tx_doorbell fx.dp ~ctx:0 ~prod:2;
   run fx 1;
-  check_int "ctx0 completed" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0)
+  check_int "ctx0 completed" 1 (ctx_tx_frames fx ~ctx:0)
 
 let test_dp_revoke_mid_sg_packet_releases_buffer () =
   (* Deactivating a context that is mid-assembly (fragments fetched, no
@@ -701,7 +723,15 @@ let test_dp_revoke_mid_sg_packet_releases_buffer () =
   let link = Ethernet.Link.create engine () in
   Nic.Dp.attach_link dp link ~side:Ethernet.Link.A;
   let fx =
-    { engine; mem; dp; link; notifications = Hashtbl.create 8; faults = ref [] }
+    {
+      engine;
+      mem;
+      dp;
+      link;
+      notifications = Hashtbl.create 8;
+      faults = ref [];
+      metrics = dp_metrics dp;
+    }
   in
   for round = 0 to 40 do
     let mac = Ethernet.Mac_addr.make (100 + round) in
@@ -750,7 +780,15 @@ let test_dp_tx_stall_on_full_buffer () =
   let link = Ethernet.Link.create engine () in
   Nic.Dp.attach_link dp link ~side:Ethernet.Link.A;
   let fx =
-    { engine; mem; dp; link; notifications = Hashtbl.create 8; faults = ref [] }
+    {
+      engine;
+      mem;
+      dp;
+      link;
+      notifications = Hashtbl.create 8;
+      faults = ref [];
+      metrics = dp_metrics dp;
+    }
   in
   let d = attach_driver fx ~ctx:0 ~mac:(Ethernet.Mac_addr.make 1) in
   let wire = ref 0 in
@@ -760,7 +798,7 @@ let test_dp_tx_stall_on_full_buffer () =
   done;
   run fx 5;
   check_int "all frames drained through the stall" 6 !wire;
-  check_int "no faults" 0 (Nic.Dp.stats fx.dp).Nic.Dp.faults;
+  check_int "no faults" 0 (count fx "nic.faults");
   check_int "buffer accounting back to zero" 0 (Nic.Dp.tx_buffer_in_use fx.dp)
 
 let test_dp_rx_short_descriptor_truncates () =
@@ -785,9 +823,8 @@ let test_dp_rx_short_descriptor_truncates () =
     ~on_wire_free:ignore;
   run fx 1;
   check_int "delivered" 1 (Nic.Dp.rx_completions_pending fx.dp ~ctx:0);
-  let st = Nic.Dp.stats fx.dp in
-  check_int "truncation counted" 1 st.Nic.Dp.rx_truncated;
-  check_int "only delivered bytes counted" 300 st.Nic.Dp.rx_bytes;
+  check_int "truncation counted" 1 (count fx "nic.rx_truncated");
+  check_int "only delivered bytes counted" 300 (count fx "nic.rx_bytes");
   check_int "rx buffer drained" 0 (Nic.Dp.rx_buffer_in_use fx.dp)
 
 (* Context save with a descriptor fetch and an rx delivery in flight:
@@ -850,7 +887,7 @@ let test_dp_deactivate_mid_fetch_releases_buffer () =
   Nic.Dp.deactivate fx.dp ~ctx:0;
   run fx 2;
   check_int "reservation released" 0 (Nic.Dp.tx_buffer_in_use fx.dp);
-  check_int "nothing transmitted" 0 (Nic.Dp.stats fx.dp).Nic.Dp.tx_frames;
+  check_int "nothing transmitted" 0 (count fx "nic.tx_frames");
   (* The datapath still works for another context. *)
   let d1 = attach_driver fx ~ctx:1 ~mac:(Ethernet.Mac_addr.make 2) in
   let wire = ref 0 in
@@ -877,7 +914,7 @@ let test_dp_injected_dma_fault_isolated () =
   run fx 2;
   check_bool "ctx0 faulted" true (Nic.Dp.is_faulted fx.dp ~ctx:0);
   check_bool "ctx1 healthy" false (Nic.Dp.is_faulted fx.dp ~ctx:1);
-  check_int "ctx1 delivered" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:1);
+  check_int "ctx1 delivered" 1 (ctx_tx_frames fx ~ctx:1);
   check_int "one injection recorded" 1
     (Bus.Dma_engine.injected_faults (Nic.Dp.dma fx.dp));
   check_bool "fault attributed to ctx0" true
@@ -951,7 +988,7 @@ let prop_dp_conserves_frames =
       in
       !on_wire = List.length sends
       && completions = List.length sends
-      && (Nic.Dp.stats fx.dp).Nic.Dp.faults = 0)
+      && count fx "nic.faults" = 0)
 
 (* ---------- Firmware / Ricenic / Intel ---------- *)
 
@@ -981,7 +1018,7 @@ let test_firmware_ring_setup_via_mailboxes () =
        ~seq:0 ~payload_len:400 ~payload_seed:0 ());
   hw.Nic.Driver_if.tx_doorbell 1;
   run fx 1;
-  check_int "frame sent via firmware path" 1 (Nic.Dp.ctx_tx_frames fx.dp ~ctx:0);
+  check_int "frame sent via firmware path" 1 (ctx_tx_frames fx ~ctx:0);
   check_bool "events processed" true (Nic.Firmware.events_processed fw >= 6)
 
 let nic_wrapper_roundtrip make_nic =

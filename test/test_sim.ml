@@ -211,21 +211,27 @@ let test_engine_rejects_past () =
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
       Sim.Engine.schedule e ~delay:(-1) (fun () -> ()))
 
+(* An engine with its gauges on a fresh registry, so a test reads its
+   counters the way [Run] does. *)
+let engine_with_metrics ?max_pending () =
+  let e = Sim.Engine.create ?max_pending () in
+  let m = Sim.Metrics.create () in
+  Sim.Engine.register_metrics e m;
+  (e, m)
+
 let test_engine_event_limit () =
-  let e = Sim.Engine.create () in
+  let e, m = engine_with_metrics () in
   (* Self-perpetuating event chain. *)
   let rec loop () = Sim.Engine.schedule e ~delay:1 loop in
   loop ();
   match Sim.Engine.run_to_completion ~limit:100 e with
-  | `Event_limit -> check_int "fired" 100 (Sim.Engine.fired_count e)
+  | `Event_limit -> check_int "fired" 100 (Sim.Metrics.sum m "engine.fired")
   | `Completed -> Alcotest.fail "should have hit the limit"
 
 let test_engine_pending_gauge () =
   (* [engine.pending] reads the queue length: every scheduled event is
      counted until it fires. *)
-  let e = Sim.Engine.create () in
-  let m = Sim.Metrics.create () in
-  Sim.Engine.register_metrics e m;
+  let e, m = engine_with_metrics () in
   let pending () = List.assoc "engine.pending" (Sim.Metrics.snapshot m) in
   let gauge_is label n = check_bool label true (pending () = Sim.Json.Int n) in
   gauge_is "empty" 0;
@@ -236,7 +242,7 @@ let test_engine_pending_gauge () =
   gauge_is "two scheduled" 2;
   Sim.Engine.run e ~until:12;
   gauge_is "one fired, one added" 2;
-  check_int "pending_count agrees" 2 (Sim.Engine.pending_count e);
+  check_int "sum agrees" 2 (Sim.Metrics.sum m "engine.pending");
   ignore (Sim.Engine.run_to_completion e);
   gauge_is "drained" 0;
   check_bool "fired gauge" true
@@ -246,35 +252,35 @@ let test_engine_pending_gauge () =
 
 (* An event exactly at the horizon fires, one beyond it does not. *)
 let test_drain_horizon_inclusive () =
-  let e = Sim.Engine.create () in
+  let e, m = engine_with_metrics () in
   let log = ref [] in
   Sim.Engine.schedule e ~delay:(Sim.Time.ns 50) (fun () -> log := 50 :: !log);
   Sim.Engine.schedule e ~delay:(Sim.Time.ns 51) (fun () -> log := 51 :: !log);
   Sim.Engine.run e ~until:(Sim.Time.ns 50);
   check (Alcotest.list Alcotest.int) "at-horizon fires" [ 50 ] !log;
-  check_int "beyond-horizon pends" 1 (Sim.Engine.pending_count e)
+  check_int "beyond-horizon pends" 1 (Sim.Metrics.sum m "engine.pending")
 
 (* A schedule rejected by the heap cap must leave the pending count and
    the queue untouched. *)
 let test_heap_full_pending_consistency () =
-  let e = Sim.Engine.create ~max_pending:4 () in
+  let e, m = engine_with_metrics ~max_pending:4 () in
+  let pending () = Sim.Metrics.sum m "engine.pending" in
   for _ = 1 to 4 do
     Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ())
   done;
-  check_int "at cap" 4 (Sim.Engine.pending_count e);
+  check_int "at cap" 4 (pending ());
   (try
      Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ());
      Alcotest.fail "expected Invalid_argument on heap-full schedule"
    with Invalid_argument _ -> ());
-  check_int "pending unchanged after failed schedule" 4
-    (Sim.Engine.pending_count e);
+  check_int "pending unchanged after failed schedule" 4 (pending ());
   (* The engine must still be fully usable: drain and refill. *)
   ignore (Sim.Engine.run_to_completion e);
-  check_int "drained" 0 (Sim.Engine.pending_count e);
+  check_int "drained" 0 (pending ());
   for _ = 1 to 4 do
     Sim.Engine.schedule e ~delay:(Sim.Time.ns 5) (fun () -> ())
   done;
-  check_int "refillable to cap" 4 (Sim.Engine.pending_count e)
+  check_int "refillable to cap" 4 (pending ())
 
 (* ---------- Rng ---------- *)
 
@@ -432,6 +438,40 @@ let test_metrics_histogram_export () =
             (Sim.Json.member "count" lat = Some (Sim.Json.Int 3))
       | None -> Alcotest.fail "lat series missing")
   | Error e -> Alcotest.failf "metrics JSON unparseable: %s" e
+
+let test_metrics_sum () =
+  let m = Sim.Metrics.create () in
+  check_int "absent reads 0" 0 (Sim.Metrics.sum m "nic.faults");
+  Sim.Metrics.gauge m "nic.faults" ~labels:[ ("nic", "a") ] (fun () -> 2);
+  Sim.Metrics.gauge m "nic.faults" ~labels:[ ("nic", "b") ] (fun () -> 5);
+  Sim.Metrics.gauge m "nic.faults" ~labels:[] (fun () -> 1);
+  (* Same prefix, different names: never part of the sum. *)
+  Sim.Metrics.gauge m "nic.faults_x" ~labels:[] (fun () -> 100);
+  Sim.Metrics.gauge m "nic.fault" ~labels:[] (fun () -> 100);
+  Sim.Metrics.gauge m "nic" ~labels:[] (fun () -> 100);
+  Sim.Metrics.gauge_f m "nic.faults" ~labels:[ ("nic", "f") ] (fun () -> 7.);
+  let h = Sim.Metrics.histogram m "nic.faults" ~labels:[ ("nic", "h") ] in
+  Sim.Stats.Histogram.add h 9;
+  check_int "integer gauges across labels" 8 (Sim.Metrics.sum m "nic.faults");
+  check_int "full key reads one series" 5
+    (Sim.Metrics.sum m "nic.faults{nic=b}");
+  check_int "unlabelled key" 100 (Sim.Metrics.sum m "nic.faults_x")
+
+(* [sum] walks the table in place: what it allocates does not grow with
+   the number of series it visits. *)
+let test_metrics_sum_alloc () =
+  let words_for series =
+    let m = Sim.Metrics.create () in
+    for i = 1 to series do
+      Sim.Metrics.gauge m "g" ~labels:[ ("i", string_of_int i) ] (fun () -> i)
+    done;
+    ignore (Sim.Metrics.sum m "g");
+    let before = Gc.minor_words () in
+    ignore (Sim.Metrics.sum m "g");
+    Gc.minor_words () -. before
+  in
+  check (Alcotest.float 0.) "same words for 10 and 1000 series"
+    (words_for 10) (words_for 1000)
 
 (* ---------- Trace recorder / Chrome export ---------- *)
 
@@ -631,6 +671,8 @@ let suite =
         Alcotest.test_case "json sorted deterministic" `Quick
           test_metrics_json_sorted_deterministic;
         Alcotest.test_case "histogram export" `Quick test_metrics_histogram_export;
+        Alcotest.test_case "sum" `Quick test_metrics_sum;
+        Alcotest.test_case "sum allocation" `Quick test_metrics_sum_alloc;
       ] );
     ( "sim.trace",
       [

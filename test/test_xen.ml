@@ -172,6 +172,8 @@ let test_hypercall_charged_to_hypervisor () =
     Xen.Hypervisor.create_domain hyp ~name:"g" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:4
   in
+  let m = Sim.Metrics.create () in
+  Host.Cpu.register_metrics (Xen.Hypervisor.cpu hyp) m;
   let ran = ref false in
   Xen.Hypervisor.hypercall hyp ~from:d ~cost:(us 3) (fun () -> ran := true);
   Xen.Hypervisor.kernel_work hyp d ~cost:(us 5) ignore;
@@ -183,7 +185,7 @@ let test_hypercall_charged_to_hypervisor () =
        (Host.Profile.total profile Host.Category.Hypervisor)
     - Sim.Time.to_ns
         ((* subtract the context-switch charge *)
-         let switches = Host.Cpu.ctx_switches (Xen.Hypervisor.cpu hyp) in
+         let switches = Sim.Metrics.sum m "cpu.ctx_switches" in
          Sim.Time.mul_int (Sim.Time.ns 2_500) switches));
   check_int "kernel" (us 5)
     (Host.Profile.total profile (Xen.Domain.kernel d));
@@ -192,17 +194,20 @@ let test_hypercall_charged_to_hypervisor () =
 let test_route_irq () =
   let engine, profile, _, _, hyp = fixture () in
   let irq = Bus.Irq.create ~name:"nic" in
+  let m = Sim.Metrics.create () in
+  Xen.Hypervisor.register_metrics hyp m;
+  let phys_irqs () = Sim.Metrics.sum m "xen.phys_irqs" in
   let handled = ref 0 in
   Xen.Hypervisor.route_irq hyp irq (fun () -> incr handled);
   Bus.Irq.assert_line irq;
   Bus.Irq.assert_line irq;
   run engine 1;
   check_int "handled" 2 !handled;
-  check_int "counted" 2 (Xen.Hypervisor.physical_irqs hyp);
+  check_int "counted" 2 (phys_irqs ());
   check_bool "isr time charged" true
     (Host.Profile.total profile Host.Category.Hypervisor > 0);
   Xen.Hypervisor.reset_counters hyp;
-  check_int "reset" 0 (Xen.Hypervisor.physical_irqs hyp)
+  check_int "reset" 0 (phys_irqs ())
 
 (* ---------- Event channels ---------- *)
 
@@ -263,9 +268,7 @@ let test_event_channel_from_hypervisor () =
   in
   Xen.Event_channel.notify_from_hypervisor chan;
   run engine 1;
-  check_int "delivered" 1 !hits;
-  Xen.Event_channel.reset_counters chan;
-  check_int "counters reset" 0 (Xen.Event_channel.deliveries chan)
+  check_int "delivered" 1 !hits
 
 (* ---------- Grant table ---------- *)
 
@@ -281,7 +284,6 @@ let test_grant_flip () =
   in
   let p = List.hd (Xen.Domain.pages a) in
   let gnt = Xen.Grant_table.create hyp in
-  Xen.Grant_table.reset_flips gnt;
   check_bool "flip ok" true (Xen.Grant_table.flip gnt ~src:a ~dst:b p = Ok ());
   check_bool "owner now b" true (Memory.Phys_mem.owned_by mem p (Xen.Domain.id b));
   check_int "a's accounting" 3 (Xen.Domain.page_count a);
@@ -309,9 +311,8 @@ let test_grant_flip_pinned () =
   Memory.Phys_mem.put_ref mem p;
   check_bool "unpinned flips" true (Xen.Grant_table.flip gnt ~src:a ~dst:b p = Ok ())
 
-(* Regression for the PR-9 decoupling: the flip counter lives in the
-   table, so two independent tables (two hosts / two LPs) issue
-   independent counts and resetting one cannot disturb the other. *)
+(* The flip counter lives in the table, so two independent tables (two
+   hosts / two LPs) issue independent counts. *)
 let test_grant_tables_independent () =
   let _, _, _, _, hyp = fixture () in
   let a =
@@ -332,10 +333,7 @@ let test_grant_tables_independent () =
   flip g1 ~src:b ~dst:a;
   flip g2 ~src:a ~dst:b;
   check_int "g1 counts its own" 2 (Xen.Grant_table.flips g1);
-  check_int "g2 counts its own" 1 (Xen.Grant_table.flips g2);
-  Xen.Grant_table.reset_flips g1;
-  check_int "g1 reset" 0 (Xen.Grant_table.flips g1);
-  check_int "g2 untouched by g1 reset" 1 (Xen.Grant_table.flips g2)
+  check_int "g2 counts its own" 1 (Xen.Grant_table.flips g2)
 
 let suite =
   [
