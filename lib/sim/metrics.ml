@@ -57,6 +57,8 @@ let snapshot t =
   Hashtbl.fold (fun k kind acc -> (k, value_json kind) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* A hand loop: [String.starts_with] builds a closure per call, and [sum]
+   must not allocate per series. *)
 let rec same_prefix name k i =
   i = String.length name
   || (name.[i] = k.[i] && same_prefix name k (i + 1))
