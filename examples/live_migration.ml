@@ -31,10 +31,10 @@ let () =
     Xen.Hypervisor.create_domain xen ~name:"guest" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:4096
   in
-  let cdna = Cdna.Hyp.create xen ~costs:costs.cdna () in
+  let cdna = Cdna.Hyp.create xen ~costs:costs.cdna ~paging:false () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let make_nic idx =
-    let irq = Bus.Irq.create ~name:(Printf.sprintf "cdna%d" idx) in
+    let irq = Bus.Irq.create () in
     let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
     let nic =
       Cdna.Cnic.create engine ~mem ~dma ~irq ~dma_context_base:(idx * 64)
@@ -43,7 +43,7 @@ let () =
     in
     Cdna.Hyp.add_nic cdna nic;
     let link = Ethernet.Link.create engine () in
-    Cdna.Cnic.attach_link nic link ~side:Ethernet.Link.A;
+    Nic.Dp.attach_link (Cdna.Cnic.dp nic) link ~side:Ethernet.Link.A;
     (nic, link)
   in
   let nic_a, link_a = make_nic 0 in

@@ -39,8 +39,8 @@ let build ~protection =
     Xen.Hypervisor.create_domain xen ~name:"victim" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:64
   in
-  let cdna = Cdna.Hyp.create xen ~costs:costs.cdna ~protection () in
-  let irq = Bus.Irq.create ~name:"cdna-nic" in
+  let cdna = Cdna.Hyp.create xen ~costs:costs.cdna ~protection ~paging:false () in
+  let irq = Bus.Irq.create () in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
   let config =
     { Cdna.Cnic.default_config with Nic.Nic_config.materialize_payloads = true }
@@ -53,7 +53,7 @@ let build ~protection =
   in
   Cdna.Hyp.add_nic cdna nic;
   let link = Sim.Engine.now engine |> fun _ -> Ethernet.Link.create engine () in
-  Cdna.Cnic.attach_link nic link ~side:Ethernet.Link.A;
+  Nic.Dp.attach_link (Cdna.Cnic.dp nic) link ~side:Ethernet.Link.A;
   let wire_frames = ref [] in
   Ethernet.Link.attach link Ethernet.Link.B (fun f ->
       wire_frames := f :: !wire_frames);

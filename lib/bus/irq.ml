@@ -1,11 +1,10 @@
 type t = {
-  name : string;
   mutable handler : (unit -> unit) option;
   mutable count : int;
   mutable dropped : int;
 }
 
-let create ~name = { name; handler = None; count = 0; dropped = 0 }
+let create () = { handler = None; count = 0; dropped = 0 }
 let set_handler t f = t.handler <- Some f
 
 let assert_line t =

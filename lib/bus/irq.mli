@@ -7,7 +7,7 @@
 
 type t
 
-val create : name:string -> t
+val create : unit -> t
 
 (** [set_handler t f] installs the receiving handler. *)
 val set_handler : t -> (unit -> unit) -> unit

@@ -7,106 +7,75 @@ let default_config =
     seqno_checking = true;
   }
 
-type t = {
+(* What the datapath and the coalescer call back into; built before
+   them. *)
+type vector = {
   engine : Sim.Engine.t;
-  dp : Nic.Dp.t;
-  dma_context_base : int;
-  firmware : Nic.Firmware.t;
   irq : Bus.Irq.t;
   intr : Intr_vector.t;
-  coalescer : Nic.Coalesce.t;
   mutable dirty : int; (* contexts with new completion state *)
-  mutable fault_handler : ctx:int -> Nic.Dp.dir -> Nic.Dp.fault -> unit;
   mutable raised : int;
+  mutable fault_handler : ctx:int -> Nic.Dp.dir -> Nic.Dp.fault -> unit;
 }
+
+type t = { shell : Nic.Shell.t; firmware : Nic.Firmware.t; v : vector }
 
 (* Flush the dirty-context set as one interrupt bit vector; if the
    circular buffer is full, hold the interrupt and retry shortly. *)
-let rec flush t =
-  if t.dirty <> 0 then begin
-    let bits = t.dirty in
+let rec flush v =
+  if v.dirty <> 0 then begin
+    let bits = v.dirty in
     let posted =
-      Intr_vector.try_post t.intr ~bits ~on_done:(fun () ->
-          t.raised <- t.raised + 1;
-          Bus.Irq.assert_line t.irq)
+      Intr_vector.try_post v.intr ~bits ~on_done:(fun () ->
+          v.raised <- v.raised + 1;
+          Bus.Irq.assert_line v.irq)
     in
-    if posted then t.dirty <- 0
+    if posted then v.dirty <- 0
     else
-      Sim.Engine.schedule t.engine ~delay:(Sim.Time.us 5) (fun () -> flush t)
+      Sim.Engine.schedule v.engine ~delay:(Sim.Time.us 5) (fun () -> flush v)
   end
 
 let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
     ~intr_base () =
-  let self = ref None in
-  let notify ~ctx =
-    match !self with
-    | None -> ()
-    | Some t ->
-        t.dirty <- t.dirty lor (1 lsl ctx);
-        Nic.Coalesce.request t.coalescer
-  in
-  let on_fault ~ctx dir fault =
-    match !self with Some t -> t.fault_handler ~ctx dir fault | None -> ()
-  in
-  let dp =
-    Nic.Dp.create engine ~mem ~dma ~config ~contexts:num_contexts
-      ~dma_context_base ~notify ~on_fault ()
-  in
-  let firmware =
-    Nic.Firmware.create engine ~dp
-      ~process_cost:config.Nic.Nic_config.firmware_delay ()
-  in
-  let intr =
-    Intr_vector.create ~mem ~dma ~base:intr_base ~slots:256
-      ~dma_context:(dma_context_base + num_contexts)
-  in
-  let coalescer =
-    Nic.Coalesce.create engine ~min_gap:config.Nic.Nic_config.intr_min_gap
-      ~fire:(fun () ->
-        match !self with Some t -> flush t | None -> ())
-  in
-  let t =
+  let v =
     {
       engine;
-      dp;
-      dma_context_base;
-      firmware;
       irq;
-      intr;
-      coalescer;
+      intr =
+        Intr_vector.create ~mem ~dma ~base:intr_base ~slots:256
+          ~dma_context:(dma_context_base + num_contexts);
       dirty = 0;
-      fault_handler = (fun ~ctx:_ _ _ -> ());
       raised = 0;
+      fault_handler = (fun ~ctx:_ _ _ -> ());
     }
   in
-  self := Some t;
-  t
+  let shell =
+    Nic.Shell.create engine ~mem ~dma ~config ~contexts:num_contexts
+      ~dma_context_base
+      ~notify:(fun ~ctx -> v.dirty <- v.dirty lor (1 lsl ctx))
+      ~on_fault:(fun ~ctx dir fault -> v.fault_handler ~ctx dir fault)
+      ~fire:(fun () -> flush v)
+  in
+  match Nic.Shell.firmware shell with
+  | Some firmware -> { shell; firmware; v }
+  | None -> invalid_arg "Cnic.create: config has no firmware"
 
-let attach_link t link ~side = Nic.Dp.attach_link t.dp link ~side
-let dp t = t.dp
-let irq t = t.irq
-let intr_vector t = t.intr
-let dma t = Nic.Dp.dma t.dp
-let desc_layout t = (Nic.Dp.config t.dp).Nic.Nic_config.desc_layout
-let dma_context_of t ~ctx = t.dma_context_base + ctx
-let intr_dma_context t = t.dma_context_base + num_contexts
-
-let activate_context t ~ctx ~mac = Nic.Dp.activate t.dp ~ctx ~mac
-let revoke_context t ~ctx = Nic.Dp.deactivate t.dp ~ctx
-
-let set_expected_seqno t ~ctx ~tx ~rx =
-  Nic.Dp.set_expected_seqno t.dp ~ctx ~tx ~rx
+let dp t = Nic.Shell.dp t.shell
+let firmware t = t.firmware
+let irq t = t.v.irq
+let intr_vector t = t.v.intr
+let set_fault_handler t f = t.v.fault_handler <- f
 
 let free_context t =
   (* A context can be faulted with [active = false] (halted by a
      protection fault, not yet deactivated); its seqno/ring state is not
      reset, so handing it out would poison the next guest. Only a fully
      reset slot — neither active nor faulted — is free. *)
+  let dp = dp t in
   let rec scan i =
     if i >= num_contexts then None
     else if
-      (not (Nic.Dp.is_active t.dp ~ctx:i))
-      && not (Nic.Dp.is_faulted t.dp ~ctx:i)
+      (not (Nic.Dp.is_active dp ~ctx:i)) && not (Nic.Dp.is_faulted dp ~ctx:i)
     then Some i
     else scan (i + 1)
   in
@@ -122,7 +91,7 @@ type saved_context = {
 }
 
 let save_context t ~ctx =
-  let sc_dp = Nic.Dp.save_context t.dp ~ctx in
+  let sc_dp = Nic.Dp.save_context (dp t) ~ctx in
   let sc_mailbox =
     Nic.Mailbox.save_partition (Nic.Firmware.mailbox t.firmware) ~ctx
   in
@@ -133,20 +102,8 @@ let restore_context_image t ~ctx s =
   Nic.Firmware.restore_scratch t.firmware ~ctx s.sc_firmware;
   Nic.Mailbox.restore_partition (Nic.Firmware.mailbox t.firmware) ~ctx
     s.sc_mailbox;
-  Nic.Dp.restore_context t.dp ~ctx s.sc_dp
-
-let region t ~ctx = Nic.Firmware.region t.firmware ~ctx
-let driver_if t ~ctx ~mapping = Nic.Firmware.driver_if t.firmware ~ctx ~mapping
-let set_tx_ring t ~ctx ring = Nic.Dp.set_tx_ring t.dp ~ctx ring
-let set_rx_ring t ~ctx ring = Nic.Dp.set_rx_ring t.dp ~ctx ring
-let set_status_addr t ~ctx addr = Nic.Dp.set_status_addr t.dp ~ctx addr
-let set_fault_handler t f = t.fault_handler <- f
-let set_uncongested_hook t f = Nic.Dp.set_uncongested_hook t.dp f
+  Nic.Dp.restore_context (dp t) ~ctx s.sc_dp
 
 let register_metrics t m ~labels =
-  Nic.Dp.register_metrics t.dp m ~labels;
-  Nic.Coalesce.register_metrics t.coalescer m ~labels;
-  Nic.Mailbox.register_metrics (Nic.Firmware.mailbox t.firmware) m ~labels;
-  Sim.Metrics.gauge m ~labels "firmware.events_processed" (fun () ->
-      Nic.Firmware.events_processed t.firmware);
-  Sim.Metrics.gauge m ~labels "cnic.interrupts_raised" (fun () -> t.raised)
+  Nic.Shell.register_metrics t.shell m ~labels;
+  Sim.Metrics.gauge m ~labels "cnic.interrupts_raised" (fun () -> t.v.raised)

@@ -1,16 +1,19 @@
 (** The CDNA network interface (RiceNIC with CDNA firmware, paper §4).
 
-    32 hardware contexts, each with a page-sized mailbox partition in NIC
-    SRAM (mappable into exactly one guest), per-context descriptor rings
-    fetched from host memory, MAC-based receive demultiplexing, fair
-    round-robin transmit across contexts, sequence-number validation of
-    every descriptor, and interrupt delivery by DMA-ing an interrupt bit
-    vector into the hypervisor's circular buffer before raising the
-    physical interrupt.
+    The {!Nic.Shell} with 32 hardware contexts, each with a page-sized
+    mailbox partition in NIC SRAM (mappable into exactly one guest),
+    per-context descriptor rings fetched from host memory, MAC-based
+    receive demultiplexing, fair round-robin transmit across contexts and
+    sequence-number validation of every descriptor. What this module adds
+    is CDNA's: interrupt delivery by DMA-ing an interrupt bit vector into
+    the hypervisor's circular buffer before raising the physical
+    interrupt, guest-specific fault reports, and the context image that
+    hypervisor-mediated paging saves and restores.
 
-    The [activate]/[revoke]/[region] operations are privileged: only the
-    hypervisor ({!Hyp}) calls them. Guests interact exclusively through
-    the {!Nic.Driver_if.t} bound to their own mailbox mapping. *)
+    Context control ({!Nic.Dp.activate}, {!Nic.Dp.deactivate}, ring
+    programming, {!Nic.Firmware.region}) is privileged: only the
+    hypervisor ({!Hyp}) does it. Guests interact exclusively through the
+    {!Nic.Firmware.driver_if} bound to their own mailbox mapping. *)
 
 type t
 
@@ -18,9 +21,11 @@ type t
 val num_contexts : int
 
 (** [create engine ~mem ~dma ~irq ~dma_context_base ~intr_base ()] — the
-    interrupt bit-vector buffer lives at hypervisor address [intr_base]
-    ([intr_slots] entries, default 256). [dma_context_base] spaces this
-    NIC's IOMMU context ids. *)
+    interrupt bit-vector buffer (256 slots) lives at hypervisor address
+    [intr_base]. Hardware context [i] transfers as IOMMU context
+    [dma_context_base + i] and the bit-vector writes as
+    [dma_context_base + num_contexts].
+    @raise Invalid_argument if [config] has no [firmware_delay]. *)
 val create :
   Sim.Engine.t ->
   mem:Memory.Phys_mem.t ->
@@ -35,32 +40,10 @@ val create :
 (** The CDNA variant of the RiceNIC configuration (sequence checking on). *)
 val default_config : Nic.Nic_config.t
 
-val attach_link : t -> Ethernet.Link.t -> side:Ethernet.Link.side -> unit
 val dp : t -> Nic.Dp.t
+val firmware : t -> Nic.Firmware.t
 val irq : t -> Bus.Irq.t
 val intr_vector : t -> Intr_vector.t
-
-(** The shared DMA engine (for IOMMU installation). *)
-val dma : t -> Bus.Dma_engine.t
-
-(** The device's preferred descriptor format, published to the hypervisor
-    (paper section 3.4). *)
-val desc_layout : t -> Memory.Desc_layout.t
-
-(** IOMMU context id of hardware context [ctx] ([base + ctx]); the
-    interrupt bit-vector buffer writes as context [base + num_contexts]. *)
-val dma_context_of : t -> ctx:int -> int
-
-val intr_dma_context : t -> int
-
-(** {1 Privileged operations (hypervisor only)} *)
-
-val activate_context : t -> ctx:int -> mac:Ethernet.Mac_addr.t -> unit
-
-(** Shuts down all pending operations of the context (paper section 3.1). *)
-val revoke_context : t -> ctx:int -> unit
-
-val set_expected_seqno : t -> ctx:int -> tx:int -> rx:int -> unit
 
 (** Lowest fully reset slot — neither active nor {e faulted}: a context
     halted by a protection fault keeps its poisoned seqno/ring state
@@ -81,27 +64,10 @@ val save_context : t -> ctx:int -> saved_context
     slot (any slot — not necessarily the one it was saved from). *)
 val restore_context_image : t -> ctx:int -> saved_context -> unit
 
-val region : t -> ctx:int -> Bus.Mmio.region
-
-(** Driver interface bound to a guest's mapping of its partition. *)
-val driver_if : t -> ctx:int -> mapping:Bus.Mmio.mapping -> Nic.Driver_if.t
-
-(** Privileged ring programming, used when the hypervisor (not the guest)
-    owns ring setup under full protection. *)
-val set_tx_ring : t -> ctx:int -> Nic.Ring.t -> unit
-
-val set_rx_ring : t -> ctx:int -> Nic.Ring.t -> unit
-val set_status_addr : t -> ctx:int -> Memory.Addr.t -> unit
-
 val set_fault_handler :
   t -> (ctx:int -> Nic.Dp.dir -> Nic.Dp.fault -> unit) -> unit
 
-(** {1 Flow control and statistics} *)
-
-val set_uncongested_hook : t -> (unit -> unit) -> unit
-
-(** Expose datapath, coalescer, mailbox, firmware and interrupt
-    ([cnic.interrupts_raised]: physical interrupts raised after the
-    bit-vector DMA) gauges under [labels] (e.g. [[("nic", "cnic0")]]). *)
+(** {!Nic.Shell.register_metrics} plus [cnic.interrupts_raised]: physical
+    interrupts raised after the bit-vector DMA. *)
 val register_metrics :
   t -> Sim.Metrics.t -> labels:(string * string) list -> unit

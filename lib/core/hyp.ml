@@ -62,7 +62,7 @@ type t = {
   (* Context oversubscription: when [paging] is on, assignment past the
      NIC's context count evicts the least-recently-used resident context
      to a per-guest save area instead of failing. *)
-  mutable paging : bool;
+  paging : bool;
   mutable use_clock : int;
   mutable ctx_swaps : int;
 }
@@ -72,7 +72,7 @@ let trace t fmt_msg =
     ~time:(Sim.Engine.now (Xen.Hypervisor.engine t.xen))
     ~tag:"cdna-hyp" fmt_msg
 
-let create xen ~costs ?(protection = Cdna_costs.Full) () =
+let create xen ~costs ?(protection = Cdna_costs.Full) ~paging () =
   {
     xen;
     costs;
@@ -81,12 +81,11 @@ let create xen ~costs ?(protection = Cdna_costs.Full) () =
     nics = [];
     faults = [];
     enqueue_calls = 0;
-    paging = false;
+    paging;
     use_clock = 0;
     ctx_swaps = 0;
   }
 
-let enable_paging t = t.paging <- true
 let paging_enabled t = t.paging
 
 let costs t = t.costs
@@ -104,7 +103,11 @@ let handle_of t nic ~ctx =
 
 (* IOMMU table entries are keyed by the DMA context the NIC transfers
    with: its dma_context_base + hardware context id. *)
-let iommu_ctx h = Cnic.dma_context_of h.nic ~ctx:h.ctx
+let iommu_ctx h = Nic.Dp.dma_context (Cnic.dp h.nic) ~ctx:h.ctx
+
+(* The NIC's descriptor format (paper 3.4): rings are laid out with its
+   stride and the hypervisor writes descriptors through it. *)
+let desc_layout h = (Nic.Dp.config (Cnic.dp h.nic)).Nic.Nic_config.desc_layout
 
 let add_nic t nic =
   if List.exists (fun (n, _) -> n == nic) t.nics then ()
@@ -120,7 +123,7 @@ let add_nic t nic =
               t.iommu <- Some i;
               i
         in
-        Bus.Dma_engine.set_iommu (Cnic.dma nic) (Some iommu);
+        Bus.Dma_engine.set_iommu (Nic.Dp.dma (Cnic.dp nic)) (Some iommu);
         (* The interrupt bit-vector buffer (hypervisor memory) must stay
            reachable by the NIC's interrupt-delivery DMA. *)
         let intr = Cnic.intr_vector nic in
@@ -130,7 +133,7 @@ let add_nic t nic =
             (Intr_vector.base intr + (Intr_vector.slots intr * 8) - 1)
         in
         for pfn = first to last do
-          Memory.Iommu.grant iommu ~context:(Cnic.intr_dma_context nic) pfn
+          Memory.Iommu.grant iommu ~context:(Intr_vector.dma_context intr) pfn
         done
     | Cdna_costs.Full | Cdna_costs.Disabled -> ());
     (* Fault reports from the NIC are guest-specific (paper 3.3). The
@@ -203,7 +206,7 @@ let page_out t victim =
         victim.ctx);
   let image = Cnic.save_context nic ~ctx:victim.ctx in
   Bus.Mmio.revoke victim.mapping;
-  Cnic.revoke_context nic ~ctx:victim.ctx;
+  Nic.Dp.deactivate (Cnic.dp nic) ~ctx:victim.ctx;
   (* The slot's DMA context will belong to the next occupant: the victim's
      IOMMU grants must not let the newcomer reach the victim's pages. *)
   iommu_grants_apply t victim ~f:Memory.Iommu.revoke;
@@ -257,8 +260,9 @@ let page_in t h =
   in
   h.saved <- None;
   h.ctx <- ctx;
-  h.mapping <- Bus.Mmio.map (Cnic.region nic ~ctx);
-  h.hw_live <- Cnic.driver_if nic ~ctx ~mapping:h.mapping;
+  let fw = Cnic.firmware nic in
+  h.mapping <- Bus.Mmio.map (Nic.Firmware.region fw ~ctx);
+  h.hw_live <- Nic.Firmware.driver_if fw ~ctx ~mapping:h.mapping;
   (* Grants must be installed before the restore kicks the DMA engines. *)
   iommu_grants_apply t h ~f:Memory.Iommu.grant;
   Cnic.restore_context_image nic ~ctx image;
@@ -290,8 +294,7 @@ let ensure_resident t h =
    to the context's current live binding, faulting it in first. *)
 let wrap t h : Nic.Driver_if.t =
   {
-    Nic.Driver_if.describe = h.hw_live.Nic.Driver_if.describe;
-    desc_layout = h.hw_live.Nic.Driver_if.desc_layout;
+    Nic.Driver_if.desc_layout = h.hw_live.Nic.Driver_if.desc_layout;
     setup_tx_ring =
       (fun ring ->
         ensure_resident t h;
@@ -349,15 +352,16 @@ let assign_context t ~nic ~guest ~mac ~isr_cost =
   match slot with
   | None -> Error `No_free_context
   | Some (ctx, evicted) ->
-      let mapping = Bus.Mmio.map (Cnic.region nic ~ctx) in
+      let fw = Cnic.firmware nic and dp = Cnic.dp nic in
+      let mapping = Bus.Mmio.map (Nic.Firmware.region fw ~ctx) in
       let handler = ref (fun () -> ()) in
       let chan =
         Xen.Event_channel.create t.xen ~target:guest ~isr_cost
           ~handler:(fun () -> !handler ())
       in
-      Cnic.activate_context nic ~ctx ~mac;
-      Cnic.set_expected_seqno nic ~ctx ~tx:0 ~rx:0;
-      let live = Cnic.driver_if nic ~ctx ~mapping in
+      Nic.Dp.activate dp ~ctx ~mac;
+      Nic.Dp.set_expected_seqno dp ~ctx ~tx:0 ~rx:0;
+      let live = Nic.Firmware.driver_if fw ~ctx ~mapping in
       t.use_clock <- t.use_clock + 1;
       let h =
         {
@@ -392,26 +396,23 @@ let assign_context t ~nic ~guest ~mac ~isr_cost =
 let set_event_handler h f = h.handler := f
 let set_fault_hook h f = h.fault_hook := Some f
 
+(* Drop the hold an enqueued descriptor took on one of its pages: the pin
+   or the IOMMU grant. *)
+let release_page t h pfn =
+  match t.protection with
+  | Cdna_costs.Full -> Memory.Phys_mem.put_ref (mem t) pfn
+  | Cdna_costs.Iommu -> (
+      (* A paged-out context's grants were already revoked when it left
+         its slot; the slot id it remembers may belong to another guest by
+         now. *)
+      if h.resident then
+        match t.iommu with
+        | Some iommu -> Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn
+        | None -> ())
+  | Cdna_costs.Disabled -> ()
+
 let unpin_all t h rs =
-  let mem = mem t in
-  Queue.iter
-    (fun (_, pfns) ->
-      List.iter
-        (fun pfn ->
-          match t.protection with
-          | Cdna_costs.Full -> Memory.Phys_mem.put_ref mem pfn
-          | Cdna_costs.Iommu -> (
-              (* A paged-out context's grants were already revoked when it
-                 left its slot; the slot id it remembers may belong to
-                 another guest by now. *)
-              if h.resident then
-                match t.iommu with
-                | Some iommu ->
-                    Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn
-                | None -> ())
-          | Cdna_costs.Disabled -> ())
-        pfns)
-    rs.pins;
+  Queue.iter (fun (_, pfns) -> List.iter (release_page t h) pfns) rs.pins;
   Queue.clear rs.pins;
   rs.pinned <- 0
 
@@ -420,7 +421,7 @@ let revoke t h =
     h.revoked <- true;
     if h.resident then begin
       Bus.Mmio.revoke h.mapping;
-      Cnic.revoke_context h.nic ~ctx:h.ctx
+      Nic.Dp.deactivate (Cnic.dp h.nic) ~ctx:h.ctx
     end
     else h.saved <- None;
     unpin_all t h h.tx;
@@ -499,18 +500,35 @@ let validate_pages t h pfns =
   in
   check pfns
 
+(* The tail both registration hypercalls share: check the caller owns
+   [pfns], let [program] point the NIC at them, and in IOMMU mode grant
+   them to the context's DMA context. *)
+let validate_and_grant t h pfns ~program k =
+  match
+    if t.protection = Cdna_costs.Disabled then Ok ()
+    else validate_pages t h pfns
+  with
+  | Error e -> k (Error e)
+  | Ok () ->
+      program ();
+      (match (t.protection, t.iommu) with
+      | Cdna_costs.Iommu, Some iommu ->
+          List.iter
+            (fun pfn -> Memory.Iommu.grant iommu ~context:(iommu_ctx h) pfn)
+            pfns;
+          h.granted_extra <- pfns @ h.granted_extra
+      | _ -> ());
+      k (Ok ())
+
 let register_ring t h dir ~base ~slots k =
   let cost = t.costs.Cdna_costs.map_context in
   Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost (fun () ->
       if h.revoked then k (Error `Revoked)
       else begin
         ensure_resident t h;
-        (* The NIC told us its descriptor format (paper 3.4); rings are
-           laid out with its stride. *)
-        let layout = Cnic.desc_layout h.nic in
         let ring =
           Nic.Ring.create ~base ~slots
-            ~desc_bytes:layout.Memory.Desc_layout.size ()
+            ~desc_bytes:(desc_layout h).Memory.Desc_layout.size ()
         in
         if slots > Seqno.max_ring_slots then
           invalid_arg "Cdna.Hyp.register_ring: ring too large for seqno space";
@@ -518,28 +536,15 @@ let register_ring t h dir ~base ~slots k =
           Memory.Addr.pages_spanned ~addr:base
             ~len:(Nic.Ring.size_bytes ring)
         in
-        match
-          if t.protection = Cdna_costs.Disabled then Ok ()
-          else validate_pages t h pfns
-        with
-        | Error e -> k (Error e)
-        | Ok () ->
+        validate_and_grant t h pfns k ~program:(fun () ->
             let rs = ring_state h dir in
             rs.ring <- Some ring;
             rs.prod <- 0;
             rs.seq <- 0;
             (* The hypervisor, not the guest, programs the NIC. *)
-            (match dir with
-            | Tx -> Cnic.set_tx_ring h.nic ~ctx:h.ctx ring
-            | Rx -> Cnic.set_rx_ring h.nic ~ctx:h.ctx ring);
-            (match t.protection, t.iommu with
-            | Cdna_costs.Iommu, Some iommu ->
-                List.iter
-                  (fun pfn -> Memory.Iommu.grant iommu ~context:(iommu_ctx h) pfn)
-                  pfns;
-                h.granted_extra <- pfns @ h.granted_extra
-            | _ -> ());
-            k (Ok ())
+            match dir with
+            | Tx -> Nic.Dp.set_tx_ring (Cnic.dp h.nic) ~ctx:h.ctx ring
+            | Rx -> Nic.Dp.set_rx_ring (Cnic.dp h.nic) ~ctx:h.ctx ring)
       end)
 
 let register_status t h ~addr k =
@@ -548,22 +553,10 @@ let register_status t h ~addr k =
       if h.revoked then k (Error `Revoked)
       else begin
         ensure_resident t h;
-        match
-          if t.protection = Cdna_costs.Disabled then Ok ()
-          else validate_pages t h [ Memory.Addr.pfn_of addr ]
-        with
-        | Error e -> k (Error e)
-        | Ok () ->
+        let pfns = [ Memory.Addr.pfn_of addr ] in
+        validate_and_grant t h pfns k ~program:(fun () ->
             h.status_addr <- Some addr;
-            Cnic.set_status_addr h.nic ~ctx:h.ctx addr;
-            (match t.protection, t.iommu with
-            | Cdna_costs.Iommu, Some iommu ->
-                Memory.Iommu.grant iommu ~context:(iommu_ctx h)
-                  (Memory.Addr.pfn_of addr);
-                h.granted_extra <-
-                  Memory.Addr.pfn_of addr :: h.granted_extra
-            | _ -> ());
-            k (Ok ())
+            Nic.Dp.set_status_addr (Cnic.dp h.nic) ~ctx:h.ctx addr)
       end)
 
 (* Consumer index for a direction, as last written back by the NIC. *)
@@ -585,21 +578,10 @@ let process_completions t h dir =
     match Queue.peek_opt rs.pins with
     | Some (idx, pfns) when idx < cons ->
         ignore (Queue.pop rs.pins);
-        List.iter
-          (fun pfn ->
-            incr unpinned;
-            match t.protection with
-            | Cdna_costs.Full -> Memory.Phys_mem.put_ref (mem t) pfn
-            | Cdna_costs.Iommu -> (
-                (* Paged-out contexts have no live grants to drop. *)
-                if h.resident then
-                  match t.iommu with
-                  | Some iommu ->
-                      Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn
-                  | None -> ())
-            | Cdna_costs.Disabled -> ())
-          pfns;
-        rs.pinned <- rs.pinned - List.length pfns
+        List.iter (release_page t h) pfns;
+        let n = List.length pfns in
+        unpinned := !unpinned + n;
+        rs.pinned <- rs.pinned - n
     | Some _ | None -> continue := false
   done;
   !unpinned
@@ -713,9 +695,7 @@ let enqueue t h dir descs k =
                     | Cdna_costs.Disabled -> ());
                     let stamped = { d with Memory.Dma_desc.seqno = rs.seq } in
                     rs.seq <- Seqno.next rs.seq;
-                    Memory.Desc_layout.write
-                      (Cnic.desc_layout h.nic)
-                      (mem t)
+                    Memory.Desc_layout.write (desc_layout h) (mem t)
                       ~at:(Nic.Ring.slot_addr ring idx)
                       stamped;
                     rs.prod <- idx + 1)

@@ -26,10 +26,13 @@
 
 type t
 
+(** [create xen ~costs ?protection ~paging ()] — [paging] allows more
+    guests than hardware contexts on every registered NIC (see below). *)
 val create :
   Xen.Hypervisor.t ->
   costs:Cdna_costs.t ->
   ?protection:Cdna_costs.protection ->
+  paging:bool ->
   unit ->
   t
 
@@ -38,7 +41,7 @@ val xen : t -> Xen.Hypervisor.t
 
 (** {1 Context oversubscription (paging)}
 
-    With paging enabled, {!assign_context} no longer fails when every
+    With paging on, {!assign_context} no longer fails when every
     hardware context is taken: the least-recently-used resident context is
     {e paged out} — its full hardware image (mailbox partition, ring
     registers, expected seqnos, firmware scratch) saved to a per-guest
@@ -49,9 +52,6 @@ val xen : t -> Xen.Hypervisor.t
     retransmission. Each save or restore costs
     {!Cdna_costs.t.context_swap} of hypervisor time, charged to the guest
     whose access triggered the swap. *)
-
-(** Allow more guests than hardware contexts on every registered NIC. *)
-val enable_paging : t -> unit
 
 val paging_enabled : t -> bool
 
@@ -183,7 +183,7 @@ val faults : t -> (Host.Category.domain_id * int) list
 (** Expose [cdna.enqueue_calls] (enqueue hypercalls executed),
     [cdna.faults] and per-(NIC, context) [cdna.ctx.pinned_pages] /
     [cdna.ctx.virqs] (virtual interrupts delivered to the context's guest)
-    gauges. With paging enabled, also [cdna.ctx_swaps]: context
+    gauges. With paging on, also [cdna.ctx_swaps]: context
     save/restore operations (a swap that evicts a victim and restores
     another image counts as two). NICs are labelled
     [cnic0], [cnic1], ... in {!add_nic} order; call after all NICs are

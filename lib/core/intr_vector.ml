@@ -31,6 +31,7 @@ let create ~mem ~dma ~base ~slots ~dma_context =
 
 let slots t = t.slots
 let base t = t.base
+let dma_context t = t.dma_context
 let space t = t.slots - (t.prod - t.cons)
 
 let slot_addr t idx = t.base + (idx land (t.slots - 1)) * slot_bytes

@@ -26,6 +26,9 @@ val create :
 val slots : t -> int
 val base : t -> Memory.Addr.t
 
+(** IOMMU context id the vector writes go out as. *)
+val dma_context : t -> int
+
 (** {1 NIC side} *)
 
 (** [try_post t ~bits ~on_done] DMA-writes the vector into the next slot.

@@ -101,9 +101,9 @@ let build ~mode () =
   let guest_a = dom "benign-a" ~mem_pages:1024 in
   let guest_b = dom "benign-b" ~mem_pages:1024 in
   let rogue = dom "rogue" ~mem_pages:256 in
-  let cdna = H.create xen ~costs:costs.cdna ~protection:mode () in
+  let cdna = H.create xen ~costs:costs.cdna ~protection:mode ~paging:false () in
   let dma = Bus.Dma_engine.create engine ~mem () in
-  let irq = Bus.Irq.create ~name:"cdna" in
+  let irq = Bus.Irq.create () in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
   let nic =
     Cdna.Cnic.create engine ~mem ~dma ~irq ~dma_context_base:0
@@ -112,7 +112,7 @@ let build ~mode () =
   in
   H.add_nic cdna nic;
   let link = Ethernet.Link.create engine () in
-  Cdna.Cnic.attach_link nic link ~side:Ethernet.Link.A;
+  Nic.Dp.attach_link (Cdna.Cnic.dp nic) link ~side:Ethernet.Link.A;
   let assign guest mac =
     match H.assign_context cdna ~nic ~guest ~mac ~isr_cost:(us 1) with
     | Ok h -> h

@@ -3,7 +3,7 @@
     The paper's Figure 3/4 stops at 24 guests — below the NIC's 32
     hardware contexts, so every CDNA guest always holds a context. This
     sweep keeps going: with hypervisor-mediated context paging
-    ({!Cdna.Hyp.enable_paging}, turned on by {!Testbed} whenever
+    ({!Cdna.Hyp.create}[ ~paging], which {!Testbed} sets whenever
     [guests > Cdna.Cnic.num_contexts]) hundreds of guests can share the 32
     contexts, at the price of {!Cdna.Cdna_costs.t.context_swap} hypervisor
     work per context save/restore. Points are measured for both CDNA and

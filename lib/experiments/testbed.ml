@@ -97,12 +97,7 @@ let make_bench b ~dom =
     ~gso_segments:b.cfg.Config.gso_segments ~post_user
     ~costs:b.cm.Cost_model.guest_os ~ack ()
 
-let nic_config b kind =
-  let base =
-    match (kind : Config.nic_kind) with
-    | Config.Intel -> Nic.Nic_config.intel
-    | Config.Ricenic -> Nic.Nic_config.ricenic
-  in
+let nic_config b base =
   {
     base with
     Nic.Nic_config.intr_min_gap = b.cm.Cost_model.intr_min_gap;
@@ -127,26 +122,21 @@ let make_peer b ~nic_idx ~set_uncongested_hook =
    registered. Returns its uncongested-hook setter and the driver's view
    of it. *)
 let conventional_nic b ~i ~irq ~mac =
-  let labels = [ ("nic", Printf.sprintf "nic%d" i) ] in
-  match b.cfg.Config.nic with
-  | Config.Intel ->
-      let nic =
-        Nic.Intel_nic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
-          ~config:(nic_config b Config.Intel) ~irq ~dma_context:(i * 64) ()
-      in
-      Nic.Intel_nic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
-      Nic.Intel_nic.enable nic ~mac;
-      Nic.Intel_nic.register_metrics nic b.b_metrics ~labels;
-      (Nic.Intel_nic.set_uncongested_hook nic, Nic.Intel_nic.driver_if nic)
-  | Config.Ricenic ->
-      let nic =
-        Nic.Ricenic.create b.b_engine ~mem:b.b_mem ~dma:b.dma
-          ~config:(nic_config b Config.Ricenic) ~irq ~dma_context:(i * 64) ()
-      in
-      Nic.Ricenic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
-      Nic.Ricenic.enable nic ~mac;
-      Nic.Ricenic.register_metrics nic b.b_metrics ~labels;
-      (Nic.Ricenic.set_uncongested_hook nic, Nic.Ricenic.driver_if nic)
+  let base =
+    match b.cfg.Config.nic with
+    | Config.Intel -> Nic.Nic_config.intel
+    | Config.Ricenic -> Nic.Nic_config.ricenic
+  in
+  let nic =
+    Nic.Conventional.create b.b_engine ~mem:b.b_mem ~dma:b.dma
+      ~config:(nic_config b base) ~irq ~dma_context:(i * 64)
+  in
+  let dp = Nic.Conventional.dp nic in
+  Nic.Dp.attach_link dp b.links.(i) ~side:Ethernet.Link.A;
+  Nic.Conventional.enable nic ~mac;
+  Nic.Conventional.register_metrics nic b.b_metrics
+    ~labels:[ ("nic", Printf.sprintf "nic%d" i) ];
+  (Nic.Dp.set_uncongested_hook dp, Nic.Conventional.driver_if nic)
 
 (* ---------- Native (bare-metal) assembly ---------- *)
 
@@ -159,8 +149,7 @@ let build_native b =
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work b.b_xen dom ~cost fn in
   let bench = make_bench b ~dom in
   let irqs =
-    Array.init cfg.Config.nics (fun i ->
-        Bus.Irq.create ~name:(Printf.sprintf "nic%d" i))
+    Array.init cfg.Config.nics (fun _ -> Bus.Irq.create ())
   in
   (* No hypervisor counts bare-metal interrupts: the NIC lines' own
      counts are the physical-interrupt series. *)
@@ -215,7 +204,7 @@ let build_xen b =
   (* Physical NICs, owned by the driver domain. *)
   let nic_peers =
     Array.init cfg.Config.nics (fun i ->
-        let irq = Bus.Irq.create ~name:(Printf.sprintf "nic%d" i) in
+        let irq = Bus.Irq.create () in
         let mac = native_nic_mac i in
         let set_hook, hw = conventional_nic b ~i ~irq ~mac in
         let driver =
@@ -296,26 +285,20 @@ let build_cdna b =
     Xen.Hypervisor.create_domain b.b_xen ~name:"driver" ~kind:Xen.Domain.Driver
       ~weight:256 ~mem_pages:8192
   in
-  let cdna_hyp =
-    Cdna.Hyp.create b.b_xen ~costs:b.cm.Cost_model.cdna
-      ~protection:cfg.Config.protection ()
-  in
   (* More guests than hardware contexts per NIC: let the hypervisor page
      contexts in and out instead of failing assignment. Gated so the
      at-capacity configurations keep their exact historical behaviour
      (including the metric set). *)
-  if cfg.Config.guests > Cdna.Cnic.num_contexts then
-    Cdna.Hyp.enable_paging cdna_hyp;
-  let cdna_cfg =
-    {
-      Cdna.Cnic.default_config with
-      Nic.Nic_config.intr_min_gap = b.cm.Cost_model.intr_min_gap;
-      materialize_payloads = cfg.Config.materialize;
-    }
+  let cdna_hyp =
+    Cdna.Hyp.create b.b_xen ~costs:b.cm.Cost_model.cdna
+      ~protection:cfg.Config.protection
+      ~paging:(cfg.Config.guests > Cdna.Cnic.num_contexts)
+      ()
   in
+  let cdna_cfg = nic_config b Cdna.Cnic.default_config in
   let nics =
     Array.init cfg.Config.nics (fun i ->
-        let irq = Bus.Irq.create ~name:(Printf.sprintf "cdna-nic%d" i) in
+        let irq = Bus.Irq.create () in
         let intr_page =
           match Xen.Hypervisor.alloc_hyp_pages b.b_xen 1 with
           | [ p ] -> p
@@ -327,13 +310,14 @@ let build_cdna b =
             ~intr_base:(Memory.Addr.base_of_pfn intr_page)
             ()
         in
-        Cdna.Cnic.attach_link nic b.links.(i) ~side:Ethernet.Link.A;
+        let dp = Cdna.Cnic.dp nic in
+        Nic.Dp.attach_link dp b.links.(i) ~side:Ethernet.Link.A;
         Cdna.Hyp.add_nic cdna_hyp nic;
         Cdna.Cnic.register_metrics nic b.b_metrics
           ~labels:[ ("nic", Printf.sprintf "cnic%d" i) ];
         let peer =
           make_peer b ~nic_idx:i
-            ~set_uncongested_hook:(Cdna.Cnic.set_uncongested_hook nic)
+            ~set_uncongested_hook:(Nic.Dp.set_uncongested_hook dp)
         in
         (nic, peer))
   in

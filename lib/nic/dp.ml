@@ -157,6 +157,7 @@ let make_ctx id =
 let config t = t.cfg
 let contexts t = Array.length t.ctxs
 let dma t = t.dma
+let dma_context t ~ctx = t.dma_context_base + ctx
 
 let ctx t i =
   if i < 0 || i >= Array.length t.ctxs then

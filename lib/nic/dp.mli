@@ -2,8 +2,8 @@
 
     The hardware engine shared by every NIC model in this repository:
 
-    - the conventional {!Intel_nic} and {!Ricenic} instantiate it with one
-      context (plus promiscuous receive, for the driver-domain bridge);
+    - the {!Conventional} NIC instantiates it with one context (plus
+      promiscuous receive, for the driver-domain bridge);
     - the CDNA NIC instantiates it with 32 contexts, sequence-number
       checking and bit-vector interrupt delivery (see the [cdna] library).
 
@@ -21,7 +21,7 @@
       context's posted receive descriptors, and DMA-writes payloads to
       host buffers.
     - Completion state (consumer indices) is DMA-written back to a
-      per-context status block, then the wrapper is notified so it can
+      per-context status block, then the {!Shell} is notified so it can
       raise a (coalesced) interrupt.
     - When [seqno_checking] is on, every descriptor's sequence number must
       continue the per-context sequence; a mismatch raises a {e guest-
@@ -62,6 +62,10 @@ val contexts : t -> int
 (** The shared DMA engine this NIC uses (for IOMMU installation). *)
 val dma : t -> Bus.Dma_engine.t
 
+(** IOMMU context id the datapath transfers with on behalf of context
+    [ctx]: [dma_context_base + ctx]. *)
+val dma_context : t -> ctx:int -> int
+
 (** Attach the MAC to its link; [side] is this NIC's side. *)
 val attach_link : t -> Ethernet.Link.t -> side:Ethernet.Link.side -> unit
 
@@ -93,7 +97,7 @@ val save_context : t -> ctx:int -> saved_ctx
     kicks the engines: transmission resumes exactly where the save left
     off. Cursors and seqnos are written hardware-side (not through the
     doorbell paths, which reject producer rewinds). Pending completions
-    re-notify the wrapper.
+    re-notify the shell.
     @raise Invalid_argument if the slot is active or faulted. *)
 val restore_context : t -> ctx:int -> saved_ctx -> unit
 

@@ -2,15 +2,14 @@
 
     The synchronous operations a device driver performs on its NIC (or, for
     CDNA, on its private hardware context): ring setup, doorbell writes,
-    and completion retrieval. Produced by {!Intel_nic}, {!Ricenic}, and the
-    CDNA NIC for a specific context; consumed by the drivers in the
-    [guestos] library.
+    and completion retrieval. Produced by {!Conventional} and, for one
+    context of the CDNA NIC, by {!Firmware.driver_if}; consumed by the
+    drivers in the [guestos] library.
 
     These closures only mutate simulated hardware state; the CPU cost of
     invoking them is accounted by the calling driver's work items. *)
 
 type t = {
-  describe : string;
   desc_layout : Memory.Desc_layout.t;
       (** The device's negotiated descriptor format; the driver (or the
           hypervisor, for CDNA) must serialize descriptors through it. *)

@@ -80,7 +80,6 @@ let region t ~ctx = Mailbox.region (mailbox t) ~ctx
 let driver_if t ~ctx ~mapping : Driver_if.t =
   let write mbox v = Bus.Mmio.write32 mapping ~offset:(mbox * 4) v in
   {
-    describe = Printf.sprintf "ricenic-fw ctx%d" ctx;
     desc_layout = (Dp.config t.dp).Nic_config.desc_layout;
     setup_tx_ring =
       (fun ring ->

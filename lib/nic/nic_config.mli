@@ -2,12 +2,12 @@
 
 type t = {
   name : string;
-  link_rate_bps : int;  (** MAC line rate (1 Gb/s in the paper). *)
   tx_buffer_bytes : int;  (** On-NIC transmit packet buffering, shared. *)
   rx_buffer_bytes : int;  (** On-NIC receive packet buffering, shared. *)
-  firmware_delay : Sim.Time.t;
+  firmware_delay : Sim.Time.t option;
       (** Processing delay between a mailbox event and the firmware acting
-          on it (RiceNIC: embedded PowerPC dispatch). *)
+          on it (RiceNIC: embedded PowerPC dispatch). [None] for a NIC
+          with no mailbox firmware, whose driver writes registers. *)
   intr_min_gap : Sim.Time.t;
       (** Interrupt coalescing: minimum gap between physical interrupts. *)
   seqno_checking : bool;
@@ -24,7 +24,8 @@ type t = {
     shared pools here are sized for 32 contexts). *)
 val ricenic : t
 
-(** Intel Pro/1000-like defaults: 48 KB fifos, no CDNA features. *)
+(** Intel Pro/1000-like defaults: 48 KB fifos, no mailbox firmware, no
+    CDNA features. *)
 val intel : t
 
 val pp : Format.formatter -> t -> unit

@@ -50,7 +50,7 @@ let test_mmio_revocation () =
 (* ---------- Irq ---------- *)
 
 let test_irq_delivery () =
-  let irq = Bus.Irq.create ~name:"test" in
+  let irq = Bus.Irq.create () in
   let hits = ref 0 in
   Bus.Irq.set_handler irq (fun () -> incr hits);
   Bus.Irq.assert_line irq;
@@ -59,7 +59,7 @@ let test_irq_delivery () =
   check_int "count" 2 (Bus.Irq.count irq)
 
 let test_irq_unrouted () =
-  let irq = Bus.Irq.create ~name:"orphan" in
+  let irq = Bus.Irq.create () in
   Bus.Irq.assert_line irq;
   check_int "dropped" 1 (Bus.Irq.dropped irq);
   check_int "not counted" 0 (Bus.Irq.count irq)

@@ -143,7 +143,8 @@ type fx = {
   guest2 : Xen.Domain.t;
 }
 
-let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false) () =
+let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false)
+    ?(paging = false) () =
   let engine = Sim.Engine.create () in
   let profile = Host.Profile.create () in
   let cpu = Host.Cpu.create engine ~profile () in
@@ -157,9 +158,9 @@ let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false) () =
     Xen.Hypervisor.create_domain xen ~name:"g1" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:2048
   in
-  let cdna = Cdna.Hyp.create xen ~costs:cdna_costs ~protection () in
+  let cdna = Cdna.Hyp.create xen ~costs:cdna_costs ~protection ~paging () in
   let dma = Bus.Dma_engine.create engine ~mem () in
-  let irq = Bus.Irq.create ~name:"cdna" in
+  let irq = Bus.Irq.create () in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
   let config =
     {
@@ -174,12 +175,11 @@ let fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false) () =
   in
   Cdna.Hyp.add_nic cdna nic;
   let link = Ethernet.Link.create engine () in
-  Cdna.Cnic.attach_link nic link ~side:Ethernet.Link.A;
+  Nic.Dp.attach_link (Cdna.Cnic.dp nic) link ~side:Ethernet.Link.A;
   { engine; mem; xen; cdna; nic; link; guest; guest2 }
 
 (* The NIC's and the CDNA hypervisor's gauges on a fresh registry, as
-   [Testbed.build] registers them: tests read their counters there. Call
-   after [enable_paging] for the [cdna.ctx_swaps] series. *)
+   [Testbed.build] registers them: tests read their counters there. *)
 let metrics_of fx =
   let m = Sim.Metrics.create () in
   Cdna.Cnic.register_metrics fx.nic m ~labels:[ ("nic", "cnic0") ];
@@ -762,9 +762,9 @@ let test_compact_layout_cdna_end_to_end () =
     Xen.Hypervisor.create_domain xen ~name:"g" ~kind:Xen.Domain.Guest
       ~weight:256 ~mem_pages:2048
   in
-  let cdna = Cdna.Hyp.create xen ~costs:cdna_costs () in
+  let cdna = Cdna.Hyp.create xen ~costs:cdna_costs ~paging:false () in
   let dma = Bus.Dma_engine.create engine ~mem () in
-  let irq = Bus.Irq.create ~name:"cdna" in
+  let irq = Bus.Irq.create () in
   let intr_page = List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1) in
   let config =
     {
@@ -779,7 +779,7 @@ let test_compact_layout_cdna_end_to_end () =
   in
   Cdna.Hyp.add_nic cdna nic;
   let link = Ethernet.Link.create engine () in
-  Cdna.Cnic.attach_link nic link ~side:Ethernet.Link.A;
+  Nic.Dp.attach_link (Cdna.Cnic.dp nic) link ~side:Ethernet.Link.A;
   let wire = ref 0 in
   Ethernet.Link.attach link Ethernet.Link.B (fun _ -> incr wire);
   let h =
@@ -826,17 +826,17 @@ let test_context_migration () =
      with the same MAC, driver rebinds, traffic resumes on the new link. *)
   let fx = fixture () in
   (* A second NIC on its own link. *)
-  let irq2 = Bus.Irq.create ~name:"cdna2" in
+  let irq2 = Bus.Irq.create () in
   let intr_page2 = List.hd (Xen.Hypervisor.alloc_hyp_pages fx.xen 1) in
   let nic2 =
     Cdna.Cnic.create fx.engine ~mem:fx.mem
-      ~dma:(Cdna.Cnic.dma fx.nic) ~irq:irq2 ~dma_context_base:64
+      ~dma:(Nic.Dp.dma (Cdna.Cnic.dp fx.nic)) ~irq:irq2 ~dma_context_base:64
       ~intr_base:(Memory.Addr.base_of_pfn intr_page2)
       ()
   in
   Cdna.Hyp.add_nic fx.cdna nic2;
   let link2 = Ethernet.Link.create fx.engine () in
-  Cdna.Cnic.attach_link nic2 link2 ~side:Ethernet.Link.A;
+  Nic.Dp.attach_link (Cdna.Cnic.dp nic2) link2 ~side:Ethernet.Link.A;
   let wire1 = ref 0 and wire2 = ref 0 in
   Ethernet.Link.attach fx.link Ethernet.Link.B (fun _ -> incr wire1);
   Ethernet.Link.attach link2 Ethernet.Link.B (fun _ -> incr wire2);
@@ -891,7 +891,7 @@ let test_driver_auto_recovery_from_injected_fault () =
   let fi = Sim.Fault_inject.create ~seed:11 in
   Sim.Fault_inject.arm fi ~site:"dma"
     (Sim.Fault_inject.plan ~ctx:(ctx, ctx) Sim.Fault_inject.One_shot);
-  Bus.Dma_engine.set_fault_injector (Cdna.Cnic.dma fx.nic)
+  Bus.Dma_engine.set_fault_injector (Nic.Dp.dma (Cdna.Cnic.dp fx.nic))
     (Some
        (fun ~context ~addr ~len:_ ->
          Sim.Fault_inject.fire fi ~site:"dma" ~ctx:context ~addr ()));
@@ -908,7 +908,7 @@ let test_driver_auto_recovery_from_injected_fault () =
   send 10 0;
   run fx 30;
   check_int "injection recorded" 1
-    (Bus.Dma_engine.injected_faults (Cdna.Cnic.dma fx.nic));
+    (Bus.Dma_engine.injected_faults (Nic.Dp.dma (Cdna.Cnic.dp fx.nic)));
   check_bool "fault attributed to the guest" true
     (List.exists
        (fun (dom, _) -> dom = Xen.Domain.id fx.guest)
@@ -993,8 +993,7 @@ let test_malicious_native_driver_contained () =
 (* ---------- Context oversubscription (hypervisor-mediated paging) ---------- *)
 
 let test_paging_lifecycle_preserves_tx_state () =
-  let fx = fixture () in
-  Cdna.Hyp.enable_paging fx.cdna;
+  let fx = fixture ~paging:true () in
   let m = metrics_of fx in
   let swaps () = Sim.Metrics.sum m "cdna.ctx_swaps" in
   let wire = ref 0 in
@@ -1020,7 +1019,7 @@ let test_paging_lifecycle_preserves_tx_state () =
   (* A sentinel in the general-purpose half of the partition must travel
      with the context image — and never be visible to the slot's next
      owner. *)
-  let m0 = Bus.Mmio.map (Cdna.Cnic.region fx.nic ~ctx:slot0) in
+  let m0 = Bus.Mmio.map (Nic.Firmware.region (Cdna.Cnic.firmware fx.nic) ~ctx:slot0) in
   Bus.Mmio.write32 m0 ~offset:512 0xBEEF;
   (* Fill every remaining hardware slot... *)
   for i = 1 to Cdna.Cnic.num_contexts - 1 do
@@ -1058,7 +1057,7 @@ let test_paging_lifecycle_preserves_tx_state () =
   check_bool "restored on a different slot" true (slot' <> slot0);
   check_bool "restored slot live" true
     (Nic.Dp.is_active (Cdna.Cnic.dp fx.nic) ~ctx:slot');
-  let m' = Bus.Mmio.map (Cdna.Cnic.region fx.nic ~ctx:slot') in
+  let m' = Bus.Mmio.map (Nic.Firmware.region (Cdna.Cnic.firmware fx.nic) ~ctx:slot') in
   check_int "partition image followed the context" 0xBEEF
     (Bus.Mmio.read32 m' ~offset:512)
 
@@ -1068,6 +1067,23 @@ let test_paging_lifecycle_preserves_tx_state () =
    wire), inherited slots never leak the previous owner's partition data,
    and each context's own partition image survives arbitrarily many
    swaps. *)
+(* Paging is fixed when the hypervisor is created, so a registry
+   registered straight after [create] already carries the swap series;
+   without paging the series stays out of the metric set. *)
+let test_paging_swap_series_from_create () =
+  let has_swaps ~paging =
+    let engine = Sim.Engine.create () in
+    let cpu = Host.Cpu.create engine ~profile:(Host.Profile.create ()) () in
+    let mem = Memory.Phys_mem.create ~total_pages:64 () in
+    let xen = Xen.Hypervisor.create engine ~cpu ~mem ~costs:xen_costs () in
+    let cdna = Cdna.Hyp.create xen ~costs:cdna_costs ~paging () in
+    let m = Sim.Metrics.create () in
+    Cdna.Hyp.register_metrics cdna m;
+    List.mem_assoc "cdna.ctx_swaps" (Sim.Metrics.snapshot m)
+  in
+  check_bool "swap series with paging" true (has_swaps ~paging:true);
+  check_bool "no swap series without paging" false (has_swaps ~paging:false)
+
 let prop_paging_interleaving =
   QCheck.Test.make
     ~name:
@@ -1076,8 +1092,7 @@ let prop_paging_interleaving =
     ~count:12
     QCheck.(list_of_size Gen.(int_range 4 10) (int_range 0 2))
     (fun ops ->
-      let fx = fixture () in
-      Cdna.Hyp.enable_paging fx.cdna;
+      let fx = fixture ~paging:true () in
       let wire = ref 0 in
       Ethernet.Link.attach fx.link Ethernet.Link.B (fun _ -> incr wire);
       let h1 = assign fx ~mac_idx:1 () in
@@ -1088,7 +1103,7 @@ let prop_paging_interleaving =
       List.iteri
         (fun i h ->
           let m =
-            Bus.Mmio.map (Cdna.Cnic.region fx.nic ~ctx:(Cdna.Hyp.ctx_id h))
+            Bus.Mmio.map (Nic.Firmware.region (Cdna.Cnic.firmware fx.nic) ~ctx:(Cdna.Hyp.ctx_id h))
           in
           Bus.Mmio.write32 m ~offset:512 sentinel.(i))
         [ h1; h2 ];
@@ -1116,7 +1131,7 @@ let prop_paging_interleaving =
         let hn = assign fx ~guest:fx.guest2 ~mac_idx:(200 + !fresh) () in
         (* The newcomer must find its inherited slot scrubbed. *)
         let m =
-          Bus.Mmio.map (Cdna.Cnic.region fx.nic ~ctx:(Cdna.Hyp.ctx_id hn))
+          Bus.Mmio.map (Nic.Firmware.region (Cdna.Cnic.firmware fx.nic) ~ctx:(Cdna.Hyp.ctx_id hn))
         in
         if Bus.Mmio.read32 m ~offset:512 <> 0 then ok := false;
         run fx 2
@@ -1130,7 +1145,7 @@ let prop_paging_interleaving =
       List.iteri
         (fun i h ->
           let m =
-            Bus.Mmio.map (Cdna.Cnic.region fx.nic ~ctx:(Cdna.Hyp.ctx_id h))
+            Bus.Mmio.map (Nic.Firmware.region (Cdna.Cnic.firmware fx.nic) ~ctx:(Cdna.Hyp.ctx_id h))
           in
           if Bus.Mmio.read32 m ~offset:512 <> sentinel.(i) then ok := false)
         [ h1; h2 ];
@@ -1168,6 +1183,8 @@ let suite =
       [
         Alcotest.test_case "lifecycle preserves tx state" `Quick
           test_paging_lifecycle_preserves_tx_state;
+        Alcotest.test_case "swap series from create" `Quick
+          test_paging_swap_series_from_create;
         qcheck prop_paging_interleaving;
       ] );
     ( "cdna.protection",

@@ -243,14 +243,14 @@ let native_fixture ?(materialize = false) () =
   in
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work hyp dom ~cost fn in
   let dma = Bus.Dma_engine.create engine ~mem () in
-  let irq = Bus.Irq.create ~name:"nic" in
+  let irq = Bus.Irq.create () in
   let config =
     { Nic.Nic_config.intel with Nic.Nic_config.materialize_payloads = materialize }
   in
-  let nic = Nic.Intel_nic.create engine ~mem ~dma ~config ~irq ~dma_context:0 () in
+  let nic = Nic.Conventional.create engine ~mem ~dma ~config ~irq ~dma_context:0 in
   let link = Ethernet.Link.create engine () in
-  Nic.Intel_nic.attach_link nic link ~side:Ethernet.Link.A;
-  Nic.Intel_nic.enable nic ~mac:(Ethernet.Mac_addr.make 1);
+  Nic.Dp.attach_link (Nic.Conventional.dp nic) link ~side:Ethernet.Link.A;
+  Nic.Conventional.enable nic ~mac:(Ethernet.Mac_addr.make 1);
   let driver_ref = ref None in
   Bus.Irq.set_handler irq (fun () ->
       Host.Cpu.post cpu (Xen.Domain.entity dom)
@@ -260,7 +260,7 @@ let native_fixture ?(materialize = false) () =
           | None -> ()));
   let driver =
     Guestos.Native_driver.create ~mem ~post_kernel
-      ~costs:os_costs ~hw:(Nic.Intel_nic.driver_if nic)
+      ~costs:os_costs ~hw:(Nic.Conventional.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 1)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp dom n)
       ~materialize ()
@@ -352,18 +352,18 @@ let test_native_driver_scatter_gather () =
   in
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work hyp dom ~cost fn in
   let dma = Bus.Dma_engine.create engine ~mem () in
-  let irq = Bus.Irq.create ~name:"nic" in
+  let irq = Bus.Irq.create () in
   Bus.Irq.set_handler irq (fun () -> ());
   let config =
     { Nic.Nic_config.intel with Nic.Nic_config.materialize_payloads = true }
   in
-  let nic = Nic.Intel_nic.create engine ~mem ~dma ~config ~irq ~dma_context:0 () in
+  let nic = Nic.Conventional.create engine ~mem ~dma ~config ~irq ~dma_context:0 in
   let link = Ethernet.Link.create engine () in
-  Nic.Intel_nic.attach_link nic link ~side:Ethernet.Link.A;
-  Nic.Intel_nic.enable nic ~mac:(Ethernet.Mac_addr.make 1);
+  Nic.Dp.attach_link (Nic.Conventional.dp nic) link ~side:Ethernet.Link.A;
+  Nic.Conventional.enable nic ~mac:(Ethernet.Mac_addr.make 1);
   let driver =
     Guestos.Native_driver.create ~mem ~post_kernel
-      ~costs:os_costs ~hw:(Nic.Intel_nic.driver_if nic)
+      ~costs:os_costs ~hw:(Nic.Conventional.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 1)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp dom n)
       ~materialize:true ~sg_split:128 ()
@@ -417,18 +417,18 @@ let pv_fixture ?(materialize = false) () =
       ~weight:256 ~mem_pages:8192
   in
   let dma = Bus.Dma_engine.create engine ~mem () in
-  let irq = Bus.Irq.create ~name:"nic" in
+  let irq = Bus.Irq.create () in
   let config =
     { Nic.Nic_config.intel with Nic.Nic_config.materialize_payloads = materialize }
   in
-  let nic = Nic.Intel_nic.create engine ~mem ~dma ~config ~irq ~dma_context:0 () in
+  let nic = Nic.Conventional.create engine ~mem ~dma ~config ~irq ~dma_context:0 in
   let link = Ethernet.Link.create engine () in
-  Nic.Intel_nic.attach_link nic link ~side:Ethernet.Link.A;
-  Nic.Intel_nic.enable nic ~mac:(Ethernet.Mac_addr.make 100);
+  Nic.Dp.attach_link (Nic.Conventional.dp nic) link ~side:Ethernet.Link.A;
+  Nic.Conventional.enable nic ~mac:(Ethernet.Mac_addr.make 100);
   let post_driver ~cost fn = Xen.Hypervisor.kernel_work hyp driver_dom ~cost fn in
   let phys_driver =
     Guestos.Native_driver.create ~mem ~post_kernel:post_driver
-      ~costs:os_costs ~hw:(Nic.Intel_nic.driver_if nic)
+      ~costs:os_costs ~hw:(Nic.Conventional.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 100)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp driver_dom n)
       ~materialize ()

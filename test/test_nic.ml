@@ -990,7 +990,7 @@ let prop_dp_conserves_frames =
       && completions = List.length sends
       && count fx "nic.faults" = 0)
 
-(* ---------- Firmware / Ricenic / Intel ---------- *)
+(* ---------- Firmware / conventional NICs ---------- *)
 
 let test_firmware_ring_setup_via_mailboxes () =
   let fx = dp_fixture () in
@@ -1021,18 +1021,24 @@ let test_firmware_ring_setup_via_mailboxes () =
   check_int "frame sent via firmware path" 1 (ctx_tx_frames fx ~ctx:0);
   check_bool "events processed" true (Nic.Firmware.events_processed fw >= 6)
 
-let nic_wrapper_roundtrip make_nic =
+let conventional_roundtrip config =
   (* Loopback two NICs over one link using their native driver-if. *)
   let engine = Sim.Engine.create () in
   let mem = Memory.Phys_mem.create ~total_pages:512 () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let link = Ethernet.Link.create engine () in
-  let irq_a = Bus.Irq.create ~name:"a" and irq_b = Bus.Irq.create ~name:"b" in
-  let nic_a, dp_a, hw_a = make_nic engine mem dma irq_a 0 in
-  let nic_b, dp_b, hw_b = make_nic engine mem dma irq_b 64 in
-  ignore nic_a;
-  ignore nic_b;
-  ignore hw_b;
+  let make_nic irq base =
+    Bus.Irq.set_handler irq (fun () -> ());
+    let nic =
+      Nic.Conventional.create engine ~mem ~dma ~config ~irq ~dma_context:base
+    in
+    Nic.Conventional.enable nic
+      ~mac:(Ethernet.Mac_addr.make (if base = 0 then 1 else 2));
+    (Nic.Conventional.dp nic, Nic.Conventional.driver_if nic)
+  in
+  let irq_a = Bus.Irq.create () and irq_b = Bus.Irq.create () in
+  let dp_a, hw_a = make_nic irq_a 0 in
+  let dp_b, hw_b = make_nic irq_b 64 in
   Nic.Dp.attach_link dp_a link ~side:Ethernet.Link.A;
   Nic.Dp.attach_link dp_b link ~side:Ethernet.Link.B;
   (* Set up A's tx ring and B's rx ring. *)
@@ -1068,23 +1074,8 @@ let nic_wrapper_roundtrip make_nic =
     (List.length (hw_b.Nic.Driver_if.take_rx_completions ~max:10));
   check_int "irq raised at B" 1 (Bus.Irq.count irq_b)
 
-let test_intel_nic_roundtrip () =
-  nic_wrapper_roundtrip (fun engine mem dma irq base ->
-      Bus.Irq.set_handler irq (fun () -> ());
-      let nic =
-        Nic.Intel_nic.create engine ~mem ~dma ~irq ~dma_context:base ()
-      in
-      Nic.Intel_nic.enable nic
-        ~mac:(Ethernet.Mac_addr.make (if base = 0 then 1 else 2));
-      ((), Nic.Intel_nic.dp nic, Nic.Intel_nic.driver_if nic))
-
-let test_ricenic_roundtrip () =
-  nic_wrapper_roundtrip (fun engine mem dma irq base ->
-      Bus.Irq.set_handler irq (fun () -> ());
-      let nic = Nic.Ricenic.create engine ~mem ~dma ~irq ~dma_context:base () in
-      Nic.Ricenic.enable nic
-        ~mac:(Ethernet.Mac_addr.make (if base = 0 then 1 else 2));
-      ((), Nic.Ricenic.dp nic, Nic.Ricenic.driver_if nic))
+let test_intel_nic_roundtrip () = conventional_roundtrip Nic.Nic_config.intel
+let test_ricenic_roundtrip () = conventional_roundtrip Nic.Nic_config.ricenic
 
 let qcheck = QCheck_alcotest.to_alcotest
 

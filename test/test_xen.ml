@@ -193,7 +193,7 @@ let test_hypercall_charged_to_hypervisor () =
 
 let test_route_irq () =
   let engine, profile, _, _, hyp = fixture () in
-  let irq = Bus.Irq.create ~name:"nic" in
+  let irq = Bus.Irq.create () in
   let m = Sim.Metrics.create () in
   Xen.Hypervisor.register_metrics hyp m;
   let phys_irqs () = Sim.Metrics.sum m "xen.phys_irqs" in
