@@ -13,8 +13,8 @@ let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   List.iter
-    (fun seed ->
-      let trace, metrics = Golden.traced_artifacts (Golden.cfg ~seed) in
+    (fun (tag, cfg) ->
+      let trace, metrics = Golden.traced_artifacts cfg in
       let write name content =
         let path = Filename.concat dir name in
         let oc = open_out path in
@@ -22,6 +22,6 @@ let () =
         close_out oc;
         Printf.printf "wrote %s (%d bytes)\n" path (String.length content)
       in
-      write (Printf.sprintf "trace_seed%d.json" seed) trace;
-      write (Printf.sprintf "metrics_seed%d.json" seed) metrics)
-    Golden.seeds
+      write (Printf.sprintf "trace_%s.json" tag) trace;
+      write (Printf.sprintf "metrics_%s.json" tag) metrics)
+    Golden.runs

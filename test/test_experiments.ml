@@ -525,18 +525,18 @@ let read_file path =
 
 let test_golden_artifacts () =
   List.iter
-    (fun seed ->
-      let trace, metrics = Golden.traced_artifacts (Golden.cfg ~seed) in
+    (fun (tag, cfg) ->
+      let trace, metrics = Golden.traced_artifacts cfg in
       check_bool
-        (Printf.sprintf "trace for seed %d matches golden fixture" seed)
+        (Printf.sprintf "trace %s matches golden fixture" tag)
         true
-        (String.equal trace (read_file (Printf.sprintf "golden/trace_seed%d.json" seed)));
+        (String.equal trace (read_file (Printf.sprintf "golden/trace_%s.json" tag)));
       check_bool
-        (Printf.sprintf "metrics for seed %d matches golden fixture" seed)
+        (Printf.sprintf "metrics %s matches golden fixture" tag)
         true
         (String.equal metrics
-           (read_file (Printf.sprintf "golden/metrics_seed%d.json" seed))))
-    Golden.seeds
+           (read_file (Printf.sprintf "golden/metrics_%s.json" tag))))
+    Golden.runs
 
 (* ---------- Testbeds on concurrent OS domains ---------- *)
 
