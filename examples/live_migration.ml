@@ -65,7 +65,7 @@ let () =
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work xen guest ~cost fn in
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:costs.guest_os
-      ~netdev:(Cdna.Driver.netdev driver)
+      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core driver))
   in
 
   (* One receive stream per NIC's peer; only the peer on the NIC that

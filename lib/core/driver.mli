@@ -1,18 +1,23 @@
 (** CDNA guest device driver.
 
-    The paravirtualized driver of paper section 3: it interacts with its
+    The paravirtualized driver of paper section 3: the guest's
+    {!Guestos.Nic_driver} core with the hypercall back end. It drives its
     private hardware context {e exactly} as a native driver would — rings,
-    doorbell PIO writes into its mapped mailbox partition, interrupt-driven
-    completion polling — except that descriptors are enqueued through the
-    hypervisor's protected {!Hyp.enqueue} hypercall (which validates, pins
-    and sequence-stamps them), batched per send/repost to amortize the
-    hypercall cost. Under [Disabled] protection the same call degenerates
-    to direct ring writes (Table 4); the driver code is identical, matching
-    the paper's wrapper-function design for IOMMU systems.
+    doorbell PIO writes into its mapped mailbox partition,
+    interrupt-driven completion polling — except that descriptors are
+    enqueued through the hypervisor's protected {!Hyp.enqueue} hypercall
+    (which validates, pins and sequence-stamps them), batched per
+    send/repost to amortize the hypercall cost, and the rings are
+    registered by hypercall. Under [Disabled] protection the same call
+    degenerates to direct ring writes (Table 4); the driver code is
+    identical, matching the paper's wrapper-function design for IOMMU
+    systems.
 
-    Initialization is asynchronous (ring registration hypercalls); the
-    device reports zero transmit space until ready and fires the netdev
-    writable hook when it comes up. *)
+    This module adds what only a CDNA guest needs: the doorbell PIO cost
+    after each accepted batch, the binding to a context handle that
+    {!rebind} and automatic fault recovery can change, and the generation
+    check that keeps hypercalls of an old binding from touching the new
+    context. *)
 
 type t
 
@@ -24,11 +29,8 @@ val create :
   unit ->
   t
 
-(** The stack-facing device. *)
-val netdev : t -> Guestos.Netdev.t
-
-(** True once rings and buffers are registered and posted. *)
-val ready : t -> bool
+(** The driver core: the stack-facing device, readiness and counters. *)
+val core : t -> Guestos.Nic_driver.t
 
 (** [rebind t handle] re-targets the driver at a fresh context handle
     (after {!Hyp.migrate}): ring and buffer state is re-registered from
@@ -44,9 +46,6 @@ val rebind : t -> Hyp.ctx_handle -> unit
     rebinds to the fresh context. Recovery re-arms itself after each
     successful rebind. *)
 val enable_auto_recovery : t -> unit
-
-val tx_count : t -> int
-val rx_count : t -> int
 
 (** Enqueue hypercalls rejected by the hypervisor (diagnostics). *)
 val enqueue_errors : t -> int

@@ -2,6 +2,7 @@ module FI = Sim.Fault_inject
 module H = Cdna.Hyp
 module Frame = Ethernet.Frame
 module Mac = Ethernet.Mac_addr
+module Rogue = Guestos.Nic_driver
 
 (* The calibrated costs of a CDNA testbed: CDNA runs on the RiceNIC. *)
 let costs = Cost_model.for_config Config.Cdna_sys Config.Ricenic
@@ -128,7 +129,8 @@ let build ~mode () =
   let stack dom d =
     Guestos.Net_stack.create
       ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work xen dom ~cost fn)
-      ~costs:costs.guest_os ~netdev:(Cdna.Driver.netdev d)
+      ~costs:costs.guest_os
+      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d))
   in
   let stack_a = stack guest_a d_a and stack_b = stack guest_b d_b in
   let sink = { s_a = 0; s_b = 0; s_att = 0; s_corrupt = 0 } in
@@ -271,32 +273,29 @@ let attack_iommu w kind ~injected =
             hw.Nic.Driver_if.tx_doorbell prod))
 
 (* With protection disabled the context behaves like a native NIC, so the
-   rogue runs an unmodified native driver in malicious mode: every
-   descriptor it writes (directly, no hypercall) is forged. *)
-let attack_disabled w kind ~frames ~driver_out =
-  let hw = H.driver_if w.h_att in
-  let nd =
-    Guestos.Native_driver.create ~mem:w.mem
-      ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work w.xen w.rogue ~cost fn)
-      ~costs:costs.guest_os ~hw ~mac:mac_att
-      ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages w.xen w.rogue n)
-      ~tx_slots:16 ~rx_slots:16 ()
+   rogue runs the guest driver with the ring back end, in malicious mode:
+   every descriptor it writes (directly, no hypercall) is forged. *)
+let attack_disabled w kind ~frames =
+  let post_kernel ~cost fn = Xen.Hypervisor.kernel_work w.xen w.rogue ~cost fn in
+  let d =
+    Rogue.create ~mem:w.mem ~post_kernel ~costs:costs.guest_os
+      ~hw:(H.driver_if w.h_att) ~mac:mac_att
+      ~alloc_pages:(Xen.Hypervisor.alloc_pages w.xen w.rogue)
+      ~tx_slots:16 ~rx_slots:16 ~backend:Rogue.Ring ()
   in
-  H.set_event_handler w.h_att (fun () -> Guestos.Native_driver.handle_interrupt nd);
-  Guestos.Native_driver.set_malice nd
+  H.set_event_handler w.h_att (fun () -> Rogue.handle_interrupt d);
+  Rogue.set_malice d
     (Some
        (match kind with
-       | Foreign_page ->
-           Guestos.Native_driver.Foreign_page (List.hd (Xen.Domain.pages w.guest_a))
-       | Over_length -> Guestos.Native_driver.Over_length
-       | _ -> Guestos.Native_driver.Out_of_sequence));
-  driver_out := Some nd;
+       | Foreign_page -> Rogue.Foreign_page (List.hd (Xen.Domain.pages w.guest_a))
+       | Over_length -> Rogue.Over_length
+       | _ -> Rogue.Out_of_sequence));
   let stack =
-    Guestos.Net_stack.create
-      ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work w.xen w.rogue ~cost fn)
-      ~costs:costs.guest_os ~netdev:(Guestos.Native_driver.netdev nd)
+    Guestos.Net_stack.create ~post_kernel ~costs:costs.guest_os
+      ~netdev:(Rogue.netdev d)
   in
-  Guestos.Net_stack.send stack (List.init frames (fun i -> attack_frame ~seq:i))
+  Guestos.Net_stack.send stack (List.init frames (fun i -> attack_frame ~seq:i));
+  d
 
 (* ---------- One cell of the sweep ---------- *)
 
@@ -312,7 +311,7 @@ let run_cell ~mode ~seed ~frames ~baseline fault =
   let traffic_end = start_traffic w ~frames in
   let attack_at = Sim.Time.add traffic_start (ms 2) in
   let injected = ref 0 and rejected = ref 0 in
-  let rogue_nd = ref None in
+  let rogue = ref None in
   (match fault with
   | Dma_access ->
       (* One injected bus fault on benign guest A's context, mid-run; its
@@ -346,7 +345,7 @@ let run_cell ~mode ~seed ~frames ~baseline fault =
               attack_full w fault ~attempts:8 ~injected ~rejected
           | Cdna.Cdna_costs.Iommu -> attack_iommu w fault ~injected
           | Cdna.Cdna_costs.Disabled ->
-              attack_disabled w fault ~frames:10 ~driver_out:rogue_nd));
+              rogue := Some (attack_disabled w fault ~frames:10)));
   Sim.Engine.run w.engine ~until:traffic_end;
   let base_a, base_b = baseline in
   let injected =
@@ -354,8 +353,8 @@ let run_cell ~mode ~seed ~frames ~baseline fault =
     | Dma_access -> Bus.Dma_engine.injected_faults w.dma
     | Link_drop | Link_corrupt -> FI.injected fi ~site:"link.tx"
     | _ -> (
-        match !rogue_nd with
-        | Some nd -> Guestos.Native_driver.malicious_descs nd
+        match !rogue with
+        | Some d -> Rogue.malicious_descs d
         | None -> !injected)
   in
   let detected =

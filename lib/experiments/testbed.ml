@@ -157,27 +157,22 @@ let build_native b =
       Array.fold_left (fun acc irq -> acc + Bus.Irq.count irq) 0 irqs);
   for i = 0 to cfg.Config.nics - 1 do
     let irq = irqs.(i) in
-    let driver_ref = ref None in
+    let mac = native_nic_mac i in
+    let set_hook, hw = conventional_nic b ~i ~irq ~mac in
+    let driver =
+      Guestos.Nic_driver.create ~mem:b.b_mem ~post_kernel
+        ~costs:b.cm.Cost_model.guest_os ~hw ~mac
+        ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages b.b_xen dom n)
+        ~materialize:cfg.Config.materialize ~backend:Guestos.Nic_driver.Ring ()
+    in
     (* Bare metal: the interrupt line goes straight into the OS. *)
     Bus.Irq.set_handler irq (fun () ->
         Host.Cpu.post b.b_cpu (Xen.Domain.entity dom)
           ~category:(Xen.Domain.kernel dom) ~cost:b.cm.Cost_model.native_isr
-          (fun () ->
-            match !driver_ref with
-            | Some d -> Guestos.Native_driver.handle_interrupt d
-            | None -> ()));
-    let mac = native_nic_mac i in
-    let set_hook, hw = conventional_nic b ~i ~irq ~mac in
-    let driver =
-      Guestos.Native_driver.create ~mem:b.b_mem ~post_kernel
-        ~costs:b.cm.Cost_model.guest_os ~hw ~mac
-        ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages b.b_xen dom n)
-        ~materialize:cfg.Config.materialize ()
-    in
-    driver_ref := Some driver;
+          (fun () -> Guestos.Nic_driver.handle_interrupt driver));
     let stack =
       Guestos.Net_stack.create ~post_kernel ~costs:b.cm.Cost_model.guest_os
-        ~netdev:(Guestos.Native_driver.netdev driver)
+        ~netdev:(Guestos.Nic_driver.netdev driver)
     in
     let peer = make_peer b ~nic_idx:i ~set_uncongested_hook:set_hook in
     wire_stream b ~bench ~stack ~peer ~guest_mac:mac
@@ -208,23 +203,24 @@ let build_xen b =
         let mac = native_nic_mac i in
         let set_hook, hw = conventional_nic b ~i ~irq ~mac in
         let driver =
-          Guestos.Native_driver.create ~mem:b.b_mem ~post_kernel:post_driver
+          Guestos.Nic_driver.create ~mem:b.b_mem ~post_kernel:post_driver
             ~costs:b.cm.Cost_model.driver_os ~hw ~mac
             ~alloc_pages:(fun n ->
               Xen.Hypervisor.alloc_pages b.b_xen driver_dom n)
-            ~materialize:cfg.Config.materialize ()
+            ~materialize:cfg.Config.materialize
+            ~backend:Guestos.Nic_driver.Ring ()
         in
         (* The hypervisor captures the NIC interrupt and forwards it to the
            driver domain as a virtual interrupt. *)
         let chan =
           Xen.Event_channel.create b.b_xen ~target:driver_dom
             ~isr_cost:b.cm.Cost_model.nic_evtchn_isr ~handler:(fun () ->
-              Guestos.Native_driver.handle_interrupt driver)
+              Guestos.Nic_driver.handle_interrupt driver)
         in
         Xen.Hypervisor.route_irq b.b_xen irq (fun () ->
             Xen.Event_channel.notify_from_hypervisor chan);
         Guestos.Netback.add_physical netback
-          (Guestos.Native_driver.netdev driver)
+          (Guestos.Nic_driver.netdev driver)
           ~remote_macs:[ peer_mac i ];
         make_peer b ~nic_idx:i ~set_uncongested_hook:set_hook)
   in
@@ -349,7 +345,7 @@ let build_cdna b =
             let stack =
               Guestos.Net_stack.create ~post_kernel
                 ~costs:b.cm.Cost_model.guest_os
-                ~netdev:(Cdna.Driver.netdev driver)
+                ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core driver))
             in
             wire_stream b ~bench ~stack ~peer ~guest_mac:mac)
       nics;

@@ -1,7 +1,7 @@
 (** Network-device interface between a protocol stack and a driver.
 
-    Every driver flavour — {!Native_driver}, {!Netfront}, and the CDNA
-    guest driver — exposes one of these; {!Net_stack} (and {!Netback}, for
+    Every driver flavour — {!Nic_driver} (native and CDNA guest) and
+    {!Netfront} — exposes one of these; {!Net_stack} (and {!Netback}, for
     the driver domain) consume it. All callbacks are invoked in the owning
     domain's kernel context; cost accounting happens inside the
     implementations. *)

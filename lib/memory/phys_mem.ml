@@ -96,19 +96,32 @@ let refcount t pfn =
   check_pfn t pfn;
   Page.refcount t.meta pfn
 
+(* Pages [i] to [count - 1] of an allocation: the reclaimed stack from
+   its top, then fresh pages. Plain recursion, here and in [own_all], so
+   an allocation builds its list and no closures. *)
+let rec take t ~from_stack ~top i count =
+  if i = count then []
+  else
+    let pfn =
+      if i < from_stack then t.reclaimed.(top - i) else t.fresh + i - from_stack
+    in
+    pfn :: take t ~from_stack ~top (i + 1) count
+
+let rec own_all meta owner = function
+  | [] -> ()
+  | pfn :: rest ->
+      Page.set_owned meta pfn owner;
+      own_all meta owner rest
+
 let alloc t ~owner ~count =
   if count < 0 then invalid_arg "Phys_mem.alloc: negative count";
   if count > free_pages t then Error `Out_of_memory
   else begin
     let from_stack = Int.min count t.reclaimed_count in
     let top = t.reclaimed_count - 1 in
-    let taken =
-      List.init count (fun i ->
-          if i < from_stack then t.reclaimed.(top - i)
-          else t.fresh + i - from_stack)
-    in
+    let taken = take t ~from_stack ~top 0 count in
     (* Before popping: a bad [owner] raises on the first page unchanged. *)
-    List.iter (fun pfn -> Page.set_owned t.meta pfn owner) taken;
+    own_all t.meta owner taken;
     t.reclaimed_count <- t.reclaimed_count - from_stack;
     t.fresh <- t.fresh + count - from_stack;
     Ok taken

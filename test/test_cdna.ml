@@ -613,14 +613,14 @@ let driver_fixture ?(protection = Cdna.Cdna_costs.Full) ?(materialize = false)
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work fx.xen fx.guest ~cost fn in
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:os_costs
-      ~netdev:(Cdna.Driver.netdev driver)
+      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core driver))
   in
   run fx 5;
   (fx, h, driver, stack)
 
 let test_driver_comes_up () =
   let _fx, _h, driver, _ = driver_fixture () in
-  check_bool "ready after async registration" true (Cdna.Driver.ready driver)
+  check_bool "ready after async registration" true (Guestos.Nic_driver.ready (Cdna.Driver.core driver))
 
 let test_driver_transmit_roundtrip () =
   let fx, _h, driver, stack = driver_fixture () in
@@ -635,7 +635,7 @@ let test_driver_transmit_roundtrip () =
   Guestos.Net_stack.send stack frames;
   run fx 20;
   check_int "all transmitted" 25 (List.length !wire);
-  check_int "driver counter" 25 (Cdna.Driver.tx_count driver);
+  check_int "driver counter" 25 (Guestos.Nic_driver.tx_count (Cdna.Driver.core driver));
   check_int "no enqueue errors" 0 (Cdna.Driver.enqueue_errors driver);
   check_bool "no faults" true (Cdna.Hyp.faults fx.cdna = [])
 
@@ -652,7 +652,7 @@ let test_driver_receive_roundtrip () =
   done;
   run fx 20;
   check_int "all received" 20 (List.length !got);
-  check_int "driver counter" 20 (Cdna.Driver.rx_count driver)
+  check_int "driver counter" 20 (Guestos.Nic_driver.rx_count (Cdna.Driver.core driver))
 
 let test_driver_materialized_integrity () =
   let fx, _h, _driver, stack = driver_fixture ~materialize:true () in
@@ -708,8 +708,8 @@ let test_driver_two_guests_isolated_traffic () =
       ~on_wire_free:ignore
   done;
   run fx 10;
-  check_int "guest1 got its two" 2 (Cdna.Driver.rx_count d1);
-  check_int "guest2 got its two" 2 (Cdna.Driver.rx_count d2)
+  check_int "guest1 got its two" 2 (Guestos.Nic_driver.rx_count (Cdna.Driver.core d1));
+  check_int "guest2 got its two" 2 (Guestos.Nic_driver.rx_count (Cdna.Driver.core d2))
 
 let test_revocation_under_load () =
   (* Revoke one guest's context mid-traffic: its pending work is shut
@@ -724,11 +724,11 @@ let test_revocation_under_load () =
   let post_kernel dom ~cost fn = Xen.Hypervisor.kernel_work fx.xen dom ~cost fn in
   let stack1 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest)
-      ~costs:os_costs ~netdev:(Cdna.Driver.netdev d1)
+      ~costs:os_costs ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d1))
   in
   let stack2 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest2)
-      ~costs:os_costs ~netdev:(Cdna.Driver.netdev d2)
+      ~costs:os_costs ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d2))
   in
   let send stack src n =
     Guestos.Net_stack.send stack
@@ -745,8 +745,8 @@ let test_revocation_under_load () =
   run fx 60;
   check_bool "guest1 revoked" true (Cdna.Hyp.is_revoked h1);
   check_int "guest1 pins dropped" 0 (Cdna.Hyp.pinned_pages h1);
-  check_bool "guest1 stopped early" true (Cdna.Driver.tx_count d1 < 200);
-  check_int "guest2 unaffected" 200 (Cdna.Driver.tx_count d2);
+  check_bool "guest1 stopped early" true (Guestos.Nic_driver.tx_count (Cdna.Driver.core d1) < 200);
+  check_int "guest2 unaffected" 200 (Guestos.Nic_driver.tx_count (Cdna.Driver.core d2));
   check_bool "guest2 still owns its context" true
     (Nic.Dp.is_active (Cdna.Cnic.dp fx.nic) ~ctx:(Cdna.Hyp.ctx_id h2))
 
@@ -792,11 +792,11 @@ let test_compact_layout_cdna_end_to_end () =
   in
   let driver = Cdna.Driver.create ~hyp:cdna ~handle:h ~costs:os_costs () in
   Sim.Engine.run engine ~until:(Sim.Time.ms 5);
-  Alcotest.(check bool) "driver up" true (Cdna.Driver.ready driver);
+  Alcotest.(check bool) "driver up" true (Guestos.Nic_driver.ready (Cdna.Driver.core driver));
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work xen guest ~cost fn in
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:os_costs
-      ~netdev:(Cdna.Driver.netdev driver)
+      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core driver))
   in
   Guestos.Net_stack.send stack
     (List.init 8 (fun i ->
@@ -846,7 +846,7 @@ let test_context_migration () =
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work fx.xen fx.guest ~cost fn in
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:os_costs
-      ~netdev:(Cdna.Driver.netdev driver)
+      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core driver))
   in
   let send n =
     Guestos.Net_stack.send stack
@@ -867,7 +867,7 @@ let test_context_migration () =
   in
   Cdna.Driver.rebind driver h2;
   run fx 5;
-  check_bool "driver back up" true (Cdna.Driver.ready driver);
+  check_bool "driver back up" true (Guestos.Nic_driver.ready (Cdna.Driver.core driver));
   check_bool "old handle revoked" true (Cdna.Hyp.is_revoked h);
   check_bool "same mac preserved" true
     (match Nic.Dp.mac_of (Cdna.Cnic.dp nic2) ~ctx:(Cdna.Hyp.ctx_id h2) with
@@ -917,7 +917,7 @@ let test_driver_auto_recovery_from_injected_fault () =
   check_bool "old handle revoked" true (Cdna.Hyp.is_revoked h);
   check_bool "rebound to a live handle" false
     (Cdna.Hyp.is_revoked (Cdna.Driver.handle driver));
-  check_bool "driver ready again" true (Cdna.Driver.ready driver);
+  check_bool "driver ready again" true (Guestos.Nic_driver.ready (Cdna.Driver.core driver));
   (* Same MAC carried over to the replacement context. *)
   check_bool "mac preserved across recovery" true
     (Ethernet.Mac_addr.equal
@@ -930,7 +930,7 @@ let test_driver_auto_recovery_from_injected_fault () =
 
 let test_malicious_native_driver_contained () =
   (* Protection disabled: the rogue guest self-programs its context with
-     an unmodified native driver whose end-of-packet descriptors carry
+     the guest driver's ring back end, whose end-of-packet descriptors carry
      forged sequence numbers. The NIC's own sequence check still halts
      the context; nothing forged reaches the wire and the benign guest is
      untouched. *)
@@ -942,26 +942,26 @@ let test_malicious_native_driver_contained () =
   let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
   let post_kernel dom ~cost fn = Xen.Hypervisor.kernel_work fx.xen dom ~cost fn in
   let nd =
-    Guestos.Native_driver.create ~mem:fx.mem
+    Guestos.Nic_driver.create ~mem:fx.mem
       ~post_kernel:(post_kernel fx.guest2) ~costs:os_costs
       ~hw:(Cdna.Hyp.driver_if h2)
       ~mac:(Ethernet.Mac_addr.make 2)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages fx.xen fx.guest2 n)
-      ~tx_slots:16 ~rx_slots:16 ()
+      ~tx_slots:16 ~rx_slots:16 ~backend:Guestos.Nic_driver.Ring ()
   in
   Cdna.Hyp.set_event_handler h2 (fun () ->
-      Guestos.Native_driver.handle_interrupt nd);
-  Guestos.Native_driver.set_malice nd
-    (Some Guestos.Native_driver.Out_of_sequence);
+      Guestos.Nic_driver.handle_interrupt nd);
+  Guestos.Nic_driver.set_malice nd
+    (Some Guestos.Nic_driver.Out_of_sequence);
   run fx 5;
   let stack1 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest)
-      ~costs:os_costs ~netdev:(Cdna.Driver.netdev d1)
+      ~costs:os_costs ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d1))
   in
   let stack2 =
     Guestos.Net_stack.create ~post_kernel:(post_kernel fx.guest2)
       ~costs:os_costs
-      ~netdev:(Guestos.Native_driver.netdev nd)
+      ~netdev:(Guestos.Nic_driver.netdev nd)
   in
   let rogue_on_wire = ref 0 and benign_on_wire = ref 0 in
   Ethernet.Link.attach fx.link Ethernet.Link.B (fun f ->
@@ -981,7 +981,7 @@ let test_malicious_native_driver_contained () =
   check_int "benign traffic all delivered" 8 !benign_on_wire;
   check_int "no forged frame on the wire" 0 !rogue_on_wire;
   check_bool "descriptors were forged" true
-    (Guestos.Native_driver.malicious_descs nd > 0);
+    (Guestos.Nic_driver.malicious_descs nd > 0);
   check_bool "fault attributed to the rogue guest" true
     (List.exists
        (fun (dom, ctx) ->

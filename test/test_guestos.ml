@@ -222,11 +222,11 @@ let test_xchan_returned_pages () =
   check_int "taken" 2 (List.length (Guestos.Xchan.take_returned_pages x));
   check_int "empty after" 0 (List.length (Guestos.Xchan.take_returned_pages x))
 
-(* ---------- Native driver end-to-end ---------- *)
+(* ---------- Guest driver, ring back end, end-to-end ---------- *)
 
 type native_fixture = {
   nf_engine : Sim.Engine.t;
-  nf_driver : Guestos.Native_driver.t;
+  nf_driver : Guestos.Nic_driver.t;
   nf_stack : Guestos.Net_stack.t;
   nf_link : Ethernet.Link.t;
 }
@@ -251,24 +251,20 @@ let native_fixture ?(materialize = false) () =
   let link = Ethernet.Link.create engine () in
   Nic.Dp.attach_link (Nic.Conventional.dp nic) link ~side:Ethernet.Link.A;
   Nic.Conventional.enable nic ~mac:(Ethernet.Mac_addr.make 1);
-  let driver_ref = ref None in
-  Bus.Irq.set_handler irq (fun () ->
-      Host.Cpu.post cpu (Xen.Domain.entity dom)
-        ~category:(Xen.Domain.kernel dom) ~cost:(us 1) (fun () ->
-          match !driver_ref with
-          | Some d -> Guestos.Native_driver.handle_interrupt d
-          | None -> ()));
   let driver =
-    Guestos.Native_driver.create ~mem ~post_kernel
+    Guestos.Nic_driver.create ~mem ~post_kernel
       ~costs:os_costs ~hw:(Nic.Conventional.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 1)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp dom n)
-      ~materialize ()
+      ~materialize ~backend:Guestos.Nic_driver.Ring ()
   in
-  driver_ref := Some driver;
+  Bus.Irq.set_handler irq (fun () ->
+      Host.Cpu.post cpu (Xen.Domain.entity dom)
+        ~category:(Xen.Domain.kernel dom) ~cost:(us 1) (fun () ->
+          Guestos.Nic_driver.handle_interrupt driver));
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:os_costs
-      ~netdev:(Guestos.Native_driver.netdev driver)
+      ~netdev:(Guestos.Nic_driver.netdev driver)
   in
   { nf_engine = engine; nf_driver = driver; nf_stack = stack; nf_link = link }
 
@@ -284,7 +280,7 @@ let test_native_driver_transmits () =
   Guestos.Net_stack.send fx.nf_stack frames;
   run fx.nf_engine 5;
   check_int "all on wire" 10 (List.length !wire);
-  check_int "driver tx count" 10 (Guestos.Native_driver.tx_count fx.nf_driver)
+  check_int "driver tx count" 10 (Guestos.Nic_driver.tx_count fx.nf_driver)
 
 let test_native_driver_receives () =
   let fx = native_fixture () in
@@ -298,8 +294,8 @@ let test_native_driver_receives () =
   done;
   run fx.nf_engine 5;
   check_int "all delivered" 5 (List.length !got);
-  check_int "driver rx count" 5 (Guestos.Native_driver.rx_count fx.nf_driver);
-  check_bool "polled" true (Guestos.Native_driver.polls fx.nf_driver > 0)
+  check_int "driver rx count" 5 (Guestos.Nic_driver.rx_count fx.nf_driver);
+  check_bool "polled" true (Guestos.Nic_driver.polls fx.nf_driver > 0)
 
 let test_native_driver_ring_wraps () =
   (* More packets than ring slots: recycling must work. *)
@@ -362,15 +358,15 @@ let test_native_driver_scatter_gather () =
   Nic.Dp.attach_link (Nic.Conventional.dp nic) link ~side:Ethernet.Link.A;
   Nic.Conventional.enable nic ~mac:(Ethernet.Mac_addr.make 1);
   let driver =
-    Guestos.Native_driver.create ~mem ~post_kernel
+    Guestos.Nic_driver.create ~mem ~post_kernel
       ~costs:os_costs ~hw:(Nic.Conventional.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 1)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp dom n)
-      ~materialize:true ~sg_split:128 ()
+      ~materialize:true ~sg_split:128 ~backend:Guestos.Nic_driver.Ring ()
   in
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:os_costs
-      ~netdev:(Guestos.Native_driver.netdev driver)
+      ~netdev:(Guestos.Nic_driver.netdev driver)
   in
   let wire = ref [] in
   Ethernet.Link.attach link Ethernet.Link.B (fun f -> wire := f :: !wire);
@@ -427,15 +423,15 @@ let pv_fixture ?(materialize = false) () =
   Nic.Conventional.enable nic ~mac:(Ethernet.Mac_addr.make 100);
   let post_driver ~cost fn = Xen.Hypervisor.kernel_work hyp driver_dom ~cost fn in
   let phys_driver =
-    Guestos.Native_driver.create ~mem ~post_kernel:post_driver
+    Guestos.Nic_driver.create ~mem ~post_kernel:post_driver
       ~costs:os_costs ~hw:(Nic.Conventional.driver_if nic)
       ~mac:(Ethernet.Mac_addr.make 100)
       ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages hyp driver_dom n)
-      ~materialize ()
+      ~materialize ~backend:Guestos.Nic_driver.Ring ()
   in
   let nic_chan =
     Xen.Event_channel.create hyp ~target:driver_dom ~isr_cost:(us 1)
-      ~handler:(fun () -> Guestos.Native_driver.handle_interrupt phys_driver)
+      ~handler:(fun () -> Guestos.Nic_driver.handle_interrupt phys_driver)
   in
   Xen.Hypervisor.route_irq hyp irq (fun () ->
       Xen.Event_channel.notify_from_hypervisor nic_chan);
@@ -444,7 +440,7 @@ let pv_fixture ?(materialize = false) () =
       ~costs:netback_costs ~materialize ()
   in
   Guestos.Netback.add_physical netback
-    (Guestos.Native_driver.netdev phys_driver)
+    (Guestos.Nic_driver.netdev phys_driver)
     ~remote_macs:[ Ethernet.Mac_addr.make 200 ];
   let xchan = Guestos.Xchan.create ~capacity:256 in
   let chan_to_driver =
