@@ -277,6 +277,7 @@ let pump_tx t =
   | Ring -> ring_pump_tx t
   | Hypercall { enqueue; _ } -> hypercall_pump_tx t enqueue
 
+(* Repost from the backlog; the ring back end keeps none. *)
 let post_rx t =
   match t.backend with
   | Ring -> ()
@@ -388,6 +389,7 @@ let create ~mem ~post_kernel ~costs ~hw ~mac ~alloc_pages ?(tx_slots = 256)
   | Some _ | None -> ());
   check_slots "Nic_driver tx" tx_slots;
   check_slots "Nic_driver rx" rx_slots;
+  (* Ring and status pages in one allocation, then the buffer pages. *)
   let control_pages = alloc_pages 3 in
   let tx_ring_page = List.nth control_pages 0 in
   let rx_ring_page = List.nth control_pages 1 in
@@ -401,7 +403,6 @@ let create ~mem ~post_kernel ~costs ~hw ~mac ~alloc_pages ?(tx_slots = 256)
   let rx_ring =
     Nic.Ring.create ~base:(page_addr rx_ring_page) ~slots:rx_slots ~desc_bytes ()
   in
-  let pending = Queue.create () in
   let t =
     {
       mem;
@@ -420,7 +421,7 @@ let create ~mem ~post_kernel ~costs ~hw ~mac ~alloc_pages ?(tx_slots = 256)
       tx_prod = 0;
       tx_cons_seen = 0;
       rx_prod = 0;
-      pending;
+      pending = Queue.create ();
       scratch = Bytes.empty;
       tx_batch = [];
       rx_batch = 0;

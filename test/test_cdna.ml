@@ -452,6 +452,61 @@ let test_hyp_enqueue_after_revoke () =
   | Error `Revoked -> ()
   | _ -> Alcotest.fail "expected Revoked"
 
+(* A stale handle must not reprogram the context's next occupant: each
+   registration hypercall through a revoked handle fails, and the new
+   occupant's rings and status writeback keep working. *)
+let test_hyp_register_after_revoke () =
+  let fx = fixture () in
+  let h1 = assign fx ~mac_idx:1 () in
+  Cdna.Hyp.revoke fx.cdna h1;
+  let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
+  check_int "context reassigned" (Cdna.Hyp.ctx_id h1) (Cdna.Hyp.ctx_id h2);
+  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:os_costs () in
+  run fx 5;
+  let page () =
+    Memory.Addr.base_of_pfn (List.hd (Xen.Hypervisor.alloc_pages fx.xen fx.guest 1))
+  in
+  let stale_tx = page () and stale_rx = page () and stale_status = page () in
+  let revoked what r =
+    match r with
+    | Error `Revoked -> ()
+    | _ -> Alcotest.failf "%s through a revoked handle: expected Revoked" what
+  in
+  revoked "tx ring"
+    (await fx (fun k ->
+         Cdna.Hyp.register_ring fx.cdna h1 Cdna.Hyp.Tx ~base:stale_tx ~slots:64 k));
+  revoked "rx ring"
+    (await fx (fun k ->
+         Cdna.Hyp.register_ring fx.cdna h1 Cdna.Hyp.Rx ~base:stale_rx ~slots:64 k));
+  revoked "status"
+    (await fx (fun k -> Cdna.Hyp.register_status fx.cdna h1 ~addr:stale_status k));
+  let post_kernel ~cost fn = Xen.Hypervisor.kernel_work fx.xen fx.guest2 ~cost fn in
+  let stack =
+    Guestos.Net_stack.create ~post_kernel ~costs:os_costs
+      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d2))
+  in
+  let wire = ref 0 and got = ref 0 in
+  Ethernet.Link.attach fx.link Ethernet.Link.B (fun _ -> incr wire);
+  Guestos.Net_stack.set_rx_handler stack (fun fs -> got := !got + List.length fs);
+  let frame ~src ~dst i =
+    Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make src)
+      ~dst:(Ethernet.Mac_addr.make dst) ~kind:Ethernet.Frame.Data ~flow:0 ~seq:i
+      ~payload_len:800 ~payload_seed:i ()
+  in
+  Guestos.Net_stack.send stack (List.init 10 (frame ~src:2 ~dst:99));
+  for i = 0 to 4 do
+    Ethernet.Link.send fx.link ~from:Ethernet.Link.B (frame ~src:99 ~dst:2 i)
+      ~on_wire_free:ignore
+  done;
+  run fx 20;
+  check_int "occupant's transmit ring intact" 10 !wire;
+  check_int "occupant's receive ring intact" 5 !got;
+  check_bool "no faults" true (Cdna.Hyp.faults fx.cdna = []);
+  check_bool "no writeback to the stale status page" true
+    (Bytes.for_all
+       (fun c -> c = '\000')
+       (Memory.Phys_mem.read fx.mem ~addr:stale_status ~len:8))
+
 let test_hyp_ring_registration_validates () =
   let fx = fixture () in
   let h = assign fx ~mac_idx:1 () in
@@ -1197,6 +1252,8 @@ let suite =
         Alcotest.test_case "ring full" `Quick test_hyp_enqueue_ring_full;
         Alcotest.test_case "unregistered ring" `Quick test_hyp_enqueue_unregistered_ring;
         Alcotest.test_case "after revoke" `Quick test_hyp_enqueue_after_revoke;
+        Alcotest.test_case "register after revoke" `Quick
+          test_hyp_register_after_revoke;
         Alcotest.test_case "ring registration validates" `Quick
           test_hyp_ring_registration_validates;
         Alcotest.test_case "revoke unpins" `Quick test_hyp_revoke_unpins_everything;
