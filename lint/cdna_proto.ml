@@ -167,6 +167,7 @@ type psum = {
   ps_param_acq : (int * string * hop list) list;
   ps_param_rel : (int * string * hop list) list;
   ps_param_use : (int * string * hop list) list;
+  ps_param_esc : int list; (* parameters (index among all) that escape *)
   ps_raises : bool;
 }
 
@@ -176,6 +177,7 @@ let empty_psum =
     ps_param_acq = [];
     ps_param_rel = [];
     ps_param_use = [];
+    ps_param_esc = [];
     ps_raises = false;
   }
 
@@ -199,6 +201,7 @@ let psum_image s =
   String.concat "|"
     (ret @ tr "a" s.ps_param_acq @ tr "r" s.ps_param_rel
    @ tr "u" s.ps_param_use
+    @ List.map (Printf.sprintf "e%d") s.ps_param_esc
     @ [ (if s.ps_raises then "!" else "") ])
 
 (* The protocol tables: seeded pairs plus per-function annotations. *)
@@ -316,7 +319,9 @@ type aval =
   | Nothing
   | Res of ISet.t (* carries these resources *)
   | CondRes of int * bool (* bool acquire result; true = negated *)
-  | PVal of int (* parameter-rooted; -1 for labelled params *)
+  | PVal of int * int
+      (* parameter-rooted: position among the positional parameters (-1
+         for labelled ones), and index among all parameters *)
   | FreshVal of string * hop (* creator result: proto, creation site *)
 
 let join_status a b =
@@ -365,6 +370,7 @@ type ctx = {
   mutable frames : frame list; (* innermost first *)
   mutable sum_param_rel : (int * string * hop list) list;
   mutable sum_param_use : (int * string * hop list) list;
+  mutable sum_param_esc : int list;
   mutable raises : bool;
 }
 
@@ -425,7 +431,7 @@ let classify_subject ctx env ~proto e =
                  && path = Ident.name root
                  && not (Hashtbl.mem ctx.escaped_fresh (Ident.name root)) ->
               (KFresh (p, h), path)
-          | Some (PVal i) -> (KParam i, path)
+          | Some (PVal (i, _)) -> (KParam i, path)
           | _ -> (KOther, path)))
 
 let rec bind_pat : type k.
@@ -484,9 +490,16 @@ let esc_subjects ctx st path =
       if root_matches then set_status st id Esc else st)
     ctx.subjects st
 
+(* A parameter-rooted value that escapes makes its parameter escape in
+   the summary, so the caller's argument escapes too. *)
+let escape_param ctx = function
+  | PVal (_, k) -> ctx.sum_param_esc <- k :: ctx.sum_param_esc
+  | Nothing | Res _ | CondRes _ | FreshVal _ -> ()
+
 (* A value leaves the function's ownership: stored, captured, or handed
    to an unknown callee. *)
 let escape_val ctx env st v (expr : Typedtree.expression option) =
+  escape_param ctx v;
   let st = esc_ids st (res_ids v) in
   match expr with
   | Some e -> (
@@ -510,7 +523,10 @@ let escape_ident ctx env st (id : Ident.t) =
     | Some (FreshVal _) ->
         Hashtbl.replace ctx.escaped_fresh name ();
         st
-    | _ -> st
+    | Some v ->
+        escape_param ctx v;
+        st
+    | None -> st
   in
   esc_subjects ctx st name
 
@@ -769,6 +785,23 @@ let nth_nolabel args i =
       | Some _ -> None)
     args
 
+(* The argument a call passes for the callee's [k]-th parameter: by
+   label, or by position among the positional ones. *)
+let arg_for_param (callee : fn) args k =
+  match List.nth_opt callee.f_params k with
+  | None -> None
+  | Some p -> (
+      match p.p_arg with
+      | Asttypes.Labelled l | Asttypes.Optional l ->
+          List.find_map
+            (fun (lbl, av, e) -> if lbl = Some l then Some (av, e) else None)
+            args
+      | Asttypes.Nolabel ->
+          let before = List.filteri (fun i _ -> i < k) callee.f_params in
+          nth_nolabel args
+            (List.length
+               (List.filter (fun q -> q.p_arg = Asttypes.Nolabel) before)))
+
 let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
     aval * status IMap.t =
   let sup = match proto_ok e.exp_attributes with None -> sup | s -> s in
@@ -926,7 +959,7 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
   | Typedtree.Texp_field (e', _, _) ->
       let v, st = eval ctx ~sup env st e' in
       let v' =
-        match v with Res _ -> v | PVal i -> PVal i | _ -> Nothing
+        match v with Res _ | PVal _ -> v | _ -> Nothing
       in
       (v', st)
   | Typedtree.Texp_setfield (e1, _, _, e2) ->
@@ -1234,6 +1267,14 @@ and apply_summary ctx ~sup env st ~loc (callee : fn) eargs =
         | None -> st)
       st s.ps_param_acq
   in
+  let st =
+    List.fold_left
+      (fun st k ->
+        match arg_for_param callee eargs k with
+        | Some (av, ae) -> escape_val ctx env st av (Some ae)
+        | None -> st)
+      st s.ps_param_esc
+  in
   let ret_ids, st =
     List.fold_left
       (fun (ids, st) (proto, hops) ->
@@ -1270,16 +1311,18 @@ let eval_fn prog tbls summary ~report viols (f : fn) : psum =
       frames = [];
       sum_param_rel = [];
       sum_param_use = [];
+      sum_param_esc = [];
       raises = false;
     }
   in
-  let env, _ =
+  let env, _, _ =
     List.fold_left
-      (fun (env, pos) p ->
+      (fun (env, pos, k) p ->
         match p.p_arg with
-        | Nolabel -> (bind_pat env p.p_pat (PVal pos), pos + 1)
-        | Labelled _ | Optional _ -> (bind_pat env p.p_pat (PVal (-1)), pos))
-      (IdentMap.empty, 0) f.f_params
+        | Nolabel -> (bind_pat env p.p_pat (PVal (pos, k)), pos + 1, k + 1)
+        | Labelled _ | Optional _ ->
+            (bind_pat env p.p_pat (PVal (-1, k)), pos, k + 1))
+      (IdentMap.empty, 0, 0) f.f_params
   in
   let sup = proto_ok f.f_attrs in
   let av, st = eval ctx ~sup env IMap.empty f.f_body in
@@ -1332,6 +1375,7 @@ let eval_fn prog tbls summary ~report viols (f : fn) : psum =
     ps_param_acq = List.sort_uniq compare !ps_param_acq;
     ps_param_rel = List.sort_uniq compare ctx.sum_param_rel;
     ps_param_use = List.sort_uniq compare ctx.sum_param_use;
+    ps_param_esc = List.sort_uniq compare ctx.sum_param_esc;
     ps_raises = ctx.raises;
   }
 

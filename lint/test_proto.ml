@@ -210,7 +210,8 @@ let test_clean_fixtures () =
         (List.length (viols_in base)))
     [
       "proto_env.ml"; "clean_protect.ml"; "clean_handler.ml"; "clean_loop.ml";
-      "clean_escape.ml"; "clean_balanced.ml"; "clean_annot.ml";
+      "clean_escape.ml"; "clean_capture.ml"; "clean_balanced.ml";
+      "clean_annot.ml";
       "suppressed.ml"; "cross_b.ml"; "cross_c.ml";
     ]
 
