@@ -64,10 +64,12 @@ type backend =
     256 so each ring fits one page. [materialize] controls whether payload
     bytes are staged in buffers.
 
-    [sg_split] (ring back end) enables scatter/gather transmit: packets
-    longer than the split are described by two descriptors — a header
-    fragment of [sg_split] bytes and the rest — which the NIC coalesces
-    at the end-of-packet flag. *)
+    [sg_split] enables scatter/gather transmit on the ring back end (the
+    hypercall back end describes every frame with one descriptor):
+    packets longer than the split are described by two descriptors — a
+    header fragment of [sg_split] bytes and the rest — which the NIC
+    coalesces at the end-of-packet flag. No testbed sets it; the
+    guest-OS tests do. *)
 val create :
   mem:Memory.Phys_mem.t ->
   post_kernel:(cost:Sim.Time.t -> (unit -> unit) -> unit) ->
