@@ -40,7 +40,8 @@ type t = {
   (* Hypercall back end: the frames of the transmit batch in flight
      ([[]] when none), the buffers of the receive batch in flight (0 when
      none), consumed receive buffers not yet reposted, and the batch
-     continuations, built once in [create]. *)
+     continuations, built once in [create] so that posting a batch
+     allocates no closure of its own. *)
   mutable tx_batch : Ethernet.Frame.t list;
   mutable rx_batch : int;
   mutable rx_backlog : int;
@@ -137,9 +138,9 @@ let rx_desc t ~slot ~seqno =
 
 (* The received frames, each payload read back out of its DMA buffer so
    that memory corruption (e.g. protection violations) is observable end
-   to end. Plain recursion: [List.map] would allocate a closure per
-   poll. *)
-let rec frames_from_buffers t = function
+   to end. Recursion rather than [List.map], which would allocate a
+   closure per poll. *)
+let[@tail_mod_cons] rec frames_from_buffers t = function
   | [] -> []
   | (idx, frame) :: rest ->
       let frame =
@@ -217,9 +218,9 @@ let ring_repost_rx t n =
 
 (* ---------- Hypercall back end ---------- *)
 
-(* Batches are built by plain recursion rather than [List.init]/[List.mapi],
+(* Batches are built by recursion rather than [List.init]/[List.mapi],
    which would allocate a closure per batch. *)
-let rec pop_frames q n =
+let[@tail_mod_cons] rec pop_frames q n =
   if n = 0 then []
   else
     let frame = Queue.pop q in
@@ -227,7 +228,7 @@ let rec pop_frames q n =
 
 (* Stage each frame in the buffer page of its slot, counting from
    [slot]; one descriptor per frame. *)
-let rec hypercall_tx_descs t ~slot = function
+let[@tail_mod_cons] rec hypercall_tx_descs t ~slot = function
   | [] -> []
   | frame :: rest ->
       let page = tx_page t slot in
@@ -238,7 +239,7 @@ let rec hypercall_tx_descs t ~slot = function
       in
       desc :: hypercall_tx_descs t ~slot:(slot + 1) rest
 
-let rec hypercall_rx_descs t ~slot n =
+let[@tail_mod_cons] rec hypercall_rx_descs t ~slot n =
   if n = 0 then []
   else
     let desc = rx_desc t ~slot ~seqno:0 in

@@ -97,9 +97,11 @@ let refcount t pfn =
   Page.refcount t.meta pfn
 
 (* Pages [i] to [count - 1] of an allocation: the reclaimed stack from
-   its top, then fresh pages. Plain recursion, here and in [own_all], so
-   an allocation builds its list and no closures. *)
-let rec take t ~from_stack ~top i count =
+   its top, then fresh pages. Recursion here and in [own_all] builds the
+   list and no closures; tail-modulo-cons keeps a domain's tens of
+   thousands of pages off the stack, which a plain recursion would grow
+   and every minor collection would rescan. *)
+let[@tail_mod_cons] rec take t ~from_stack ~top i count =
   if i = count then []
   else
     let pfn =
