@@ -2,7 +2,7 @@ module FI = Sim.Fault_inject
 module H = Cdna.Hyp
 module Frame = Ethernet.Frame
 module Mac = Ethernet.Mac_addr
-module Rogue = Guestos.Nic_driver
+module Nd = Guestos.Nic_driver
 
 (* The calibrated costs of a CDNA testbed: CDNA runs on the RiceNIC. *)
 let costs = Cost_model.for_config Config.Cdna_sys Config.Ricenic
@@ -130,7 +130,7 @@ let build ~mode () =
     Guestos.Net_stack.create
       ~post_kernel:(fun ~cost fn -> Xen.Hypervisor.kernel_work xen dom ~cost fn)
       ~costs:costs.guest_os
-      ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d))
+      ~netdev:(Nd.netdev (Cdna.Driver.core d))
   in
   let stack_a = stack guest_a d_a and stack_b = stack guest_b d_b in
   let sink = { s_a = 0; s_b = 0; s_att = 0; s_corrupt = 0 } in
@@ -278,21 +278,21 @@ let attack_iommu w kind ~injected =
 let attack_disabled w kind ~frames =
   let post_kernel ~cost fn = Xen.Hypervisor.kernel_work w.xen w.rogue ~cost fn in
   let d =
-    Rogue.create ~mem:w.mem ~post_kernel ~costs:costs.guest_os
+    Nd.create ~mem:w.mem ~post_kernel ~costs:costs.guest_os
       ~hw:(H.driver_if w.h_att) ~mac:mac_att
       ~alloc_pages:(Xen.Hypervisor.alloc_pages w.xen w.rogue)
-      ~tx_slots:16 ~rx_slots:16 ~backend:Rogue.Ring ()
+      ~tx_slots:16 ~rx_slots:16 ~backend:Nd.Ring ()
   in
-  H.set_event_handler w.h_att (fun () -> Rogue.handle_interrupt d);
-  Rogue.set_malice d
+  H.set_event_handler w.h_att (fun () -> Nd.handle_interrupt d);
+  Nd.set_malice d
     (Some
        (match kind with
-       | Foreign_page -> Rogue.Foreign_page (List.hd (Xen.Domain.pages w.guest_a))
-       | Over_length -> Rogue.Over_length
-       | _ -> Rogue.Out_of_sequence));
+       | Foreign_page -> Nd.Foreign_page (List.hd (Xen.Domain.pages w.guest_a))
+       | Over_length -> Nd.Over_length
+       | _ -> Nd.Out_of_sequence));
   let stack =
     Guestos.Net_stack.create ~post_kernel ~costs:costs.guest_os
-      ~netdev:(Rogue.netdev d)
+      ~netdev:(Nd.netdev d)
   in
   Guestos.Net_stack.send stack (List.init frames (fun i -> attack_frame ~seq:i));
   d
@@ -354,7 +354,7 @@ let run_cell ~mode ~seed ~frames ~baseline fault =
     | Link_drop | Link_corrupt -> FI.injected fi ~site:"link.tx"
     | _ -> (
         match !rogue with
-        | Some d -> Rogue.malicious_descs d
+        | Some d -> Nd.malicious_descs d
         | None -> !injected)
   in
   let detected =
