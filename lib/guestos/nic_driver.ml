@@ -333,10 +333,11 @@ let rec poll t () =
         t.tx_count <- t.tx_count + tx_done;
         pump_tx t;
         Netdev.notify_tx_done (the_netdev t) tx_done;
-        (* The ring back end already woke the stack inside [pump_tx], and
-           [notify_tx_done] only posts work, so this finds nothing to do
-           there; the hypercall back end's pump never wakes. *)
-        wake_if_writable t
+        (* The ring back end woke the stack inside [pump_tx]; the
+           hypercall back end's pump does not wake it. *)
+        match t.backend with
+        | Ring -> ()
+        | Hypercall _ -> wake_if_writable t
       end;
       if n_rx > 0 then begin
         let frames = frames_from_buffers t rxs in
