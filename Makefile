@@ -43,9 +43,9 @@ check:
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable results for every subject (ns/run + minor
-# words/run), gated against the committed baseline: >2x in host-scaled
-# time or any rise in allocation fails. Refresh the baseline after an
+# Machine-readable results for every subject (ns/run + minor and direct
+# major words/run), gated against the committed baseline: >2x in
+# host-scaled time or any rise in allocation fails. Refresh the baseline after an
 # intentional performance change with:
 #   dune exec bench/main.exe -- --json bench/baseline.json --quota 0.5
 bench-json:
