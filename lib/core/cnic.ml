@@ -90,13 +90,11 @@ type saved_context = {
   sc_firmware : Nic.Firmware.saved_scratch;
 }
 
-let save_context t ~ctx =
+let save_context t ~ctx ~mailbox =
   let sc_dp = Nic.Dp.save_context (dp t) ~ctx in
-  let sc_mailbox =
-    Nic.Mailbox.save_partition (Nic.Firmware.mailbox t.firmware) ~ctx
-  in
+  Nic.Mailbox.save_partition (Nic.Firmware.mailbox t.firmware) ~ctx mailbox;
   let sc_firmware = Nic.Firmware.save_scratch t.firmware ~ctx in
-  { sc_dp; sc_mailbox; sc_firmware }
+  { sc_dp; sc_mailbox = mailbox; sc_firmware }
 
 let restore_context_image t ~ctx s =
   Nic.Firmware.restore_scratch t.firmware ~ctx s.sc_firmware;

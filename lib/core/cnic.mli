@@ -55,10 +55,12 @@ val free_context : t -> int option
     hypervisor-mediated context paging. *)
 type saved_context
 
-(** [save_context t ~ctx] snapshots an active context's image and scrubs
-    the SRAM partition and firmware scratch; the caller must then revoke
-    the context (which resets the datapath slot). *)
-val save_context : t -> ctx:int -> saved_context
+(** [save_context t ~ctx ~mailbox] snapshots an active context's image,
+    its SRAM partition into the guest's save area [mailbox], and scrubs
+    the partition and firmware scratch; the caller must then revoke the
+    context (which resets the datapath slot). *)
+val save_context :
+  t -> ctx:int -> mailbox:Nic.Mailbox.saved_partition -> saved_context
 
 (** [restore_context_image t ~ctx s] installs a saved image on a reset
     slot (any slot — not necessarily the one it was saved from). *)

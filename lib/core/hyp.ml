@@ -8,6 +8,19 @@ type dir = Tx | Rx
 type enqueue_error =
   [ `Not_owner of Memory.Addr.pfn | `Ring_full | `Ring_unregistered | `Revoked ]
 
+(* The pages each enqueued descriptor holds, oldest first: a FIFO of
+   (ring index, first pfn, page count) int triples, live in
+   [buf.(head) .. buf.(tail - 1)]. It starts empty and grows on the first
+   pin, like [Sim.Heap]'s free stack. It stays a FIFO rather than a table
+   by ring slot: a second [register_ring] restarts the ring indices
+   behind the old ring's pins, which stay at the head. *)
+type ledger = {
+  mutable buf : int array;
+  mutable head : int;
+  mutable tail : int;
+  mutable pages : int; (* page sum over the live entries *)
+}
+
 (* Hypervisor-side state of one ring of one context. *)
 type ring_state = {
   mutable ring : Nic.Ring.t option;
@@ -15,8 +28,7 @@ type ring_state = {
   mutable seq : int;
   (* Pages pinned per enqueued descriptor, unpinned lazily when later
      enqueues observe the consumer index has passed them. *)
-  pins : (int * Memory.Addr.pfn list) Queue.t;
-  mutable pinned : int;
+  pins : ledger;
 }
 
 type ctx_handle = {
@@ -49,6 +61,8 @@ type ctx_handle = {
   mutable last_use : int; (* LRU clock value of the last hardware access *)
   (* Ring/status pages granted in IOMMU mode (pins track data pages). *)
   mutable granted_extra : Memory.Addr.pfn list;
+  (* The guest's mailbox save area, reused by every page-out. *)
+  mailbox_save : Nic.Mailbox.saved_partition;
 }
 
 type t = {
@@ -65,6 +79,10 @@ type t = {
   paging : bool;
   mutable use_clock : int;
   mutable ctx_swaps : int;
+  (* [enqueue]'s batch, validated: (first pfn, page count) per
+     descriptor, read back by its write loop. Grows to the largest
+     batch. *)
+  mutable ranges : int array;
 }
 
 let trace t fmt_msg =
@@ -84,6 +102,7 @@ let create xen ~costs ?(protection = Cdna_costs.Full) ~paging () =
     paging;
     use_clock = 0;
     ctx_swaps = 0;
+    ranges = [||];
   }
 
 let paging_enabled t = t.paging
@@ -170,27 +189,83 @@ let add_nic t nic =
               slots))
   end
 
+(* ---------- Pin ledger ---------- *)
+
+(* Room for one more triple: slide the live entries down when at least
+   half the array is dead, else double it. *)
+let make_room l =
+  let live = l.tail - l.head in
+  if l.head = 0 || 2 * l.head < Array.length l.buf then begin
+    let buf = Array.make (Int.max 24 (2 * Array.length l.buf)) 0 in
+    Array.blit l.buf l.head buf 0 live;
+    l.buf <- buf
+  end
+  else Array.blit l.buf l.head l.buf 0 live;
+  l.head <- 0;
+  l.tail <- live
+
+let[@cdna.hot] ledger_push l ~idx ~first ~pages =
+  if l.tail + 3 > Array.length l.buf then
+    (make_room l [@cdna.alloc_ok "ledger growth doubles, not steady state"]);
+  let i = l.tail in
+  l.buf.(i) <- idx;
+  l.buf.(i + 1) <- first;
+  l.buf.(i + 2) <- pages;
+  l.tail <- i + 3;
+  l.pages <- l.pages + pages
+
+let[@cdna.hot] ledger_pop l =
+  l.pages <- l.pages - l.buf.(l.head + 2);
+  let head = l.head + 3 in
+  if head = l.tail then begin
+    l.head <- 0;
+    l.tail <- 0
+  end
+  else l.head <- head
+
+(* Pages held by the consumed prefix: the entries from the head up to
+   the first whose ring index is [cons] or more. *)
+let[@cdna.hot] ledger_consumed_pages l ~cons =
+  let i = ref l.head and sum = ref 0 in
+  while !i < l.tail && l.buf.(!i) < cons do
+    sum := !sum + l.buf.(!i + 2);
+    i := !i + 3
+  done;
+  !sum
+
 let fresh_ring_state () =
-  { ring = None; prod = 0; seq = 0; pins = Queue.create (); pinned = 0 }
+  {
+    ring = None;
+    prod = 0;
+    seq = 0;
+    pins = { buf = [||]; head = 0; tail = 0; pages = 0 };
+  }
 
 (* ---------- Context paging (oversubscription) ---------- *)
 
-(* Every page the NIC may DMA on this context's behalf: pinned data pages
-   plus ring/status pages. Only consulted in IOMMU protection mode, where
-   grants are keyed by the (slot-derived) DMA context and must move with
-   the guest across slots. *)
-let iommu_all_pfns h =
-  let of_ring rs acc =
-    Queue.fold (fun acc (_, pfns) -> List.rev_append pfns acc) acc rs.pins
-  in
-  of_ring h.tx (of_ring h.rx h.granted_extra)
-
+(* Apply [f] to every page the NIC may DMA on this context's behalf:
+   pinned data pages (newest descriptor first, each range downwards)
+   plus ring/status pages. Only in IOMMU protection mode, where grants
+   are keyed by the (slot-derived) DMA context and must move with the
+   guest across slots. *)
 let iommu_grants_apply t h ~f =
   match (t.protection, t.iommu) with
   | Cdna_costs.Iommu, Some iommu ->
-      List.iter
-        (fun pfn -> f iommu ~context:(iommu_ctx h) pfn)
-        (iommu_all_pfns h)
+      let apply pfn = f iommu ~context:(iommu_ctx h) pfn in
+      let of_ring rs =
+        let l = rs.pins in
+        let i = ref (l.tail - 3) in
+        while !i >= l.head do
+          let first = l.buf.(!i + 1) in
+          for pfn = first + l.buf.(!i + 2) - 1 downto first do
+            apply pfn
+          done;
+          i := !i - 3
+        done
+      in
+      of_ring h.tx;
+      of_ring h.rx;
+      List.iter apply h.granted_extra
   | _ -> ()
 
 (* Swap a resident context out to its handle's save area: snapshot the
@@ -204,7 +279,9 @@ let page_out t victim =
       Printf.sprintf "page-out dom%d ctx%d"
         (Xen.Domain.id victim.guest)
         victim.ctx);
-  let image = Cnic.save_context nic ~ctx:victim.ctx in
+  let image =
+    Cnic.save_context nic ~ctx:victim.ctx ~mailbox:victim.mailbox_save
+  in
   Bus.Mmio.revoke victim.mapping;
   Nic.Dp.deactivate (Cnic.dp nic) ~ctx:victim.ctx;
   (* The slot's DMA context will belong to the next occupant: the victim's
@@ -384,6 +461,7 @@ let assign_context t ~nic ~guest ~mac ~isr_cost =
           saved = None;
           last_use = t.use_clock;
           granted_extra = [];
+          mailbox_save = Nic.Mailbox.save_area ();
         }
       in
       h.hw <- wrap t h;
@@ -411,10 +489,21 @@ let release_page t h pfn =
         | None -> ())
   | Cdna_costs.Disabled -> ()
 
+let release_range t h ~first ~pages =
+  for pfn = first to first + pages - 1 do
+    release_page t h pfn
+  done
+
 let unpin_all t h rs =
-  Queue.iter (fun (_, pfns) -> List.iter (release_page t h) pfns) rs.pins;
-  Queue.clear rs.pins;
-  rs.pinned <- 0
+  let l = rs.pins in
+  let i = ref l.head in
+  while !i < l.tail do
+    release_range t h ~first:l.buf.(!i + 1) ~pages:l.buf.(!i + 2);
+    i := !i + 3
+  done;
+  l.head <- 0;
+  l.tail <- 0;
+  l.pages <- 0
 
 let revoke t h =
   if not h.revoked then begin
@@ -570,19 +659,14 @@ let consumer t h dir =
 
 (* Lazily drop pins for descriptors the NIC has consumed (paper 3.3). *)
 let process_completions t h dir =
-  let rs = ring_state h dir in
+  let l = (ring_state h dir).pins in
   let cons = consumer t h dir in
   let unpinned = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt rs.pins with
-    | Some (idx, pfns) when idx < cons ->
-        ignore (Queue.pop rs.pins);
-        List.iter (release_page t h) pfns;
-        let n = List.length pfns in
-        unpinned := !unpinned + n;
-        rs.pinned <- rs.pinned - n
-    | Some _ | None -> continue := false
+  while l.head < l.tail && l.buf.(l.head) < cons do
+    let pages = l.buf.(l.head + 2) in
+    release_range t h ~first:l.buf.(l.head + 1) ~pages;
+    ledger_pop l;
+    unpinned := !unpinned + pages
   done;
   !unpinned
 
@@ -611,6 +695,35 @@ let unpin_delta_cost t n =
   | Cdna_costs.Iommu -> Sim.Time.mul_int c.Cdna_costs.iommu_per_desc n
   | Cdna_costs.Disabled -> Sim.Time.zero
 
+(* The first page of [descs], in descriptor order, that [dom] does not
+   own; -1 if it owns them all ([pfn_of] is never negative). Each
+   descriptor's page range is computed once: its first pfn and page
+   count go to [ranges.(i)] and [ranges.(i + 1)], where [enqueue]'s
+   write loop reads them back. *)
+let rec first_foreign mem ~dom ranges i = function
+  | [] -> -1
+  | (d : Memory.Dma_desc.t) :: rest ->
+      let pages = Memory.Addr.page_count ~addr:d.addr ~len:d.len in
+      let first = Memory.Addr.pfn_of d.addr in
+      ranges.(i) <- first;
+      ranges.(i + 1) <- pages;
+      let pfn = ref first in
+      while !pfn < first + pages && Memory.Phys_mem.owned_by mem !pfn dom do
+        incr pfn
+      done;
+      if !pfn < first + pages then !pfn
+      else first_foreign mem ~dom ranges (i + 2) rest
+
+(* Validate the whole batch first: all-or-nothing. *)
+let validate_batch t h descs =
+  let n = List.length descs in
+  if Array.length t.ranges < 2 * n then t.ranges <- Array.make (2 * n) 0;
+  match
+    first_foreign (mem t) ~dom:(Xen.Domain.id h.guest) t.ranges 0 descs
+  with
+  | -1 -> Ok ()
+  | pfn -> Error (`Not_owner pfn)
+
 let enqueue t h dir descs k =
   let n_desc = List.length descs in
   (* Estimate the unpin work for the up-front hypercall charge from the
@@ -619,13 +732,7 @@ let enqueue t h dir descs k =
      and charges the difference. *)
   let n_unpin_est =
     if t.protection = Cdna_costs.Disabled then 0
-    else begin
-      let rs = ring_state h dir in
-      let cons = consumer t h dir in
-      Queue.fold
-        (fun acc (idx, pfns) -> if idx < cons then acc + List.length pfns else acc)
-        0 rs.pins
-    end
+    else ledger_consumed_pages (ring_state h dir).pins ~cons:(consumer t h dir)
   in
   let cost = enqueue_cost t ~n_desc ~n_unpin:n_unpin_est in
   let body () =
@@ -648,18 +755,9 @@ let enqueue t h dir descs k =
           if rs.prod + n_desc - cons > Nic.Ring.slots ring then
             k (Error `Ring_full)
           else begin
-            (* Validate the whole batch first: all-or-nothing. *)
             let validation =
               if t.protection = Cdna_costs.Disabled then Ok ()
-              else
-                List.fold_left
-                  (fun acc (d : Memory.Dma_desc.t) ->
-                    match acc with
-                    | Error _ -> acc
-                    | Ok () ->
-                        validate_pages t h
-                          (Memory.Addr.pages_spanned ~addr:d.addr ~len:d.len))
-                  (Ok ()) descs
+              else validate_batch t h descs
             in
             match validation with
             | Error e ->
@@ -668,31 +766,32 @@ let enqueue t h dir descs k =
                       (Xen.Domain.id h.guest));
                 k (Error e)
             | Ok () ->
-                List.iter
-                  (fun (d : Memory.Dma_desc.t) ->
+                List.iteri
+                  (fun i (d : Memory.Dma_desc.t) ->
                     let idx = rs.prod in
-                    let pfns =
-                      Memory.Addr.pages_spanned ~addr:d.addr ~len:d.len
-                    in
                     (match t.protection with
-                    | Cdna_costs.Full ->
-                        List.iter (Memory.Phys_mem.get_ref (mem t)) pfns;
-                        Queue.push (idx, pfns) rs.pins;
-                        rs.pinned <- rs.pinned + List.length pfns
-                    | Cdna_costs.Iommu ->
-                        (* Grants for a paged-out context are deferred to
-                           page-in, which re-grants every pin. *)
-                        (match t.iommu with
-                        | Some iommu when h.resident ->
-                            List.iter
-                              (fun pfn ->
-                                Memory.Iommu.grant iommu
-                                  ~context:(iommu_ctx h) pfn)
-                              pfns
-                        | Some _ | None -> ());
-                        Queue.push (idx, pfns) rs.pins;
-                        rs.pinned <- rs.pinned + List.length pfns
-                    | Cdna_costs.Disabled -> ());
+                    | Cdna_costs.Full | Cdna_costs.Iommu ->
+                        let first = t.ranges.(2 * i)
+                        and pages = t.ranges.((2 * i) + 1) in
+                        (match (t.protection, t.iommu) with
+                        | Cdna_costs.Full, _ ->
+                            for pfn = first to first + pages - 1 do
+                              Memory.Phys_mem.get_ref (mem t) pfn
+                            done
+                        | Cdna_costs.Iommu, Some iommu when h.resident ->
+                            (* Grants for a paged-out context are deferred
+                               to page-in, which re-grants every pin. *)
+                            for pfn = first to first + pages - 1 do
+                              Memory.Iommu.grant iommu
+                                ~context:(iommu_ctx h) pfn
+                            done
+                        | _ -> ());
+                        ledger_push rs.pins ~idx ~first ~pages
+                    | Cdna_costs.Disabled ->
+                        (* Unvalidated, but a negative length still
+                           raises as it does under protection. *)
+                        ignore
+                          (Memory.Addr.page_count ~addr:d.addr ~len:d.len));
                     let stamped = { d with Memory.Dma_desc.seqno = rs.seq } in
                     rs.seq <- Seqno.next rs.seq;
                     Memory.Desc_layout.write (desc_layout h) (mem t)
@@ -711,7 +810,7 @@ let enqueue t h dir descs k =
   | Cdna_costs.Full | Cdna_costs.Iommu ->
       Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost body
 
-let pinned_pages h = h.tx.pinned + h.rx.pinned
+let pinned_pages h = h.tx.pins.pages + h.rx.pins.pages
 let faults t = t.faults
 
 let register_metrics t m =

@@ -7,13 +7,12 @@ let pfn_of a = a lsr page_shift
 let base_of_pfn p = p lsl page_shift
 let offset a = a land (page_size - 1)
 
-let pages_spanned ~addr ~len =
+let page_count ~addr ~len =
   if len < 0 then invalid_arg "Addr.pages_spanned: negative length";
-  if len = 0 then []
-  else begin
-    let first = pfn_of addr and last = pfn_of (addr + len - 1) in
-    let rec build p acc = if p < first then acc else build (p - 1) (p :: acc) in
-    build last []
-  end
+  if len = 0 then 0 else Int.max 0 (pfn_of (addr + len - 1) - pfn_of addr + 1)
+
+let pages_spanned ~addr ~len =
+  let first = pfn_of addr in
+  List.init (page_count ~addr ~len) (fun i -> first + i)
 
 let pp ppf a = Format.fprintf ppf "0x%x" a

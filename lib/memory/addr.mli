@@ -24,4 +24,9 @@ val offset : t -> int
     @raise Invalid_argument if [len < 0]. *)
 val pages_spanned : addr:t -> len:int -> pfn list
 
+(** [page_count ~addr ~len] is the length of [pages_spanned ~addr ~len],
+    whose pfns run up from [pfn_of addr], computed without the list.
+    @raise Invalid_argument as [pages_spanned] does. *)
+val page_count : addr:t -> len:int -> int
+
 val pp : Format.formatter -> t -> unit

@@ -5,6 +5,9 @@ type t = {
   n : int;
   (* Full partition contents, one int per 32-bit word. *)
   words : int array array;
+  (* Per partition, a high-water mark: every word at or past it is 0.
+     Context paging saves and scrubs only the prefix below it. *)
+  marks : int array;
   mutable ctx_vector : int;
   box_vectors : int array;
   on_event : unit -> unit;
@@ -17,18 +20,24 @@ let create ~contexts ~on_event =
   {
     n = contexts;
     words = Array.init contexts (fun _ -> Array.make (partition_bytes / 4) 0);
+    marks = Array.make contexts 0;
     ctx_vector = 0;
     box_vectors = Array.make contexts 0;
     on_event;
     events = 0;
   }
 
-let check_ctx t ctx =
+let[@cdna.hot] check_ctx t ctx =
   if ctx < 0 || ctx >= t.n then invalid_arg "Mailbox: context out of range"
 
 let check_mbox mbox =
   if mbox < 0 || mbox >= mailboxes_per_context then
     invalid_arg "Mailbox: mailbox index out of range"
+
+(* Store word [w] of partition [ctx], keeping its high-water mark. *)
+let store t ~ctx w v =
+  t.words.(ctx).(w) <- v;
+  if w >= t.marks.(ctx) then t.marks.(ctx) <- w + 1
 
 let region t ~ctx =
   check_ctx t ctx;
@@ -37,7 +46,7 @@ let region t ~ctx =
     ~read:(fun ~offset -> words.(offset / 4))
     ~write:(fun ~offset v ->
       let w = offset / 4 in
-      words.(w) <- v;
+      store t ~ctx w v;
       if w < mailboxes_per_context then begin
         (* Snooping hardware: update the event hierarchy and fire. *)
         t.box_vectors.(ctx) <- t.box_vectors.(ctx) lor (1 lsl w);
@@ -54,7 +63,7 @@ let value t ~ctx ~mbox =
 let poke t ~ctx ~mbox v =
   check_ctx t ctx;
   check_mbox mbox;
-  t.words.(ctx).(mbox) <- v
+  store t ~ctx mbox v
 
 let pending_contexts t = t.ctx_vector
 
@@ -81,30 +90,50 @@ let clear_event t ~ctx ~mbox =
   if t.box_vectors.(ctx) = 0 then
     t.ctx_vector <- t.ctx_vector land lnot (1 lsl ctx)
 
-let clear_context t ~ctx =
+let[@cdna.hot] clear_context t ~ctx =
   check_ctx t ctx;
   t.box_vectors.(ctx) <- 0;
   t.ctx_vector <- t.ctx_vector land lnot (1 lsl ctx)
 
-type saved_partition = { saved_words : int array; saved_boxes : int }
+(* A per-guest save area, reused across page-outs: the first [len]
+   words of [saved] hold the partition's written prefix. *)
+type saved_partition = {
+  mutable saved : int array;
+  mutable len : int;
+  mutable boxes : int;
+}
 
-let save_partition t ~ctx =
+let save_area () = { saved = [||]; len = 0; boxes = 0 }
+
+let grow_area s n = s.saved <- Array.make (max n (2 * Array.length s.saved)) 0
+
+let[@cdna.hot] save_partition t ~ctx s =
   check_ctx t ctx;
-  let s =
-    { saved_words = Array.copy t.words.(ctx); saved_boxes = t.box_vectors.(ctx) }
-  in
+  let words = t.words.(ctx) and n = t.marks.(ctx) in
+  if Array.length s.saved < n then
+    (grow_area s n
+    [@cdna.alloc_ok "save area grows to the longest prefix it holds, once"]);
+  Array.blit words 0 s.saved 0 n;
+  s.len <- n;
+  s.boxes <- t.box_vectors.(ctx);
   (* Scrub the partition so the next resident guest cannot read the
      victim's words (page isolation), and drop its pending events from
-     the live hierarchy — they travel with the save area. *)
-  Array.fill t.words.(ctx) 0 (Array.length t.words.(ctx)) 0;
-  clear_context t ~ctx;
-  s
+     the live hierarchy — they travel with the save area. Every word
+     past the mark is already 0. *)
+  Array.fill words 0 n 0;
+  t.marks.(ctx) <- 0;
+  clear_context t ~ctx
 
-let restore_partition t ~ctx s =
+let[@cdna.hot] restore_partition t ~ctx s =
   check_ctx t ctx;
-  Array.blit s.saved_words 0 t.words.(ctx) 0 (Array.length s.saved_words);
-  if s.saved_boxes <> 0 then begin
-    t.box_vectors.(ctx) <- s.saved_boxes;
+  let words = t.words.(ctx) and n = s.len in
+  Array.blit s.saved 0 words 0 n;
+  (* The image is 0 past its prefix; so must the slot be. *)
+  let mark = t.marks.(ctx) in
+  if mark > n then Array.fill words n (mark - n) 0;
+  t.marks.(ctx) <- n;
+  if s.boxes <> 0 then begin
+    t.box_vectors.(ctx) <- s.boxes;
     t.ctx_vector <- t.ctx_vector lor (1 lsl ctx);
     (* Re-arm the firmware's event processing for the restored pending
        mailboxes. The hardware-event counter is not bumped: no new PIO

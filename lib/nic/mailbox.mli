@@ -49,19 +49,26 @@ val clear_event : t -> ctx:int -> mbox:int -> unit
     hardware supports multi-event clear messages). *)
 val clear_context : t -> ctx:int -> unit
 
-(** Opaque image of one partition: word contents plus pending-event bits.
-    Used by hypervisor-mediated context paging when guests oversubscribe
-    the hardware contexts. *)
+(** Save area for one partition's image: its written words and
+    pending-event bits. Used by hypervisor-mediated context paging when
+    guests oversubscribe the hardware contexts; one area serves every
+    page-out of the same guest. *)
 type saved_partition
 
-(** [save_partition t ~ctx] copies the partition's words and pending-event
-    bits into a save area, then zeroes the partition and clears its events
-    — the next guest mapped onto [ctx] must not observe the victim's data. *)
-val save_partition : t -> ctx:int -> saved_partition
+(** An empty save area. *)
+val save_area : unit -> saved_partition
 
-(** [restore_partition t ~ctx s] writes a saved image back into partition
-    [ctx]. Pending events saved with the image are re-armed (and [on_event]
-    fired) without counting as new hardware events. *)
+(** [save_partition t ~ctx s] copies the partition's written words (the
+    prefix up to the last word ever written since the last scrub) and
+    its pending-event bits into [s], then zeroes the partition and
+    clears its events — the next guest mapped onto [ctx] must not
+    observe the victim's data. *)
+val save_partition : t -> ctx:int -> saved_partition -> unit
+
+(** [restore_partition t ~ctx s] makes partition [ctx] the image in
+    [s], every word past it 0. Pending events saved with the image are
+    re-armed (and [on_event] fired) without counting as new hardware
+    events. *)
 val restore_partition : t -> ctx:int -> saved_partition -> unit
 
 (** Expose [mailbox.events] as a gauge under [labels]. *)
