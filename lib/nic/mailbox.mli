@@ -58,17 +58,15 @@ type saved_partition
 (** An empty save area. *)
 val save_area : unit -> saved_partition
 
-(** [save_partition t ~ctx s] copies the partition's written words (the
-    prefix up to the last word ever written since the last scrub) and
-    its pending-event bits into [s], then zeroes the partition and
-    clears its events — the next guest mapped onto [ctx] must not
-    observe the victim's data. *)
+(** [save_partition t ~ctx s] copies the partition's written prefix (up
+    to the highest word that may be nonzero) and its pending-event bits
+    into [s], then zeroes the partition and clears its events — the next
+    guest mapped onto [ctx] must not observe the victim's data. *)
 val save_partition : t -> ctx:int -> saved_partition -> unit
 
-(** [restore_partition t ~ctx s] makes partition [ctx] the image in
-    [s], every word past it 0. Pending events saved with the image are
-    re-armed (and [on_event] fired) without counting as new hardware
-    events. *)
+(** [restore_partition t ~ctx s] makes partition [ctx] hold the image in
+    [s], and 0 past it. Pending events saved with the image are re-armed
+    (and [on_event] fired) without counting as new hardware events. *)
 val restore_partition : t -> ctx:int -> saved_partition -> unit
 
 (** Expose [mailbox.events] as a gauge under [labels]. *)

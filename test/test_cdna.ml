@@ -205,7 +205,9 @@ let assign fx ?(guest : Xen.Domain.t option) ~mac_idx () =
   | Ok h -> h
   | Error `No_free_context -> Alcotest.fail "no free context"
 
-let setup_rings fx h =
+(* Register both rings and the status page; the status page's address,
+   where a test can stand in for the NIC's consumer-index writeback. *)
+let setup_rings_status fx h =
   let guest = Cdna.Hyp.guest_of h in
   let page () = List.hd (Xen.Hypervisor.alloc_pages fx.xen guest 1) in
   let tx = page () and rx = page () and status = page () in
@@ -229,7 +231,10 @@ let setup_rings fx h =
            ~addr:(Memory.Addr.base_of_pfn status) k)
    with
   | Ok () -> ()
-  | Error _ -> Alcotest.fail "status registration failed")
+  | Error _ -> Alcotest.fail "status registration failed");
+  Memory.Addr.base_of_pfn status
+
+let setup_rings fx h = ignore (setup_rings_status fx h)
 
 let own_desc fx h ?(len = 500) () =
   let pfn = List.hd (Xen.Hypervisor.alloc_pages fx.xen (Cdna.Hyp.guest_of h) 1) in
@@ -538,6 +543,134 @@ let test_hyp_revoke_unpins_everything () =
       check_int "refcount zero" 0
         (Memory.Phys_mem.refcount fx.mem pfn))
     pfns
+
+(* Whether the NIC context [h] is on may DMA-read [pfn]: a 4-byte probe
+   through the NIC's own DMA engine, which consults the IOMMU. *)
+let dma_allowed fx h pfn =
+  let dp = Cdna.Cnic.dp fx.nic in
+  let r = ref None in
+  Bus.Dma_engine.read_into (Nic.Dp.dma dp)
+    ~context:(Nic.Dp.dma_context dp ~ctx:(Cdna.Hyp.ctx_id h))
+    ~addr:(Memory.Addr.base_of_pfn pfn) ~len:4 ~dst:(Bytes.create 4) ~pos:0
+    (fun res -> r := Some res);
+  run fx 1;
+  match !r with
+  | Some (Ok ()) -> true
+  | Some (Error (`Iommu_denied _)) -> false
+  | Some (Error _) -> Alcotest.fail "DMA probe faulted"
+  | None -> Alcotest.fail "DMA probe never completed"
+
+(* [n] pages of the guest with consecutive pfns. *)
+let consecutive_pages fx h n =
+  match Xen.Hypervisor.alloc_pages fx.xen (Cdna.Hyp.guest_of h) n with
+  | first :: _ as pfns when pfns = List.init n (fun i -> first + i) -> first
+  | _ -> Alcotest.fail "pages not consecutive"
+
+(* The pin ledger against a model of the outstanding descriptors: each
+   enqueue holds every page its descriptors span (a reference in Full
+   mode, a grant in Iommu mode) until a later enqueue sees the consumer
+   index pass it, then drops each exactly once; [cdna.ctx.pinned_pages]
+   equals the model's page sum throughout, and [revoke] returns every
+   page to its baseline. *)
+let test_pin_ledger protection () =
+  let fx = fixture ~protection () in
+  let m = metrics_of fx in
+  let h = assign fx ~mac_idx:1 () in
+  let status = setup_rings_status fx h in
+  let held pfn =
+    match protection with
+    | Cdna.Cdna_costs.Iommu -> if dma_allowed fx h pfn then 1 else 0
+    | _ -> Memory.Phys_mem.refcount fx.mem pfn
+  in
+  let span (d : Memory.Dma_desc.t) =
+    Memory.Addr.pages_spanned ~addr:d.addr ~len:d.len
+  in
+  let seen = ref [] and outstanding = ref [] and prod = ref 0 in
+  let check_model what =
+    let live = List.concat_map snd !outstanding in
+    List.iter
+      (fun pfn ->
+        check_int
+          (Printf.sprintf "%s: pfn %d held" what pfn)
+          (if List.mem pfn live then 1 else 0)
+          (held pfn))
+      !seen;
+    check_int (what ^ ": pinned_pages") (List.length live)
+      (Cdna.Hyp.pinned_pages h);
+    check_int (what ^ ": cdna.ctx.pinned_pages") (List.length live)
+      (Sim.Metrics.sum m "cdna.ctx.pinned_pages")
+  in
+  let enqueue ~cons what descs =
+    Memory.Phys_mem.write_u32 fx.mem ~addr:status cons;
+    (match
+       await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx descs k)
+     with
+    | Ok p -> check_int (what ^ ": producer") (!prod + List.length descs) p
+    | Error _ -> Alcotest.failf "%s: enqueue rejected" what);
+    outstanding :=
+      List.filter (fun (idx, _) -> idx >= cons) !outstanding
+      @ List.mapi (fun i d -> (!prod + i, span d)) descs;
+    prod := !prod + List.length descs;
+    seen := !seen @ List.concat_map span descs;
+    check_model what
+  in
+  let first = consecutive_pages fx h 3 in
+  let three =
+    {
+      (own_desc fx h ()) with
+      Memory.Dma_desc.addr = Memory.Addr.base_of_pfn first + 100;
+      len = 2 * Memory.Addr.page_size;
+    }
+  in
+  check_int "spans three pages" 3 (List.length (span three));
+  let empty = { (own_desc fx h ()) with Memory.Dma_desc.len = 0 } in
+  enqueue ~cons:0 "three pages and an empty one" [ three; empty ];
+  enqueue ~cons:0 "nothing consumed" [ own_desc fx h () ];
+  enqueue ~cons:1 "three-page descriptor consumed" [ own_desc fx h () ];
+  enqueue ~cons:1 "no second release" [ own_desc fx h (); own_desc fx h () ];
+  enqueue ~cons:3 "empty descriptor and one more consumed" [ own_desc fx h () ];
+  Cdna.Hyp.revoke fx.cdna h;
+  outstanding := [];
+  check_model "after revoke"
+
+(* A batch naming foreign pages, or a negative length, pins nothing:
+   the rejection names the first foreign page in descriptor order, and
+   a negative length raises as [Addr.pages_spanned] does. *)
+let test_pin_ledger_rejects protection () =
+  let fx = fixture ~protection () in
+  let h = assign fx ~mac_idx:1 () in
+  setup_rings fx h;
+  let foreign = Xen.Domain.pages fx.guest2 in
+  let at pfn = Memory.Addr.base_of_pfn pfn in
+  let a = List.nth foreign 0 and b = List.nth foreign 1 in
+  let own = own_desc fx h () in
+  let batch =
+    [
+      own;
+      { own with Memory.Dma_desc.addr = at b; len = 10 };
+      { own with Memory.Dma_desc.addr = at a; len = 10 };
+    ]
+  in
+  (match
+     await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx batch k)
+   with
+  | Error (`Not_owner pfn) -> check_int "first foreign page" b pfn
+  | _ -> Alcotest.fail "mixed batch accepted");
+  check_int "nothing pinned" 0 (Cdna.Hyp.pinned_pages h);
+  let own_pfn = Memory.Addr.pfn_of own.Memory.Dma_desc.addr in
+  check_int "no reference taken" 0 (Memory.Phys_mem.refcount fx.mem own_pfn);
+  check_bool "no grant made" false
+    (protection = Cdna.Cdna_costs.Iommu && dma_allowed fx h own_pfn);
+  Alcotest.check_raises "negative length"
+    (Invalid_argument "Addr.pages_spanned: negative length") (fun () ->
+      ignore
+        (await fx (fun k ->
+             Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx
+               [ own; { own with Memory.Dma_desc.len = -1 } ]
+               k)));
+  check_int "nothing pinned after the raise" 0 (Cdna.Hyp.pinned_pages h);
+  check_int "no reference after the raise" 0
+    (Memory.Phys_mem.refcount fx.mem own_pfn)
 
 (* ---------- Protection fault reporting ---------- *)
 
@@ -1139,6 +1272,110 @@ let test_paging_swap_series_from_create () =
   check_bool "swap series with paging" true (has_swaps ~paging:true);
   check_bool "no swap series without paging" false (has_swaps ~paging:false)
 
+(* The save area holds the partition's written prefix, however long: the
+   last word of the partition and a mailbox word both travel with the
+   context to a different slot, and the slot's newcomer reads 0 at
+   both. *)
+let test_paging_saves_whole_written_prefix () =
+  let fx = fixture ~paging:true () in
+  let fw = Cdna.Cnic.firmware fx.nic in
+  let read ctx offset =
+    Bus.Mmio.read32 (Bus.Mmio.map (Nic.Firmware.region fw ~ctx)) ~offset
+  in
+  let last = Memory.Addr.page_size - 4 and mbox = 7 in
+  let h1 = assign fx ~mac_idx:1 () in
+  let slot0 = Cdna.Hyp.ctx_id h1 in
+  Bus.Mmio.write32 (Bus.Mmio.map (Nic.Firmware.region fw ~ctx:slot0))
+    ~offset:last 0xF00D;
+  Nic.Mailbox.poke (Nic.Firmware.mailbox fw) ~ctx:slot0 ~mbox 0xCAFE;
+  for i = 1 to Cdna.Cnic.num_contexts - 1 do
+    ignore (assign fx ~guest:fx.guest2 ~mac_idx:(100 + i) ())
+  done;
+  let newcomer = assign fx ~guest:fx.guest2 ~mac_idx:200 () in
+  check_int "newcomer on the victim's slot" slot0 (Cdna.Hyp.ctx_id newcomer);
+  check_int "newcomer reads 0 at the last word" 0 (read slot0 last);
+  check_int "newcomer reads 0 at the mailbox" 0 (read slot0 (mbox * 4));
+  (* Any hardware access faults the context back in. *)
+  ignore ((Cdna.Hyp.driver_if h1).Nic.Driver_if.rx_completions_pending ());
+  let slot1 = Cdna.Hyp.ctx_id h1 in
+  check_bool "restored on a different slot" true (slot1 <> slot0);
+  check_int "last word restored" 0xF00D (read slot1 last);
+  check_int "mailbox restored" 0xCAFE
+    (Nic.Mailbox.value (Nic.Firmware.mailbox fw) ~ctx:slot1 ~mbox);
+  check_int "newcomer's slot still 0 at the last word" 0 (read slot0 last)
+
+(* Partition save and restore against a full-copy reference: random
+   writes at any word offset, pokes, and saves and restores chaining
+   images through save areas across contexts. The reference copies and
+   scrubs all 1,024 words and every pending-event bit, as a save did
+   before it kept only the written prefix; every word of every partition
+   and every context's pending mailboxes must match it after each
+   operation. *)
+let prop_partition_save_matches_full_copy =
+  let contexts = 3 and areas = 3 and words = Memory.Addr.page_size / 4 in
+  let op =
+    QCheck.Gen.(
+      let ctx = int_range 0 (contexts - 1) and area = int_range 0 (areas - 1) in
+      let word = oneof [ int_range 0 23; int_range 0 (words - 1); return (words - 1) ] in
+      let value = oneof [ return 0; int_range 1 0xFFFF ] in
+      frequency
+        [
+          (4, map3 (fun c w v -> `Write (c, w, v)) ctx word value);
+          (1, map3 (fun c b v -> `Poke (c, b, v)) ctx (int_range 0 23) value);
+          (2, map2 (fun c a -> `Save (c, a)) ctx area);
+          (2, map2 (fun c a -> `Restore (c, a)) ctx area);
+        ])
+  in
+  let print = function
+    | `Write (c, w, v) -> Printf.sprintf "write ctx%d w%d %d" c w v
+    | `Poke (c, b, v) -> Printf.sprintf "poke ctx%d mbox%d %d" c b v
+    | `Save (c, a) -> Printf.sprintf "save ctx%d -> area%d" c a
+    | `Restore (c, a) -> Printf.sprintf "restore area%d -> ctx%d" a c
+  in
+  QCheck.Test.make ~name:"partition save/restore matches a full-copy reference"
+    ~count:200
+    QCheck.(make ~print:Print.(list print) Gen.(list_size (int_range 1 40) op))
+    (fun ops ->
+      let mb = Nic.Mailbox.create ~contexts ~on_event:ignore in
+      let maps =
+        Array.init contexts (fun ctx -> Bus.Mmio.map (Nic.Mailbox.region mb ~ctx))
+      in
+      let saved = Array.init areas (fun _ -> Nic.Mailbox.save_area ()) in
+      let ref_words = Array.init contexts (fun _ -> Array.make words 0) in
+      let ref_boxes = Array.make contexts 0 in
+      let ref_saved = Array.init areas (fun _ -> (Array.make words 0, 0)) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Write (c, w, v) ->
+              Bus.Mmio.write32 maps.(c) ~offset:(w * 4) v;
+              ref_words.(c).(w) <- v;
+              if w < 24 then ref_boxes.(c) <- ref_boxes.(c) lor (1 lsl w)
+          | `Poke (c, b, v) ->
+              Nic.Mailbox.poke mb ~ctx:c ~mbox:b v;
+              ref_words.(c).(b) <- v
+          | `Save (c, a) ->
+              Nic.Mailbox.save_partition mb ~ctx:c saved.(a);
+              ref_saved.(a) <- (Array.copy ref_words.(c), ref_boxes.(c));
+              Array.fill ref_words.(c) 0 words 0;
+              ref_boxes.(c) <- 0
+          | `Restore (c, a) ->
+              Nic.Mailbox.restore_partition mb ~ctx:c saved.(a);
+              let image, boxes = ref_saved.(a) in
+              Array.blit image 0 ref_words.(c) 0 words;
+              if boxes <> 0 then ref_boxes.(c) <- boxes);
+          List.for_all
+            (fun c ->
+              Nic.Mailbox.pending_boxes mb ~ctx:c = ref_boxes.(c)
+              && Nic.Mailbox.pending_contexts mb land (1 lsl c) <> 0
+                 = (ref_boxes.(c) <> 0)
+              && Array.for_all Fun.id
+                   (Array.init words (fun w ->
+                        Bus.Mmio.read32 maps.(c) ~offset:(w * 4)
+                        = ref_words.(c).(w))))
+            (List.init contexts Fun.id))
+        ops)
+
 let prop_paging_interleaving =
   QCheck.Test.make
     ~name:
@@ -1240,6 +1477,9 @@ let suite =
           test_paging_lifecycle_preserves_tx_state;
         Alcotest.test_case "swap series from create" `Quick
           test_paging_swap_series_from_create;
+        Alcotest.test_case "saves the whole written prefix" `Quick
+          test_paging_saves_whole_written_prefix;
+        qcheck prop_partition_save_matches_full_copy;
         qcheck prop_paging_interleaving;
       ] );
     ( "cdna.protection",
@@ -1257,6 +1497,14 @@ let suite =
         Alcotest.test_case "ring registration validates" `Quick
           test_hyp_ring_registration_validates;
         Alcotest.test_case "revoke unpins" `Quick test_hyp_revoke_unpins_everything;
+        Alcotest.test_case "pin ledger (full)" `Quick
+          (test_pin_ledger Cdna.Cdna_costs.Full);
+        Alcotest.test_case "pin ledger (iommu)" `Quick
+          (test_pin_ledger Cdna.Cdna_costs.Iommu);
+        Alcotest.test_case "pin ledger rejects (full)" `Quick
+          (test_pin_ledger_rejects Cdna.Cdna_costs.Full);
+        Alcotest.test_case "pin ledger rejects (iommu)" `Quick
+          (test_pin_ledger_rejects Cdna.Cdna_costs.Iommu);
         Alcotest.test_case "fault attribution" `Quick test_fault_attributed_to_guest;
         Alcotest.test_case "disabled mode" `Quick test_disabled_mode_skips_validation;
         Alcotest.test_case "iommu mode" `Quick test_iommu_mode_blocks_foreign_dma;
