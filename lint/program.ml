@@ -5,7 +5,8 @@
    and builds the model the passes layer their rules over: the module
    list (with [@@@cdna.layer] / [@@@cdna.privileged] applied), every
    module-level value binding in walk order, the module-alias map that
-   callee names canonicalize against, and one function table. On top of
+   callee names canonicalize against ([let module] aliases included),
+   and one function table. On top of
    the model sit the pieces every pass used to re-implement: the callee
    resolver, the site classifier behind the expression-level and
    zero-alloc rules, the round-robin summary fixpoint, the witness-path
@@ -77,7 +78,9 @@ type t = {
   files : int; (* implementation .cmt files read *)
   modules : modl list;
   bindings : binding list; (* walk order *)
-  aliases : string SMap.t; (* module aliases and functor instances *)
+  aliases : string SMap.t;
+      (* module aliases, [let module] ones included, and functor
+         instances *)
   fns : fn SMap.t; (* every function *)
   plain_fns : fn SMap.t; (* the [f_plain] ones *)
   exports : export list; (* by file, then interface order *)
@@ -158,6 +161,23 @@ let module_alias_target (me : Typedtree.module_expr) =
       | _ -> None)
   | _ -> None
 
+(* The [let module M = N in ..] aliases inside an expression, as
+   (M, target) pairs in source order. *)
+let letmodule_aliases (e : Typedtree.expression) =
+  let found = ref [] in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_letmodule (Some id, _, _, me, _) ->
+        Option.iter
+          (fun t -> found := (Ident.name id, t) :: !found)
+          (module_alias_target me)
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it e;
+  List.rev !found
+
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -214,6 +234,13 @@ let load_with ~entries roots =
     if m.m_entry then
       entry_bindings := { b_mod = m; b_vb = vb } :: !entry_bindings
     else bindings := { b_mod = m; b_vb = vb } :: !bindings;
+    (* A [let module] alias joins the map like a module-level one, so a
+       pass that resolves names through the map alone (the reach
+       report) sees calls through it. *)
+    let aliases = if m.m_entry then entry_aliases else aliases in
+    List.iter
+      (fun (name, target) -> aliases := SMap.add name target !aliases)
+      (letmodule_aliases vb.vb_expr);
     match (pat_var vb.vb_pat, closure_spine vb.vb_expr) with
     | Some (_, name), Some _ when not m.m_entry ->
         let params, body = peel_params vb.vb_expr in

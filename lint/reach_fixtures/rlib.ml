@@ -23,3 +23,4 @@ let create ?(supplied = 0) ?(never = 0) ?(fwd = 0) ?(quiet = 0) () =
 
 let wrap ?fwd () = create ?fwd ()
 let wrap_quiet ?quiet () = create ?quiet ()
+let via_let_module () = 5

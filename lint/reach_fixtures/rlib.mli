@@ -21,3 +21,4 @@ val create :
 
 val wrap : ?fwd:int -> unit -> int
 val wrap_quiet : ?quiet:int -> unit -> int
+val via_let_module : unit -> int

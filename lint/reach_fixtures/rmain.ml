@@ -6,6 +6,9 @@ let () =
   ignore (Rlib.direct ());
   ignore (Rlib.table.run ());
   ignore (L.via_alias ());
+  ignore
+    (let module D = Rlib in
+     D.via_let_module ());
   ignore (KS.cardinal KS.empty);
   ignore (Rlib.create ~supplied:1 ());
   ignore (Rlib.wrap ~fwd:2 ());

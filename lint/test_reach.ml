@@ -1,8 +1,8 @@
 (* Fixture suite for the reach report: reach_fixtures/ holds a library
    (rlib, with an interface), an entry executable (rmain) and a test
    (test_rfix). rmain reaches one value directly, one only through a
-   closure stored in a record, one through a module alias and a module
-   through a functor instance; it supplies one optional argument,
+   closure stored in a record, one through a module alias, one through
+   a [let module] alias and a module through a functor instance; it supplies one optional argument,
    forwards a second through a supplied wrapper and a third through a
    wrapper it never supplies. *)
 
@@ -45,6 +45,11 @@ let test_record_closure () =
 let test_module_alias () =
   Alcotest.(check (list string))
     "reached as L.via_alias" [] (kinds "Rlib.via_alias")
+
+let test_let_module_alias () =
+  Alcotest.(check (list string))
+    "reached as D.via_let_module under let module D = Rlib" []
+    (kinds "Rlib.via_let_module")
 
 let test_functor_argument () =
   Alcotest.(check (list string))
@@ -110,7 +115,7 @@ let test_gate () =
 let test_counts () =
   let r = Lazy.force report in
   Alcotest.(check (list int))
-    "roots, tests, exported" [ 1; 1; 10 ]
+    "roots, tests, exported" [ 1; 1; 11 ]
     [ r.roots; r.tests; r.exported ]
 
 (* Without the entry executable nothing is reached: the test alone roots
@@ -131,6 +136,7 @@ let () =
             test_tests_root_nothing;
           Alcotest.test_case "closure in a record" `Quick test_record_closure;
           Alcotest.test_case "module alias" `Quick test_module_alias;
+          Alcotest.test_case "let module alias" `Quick test_let_module_alias;
           Alcotest.test_case "functor argument" `Quick test_functor_argument;
           Alcotest.test_case "local shadow" `Quick test_local_shadow;
           Alcotest.test_case "forwarded optional" `Quick
