@@ -6,7 +6,11 @@
 type dir = Tx | Rx
 
 type enqueue_error =
-  [ `Not_owner of Memory.Addr.pfn | `Ring_full | `Ring_unregistered | `Revoked ]
+  [ `Not_owner of Memory.Addr.pfn
+  | `Bad_length
+  | `Ring_full
+  | `Ring_unregistered
+  | `Revoked ]
 
 (* The pages each enqueued descriptor holds, oldest first: a FIFO of
    (ring index, first pfn, page count) int triples, live in
@@ -755,8 +759,12 @@ let enqueue t h dir descs k =
           if rs.prod + n_desc - cons > Nic.Ring.slots ring then
             k (Error `Ring_full)
           else begin
+            (* Every length is checked before anything is written, in
+               every mode: a negative one fails this call alone. *)
             let validation =
-              if t.protection = Cdna_costs.Disabled then Ok ()
+              if List.exists (fun (d : Memory.Dma_desc.t) -> d.len < 0) descs
+              then Error `Bad_length
+              else if t.protection = Cdna_costs.Disabled then Ok ()
               else validate_batch t h descs
             in
             match validation with
@@ -787,11 +795,7 @@ let enqueue t h dir descs k =
                             done
                         | _ -> ());
                         ledger_push rs.pins ~idx ~first ~pages
-                    | Cdna_costs.Disabled ->
-                        (* Unvalidated, but a negative length still
-                           raises as it does under protection. *)
-                        ignore
-                          (Memory.Addr.page_count ~addr:d.addr ~len:d.len));
+                    | Cdna_costs.Disabled -> ());
                     let stamped = { d with Memory.Dma_desc.seqno = rs.seq } in
                     rs.seq <- Seqno.next rs.seq;
                     Memory.Desc_layout.write (desc_layout h) (mem t)

@@ -66,6 +66,7 @@ type ctx_handle
 
 type enqueue_error =
   [ `Not_owner of Memory.Addr.pfn  (** Validation failed on this page. *)
+  | `Bad_length  (** A descriptor's length is negative. *)
   | `Ring_full
   | `Ring_unregistered
   | `Revoked ]
@@ -160,7 +161,9 @@ val register_status :
     hypercall. Descriptor sequence numbers are assigned by the hypervisor
     (the [seqno] field of the inputs is ignored). On success the
     continuation receives the new producer index to write to the doorbell
-    mailbox. The whole batch is rejected on the first invalid page.
+    mailbox. The whole batch is rejected on the first invalid page, and
+    in every mode, [Disabled] included, on any negative length: then
+    nothing of the batch is written.
 
     In [Disabled] mode this performs the (cheap, unvalidated) ring writes
     the guest would otherwise do itself. *)

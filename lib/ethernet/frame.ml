@@ -73,8 +73,8 @@ let data_valid t =
 let overhead_bytes = 18
 let min_payload = 46
 
-let wire_bytes t =
-  (overhead_bytes * t.segments) + max min_payload t.payload_len
+let[@cdna.hot] wire_bytes t =
+  (overhead_bytes * t.segments) + Int.max min_payload t.payload_len
 
 (* Preamble+SFD (8) and inter-frame gap (12) occupy the wire as well,
    once per segment. *)

@@ -1,3 +1,21 @@
+(* Halve the search window six times: 32 + 16 + 8 + 4 + 2 + 1 covers
+   every bit of a 63-bit [int]. *)
+let[@cdna.hot] log2_floor v =
+  if v <= 1 then 0
+  else begin
+    let r = if v lsr 32 <> 0 then 32 else 0 in
+    let v = v lsr r in
+    let s = if v lsr 16 <> 0 then 16 else 0 in
+    let r = r + s and v = v lsr s in
+    let s = if v lsr 8 <> 0 then 8 else 0 in
+    let r = r + s and v = v lsr s in
+    let s = if v lsr 4 <> 0 then 4 else 0 in
+    let r = r + s and v = v lsr s in
+    let s = if v lsr 2 <> 0 then 2 else 0 in
+    let r = r + s and v = v lsr s in
+    if v lsr 1 <> 0 then r + 1 else r
+  end
+
 module Histogram = struct
   (* HDR-style log-linear bucketing: values below 2^(sub_bits+1) get exact
      buckets; above that, each power-of-two octave is split into
@@ -20,25 +38,21 @@ module Histogram = struct
   let create () =
     { counts = Array.make buckets 0; n = 0; sum = 0; min_v = max_int; max_v = 0 }
 
-  let[@cdna.hot] msb v =
-    let rec scan v acc = if v <= 1 then acc else scan (v lsr 1) (acc + 1) in
-    scan v 0
-
   let[@cdna.hot] bucket_of v =
     if v < linear_limit then v
     else begin
-      let m = msb v in
+      let m = log2_floor v in
       let shift = m - sub_bits in
       let idx =
         linear_limit
         + ((m - (sub_bits + 1)) * (1 lsl sub_bits))
         + ((v lsr shift) - (1 lsl sub_bits))
       in
-      Stdlib.min (buckets - 1) idx
+      Int.min (buckets - 1) idx
     end
 
   let[@cdna.hot] add t v =
-    let v = Stdlib.max 0 v in
+    let v = Int.max 0 v in
     let b = bucket_of v in
     t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;

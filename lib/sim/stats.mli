@@ -3,6 +3,11 @@
     Log-bucketed histograms: plain mutable values read out at the end of
     (or at intervals during) a run. *)
 
+(** [log2_floor v] is the index of the highest set bit of [v], and 0
+    for [v <= 1]. Allocation-free ([\[@cdna.hot\]]) and a fixed six
+    shift steps for any [v]. *)
+val log2_floor : int -> int
+
 (** {1 Histogram}
 
     Logarithmically bucketed histogram of non-negative integer samples

@@ -89,7 +89,6 @@ type t = {
   synmask : int;
   mutable shead : int;
   mutable stail : int;
-  mutable next_key : int;
   mutable stop_at_ns : int; (* no arrivals scheduled past this; 0 = none *)
   mutable server_busy : bool;
   mutable served_pkts : int;
@@ -131,17 +130,15 @@ let size_table spec =
       let u = (float_of_int i +. 0.5) /. float_of_int table_len in
       Stdlib.min hi (Stdlib.max lo (int_of_float (Float.round (icdf u)))))
 
-let[@cdna.hot] log2_floor v =
-  let rec scan v acc = if v <= 1 then acc else scan (v lsr 1) (acc + 1) in
-  scan v 0
-
 (* Current per-packet service time: max of CPU cost (plus live-flow
    state-touch penalty) and wire time. *)
 let[@cdna.hot] service_ns t =
   let live = Flow_table.live t.table in
   let cpu =
     if t.touch_step_ns = 0 || live < t.touch_floor then t.base_service_ns
-    else t.base_service_ns + (t.touch_step_ns * log2_floor (live / t.touch_floor))
+    else
+      t.base_service_ns
+      + (t.touch_step_ns * Sim.Stats.log2_floor (live / t.touch_floor))
   in
   if cpu > t.wire_gap_ns then cpu else t.wire_gap_ns
 
@@ -179,12 +176,10 @@ let[@cdna.hot] kick_server t =
 let[@cdna.hot] do_arrival t =
   let now_ns = Sim.Time.to_ns (Sim.Engine.now t.engine) in
   expire_syns t now_ns;
-  let key = t.next_key in
-  t.next_key <- key + 1;
   let p = Pattern.xorshift t.prng in
   t.prng <- p;
   if t.syn_permille > 0 && p mod 1000 < t.syn_permille then begin
-    let slot = Flow_table.insert t.table ~key ~pkts:0 ~now:now_ns in
+    let slot = Flow_table.insert t.table ~pkts:0 ~now:now_ns in
     if slot >= 0 then begin
       Array.unsafe_set t.syn_ring (t.stail land t.synmask) slot;
       Array.unsafe_set t.syn_deadline (t.stail land t.synmask)
@@ -196,7 +191,7 @@ let[@cdna.hot] do_arrival t =
     let p2 = Pattern.xorshift p in
     t.prng <- p2;
     let pkts = Array.unsafe_get t.sizes (p2 land t.smask) in
-    let slot = Flow_table.insert t.table ~key ~pkts ~now:now_ns in
+    let slot = Flow_table.insert t.table ~pkts ~now:now_ns in
     if slot >= 0 then begin
       ring_push t slot;
       kick_server t
@@ -245,6 +240,8 @@ let create ?metrics engine (cfg : config) =
     | None -> Sim.Stats.Histogram.create ()
   in
   let ring_size = ceil_pow2 (cfg.capacity + 1) 16 in
+  (* Only a scenario with SYN arrivals can make an embryonic flow. *)
+  let syn_size = if cfg.syn_permille > 0 then ring_size else 1 in
   let t =
     {
       engine;
@@ -266,12 +263,11 @@ let create ?metrics engine (cfg : config) =
       rmask = ring_size - 1;
       rhead = 0;
       rtail = 0;
-      syn_ring = Array.make ring_size 0;
-      syn_deadline = Array.make ring_size 0;
-      synmask = ring_size - 1;
+      syn_ring = Array.make syn_size 0;
+      syn_deadline = Array.make syn_size 0;
+      synmask = syn_size - 1;
       shead = 0;
       stail = 0;
-      next_key = 0;
       stop_at_ns = 0;
       server_busy = false;
       served_pkts = 0;
@@ -290,12 +286,10 @@ let create ?metrics engine (cfg : config) =
 let preload t ~flows =
   let now_ns = Sim.Time.to_ns (Sim.Engine.now t.engine) in
   for _ = 1 to flows do
-    let key = t.next_key in
-    t.next_key <- key + 1;
     let p = Pattern.xorshift t.prng in
     t.prng <- p;
     let pkts = Array.unsafe_get t.sizes (p land t.smask) in
-    let slot = Flow_table.insert t.table ~key ~pkts ~now:now_ns in
+    let slot = Flow_table.insert t.table ~pkts ~now:now_ns in
     if slot >= 0 then ring_push t slot
   done;
   kick_server t

@@ -11,6 +11,10 @@
      other hot functions or the non-allocating primitives of
      [Chain.alloc_allowlist]. [Cdna_flow]'s A6 judges the functions a
      hot one reaches by the same verdicts ([judge_call], [alloc_rule]).
+   - (H) Hot-path cost: a [@cdna.hot] body may not call the polymorphic
+     [compare], [min] or [max]. Each call is a C call to [compare_val]
+     per invocation; [Int.compare], [Int.min] and [Int.max] compile to
+     inline integer code.
    - (P) Protection boundaries: page-ownership and IOMMU-permission
      mutation is confined to the hypervisor-side layers, and the NIC /
      guest-OS layers reach guest memory only through [Bus.Dma_engine]
@@ -26,7 +30,7 @@
    Annotation contract (see DESIGN.md §9):
      [@cdna.hot]                  marks a module-level function hot (A rules)
      [@cdna.unordered_ok "why"]   suppresses D1 on the annotated subtree
-     [@cdna.polyeq_ok "why"]      suppresses D2
+     [@cdna.polyeq_ok "why"]      suppresses D2 and H1
      [@cdna.nondet_ok "why"]      suppresses D3
      [@cdna.alloc_ok "why"]       suppresses A1-A5
      [@cdna.protection_ok "why"]  suppresses P1-P2
@@ -52,6 +56,7 @@ let rule_a2 = "A2-alloc-closure"
 let rule_a3 = "A3-alloc-call"
 let rule_a4 = "A4-partial-app"
 let rule_a5 = "A5-boxed-arith"
+let rule_h1 = "H1-hot-poly-compare"
 let rule_p1 = "P1-ownership-boundary"
 let rule_p2 = "P2-guest-memory-boundary"
 let rule_s1 = "S1-suppression-reason"
@@ -60,7 +65,7 @@ let rule_s1 = "S1-suppression-reason"
 let suppression_attrs =
   [
     ("cdna.unordered_ok", [ rule_d1 ]);
-    ("cdna.polyeq_ok", [ rule_d2 ]);
+    ("cdna.polyeq_ok", [ rule_d2; rule_h1 ]);
     ("cdna.nondet_ok", [ rule_d3 ]);
     ("cdna.alloc_ok", [ rule_a1; rule_a2; rule_a3; rule_a4; rule_a5 ]);
     ("cdna.protection_ok", [ rule_p1; rule_p2 ]);
@@ -89,6 +94,10 @@ let poly_idents =
       "compare"; "Stdlib.compare"; "Pervasives.compare"; "Hashtbl.hash";
       "Hashtbl.hash_param"; "Hashtbl.seeded_hash";
     ]
+
+(* Polymorphic orderings a hot body may not call (H1). *)
+let poly_order_fns =
+  SSet.of_list [ "Stdlib.compare"; "Stdlib.min"; "Stdlib.max" ]
 
 let cmp_ops =
   SSet.of_list
@@ -297,6 +306,12 @@ let analyze (p : Program.t) =
                "polymorphic (%s) on a structured value; compare the fields \
                 explicitly or use a typed equal"
                (shown callee));
+        if hot && (not s.cold) && SSet.mem callee poly_order_fns then
+          report rule_h1
+            (Printf.sprintf
+               "polymorphic %s in a [@cdna.hot] body calls compare_val on \
+                every use; use Int.%s or another typed version"
+               (shown callee) (shown callee));
         if hot && not s.cold then
           match judge_call p ~modname:m.m_name ~callee ~nargs with
           | Some (rule, msg) -> report rule msg

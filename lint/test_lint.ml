@@ -43,6 +43,17 @@ let test_nondet () =
   check_rules "nondet primitives" "det_nondet"
     [ "D3-nondet-primitive"; "D3-nondet-primitive"; "D3-nondet-primitive" ]
 
+(* ---------- hot-path cost family ---------- *)
+
+let test_hot_poly_order () =
+  (* min and max are allowlisted as non-allocating, so H1 alone flags
+     them; compare also breaks D2 everywhere and A3 in a hot body. *)
+  check_rules "poly compare/min/max in hot body" "hot_poly_order"
+    [
+      "H1-hot-poly-compare"; "H1-hot-poly-compare"; "H1-hot-poly-compare";
+      "D2-poly-compare"; "A3-alloc-call";
+    ]
+
 (* ---------- zero-alloc family ---------- *)
 
 let test_alloc_construct () =
@@ -203,6 +214,9 @@ let () =
             test_alloc_partial_default;
           Alcotest.test_case "sprintf outside raise" `Quick test_alloc_sprintf;
         ] );
+      ( "hot-path cost",
+        [ Alcotest.test_case "poly compare/min/max" `Quick test_hot_poly_order ]
+      );
       ( "protection",
         [
           Alcotest.test_case "ownership" `Quick test_prot_ownership;

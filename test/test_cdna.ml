@@ -661,16 +661,57 @@ let test_pin_ledger_rejects protection () =
   check_int "no reference taken" 0 (Memory.Phys_mem.refcount fx.mem own_pfn);
   check_bool "no grant made" false
     (protection = Cdna.Cdna_costs.Iommu && dma_allowed fx h own_pfn);
-  Alcotest.check_raises "negative length"
-    (Invalid_argument "Addr.pages_spanned: negative length") (fun () ->
-      ignore
-        (await fx (fun k ->
-             Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx
-               [ own; { own with Memory.Dma_desc.len = -1 } ]
-               k)));
-  check_int "nothing pinned after the raise" 0 (Cdna.Hyp.pinned_pages h);
-  check_int "no reference after the raise" 0
+  (match
+     await fx (fun k ->
+         Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx
+           [ own; { own with Memory.Dma_desc.len = -1 } ]
+           k)
+   with
+  | Error `Bad_length -> ()
+  | _ -> Alcotest.fail "negative length not reported as Bad_length");
+  check_int "nothing pinned after the bad length" 0 (Cdna.Hyp.pinned_pages h);
+  check_int "no reference after the bad length" 0
     (Memory.Phys_mem.refcount fx.mem own_pfn)
+
+(* A negative descriptor length fails the caller's hypercall and nothing
+   else, in every protection mode: nothing of the batch is written (the
+   next enqueue still gets producer index 1), the engine keeps running,
+   and another guest's transmit traffic all goes out. *)
+let test_bad_length_fails_one_call protection () =
+  let fx = fixture ~protection () in
+  let h1 = assign fx ~mac_idx:1 () in
+  let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
+  setup_rings fx h1;
+  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:os_costs () in
+  run fx 5;
+  let stack2 =
+    Guestos.Net_stack.create
+      ~post_kernel:(fun ~cost fn ->
+        Xen.Hypervisor.kernel_work fx.xen fx.guest2 ~cost fn)
+      ~costs:os_costs ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d2))
+  in
+  Guestos.Net_stack.send stack2
+    (List.init 100 (fun i ->
+         Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 2)
+           ~dst:(Ethernet.Mac_addr.make 99) ~kind:Ethernet.Frame.Data ~flow:2
+           ~seq:i ~payload_len:1000 ~payload_seed:i ()));
+  let own = own_desc fx h1 () in
+  let bad = ref None in
+  Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us 200) (fun () ->
+      Cdna.Hyp.enqueue fx.cdna h1 Cdna.Hyp.Tx
+        [ own; { own with Memory.Dma_desc.len = -1 } ]
+        (fun r -> bad := Some r));
+  run fx 40;
+  (match !bad with
+  | Some (Error `Bad_length) -> ()
+  | Some _ -> Alcotest.fail "negative length not reported as Bad_length"
+  | None -> Alcotest.fail "hypercall never completed");
+  check_int "nothing pinned" 0 (Cdna.Hyp.pinned_pages h1);
+  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h1 Cdna.Hyp.Tx [ own ] k) with
+  | Ok prod -> check_int "bad batch wrote nothing" 1 prod
+  | Error _ -> Alcotest.fail "valid enqueue after the bad one failed");
+  check_int "other guest's traffic flowed" 100
+    (Guestos.Nic_driver.tx_count (Cdna.Driver.core d2))
 
 (* ---------- Protection fault reporting ---------- *)
 
@@ -1505,6 +1546,12 @@ let suite =
           (test_pin_ledger_rejects Cdna.Cdna_costs.Full);
         Alcotest.test_case "pin ledger rejects (iommu)" `Quick
           (test_pin_ledger_rejects Cdna.Cdna_costs.Iommu);
+        Alcotest.test_case "bad length (full)" `Quick
+          (test_bad_length_fails_one_call Cdna.Cdna_costs.Full);
+        Alcotest.test_case "bad length (iommu)" `Quick
+          (test_bad_length_fails_one_call Cdna.Cdna_costs.Iommu);
+        Alcotest.test_case "bad length (disabled)" `Quick
+          (test_bad_length_fails_one_call Cdna.Cdna_costs.Disabled);
         Alcotest.test_case "fault attribution" `Quick test_fault_attributed_to_guest;
         Alcotest.test_case "disabled mode" `Quick test_disabled_mode_skips_validation;
         Alcotest.test_case "iommu mode" `Quick test_iommu_mode_blocks_foreign_dma;

@@ -1,5 +1,5 @@
 (* Tests for the million-flow open-loop engine: Workload.Flow_table
-   (model equivalence against a naive Hashtbl), Workload.Pattern arrival
+   (equivalence with a naive slot-level model), Workload.Pattern arrival
    processes, Sim.Stats.Histogram multi-quantile read-out, the dynamic
    zero-allocation guarantee of the admission/service path, and
    byte-identical determinism of Experiments.Flows points across
@@ -16,59 +16,47 @@ module Histogram = Sim.Stats.Histogram
 
 (* ---------- Flow_table unit tests ---------- *)
 
-let test_pack_roundtrip () =
-  let k = Ft.pack ~src:123_456 ~dst:987_654 in
-  check_int "src" 123_456 (Ft.src_of_key k);
-  check_int "dst" 987_654 (Ft.dst_of_key k);
-  let m = (1 lsl 31) - 1 in
-  let k = Ft.pack ~src:m ~dst:m in
-  check_int "src max" m (Ft.src_of_key k);
-  check_int "dst max" m (Ft.dst_of_key k);
-  check_bool "key non-negative" true (k >= 0);
-  Alcotest.check_raises "src out of range"
-    (Invalid_argument "Flow_table.pack: endpoint out of range") (fun () ->
-      ignore (Ft.pack ~src:(1 lsl 31) ~dst:0))
-
-let test_insert_find_complete () =
+let test_insert_complete () =
   let t = Ft.create ~capacity:4 in
-  let key = Ft.pack ~src:1 ~dst:2 in
-  let slot = Ft.insert t ~key ~pkts:10 ~now:1_000 in
-  check_bool "admitted" true (slot >= 0);
-  check_int "find" slot (Ft.find t ~key);
+  let slot = Ft.insert t ~pkts:10 ~now:1_000 in
+  check_int "first slot" 0 slot;
   check_int "live" 1 (Ft.live t);
   check_int "remaining" 10 (Ft.remaining t ~slot);
   check_int "dec" 9 (Ft.dec_remaining t ~slot);
   check_int "latency" 4_000 (Ft.complete t ~slot ~now:5_000);
-  check_int "gone" (-1) (Ft.find t ~key);
   check_int "live after" 0 (Ft.live t);
   check_int "completed" 1 (Ft.completed t)
 
-let test_reject_dup_and_full () =
+let test_reject_full () =
   let t = Ft.create ~capacity:2 in
-  let k i = Ft.pack ~src:i ~dst:0 in
-  check_bool "first" true (Ft.insert t ~key:(k 1) ~pkts:1 ~now:0 >= 0);
-  check_int "dup" (-2) (Ft.insert t ~key:(k 1) ~pkts:1 ~now:0);
-  check_bool "second" true (Ft.insert t ~key:(k 2) ~pkts:1 ~now:0 >= 0);
-  check_int "full" (-1) (Ft.insert t ~key:(k 3) ~pkts:1 ~now:0);
-  check_int "rejected_dup" 1 (Ft.rejected_dup t);
-  check_int "rejected_full" 1 (Ft.rejected_full t)
+  check_int "first" 0 (Ft.insert t ~pkts:1 ~now:0);
+  check_int "second" 1 (Ft.insert t ~pkts:1 ~now:0);
+  check_int "full" (-1) (Ft.insert t ~pkts:1 ~now:0);
+  check_int "rejected_full" 1 (Ft.rejected_full t);
+  (* The argument check runs before the full check: a full table still
+     raises on a negative size, and counts no rejection for it. *)
+  Alcotest.check_raises "negative pkts when full"
+    (Invalid_argument "Flow_table.insert") (fun () ->
+      ignore (Ft.insert t ~pkts:(-1) ~now:0));
+  check_int "rejected_full unchanged" 1 (Ft.rejected_full t)
 
 let test_embryonic () =
   let t = Ft.create ~capacity:4 in
-  let key = Ft.pack ~src:9 ~dst:9 in
-  let slot = Ft.insert t ~key ~pkts:0 ~now:0 in
+  let slot = Ft.insert t ~pkts:0 ~now:0 in
   check_bool "embryonic" true (Ft.is_embryonic t ~slot);
   Ft.expire t ~slot;
   check_int "expired" 1 (Ft.expired t);
   check_int "live" 0 (Ft.live t)
 
-(* Model equivalence: drive the flat table and a naive [Hashtbl] model
-   through the same random interleaving of insert / complete / expire /
-   dec_remaining over a small keyspace and a small capacity (so full-table
-   rejections and backward-shift deletions inside probe clusters are both
-   exercised), then require identical observable state at every step. *)
+(* Slot-level model: drive the flat table and a naive model through the
+   same random interleaving of insert / complete / expire /
+   dec_remaining against a small capacity, so full-table rejections and
+   slot reuse both occur, and require identical observable state at
+   every step. The model's free list is the table's LIFO stack: slots
+   start in order 0, 1, ... and the last slot released is the next one
+   assigned. Ops other than insert pick the [sel]-th live slot. *)
 let prop_flow_table_model =
-  QCheck.Test.make ~count:500 ~name:"flow table matches hashtbl model"
+  QCheck.Test.make ~count:500 ~name:"flow table matches slot model"
     QCheck.(
       list_of_size
         Gen.(int_range 1 120)
@@ -76,73 +64,87 @@ let prop_flow_table_model =
     (fun ops ->
       let cap = 6 in
       let t = Ft.create ~capacity:cap in
-      (* key -> (remaining, arrived_at) *)
-      let model : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+      (* slot -> (remaining, total, arrived_at) *)
+      let model : (int, int * int * int) Hashtbl.t = Hashtbl.create 16 in
+      let free = ref (List.init cap Fun.id) in
+      let peak = ref 0 and completed = ref 0 and expired = ref 0 in
+      let rejected = ref 0 in
       let now = ref 0 in
       let fail fmt = QCheck.Test.fail_reportf fmt in
+      let live_slots () =
+        List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) model [])
+      in
+      let pick sel =
+        match live_slots () with
+        | [] -> None
+        | l -> Some (List.nth l (sel mod List.length l))
+      in
+      let release slot =
+        Hashtbl.remove model slot;
+        free := slot :: !free
+      in
       List.iter
-        (fun (op, k, pkts) ->
+        (fun (op, sel, pkts) ->
           now := !now + 7;
-          let key = Ft.pack ~src:(k land 7) ~dst:(k lsr 3) in
-          match op with
-          | 0 ->
-              let slot = Ft.insert t ~key ~pkts ~now:!now in
-              (* The full check runs before the duplicate probe (the hot
-                 path never probes a full table), so at capacity even a
-                 duplicate key reports -1. *)
-              if Hashtbl.length model >= cap then (
-                if slot <> -1 then fail "over-capacity admit (slot %d)" slot)
-              else if Hashtbl.mem model key then (
-                if slot <> -2 then fail "dup key admitted (slot %d)" slot)
-              else if slot < 0 then fail "spurious reject (slot %d)" slot
-              else Hashtbl.replace model key (pkts, !now)
+          (match op with
+          | 0 -> (
+              let slot = Ft.insert t ~pkts ~now:!now in
+              match !free with
+              | [] ->
+                  if slot <> -1 then fail "over-capacity admit (slot %d)" slot;
+                  incr rejected
+              | s :: rest ->
+                  if slot <> s then fail "slot %d, model expects %d" slot s;
+                  free := rest;
+                  Hashtbl.replace model s (pkts, pkts, !now);
+                  peak := max !peak (Hashtbl.length model))
           | 1 -> (
-              let slot = Ft.find t ~key in
-              match Hashtbl.find_opt model key with
-              | None -> if slot <> -1 then fail "found dead key"
-              | Some (_, arrived) ->
-                  if slot < 0 then fail "lost live key";
+              match pick sel with
+              | None -> ()
+              | Some slot ->
+                  let _, _, arrived = Hashtbl.find model slot in
                   let lat = Ft.complete t ~slot ~now:!now in
                   if lat <> !now - arrived then
                     fail "latency %d <> %d" lat (!now - arrived);
-                  Hashtbl.remove model key)
+                  incr completed;
+                  release slot)
           | 2 -> (
-              let slot = Ft.find t ~key in
-              match Hashtbl.find_opt model key with
-              | None -> if slot <> -1 then fail "found dead key"
-              | Some _ ->
-                  if slot < 0 then fail "lost live key";
+              match pick sel with
+              | None -> ()
+              | Some slot ->
                   Ft.expire t ~slot;
-                  Hashtbl.remove model key)
+                  incr expired;
+                  release slot)
           | _ -> (
-              let slot = Ft.find t ~key in
-              match Hashtbl.find_opt model key with
-              | None -> if slot <> -1 then fail "found dead key"
-              | Some (rem, arrived) ->
-                  if slot < 0 then fail "lost live key";
-                  if rem = 0 then ()
-                  else
+              match pick sel with
+              | None -> ()
+              | Some slot ->
+                  let rem, total, arrived = Hashtbl.find model slot in
+                  if rem > 0 then begin
                     let rem' = Ft.dec_remaining t ~slot in
                     if rem' <> rem - 1 then fail "rem %d <> %d" rem' (rem - 1);
-                    Hashtbl.replace model key (rem - 1, arrived));
+                    Hashtbl.replace model slot (rem - 1, total, arrived)
+                  end));
           if Ft.live t <> Hashtbl.length model then
-            fail "live %d <> model %d" (Ft.live t) (Hashtbl.length model))
+            fail "live %d <> model %d" (Ft.live t) (Hashtbl.length model);
+          if Ft.peak_live t <> !peak then
+            fail "peak_live %d <> model %d" (Ft.peak_live t) !peak;
+          if Ft.completed t <> !completed then fail "completed drift";
+          if Ft.expired t <> !expired then fail "expired drift";
+          if Ft.rejected_full t <> !rejected then fail "rejected_full drift")
         ops;
-      (* Final sweep: membership and per-flow fields agree exactly. *)
+      (* Final sweep: live slots and per-flow fields agree exactly. *)
       Hashtbl.iter
-        (fun key (rem, arrived) ->
-          let slot = Ft.find t ~key in
-          if slot < 0 then fail "final: lost live key";
-          if Ft.key_of_slot t slot <> key then fail "final: wrong slot key";
+        (fun slot (rem, total, arrived) ->
           if Ft.remaining t ~slot <> rem then fail "final: remaining drift";
-          if Ft.arrived_at t ~slot <> arrived then fail "final: arrival drift")
+          if Ft.total_pkts t ~slot <> total then fail "final: total drift";
+          if Ft.arrived_at t ~slot <> arrived then fail "final: arrival drift";
+          if Ft.is_embryonic t ~slot <> (total = 0) then
+            fail "final: embryonic drift")
         model;
-      let seen = ref 0 in
-      Ft.iter_live t (fun slot ->
-          incr seen;
-          if not (Hashtbl.mem model (Ft.key_of_slot t slot)) then
-            fail "final: phantom live slot");
-      !seen = Hashtbl.length model)
+      let seen = ref [] in
+      Ft.iter_live t (fun slot -> seen := slot :: !seen);
+      List.rev !seen = live_slots ())
 
 (* ---------- Pattern.Arrival ---------- *)
 
@@ -381,9 +383,8 @@ let suite =
   [
     ( "workload.flow_table",
       [
-        Alcotest.test_case "pack roundtrip" `Quick test_pack_roundtrip;
-        Alcotest.test_case "insert/find/complete" `Quick test_insert_find_complete;
-        Alcotest.test_case "reject dup and full" `Quick test_reject_dup_and_full;
+        Alcotest.test_case "insert/complete" `Quick test_insert_complete;
+        Alcotest.test_case "reject full" `Quick test_reject_full;
         Alcotest.test_case "embryonic flows" `Quick test_embryonic;
         qcheck prop_flow_table_model;
       ] );

@@ -342,6 +342,35 @@ let prop_histogram_percentile_monotone =
       let p99 = Sim.Stats.Histogram.percentile h 99. in
       p25 <= p50 && p50 <= p99)
 
+(* [Stats.log2_floor] against the bit-at-a-time loop it replaced. *)
+let log2_floor_ref v =
+  let rec scan v acc = if v <= 1 then acc else scan (v lsr 1) (acc + 1) in
+  scan v 0
+
+let test_log2_floor_edges () =
+  let agree v =
+    check_int (Printf.sprintf "log2_floor %d" v) (log2_floor_ref v)
+      (Sim.Stats.log2_floor v)
+  in
+  List.iter agree [ 0; 1; max_int; -1; min_int ];
+  for k = 1 to Sys.int_size - 2 do
+    agree ((1 lsl k) - 1);
+    agree (1 lsl k);
+    check_int (Printf.sprintf "log2_floor 2^%d" k) k
+      (Sim.Stats.log2_floor (1 lsl k))
+  done
+
+let prop_log2_floor_matches_reference =
+  QCheck.Test.make ~name:"log2_floor matches the bit-by-bit loop" ~count:1000
+    QCheck.(
+      oneof
+        [
+          int;
+          (* spread over every bit width, not just the top few *)
+          map (fun (v, k) -> v lsr k) (pair int (int_range 0 62));
+        ])
+    (fun v -> Sim.Stats.log2_floor v = log2_floor_ref v)
+
 (* Regression: p=0 must be exactly the smallest recorded value, not the
    lower edge of bucket 0.  With a single sample of 100, the old scan
    started at bucket 0 and returned 0. *)
@@ -657,6 +686,8 @@ let suite =
         Alcotest.test_case "histogram" `Quick test_histogram;
         Alcotest.test_case "histogram p0 is min" `Quick test_histogram_p0_is_min;
         qcheck prop_histogram_percentile_monotone;
+        Alcotest.test_case "log2_floor edges" `Quick test_log2_floor_edges;
+        qcheck prop_log2_floor_matches_reference;
       ] );
     ( "sim.json",
       [
