@@ -27,13 +27,14 @@ type t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Flow_table.create: capacity must be > 0";
+  let free = Array.init capacity (fun i -> capacity - 1 - i) in
   {
     capacity;
     total_pkts = Array.make capacity 0;
     remaining = Array.make capacity 0;
     arrived = Array.make capacity 0;
     state = Bytes.make capacity st_free;
-    free = Array.init capacity (fun i -> capacity - 1 - i);
+    free;
     free_top = capacity;
     live = 0;
     peak_live = 0;
@@ -61,7 +62,7 @@ let[@cdna.hot] insert t ~pkts ~now =
   end
 
 let[@cdna.hot] release t slot =
-  Bytes.unsafe_set t.state slot st_free;
+  Bytes.unsafe_set t.state slot '\000';
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1;
   t.live <- t.live - 1
