@@ -1,7 +1,8 @@
 (* Simulator benchmarks: Bechamel timings of the core mechanisms
    (descriptor serialization, mailbox bit-vector decode, sequence-number
-   checks, CRC-32, the event engine, grant flips, the flow table) and of
-   four whole runs, plus the regression gate that `dune runtest` runs.
+   checks, CRC-32, the event engine and its FIFOs, grant flips, the flow
+   table) and of four whole runs, plus the regression gate that `dune
+   runtest` runs.
 
    Paper regeneration lives in `cdna_sim` (`table`, `figure`,
    `extension`, `verify`); `perfbench/e2e.exe` times it end to end.
@@ -34,6 +35,20 @@ let heap_churn_fn () =
   while not (Sim.Heap.is_empty h) do
     ignore (Sim.Heap.pop_exn h)
   done
+
+(* 1k push/pop pairs through a FIFO held 100 deep, as the datapath
+   queues cycle: once the warm-up run has built its chunks, the drained
+   chunk is reused and a run allocates nothing. *)
+let fifo_cycle_fn =
+  let f = Sim.Fifo.create ~dummy:0 in
+  for i = 1 to 100 do
+    Sim.Fifo.push f i
+  done;
+  fun () ->
+    for i = 1 to 1000 do
+      Sim.Fifo.push f i;
+      ignore (Sim.Fifo.pop f)
+    done
 
 let crc32_fn =
   let payload = Ethernet.Frame.materialize_payload ~seed:1 ~len:1500 in
@@ -221,6 +236,7 @@ let subjects =
   [
     ("micro/engine-10k-events", engine_events_fn);
     ("micro/heap-push-pop-1k", heap_churn_fn);
+    ("micro/fifo-cycle-1k", fifo_cycle_fn);
     ("micro/crc32-1500B", crc32_fn);
     ("micro/materialize-1500B", materialize_fn);
     ("micro/descriptor-write-read", descriptor_roundtrip_fn);

@@ -55,13 +55,14 @@ let in_flight s = s.next - s.base
 let can_send s = in_flight s < s.window
 
 (* The first source at or after [i] (round robin) with an open window,
-   or -1. *)
+   or -1. [i] is a source index, so one wrap check per step keeps it in
+   range. *)
 let rec pick_source t i remaining =
   if remaining = 0 then -1
-  else begin
-    let j = i mod Array.length t.sources in
-    if can_send t.sources.(j) then j else pick_source t (i + 1) (remaining - 1)
-  end
+  else if can_send t.sources.(i) then i
+  else
+    let i = i + 1 in
+    pick_source t (if i = Array.length t.sources then 0 else i) (remaining - 1)
 
 (* Retransmission timer: if the window base has not advanced within one
    RTO while data is outstanding, go back to the base and resend the
@@ -101,7 +102,7 @@ and pump t =
     let n = Array.length t.sources in
     let i = pick_source t t.rr n in
     if i >= 0 then begin
-      t.rr <- (i + 1) mod n;
+      t.rr <- (if i + 1 = n then 0 else i + 1);
       let s = t.sources.(i) in
       let frame =
         Workload.Connection.frame_with_seq

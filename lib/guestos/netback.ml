@@ -15,7 +15,7 @@ type iface = {
   xchan : Xchan.t;
   notify_frontend : unit -> unit;
   (* Received frames routed to this guest but not yet on its ring. *)
-  overflow : Ethernet.Frame.t Queue.t;
+  overflow : Ethernet.Frame.t Sim.Fifo.t;
 }
 
 type port_target = Guest of iface | Phys of Netdev.t
@@ -30,12 +30,15 @@ type t = {
   mem : Memory.Phys_mem.t;
   bridge : port_target Bridge.t;
   mutable ifaces : (iface * port_target Bridge.port) list;
-  mutable phys : (Netdev.t * port_target Bridge.port) list;
-  pool : Memory.Addr.pfn Queue.t;
+  mutable phys : port_target Bridge.port array; (* in [add_physical] order *)
+  pool : Memory.Addr.pfn Sim.Fifo.t;
   (* Reused staging buffer for generating spec-only payloads into
      exchange pages; [Phys_mem.write_sub] copies synchronously. *)
   mutable scratch : Bytes.t;
-  rx_inbox : (port_target Bridge.port * Ethernet.Frame.t) Queue.t;
+  (* Frames received from the physical ports, and in step with them the
+     index in [phys] of each one's ingress port. *)
+  rx_inbox : Ethernet.Frame.t Sim.Fifo.t;
+  rx_inbox_port : int Sim.Fifo.t;
   mutable scheduled : bool;
   mutable tx_forwarded : int;
   mutable rx_delivered : int;
@@ -45,10 +48,8 @@ type t = {
 
 let create ~hyp ~gnt ~dom ~costs ?(pool_pages = 4096) ?(materialize = false)
     () =
-  let pool = Queue.create () in
-  List.iter
-    (fun p -> Queue.push p pool)
-    (Xen.Hypervisor.alloc_pages hyp dom pool_pages);
+  let pool = Sim.Fifo.create ~dummy:0 in
+  List.iter (Sim.Fifo.push pool) (Xen.Hypervisor.alloc_pages hyp dom pool_pages);
   {
     hyp;
     gnt;
@@ -59,10 +60,11 @@ let create ~hyp ~gnt ~dom ~costs ?(pool_pages = 4096) ?(materialize = false)
     ring_rr = 0;
     bridge = Bridge.create ();
     ifaces = [];
-    phys = [];
+    phys = [||];
     pool;
     scratch = Bytes.empty;
-    rx_inbox = Queue.create ();
+    rx_inbox = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder;
+    rx_inbox_port = Sim.Fifo.create ~dummy:0;
     scheduled = false;
     tx_forwarded = 0;
     rx_delivered = 0;
@@ -104,9 +106,7 @@ and run t =
   (* Refill the exchange pool with pages returned by guests. *)
   List.iter
     (fun (iface, _) ->
-      List.iter
-        (fun p -> Queue.push p t.pool)
-        (Xchan.take_returned_pages iface.xchan))
+      List.iter (Sim.Fifo.push t.pool) (Xchan.take_returned_pages iface.xchan))
     t.ifaces;
   collect_guest_tx t c;
   collect_rx t c;
@@ -197,41 +197,43 @@ and collect_rx t c =
   List.iter
     (fun (iface, _) ->
       while !budget > 0 && Xchan.rx_space iface.xchan > 0
-            && Queue.length iface.overflow > 0 do
-        c.rx <- (iface, Queue.pop iface.overflow) :: c.rx;
+            && not (Sim.Fifo.is_empty iface.overflow) do
+        c.rx <- (iface, Sim.Fifo.pop iface.overflow) :: c.rx;
         decr budget
       done)
     t.ifaces;
   let continue = ref true in
   while !continue && !budget > 0 do
-    match Queue.take_opt t.rx_inbox with
-    | None -> continue := false
-    | Some (ingress, frame) -> (
-        match Bridge.route t.bridge ~ingress frame with
-        | Bridge.To p -> (
-            match Bridge.payload p with
-            | Guest iface ->
-                if Xchan.rx_space iface.xchan > 0 then begin
-                  c.rx <- (iface, frame) :: c.rx;
-                  decr budget
-                end
-                else if Queue.length iface.overflow < t.costs.rx_overflow_cap
-                then Queue.push frame iface.overflow
-                else begin
-                  t.rx_dropped <- t.rx_dropped + 1
-                end
-            | Phys nd -> Netdev.send nd [ frame ])
-        | Bridge.Flood ports ->
-            List.iter
-              (fun p ->
-                match Bridge.payload p with
-                | Guest iface ->
-                    if Queue.length iface.overflow < t.costs.rx_overflow_cap
-                    then Queue.push frame iface.overflow
-                    else t.rx_dropped <- t.rx_dropped + 1
-                | Phys nd -> Netdev.send nd [ frame ])
-              ports
-        | Bridge.Drop -> ())
+    if Sim.Fifo.is_empty t.rx_inbox then continue := false
+    else begin
+      let frame = Sim.Fifo.pop t.rx_inbox in
+      let ingress = t.phys.(Sim.Fifo.pop t.rx_inbox_port) in
+      match Bridge.route t.bridge ~ingress frame with
+      | Bridge.To p -> (
+          match Bridge.payload p with
+          | Guest iface ->
+              if Xchan.rx_space iface.xchan > 0 then begin
+                c.rx <- (iface, frame) :: c.rx;
+                decr budget
+              end
+              else if Sim.Fifo.length iface.overflow < t.costs.rx_overflow_cap
+              then Sim.Fifo.push iface.overflow frame
+              else begin
+                t.rx_dropped <- t.rx_dropped + 1
+              end
+          | Phys nd -> Netdev.send nd [ frame ])
+      | Bridge.Flood ports ->
+          List.iter
+            (fun p ->
+              match Bridge.payload p with
+              | Guest iface ->
+                  if Sim.Fifo.length iface.overflow < t.costs.rx_overflow_cap
+                  then Sim.Fifo.push iface.overflow frame
+                  else t.rx_dropped <- t.rx_dropped + 1
+              | Phys nd -> Netdev.send nd [ frame ])
+            ports
+      | Bridge.Drop -> ()
+    end
   done;
   c.rx <- List.rev c.rx
 
@@ -272,18 +274,18 @@ and apply t c =
          Xen.Grant_table.flip t.gnt ~src:iface.guest_dom ~dst:t.dom
            entry.Xchan.pfn
        with
-      | Ok () -> Queue.push entry.Xchan.pfn t.pool
+      | Ok () -> Sim.Fifo.push t.pool entry.Xchan.pfn
       | Error (`Not_owner | `Pinned) -> ());
       (* Pick a replacement page driver -> guest. *)
       let replacement =
-        match Queue.take_opt t.pool with
-        | Some pfn -> (
-            match
-              Xen.Grant_table.flip t.gnt ~src:t.dom ~dst:iface.guest_dom pfn
-            with
-            | Ok () -> [ pfn ]
-            | Error (`Not_owner | `Pinned) -> [])
-        | None -> []
+        if Sim.Fifo.is_empty t.pool then []
+        else
+          let pfn = Sim.Fifo.pop t.pool in
+          match
+            Xen.Grant_table.flip t.gnt ~src:t.dom ~dst:iface.guest_dom pfn
+          with
+          | Ok () -> [ pfn ]
+          | Error (`Not_owner | `Pinned) -> []
       in
       let key = Xen.Domain.id iface.guest_dom in
       let count, pages =
@@ -308,8 +310,8 @@ and apply t c =
               Sim.Int_tbl.replace per_nd key batch
           | Guest dst_iface ->
               (* Inter-guest traffic becomes a receive on the peer. *)
-              if Queue.length dst_iface.overflow < t.costs.rx_overflow_cap
-              then Queue.push frame dst_iface.overflow
+              if Sim.Fifo.length dst_iface.overflow < t.costs.rx_overflow_cap
+              then Sim.Fifo.push dst_iface.overflow frame
               else t.rx_dropped <- t.rx_dropped + 1)
       | Bridge.Flood ports ->
           List.iter
@@ -317,8 +319,8 @@ and apply t c =
               match Bridge.payload p with
               | Phys nd -> Netdev.send nd [ frame ]
               | Guest dst_iface ->
-                  if Queue.length dst_iface.overflow < t.costs.rx_overflow_cap
-                  then Queue.push frame dst_iface.overflow
+                  if Sim.Fifo.length dst_iface.overflow < t.costs.rx_overflow_cap
+                  then Sim.Fifo.push dst_iface.overflow frame
                   else t.rx_dropped <- t.rx_dropped + 1)
             ports
       | Bridge.Drop -> ())
@@ -327,50 +329,51 @@ and apply t c =
   (* Deliveries to guests: flip a pool page carrying the payload in. *)
   List.iter
     (fun (iface, frame) ->
-      match Queue.take_opt t.pool with
-      | None ->
-          (* Exchange pool empty; hold the frame for the next run. *)
-          Queue.push frame iface.overflow
-      | Some pfn -> (
-          if t.materialize then begin
-            let addr = Memory.Addr.base_of_pfn pfn in
-            match frame.Ethernet.Frame.data with
-            | Some d ->
-                (Memory.Phys_mem.write t.mem ~addr d
-                [@cdna.protection_ok
-                  "driver-domain CPU store into its own exchange-pool page \
-                   before flipping it to the guest, not DMA"])
-            | None ->
-                let len = frame.Ethernet.Frame.payload_len in
-                if Bytes.length t.scratch < len then
-                  t.scratch <- Bytes.create (Int.max len 2048);
-                Ethernet.Frame.blit_payload
-                  ~seed:frame.Ethernet.Frame.payload_seed ~len t.scratch
-                  ~pos:0;
-                (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len
-                [@cdna.protection_ok
-                  "driver-domain CPU store into its own exchange-pool page \
-                   before flipping it to the guest, not DMA"])
-          end;
-          match
-            Xen.Grant_table.flip t.gnt ~src:t.dom ~dst:iface.guest_dom pfn
-          with
-          | Ok () ->
-              if Xchan.rx_push iface.xchan { Xchan.frame; pfn } then begin
-                t.rx_delivered <- t.rx_delivered + 1;
-                touch iface
-              end
-              else begin
-                (* Ring filled meanwhile: undo the flip, hold the frame. *)
-                (match
-                   Xen.Grant_table.flip t.gnt ~src:iface.guest_dom ~dst:t.dom
-                     pfn
-                 with
-                | Ok () -> Queue.push pfn t.pool
-                | Error (`Not_owner | `Pinned) -> ());
-                Queue.push frame iface.overflow
-              end
-          | Error (`Not_owner | `Pinned) -> Queue.push pfn t.pool))
+      if Sim.Fifo.is_empty t.pool then
+        (* Exchange pool empty; hold the frame for the next run. *)
+        Sim.Fifo.push iface.overflow frame
+      else begin
+        let pfn = Sim.Fifo.pop t.pool in
+        if t.materialize then begin
+          let addr = Memory.Addr.base_of_pfn pfn in
+          match frame.Ethernet.Frame.data with
+          | Some d ->
+              (Memory.Phys_mem.write t.mem ~addr d
+              [@cdna.protection_ok
+                "driver-domain CPU store into its own exchange-pool page \
+                 before flipping it to the guest, not DMA"])
+          | None ->
+              let len = frame.Ethernet.Frame.payload_len in
+              if Bytes.length t.scratch < len then
+                t.scratch <- Bytes.create (Int.max len 2048);
+              Ethernet.Frame.blit_payload
+                ~seed:frame.Ethernet.Frame.payload_seed ~len t.scratch
+                ~pos:0;
+              (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len
+              [@cdna.protection_ok
+                "driver-domain CPU store into its own exchange-pool page \
+                 before flipping it to the guest, not DMA"])
+        end;
+        match
+          Xen.Grant_table.flip t.gnt ~src:t.dom ~dst:iface.guest_dom pfn
+        with
+        | Ok () ->
+            if Xchan.rx_push iface.xchan { Xchan.frame; pfn } then begin
+              t.rx_delivered <- t.rx_delivered + 1;
+              touch iface
+            end
+            else begin
+              (* Ring filled meanwhile: undo the flip, hold the frame. *)
+              (match
+                 Xen.Grant_table.flip t.gnt ~src:iface.guest_dom ~dst:t.dom
+                   pfn
+               with
+              | Ok () -> Sim.Fifo.push t.pool pfn
+              | Error (`Not_owner | `Pinned) -> ());
+              Sim.Fifo.push iface.overflow frame
+            end
+        | Error (`Not_owner | `Pinned) -> Sim.Fifo.push t.pool pfn
+      end)
     c.rx;
   (* Push completion records and send one notification per touched guest. *)
   Sim.Int_tbl.iter_sorted completions (fun dom_id (count, pages) ->
@@ -386,16 +389,23 @@ and apply t c =
       if quiet then iface.notify_frontend ())
 
 and more_work t =
-  Queue.length t.rx_inbox > 0
+  (not (Sim.Fifo.is_empty t.rx_inbox))
   || List.exists
        (fun (iface, _) ->
          Xchan.tx_used iface.xchan > 0
-         || (Queue.length iface.overflow > 0 && Xchan.rx_space iface.xchan > 0))
+         || ((not (Sim.Fifo.is_empty iface.overflow))
+            && Xchan.rx_space iface.xchan > 0))
        t.ifaces
 
 let add_interface t ~guest_dom ~guest_mac ~xchan ~notify_frontend =
   let iface =
-    { guest_dom; guest_mac; xchan; notify_frontend; overflow = Queue.create () }
+    {
+      guest_dom;
+      guest_mac;
+      xchan;
+      notify_frontend;
+      overflow = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder;
+    }
   in
   let port = Bridge.add_port t.bridge (Guest iface) in
   Bridge.learn t.bridge port guest_mac;
@@ -406,9 +416,14 @@ let add_physical t netdev ~remote_macs =
   let port = Bridge.add_port t.bridge (Phys netdev) in
   Bridge.learn t.bridge port (Netdev.mac netdev);
   List.iter (fun mac -> Bridge.learn t.bridge port mac) remote_macs;
-  t.phys <- t.phys @ [ (netdev, port) ];
+  let index = Array.length t.phys in
+  t.phys <- Array.append t.phys [| port |];
   Netdev.set_rx_handler netdev (fun frames ->
-      List.iter (fun f -> Queue.push (port, f) t.rx_inbox) frames;
+      List.iter
+        (fun f ->
+          Sim.Fifo.push t.rx_inbox f;
+          Sim.Fifo.push t.rx_inbox_port index)
+        frames;
       schedule t);
   Netdev.set_writable_hook netdev (fun () -> schedule t);
   (* Transmit completions return physical ring slots; resume draining the
@@ -421,4 +436,4 @@ let register_metrics t m =
   Sim.Metrics.gauge m "netback.rx_delivered" (fun () -> t.rx_delivered);
   Sim.Metrics.gauge m "netback.rx_dropped" (fun () -> t.rx_dropped);
   Sim.Metrics.gauge m "netback.runs" (fun () -> t.runs);
-  Sim.Metrics.gauge m "netback.pool_size" (fun () -> Queue.length t.pool)
+  Sim.Metrics.gauge m "netback.pool_size" (fun () -> Sim.Fifo.length t.pool)

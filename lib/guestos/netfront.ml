@@ -7,8 +7,8 @@ type t = {
   notify_backend : unit -> unit;
   materialize : bool;
   mem : Memory.Phys_mem.t;
-  pool : Memory.Addr.pfn Queue.t;
-  pending : Ethernet.Frame.t Queue.t;
+  pool : Memory.Addr.pfn Sim.Fifo.t;
+  pending : Ethernet.Frame.t Sim.Fifo.t;
   (* Reused staging buffer for generating spec-only payloads into pool
      pages; [Phys_mem.write_sub] copies synchronously, so reuse is safe. *)
   mutable scratch : Bytes.t;
@@ -44,8 +44,8 @@ let write_payload t ~addr frame =
 
 let tx_space t =
   Int.max 0
-    (Int.min (Xchan.tx_space t.xchan) (Queue.length t.pool)
-    - Queue.length t.pending)
+    (Int.min (Xchan.tx_space t.xchan) (Sim.Fifo.length t.pool)
+    - Sim.Fifo.length t.pending)
 
 (* Move pending frames onto the shared ring, attaching a pool page each,
    and kick the back end once per batch. Runs in guest kernel context. *)
@@ -55,17 +55,18 @@ let pump t =
   let continue = ref true in
   while
     !continue
-    && (not (Queue.is_empty t.pending))
+    && (not (Sim.Fifo.is_empty t.pending))
     && Xchan.tx_space t.xchan > 0
   do
-    match Queue.take_opt t.pool with
-    | None -> continue := false
-    | Some pfn ->
-        let frame = Queue.pop t.pending in
-        if t.materialize then
-          write_payload t ~addr:(Memory.Addr.base_of_pfn pfn) frame;
-        ignore (Xchan.tx_push t.xchan { Xchan.frame; pfn });
-        incr pushed
+    if Sim.Fifo.is_empty t.pool then continue := false
+    else begin
+      let pfn = Sim.Fifo.pop t.pool in
+      let frame = Sim.Fifo.pop t.pending in
+      if t.materialize then
+        write_payload t ~addr:(Memory.Addr.base_of_pfn pfn) frame;
+      ignore (Xchan.tx_push t.xchan { Xchan.frame; pfn });
+      incr pushed
+    end
   done;
   if !pushed > 0 then begin
     t.tx_count <- t.tx_count + !pushed;
@@ -84,9 +85,9 @@ let send_impl t frames =
   if n > 0 then begin
     let cost = Sim.Time.mul_int t.costs.Os_costs.driver_tx_per_pkt n in
     post_kernel t ~cost (fun () ->
-        List.iter (fun f -> Queue.push f t.pending) frames;
+        List.iter (Sim.Fifo.push t.pending) frames;
         pump t;
-        if not (Queue.is_empty t.pending) then t.was_full <- true)
+        if not (Sim.Fifo.is_empty t.pending) then t.was_full <- true)
   end
 
 (* Event from netback: take completions (with replacement pages) and
@@ -107,7 +108,7 @@ let rec handle_event t =
   if completed > 0 || n_rx > 0 then begin
     let cost = Sim.Time.mul_int t.costs.Os_costs.driver_rx_per_pkt n_rx in
     post_kernel t ~cost (fun () ->
-        List.iter (fun p -> Queue.push p t.pool) replacement_pages;
+        List.iter (Sim.Fifo.push t.pool) replacement_pages;
         if completed > 0 then begin
           pump t;
           Netdev.notify_tx_done (the_netdev t) completed
@@ -162,8 +163,8 @@ let rec handle_event t =
 
 let create ~hyp ~gnt ~dom ~costs ~xchan ~mac ~notify_backend
     ?(pool_pages = 1024) ?(materialize = false) () =
-  let pool = Queue.create () in
-  List.iter (fun p -> Queue.push p pool) (Xen.Hypervisor.alloc_pages hyp dom pool_pages);
+  let pool = Sim.Fifo.create ~dummy:0 in
+  List.iter (Sim.Fifo.push pool) (Xen.Hypervisor.alloc_pages hyp dom pool_pages);
   let t =
     {
       hyp;
@@ -175,7 +176,7 @@ let create ~hyp ~gnt ~dom ~costs ~xchan ~mac ~notify_backend
       materialize;
       mem = Xen.Hypervisor.mem hyp;
       pool;
-      pending = Queue.create ();
+      pending = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder;
       scratch = Bytes.empty;
       was_full = false;
       event_pending = false;
@@ -199,4 +200,4 @@ let register_metrics t m =
   Sim.Metrics.gauge m ~labels "netfront.tx_count" (fun () -> t.tx_count);
   Sim.Metrics.gauge m ~labels "netfront.rx_count" (fun () -> t.rx_count);
   Sim.Metrics.gauge m ~labels "netfront.pool_size" (fun () ->
-      Queue.length t.pool)
+      Sim.Fifo.length t.pool)

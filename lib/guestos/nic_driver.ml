@@ -33,7 +33,7 @@ type t = {
   mutable tx_prod : int; (* descriptors the device has been given *)
   mutable tx_cons_seen : int;
   mutable rx_prod : int;
-  pending : Ethernet.Frame.t Queue.t;
+  pending : Ethernet.Frame.t Sim.Fifo.t;
   (* Reused staging buffer for generating spec-only payloads into DMA
      pages; [Phys_mem.write_sub] copies synchronously. *)
   mutable scratch : Bytes.t;
@@ -69,7 +69,7 @@ let the_netdev t = Option.get t.netdev
 let tx_room t = Array.length t.tx_pages - (t.tx_prod - t.tx_cons_seen)
 
 let tx_space t =
-  if not t.ready then 0 else Int.max 0 (tx_room t - Queue.length t.pending)
+  if not t.ready then 0 else Int.max 0 (tx_room t - Sim.Fifo.length t.pending)
 
 let wake_if_writable t =
   if t.was_full && tx_space t > 0 then begin
@@ -196,10 +196,10 @@ let ring_write_frame t frame =
 let ring_pump_tx t =
   let moved = ref 0 in
   while
-    (not (Queue.is_empty t.pending))
-    && tx_room t >= descs_per_packet t (Queue.peek t.pending)
+    (not (Sim.Fifo.is_empty t.pending))
+    && tx_room t >= descs_per_packet t (Sim.Fifo.peek t.pending)
   do
-    ring_write_frame t (Queue.pop t.pending);
+    ring_write_frame t (Sim.Fifo.pop t.pending);
     incr moved
   done;
   if !moved > 0 then t.hw.Nic.Driver_if.tx_doorbell t.tx_prod;
@@ -223,7 +223,7 @@ let ring_repost_rx t n =
 let[@tail_mod_cons] rec pop_frames q n =
   if n = 0 then []
   else
-    let frame = Queue.pop q in
+    let frame = Sim.Fifo.pop q in
     frame :: pop_frames q (n - 1)
 
 (* Stage each frame in the buffer page of its slot, counting from
@@ -248,11 +248,11 @@ let[@tail_mod_cons] rec hypercall_rx_descs t ~slot n =
 (* One batch of at most [tx_batch_limit] frames, counting room in frames
    (one descriptor each), while no other transmit batch is in flight. *)
 let hypercall_pump_tx t enqueue =
-  if t.ready && List.is_empty t.tx_batch && not (Queue.is_empty t.pending)
+  if t.ready && List.is_empty t.tx_batch && not (Sim.Fifo.is_empty t.pending)
   then begin
     let k =
       Int.min (tx_room t)
-        (Int.min (Queue.length t.pending) t.costs.Os_costs.tx_batch_limit)
+        (Int.min (Sim.Fifo.length t.pending) t.costs.Os_costs.tx_batch_limit)
     in
     if k > 0 then begin
       let frames = pop_frames t.pending k in
@@ -294,11 +294,11 @@ let tx_posted t = function
       wake_if_writable t
   | None ->
       (* Requeue the batch at the front, preserving order. *)
-      let rest = Queue.create () in
-      Queue.transfer t.pending rest;
-      List.iter (fun f -> Queue.push f t.pending) t.tx_batch;
+      let rest = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder in
+      Sim.Fifo.transfer t.pending rest;
+      List.iter (Sim.Fifo.push t.pending) t.tx_batch;
       t.tx_batch <- [];
-      Queue.transfer rest t.pending
+      Sim.Fifo.transfer rest t.pending
 
 let rx_posted t = function
   | Some prod ->
@@ -363,9 +363,9 @@ let send t frames =
   if n > 0 then begin
     let cost = Sim.Time.mul_int t.costs.Os_costs.driver_tx_per_pkt n in
     t.post_kernel ~cost (fun () ->
-        List.iter (fun f -> Queue.push f t.pending) frames;
+        List.iter (Sim.Fifo.push t.pending) frames;
         pump_tx t;
-        if not (Queue.is_empty t.pending) then t.was_full <- true)
+        if not (Sim.Fifo.is_empty t.pending) then t.was_full <- true)
   end
 
 let bring_up t =
@@ -423,7 +423,7 @@ let create ~mem ~post_kernel ~costs ~hw ~mac ~alloc_pages ?(tx_slots = 256)
       tx_prod = 0;
       tx_cons_seen = 0;
       rx_prod = 0;
-      pending = Queue.create ();
+      pending = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder;
       scratch = Bytes.empty;
       tx_batch = [];
       rx_batch = 0;

@@ -2,35 +2,43 @@ type entry = { frame : Ethernet.Frame.t; pfn : Memory.Addr.pfn }
 
 type t = {
   capacity : int;
-  tx : entry Queue.t;
-  rx : entry Queue.t;
+  tx : entry Sim.Fifo.t;
+  rx : entry Sim.Fifo.t;
   mutable completions : int;
   mutable completion_pages : Memory.Addr.pfn list;
   mutable returned : Memory.Addr.pfn list;
 }
 
+let no_entry = { frame = Ethernet.Frame.placeholder; pfn = 0 }
+
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Xchan.create: non-positive capacity";
   {
     capacity;
-    tx = Queue.create ();
-    rx = Queue.create ();
+    tx = Sim.Fifo.create ~dummy:no_entry;
+    rx = Sim.Fifo.create ~dummy:no_entry;
     completions = 0;
     completion_pages = [];
     returned = [];
   }
 
-let push q cap e = if Queue.length q >= cap then false else (Queue.push e q; true)
+let push q cap e =
+  if Sim.Fifo.length q >= cap then false else (Sim.Fifo.push q e; true)
+
+let take_opt q = if Sim.Fifo.is_empty q then None else Some (Sim.Fifo.pop q)
 
 let tx_push t e = push t.tx t.capacity e
-let tx_pop t = Queue.take_opt t.tx
-let tx_peek t = Queue.peek_opt t.tx
-let tx_used t = Queue.length t.tx
-let tx_space t = t.capacity - Queue.length t.tx
+let tx_pop t = take_opt t.tx
+
+let tx_peek t =
+  if Sim.Fifo.is_empty t.tx then None else Some (Sim.Fifo.peek t.tx)
+
+let tx_used t = Sim.Fifo.length t.tx
+let tx_space t = t.capacity - Sim.Fifo.length t.tx
 let rx_push t e = push t.rx t.capacity e
-let rx_pop t = Queue.take_opt t.rx
-let rx_used t = Queue.length t.rx
-let rx_space t = t.capacity - Queue.length t.rx
+let rx_pop t = take_opt t.rx
+let rx_used t = Sim.Fifo.length t.rx
+let rx_space t = t.capacity - Sim.Fifo.length t.rx
 
 let push_tx_completion t ~pages ~count =
   t.completions <- t.completions + count;

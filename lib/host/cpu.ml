@@ -5,7 +5,7 @@ type entity = {
   name : string;
   weight : int;
   domain : Category.domain_id;
-  queue : work Queue.t;
+  queue : work Sim.Fifo.t;
   (* Entitled runtime in integer nanoseconds. Fixed-point (not float)
      so credit arithmetic is exact: runqueue migration must not be able
      to introduce float-associativity drift into a schedule. *)
@@ -22,9 +22,9 @@ type entity = {
    the original single-CPU behaviour, event for event. *)
 type rq = {
   cpu_id : int;
-  irq_queue : work Queue.t;
+  irq_queue : work Sim.Fifo.t;
   mutable resident : entity list; (* arrival order on this runqueue *)
-  boost_fifo : entity Queue.t;
+  boost_fifo : entity Sim.Fifo.t;
   mutable current : entity; (* the scheduler's [no_entity] when none *)
   mutable slice_used : Sim.Time.t;
   mutable busy : bool;
@@ -68,7 +68,7 @@ let make_entity ~id ~name ~weight ~domain ~cpu =
     name;
     weight;
     domain;
-    queue = Queue.create ();
+    queue = Sim.Fifo.create ~dummy:idle_work;
     credits = 0;
     boosted = false;
     runtime = 0;
@@ -79,9 +79,9 @@ let make_entity ~id ~name ~weight ~domain ~cpu =
 let make_rq no_entity cpu_id =
   {
     cpu_id;
-    irq_queue = Queue.create ();
+    irq_queue = Sim.Fifo.create ~dummy:idle_work;
     resident = [];
-    boost_fifo = Queue.create ();
+    boost_fifo = Sim.Fifo.create ~dummy:no_entity;
     current = no_entity;
     slice_used = 0;
     busy = false;
@@ -114,14 +114,14 @@ let rec replenish t () =
   end;
   Sim.Engine.schedule t.engine ~delay:credit_period (replenish t)
 
-let[@cdna.hot] runnable e = not (Queue.is_empty e.queue)
+let[@cdna.hot] runnable e = not (Sim.Fifo.is_empty e.queue)
 
 (* Pop boosted entities until one is still runnable and still resident
    here (an entity can migrate away between boost and dispatch). *)
 let[@cdna.hot] rec pop_boosted t rq =
-  if Queue.is_empty rq.boost_fifo then t.no_entity
+  if Sim.Fifo.is_empty rq.boost_fifo then t.no_entity
   else begin
-    let e = Queue.pop rq.boost_fifo in
+    let e = Sim.Fifo.pop rq.boost_fifo in
     if e.cpu <> rq.cpu_id then pop_boosted t rq
     else begin
       e.boosted <- false;
@@ -146,7 +146,7 @@ let[@cdna.hot] pick_entity t rq =
   let cur = rq.current in
   if
     cur != t.no_entity && runnable cur
-    && Queue.is_empty rq.boost_fifo
+    && Sim.Fifo.is_empty rq.boost_fifo
     && Sim.Time.compare rq.slice_used t.slice < 0
   then cur
   else
@@ -155,8 +155,8 @@ let[@cdna.hot] pick_entity t rq =
 
 let[@cdna.hot] rec dispatch t rq =
   if rq.busy then ()
-  else if not (Queue.is_empty rq.irq_queue) then
-    execute t rq (Queue.pop rq.irq_queue) t.no_entity ~switch:0
+  else if not (Sim.Fifo.is_empty rq.irq_queue) then
+    execute t rq (Sim.Fifo.pop rq.irq_queue) t.no_entity ~switch:0
   else
     let e = pick_entity t rq in
     if e == t.no_entity then () (* CPU idles until the next post wakes it. *)
@@ -182,7 +182,7 @@ let[@cdna.hot] rec dispatch t rq =
         rq.current <- e;
         rq.slice_used <- 0
       end;
-      execute t rq (Queue.pop e.queue) e ~switch
+      execute t rq (Sim.Fifo.pop e.queue) e ~switch
     end
 
 and[@cdna.hot] execute t rq w e ~switch =
@@ -283,7 +283,7 @@ let cpu_of e = e.cpu
 (* Work pending on [rq] other than entity [e]'s own queue. *)
 let rq_busy_besides rq e =
   rq.busy
-  || (not (Queue.is_empty rq.irq_queue))
+  || (not (Sim.Fifo.is_empty rq.irq_queue))
   || List.exists (fun x -> x != e && runnable x) rq.resident
 
 (* Deterministic wake balancing: the lowest-index completely idle
@@ -296,7 +296,7 @@ let find_idle_rq t =
       let rq = t.rqs.(i) in
       if
         (not rq.busy)
-        && Queue.is_empty rq.irq_queue
+        && Sim.Fifo.is_empty rq.irq_queue
         && not (List.exists runnable rq.resident)
       then Some rq
       else scan (i + 1)
@@ -315,8 +315,8 @@ let migrate t e ~to_rq =
 
 let post t e ~category ~cost fn =
   if cost < 0 then invalid_arg "Cpu.post: negative cost";
-  let was_blocked = Queue.is_empty e.queue in
-  Queue.push { cost; category; fn } e.queue;
+  let was_blocked = Sim.Fifo.is_empty e.queue in
+  Sim.Fifo.push e.queue { cost; category; fn };
   let home = t.rqs.(e.cpu) in
   (* Boost-on-wake, like Xen's credit scheduler: a blocked entity that
      receives an event runs ahead of entities burning their timeslice.
@@ -336,7 +336,7 @@ let post t e ~category ~cost fn =
       | None -> home
     in
     e.boosted <- true;
-    Queue.push e rq.boost_fifo;
+    Sim.Fifo.push rq.boost_fifo e;
     dispatch t rq
   end
   else dispatch t t.rqs.(e.cpu)
@@ -344,14 +344,14 @@ let post t e ~category ~cost fn =
 let post_irq t ~cost fn =
   if cost < 0 then invalid_arg "Cpu.post_irq: negative cost";
   let rq = t.rqs.(0) in
-  Queue.push { cost; category = Category.Hypervisor; fn } rq.irq_queue;
+  Sim.Fifo.push rq.irq_queue { cost; category = Category.Hypervisor; fn };
   dispatch t rq
 
 let is_idle t =
   Array.for_all
-    (fun rq -> (not rq.busy) && Queue.is_empty rq.irq_queue)
+    (fun rq -> (not rq.busy) && Sim.Fifo.is_empty rq.irq_queue)
     t.rqs
-  && List.for_all (fun e -> Queue.is_empty e.queue) t.entities
+  && List.for_all (fun e -> Sim.Fifo.is_empty e.queue) t.entities
 
 let total_busy t =
   Array.fold_left (fun acc rq -> Sim.Time.add acc rq.total_busy) 0 t.rqs

@@ -2,6 +2,7 @@ type fault =
   | Seqno_mismatch of { expected : int; got : int }
   | Missing_meta
   | Dma_fault of Bus.Dma_engine.fault
+  | Producer_backwards of { published : int; prod : int }
 
 type dir = Tx | Rx
 
@@ -31,7 +32,7 @@ type ctx = {
   mutable rx_cons : int;
   mutable tx_expected_seqno : int;
   mutable rx_expected_seqno : int;
-  tx_meta : Ethernet.Frame.t Queue.t;
+  tx_meta : Ethernet.Frame.t Sim.Fifo.t;
   (* Scatter/gather assembly: payload fragments of the packet being
      assembled land in [sg_buf[0, sg_len)] (grow-on-demand, reused across
      packets) until a descriptor with the end-of-packet flag arrives.
@@ -41,9 +42,9 @@ type ctx = {
   mutable sg_buf : Bytes.t;
   mutable sg_len : int;
   mutable sg_frag_descs : int;
-  rx_backlog : (Ethernet.Frame.t * int) Queue.t; (* frame, epoch *)
+  rx_backlog : (Ethernet.Frame.t * int) Sim.Fifo.t; (* frame, epoch *)
   mutable tx_completed_unread : int;
-  rx_completions : (int * Ethernet.Frame.t) Queue.t;
+  rx_completions : (int * Ethernet.Frame.t) Sim.Fifo.t;
   mutable tx_frames : int;
   mutable rx_frames : int;
 }
@@ -69,7 +70,7 @@ type t = {
   mutable link : (Ethernet.Link.t * Ethernet.Link.side) option;
   (* Transmit pipeline: fetch stage feeding a small ready FIFO ahead of the
      wire stage. *)
-  ready : (int * int * Ethernet.Frame.t * int * int) Queue.t;
+  ready : (int * int * Ethernet.Frame.t * int * int) Sim.Fifo.t;
   (* ctx id, epoch, frame, reserved bytes, descriptors consumed *)
   (* Each stage has at most one operation in flight ([fetch_busy],
      [wire_busy], [rx_busy]); its state lives in the fields below and
@@ -125,6 +126,11 @@ type t = {
   mutable s_faults : int;
 }
 
+(* The dummies that fill the queues' vacated slots. *)
+let no_backlog = (Ethernet.Frame.placeholder, 0)
+let no_completion = (0, Ethernet.Frame.placeholder)
+let no_ready = (-1, 0, Ethernet.Frame.placeholder, 0, 0)
+
 let make_ctx id =
   {
     id;
@@ -143,13 +149,13 @@ let make_ctx id =
     rx_cons = 0;
     tx_expected_seqno = 0;
     rx_expected_seqno = 0;
-    tx_meta = Queue.create ();
+    tx_meta = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder;
     sg_buf = Bytes.empty;
     sg_len = 0;
     sg_frag_descs = 0;
-    rx_backlog = Queue.create ();
+    rx_backlog = Sim.Fifo.create ~dummy:no_backlog;
     tx_completed_unread = 0;
-    rx_completions = Queue.create ();
+    rx_completions = Sim.Fifo.create ~dummy:no_completion;
     tx_frames = 0;
     rx_frames = 0;
   }
@@ -259,18 +265,23 @@ let tx_work_available (c : ctx) =
 
 (* Round-robin pick of the next context with work, scanning from
    [rr + 1]: the CDNA NIC "services all of the hardware contexts
-   fairly". Returns the context's index, or -1. *)
-let rec scan_ctx t ~has_work i remaining =
+   fairly". Returns the context's index, or -1. [rr] is a context
+   index, so one wrap check per step keeps [j] in range. *)
+let rec scan_ctx t ~has_work j remaining =
   if remaining = 0 then -1
-  else begin
-    let j = i mod Array.length t.ctxs in
-    if has_work t.ctxs.(j) then j else scan_ctx t ~has_work (i + 1) (remaining - 1)
-  end
+  else if has_work t.ctxs.(j) then j
+  else
+    let j = j + 1 in
+    scan_ctx t ~has_work
+      (if j = Array.length t.ctxs then 0 else j)
+      (remaining - 1)
 
-let pick_ctx t ~rr ~has_work = scan_ctx t ~has_work (rr + 1) (Array.length t.ctxs)
+let pick_ctx t ~rr ~has_work =
+  let n = Array.length t.ctxs in
+  scan_ctx t ~has_work (if rr + 1 = n then 0 else rr + 1) n
 
 let rec run_tx_fetch t =
-  if t.fetch_busy || Queue.length t.ready >= ready_depth then ()
+  if t.fetch_busy || Sim.Fifo.length t.ready >= ready_depth then ()
   else
     let i = pick_ctx t ~rr:t.tx_rr ~has_work:tx_work_available in
     if i >= 0 then begin
@@ -364,69 +375,67 @@ and fetch_payload_done t res =
           t.fetch_ctx <- -1;
           run_tx_fetch t
         end
+        else if Sim.Fifo.is_empty c.tx_meta then begin
+          fault t c Tx Missing_meta;
+          abandon_fetch t c
+        end
         else
-          match Queue.take_opt c.tx_meta with
-          | None ->
-              fault t c Tx Missing_meta;
-              abandon_fetch t c
-          | Some frame ->
-              (* The packet is fully assembled. The frame carries whatever
-                 bytes were actually in host memory; a corrupt descriptor
-                 shows up at the receiver as a payload mismatch. One copy
-                 per packet here, since the frame outlives the reusable
-                 assembly buffer. *)
-              let total = c.sg_len in
-              let n_descs = c.sg_frag_descs in
-              c.sg_len <- 0;
-              c.sg_frag_descs <- 0;
-              let frame =
-                if t.cfg.Nic_config.materialize_payloads then
-                  { frame with Ethernet.Frame.data = Some (Bytes.sub c.sg_buf 0 total) }
-                else frame
-              in
-              (* Adjust the optimistic reservation to the real footprint
-                 (TSO super-frames can exceed it). *)
-              let actual = Ethernet.Frame.wire_bytes frame + 20 in
-              let reserved =
-                if actual <= max_frame_bytes then begin
-                  Pkt_buf.release t.tx_buf ~bytes:(max_frame_bytes - actual);
-                  actual
-                end
-                else if
-                  Pkt_buf.try_reserve t.tx_buf ~bytes:(actual - max_frame_bytes)
-                then actual
-                else max_frame_bytes
-              in
-              Queue.push (c.id, epoch, frame, reserved, n_descs) t.ready;
-              t.fetch_busy <- false;
-              t.fetch_ctx <- -1;
-              run_tx_wire t;
-              run_tx_fetch t
+          (* The packet is fully assembled. The frame carries whatever
+             bytes were actually in host memory; a corrupt descriptor
+             shows up at the receiver as a payload mismatch. One copy
+             per packet here, since the frame outlives the reusable
+             assembly buffer. *)
+          let frame = Sim.Fifo.pop c.tx_meta in
+          let total = c.sg_len in
+          let n_descs = c.sg_frag_descs in
+          c.sg_len <- 0;
+          c.sg_frag_descs <- 0;
+          let frame =
+            if t.cfg.Nic_config.materialize_payloads then
+              { frame with Ethernet.Frame.data = Some (Bytes.sub c.sg_buf 0 total) }
+            else frame
+          in
+          (* Adjust the optimistic reservation to the real footprint
+             (TSO super-frames can exceed it). *)
+          let actual = Ethernet.Frame.wire_bytes frame + 20 in
+          let reserved =
+            if actual <= max_frame_bytes then begin
+              Pkt_buf.release t.tx_buf ~bytes:(max_frame_bytes - actual);
+              actual
+            end
+            else if
+              Pkt_buf.try_reserve t.tx_buf ~bytes:(actual - max_frame_bytes)
+            then actual
+            else max_frame_bytes
+          in
+          Sim.Fifo.push t.ready (c.id, epoch, frame, reserved, n_descs);
+          t.fetch_busy <- false;
+          t.fetch_ctx <- -1;
+          run_tx_wire t;
+          run_tx_fetch t
 
 and run_tx_wire t =
   match t.link with
   | None -> ()
   | Some (link, side) ->
-      if t.wire_busy then ()
+      if t.wire_busy || Sim.Fifo.is_empty t.ready then ()
       else begin
-        match Queue.take_opt t.ready with
-        | None -> ()
-        | Some (cid, epoch, frame, reserved, n_descs) ->
-            let c = t.ctxs.(cid) in
-            if c.epoch <> epoch then begin
-              (* Context revoked while staged: shut down the pending op. *)
-              Pkt_buf.release t.tx_buf ~bytes:reserved;
-              run_tx_wire t
-            end
-            else begin
-              t.wire_busy <- true;
-              t.wire_cur <- cid;
-              t.wire_epoch <- epoch;
-              t.wire_descs <- n_descs;
-              t.wire_frame <- frame;
-              t.wire_reserved <- reserved;
-              Ethernet.Link.send link ~from:side frame ~on_wire_free:t.k_wire_free
-            end
+        let cid, epoch, frame, reserved, n_descs = Sim.Fifo.pop t.ready in
+        let c = t.ctxs.(cid) in
+        if c.epoch <> epoch then begin
+          (* Context revoked while staged: shut down the pending op. *)
+          Pkt_buf.release t.tx_buf ~bytes:reserved;
+          run_tx_wire t
+        end
+        else begin
+          t.wire_busy <- true;
+          t.wire_cur <- cid;
+          t.wire_epoch <- epoch;
+          t.wire_descs <- n_descs;
+          t.wire_frame <- frame;
+          t.wire_reserved <- reserved;
+          Ethernet.Link.send link ~from:side frame ~on_wire_free:t.k_wire_free
+        end
       end
 
 and wire_free t () =
@@ -461,7 +470,7 @@ and wire_free t () =
 
 let rx_work_available (c : ctx) =
   c.active && (not c.faulted) && c.rx_ring <> None
-  && (not (Queue.is_empty c.rx_backlog))
+  && (not (Sim.Fifo.is_empty c.rx_backlog))
   && c.rx_use_next < c.rx_prod
 
 let rec run_rx t =
@@ -472,7 +481,7 @@ let rec run_rx t =
       let c = t.ctxs.(i) in
       t.rx_rr <- c.id;
       t.rx_busy <- true;
-      let frame, epoch = Queue.pop c.rx_backlog in
+      let frame, epoch = Sim.Fifo.pop c.rx_backlog in
       if epoch <> c.epoch then begin
         (* Stale after revocation (normally cleared there already). *)
         release_rx_bytes t (Ethernet.Frame.wire_bytes frame);
@@ -570,7 +579,7 @@ and rx_deliver_done t res =
         t.s_rx_bytes <- t.s_rx_bytes + len;
         if len < frame.Ethernet.Frame.payload_len then
           t.s_truncated <- t.s_truncated + 1;
-        Queue.push (t.rx_idx, frame) c.rx_completions;
+        Sim.Fifo.push c.rx_completions (t.rx_idx, frame);
         writeback_status t c;
         t.notify ~ctx:c.id;
         t.rx_busy <- false;
@@ -591,7 +600,7 @@ let on_rx_frame t frame =
   else begin
     let c = t.ctxs.(target) in
     if reserve_rx_bytes t (Ethernet.Frame.wire_bytes frame) then begin
-      Queue.push (frame, c.epoch) c.rx_backlog;
+      Sim.Fifo.push c.rx_backlog (frame, c.epoch);
       run_rx t
     end
     else t.s_overflow <- t.s_overflow + 1
@@ -619,7 +628,7 @@ let create engine ~mem ~dma ~config ~contexts ~dma_context_base ~notify
       rx_buf = Pkt_buf.create ~capacity:config.Nic_config.rx_buffer_bytes;
       rx_scratch = Bytes.empty;
       link = None;
-      ready = Queue.create ();
+      ready = Sim.Fifo.create ~dummy:no_ready;
       fetch_busy = false;
       fetch_ctx = -1;
       fetch_checked = false;
@@ -711,15 +720,15 @@ let deactivate t ~ctx:i =
        context will do so when its completion observes the epoch bump. *)
     if c.sg_frag_descs > 0 && not (Int.equal t.fetch_ctx c.id) then
       Pkt_buf.release t.tx_buf ~bytes:max_frame_bytes;
-    Queue.iter
+    Sim.Fifo.iter
       (fun (frame, _) ->
         release_rx_bytes t (Ethernet.Frame.wire_bytes frame))
       c.rx_backlog;
-    Queue.clear c.rx_backlog;
-    Queue.clear c.tx_meta;
+    Sim.Fifo.clear c.rx_backlog;
+    Sim.Fifo.clear c.tx_meta;
     c.sg_len <- 0;
     c.sg_frag_descs <- 0;
-    Queue.clear c.rx_completions;
+    Sim.Fifo.clear c.rx_completions;
     c.tx_completed_unread <- 0;
     c.tx_ring <- None;
     c.rx_ring <- None;
@@ -777,7 +786,7 @@ let[@cdna.acquires "dp-image"] save_context t ~ctx:i =
   if not c.active then invalid_arg "Dp.save_context: context not active";
   if c.faulted then invalid_arg "Dp.save_context: context faulted";
   let ready_descs = ref 0 and ready_frames = ref [] in
-  Queue.iter
+  Sim.Fifo.iter
     (fun (cid, ep, frame, _reserved, n) ->
       if Int.equal cid i && ep = c.epoch then begin
         ready_descs := !ready_descs + n;
@@ -822,9 +831,9 @@ let[@cdna.acquires "dp-image"] save_context t ~ctx:i =
     sv_rx_cons = c.rx_cons;
     sv_tx_expected_seqno = seq_back c.tx_expected_seqno rollback_seq;
     sv_rx_expected_seqno = c.rx_expected_seqno;
-    sv_tx_meta = ready_frames @ List.of_seq (Queue.to_seq c.tx_meta);
+    sv_tx_meta = ready_frames @ List.of_seq (Sim.Fifo.to_seq c.tx_meta);
     sv_tx_completed_unread = c.tx_completed_unread + wire_descs;
-    sv_rx_completions = List.of_seq (Queue.to_seq c.rx_completions);
+    sv_rx_completions = List.of_seq (Sim.Fifo.to_seq c.rx_completions);
     sv_tx_frames = c.tx_frames + (if wire_descs > 0 then 1 else 0);
     sv_rx_frames = c.rx_frames;
   }
@@ -857,9 +866,9 @@ let[@cdna.releases "dp-image@1"] restore_context t ~ctx:i s =
   c.rx_cons <- s.sv_rx_cons;
   c.tx_expected_seqno <- s.sv_tx_expected_seqno;
   c.rx_expected_seqno <- s.sv_rx_expected_seqno;
-  List.iter (fun f -> Queue.push f c.tx_meta) s.sv_tx_meta;
+  List.iter (Sim.Fifo.push c.tx_meta) s.sv_tx_meta;
   c.tx_completed_unread <- s.sv_tx_completed_unread;
-  List.iter (fun it -> Queue.push it c.rx_completions) s.sv_rx_completions;
+  List.iter (Sim.Fifo.push c.rx_completions) s.sv_rx_completions;
   c.tx_frames <- s.sv_tx_frames;
   c.rx_frames <- s.sv_rx_frames;
   (* Completions that were pending at save time may have had their
@@ -890,19 +899,27 @@ let set_expected_seqno t ~ctx:i ~tx ~rx =
   c.tx_expected_seqno <- tx mod seqno_mod;
   c.rx_expected_seqno <- rx mod seqno_mod
 
+(* A producer index is the guest's to write, so one that goes backwards
+   faults the guest's context rather than the simulation. *)
 let tx_doorbell t ~ctx:i ~prod =
   let c = ctx t i in
-  if prod < c.tx_prod then invalid_arg "Dp.tx_doorbell: producer went backwards";
-  c.tx_prod <- prod;
-  run_tx_fetch t
+  if prod < c.tx_prod then
+    fault t c Tx (Producer_backwards { published = c.tx_prod; prod })
+  else begin
+    c.tx_prod <- prod;
+    run_tx_fetch t
+  end
 
 let rx_doorbell t ~ctx:i ~prod =
   let c = ctx t i in
-  if prod < c.rx_prod then invalid_arg "Dp.rx_doorbell: producer went backwards";
-  c.rx_prod <- prod;
-  run_rx t
+  if prod < c.rx_prod then
+    fault t c Rx (Producer_backwards { published = c.rx_prod; prod })
+  else begin
+    c.rx_prod <- prod;
+    run_rx t
+  end
 
-let stage_tx_meta t ~ctx:i frame = Queue.push frame (ctx t i).tx_meta
+let stage_tx_meta t ~ctx:i frame = Sim.Fifo.push (ctx t i).tx_meta frame
 
 let take_tx_completions t ~ctx:i =
   let c = ctx t i in
@@ -913,15 +930,12 @@ let take_tx_completions t ~ctx:i =
 let take_rx_completions t ~ctx:i ~max =
   let c = ctx t i in
   let rec drain n acc =
-    if n = 0 then List.rev acc
-    else
-      match Queue.take_opt c.rx_completions with
-      | None -> List.rev acc
-      | Some item -> drain (n - 1) (item :: acc)
+    if n = 0 || Sim.Fifo.is_empty c.rx_completions then List.rev acc
+    else drain (n - 1) (Sim.Fifo.pop c.rx_completions :: acc)
   in
   drain max []
 
-let rx_completions_pending t ~ctx:i = Queue.length (ctx t i).rx_completions
+let rx_completions_pending t ~ctx:i = Sim.Fifo.length (ctx t i).rx_completions
 let rx_congested t = t.congested
 let set_uncongested_hook t f = t.uncongested_hook <- f
 

@@ -39,6 +39,9 @@ type fault =
   | Seqno_mismatch of { expected : int; got : int }
   | Missing_meta  (** Descriptor with no staged packet metadata. *)
   | Dma_fault of Bus.Dma_engine.fault
+  | Producer_backwards of { published : int; prod : int }
+      (** A doorbell whose producer index [prod] is below the one
+          already [published]. *)
 
 (** Direction of the ring a doorbell/fault refers to. *)
 type dir = Tx | Rx
@@ -127,7 +130,9 @@ val set_expected_seqno : t -> ctx:int -> tx:int -> rx:int -> unit
 (** {1 Doorbells (from mailbox writes)} *)
 
 (** [tx_doorbell t ~ctx ~prod] publishes the driver's new transmit
-    producer index (free-running). *)
+    producer index (free-running). A [prod] below the published one
+    faults the context ([Producer_backwards]) and leaves its state as it
+    was. *)
 val tx_doorbell : t -> ctx:int -> prod:int -> unit
 
 val rx_doorbell : t -> ctx:int -> prod:int -> unit

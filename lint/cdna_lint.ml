@@ -14,7 +14,10 @@
    - (H) Hot-path cost: a [@cdna.hot] body may not call the polymorphic
      [compare], [min] or [max]. Each call is a C call to [compare_val]
      per invocation; [Int.compare], [Int.min] and [Int.max] compile to
-     inline integer code.
+     inline integer code. And no module may use [Stdlib.Queue], whose
+     popped cells stay linked to the queue's tail: once the tail is
+     promoted, every value pushed after it is promoted too ([Sim.Fifo]
+     releases what it pops).
    - (P) Protection boundaries: page-ownership and IOMMU-permission
      mutation is confined to the hypervisor-side layers, and the NIC /
      guest-OS layers reach guest memory only through [Bus.Dma_engine]
@@ -57,6 +60,7 @@ let rule_a3 = "A3-alloc-call"
 let rule_a4 = "A4-partial-app"
 let rule_a5 = "A5-boxed-arith"
 let rule_h1 = "H1-hot-poly-compare"
+let rule_h2 = "H2-stdlib-queue"
 let rule_p1 = "P1-ownership-boundary"
 let rule_p2 = "P2-guest-memory-boundary"
 let rule_s1 = "S1-suppression-reason"
@@ -242,6 +246,12 @@ let analyze (p : Program.t) =
     in
     let name c =
       let k = shown c in
+      if String.equal (module_of c) "Queue" then
+        report rule_h2
+          (Printf.sprintf
+             "%s: Stdlib.Queue keeps popped values reachable and promotes \
+              them; use Sim.Fifo"
+             k);
       if SSet.mem c poly_idents then
         report rule_d2
           (Printf.sprintf

@@ -224,7 +224,6 @@ let alloc_allowlist =
          a new domain (one-time init, like Lazy.force). *)
       "DLS.get";
       "Hashtbl.mem"; "Hashtbl.remove"; "Hashtbl.length";
-      "Queue.length"; "Queue.is_empty"; "Queue.pop"; "Queue.take";
       "Stdlib.min"; "Stdlib.max"; "Stdlib.abs"; "Stdlib.succ";
       "Stdlib.pred"; "Stdlib.not"; "Stdlib.ignore"; "Stdlib.fst";
       "Stdlib.snd"; "Stdlib.incr"; "Stdlib.decr"; "Stdlib.ref";

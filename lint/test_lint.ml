@@ -54,6 +54,11 @@ let test_hot_poly_order () =
       "D2-poly-compare"; "A3-alloc-call";
     ]
 
+let test_hot_stdlib_queue () =
+  check_rules "Stdlib.Queue barred" "hot_stdlib_queue"
+    [ "H2-stdlib-queue"; "H2-stdlib-queue"; "H2-stdlib-queue";
+      "H2-stdlib-queue" ]
+
 (* ---------- zero-alloc family ---------- *)
 
 let test_alloc_construct () =
@@ -162,7 +167,7 @@ let test_gate_per_suppression () =
                  ( k,
                    Sim.Json.Obj
                      [
-                       ("cdna.alloc_ok", Sim.Json.Int 17);
+                       ("cdna.alloc_ok", Sim.Json.Int 18);
                        ("cdna.privileged", Sim.Json.Int 1);
                        ("cdna.protection_ok", Sim.Json.Int 7);
                        ("cdna.unordered_ok", Sim.Json.Int 1);
@@ -215,8 +220,10 @@ let () =
           Alcotest.test_case "sprintf outside raise" `Quick test_alloc_sprintf;
         ] );
       ( "hot-path cost",
-        [ Alcotest.test_case "poly compare/min/max" `Quick test_hot_poly_order ]
-      );
+        [
+          Alcotest.test_case "poly compare/min/max" `Quick test_hot_poly_order;
+          Alcotest.test_case "Stdlib.Queue" `Quick test_hot_stdlib_queue;
+        ] );
       ( "protection",
         [
           Alcotest.test_case "ownership" `Quick test_prot_ownership;

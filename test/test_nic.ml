@@ -504,15 +504,46 @@ let test_dp_rx_waits_for_descriptors () =
     (Nic.Dp.rx_completions_pending fx.dp ~ctx:0)
 
 let test_dp_doorbell_monotonicity () =
+  (* A producer index that goes backwards is guest input: it faults the
+     context it names, on either ring, instead of raising. *)
   let fx = dp_fixture () in
   let _ = attach_driver fx ~ctx:0 ~mac:(Ethernet.Mac_addr.make 1) in
+  let d1 = attach_driver fx ~ctx:1 ~mac:(Ethernet.Mac_addr.make 2) in
   Nic.Dp.tx_doorbell fx.dp ~ctx:0 ~prod:0;
-  Alcotest.check_raises "tx backwards"
-    (Invalid_argument "Dp.tx_doorbell: producer went backwards") (fun () ->
-      Nic.Dp.tx_doorbell fx.dp ~ctx:0 ~prod:(-1));
-  Alcotest.check_raises "rx backwards"
-    (Invalid_argument "Dp.rx_doorbell: producer went backwards") (fun () ->
-      Nic.Dp.rx_doorbell fx.dp ~ctx:0 ~prod:0)
+  Nic.Dp.tx_doorbell fx.dp ~ctx:0 ~prod:(-1);
+  check_bool "tx backwards faults ctx0" true (Nic.Dp.is_faulted fx.dp ~ctx:0);
+  Nic.Dp.rx_doorbell fx.dp ~ctx:1 ~prod:(d1.rx_prod - 1);
+  check_bool "rx backwards faults ctx1" true (Nic.Dp.is_faulted fx.dp ~ctx:1);
+  match List.rev !(fx.faults) with
+  | [
+   ( 0,
+     Nic.Dp.Tx,
+     Nic.Dp.Producer_backwards { published = 0; prod = -1 } );
+   (1, Nic.Dp.Rx, Nic.Dp.Producer_backwards { published = 8; prod = 7 });
+  ] ->
+      ()
+  | fs -> Alcotest.failf "expected two Producer_backwards faults, got %d" (List.length fs)
+
+let test_dp_backwards_doorbell_isolated () =
+  (* One context rewinding its transmit producer faults that context
+     only: the run goes on and the neighbour's frames reach the wire. *)
+  let fx = dp_fixture ~contexts:2 () in
+  let d0 = attach_driver fx ~ctx:0 ~mac:(Ethernet.Mac_addr.make 1) in
+  let d1 = attach_driver fx ~ctx:1 ~mac:(Ethernet.Mac_addr.make 2) in
+  let got = ref [] in
+  Ethernet.Link.attach fx.link Ethernet.Link.B (fun f -> got := f :: !got);
+  send_one fx d0 ();
+  send_one fx d0 ();
+  Nic.Dp.tx_doorbell fx.dp ~ctx:0 ~prod:(d0.tx_prod - 1);
+  send_one fx d1 ();
+  send_one fx d1 ();
+  run fx 2;
+  check_bool "ctx0 faulted" true (Nic.Dp.is_faulted fx.dp ~ctx:0);
+  check_bool "ctx1 healthy" false (Nic.Dp.is_faulted fx.dp ~ctx:1);
+  check_int "ctx1 delivered" 2 (ctx_tx_frames fx ~ctx:1);
+  check_int "ctx1's frames on the wire" 2
+    (List.length
+       (List.filter (fun f -> f.Ethernet.Frame.flow = 1) !got))
 
 let test_dp_congestion_watermarks () =
   (* Fill the receive buffer of a descriptor-less context past the high
@@ -1121,6 +1152,8 @@ let suite =
         Alcotest.test_case "rx waits for descriptors" `Quick
           test_dp_rx_waits_for_descriptors;
         Alcotest.test_case "doorbell monotonicity" `Quick test_dp_doorbell_monotonicity;
+        Alcotest.test_case "backwards doorbell isolated" `Quick
+          test_dp_backwards_doorbell_isolated;
         Alcotest.test_case "congestion watermarks" `Quick test_dp_congestion_watermarks;
         Alcotest.test_case "compact descriptor layout" `Quick
           test_dp_compact_descriptor_layout;

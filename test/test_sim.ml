@@ -1,5 +1,5 @@
 (* Tests for the discrete-event simulation substrate: Sim.Time, Sim.Heap,
-   Sim.Engine, Sim.Rng, Sim.Stats. *)
+   Sim.Fifo, Sim.Engine, Sim.Rng, Sim.Stats. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -150,6 +150,195 @@ let prop_heap_sorts =
       List.iter (fun v -> Sim.Heap.push h ~key:v v) xs;
       let out = List.init (List.length xs) (fun _ -> Sim.Heap.pop_exn h) in
       out = List.sort Int.compare xs)
+
+(* ---------- Fifo ---------- *)
+
+type fifo_op =
+  | Push of int
+  | Push_run of int (* that many pushes: crosses chunk boundaries *)
+  | Pop
+  | Pop_run of int
+  | Peek
+  | Clear
+  | To_aux (* transfer main -> aux *)
+  | From_aux (* transfer aux -> main *)
+
+let fifo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun x -> Push x) small_int);
+        (2, map (fun n -> Push_run n) (int_range 1 150));
+        (4, return Pop);
+        (2, map (fun n -> Pop_run n) (int_range 1 150));
+        (2, return Peek);
+        (1, return Clear);
+        (1, return To_aux);
+        (1, return From_aux);
+      ])
+
+let fifo_op_print = function
+  | Push x -> Printf.sprintf "Push %d" x
+  | Push_run n -> Printf.sprintf "Push_run %d" n
+  | Pop -> "Pop"
+  | Pop_run n -> Printf.sprintf "Pop_run %d" n
+  | Peek -> "Peek"
+  | Clear -> "Clear"
+  | To_aux -> "To_aux"
+  | From_aux -> "From_aux"
+
+(* Every operation, run on a [Sim.Fifo] pair and a [Stdlib.Queue] pair,
+   returns the same values and leaves the same contents, as read by
+   [length], [iter] and [to_seq]. Runs of up to 150 pushes and pops move
+   the head and tail across 64-slot chunks and through the spare. *)
+let prop_fifo_matches_queue =
+  QCheck.Test.make ~name:"fifo matches Stdlib.Queue" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list fifo_op_print)
+        Gen.(list_size (int_range 1 200) fifo_op_gen))
+    (fun ops ->
+      let f = Sim.Fifo.create ~dummy:(-1) and aux = Sim.Fifo.create ~dummy:(-1) in
+      let q = Queue.create () and qaux = Queue.create () in
+      let next = ref 0 in
+      let pop_both () =
+        let a = if Sim.Fifo.is_empty f then None else Some (Sim.Fifo.pop f) in
+        a = Queue.take_opt q
+      in
+      let same_contents f q =
+        let via_iter = ref [] in
+        Sim.Fifo.iter (fun x -> via_iter := x :: !via_iter) f;
+        let expected = List.of_seq (Queue.to_seq q) in
+        Sim.Fifo.length f = Queue.length q
+        && Sim.Fifo.is_empty f = Queue.is_empty q
+        && List.rev !via_iter = expected
+        && List.of_seq (Sim.Fifo.to_seq f) = expected
+      in
+      List.for_all
+        (fun op ->
+          let result =
+            match op with
+            | Push x ->
+                Sim.Fifo.push f x;
+                Queue.push x q;
+                true
+            | Push_run n ->
+                for _ = 1 to n do
+                  incr next;
+                  Sim.Fifo.push f !next;
+                  Queue.push !next q
+                done;
+                true
+            | Pop -> pop_both ()
+            | Pop_run n -> List.for_all pop_both (List.init n (fun _ -> ()))
+            | Peek ->
+                (if Sim.Fifo.is_empty f then None else Some (Sim.Fifo.peek f))
+                = Queue.peek_opt q
+            | Clear ->
+                Sim.Fifo.clear f;
+                Queue.clear q;
+                true
+            | To_aux ->
+                Sim.Fifo.transfer f aux;
+                Queue.transfer q qaux;
+                true
+            | From_aux ->
+                Sim.Fifo.transfer aux f;
+                Queue.transfer qaux q;
+                true
+          in
+          result && same_contents f q && same_contents aux qaux)
+        ops)
+
+let test_fifo_empty () =
+  let f = Sim.Fifo.create ~dummy:0 in
+  Alcotest.check_raises "pop" (Invalid_argument "Fifo.pop: empty queue")
+    (fun () -> ignore (Sim.Fifo.pop f));
+  Alcotest.check_raises "peek" (Invalid_argument "Fifo.peek: empty queue")
+    (fun () -> ignore (Sim.Fifo.peek f));
+  Sim.Fifo.push f 1;
+  check_int "pop" 1 (Sim.Fifo.pop f);
+  Alcotest.check_raises "pop after drain"
+    (Invalid_argument "Fifo.pop: empty queue") (fun () ->
+      ignore (Sim.Fifo.pop f))
+
+(* Out-of-line, like [heap_push_pop_tracked]: only the FIFO's slots could
+   keep the popped block alive. *)
+let[@inline never] fifo_push_pop_tracked f w =
+  let v = Bytes.create 64 in
+  Weak.set w 0 (Some v);
+  Sim.Fifo.push f v;
+  Sim.Fifo.push f (Bytes.create 1);
+  ignore (Sim.Fifo.pop f)
+
+let test_fifo_no_pin () =
+  (* The FIFO stays non-empty and live, so the popped block's chunk is
+     still in use: only the dummy written over its slot releases it. *)
+  let f = Sim.Fifo.create ~dummy:Bytes.empty in
+  let w = Weak.create 1 in
+  fifo_push_pop_tracked f w;
+  Gc.full_major ();
+  check_bool "fifo retains popped value" false (Weak.check w 0);
+  check_int "the other block stays queued" 1 (Sim.Fifo.length f)
+
+(* Words promoted while [n] fresh blocks cycle through a queue that
+   [push]/[pop] keep [depth] deep, with a forced minor collection every
+   [every] cycles. *)
+let promoted_by_cycle ~push ~pop ~n ~depth ~every =
+  for i = 1 to depth do
+    push (ref i)
+  done;
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to n do
+    push (ref i);
+    ignore (pop ());
+    if i mod every = 0 then Gc.minor ()
+  done;
+  (Gc.quick_stat ()).Gc.promoted_words -. before
+
+let test_fifo_promotes_only_queued () =
+  (* A [ref] is 2 words with its header. Each forced minor collection
+     may promote the [depth] blocks still queued, never the ones already
+     popped. [Stdlib.Queue]'s figure, printed beside it, is every block
+     with its cell. *)
+  let n = 100_000 and depth = 16 and every = 1_000 in
+  let f = Sim.Fifo.create ~dummy:(ref 0) in
+  let fifo =
+    promoted_by_cycle ~n ~depth ~every
+      ~push:(Sim.Fifo.push f)
+      ~pop:(fun () -> Sim.Fifo.pop f)
+  in
+  let q = Queue.create () in
+  let queue =
+    promoted_by_cycle ~n ~depth ~every
+      ~push:(fun x -> Queue.push x q)
+      ~pop:(fun () -> Queue.pop q)
+  in
+  Printf.printf "promoted words over %d cycles: Sim.Fifo %.0f, Stdlib.Queue %.0f\n"
+    n fifo queue;
+  let bound = float_of_int (n / every * depth * 2 * 2) in
+  check_bool
+    (Printf.sprintf "fifo promoted %.0f words, at most %.0f" fifo bound)
+    true (fifo <= bound)
+
+let test_fifo_steady_cycle_allocates_nothing () =
+  (* Once the two chunks a cycling queue needs exist, the drained one
+     is reused as the spare. *)
+  let f = Sim.Fifo.create ~dummy:0 in
+  for i = 1 to 100 do
+    Sim.Fifo.push f i
+  done;
+  for i = 1 to 200 do
+    Sim.Fifo.push f i;
+    ignore (Sim.Fifo.pop f)
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Sim.Fifo.push f i;
+    ignore (Sim.Fifo.pop f)
+  done;
+  check (Alcotest.float 0.) "minor words" 0. (Gc.minor_words () -. before)
 
 (* ---------- Engine ---------- *)
 
@@ -654,6 +843,16 @@ let suite =
         Alcotest.test_case "exn accessors" `Quick test_heap_exn_accessors;
         Alcotest.test_case "pop releases value" `Quick test_heap_no_pin;
         qcheck prop_heap_sorts;
+      ] );
+    ( "sim.fifo",
+      [
+        qcheck prop_fifo_matches_queue;
+        Alcotest.test_case "empty" `Quick test_fifo_empty;
+        Alcotest.test_case "pop releases value" `Quick test_fifo_no_pin;
+        Alcotest.test_case "promotes only what is queued" `Quick
+          test_fifo_promotes_only_queued;
+        Alcotest.test_case "steady cycle allocates nothing" `Quick
+          test_fifo_steady_cycle_allocates_nothing;
       ] );
     ( "sim.engine",
       [
