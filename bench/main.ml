@@ -161,6 +161,46 @@ let histogram_multi_quantile_fn =
   let out = Array.make (Array.length qs) 0 in
   fun () -> Sim.Stats.Histogram.quantiles_into h qs out
 
+(* Context paging on one slot of a CDNA datapath: guest A's record is
+   detached and guest B's attached, then back, each guest with two
+   frames of metadata staged. The warm-up moves each meta queue's head
+   across a chunk, so every queue has its spare, and the free list holds
+   its record: a round trip then allocates nothing. *)
+let ctx_swap_fn =
+  let engine = Sim.Engine.create () in
+  let mem = Memory.Phys_mem.create ~total_pages:4 () in
+  let dp =
+    Nic.Dp.create engine ~mem
+      ~dma:(Bus.Dma_engine.create engine ~mem ())
+      ~config:Cdna.Cnic.default_config ~contexts:1 ~dma_context_base:0
+      ~notify:(fun ~ctx:_ -> ())
+      ~on_fault:(fun ~ctx:_ _ _ -> ())
+      ()
+  in
+  let stage_two mac =
+    Nic.Dp.activate dp ~ctx:0 ~mac:(Ethernet.Mac_addr.make mac);
+    for seq = 0 to 1 do
+      Nic.Dp.stage_tx_meta dp ~ctx:0
+        (Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make mac)
+           ~dst:(Ethernet.Mac_addr.make 99) ~kind:Ethernet.Frame.Data ~flow:0
+           ~seq ~payload_len:1500 ~payload_seed:seq ())
+    done
+  in
+  stage_two 1;
+  let a = Nic.Dp.detach dp ~ctx:0 in
+  stage_two 2;
+  let swap a =
+    let b = Nic.Dp.detach dp ~ctx:0 in
+    Nic.Dp.attach dp ~ctx:0 a;
+    b
+  in
+  let parked = ref a in
+  let round_trip () = parked := swap (swap !parked) in
+  for _ = 1 to 64 do
+    round_trip ()
+  done;
+  round_trip
+
 (* Whole runs, each a short-window copy of a paper scenario. A run that
    stops doing the work it is here to time fails instead of getting
    faster. *)
@@ -246,6 +286,7 @@ let subjects =
     ("micro/bridge-route-26-ports", bridge_route_fn);
     ("micro/flow-admit-1M", flow_admit_1m_fn);
     ("micro/histogram-multi-quantile", histogram_multi_quantile_fn);
+    ("micro/ctx-swap", ctx_swap_fn);
     ("e2e/cdna-1g", cdna_1g_fn);
     ("e2e/cdna-64g-paging", cdna_64g_paging_fn);
     ("e2e/open-loop-100k", open_loop_100k_fn);

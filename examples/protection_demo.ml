@@ -73,6 +73,7 @@ let await engine f =
 let describe_error = function
   | `Not_owner pfn -> Printf.sprintf "Not_owner(pfn %d)" pfn
   | `Bad_length -> "Bad_length"
+  | `Bad_ring_size -> "Bad_ring_size"
   | `Ring_full -> "Ring_full"
   | `Ring_unregistered -> "Ring_unregistered"
   | `Revoked -> "Revoked"

@@ -25,7 +25,7 @@ type t = {
   pio_doorbell : Sim.Time.t;  (** Guest's mailbox write after enqueue. *)
   context_swap : Sim.Time.t;
       (** Paging one hardware context out and another in when guests
-          oversubscribe the NIC's context slots: mailbox-partition copy,
-          ring-register save/restore and firmware-scratch reload, charged
-          to the hypervisor on the faulting guest's path. *)
+          oversubscribe the NIC's context slots: mailbox-partition copy and
+          ring-register save/restore, charged to the hypervisor on the
+          faulting guest's path. *)
 }

@@ -81,26 +81,17 @@ let free_context t =
   in
   scan 0
 
-(* Context paging: the full per-context hardware image is the datapath's
-   architectural state, the SRAM mailbox partition and the firmware's
-   ring-geometry scratch. *)
-type saved_context = {
-  sc_dp : Nic.Dp.saved_ctx;
-  sc_mailbox : Nic.Mailbox.saved_partition;
-  sc_firmware : Nic.Firmware.saved_scratch;
-}
-
-let save_context t ~ctx ~mailbox =
-  let sc_dp = Nic.Dp.save_context (dp t) ~ctx in
+(* Context paging: a hardware context's image is its datapath record
+   plus its SRAM mailbox partition, which goes to the guest's save area
+   (the slot's next owner must see zeroes). *)
+let page_out t ~ctx ~mailbox =
+  let image = Nic.Dp.detach (dp t) ~ctx in
   Nic.Mailbox.save_partition (Nic.Firmware.mailbox t.firmware) ~ctx mailbox;
-  let sc_firmware = Nic.Firmware.save_scratch t.firmware ~ctx in
-  { sc_dp; sc_mailbox = mailbox; sc_firmware }
+  image
 
-let restore_context_image t ~ctx s =
-  Nic.Firmware.restore_scratch t.firmware ~ctx s.sc_firmware;
-  Nic.Mailbox.restore_partition (Nic.Firmware.mailbox t.firmware) ~ctx
-    s.sc_mailbox;
-  Nic.Dp.restore_context (dp t) ~ctx s.sc_dp
+let page_in t ~ctx ~mailbox image =
+  Nic.Mailbox.restore_partition (Nic.Firmware.mailbox t.firmware) ~ctx mailbox;
+  Nic.Dp.attach (dp t) ~ctx image
 
 let register_metrics t m ~labels =
   Nic.Shell.register_metrics t.shell m ~labels;

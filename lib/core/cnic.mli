@@ -8,7 +8,7 @@
     is CDNA's: interrupt delivery by DMA-ing an interrupt bit vector into
     the hypervisor's circular buffer before raising the physical
     interrupt, guest-specific fault reports, and the context image that
-    hypervisor-mediated paging saves and restores.
+    hypervisor-mediated paging moves between slots.
 
     Context control ({!Nic.Dp.activate}, {!Nic.Dp.deactivate}, ring
     programming, {!Nic.Firmware.region}) is privileged: only the
@@ -50,21 +50,22 @@ val intr_vector : t -> Intr_vector.t
     until it is deactivated and must not be handed out. *)
 val free_context : t -> int option
 
-(** Opaque full image of one hardware context (datapath architectural
-    state + SRAM mailbox partition + firmware scratch), the unit of
-    hypervisor-mediated context paging. *)
-type saved_context
+(** {1 Context paging}
 
-(** [save_context t ~ctx ~mailbox] snapshots an active context's image,
-    its SRAM partition into the guest's save area [mailbox], and scrubs
-    the partition and firmware scratch; the caller must then revoke the
-    context (which resets the datapath slot). *)
-val save_context :
-  t -> ctx:int -> mailbox:Nic.Mailbox.saved_partition -> saved_context
+    A hardware context's image is its datapath record ({!Nic.Dp.arch})
+    plus its SRAM mailbox partition, held in the guest's save area. *)
 
-(** [restore_context_image t ~ctx s] installs a saved image on a reset
-    slot (any slot — not necessarily the one it was saved from). *)
-val restore_context_image : t -> ctx:int -> saved_context -> unit
+(** [page_out t ~ctx ~mailbox] detaches an active context's record (see
+    {!Nic.Dp.detach}), which resets the slot, and moves its SRAM
+    partition into [mailbox], scrubbing the partition. *)
+val page_out :
+  t -> ctx:int -> mailbox:Nic.Mailbox.saved_partition -> Nic.Dp.arch
+
+(** [page_in t ~ctx ~mailbox a] restores the partition from [mailbox] and
+    attaches [a] on a reset slot: any slot, not necessarily the one it
+    was paged out of. *)
+val page_in :
+  t -> ctx:int -> mailbox:Nic.Mailbox.saved_partition -> Nic.Dp.arch -> unit
 
 val set_fault_handler :
   t -> (ctx:int -> Nic.Dp.dir -> Nic.Dp.fault -> unit) -> unit

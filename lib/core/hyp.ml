@@ -8,6 +8,7 @@ type dir = Tx | Rx
 type enqueue_error =
   [ `Not_owner of Memory.Addr.pfn
   | `Bad_length
+  | `Bad_ring_size
   | `Ring_full
   | `Ring_unregistered
   | `Revoked ]
@@ -59,9 +60,10 @@ type ctx_handle = {
   tx : ring_state;
   rx : ring_state;
   mutable status_addr : Memory.Addr.t option;
-  (* Context-paging state. *)
+  (* Context-paging state. [image] is the guest's datapath record: on
+     slot [ctx] while resident, handed back by each page-out. *)
   mutable resident : bool;
-  mutable saved : Cnic.saved_context option;
+  mutable image : Nic.Dp.arch;
   mutable last_use : int; (* LRU clock value of the last hardware access *)
   (* Ring/status pages granted in IOMMU mode (pins track data pages). *)
   mutable granted_extra : Memory.Addr.pfn list;
@@ -272,8 +274,8 @@ let iommu_grants_apply t h ~f =
       List.iter apply h.granted_extra
   | _ -> ()
 
-(* Swap a resident context out to its handle's save area: snapshot the
-   hardware image, revoke the guest's partition mapping, reset the slot.
+(* Swap a resident context out: take its record and partition off the
+   slot, which that resets, and revoke the guest's partition mapping.
    Page pins are kept — the guest still owns its rings and buffers; only
    the hardware residency changes (paper-style revocation plus SuperNIC's
    oversubscription argument). *)
@@ -283,17 +285,14 @@ let page_out t victim =
       Printf.sprintf "page-out dom%d ctx%d"
         (Xen.Domain.id victim.guest)
         victim.ctx);
-  let image =
-    Cnic.save_context nic ~ctx:victim.ctx ~mailbox:victim.mailbox_save
-  in
+  victim.image <-
+    Cnic.page_out nic ~ctx:victim.ctx ~mailbox:victim.mailbox_save;
   Bus.Mmio.revoke victim.mapping;
-  Nic.Dp.deactivate (Cnic.dp nic) ~ctx:victim.ctx;
   (* The slot's DMA context will belong to the next occupant: the victim's
      IOMMU grants must not let the newcomer reach the victim's pages. *)
   iommu_grants_apply t victim ~f:Memory.Iommu.revoke;
   let slots = slots_of t nic in
   slots.(victim.ctx) <- None;
-  victim.saved <- Some image;
   victim.resident <- false;
   t.ctx_swaps <- t.ctx_swaps + 1
 
@@ -315,7 +314,7 @@ let pick_victim t nic =
   !best
 
 (* Bring a paged-out context back: free (or steal) a slot, rebind the
-   mapping and live interface, restore the saved image, and charge the
+   mapping and live interface, move the image onto it, and charge the
    swap work to the faulting guest as hypervisor time. *)
 let page_in t h =
   let nic = h.nic in
@@ -334,19 +333,13 @@ let page_in t h =
     | Some c -> c
     | None -> invalid_arg "Cdna.Hyp: no free context after eviction"
   in
-  let image =
-    match h.saved with
-    | Some s -> s
-    | None -> invalid_arg "Cdna.Hyp: page_in without saved image"
-  in
-  h.saved <- None;
   h.ctx <- ctx;
   let fw = Cnic.firmware nic in
   h.mapping <- Bus.Mmio.map (Nic.Firmware.region fw ~ctx);
   h.hw_live <- Nic.Firmware.driver_if fw ~ctx ~mapping:h.mapping;
-  (* Grants must be installed before the restore kicks the DMA engines. *)
+  (* Grants must be installed before the page-in kicks the DMA engines. *)
   iommu_grants_apply t h ~f:Memory.Iommu.grant;
-  Cnic.restore_context_image nic ~ctx image;
+  Cnic.page_in nic ~ctx ~mailbox:h.mailbox_save h.image;
   let slots = slots_of t nic in
   slots.(ctx) <- Some h;
   h.resident <- true;
@@ -356,7 +349,7 @@ let page_in t h =
         (Xen.Domain.id h.guest)
         ctx
         (if evicted then " (evicted lru)" else ""));
-  (* The restore itself is instantaneous hardware state surgery; its CPU
+  (* The page-in itself is instantaneous hardware state surgery; its CPU
      cost (partition copy, register writes) is charged post-hoc on the
      guest's vcpu, like the unpin delta in [enqueue]. *)
   let n_swaps = if evicted then 2 else 1 in
@@ -441,7 +434,6 @@ let assign_context t ~nic ~guest ~mac ~isr_cost =
           ~handler:(fun () -> !handler ())
       in
       Nic.Dp.activate dp ~ctx ~mac;
-      Nic.Dp.set_expected_seqno dp ~ctx ~tx:0 ~rx:0;
       let live = Nic.Firmware.driver_if fw ~ctx ~mapping in
       t.use_clock <- t.use_clock + 1;
       let h =
@@ -462,7 +454,7 @@ let assign_context t ~nic ~guest ~mac ~isr_cost =
           rx = fresh_ring_state ();
           status_addr = None;
           resident = true;
-          saved = None;
+          image = Nic.Dp.arch_of dp ~ctx;
           last_use = t.use_clock;
           granted_extra = [];
           mailbox_save = Nic.Mailbox.save_area ();
@@ -515,8 +507,7 @@ let revoke t h =
     if h.resident then begin
       Bus.Mmio.revoke h.mapping;
       Nic.Dp.deactivate (Cnic.dp h.nic) ~ctx:h.ctx
-    end
-    else h.saved <- None;
+    end;
     unpin_all t h h.tx;
     unpin_all t h h.rx;
     if h.resident then begin
@@ -616,15 +607,18 @@ let validate_and_grant t h pfns ~program k =
 let register_ring t h dir ~base ~slots k =
   let cost = t.costs.Cdna_costs.map_context in
   Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost (fun () ->
+      (* The ring size is the guest's to choose: one that [Ring.create]
+         would reject fails this call, not the simulation. *)
       if h.revoked then k (Error `Revoked)
+      else if
+        slots < 2 || slots > Seqno.max_ring_slots || slots land (slots - 1) <> 0
+      then k (Error `Bad_ring_size)
       else begin
         ensure_resident t h;
         let ring =
           Nic.Ring.create ~base ~slots
             ~desc_bytes:(desc_layout h).Memory.Desc_layout.size ()
         in
-        if slots > Seqno.max_ring_slots then
-          invalid_arg "Cdna.Hyp.register_ring: ring too large for seqno space";
         let pfns =
           Memory.Addr.pages_spanned ~addr:base
             ~len:(Nic.Ring.size_bytes ring)

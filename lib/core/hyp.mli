@@ -43,11 +43,12 @@ val xen : t -> Xen.Hypervisor.t
 
     With paging on, {!assign_context} no longer fails when every
     hardware context is taken: the least-recently-used resident context is
-    {e paged out} — its full hardware image (mailbox partition, ring
-    registers, expected seqnos, firmware scratch) saved to a per-guest
-    area, its partition mapping revoked, the slot reset. The next hardware
-    access by the paged-out guest faults the context back in on a free (or
-    freshly evicted) slot, transparently to the guest driver: transmit
+    {e paged out} — its datapath record (ring registers, cursors,
+    expected seqnos, staged work) taken off the slot, which is reset, its
+    mailbox partition moved to a per-guest area and its partition mapping
+    revoked. The next hardware access by the paged-out guest faults the
+    context back in on a free (or freshly evicted) slot, transparently to
+    the guest driver: transmit
     state is restored losslessly, receive losses are recovered by peer
     retransmission. Each save or restore costs
     {!Cdna_costs.t.context_swap} of hypervisor time, charged to the guest
@@ -67,14 +68,17 @@ type ctx_handle
 type enqueue_error =
   [ `Not_owner of Memory.Addr.pfn  (** Validation failed on this page. *)
   | `Bad_length  (** A descriptor's length is negative. *)
+  | `Bad_ring_size
+    (** A ring size that is not a power of two in
+        [\[2, Seqno.max_ring_slots\]]. *)
   | `Ring_full
   | `Ring_unregistered
   | `Revoked ]
 
 (** [assign_context t ~nic ~guest ~mac ~isr_cost] picks a free hardware
-    context, maps its partition into [guest], activates it, resets
-    sequence numbers and binds an event channel (virtual ISR cost
-    [isr_cost]). *)
+    context, maps its partition into [guest], activates it (a free
+    context's sequence numbers are 0) and binds an event channel
+    (virtual ISR cost [isr_cost]). *)
 val assign_context :
   t ->
   nic:Cnic.t ->
@@ -136,9 +140,9 @@ val driver_if : ctx_handle -> Nic.Driver_if.t
 
 type dir = Tx | Rx
 
-(** [register_ring t h dir ~base ~slots k] validates the ring memory
-    (owned by the guest), records and programs it, and establishes the
-    hypervisor's exclusive write access to it. *)
+(** [register_ring t h dir ~base ~slots k] validates the ring size and
+    the ring memory (owned by the guest), records and programs it, and
+    establishes the hypervisor's exclusive write access to it. *)
 val register_ring :
   t ->
   ctx_handle ->

@@ -168,25 +168,21 @@ and collect_guest_tx t c =
         (* Peek first: if the egress device is full, the request stays on
            the ring — popping and re-pushing would reorder the flow, which
            an in-order receiver never forgives. *)
-        match Xchan.tx_peek iface.xchan with
-        | None -> blocked := true
-        | Some entry ->
-            let decision =
-              Bridge.route t.bridge ~ingress:port entry.Xchan.frame
-            in
-            (match decision with
-            | Bridge.To p -> (
-                match Bridge.payload p with
-                | Phys nd ->
-                    if space_for nd <= 0 then blocked := true else consume nd
-                | Guest _ -> ())
-            | Bridge.Flood _ | Bridge.Drop -> ());
-            if not !blocked then begin
-              ignore (Xchan.tx_pop iface.xchan);
-              decr budget;
-              decr ring_budget;
-              c.tx <- (iface, entry, decision) :: c.tx
-            end
+        let entry = Xchan.tx_peek iface.xchan in
+        let decision = Bridge.route t.bridge ~ingress:port entry.Xchan.frame in
+        (match decision with
+        | Bridge.To p -> (
+            match Bridge.payload p with
+            | Phys nd ->
+                if space_for nd <= 0 then blocked := true else consume nd
+            | Guest _ -> ())
+        | Bridge.Flood _ | Bridge.Drop -> ());
+        if not !blocked then begin
+          ignore (Xchan.tx_pop iface.xchan);
+          decr budget;
+          decr ring_budget;
+          c.tx <- (iface, entry, decision) :: c.tx
+        end
       done)
     ifaces;
   c.tx <- List.rev c.tx

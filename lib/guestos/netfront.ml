@@ -97,11 +97,8 @@ let rec handle_event t =
   t.event_pending <- false;
   let completed, replacement_pages = Xchan.take_tx_completions t.xchan in
   let rec drain n acc =
-    if n = 0 then List.rev acc
-    else
-      match Xchan.rx_pop t.xchan with
-      | None -> List.rev acc
-      | Some e -> drain (n - 1) (e :: acc)
+    if n = 0 || Xchan.rx_used t.xchan = 0 then List.rev acc
+    else drain (n - 1) (Xchan.rx_pop t.xchan :: acc)
   in
   let rxs = drain t.costs.Os_costs.rx_poll_budget [] in
   let n_rx = List.length rxs in

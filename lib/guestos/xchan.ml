@@ -25,18 +25,13 @@ let create ~capacity =
 let push q cap e =
   if Sim.Fifo.length q >= cap then false else (Sim.Fifo.push q e; true)
 
-let take_opt q = if Sim.Fifo.is_empty q then None else Some (Sim.Fifo.pop q)
-
 let tx_push t e = push t.tx t.capacity e
-let tx_pop t = take_opt t.tx
-
-let tx_peek t =
-  if Sim.Fifo.is_empty t.tx then None else Some (Sim.Fifo.peek t.tx)
-
+let tx_pop t = Sim.Fifo.pop t.tx
+let tx_peek t = Sim.Fifo.peek t.tx
 let tx_used t = Sim.Fifo.length t.tx
 let tx_space t = t.capacity - Sim.Fifo.length t.tx
 let rx_push t e = push t.rx t.capacity e
-let rx_pop t = take_opt t.rx
+let rx_pop t = Sim.Fifo.pop t.rx
 let rx_used t = Sim.Fifo.length t.rx
 let rx_space t = t.capacity - Sim.Fifo.length t.rx
 

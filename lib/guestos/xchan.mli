@@ -13,20 +13,23 @@ type t
 
 val create : capacity:int -> t
 
-(** {1 Guest -> driver (transmit requests)} *)
+(** {1 Guest -> driver (transmit requests)}
+
+    The pops and the peek raise [Invalid_argument] on an empty ring:
+    [tx_used] and [rx_used] are the guards. *)
 
 val tx_push : t -> entry -> bool
-val tx_pop : t -> entry option
+val tx_pop : t -> entry
 
 (** Next entry without consuming it. *)
-val tx_peek : t -> entry option
+val tx_peek : t -> entry
 val tx_used : t -> int
 val tx_space : t -> int
 
 (** {1 Driver -> guest (received packets)} *)
 
 val rx_push : t -> entry -> bool
-val rx_pop : t -> entry option
+val rx_pop : t -> entry
 val rx_used : t -> int
 val rx_space : t -> int
 

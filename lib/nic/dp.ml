@@ -12,11 +12,11 @@ let max_frame_bytes = 1538
 let ready_depth = 4
 let seqno_mod = 1 lsl 16
 
-type ctx = {
-  id : int;
-  mutable active : bool;
-  mutable faulted : bool;
-  mutable epoch : int;
+(* A context's architectural state: what its guest programmed and what
+   the NIC owes it. The record pages with the guest: [detach] hands it
+   out whole and [attach] installs it on any reset slot, so a swap
+   copies no field of it. *)
+type arch = {
   mutable mac : Ethernet.Mac_addr.t option;
   mutable tx_ring : Ring.t option;
   mutable rx_ring : Ring.t option;
@@ -33,20 +33,32 @@ type ctx = {
   mutable tx_expected_seqno : int;
   mutable rx_expected_seqno : int;
   tx_meta : Ethernet.Frame.t Sim.Fifo.t;
+  mutable tx_completed_unread : int;
+  rx_completions : (int * Ethernet.Frame.t) Sim.Fifo.t;
+  (* Read by the [nic.ctx.*] gauges of whichever slot holds the record. *)
+  mutable tx_frames : int;
+  mutable rx_frames : int;
+}
+
+(* One hardware context slot: its identity, the epoch every in-flight
+   event for it is checked against, the stage state that names the slot,
+   and the record of its occupant (a reset one while vacant). *)
+type ctx = {
+  id : int;
+  mutable active : bool;
+  mutable faulted : bool;
+  mutable epoch : int;
+  mutable arch : arch;
   (* Scatter/gather assembly: payload fragments of the packet being
      assembled land in [sg_buf[0, sg_len)] (grow-on-demand, reused across
      packets) until a descriptor with the end-of-packet flag arrives.
      Safe because the fetch engine admits one fragment DMA at a time
-     ([fetch_busy]), so the buffer is never grown under an in-flight
+     ([fetch_ctx]), so the buffer is never grown under an in-flight
      [read_into]. *)
   mutable sg_buf : Bytes.t;
   mutable sg_len : int;
   mutable sg_frag_descs : int;
   rx_backlog : (Ethernet.Frame.t * int) Sim.Fifo.t; (* frame, epoch *)
-  mutable tx_completed_unread : int;
-  rx_completions : (int * Ethernet.Frame.t) Sim.Fifo.t;
-  mutable tx_frames : int;
-  mutable rx_frames : int;
 }
 
 type t = {
@@ -72,14 +84,13 @@ type t = {
      wire stage. *)
   ready : (int * int * Ethernet.Frame.t * int * int) Sim.Fifo.t;
   (* ctx id, epoch, frame, reserved bytes, descriptors consumed *)
-  (* Each stage has at most one operation in flight ([fetch_busy],
-     [wire_busy], [rx_busy]); its state lives in the fields below and
-     its continuations are built once in [create]. *)
-  mutable fetch_busy : bool;
+  (* Each stage has at most one operation in flight (busy while
+     [fetch_ctx], [wire_cur] or [rx_busy] says so); its state lives in the
+     fields below and its continuations are built once in [create]. *)
   mutable fetch_ctx : int; (* context the in-flight fetch serves, or -1 *)
   (* Whether the in-flight fetch already consumed a sequence number (its
      descriptor passed [check_seqno] and the payload DMA is in flight).
-     Context save needs this to roll the expected seqno back exactly. *)
+     [detach] needs this to roll the expected seqno back exactly. *)
   mutable fetch_checked : bool;
   mutable fetch_epoch : int;
   mutable fetch_daddr : Memory.Addr.t;
@@ -89,9 +100,8 @@ type t = {
   mutable fetch_flags : int;
   mutable k_fetch_desc : (unit, Bus.Dma_engine.fault) result -> unit;
   mutable k_fetch_payload : (unit, Bus.Dma_engine.fault) result -> unit;
-  mutable wire_busy : bool;
   (* Context (or -1), epoch and descriptors of the frame currently on
-     the wire; context save credits it as completed since the bits are
+     the wire; [detach] credits it as completed since the bits are
      already leaving the NIC. *)
   mutable wire_cur : int;
   mutable wire_epoch : int;
@@ -124,6 +134,10 @@ type t = {
   mutable s_overflow : int;
   mutable s_truncated : int;
   mutable s_faults : int;
+  (* Reset records for the slots [detach] vacates: [attach] returns the
+     one it displaces to [spares.(0 .. n_spares - 1)]. *)
+  mutable spares : arch array;
+  mutable n_spares : int;
 }
 
 (* The dummies that fill the queues' vacated slots. *)
@@ -131,12 +145,9 @@ let no_backlog = (Ethernet.Frame.placeholder, 0)
 let no_completion = (0, Ethernet.Frame.placeholder)
 let no_ready = (-1, 0, Ethernet.Frame.placeholder, 0, 0)
 
-let make_ctx id =
+(* The one spelling of a context's reset state. *)
+let make_arch () =
   {
-    id;
-    active = false;
-    faulted = false;
-    epoch = 0;
     mac = None;
     tx_ring = None;
     rx_ring = None;
@@ -150,14 +161,23 @@ let make_ctx id =
     tx_expected_seqno = 0;
     rx_expected_seqno = 0;
     tx_meta = Sim.Fifo.create ~dummy:Ethernet.Frame.placeholder;
-    sg_buf = Bytes.empty;
-    sg_len = 0;
-    sg_frag_descs = 0;
-    rx_backlog = Sim.Fifo.create ~dummy:no_backlog;
     tx_completed_unread = 0;
     rx_completions = Sim.Fifo.create ~dummy:no_completion;
     tx_frames = 0;
     rx_frames = 0;
+  }
+
+let make_ctx id =
+  {
+    id;
+    active = false;
+    faulted = false;
+    epoch = 0;
+    arch = make_arch ();
+    sg_buf = Bytes.empty;
+    sg_len = 0;
+    sg_frag_descs = 0;
+    rx_backlog = Sim.Fifo.create ~dummy:no_backlog;
   }
 
 let config t = t.cfg
@@ -165,12 +185,12 @@ let contexts t = Array.length t.ctxs
 let dma t = t.dma
 let dma_context t ~ctx = t.dma_context_base + ctx
 
-let ctx t i =
+let[@cdna.hot] ctx t i =
   if i < 0 || i >= Array.length t.ctxs then
     invalid_arg "Dp: context out of range";
   t.ctxs.(i)
 
-let dma_ctx t (c : ctx) = t.dma_context_base + c.id
+let[@cdna.hot] dma_ctx t (c : ctx) = t.dma_context_base + c.id
 
 (* Structured datapath events, tagged with the NIC's config name.
    Callers test [Sim.Trace.enabled] first, so the argument lists are only
@@ -195,9 +215,9 @@ let fault t (c : ctx) dir f =
 
 (* Congestion watermarks: pause above 3/4, resume below 1/2. *)
 let hi_watermark t = Pkt_buf.capacity t.rx_buf * 3 / 4
-let lo_watermark t = Pkt_buf.capacity t.rx_buf / 2
+let[@cdna.hot] lo_watermark t = Pkt_buf.capacity t.rx_buf / 2
 
-let release_rx_bytes t bytes =
+let[@cdna.hot] release_rx_bytes t bytes =
   Pkt_buf.release t.rx_buf ~bytes;
   if t.congested && Pkt_buf.in_use t.rx_buf <= lo_watermark t then begin
     t.congested <- false;
@@ -221,13 +241,14 @@ let seqno_ok ~expected ~got = got = expected mod seqno_mod
 let[@cdna.sanitizer] check_seqno t c dir (desc : Memory.Dma_desc.t) =
   if not t.cfg.Nic_config.seqno_checking then true
   else begin
+    let a = c.arch in
     let expected =
-      match dir with Tx -> c.tx_expected_seqno | Rx -> c.rx_expected_seqno
+      match dir with Tx -> a.tx_expected_seqno | Rx -> a.rx_expected_seqno
     in
     if seqno_ok ~expected ~got:desc.seqno then begin
       (match dir with
-      | Tx -> c.tx_expected_seqno <- (expected + 1) mod seqno_mod
-      | Rx -> c.rx_expected_seqno <- (expected + 1) mod seqno_mod);
+      | Tx -> a.tx_expected_seqno <- (expected + 1) mod seqno_mod
+      | Rx -> a.rx_expected_seqno <- (expected + 1) mod seqno_mod);
       true
     end
     else begin
@@ -242,11 +263,12 @@ let discard_result (_ : (unit, Bus.Dma_engine.fault) result) = ()
 (* The status block is two little-endian u32 counters, [tx_cons] then
    [rx_cons], as of the writeback's submission. *)
 let writeback_status t (c : ctx) =
-  match c.status_addr with
+  let a = c.arch in
+  match a.status_addr with
   | None -> ()
   | Some addr ->
       Bus.Dma_engine.write_u32_pair t.dma ~context:(dma_ctx t c) ~addr
-        c.tx_cons c.rx_cons discard_result
+        a.tx_cons a.rx_cons discard_result
 
 (* ---------- Transmit pipeline ---------- *)
 
@@ -260,14 +282,16 @@ let ensure_capacity buf ~len ~keep =
   end
 
 let tx_work_available (c : ctx) =
-  c.active && (not c.faulted) && c.tx_ring <> None
-  && c.tx_fetch_next < c.tx_prod
+  c.active && (not c.faulted)
+  &&
+  let a = c.arch in
+  a.tx_ring <> None && a.tx_fetch_next < a.tx_prod
 
 (* Round-robin pick of the next context with work, scanning from
    [rr + 1]: the CDNA NIC "services all of the hardware contexts
    fairly". Returns the context's index, or -1. [rr] is a context
    index, so one wrap check per step keeps [j] in range. *)
-let rec scan_ctx t ~has_work j remaining =
+let[@cdna.hot] rec scan_ctx t ~has_work j remaining =
   if remaining = 0 then -1
   else if has_work t.ctxs.(j) then j
   else
@@ -276,12 +300,12 @@ let rec scan_ctx t ~has_work j remaining =
       (if j = Array.length t.ctxs then 0 else j)
       (remaining - 1)
 
-let pick_ctx t ~rr ~has_work =
+let[@cdna.hot] pick_ctx t ~rr ~has_work =
   let n = Array.length t.ctxs in
   scan_ctx t ~has_work (if rr + 1 = n then 0 else rr + 1) n
 
-let rec run_tx_fetch t =
-  if t.fetch_busy || Sim.Fifo.length t.ready >= ready_depth then ()
+let[@cdna.hot] rec run_tx_fetch t =
+  if t.fetch_ctx >= 0 || Sim.Fifo.length t.ready >= ready_depth then ()
   else
     let i = pick_ctx t ~rr:t.tx_rr ~has_work:tx_work_available in
     if i >= 0 then begin
@@ -298,17 +322,20 @@ let rec run_tx_fetch t =
       then () (* stalled until the wire stage frees buffer space *)
       else begin
         t.tx_rr <- c.id;
-        t.fetch_busy <- true;
         t.fetch_ctx <- c.id;
         t.fetch_checked <- false;
         t.fetch_epoch <- c.epoch;
-        let idx = c.tx_fetch_next in
-        c.tx_fetch_next <- idx + 1;
-        let ring = Option.get c.tx_ring in
-        t.fetch_daddr <- Ring.slot_addr ring idx;
-        Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:t.fetch_daddr
-          ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
-          t.k_fetch_desc
+        let a = c.arch in
+        let idx = a.tx_fetch_next in
+        a.tx_fetch_next <- idx + 1;
+        match a.tx_ring with
+        | None -> assert false (* [tx_work_available] saw a ring *)
+        | Some ring ->
+            t.fetch_daddr <- Ring.slot_addr ring idx;
+            Bus.Dma_engine.access t.dma ~context:(dma_ctx t c)
+              ~addr:t.fetch_daddr
+              ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
+              t.k_fetch_desc
       end
     end
 
@@ -316,7 +343,6 @@ and abandon_fetch t c =
   c.sg_len <- 0;
   c.sg_frag_descs <- 0;
   Pkt_buf.release t.tx_buf ~bytes:max_frame_bytes;
-  t.fetch_busy <- false;
   t.fetch_ctx <- -1;
   run_tx_fetch t
 
@@ -364,6 +390,7 @@ and fetch_payload_done t res =
         fault t c Tx (Dma_fault e);
         abandon_fetch t c
     | Ok () ->
+        let a = c.arch in
         if t.cfg.Nic_config.materialize_payloads then
           c.sg_len <- c.sg_len + t.fetch_len;
         c.sg_frag_descs <- c.sg_frag_descs + 1;
@@ -371,11 +398,10 @@ and fetch_payload_done t res =
           (* Scatter/gather: more fragments follow. Release the fetch
              engine; the next descriptor of this packet (or another
              context's work) proceeds. *)
-          t.fetch_busy <- false;
           t.fetch_ctx <- -1;
           run_tx_fetch t
         end
-        else if Sim.Fifo.is_empty c.tx_meta then begin
+        else if Sim.Fifo.is_empty a.tx_meta then begin
           fault t c Tx Missing_meta;
           abandon_fetch t c
         end
@@ -385,7 +411,7 @@ and fetch_payload_done t res =
              shows up at the receiver as a payload mismatch. One copy
              per packet here, since the frame outlives the reusable
              assembly buffer. *)
-          let frame = Sim.Fifo.pop c.tx_meta in
+          let frame = Sim.Fifo.pop a.tx_meta in
           let total = c.sg_len in
           let n_descs = c.sg_frag_descs in
           c.sg_len <- 0;
@@ -409,7 +435,6 @@ and fetch_payload_done t res =
             else max_frame_bytes
           in
           Sim.Fifo.push t.ready (c.id, epoch, frame, reserved, n_descs);
-          t.fetch_busy <- false;
           t.fetch_ctx <- -1;
           run_tx_wire t;
           run_tx_fetch t
@@ -418,7 +443,7 @@ and run_tx_wire t =
   match t.link with
   | None -> ()
   | Some (link, side) ->
-      if t.wire_busy || Sim.Fifo.is_empty t.ready then ()
+      if t.wire_cur >= 0 || Sim.Fifo.is_empty t.ready then ()
       else begin
         let cid, epoch, frame, reserved, n_descs = Sim.Fifo.pop t.ready in
         let c = t.ctxs.(cid) in
@@ -428,7 +453,6 @@ and run_tx_wire t =
           run_tx_wire t
         end
         else begin
-          t.wire_busy <- true;
           t.wire_cur <- cid;
           t.wire_epoch <- epoch;
           t.wire_descs <- n_descs;
@@ -442,7 +466,6 @@ and wire_free t () =
   let c = t.ctxs.(t.wire_cur) in
   let epoch = t.wire_epoch and n_descs = t.wire_descs in
   let frame = t.wire_frame in
-  t.wire_busy <- false;
   t.wire_cur <- -1;
   Pkt_buf.release t.tx_buf ~bytes:t.wire_reserved;
   t.s_tx_frames <- t.s_tx_frames + 1;
@@ -457,9 +480,10 @@ and wire_free t () =
             ("len", Sim.Trace.Int frame.Ethernet.Frame.payload_len);
           ]
         "tx";
-    c.tx_frames <- c.tx_frames + 1;
-    c.tx_cons <- c.tx_cons + n_descs;
-    c.tx_completed_unread <- c.tx_completed_unread + n_descs;
+    let a = c.arch in
+    a.tx_frames <- a.tx_frames + 1;
+    a.tx_cons <- a.tx_cons + n_descs;
+    a.tx_completed_unread <- a.tx_completed_unread + n_descs;
     writeback_status t c;
     t.notify ~ctx:c.id
   end;
@@ -469,11 +493,13 @@ and wire_free t () =
 (* ---------- Receive path ---------- *)
 
 let rx_work_available (c : ctx) =
-  c.active && (not c.faulted) && c.rx_ring <> None
+  c.active && (not c.faulted)
   && (not (Sim.Fifo.is_empty c.rx_backlog))
-  && c.rx_use_next < c.rx_prod
+  &&
+  let a = c.arch in
+  a.rx_ring <> None && a.rx_use_next < a.rx_prod
 
-let rec run_rx t =
+let[@cdna.hot] rec run_rx t =
   if t.rx_busy then ()
   else
     let i = pick_ctx t ~rr:t.rx_rr ~has_work:rx_work_available in
@@ -489,18 +515,22 @@ let rec run_rx t =
         run_rx t
       end
       else begin
-        let idx = c.rx_use_next in
-        c.rx_use_next <- idx + 1;
+        let a = c.arch in
+        let idx = a.rx_use_next in
+        a.rx_use_next <- idx + 1;
         t.rx_cur <- c.id;
         t.rx_epoch <- epoch;
         t.rx_cur_checked <- false;
         t.rx_idx <- idx;
         t.rx_frame <- frame;
-        let ring = Option.get c.rx_ring in
-        t.rx_daddr <- Ring.slot_addr ring idx;
-        Bus.Dma_engine.access t.dma ~context:(dma_ctx t c) ~addr:t.rx_daddr
-          ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
-          t.k_rx_desc
+        match a.rx_ring with
+        | None -> assert false (* [rx_work_available] saw a ring *)
+        | Some ring ->
+            t.rx_daddr <- Ring.slot_addr ring idx;
+            Bus.Dma_engine.access t.dma ~context:(dma_ctx t c)
+              ~addr:t.rx_daddr
+              ~len:t.cfg.Nic_config.desc_layout.Memory.Desc_layout.size
+              t.k_rx_desc
       end
     end
 
@@ -571,26 +601,38 @@ and rx_deliver_done t res =
                 ("len", Sim.Trace.Int len);
               ]
             "rx";
-        c.rx_cons <- c.rx_cons + 1;
-        c.rx_frames <- c.rx_frames + 1;
+        let a = c.arch in
+        a.rx_cons <- a.rx_cons + 1;
+        a.rx_frames <- a.rx_frames + 1;
         t.s_rx_frames <- t.s_rx_frames + 1;
         (* Only the bytes that fit the posted buffer were delivered; a
            short descriptor truncates the frame. *)
         t.s_rx_bytes <- t.s_rx_bytes + len;
         if len < frame.Ethernet.Frame.payload_len then
           t.s_truncated <- t.s_truncated + 1;
-        Sim.Fifo.push c.rx_completions (t.rx_idx, frame);
+        Sim.Fifo.push a.rx_completions (t.rx_idx, frame);
         writeback_status t c;
         t.notify ~ctx:c.id;
         t.rx_busy <- false;
         t.rx_cur <- -1;
         run_rx t
 
+(* Whether slot [c] is up with MAC [dst]. [mac_table] maps a MAC to the
+   slot it was last bound to, and nothing unbinds it: that slot may since
+   have been revoked, or detached and taken by another guest. Keeping the
+   binding lets a page-in rebind the MAC in place. *)
+let holds (c : ctx) dst =
+  c.active
+  &&
+  match c.arch.mac with
+  | Some mac -> Int.equal (Ethernet.Mac_addr.to_int48 mac) dst
+  | None -> false
+
 let on_rx_frame t frame =
   let dst = Ethernet.Mac_addr.to_int48 frame.Ethernet.Frame.dst in
   let target =
     match Sim.Int_tbl.find_opt t.mac_table dst with
-    | Some i when t.ctxs.(i).active -> i
+    | Some i when holds t.ctxs.(i) dst -> i
     | Some _ | None -> (
         match t.promiscuous with
         | Some i when t.ctxs.(i).active -> i
@@ -629,7 +671,6 @@ let create engine ~mem ~dma ~config ~contexts ~dma_context_base ~notify
       rx_scratch = Bytes.empty;
       link = None;
       ready = Sim.Fifo.create ~dummy:no_ready;
-      fetch_busy = false;
       fetch_ctx = -1;
       fetch_checked = false;
       fetch_epoch = 0;
@@ -638,7 +679,6 @@ let create engine ~mem ~dma ~config ~contexts ~dma_context_base ~notify
       fetch_flags = 0;
       k_fetch_desc = discard_result;
       k_fetch_payload = discard_result;
-      wire_busy = false;
       wire_cur = -1;
       wire_epoch = 0;
       wire_descs = 0;
@@ -667,6 +707,8 @@ let create engine ~mem ~dma ~config ~contexts ~dma_context_base ~notify
       s_overflow = 0;
       s_truncated = 0;
       s_faults = 0;
+      spares = [||];
+      n_spares = 0;
     }
   in
   (* The stage continuations, built once per NIC. *)
@@ -696,193 +738,169 @@ let activate t ~ctx:i ~mac =
       "activate";
   c.active <- true;
   c.faulted <- false;
-  c.mac <- Some mac;
+  c.arch.mac <- Some mac;
   Sim.Int_tbl.replace t.mac_table (Ethernet.Mac_addr.to_int48 mac) i;
   run_tx_fetch t;
   run_rx t
 
+(* Reset the slot itself: inactive, a new epoch, so that every in-flight
+   event for it is dropped, no packet in assembly and no receive
+   backlog. The record on it is the caller's business. *)
+let[@cdna.hot] vacate t c =
+  c.active <- false;
+  c.faulted <- false;
+  c.epoch <- c.epoch + 1;
+  (* A packet abandoned mid-assembly holds a transmit-buffer
+     reservation; release it here unless an in-flight fetch for this
+     context will do so when its completion observes the epoch bump. *)
+  if c.sg_frag_descs > 0 && not (Int.equal t.fetch_ctx c.id) then
+    Pkt_buf.release t.tx_buf ~bytes:max_frame_bytes;
+  c.sg_len <- 0;
+  c.sg_frag_descs <- 0;
+  while not (Sim.Fifo.is_empty c.rx_backlog) do
+    let frame, _ = Sim.Fifo.pop c.rx_backlog in
+    release_rx_bytes t (Ethernet.Frame.wire_bytes frame)
+  done
+
+(* The slot gets a reset record that keeps the frame counters, and the
+   MAC binding stays (see [holds]). *)
 let deactivate t ~ctx:i =
   let c = ctx t i in
   if c.active || c.faulted then begin
-    (match c.mac with
-    | Some mac -> (
-        let key = Ethernet.Mac_addr.to_int48 mac in
-        match Sim.Int_tbl.find_opt t.mac_table key with
-        | Some owner when Int.equal owner i -> Sim.Int_tbl.remove t.mac_table key
-        | Some _ | None -> ())
-    | None -> ());
-    c.active <- false;
-    c.faulted <- false;
-    c.mac <- None;
-    c.epoch <- c.epoch + 1;
-    (* A packet abandoned mid-assembly holds a transmit-buffer
-       reservation; release it here unless an in-flight fetch for this
-       context will do so when its completion observes the epoch bump. *)
-    if c.sg_frag_descs > 0 && not (Int.equal t.fetch_ctx c.id) then
-      Pkt_buf.release t.tx_buf ~bytes:max_frame_bytes;
-    Sim.Fifo.iter
-      (fun (frame, _) ->
-        release_rx_bytes t (Ethernet.Frame.wire_bytes frame))
-      c.rx_backlog;
-    Sim.Fifo.clear c.rx_backlog;
-    Sim.Fifo.clear c.tx_meta;
-    c.sg_len <- 0;
-    c.sg_frag_descs <- 0;
-    Sim.Fifo.clear c.rx_completions;
-    c.tx_completed_unread <- 0;
-    c.tx_ring <- None;
-    c.rx_ring <- None;
-    c.status_addr <- None;
-    c.tx_prod <- 0;
-    c.tx_fetch_next <- 0;
-    c.tx_cons <- 0;
-    c.rx_prod <- 0;
-    c.rx_use_next <- 0;
-    c.rx_cons <- 0;
-    c.tx_expected_seqno <- 0;
-    c.rx_expected_seqno <- 0
+    vacate t c;
+    let a = make_arch () in
+    a.tx_frames <- c.arch.tx_frames;
+    a.rx_frames <- c.arch.rx_frames;
+    c.arch <- a
   end
 
-(* ---------- Context paging (save/restore) ---------- *)
+(* ---------- Context paging (detach/attach) ---------- *)
 
-type saved_ctx = {
-  sv_mac : Ethernet.Mac_addr.t option;
-  sv_tx_ring : Ring.t option;
-  sv_rx_ring : Ring.t option;
-  sv_status_addr : Memory.Addr.t option;
-  sv_tx_prod : int;
-  sv_tx_fetch_next : int;
-  sv_tx_cons : int;
-  sv_rx_prod : int;
-  sv_rx_use_next : int;
-  sv_rx_cons : int;
-  sv_tx_expected_seqno : int;
-  sv_rx_expected_seqno : int;
-  sv_tx_meta : Ethernet.Frame.t list;
-  sv_tx_completed_unread : int;
-  sv_rx_completions : (int * Ethernet.Frame.t) list;
-  sv_tx_frames : int;
-  sv_rx_frames : int;
-}
+let new_spare t =
+  let a = make_arch () in
+  if Array.length t.spares = 0 then
+    t.spares <- Array.make (Array.length t.ctxs) a;
+  a
 
-(* Snapshot a context's architectural state so the hypervisor can page it
-   out and later restore it on any free slot, without losing transmit
-   work. Read-only: the caller revokes/deactivates the slot afterwards,
-   and the normal epoch machinery unwinds whatever is in flight.
+(* A reset record, with zero frame counters, for a slot that [detach]
+   vacates: one that [attach] displaced, or a new one when none is left.
+   A displaced record is a vacant slot's, which nothing writes but the
+   counters [deactivate] carries over. A pair of swaps leaves the list
+   as it found it. *)
+let[@cdna.hot] take_spare t =
+  if t.n_spares = 0 then
+    (new_spare t
+    [@cdna.alloc_ok
+      "the free list fills lazily: a record is made only when no displaced \
+       one is left"])
+  else begin
+    t.n_spares <- t.n_spares - 1;
+    let a = t.spares.(t.n_spares) in
+    a.tx_frames <- 0;
+    a.rx_frames <- 0;
+    a
+  end
 
-   Transmit must be lossless — guests have no retransmit path — so the
-   fetch cursor and expected seqno are rolled back over everything the
-   engine consumed but did not finish wiring: staged ready-FIFO packets
-   (their metas are re-staged for the restore), partially assembled
-   scatter/gather fragments, and the in-flight descriptor fetch if any.
-   The one frame currently on the wire is instead credited as completed:
-   its bits are already leaving the NIC, and its completion callback will
-   observe the epoch bump and skip the accounting we do here. Receive is
-   allowed to be lossy (peers retransmit); only an in-flight descriptor
-   fetch that has not yet consumed a seqno rolls the cursor back, keeping
-   cursor and seqno in lockstep. *)
-let[@cdna.acquires "dp-image"] save_context t ~ctx:i =
+(* Page a context out: hand its guest's record out and leave the slot
+   reset, so the hypervisor can later [attach] the record to any free
+   slot without losing transmit work.
+
+   Transmit must be lossless (guests have no retransmit path), so the
+   record is rolled back, in place, over everything the engine consumed
+   but did not finish wiring: staged ready-FIFO packets (their metas go
+   back ahead of those still queued), partially assembled scatter/gather
+   fragments, and the in-flight descriptor fetch if any. The one frame
+   on the wire is instead credited as completed: its bits are already
+   leaving the NIC, and its completion will observe the epoch bump and
+   skip the accounting done here. Receive is allowed to be lossy (peers
+   retransmit); only an in-flight descriptor fetch that has not yet
+   consumed a seqno rolls the cursor back, keeping cursor and seqno in
+   lockstep. *)
+let[@cdna.hot] [@cdna.acquires "dp-image"] detach t ~ctx:i =
   let c = ctx t i in
-  if not c.active then invalid_arg "Dp.save_context: context not active";
-  if c.faulted then invalid_arg "Dp.save_context: context faulted";
-  let ready_descs = ref 0 and ready_frames = ref [] in
-  Sim.Fifo.iter
-    (fun (cid, ep, frame, _reserved, n) ->
-      if Int.equal cid i && ep = c.epoch then begin
-        ready_descs := !ready_descs + n;
-        ready_frames := frame :: !ready_frames
-      end)
-    t.ready;
-  let ready_frames = List.rev !ready_frames in
-  let in_fetch = t.fetch_busy && Int.equal t.fetch_ctx i in
+  if not c.active then invalid_arg "Dp.detach: context not active";
+  if c.faulted then invalid_arg "Dp.detach: context faulted";
+  let a = c.arch and epoch = c.epoch in
+  let queued = Sim.Fifo.length a.tx_meta in
+  let ready_descs = ref 0 in
+  for _ = 1 to Sim.Fifo.length t.ready do
+    let ((cid, ep, frame, _, n) as staged) = Sim.Fifo.pop t.ready in
+    if Int.equal cid i && ep = epoch then begin
+      ready_descs := !ready_descs + n;
+      Sim.Fifo.push a.tx_meta frame
+    end;
+    Sim.Fifo.push t.ready staged
+  done;
+  for _ = 1 to queued do
+    Sim.Fifo.push a.tx_meta (Sim.Fifo.pop a.tx_meta)
+  done;
+  let in_fetch = Int.equal t.fetch_ctx i in
   let rollback_cursor =
-    !ready_descs + c.sg_frag_descs + (if in_fetch then 1 else 0)
+    !ready_descs + c.sg_frag_descs + if in_fetch then 1 else 0
   in
   let rollback_seq =
     !ready_descs + c.sg_frag_descs
-    + (if in_fetch && t.fetch_checked then 1 else 0)
+    + if in_fetch && t.fetch_checked then 1 else 0
   in
-  let rx_unchecked =
-    Int.equal t.rx_cur i && t.rx_epoch = c.epoch && not t.rx_cur_checked
-  in
-  let wire_descs =
-    if Int.equal t.wire_cur i && t.wire_epoch = c.epoch then t.wire_descs
-    else 0
-  in
-  let seq_back s r = (((s - r) mod seqno_mod) + seqno_mod) mod seqno_mod in
+  a.tx_fetch_next <- a.tx_fetch_next - rollback_cursor;
+  a.tx_expected_seqno <-
+    (((a.tx_expected_seqno - rollback_seq) mod seqno_mod) + seqno_mod)
+    mod seqno_mod;
+  if Int.equal t.wire_cur i && t.wire_epoch = epoch && t.wire_descs > 0
+  then begin
+    a.tx_cons <- a.tx_cons + t.wire_descs;
+    a.tx_completed_unread <- a.tx_completed_unread + t.wire_descs;
+    a.tx_frames <- a.tx_frames + 1
+  end;
+  if Int.equal t.rx_cur i && t.rx_epoch = epoch && not t.rx_cur_checked then
+    a.rx_use_next <- a.rx_use_next - 1;
   if Sim.Trace.enabled () then
-    trace_event t ~tid:i
-      ~args:
-        [
-          ("ctx", Sim.Trace.Int i);
-          ("rollback_descs", Sim.Trace.Int rollback_cursor);
-        ]
-      "ctx-save";
-  {
-    sv_mac = c.mac;
-    sv_tx_ring = c.tx_ring;
-    sv_rx_ring = c.rx_ring;
-    sv_status_addr = c.status_addr;
-    sv_tx_prod = c.tx_prod;
-    sv_tx_fetch_next = c.tx_fetch_next - rollback_cursor;
-    sv_tx_cons = c.tx_cons + wire_descs;
-    sv_rx_prod = c.rx_prod;
-    sv_rx_use_next = c.rx_use_next - (if rx_unchecked then 1 else 0);
-    sv_rx_cons = c.rx_cons;
-    sv_tx_expected_seqno = seq_back c.tx_expected_seqno rollback_seq;
-    sv_rx_expected_seqno = c.rx_expected_seqno;
-    sv_tx_meta = ready_frames @ List.of_seq (Sim.Fifo.to_seq c.tx_meta);
-    sv_tx_completed_unread = c.tx_completed_unread + wire_descs;
-    sv_rx_completions = List.of_seq (Sim.Fifo.to_seq c.rx_completions);
-    sv_tx_frames = c.tx_frames + (if wire_descs > 0 then 1 else 0);
-    sv_rx_frames = c.rx_frames;
-  }
+    (trace_event t ~tid:i
+       ~args:
+         [
+           ("ctx", Sim.Trace.Int i);
+           ("rollback_descs", Sim.Trace.Int rollback_cursor);
+         ]
+       "ctx-save"
+    [@cdna.alloc_ok "tracing branch, off unless tracing is on"]);
+  vacate t c;
+  c.arch <- take_spare t;
+  a
 
-(* Install a saved image on a fully reset slot. The ring geometry, the
-   cursors and the expected seqnos are written directly (hardware-side
-   restore, not driver doorbells — the doorbell paths reject producer
-   rewinds by design), then the engines are kicked to resume exactly
-   where the save left off. *)
-let[@cdna.releases "dp-image@1"] restore_context t ~ctx:i s =
+(* Install a detached record on a reset slot. Its ring geometry, cursors
+   and expected seqnos are installed as they are (hardware-side, not
+   through the doorbell paths, which reject producer rewinds), then the
+   engines are kicked to resume exactly where the detach left off. *)
+let[@cdna.hot] [@cdna.releases "dp-image@1"] attach t ~ctx:i a =
   let c = ctx t i in
-  if c.active || c.faulted then
-    invalid_arg "Dp.restore_context: slot not reset";
+  if c.active || c.faulted then invalid_arg "Dp.attach: slot not reset";
   if Sim.Trace.enabled () then
-    trace_event t ~tid:i ~args:[ ("ctx", Sim.Trace.Int i) ] "ctx-restore";
+    (trace_event t ~tid:i ~args:[ ("ctx", Sim.Trace.Int i) ] "ctx-restore"
+    [@cdna.alloc_ok "tracing branch, off unless tracing is on"]);
+  if t.n_spares < Array.length t.spares then begin
+    t.spares.(t.n_spares) <- c.arch;
+    t.n_spares <- t.n_spares + 1
+  end;
+  c.arch <- a;
   c.active <- true;
-  c.faulted <- false;
-  c.mac <- s.sv_mac;
-  (match s.sv_mac with
-  | Some mac -> Sim.Int_tbl.replace t.mac_table (Ethernet.Mac_addr.to_int48 mac) i
+  (match a.mac with
+  | Some mac ->
+      (Sim.Int_tbl.replace t.mac_table (Ethernet.Mac_addr.to_int48 mac) i
+      [@cdna.alloc_ok
+        "the MAC is still bound from before the detach, so this replaces \
+         in place"])
   | None -> ());
-  c.tx_ring <- s.sv_tx_ring;
-  c.rx_ring <- s.sv_rx_ring;
-  c.status_addr <- s.sv_status_addr;
-  c.tx_prod <- s.sv_tx_prod;
-  c.tx_fetch_next <- s.sv_tx_fetch_next;
-  c.tx_cons <- s.sv_tx_cons;
-  c.rx_prod <- s.sv_rx_prod;
-  c.rx_use_next <- s.sv_rx_use_next;
-  c.rx_cons <- s.sv_rx_cons;
-  c.tx_expected_seqno <- s.sv_tx_expected_seqno;
-  c.rx_expected_seqno <- s.sv_rx_expected_seqno;
-  List.iter (Sim.Fifo.push c.tx_meta) s.sv_tx_meta;
-  c.tx_completed_unread <- s.sv_tx_completed_unread;
-  List.iter (Sim.Fifo.push c.rx_completions) s.sv_rx_completions;
-  c.tx_frames <- s.sv_tx_frames;
-  c.rx_frames <- s.sv_rx_frames;
-  (* Completions that were pending at save time may have had their
+  (* Completions that were pending at detach may have had their
      interrupt consumed before the swap; re-notify so the driver drains
      them (coalescing absorbs any redundancy). *)
-  if
-    s.sv_tx_completed_unread > 0
-    || (match s.sv_rx_completions with [] -> false | _ :: _ -> true)
+  if a.tx_completed_unread > 0 || not (Sim.Fifo.is_empty a.rx_completions)
   then t.notify ~ctx:i;
   run_tx_fetch t;
   run_rx t
 
+let arch_of t ~ctx:i = (ctx t i).arch
 let is_active t ~ctx:i = (ctx t i).active
-let mac_of t ~ctx:i = (ctx t i).mac
+let mac_of t ~ctx:i = (ctx t i).arch.mac
 
 let set_promiscuous t ~ctx:i =
   (match i with Some i -> ignore (ctx t i) | None -> ());
@@ -890,52 +908,51 @@ let set_promiscuous t ~ctx:i =
 
 let is_faulted t ~ctx:i = (ctx t i).faulted
 
-let set_tx_ring t ~ctx:i ring = (ctx t i).tx_ring <- Some ring
-let set_rx_ring t ~ctx:i ring = (ctx t i).rx_ring <- Some ring
-let set_status_addr t ~ctx:i addr = (ctx t i).status_addr <- Some addr
-
-let set_expected_seqno t ~ctx:i ~tx ~rx =
-  let c = ctx t i in
-  c.tx_expected_seqno <- tx mod seqno_mod;
-  c.rx_expected_seqno <- rx mod seqno_mod
+let set_tx_ring t ~ctx:i ring = (ctx t i).arch.tx_ring <- Some ring
+let set_rx_ring t ~ctx:i ring = (ctx t i).arch.rx_ring <- Some ring
+let set_status_addr t ~ctx:i addr = (ctx t i).arch.status_addr <- Some addr
 
 (* A producer index is the guest's to write, so one that goes backwards
    faults the guest's context rather than the simulation. *)
 let tx_doorbell t ~ctx:i ~prod =
   let c = ctx t i in
-  if prod < c.tx_prod then
-    fault t c Tx (Producer_backwards { published = c.tx_prod; prod })
+  let a = c.arch in
+  if prod < a.tx_prod then
+    fault t c Tx (Producer_backwards { published = a.tx_prod; prod })
   else begin
-    c.tx_prod <- prod;
+    a.tx_prod <- prod;
     run_tx_fetch t
   end
 
 let rx_doorbell t ~ctx:i ~prod =
   let c = ctx t i in
-  if prod < c.rx_prod then
-    fault t c Rx (Producer_backwards { published = c.rx_prod; prod })
+  let a = c.arch in
+  if prod < a.rx_prod then
+    fault t c Rx (Producer_backwards { published = a.rx_prod; prod })
   else begin
-    c.rx_prod <- prod;
+    a.rx_prod <- prod;
     run_rx t
   end
 
-let stage_tx_meta t ~ctx:i frame = Sim.Fifo.push (ctx t i).tx_meta frame
+let stage_tx_meta t ~ctx:i frame = Sim.Fifo.push (ctx t i).arch.tx_meta frame
 
 let take_tx_completions t ~ctx:i =
-  let c = ctx t i in
-  let n = c.tx_completed_unread in
-  c.tx_completed_unread <- 0;
+  let a = (ctx t i).arch in
+  let n = a.tx_completed_unread in
+  a.tx_completed_unread <- 0;
   n
 
 let take_rx_completions t ~ctx:i ~max =
-  let c = ctx t i in
+  let q = (ctx t i).arch.rx_completions in
   let rec drain n acc =
-    if n = 0 || Sim.Fifo.is_empty c.rx_completions then List.rev acc
-    else drain (n - 1) (Sim.Fifo.pop c.rx_completions :: acc)
+    if n = 0 || Sim.Fifo.is_empty q then List.rev acc
+    else drain (n - 1) (Sim.Fifo.pop q :: acc)
   in
   drain max []
 
-let rx_completions_pending t ~ctx:i = Sim.Fifo.length (ctx t i).rx_completions
+let rx_completions_pending t ~ctx:i =
+  Sim.Fifo.length (ctx t i).arch.rx_completions
+
 let rx_congested t = t.congested
 let set_uncongested_hook t f = t.uncongested_hook <- f
 
@@ -955,6 +972,8 @@ let register_metrics t m ~labels =
   Array.iter
     (fun c ->
       let labels = labels @ [ ("ctx", string_of_int c.id) ] in
-      Sim.Metrics.gauge m ~labels "nic.ctx.tx_frames" (fun () -> c.tx_frames);
-      Sim.Metrics.gauge m ~labels "nic.ctx.rx_frames" (fun () -> c.rx_frames))
+      Sim.Metrics.gauge m ~labels "nic.ctx.tx_frames" (fun () ->
+          c.arch.tx_frames);
+      Sim.Metrics.gauge m ~labels "nic.ctx.rx_frames" (fun () ->
+          c.arch.rx_frames))
     t.ctxs

@@ -82,28 +82,6 @@ val activate : t -> ctx:int -> mac:Ethernet.Mac_addr.t -> unit
     in-flight DMA abandoned, queued completions dropped. Idempotent. *)
 val deactivate : t -> ctx:int -> unit
 
-(** Opaque architectural image of one context, for hypervisor-mediated
-    context paging when guests oversubscribe the hardware contexts. *)
-type saved_ctx
-
-(** [save_context t ~ctx] snapshots an active context's rings, cursors,
-    expected seqnos, staged metadata and unread completions. Read-only —
-    the caller must still revoke/deactivate the slot, whose epoch bump
-    unwinds in-flight work. Transmit state is rolled back losslessly over
-    staged-but-unwired packets (they are re-fetched after restore); the
-    frame currently on the wire, if this context's, is credited as
-    completed. Receive losses are left to peer retransmission.
-    @raise Invalid_argument if the context is inactive or faulted. *)
-val save_context : t -> ctx:int -> saved_ctx
-
-(** [restore_context t ~ctx s] installs a saved image on a reset slot and
-    kicks the engines: transmission resumes exactly where the save left
-    off. Cursors and seqnos are written hardware-side (not through the
-    doorbell paths, which reject producer rewinds). Pending completions
-    re-notify the shell.
-    @raise Invalid_argument if the slot is active or faulted. *)
-val restore_context : t -> ctx:int -> saved_ctx -> unit
-
 val is_active : t -> ctx:int -> bool
 val mac_of : t -> ctx:int -> Ethernet.Mac_addr.t option
 
@@ -115,6 +93,36 @@ val set_promiscuous : t -> ctx:int option -> unit
     reactivation. *)
 val is_faulted : t -> ctx:int -> bool
 
+(** {1 Context paging}
+
+    When guests oversubscribe the hardware contexts, the hypervisor moves
+    a context between slots as one record: {!detach} takes it off its
+    slot and {!attach} puts it on another. The slot keeps its identity
+    and epoch; in-flight work for it is unwound by the epoch bump. *)
+
+(** A context's architectural state: MAC, ring geometry, status address,
+    cursors, expected seqnos, staged metadata, unread completions and the
+    [nic.ctx.*] frame counters. *)
+type arch
+
+(** [detach t ~ctx] pages an active context out. It rolls the record
+    back losslessly over staged-but-unwired transmit work (re-fetched
+    after {!attach}), credits the frame on the wire, if this context's,
+    as completed, resets the slot as {!deactivate} does, and returns the
+    record. The slot gets a reset record with zero frame counters.
+    Receive losses are left to peer retransmission.
+    @raise Invalid_argument if the context is inactive or faulted. *)
+val detach : t -> ctx:int -> arch
+
+(** [attach t ~ctx a] installs a detached record on a reset slot, any
+    slot, and kicks the engines: transmission resumes exactly where the
+    detach left off. Pending completions re-notify the shell.
+    @raise Invalid_argument if the slot is active or faulted. *)
+val attach : t -> ctx:int -> arch -> unit
+
+(** The record on slot [ctx]: its occupant's while the slot is active. *)
+val arch_of : t -> ctx:int -> arch
+
 (** {1 Ring and status setup} *)
 
 val set_tx_ring : t -> ctx:int -> Ring.t -> unit
@@ -122,10 +130,6 @@ val set_rx_ring : t -> ctx:int -> Ring.t -> unit
 
 (** Host address receiving the 8-byte [(tx_cons, rx_cons)] writeback. *)
 val set_status_addr : t -> ctx:int -> Memory.Addr.t -> unit
-
-(** Reset the expected next sequence number for both rings of a context
-    (done by the hypervisor at context assignment). *)
-val set_expected_seqno : t -> ctx:int -> tx:int -> rx:int -> unit
 
 (** {1 Doorbells (from mailbox writes)} *)
 

@@ -11,37 +11,33 @@ type t = {
   dp : Dp.t;
   process_cost : Sim.Time.t;
   mutable mailbox : Mailbox.t option; (* tied after creation (cyclic dep) *)
-  (* Firmware scratch: last ring geometry written per context. *)
-  tx_slots : int array;
-  rx_slots : int array;
   mutable running : bool;
   mutable processed : int;
 }
 
 let mailbox t = Option.get t.mailbox
 
+(* A ring-base write commits the ring whose size its geometry mailbox
+   holds. The firmware keeps no copy of that word: it dispatches the
+   lowest pending mailbox first, so no write to the geometry mailbox is
+   still pending when the base is dispatched, and the word moves with
+   the partition when the context pages. *)
+let ring t ~ctx ~slots_mbox base =
+  Ring.create ~base
+    ~slots:(Mailbox.value (mailbox t) ~ctx ~mbox:slots_mbox)
+    ~desc_bytes:(Dp.config t.dp).Nic_config.desc_layout.Memory.Desc_layout.size
+    ()
+
 let dispatch t ~ctx ~mbox =
   let v = Mailbox.value (mailbox t) ~ctx ~mbox in
-  if mbox = mbox_tx_ring_slots then t.tx_slots.(ctx) <- v
-  else if mbox = mbox_rx_ring_slots then t.rx_slots.(ctx) <- v
-  else if mbox = mbox_tx_ring_base then begin
-    let desc_bytes =
-      (Dp.config t.dp).Nic_config.desc_layout.Memory.Desc_layout.size
-    in
-    Dp.set_tx_ring t.dp ~ctx
-      (Ring.create ~base:v ~slots:t.tx_slots.(ctx) ~desc_bytes ())
-  end
-  else if mbox = mbox_rx_ring_base then begin
-    let desc_bytes =
-      (Dp.config t.dp).Nic_config.desc_layout.Memory.Desc_layout.size
-    in
-    Dp.set_rx_ring t.dp ~ctx
-      (Ring.create ~base:v ~slots:t.rx_slots.(ctx) ~desc_bytes ())
-  end
+  if mbox = mbox_tx_ring_base then
+    Dp.set_tx_ring t.dp ~ctx (ring t ~ctx ~slots_mbox:mbox_tx_ring_slots v)
+  else if mbox = mbox_rx_ring_base then
+    Dp.set_rx_ring t.dp ~ctx (ring t ~ctx ~slots_mbox:mbox_rx_ring_slots v)
   else if mbox = mbox_status_addr then Dp.set_status_addr t.dp ~ctx v
   else if mbox = mbox_tx_prod then Dp.tx_doorbell t.dp ~ctx ~prod:v
   else if mbox = mbox_rx_prod then Dp.rx_doorbell t.dp ~ctx ~prod:v
-(* Other mailboxes: general-purpose, ignored by this firmware. *)
+(* Other mailboxes, the ring geometry included, are read when needed. *)
 
 let rec process_loop t () =
   match Mailbox.next_event (mailbox t) with
@@ -59,20 +55,13 @@ let on_event t () =
   end
 
 let create engine ~dp ~process_cost () =
-  let contexts = Dp.contexts dp in
   let t =
-    {
-      engine;
-      dp;
-      process_cost;
-      mailbox = None;
-      tx_slots = Array.make contexts 0;
-      rx_slots = Array.make contexts 0;
-      running = false;
-      processed = 0;
-    }
+    { engine; dp; process_cost; mailbox = None; running = false; processed = 0 }
   in
-  t.mailbox <- Some (Mailbox.create ~contexts ~on_event:(fun () -> on_event t ()));
+  t.mailbox <-
+    Some
+      (Mailbox.create ~contexts:(Dp.contexts dp) ~on_event:(fun () ->
+           on_event t ()));
   t
 
 let region t ~ctx = Mailbox.region (mailbox t) ~ctx
@@ -97,19 +86,5 @@ let driver_if t ~ctx ~mapping : Driver_if.t =
     take_rx_completions = (fun ~max -> Dp.take_rx_completions t.dp ~ctx ~max);
     rx_completions_pending = (fun () -> Dp.rx_completions_pending t.dp ~ctx);
   }
-
-type saved_scratch = { saved_tx_slots : int; saved_rx_slots : int }
-
-let save_scratch t ~ctx =
-  let s =
-    { saved_tx_slots = t.tx_slots.(ctx); saved_rx_slots = t.rx_slots.(ctx) }
-  in
-  t.tx_slots.(ctx) <- 0;
-  t.rx_slots.(ctx) <- 0;
-  s
-
-let restore_scratch t ~ctx s =
-  t.tx_slots.(ctx) <- s.saved_tx_slots;
-  t.rx_slots.(ctx) <- s.saved_rx_slots
 
 let events_processed t = t.processed

@@ -29,15 +29,5 @@ val region : t -> ctx:int -> Bus.Mmio.region
     machinery). *)
 val driver_if : t -> ctx:int -> mapping:Bus.Mmio.mapping -> Driver_if.t
 
-(** Opaque image of the firmware's per-context scratch (last ring geometry
-    written), for hypervisor-mediated context paging. *)
-type saved_scratch
-
-(** [save_scratch t ~ctx] copies the context's scratch into a save area and
-    zeroes it, so the slot's next occupant starts from reset state. *)
-val save_scratch : t -> ctx:int -> saved_scratch
-
-val restore_scratch : t -> ctx:int -> saved_scratch -> unit
-
 (** Mailbox events processed so far. *)
 val events_processed : t -> int

@@ -9,10 +9,10 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Pkt_buf.create: non-positive capacity";
   { capacity; used = 0; drops = 0; peak = 0 }
 
-let capacity t = t.capacity
-let in_use t = t.used
+let[@cdna.hot] capacity t = t.capacity
+let[@cdna.hot] in_use t = t.used
 
-let try_reserve t ~bytes =
+let[@cdna.hot] try_reserve t ~bytes =
   if bytes < 0 then invalid_arg "Pkt_buf.try_reserve: negative size";
   if t.used + bytes > t.capacity then begin
     t.drops <- t.drops + 1;
@@ -24,7 +24,7 @@ let try_reserve t ~bytes =
     true
   end
 
-let release t ~bytes =
+let[@cdna.hot] release t ~bytes =
   if bytes < 0 || bytes > t.used then invalid_arg "Pkt_buf.release: underflow";
   t.used <- t.used - bytes
 

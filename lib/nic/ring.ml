@@ -12,7 +12,8 @@ let create ~base ~slots ?(desc_bytes = Memory.Dma_desc.size_bytes) () =
 let base t = t.base
 let slots t = t.slots
 let size_bytes t = t.slots * t.desc_bytes
-let slot_addr t idx = t.base + ((idx land (t.slots - 1)) * t.desc_bytes)
+let[@cdna.hot] slot_addr t idx =
+  t.base + ((idx land (t.slots - 1)) * t.desc_bytes)
 
 let available ~prod ~cons =
   let n = prod - cons in

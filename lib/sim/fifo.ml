@@ -89,29 +89,6 @@ let[@cdna.hot] pop t =
   else t.head_pos <- i + 1;
   x
 
-let clear t =
-  while t.length > 0 do
-    ignore (pop t)
-  done
-
-(* The values of chunk [c] from [pos], then of the chunks after it. *)
-let rec iter_from f t c pos =
-  let stop = if c == t.tail then t.tail_pos else Array.length c.slots in
-  for i = pos to stop - 1 do
-    f (Array.unsafe_get c.slots i)
-  done;
-  if c != t.tail then iter_from f t c.next 0
-
-let iter f t = if t.length > 0 then iter_from f t t.head t.head_pos
-
-let to_seq t =
-  let rec from c pos () =
-    if c == t.tail && pos >= t.tail_pos then Seq.Nil
-    else if pos = Array.length c.slots then from c.next 0 ()
-    else Seq.Cons (Array.unsafe_get c.slots pos, from c (pos + 1))
-  in
-  if t.length = 0 then Seq.empty else from t.head t.head_pos
-
 let transfer src dst =
   while src.length > 0 do
     push dst (pop src)

@@ -39,16 +39,6 @@ val pop : 'a t -> 'a
     @raise Invalid_argument if [t] is empty. *)
 val peek : 'a t -> 'a
 
-(** [clear t] removes every value. *)
-val clear : 'a t -> unit
-
-(** [iter f t] applies [f] to each value, head first. *)
-val iter : ('a -> unit) -> 'a t -> unit
-
-(** The values head first, read lazily: [t] must not change while the
-    sequence is consumed. *)
-val to_seq : 'a t -> 'a Seq.t
-
 (** [transfer src dst] appends every value of [src] to [dst], in order,
     and leaves [src] empty. [src] and [dst] must be distinct. *)
 val transfer : 'a t -> 'a t -> unit

@@ -9,7 +9,7 @@
    protocol table of acquire/release/use function pairs, seeded from
    the real pairs in lib/ (Iommu.grant->revoke, Hyp.assign_context->
    revoke, Page get_ref->put_ref, Pkt_buf try_reserve->release,
-   Mmio map->revoke, Cnic save_context->restore_context_image,
+   Mmio map->revoke, Cnic page_out->page_in,
    Mutex lock->unlock) and extensible per-function via annotation.
 
    Per function, an abstract interpretation over the typedtree tracks
@@ -133,8 +133,8 @@ let seeded_protocols =
     };
     {
       p_name = "cnic-image";
-      p_acq = [ ("Cnic.save_context", Ret) ];
-      p_rel = [ ("Cnic.restore_context_image", Arg 1) ];
+      p_acq = [ ("Cnic.page_out", Ret) ];
+      p_rel = [ ("Cnic.page_in", Arg 1) ];
       p_use = [];
       p_creators = [];
     };

@@ -167,7 +167,7 @@ let test_gate_per_suppression () =
                  ( k,
                    Sim.Json.Obj
                      [
-                       ("cdna.alloc_ok", Sim.Json.Int 18);
+                       ("cdna.alloc_ok", Sim.Json.Int 22);
                        ("cdna.privileged", Sim.Json.Int 1);
                        ("cdna.protection_ok", Sim.Json.Int 7);
                        ("cdna.unordered_ok", Sim.Json.Int 1);

@@ -713,6 +713,83 @@ let test_bad_length_fails_one_call protection () =
   check_int "other guest's traffic flowed" 100
     (Guestos.Nic_driver.tx_count (Cdna.Driver.core d2))
 
+(* A second guest with a driver and 100 frames to send; the returned
+   function reads how many went out. *)
+let other_guest_sending fx =
+  let h2 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
+  let d2 = Cdna.Driver.create ~hyp:fx.cdna ~handle:h2 ~costs:os_costs () in
+  run fx 5;
+  let stack2 =
+    Guestos.Net_stack.create
+      ~post_kernel:(fun ~cost fn ->
+        Xen.Hypervisor.kernel_work fx.xen fx.guest2 ~cost fn)
+      ~costs:os_costs ~netdev:(Guestos.Nic_driver.netdev (Cdna.Driver.core d2))
+  in
+  Guestos.Net_stack.send stack2
+    (List.init 100 (fun i ->
+         Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 2)
+           ~dst:(Ethernet.Mac_addr.make 99) ~kind:Ethernet.Frame.Data ~flow:2
+           ~seq:i ~payload_len:1000 ~payload_seed:i ()));
+  fun () -> Guestos.Nic_driver.tx_count (Cdna.Driver.core d2)
+
+(* A ring size [Ring.create] would reject fails the caller's
+   registration with [Bad_ring_size], inside the hypercall: the engine
+   keeps running, nothing is programmed or pinned, and another guest's
+   traffic all goes out. *)
+let test_bad_ring_size_fails_one_call protection () =
+  let fx = fixture ~protection () in
+  let h1 = assign fx ~mac_idx:1 () in
+  let sent2 = other_guest_sending fx in
+  let ring_page = List.hd (Xen.Hypervisor.alloc_pages fx.xen fx.guest 1) in
+  let results = ref [] in
+  List.iteri
+    (fun i slots ->
+      Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us (100 * (i + 1)))
+        (fun () ->
+          Cdna.Hyp.register_ring fx.cdna h1 Cdna.Hyp.Tx
+            ~base:(Memory.Addr.base_of_pfn ring_page) ~slots (fun r ->
+              results := r :: !results)))
+    [ 3; 0; 65536 ];
+  run fx 40;
+  check_int "three calls answered" 3 (List.length !results);
+  check_bool "each failed with Bad_ring_size" true
+    (List.for_all (fun r -> r = Error `Bad_ring_size) !results);
+  (match
+     await fx (fun k ->
+         Cdna.Hyp.enqueue fx.cdna h1 Cdna.Hyp.Tx [ own_desc fx h1 () ] k)
+   with
+  | Error `Ring_unregistered -> ()
+  | _ -> Alcotest.fail "a rejected ring was programmed");
+  check_int "nothing pinned" 0 (Cdna.Hyp.pinned_pages h1);
+  check_int "other guest's traffic flowed" 100 (sent2 ())
+
+(* A producer index that goes backwards, written by the guest through
+   its own mailbox mapping, faults that context alone: the engine keeps
+   running and another guest's traffic all goes out. *)
+let test_backwards_doorbell_through_mapping protection () =
+  let fx = fixture ~protection () in
+  let h1 = assign fx ~mac_idx:1 () in
+  setup_rings fx h1;
+  let faults = ref [] in
+  Cdna.Cnic.set_fault_handler fx.nic (fun ~ctx dir f ->
+      faults := (ctx, dir, f) :: !faults);
+  let sent2 = other_guest_sending fx in
+  let hw1 = Cdna.Hyp.driver_if h1 in
+  (* Far enough apart for the firmware to dispatch each write. *)
+  Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us 100) (fun () ->
+      hw1.Nic.Driver_if.rx_doorbell 5);
+  Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us 200) (fun () ->
+      hw1.Nic.Driver_if.rx_doorbell 3);
+  run fx 40;
+  check_bool "only the guest's context faulted" true
+    (!faults
+    = [
+        ( Cdna.Hyp.ctx_id h1,
+          Nic.Dp.Rx,
+          Nic.Dp.Producer_backwards { published = 5; prod = 3 } );
+      ]);
+  check_int "other guest's traffic flowed" 100 (sent2 ())
+
 (* ---------- Protection fault reporting ---------- *)
 
 let test_fault_attributed_to_guest () =
@@ -1290,6 +1367,123 @@ let test_paging_lifecycle_preserves_tx_state () =
   check_int "partition image followed the context" 0xBEEF
     (Bus.Mmio.read32 m' ~offset:512)
 
+(* A page-out that finds the guest with a frame on the wire, frames in
+   the NIC's ready FIFO, a half-assembled scatter/gather packet and an
+   unread receive completion. The guest that takes the vacated slot finds
+   it reset; the paged-out guest, back on another slot, sends every frame
+   once and in order and still finds its completion. A slot's
+   [nic.ctx.tx_frames] gauge reads the frame counter of the record on it,
+   so the count moves with the guest. *)
+let test_paging_moves_mid_flight_record () =
+  let fx = fixture ~paging:true () in
+  let dp = Cdna.Cnic.dp fx.nic in
+  let m = metrics_of fx in
+  let slot_frames ctx =
+    Sim.Metrics.sum m (Printf.sprintf "nic.ctx.tx_frames{ctx=%d,nic=cnic0}" ctx)
+  in
+  let mac = Ethernet.Mac_addr.make in
+  let wired = ref [] in
+  Ethernet.Link.attach fx.link Ethernet.Link.B (fun f ->
+      wired :=
+        (Ethernet.Mac_addr.to_int48 f.Ethernet.Frame.src, f.Ethernet.Frame.seq)
+        :: !wired);
+  let sent_by src =
+    let src = Ethernet.Mac_addr.to_int48 (mac src) in
+    List.rev
+      (List.filter_map (fun (s, q) -> if s = src then Some q else None) !wired)
+  in
+  let frame ?(dst = 99) ~src ~seq () =
+    Ethernet.Frame.make ~src:(mac src) ~dst:(mac dst) ~kind:Ethernet.Frame.Data
+      ~flow:src ~seq ~payload_len:1500 ~payload_seed:seq ()
+  in
+  let enqueue h dir descs =
+    match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h dir descs k) with
+    | Ok prod -> prod
+    | Error _ -> Alcotest.fail "enqueue failed"
+  in
+  let others =
+    List.init (Cdna.Cnic.num_contexts - 1) (fun i ->
+        assign fx ~guest:fx.guest2 ~mac_idx:(100 + i) ())
+  in
+  let h1 = assign fx ~mac_idx:1 () in
+  setup_rings fx h1;
+  let hw1 = Cdna.Hyp.driver_if h1 in
+  let slot0 = Cdna.Hyp.ctx_id h1 in
+  ignore (enqueue h1 Cdna.Hyp.Rx [ own_desc fx h1 ~len:1500 () ]);
+  hw1.Nic.Driver_if.rx_doorbell 1;
+  Ethernet.Link.send fx.link ~from:Ethernet.Link.B
+    (frame ~dst:1 ~src:500 ~seq:0 ())
+    ~on_wire_free:ignore;
+  (* Five whole packets and two fragments of a sixth. *)
+  let fragment () = { (own_desc fx h1 ()) with Memory.Dma_desc.flags = 0 } in
+  check_int "seven descriptors" 7
+    (enqueue h1 Cdna.Hyp.Tx
+       (List.init 5 (fun _ -> own_desc fx h1 ())
+       @ [ fragment (); fragment () ]));
+  for seq = 0 to 5 do
+    hw1.Nic.Driver_if.stage_tx_meta (frame ~src:1 ~seq ())
+  done;
+  check_int "completion unread" 1 (Nic.Dp.rx_completions_pending dp ~ctx:slot0);
+  hw1.Nic.Driver_if.tx_doorbell 7;
+  (* Touch every other guest so that [h1] is the LRU, then page it out
+     for a newcomer, recording how far the detach rolled back. *)
+  let rollback = ref (-1) in
+  let newcomer = ref None in
+  Sim.Engine.schedule fx.engine ~delay:(us 20) (fun () ->
+      List.iter
+        (fun o ->
+          let hw = Cdna.Hyp.driver_if o in
+          ignore (hw.Nic.Driver_if.take_tx_completions ()))
+        others;
+      Sim.Trace.set_sink
+        (Some
+           (fun ev ->
+             let n = List.assoc_opt "rollback_descs" ev.Sim.Trace.args in
+             match (ev.Sim.Trace.name, n) with
+             | "ctx-save", Some (Sim.Trace.Int n) -> rollback := n
+             | _ -> ()));
+      Fun.protect
+        ~finally:(fun () -> Sim.Trace.set_sink None)
+        (fun () ->
+          newcomer := Some (assign fx ~guest:fx.guest2 ~mac_idx:200 ())));
+  run fx 1;
+  let h2 = Option.get !newcomer in
+  check_int "newcomer on the vacated slot" slot0 (Cdna.Hyp.ctx_id h2);
+  check_int "three staged packets and two fragments rolled back" 5 !rollback;
+  check
+    Alcotest.(list int)
+    "one frame left before the page-out" [ 0; 1 ] (sent_by 1);
+  check_int "newcomer: no receive completion" 0
+    (Nic.Dp.rx_completions_pending dp ~ctx:slot0);
+  check_int "newcomer: no transmit completion" 0
+    (Nic.Dp.take_tx_completions dp ~ctx:slot0);
+  check_int "newcomer: no frames counted" 0 (slot_frames slot0);
+  (* Reset cursors, no metas and expected seqno 0: the newcomer's first
+     descriptor (seqno 0, ring index 0) carries its own frame. *)
+  setup_rings fx h2;
+  check_int "newcomer producer" 1
+    (enqueue h2 Cdna.Hyp.Tx [ own_desc fx h2 () ]);
+  let hw2 = Cdna.Hyp.driver_if h2 in
+  hw2.Nic.Driver_if.stage_tx_meta (frame ~src:200 ~seq:42 ());
+  hw2.Nic.Driver_if.tx_doorbell 1;
+  run fx 1;
+  check Alcotest.(list int) "newcomer sends its own frame" [ 42 ] (sent_by 200);
+  check_int "newcomer: its frame counted" 1 (slot_frames slot0);
+  (* The doorbell for the last fragment faults [h1] back in, on another
+     slot. *)
+  check_int "producer continues" 8
+    (enqueue h1 Cdna.Hyp.Tx [ own_desc fx h1 () ]);
+  hw1.Nic.Driver_if.tx_doorbell 8;
+  check_bool "back on another slot" true (Cdna.Hyp.ctx_id h1 <> slot0);
+  run fx 5;
+  check Alcotest.(list int) "every frame once, in order" [ 0; 1; 2; 3; 4; 5 ]
+    (sent_by 1);
+  check_bool "no faults" true (Cdna.Hyp.faults fx.cdna = []);
+  check_int "the count moved with the guest" 6
+    (slot_frames (Cdna.Hyp.ctx_id h1));
+  check_int "completion still unread" 1
+    (hw1.Nic.Driver_if.rx_completions_pending ())
+
 (* Random interleavings of transmits and forced evictions on a fully
    subscribed NIC: sequence numbers stay continuous across every
    save/restore (no context ever faults, every staged frame reaches the
@@ -1520,6 +1714,8 @@ let suite =
           test_paging_swap_series_from_create;
         Alcotest.test_case "saves the whole written prefix" `Quick
           test_paging_saves_whole_written_prefix;
+        Alcotest.test_case "moves a mid-flight record" `Quick
+          test_paging_moves_mid_flight_record;
         qcheck prop_partition_save_matches_full_copy;
         qcheck prop_paging_interleaving;
       ] );
@@ -1552,6 +1748,16 @@ let suite =
           (test_bad_length_fails_one_call Cdna.Cdna_costs.Iommu);
         Alcotest.test_case "bad length (disabled)" `Quick
           (test_bad_length_fails_one_call Cdna.Cdna_costs.Disabled);
+        Alcotest.test_case "bad ring size (full)" `Quick
+          (test_bad_ring_size_fails_one_call Cdna.Cdna_costs.Full);
+        Alcotest.test_case "bad ring size (iommu)" `Quick
+          (test_bad_ring_size_fails_one_call Cdna.Cdna_costs.Iommu);
+        Alcotest.test_case "bad ring size (disabled)" `Quick
+          (test_bad_ring_size_fails_one_call Cdna.Cdna_costs.Disabled);
+        Alcotest.test_case "backwards doorbell via mapping (full)" `Quick
+          (test_backwards_doorbell_through_mapping Cdna.Cdna_costs.Full);
+        Alcotest.test_case "backwards doorbell via mapping (iommu)" `Quick
+          (test_backwards_doorbell_through_mapping Cdna.Cdna_costs.Iommu);
         Alcotest.test_case "fault attribution" `Quick test_fault_attributed_to_guest;
         Alcotest.test_case "disabled mode" `Quick test_disabled_mode_skips_validation;
         Alcotest.test_case "iommu mode" `Quick test_iommu_mode_blocks_foreign_dma;

@@ -202,7 +202,7 @@ let test_xchan_capacity () =
   check_bool "push 2" true (Guestos.Xchan.tx_push x e);
   check_bool "full" false (Guestos.Xchan.tx_push x e);
   check_int "used" 2 (Guestos.Xchan.tx_used x);
-  ignore (Guestos.Xchan.tx_pop x);
+  check_int "popped" 3 (Guestos.Xchan.tx_pop x).Guestos.Xchan.pfn;
   check_int "space" 1 (Guestos.Xchan.tx_space x)
 
 let test_xchan_completions () =

@@ -415,7 +415,6 @@ let test_dp_materialized_rx_lands_in_buffer () =
 let test_dp_seqno_fault_halts_context () =
   let fx = dp_fixture ~seqno_checking:true () in
   let d = attach_driver fx ~ctx:0 ~mac:(Ethernet.Mac_addr.make 1) in
-  Nic.Dp.set_expected_seqno fx.dp ~ctx:0 ~tx:0 ~rx:0;
   send_one fx d ();
   run fx 1;
   check_int "first ok" 1 (ctx_tx_frames fx ~ctx:0);
@@ -439,7 +438,6 @@ let test_dp_seqno_fault_halts_context () =
 let test_dp_correct_seqnos_pass () =
   let fx = dp_fixture ~seqno_checking:true () in
   let d = attach_driver fx ~ctx:0 ~mac:(Ethernet.Mac_addr.make 1) in
-  Nic.Dp.set_expected_seqno fx.dp ~ctx:0 ~tx:0 ~rx:0;
   for _ = 1 to 5 do
     send_one fx d ()
   done;
@@ -858,9 +856,9 @@ let test_dp_rx_short_descriptor_truncates () =
   check_int "only delivered bytes counted" 300 (count fx "nic.rx_bytes");
   check_int "rx buffer drained" 0 (Nic.Dp.rx_buffer_in_use fx.dp)
 
-(* Context save with a descriptor fetch and an rx delivery in flight:
-   the image rolls each cursor back exactly as far as its in-flight
-   operation got, so after deactivate + restore the context re-fetches
+(* Context detach with a descriptor fetch and an rx delivery in flight:
+   the record rolls each cursor back exactly as far as its in-flight
+   operation got, so after detach + attach the context re-fetches
    the same transmit descriptor and the next receive lands in the slot
    whose seqno the NIC expects, with no seqno fault either way. *)
 let save_mid_flight ~after_ns =
@@ -883,12 +881,11 @@ let save_mid_flight ~after_ns =
   Sim.Engine.run fx.engine ~until:(Sim.Time.ns 12_804);
   send_one fx d ();
   Sim.Engine.run fx.engine ~until:(Sim.Time.ns (12_804 + after_ns));
-  let image = Nic.Dp.save_context fx.dp ~ctx:0 in
-  Nic.Dp.deactivate fx.dp ~ctx:0;
+  let image = Nic.Dp.detach fx.dp ~ctx:0 in
   run fx 1;
   check_int "nothing wired or delivered before the restore" 0
     (List.length !wired + Nic.Dp.rx_completions_pending fx.dp ~ctx:0);
-  Nic.Dp.restore_context fx.dp ~ctx:0 image;
+  Nic.Dp.attach fx.dp ~ctx:0 image;
   inbound 1;
   run fx 1;
   check_int "no seqno faults" 0 (List.length !(fx.faults));
