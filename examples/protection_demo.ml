@@ -74,6 +74,7 @@ let describe_error = function
   | `Not_owner pfn -> Printf.sprintf "Not_owner(pfn %d)" pfn
   | `Bad_length -> "Bad_length"
   | `Bad_ring_size -> "Bad_ring_size"
+  | `Bad_ring_base -> "Bad_ring_base"
   | `Ring_full -> "Ring_full"
   | `Ring_unregistered -> "Ring_unregistered"
   | `Revoked -> "Revoked"

@@ -9,6 +9,7 @@ type enqueue_error =
   [ `Not_owner of Memory.Addr.pfn
   | `Bad_length
   | `Bad_ring_size
+  | `Bad_ring_base
   | `Ring_full
   | `Ring_unregistered
   | `Revoked ]
@@ -607,12 +608,13 @@ let validate_and_grant t h pfns ~program k =
 let register_ring t h dir ~base ~slots k =
   let cost = t.costs.Cdna_costs.map_context in
   Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost (fun () ->
-      (* The ring size is the guest's to choose: one that [Ring.create]
-         would reject fails this call, not the simulation. *)
+      (* The ring size and base are the guest's to choose: one that
+         [Ring.create] would reject fails this call, not the simulation. *)
       if h.revoked then k (Error `Revoked)
       else if
         slots < 2 || slots > Seqno.max_ring_slots || slots land (slots - 1) <> 0
       then k (Error `Bad_ring_size)
+      else if base < 0 then k (Error `Bad_ring_base)
       else begin
         ensure_resident t h;
         let ring =

@@ -71,6 +71,7 @@ type enqueue_error =
   | `Bad_ring_size
     (** A ring size that is not a power of two in
         [\[2, Seqno.max_ring_slots\]]. *)
+  | `Bad_ring_base  (** A negative ring base address. *)
   | `Ring_full
   | `Ring_unregistered
   | `Revoked ]
@@ -140,9 +141,9 @@ val driver_if : ctx_handle -> Nic.Driver_if.t
 
 type dir = Tx | Rx
 
-(** [register_ring t h dir ~base ~slots k] validates the ring size and
-    the ring memory (owned by the guest), records and programs it, and
-    establishes the hypervisor's exclusive write access to it. *)
+(** [register_ring t h dir ~base ~slots k] validates the ring size, the
+    base and the ring memory (owned by the guest), records and programs
+    it, and establishes the hypervisor's exclusive write access to it. *)
 val register_ring :
   t ->
   ctx_handle ->

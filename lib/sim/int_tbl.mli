@@ -16,8 +16,6 @@ val create : int -> 'a t
 val find_opt : 'a t -> int -> 'a option
 val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
-val remove : 'a t -> int -> unit
-val reset : 'a t -> unit
 
 (** [iter_sorted t f] calls [f key value] for every binding, in
     ascending key order. *)

@@ -11,14 +11,31 @@ type t = {
   mutable received : int;
   mutable rejected : int;
   mutable integrity_failures : int;
-  (* Send timestamps of in-flight sequence numbers, for latency. *)
-  sent_at : Sim.Time.t Sim.Int_tbl.t;
+  (* Send stamps of in-flight sequence numbers, for latency: a ring of
+     a power-of-two size at or above [window]. Slot [seq land mask] holds
+     the last stamped seq there ([-1] if none) and its send time.
+
+     The ring loses no stamp a per-seq table would have kept. A stamp is
+     looked up only for the accepted in-order seq [expected_rx], and no
+     other seq of that slot is stamped between its last send and then.
+     A larger one would be at least [expected_rx + window], which neither
+     sender can have sent yet: [Bench_program] takes a credit per
+     segment and gets it back only when the segment is accepted, and
+     [Peer.can_send] keeps [next - base < window] with [base] never ahead
+     of [expected_rx]. A smaller one would be at most
+     [expected_rx - window], below the sender's base ever since it last
+     sent [expected_rx], and go-back-N resends only from the base up. A
+     resend of [expected_rx] itself overwrites its own slot, as the
+     table's [replace] did. *)
+  sent_seq : int array;
+  sent_time : Sim.Time.t array;
   latency : Sim.Stats.Histogram.t;
 }
 
 let create ~id ~window ~payload_len ~src ~dst =
   if window <= 0 then invalid_arg "Connection.create: non-positive window";
   if payload_len <= 0 then invalid_arg "Connection.create: empty payload";
+  let size = 1 lsl (Sim.Stats.log2_floor (window - 1) + 1) in
   {
     id;
     window;
@@ -32,7 +49,8 @@ let create ~id ~window ~payload_len ~src ~dst =
     received = 0;
     rejected = 0;
     integrity_failures = 0;
-    sent_at = Sim.Int_tbl.create 64;
+    sent_seq = Array.make size (-1);
+    sent_time = Array.make size Sim.Time.zero;
     latency = Sim.Stats.Histogram.create ();
   }
 
@@ -47,12 +65,19 @@ let take_credits t n =
 
 let add_credits t n = t.in_flight <- Int.max 0 (t.in_flight - n)
 
+let slot t seq = seq land (Array.length t.sent_seq - 1)
+
+let stamp t seq = function
+  | Some time ->
+      let slot = slot t seq in
+      t.sent_seq.(slot) <- seq;
+      t.sent_time.(slot) <- time
+  | None -> ()
+
 let payload_seed ~conn ~seq = (conn * 1_000_003) + seq + 1
 
 let frame_with_seq ?now t ~seq =
-  (match now with
-  | Some time -> Sim.Int_tbl.replace t.sent_at seq time
-  | None -> ());
+  stamp t seq now;
   Ethernet.Frame.make ~src:t.src ~dst:t.dst ~kind:Ethernet.Frame.Data
     ~flow:t.id ~seq ~payload_len:t.payload_len
     ~payload_seed:(payload_seed ~conn:t.id ~seq)
@@ -64,9 +89,7 @@ let make_frame ?now ?(segments = 1) t =
   t.sent <- t.sent + segments;
   if segments = 1 then frame_with_seq ?now t ~seq
   else begin
-    (match now with
-    | Some time -> Sim.Int_tbl.replace t.sent_at seq time
-    | None -> ());
+    stamp t seq now;
     Ethernet.Frame.make ~src:t.src ~dst:t.dst ~kind:Ethernet.Frame.Data
       ~flow:t.id ~seq ~segments
       ~payload_len:(t.payload_len * segments)
@@ -80,11 +103,16 @@ let record_received ?now t frame =
     t.received <- t.received + frame.Ethernet.Frame.segments;
     if not (Ethernet.Frame.data_valid frame) then
       t.integrity_failures <- t.integrity_failures + 1;
-    (match (now, Sim.Int_tbl.find_opt t.sent_at frame.Ethernet.Frame.seq) with
-    | Some arrival, Some departure ->
-        Sim.Int_tbl.remove t.sent_at frame.Ethernet.Frame.seq;
-        Sim.Stats.Histogram.add t.latency (Sim.Time.diff arrival departure)
-    | _ -> ());
+    (match now with
+    | Some arrival ->
+        let seq = frame.Ethernet.Frame.seq in
+        let slot = slot t seq in
+        if t.sent_seq.(slot) = seq then begin
+          t.sent_seq.(slot) <- -1;
+          Sim.Stats.Histogram.add t.latency
+            (Sim.Time.diff arrival t.sent_time.(slot))
+        end
+    | None -> ());
     `Accepted
   end
   else begin
@@ -104,5 +132,5 @@ let reset_counters t =
   t.received <- 0;
   t.rejected <- 0;
   t.integrity_failures <- 0;
-  Sim.Int_tbl.reset t.sent_at;
+  Array.fill t.sent_seq 0 (Array.length t.sent_seq) (-1);
   Sim.Stats.Histogram.reset t.latency

@@ -732,28 +732,35 @@ let other_guest_sending fx =
            ~seq:i ~payload_len:1000 ~payload_seed:i ()));
   fun () -> Guestos.Nic_driver.tx_count (Cdna.Driver.core d2)
 
-(* A ring size [Ring.create] would reject fails the caller's
-   registration with [Bad_ring_size], inside the hypercall: the engine
-   keeps running, nothing is programmed or pinned, and another guest's
-   traffic all goes out. *)
+(* A ring size or base [Ring.create] would reject fails the caller's
+   registration with [Bad_ring_size] or [Bad_ring_base], inside the
+   hypercall: the engine keeps running, nothing is programmed or pinned,
+   and another guest's traffic all goes out. *)
 let test_bad_ring_size_fails_one_call protection () =
   let fx = fixture ~protection () in
   let h1 = assign fx ~mac_idx:1 () in
   let sent2 = other_guest_sending fx in
   let ring_page = List.hd (Xen.Hypervisor.alloc_pages fx.xen fx.guest 1) in
+  let base = Memory.Addr.base_of_pfn ring_page in
   let results = ref [] in
   List.iteri
-    (fun i slots ->
+    (fun i (base, slots) ->
       Sim.Engine.schedule fx.engine ~delay:(Sim.Time.us (100 * (i + 1)))
         (fun () ->
-          Cdna.Hyp.register_ring fx.cdna h1 Cdna.Hyp.Tx
-            ~base:(Memory.Addr.base_of_pfn ring_page) ~slots (fun r ->
+          Cdna.Hyp.register_ring fx.cdna h1 Cdna.Hyp.Tx ~base ~slots (fun r ->
               results := r :: !results)))
-    [ 3; 0; 65536 ];
+    [ (base, 3); (base, 0); (base, 65536); (-4096, 64) ];
   run fx 40;
-  check_int "three calls answered" 3 (List.length !results);
-  check_bool "each failed with Bad_ring_size" true
-    (List.for_all (fun r -> r = Error `Bad_ring_size) !results);
+  check_int "four calls answered" 4 (List.length !results);
+  check_bool "sizes failed with Bad_ring_size, the base with Bad_ring_base"
+    true
+    (List.rev !results
+    = [
+        Error `Bad_ring_size;
+        Error `Bad_ring_size;
+        Error `Bad_ring_size;
+        Error `Bad_ring_base;
+      ]);
   (match
      await fx (fun k ->
          Cdna.Hyp.enqueue fx.cdna h1 Cdna.Hyp.Tx [ own_desc fx h1 () ] k)

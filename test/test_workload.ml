@@ -104,6 +104,69 @@ let test_conn_reset () =
   Workload.Connection.reset_counters c;
   check_int "sent zeroed" 0 (Workload.Connection.sent c)
 
+(* Send stamps live in a ring the size of the window. Against a per-seq
+   table (stamp by [replace], read and remove on in-order acceptance),
+   a go-back-N sender with a window-4 connection, a dropped frame and
+   the duplicates its retransmission makes must give the same latency
+   histogram, while the sequence numbers wrap the ring many times. *)
+let test_conn_latency_ring () =
+  let window = 4 in
+  let c = conn ~window () in
+  let table = Hashtbl.create 16 in
+  let expected = Sim.Stats.Histogram.create () in
+  let wire = Queue.create () in
+  let base = ref 0 and next = ref 0 and stalled = ref 0 in
+  let dropped = ref false and resends = ref 0 and rejected = ref 0 in
+  for step = 1 to 300 do
+    let now = Sim.Time.us step in
+    (* The wire delivers on two steps of three; seq 5 is lost once. *)
+    (if step mod 3 <> 0 then
+       match Queue.take_opt wire with
+       | Some f when f.Ethernet.Frame.seq = 5 && not !dropped -> dropped := true
+       | Some f -> (
+           match Workload.Connection.record_received ~now c f with
+           | `Accepted ->
+               let seq = f.Ethernet.Frame.seq in
+               (match Hashtbl.find_opt table seq with
+               | Some sent ->
+                   Hashtbl.remove table seq;
+                   Sim.Stats.Histogram.add expected (Sim.Time.diff now sent)
+               | None -> ());
+               base := seq + 1;
+               stalled := 0
+           | `Rejected -> incr rejected)
+       | None -> ());
+    (* Go back to the base after 8 steps without progress. *)
+    incr stalled;
+    if !stalled > 8 && !next > !base then begin
+      resends := !resends + (!next - !base);
+      next := !base;
+      stalled := 0
+    end;
+    if !next - !base < window then begin
+      Hashtbl.replace table !next now;
+      Queue.push (Workload.Connection.frame_with_seq ~now c ~seq:!next) wire;
+      incr next
+    end
+  done;
+  check_bool "a frame was dropped" true !dropped;
+  check_bool "the window was resent" true (!resends > 0);
+  check_bool "duplicates were rejected" true (!rejected > 0);
+  check_bool "the ring wrapped" true (!base > 10 * window);
+  let got = Workload.Connection.latency c in
+  check_int "samples" (Sim.Stats.Histogram.count expected)
+    (Sim.Stats.Histogram.count got);
+  check (Alcotest.float 0.) "mean" (Sim.Stats.Histogram.mean expected)
+    (Sim.Stats.Histogram.mean got);
+  check_int "min" (Sim.Stats.Histogram.min_value expected)
+    (Sim.Stats.Histogram.min_value got);
+  check_int "max" (Sim.Stats.Histogram.max_value expected)
+    (Sim.Stats.Histogram.max_value got);
+  let qs = [| 10.; 50.; 90.; 99. |] in
+  check (Alcotest.array Alcotest.int) "quantiles"
+    (Sim.Stats.Histogram.quantiles expected qs)
+    (Sim.Stats.Histogram.quantiles got qs)
+
 (* ---------- Pattern ---------- *)
 
 let test_pattern () =
@@ -223,6 +286,7 @@ let suite =
         Alcotest.test_case "integrity" `Quick test_conn_integrity_check;
         Alcotest.test_case "super-frames" `Quick test_conn_super_frames;
         Alcotest.test_case "reset" `Quick test_conn_reset;
+        Alcotest.test_case "latency ring" `Quick test_conn_latency_ring;
       ] );
     ("workload.pattern", [ Alcotest.test_case "roles" `Quick test_pattern ]);
     ( "workload.bench_program",
